@@ -2,9 +2,7 @@ package ofence
 
 import (
 	"context"
-	"fmt"
 	"sort"
-	"sync"
 
 	"ofence/internal/access"
 	"ofence/internal/cfg"
@@ -75,38 +73,25 @@ type Finding struct {
 // String renders the finding.
 func (f *Finding) String() string {
 	loc := f.Site.Pos.String()
-	return fmt.Sprintf("%s: %s in %s: %s", loc, f.Kind, f.Site.Fn.Name, f.Explanation)
+	return loc + ": " + f.Kind.String() + " in " + f.Site.Fn.Name + ": " + f.Explanation
 }
 
 type checker struct {
 	opts Options
 }
 
-// checkParallel runs the deviation checkers with per-pairing fan-out across
-// a pool of workers goroutines. Findings are collected per pairing index and
-// merged in order (then sorted by position), so the output is deterministic
+// checkParallel runs the deviation checkers over the pairings on a pool of
+// workers goroutines. Findings are collected per pairing index and merged
+// in order (then sorted by position), so the output is deterministic
 // regardless of scheduling. It stops early and returns ctx's error when the
 // context is canceled.
 func (c *checker) checkParallel(ctx context.Context, res *Result, workers int) ([]*Finding, error) {
-	if workers <= 0 {
-		workers = 1
-	}
 	perPairing := make([][]*Finding, len(res.Pairings))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, pg := range res.Pairings {
-		wg.Add(1)
-		go func(i int, pg *Pairing) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if ctx.Err() != nil {
-				return
-			}
-			perPairing[i] = c.checkPairing(pg)
-		}(i, pg)
-	}
-	wg.Wait()
+	forEachIndex(len(res.Pairings), workers, func(i int) {
+		if ctx.Err() == nil {
+			perPairing[i] = c.checkPairing(res.Pairings[i])
+		}
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -240,16 +225,16 @@ func (c *checker) checkDuo(pg *Pairing, w, r *access.Site) []*Finding {
 			// Written before W (payload side) but only read before R.
 			out = append(out, &Finding{
 				Kind: MisplacedAccess, Site: r, Pairing: pg, Object: o, Access: rb,
-				Explanation: fmt.Sprintf("%s is written before the write barrier in %s but read before the read barrier in %s; the read must move after the barrier",
-					o, w.Fn.Name, r.Fn.Name),
+				Explanation: o.String() + " is written before the write barrier in " + w.Fn.Name +
+					" but read before the read barrier in " + r.Fn.Name + "; the read must move after the barrier",
 			})
 		}
 		if wa != nil && ra != nil && rb == nil {
 			// Written after W (flag side) but only read after R.
 			out = append(out, &Finding{
 				Kind: MisplacedAccess, Site: r, Pairing: pg, Object: o, Access: ra,
-				Explanation: fmt.Sprintf("%s is written after the write barrier in %s but read after the read barrier in %s; the read must move before the barrier",
-					o, w.Fn.Name, r.Fn.Name),
+				Explanation: o.String() + " is written after the write barrier in " + w.Fn.Name +
+					" but read after the read barrier in " + r.Fn.Name + "; the read must move before the barrier",
 			})
 		}
 
@@ -259,8 +244,8 @@ func (c *checker) checkDuo(pg *Pairing, w, r *access.Site) []*Finding {
 			out = append(out, &Finding{
 				Kind: RepeatedRead, Site: r, Pairing: pg, Object: o,
 				FirstAccess: rb, Access: ra,
-				Explanation: fmt.Sprintf("%s is correctly read before the read barrier in %s but re-read after it; the re-read has no ordering guarantee — reuse the first value",
-					o, r.Fn.Name),
+				Explanation: o.String() + " is correctly read before the read barrier in " + r.Fn.Name +
+					" but re-read after it; the re-read has no ordering guarantee — reuse the first value",
 			})
 		}
 
@@ -307,8 +292,8 @@ func (c *checker) repeatedReadSameSide(pg *Pairing, r *access.Site, o access.Obj
 	return &Finding{
 		Kind: RepeatedRead, Site: r, Pairing: pg, Object: o,
 		FirstAccess: first, Access: reread,
-		Explanation: fmt.Sprintf("%s is checked in a condition and then re-read in %s; a concurrent write may change it between the reads — reuse the first value",
-			o, r.Fn.Name),
+		Explanation: o.String() + " is checked in a condition and then re-read in " + r.Fn.Name +
+			"; a concurrent write may change it between the reads — reuse the first value",
 	}
 }
 
@@ -350,16 +335,16 @@ func (c *checker) checkWrongType(pg *Pairing, s *access.Site) *Finding {
 		return &Finding{
 			Kind: WrongBarrierType, Site: s, Pairing: pg,
 			SuggestedBarrier: "smp_wmb",
-			Explanation: fmt.Sprintf("the read barrier in %s only orders writes to the shared objects; it must be a write barrier (smp_wmb)",
-				s.Fn.Name),
+			Explanation: "the read barrier in " + s.Fn.Name +
+				" only orders writes to the shared objects; it must be a write barrier (smp_wmb)",
 		}
 	}
 	if s.Kind == memmodel.WriteBarrier && stores == 0 && loads > 0 {
 		return &Finding{
 			Kind: WrongBarrierType, Site: s, Pairing: pg,
 			SuggestedBarrier: "smp_rmb",
-			Explanation: fmt.Sprintf("the write barrier in %s only orders reads of the shared objects; it must be a read barrier (smp_rmb)",
-				s.Fn.Name),
+			Explanation: "the write barrier in " + s.Fn.Name +
+				" only orders reads of the shared objects; it must be a read barrier (smp_rmb)",
 		}
 	}
 	return nil
@@ -376,8 +361,8 @@ func (c *checker) checkUnneeded(s *access.Site, pg *Pairing) *Finding {
 	}
 	return &Finding{
 		Kind: UnneededBarrier, Site: s, Pairing: pg,
-		Explanation: fmt.Sprintf("the %s in %s is immediately followed by %s, which already provides barrier semantics; the barrier is unneeded",
-			s.Name, s.Fn.Name, s.NextBarrierName),
+		Explanation: "the " + s.Name + " in " + s.Fn.Name + " is immediately followed by " + s.NextBarrierName +
+			", which already provides barrier semantics; the barrier is unneeded",
 	}
 }
 
@@ -411,7 +396,7 @@ func (c *checker) checkOnceAccess(pg *Pairing, s *access.Site, a *access.Access,
 	return append(out, &Finding{
 		Kind: MissingOnce, Site: s, Pairing: pg, Object: a.Object, Access: a,
 		SuggestedBarrier: ann,
-		Explanation: fmt.Sprintf("%s is accessed concurrently in %s without %s; the compiler may tear or fuse the access",
-			a.Object, s.Fn.Name, ann),
+		Explanation: a.Object.String() + " is accessed concurrently in " + s.Fn.Name + " without " + ann +
+			"; the compiler may tear or fuse the access",
 	})
 }

@@ -8,10 +8,9 @@ func (p *Project) UseLegacyFrontendForTest() { p.legacyFrontend = true }
 
 // UseSequentialGlobalForTest routes the project's interprocedural global
 // phases through the sequential pre-sharding oracle: callgraph.Build, the
-// round-robin semprop fixpoint, the per-file closure BFS, unsharded site
-// dedup and the sequential ranking census. The tree-scale overhaul's
-// differential tests and benchmarks compare production runs against
-// projects configured this way.
+// round-robin semprop fixpoint, the per-file closure BFS and unsharded
+// site dedup. The tree-scale overhaul's differential tests and benchmarks
+// compare production runs against projects configured this way.
 func (p *Project) UseSequentialGlobalForTest() { p.seqGlobal = true }
 
 // FrontendMetersForTest sums the per-file frontend meters (preprocessed

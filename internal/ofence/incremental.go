@@ -74,6 +74,10 @@ type artifacts struct {
 	sitesKey rescache.Key
 	// sites are the extract-stage barrier sites.
 	sites []*access.Site
+	// extractFP is the options fingerprint sites were extracted under at
+	// InterprocDepth 0, or "" when they were not: a depth-0 run under the
+	// same fingerprint serves the unit without hashing its extract key.
+	extractFP string
 }
 
 // preArtifact is the preprocess-stage cache value.
@@ -278,30 +282,18 @@ func (p *Project) refreshStale(ctx context.Context, files []*FileUnit, env proje
 	}
 }
 
-// pipelineFile streams one unit through the fused per-file pipeline of the
-// depth-0 Analyze: front-end refresh (only when the unit is new or its
-// environment went stale), then the reuse-check → table → extract tail. It
-// preserves refreshStale's semantics exactly — a unit whose preprocessed
-// content is unchanged keeps every artifact, including cached sites — and
-// the classic path's reuse accounting: +reused for in-place or shared-cache
-// sites, +recomputed when extraction runs.
+// pipelineFile streams one unit that is not clean (see analyze) through the
+// fused per-file pipeline of the depth-0 Analyze: front-end refresh (only
+// when the unit is new or its environment went stale), then the
+// reuse-check → table → extract tail. It preserves refreshStale's
+// semantics exactly — a unit whose preprocessed content is unchanged keeps
+// every artifact, including cached sites — and the classic path's reuse
+// accounting: +reused for in-place or shared-cache sites, +recomputed when
+// extraction runs.
 func (p *Project) pipelineFile(ectx context.Context, fu *FileUnit, env projectEnv, fp string, opts Options, extractCache *rescache.Cache, reused, recomputed *atomic.Int64) {
 	p.mu.Lock()
 	art, stale, src := fu.art, fu.envStale, fu.src
 	p.mu.Unlock()
-
-	// Reuse check before any front-end work: a clean unit whose sites match
-	// the wanted key needs neither tokens nor an AST — a unit released by a
-	// previous ReleaseASTs run is served without re-parsing.
-	if art != nil && !stale {
-		if want := extractKeyFor(fp, fu.Name, art.preHash, ""); art.sitesKey == want {
-			reused.Add(1)
-			p.mu.Lock()
-			fu.Table, fu.Sites = art.table, art.sites
-			p.mu.Unlock()
-			return
-		}
-	}
 
 	if art == nil || stale || art.ast == nil {
 		fresh := p.frontendWith(ectx, fu.Name, src, env, opts.ReleaseASTs)
@@ -323,14 +315,14 @@ func (p *Project) pipelineFile(ectx context.Context, fu *FileUnit, env projectEn
 		p.mu.Unlock()
 	}
 
-	want := extractKeyFor(fp, fu.Name, art.preHash, "")
-	if art.sitesKey == want {
+	if art.extractFP == fp {
 		reused.Add(1)
 		p.mu.Lock()
 		fu.Table, fu.Sites = art.table, art.sites
 		p.mu.Unlock()
 		return
 	}
+	want := extractKeyFor(fp, fu.Name, art.preHash, "")
 	v, hit, _ := extractCache.Do(want, func() (any, error) {
 		recomputed.Add(1)
 		table := p.tableFor(fu.Name, art)
@@ -345,7 +337,7 @@ func (p *Project) pipelineFile(ectx context.Context, fu *FileUnit, env projectEn
 	}
 	ea := v.(*extractArtifact)
 	next := *art
-	next.table, next.sites, next.sitesKey = ea.table, ea.sites, want
+	next.table, next.sites, next.sitesKey, next.extractFP = ea.table, ea.sites, want, fp
 	if opts.ReleaseASTs {
 		// Extraction is the AST's last consumer at depth 0: drop it so live
 		// parse trees never exceed the in-flight worker count.

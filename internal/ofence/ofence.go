@@ -139,13 +139,18 @@ type Project struct {
 	legacyFrontend bool
 	// seqGlobal routes the interprocedural global phases through the
 	// sequential pre-sharding implementations (callgraph.Build, round-robin
-	// semprop, per-file closure BFS, unsharded dedup and census). The
+	// semprop, per-file closure BFS, unsharded dedup). The
 	// tree-scale overhaul's differential tests and benchmarks use it as the
 	// oracle; it is never set in production paths.
 	seqGlobal bool
 	// runMu serializes Analyze calls on this project: runs swap the
 	// per-unit artifact records, which concurrent runs would race on.
 	runMu sync.Mutex
+	// table is the site table the last run published: the pairing and
+	// ranking data layer the next run derives its own from (see
+	// access.BuildSiteTable). A published table is immutable, so clones
+	// share the pointer. Written under runMu and mu, read under either.
+	table *access.SiteTable
 }
 
 // NewProject returns an empty project.
@@ -291,6 +296,7 @@ func (p *Project) Clone() *Project {
 		envHash: p.envHash,
 		stages:  p.stages,
 		syms:    p.syms,
+		table:   p.table,
 
 		legacyFrontend: p.legacyFrontend,
 		seqGlobal:      p.seqGlobal,
@@ -467,9 +473,23 @@ func (p *Project) analyze(ctx context.Context, opts Options) (*Result, error) {
 		// overlaps the extraction of an earlier one. Sound only at depth 0,
 		// where a file's extraction depends on nothing but that file.
 		ectx, esp = obs.Start(ctx, "extract")
+		// A clean unit — not stale, its sites extracted at depth 0 under fp —
+		// is served inline, with no key hashing and no goroutine; only the
+		// rest enter the pool.
+		var dirty []*FileUnit
+		p.mu.Lock()
+		for _, fu := range files {
+			if art := fu.art; art != nil && !fu.envStale && art.extractFP == fp {
+				fu.Table, fu.Sites = art.table, art.sites
+				reused.Add(1)
+				continue
+			}
+			dirty = append(dirty, fu)
+		}
+		p.mu.Unlock()
 		sem := make(chan struct{}, workers)
 		var wg sync.WaitGroup
-		for _, fu := range files {
+		for _, fu := range dirty {
 			wg.Add(1)
 			go func(fu *FileUnit) {
 				defer wg.Done()
@@ -590,7 +610,8 @@ func (p *Project) analyze(ctx context.Context, opts Options) (*Result, error) {
 				}
 				ea := v.(*extractArtifact)
 				next := *art
-				next.table, next.sites, next.sitesKey = ea.table, ea.sites, want
+				// extractFP marks depth-0 sites only: these are not.
+				next.table, next.sites, next.sitesKey, next.extractFP = ea.table, ea.sites, want, ""
 				p.mu.Lock()
 				fu.art = &next
 				fu.Table, fu.Sites = ea.table, ea.sites
@@ -658,10 +679,16 @@ func (p *Project) analyze(ctx context.Context, opts Options) (*Result, error) {
 	sortSites(res.Sites)
 
 	// Phase 2: global pairing (Algorithm 1), sharded over the worker pool
-	// (see pair.go; the result is byte-identical at any worker count).
+	// (see pair.go; the result is byte-identical at any worker count). The
+	// run's site table derives from the last run's, so an edit re-interns
+	// and re-vectorizes only what it changed; pairing and ranking share it.
 	phaseStart = time.Now()
 	pctx, psp := obs.Start(ctx, "pair")
-	pairer := newPairer(res.Sites, opts)
+	tbl := access.BuildSiteTable(p.table, res.Sites, opts.GenericStructs, workers)
+	p.mu.Lock()
+	p.table = tbl
+	p.mu.Unlock()
+	pairer := newPairer(tbl, opts)
 	res.Pairings, res.Unpaired, res.ImplicitIPC = pairer.run(pctx)
 	res.PairStats = pairer.stats
 	psp.Add("pairings", int64(len(res.Pairings)))
@@ -671,6 +698,12 @@ func (p *Project) analyze(ctx context.Context, opts Options) (*Result, error) {
 	psp.Add("candidates_pruned_bound", res.PairStats.PrunedBound)
 	psp.Add("index_probes", res.PairStats.IndexProbes)
 	psp.Add("pair_shards", int64(res.PairStats.Shards))
+	var reusedInterner int64
+	if res.PairStats.InternerReused {
+		reusedInterner = 1
+	}
+	psp.Add("interner_reused", reusedInterner)
+	psp.Add("sites_vectorized", int64(res.PairStats.SitesVectorized))
 	psp.End()
 	res.Timing.Pair = time.Since(phaseStart)
 	if err := ctx.Err(); err != nil {
@@ -694,7 +727,7 @@ func (p *Project) analyze(ctx context.Context, opts Options) (*Result, error) {
 	// Phase 4: confidence ranking (internal/rank). Every finding is scored
 	// from the outlier census, pairing margins, site richness and semantics
 	// provenance; MinConfidence > 0 additionally gates the finding list.
-	p.rankFindings(ctx, res, opts, workers)
+	rankFindings(ctx, res, opts, tbl, workers)
 	return res, nil
 }
 

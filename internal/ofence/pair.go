@@ -2,8 +2,10 @@ package ofence
 
 import (
 	"context"
+	"encoding/binary"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"ofence/internal/access"
 	"ofence/internal/obs"
@@ -19,6 +21,10 @@ import (
 //   - objects are interned into dense uint32 IDs (internal/access.Interner)
 //     assigned in canonical (struct, field) order, so every per-site object
 //     set is a sorted ID slice and set operations are merge scans;
+//   - the interner and those per-site vectors form the run's site table
+//     (access.SiteTable), which ranking reads too and the project's next
+//     run derives its own from, so a warm edit re-vectorizes only the
+//     sites it changed;
 //   - an inverted index objectID → ID-sorted []siteRef (each ref carrying
 //     the precomputed distance weight) replaces get_pair's per-call set
 //     allocation with a two-pointer intersection;
@@ -58,6 +64,13 @@ type PairStats struct {
 	// pairs skipped by the weight lower bound are never probed, so a true
 	// runner-up can be missed — which only ever overstates the margin.
 	Margins map[string]PairMargin
+	// InternerReused reports that the run's site table kept the previous
+	// run's object interner: the edit left the tree's set of
+	// (struct, field) objects unchanged.
+	InternerReused bool
+	// SitesVectorized counts the sites whose interned vectors the run built
+	// fresh; every other site's vectors carried over from the previous run.
+	SitesVectorized int
 }
 
 // PairMargin is one writer's winning candidate weight and the lowest weight
@@ -94,13 +107,11 @@ type pairer struct {
 	// in is the project-level interned-object table; all slices below are
 	// keyed by its dense IDs.
 	in *access.Interner
-	// siteObjs holds each site's generic-filtered object set as an
-	// ID-sorted distance slice (the objDist maps of the reference
-	// formulation).
-	siteObjs [][]access.ObjDist
-	// beforeIDs/afterIDs hold each site's window-side object IDs, sorted,
-	// so the Orders check is two binary searches.
-	beforeIDs, afterIDs [][]uint32
+	// vecs holds each site's interned vectors from the run's site table:
+	// its generic-filtered, ID-sorted object/distance set (the objDist maps
+	// of the reference formulation) and its sorted window-side IDs, so the
+	// Orders check is two binary searches.
+	vecs []*access.SiteVecs
 	// index is the inverted pairing index: objectID → postings sorted by
 	// canonical site index.
 	index [][]siteRef
@@ -113,8 +124,9 @@ type pairer struct {
 	stats PairStats
 }
 
-// newPairer builds the interned data layer over position-sorted sites.
-func newPairer(sites []*access.Site, opts Options) *pairer {
+// newPairer builds the pairing engine over a site table whose sites are in
+// canonical position order.
+func newPairer(tbl *access.SiteTable, opts Options) *pairer {
 	if opts.MinSharedObjects <= 0 {
 		opts.MinSharedObjects = 2
 	}
@@ -122,45 +134,39 @@ func newPairer(sites []*access.Site, opts Options) *pairer {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	sites := tbl.Sites()
+	ts := tbl.Stats()
 	pr := &pairer{
-		sites:     sites,
-		opts:      opts,
-		workers:   workers,
-		siteObjs:  make([][]access.ObjDist, len(sites)),
-		beforeIDs: make([][]uint32, len(sites)),
-		afterIDs:  make([][]uint32, len(sites)),
-		ids:       make([]string, len(sites)),
+		sites:   sites,
+		opts:    opts,
+		workers: workers,
+		in:      tbl.Interner(),
+		vecs:    make([]*access.SiteVecs, len(sites)),
+		ids:     make([]string, len(sites)),
+		stats:   PairStats{InternerReused: ts.InternerReused, SitesVectorized: ts.Vectorized},
 	}
-	generic := make(map[string]bool, len(opts.GenericStructs))
-	for _, g := range opts.GenericStructs {
-		generic[g] = true
-	}
-	keep := func(o access.Object) bool { return !generic[o.Struct] }
-
-	pr.in = access.InternSites(sites)
-	pr.forEachSite(func(i int) {
-		s := sites[i]
-		pr.siteObjs[i] = pr.in.ObjDists(s, keep)
-		pr.beforeIDs[i] = pr.in.SideIDs(s.Before)
-		pr.afterIDs[i] = pr.in.SideIDs(s.After)
-		pr.ids[i] = s.ID()
-	})
-
 	// Build the inverted index with one counting pass so postings land in
-	// exactly-sized slices, in ascending site order.
+	// exactly-sized windows of one backing array, in ascending site order.
 	counts := make([]int32, pr.in.Len())
-	for _, ods := range pr.siteObjs {
-		for _, od := range ods {
+	total := 0
+	for i, s := range sites {
+		pr.vecs[i] = tbl.Vecs(i)
+		pr.ids[i] = s.ID()
+		for _, od := range pr.vecs[i].Objs {
 			counts[od.ID]++
 		}
+		total += len(pr.vecs[i].Objs)
 	}
+	postings := make([]siteRef, total)
 	pr.index = make([][]siteRef, pr.in.Len())
 	pr.minW = make([]int32, pr.in.Len())
-	for o := range pr.index {
-		pr.index[o] = make([]siteRef, 0, counts[o])
+	off := 0
+	for o, c := range counts {
+		pr.index[o] = postings[off : off : off+int(c)]
+		off += int(c)
 	}
-	for i, ods := range pr.siteObjs {
-		for _, od := range ods {
+	for i, v := range pr.vecs {
+		for _, od := range v.Objs {
 			w := weightOf32(od.Dist)
 			pr.index[od.ID] = append(pr.index[od.ID], siteRef{site: int32(i), w: w})
 			if mw := pr.minW[od.ID]; mw == 0 || w < mw {
@@ -171,32 +177,24 @@ func newPairer(sites []*access.Site, opts Options) *pairer {
 	return pr
 }
 
-// forEachSite fans an index-addressed per-site builder out over the worker
-// pool. Each index is written by exactly one goroutine, so the result is
-// independent of scheduling.
-func (pr *pairer) forEachSite(fn func(i int)) {
-	n := len(pr.sites)
-	if pr.workers <= 1 || n < 64 {
+// forEachIndex fans fn out over indices [0, n) on a pool of workers
+// goroutines, each claiming the next unclaimed index. Each index is passed
+// to exactly one call, so results written per index are independent of
+// scheduling.
+func forEachIndex(n, workers int, fn func(i int)) {
+	if workers <= 1 || n < 64 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
 		return
 	}
-	var next int32 = -1
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	for w := 0; w < pr.workers; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				mu.Lock()
-				next++
-				i := int(next)
-				mu.Unlock()
-				if i >= n {
-					return
-				}
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
 				fn(i)
 			}
 		}()
@@ -220,7 +218,8 @@ func (pr *pairer) run(ctx context.Context) (pairings []*Pairing, unpaired, impli
 	// Merge the per-shard tentative candidates deterministically: iterate
 	// writers in canonical site order, exactly like the sequential
 	// formulation's single loop.
-	tentative := make(map[int32][]candidate, n)
+	tentative := make([][]candidate, n)
+	isImplicit := make([]bool, n)
 	for i := 0; i < n; i++ {
 		b := pr.sites[i]
 		if !isWriteSide(b) {
@@ -233,9 +232,10 @@ func (pr *pairer) run(ctx context.Context) (pairings []*Pairing, unpaired, impli
 			// orders the wake-up; leave it unpaired.
 			if b.WakeUpAfter >= 0 && b.WakeUpAfter <= pr.minObjDist(i, best.o1, best.o2) {
 				implicit = append(implicit, b)
+				isImplicit[i] = true
 				continue
 			}
-			tentative[int32(i)] = append(tentative[int32(i)], best)
+			tentative[i] = append(tentative[i], best)
 			tentative[best.other] = append(tentative[best.other],
 				candidate{other: int32(i), weight: best.weight, o1: best.o1, o2: best.o2})
 			if pr.stats.Margins == nil {
@@ -244,16 +244,18 @@ func (pr *pairer) run(ctx context.Context) (pairings []*Pairing, unpaired, impli
 			pr.stats.Margins[pr.ids[i]] = PairMargin{Weight: best.weight, RunnerUp: best.second}
 		} else if b.WakeUpAfter >= 0 {
 			implicit = append(implicit, b)
+			isImplicit[i] = true
 		}
 	}
 
 	// Keep only the lowest-weight pairing per barrier (first wins ties:
-	// candidates were appended in canonical writer order).
-	bestOf := make(map[int32]candidate, len(tentative))
+	// candidates were appended in canonical writer order); other is -1 for
+	// a barrier with no candidate.
+	bestOf := make([]candidate, n)
 	tentativeTotal := 0
-	for i := int32(0); i < int32(n); i++ {
-		cands, ok := tentative[i]
-		if !ok {
+	for i, cands := range tentative {
+		bestOf[i].other = -1
+		if len(cands) == 0 {
 			continue
 		}
 		tentativeTotal += len(cands)
@@ -267,26 +269,28 @@ func (pr *pairer) run(ctx context.Context) (pairings []*Pairing, unpaired, impli
 	}
 
 	// Build the pairing array: a pairing survives only when both sides
-	// still select each other after pruning.
+	// still select each other after pruning. common[k] holds pairing k's
+	// common-object IDs.
+	var common [][]uint32
 	kept := 0
 	paired := make([]bool, n)
 	for i := int32(0); i < int32(n); i++ {
 		if !isWriteSide(pr.sites[i]) || paired[i] {
 			continue
 		}
-		c, ok := bestOf[i]
-		if !ok {
-			continue
-		}
-		back, ok := bestOf[c.other]
-		if !ok || back.other != i {
+		c := bestOf[i]
+		if c.other < 0 || bestOf[c.other].other != i {
 			continue
 		}
 		kept += 2 // this candidate and the reciprocal one survive
+		ids := pr.commonIDs(int(i), int(c.other))
 		pairing := &Pairing{Sites: []*access.Site{pr.sites[i], pr.sites[c.other]}, Weight: c.weight}
-		pairing.Common = pr.commonObjects(int(i), int(c.other))
+		for _, id := range ids {
+			pairing.Common = append(pairing.Common, pr.in.Object(id))
+		}
 		paired[i], paired[c.other] = true, true
 		pairings = append(pairings, pairing)
+		common = append(common, ids)
 	}
 
 	// Extension step: unpaired barriers whose object set contains the
@@ -295,27 +299,16 @@ func (pr *pairer) run(ctx context.Context) (pairings []*Pairing, unpaired, impli
 	// never accept members skip the pass entirely, and the scan walks only
 	// the index postings of the first common object — every site containing
 	// the full common set necessarily appears there, in canonical order.
-	for _, pg := range pairings {
-		if len(pg.Common) < pr.opts.MinSharedObjects {
-			continue
-		}
-		want := make([]uint32, 0, len(pg.Common))
-		for _, o := range pg.Common {
-			id, ok := pr.in.ID(o)
-			if !ok {
-				want = nil
-				break
-			}
-			want = append(want, id)
-		}
-		if len(want) == 0 {
+	for k, pg := range pairings {
+		want := common[k] // non-empty: MinSharedObjects is at least 1
+		if len(want) < pr.opts.MinSharedObjects {
 			continue
 		}
 		for _, ref := range pr.index[want[0]] {
 			if paired[ref.site] {
 				continue
 			}
-			if containsAllIDs(pr.siteObjs[ref.site], want) {
+			if containsAllIDs(pr.vecs[ref.site].Objs, want) {
 				pg.Sites = append(pg.Sites, pr.sites[ref.site])
 				paired[ref.site] = true
 			}
@@ -326,10 +319,10 @@ func (pr *pairer) run(ctx context.Context) (pairings []*Pairing, unpaired, impli
 
 	// Pairings built over the same common-object set describe one protocol
 	// (Figure 5: the seqcount duos form a single four-barrier pairing).
-	pairings = mergeByCommon(pairings)
+	pairings = mergeByCommon(pairings, common)
 
 	for i, s := range pr.sites {
-		if !paired[i] && !isImplicitMember(s, implicit) {
+		if !paired[i] && !isImplicit[i] {
 			unpaired = append(unpaired, s)
 		}
 	}
@@ -391,7 +384,7 @@ func (pr *pairer) computeBests(ctx context.Context) []candidate {
 // whose weight lower bound cannot beat the best found so far is skipped
 // before touching the index.
 func (pr *pairer) bestFor(b int32, st *PairStats) candidate {
-	objs := pr.siteObjs[b]
+	objs := pr.vecs[b].Objs
 	best := candidate{other: -1, weight: -1, second: -1}
 	// noteAlt records a probed-but-losing partner's weight for the margin
 	// evidence. It never touches the selection state, so the winning
@@ -523,7 +516,7 @@ func (pr *pairer) getSingle(b int32, o uint32) (int32, int) {
 // orders is Site.Orders over interned side sets: one object accessed before
 // the barrier and the other after (§4.2).
 func (pr *pairer) orders(s int32, o1, o2 uint32) bool {
-	before, after := pr.beforeIDs[s], pr.afterIDs[s]
+	before, after := pr.vecs[s].Before, pr.vecs[s].After
 	return (access.ContainsID(before, o1) && access.ContainsID(after, o2)) ||
 		(access.ContainsID(before, o2) && access.ContainsID(after, o1))
 }
@@ -533,7 +526,7 @@ func (pr *pairer) orders(s int32, o1, o2 uint32) bool {
 func (pr *pairer) minObjDist(i int, objs ...uint32) int {
 	min := -1
 	for _, o := range objs {
-		if d, ok := access.FindDist(pr.siteObjs[i], o); ok && (min < 0 || int(d) < min) {
+		if d, ok := access.FindDist(pr.vecs[i].Objs, o); ok && (min < 0 || int(d) < min) {
 			min = int(d)
 		}
 	}
@@ -543,12 +536,12 @@ func (pr *pairer) minObjDist(i int, objs ...uint32) int {
 	return min
 }
 
-// commonObjects merges two sites' ID-sorted object sets. IDs are assigned
-// in canonical (struct, field) order, so the merged result is already in
-// the presentation order the JSON output serializes.
-func (pr *pairer) commonObjects(a, b int) []access.Object {
-	la, lb := pr.siteObjs[a], pr.siteObjs[b]
-	var out []access.Object
+// commonIDs merges two sites' ID-sorted object sets. IDs are assigned in
+// canonical (struct, field) order, so the merged result is already in the
+// presentation order the JSON output serializes.
+func (pr *pairer) commonIDs(a, b int) []uint32 {
+	la, lb := pr.vecs[a].Objs, pr.vecs[b].Objs
+	var out []uint32
 	for i, j := 0, 0; i < len(la) && j < len(lb); {
 		switch {
 		case la[i].ID < lb[j].ID:
@@ -556,7 +549,7 @@ func (pr *pairer) commonObjects(a, b int) []access.Object {
 		case la[i].ID > lb[j].ID:
 			j++
 		default:
-			out = append(out, pr.in.Object(la[i].ID))
+			out = append(out, la[i].ID)
 			i++
 			j++
 		}
@@ -597,18 +590,21 @@ func weightOf32(d int32) int32 {
 	return d
 }
 
-// mergeByCommon coalesces pairings with identical common-object sets.
-func mergeByCommon(pairings []*Pairing) []*Pairing {
+// mergeByCommon coalesces pairings with identical common-object sets;
+// common[k] holds pairing k's common-object IDs. The first pairing of each
+// set keeps its place and absorbs the sites of the later ones.
+func mergeByCommon(pairings []*Pairing, common [][]uint32) []*Pairing {
 	byKey := map[string]*Pairing{}
 	var out []*Pairing
-	for _, pg := range pairings {
-		key := ""
-		for _, o := range pg.Common {
-			key += o.String() + "|"
+	var key []byte
+	for k, pg := range pairings {
+		key = key[:0]
+		for _, id := range common[k] {
+			key = binary.LittleEndian.AppendUint32(key, id)
 		}
-		ex, ok := byKey[key]
+		ex, ok := byKey[string(key)]
 		if !ok {
-			byKey[key] = pg
+			byKey[string(key)] = pg
 			out = append(out, pg)
 			continue
 		}
@@ -631,15 +627,6 @@ func mergeByCommon(pairings []*Pairing) []*Pairing {
 	return out
 }
 
-func isImplicitMember(s *access.Site, implicit []*access.Site) bool {
-	for _, i := range implicit {
-		if i == s {
-			return true
-		}
-	}
-	return false
-}
-
 // PairSites runs the pairing engine (Algorithm 1) over already-extracted
 // sites and returns the pairings, the sites left unpaired, and the
 // implicit-IPC writers, plus the engine's execution counters. The sites are
@@ -651,7 +638,7 @@ func PairSites(ctx context.Context, sites []*access.Site, opts Options) (pairing
 	sorted := make([]*access.Site, len(sites))
 	copy(sorted, sites)
 	sortSites(sorted)
-	pr := newPairer(sorted, opts)
+	pr := newPairer(access.BuildSiteTable(nil, sorted, opts.GenericStructs, opts.Workers), opts)
 	pairings, unpaired, implicit = pr.run(ctx)
 	return pairings, unpaired, implicit, pr.stats
 }

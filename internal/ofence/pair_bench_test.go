@@ -49,7 +49,7 @@ func BenchmarkPairKernelScale(b *testing.B) {
 		o.Workers = 1
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			pr := newPairer(sites, o)
+			pr := newPairer(coldTable(sites, o), o)
 			pr.run(context.Background())
 		}
 	})
@@ -60,7 +60,7 @@ func BenchmarkPairKernelScale(b *testing.B) {
 		o.Workers = 8
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			pr := newPairer(sites, o)
+			pr := newPairer(coldTable(sites, o), o)
 			pr.run(context.Background())
 		}
 	})
@@ -85,7 +85,7 @@ func TestWriteBenchPairingJSON(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		o := opts
 		o.Workers = workers
-		pr := newPairer(sites, o)
+		pr := newPairer(coldTable(sites, o), o)
 		if got := pairFingerprint(pr.run(context.Background())); got != want {
 			t.Fatalf("workers=%d diverges from legacy; refusing to record benchmark", workers)
 		}
@@ -101,7 +101,7 @@ func TestWriteBenchPairingJSON(t *testing.T) {
 		o := opts
 		o.Workers = 1
 		for i := 0; i < b.N; i++ {
-			pr := newPairer(sites, o)
+			pr := newPairer(coldTable(sites, o), o)
 			pr.run(context.Background())
 		}
 	})
@@ -111,14 +111,14 @@ func TestWriteBenchPairingJSON(t *testing.T) {
 		o := opts
 		o.Workers = 8
 		for i := 0; i < b.N; i++ {
-			pr := newPairer(sites, o)
+			pr := newPairer(coldTable(sites, o), o)
 			pr.run(context.Background())
 		}
 	})
 
 	o := opts
 	o.Workers = 8
-	pr := newPairer(sites, o)
+	pr := newPairer(coldTable(sites, o), o)
 	pr.run(context.Background())
 
 	round1 := func(x float64) float64 { return float64(int(x*10+0.5)) / 10 }

@@ -176,7 +176,7 @@ func (pr *legacyPairer) run() (pairings []*Pairing, unpaired, implicit []*access
 	}
 
 	pr.pruned = tentativeTotal - kept
-	pairings = mergeByCommon(pairings)
+	pairings = legacyMergeByCommon(pairings)
 
 	for _, s := range pr.sites {
 		if !paired[s] && !isImplicitMember(s, implicit) {
@@ -281,4 +281,48 @@ func legacyContainsAll(objs map[access.Object]int, want []access.Object) bool {
 		}
 	}
 	return true
+}
+
+// legacyMergeByCommon is the reference formulation's merge: pairings with
+// identical common-object sets coalesce, keyed on the objects' strings.
+func legacyMergeByCommon(pairings []*Pairing) []*Pairing {
+	byKey := map[string]*Pairing{}
+	var out []*Pairing
+	for _, pg := range pairings {
+		key := ""
+		for _, o := range pg.Common {
+			key += o.String() + "|"
+		}
+		ex, ok := byKey[key]
+		if !ok {
+			byKey[key] = pg
+			out = append(out, pg)
+			continue
+		}
+		for _, s := range pg.Sites {
+			dup := false
+			for _, have := range ex.Sites {
+				if have == s {
+					dup = true
+					break
+				}
+			}
+			if !dup {
+				ex.Sites = append(ex.Sites, s)
+			}
+		}
+		if pg.Weight < ex.Weight {
+			ex.Weight = pg.Weight
+		}
+	}
+	return out
+}
+
+func isImplicitMember(s *access.Site, implicit []*access.Site) bool {
+	for _, i := range implicit {
+		if i == s {
+			return true
+		}
+	}
+	return false
 }

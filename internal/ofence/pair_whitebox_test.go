@@ -119,7 +119,7 @@ func TestPairerMatchesLegacyOracle(t *testing.T) {
 			for _, workers := range []int{1, 3, 8} {
 				o := opts
 				o.Workers = workers
-				pr := newPairer(tc.sites, o)
+				pr := newPairer(coldTable(tc.sites, o), o)
 				got := pairFingerprint(pr.run(ctx))
 				if got != want {
 					t.Fatalf("workers=%d diverges from legacy oracle:\n got:\n%s\nwant:\n%s", workers, got, want)
@@ -190,4 +190,9 @@ func TestPairStatsCounters(t *testing.T) {
 	if stats.PrunedBound == 0 {
 		t.Errorf("PrunedBound = 0, want > 0: the bound cutoff never engaged")
 	}
+}
+
+// coldTable builds a fresh site table over sites, as a cold analysis does.
+func coldTable(sites []*access.Site, opts Options) *access.SiteTable {
+	return access.BuildSiteTable(nil, sites, opts.GenericStructs, opts.Workers)
 }

@@ -16,30 +16,26 @@ import (
 //
 // Evidence per finding:
 //   - outlier census over ALL deduplicated sites (how the other uses of the
-//     finding's object order their accesses);
+//     finding's object order their accesses), read from the run's site
+//     table, which pairing built;
 //   - the pairing's winning weight and probed runner-up (PairStats.Margins,
 //     keyed by the pairing's writer);
 //   - the finding site's window richness and inlined-provenance flag;
 //   - whether the ordering rests on interprocedurally inferred semantics
 //     (the site's own barrier name, or — for unneeded-barrier findings —
 //     the following call the finding trusts to provide the ordering).
-func (p *Project) rankFindings(ctx context.Context, res *Result, opts Options, workers int) {
+func rankFindings(ctx context.Context, res *Result, opts Options, tbl *access.SiteTable, workers int) {
 	_, rsp := obs.Start(ctx, "rank")
 	defer rsp.End()
 	if len(res.Findings) == 0 {
 		return
 	}
-	var idx *rank.Index
-	if p.seqGlobal {
-		idx = rank.BuildIndex(res.Sites)
-	} else {
-		// Sharded census: byte-identical Index at any worker count.
-		idx = rank.BuildIndexParallel(res.Sites, workers)
-	}
+	idx := rank.NewIndex(tbl)
 	inferredOnly := semprop.InferredOnly(res.Inferred)
-	for _, f := range res.Findings {
+	forEachIndex(len(res.Findings), workers, func(i int) {
+		f := res.Findings[i]
 		f.Confidence = rank.Combine(evidenceFor(f, idx, res.PairStats.Margins, inferredOnly))
-	}
+	})
 	rsp.Add("ranked", int64(len(res.Findings)))
 	if opts.MinConfidence > 0 {
 		kept := make([]*Finding, 0, len(res.Findings))

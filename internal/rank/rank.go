@@ -33,7 +33,6 @@ package rank
 
 import (
 	"math"
-	"sort"
 
 	"ofence/internal/access"
 )
@@ -58,41 +57,39 @@ const (
 // (struct, field) object, how many sites exhibit each access-ordering
 // protocol (usage signature — see access.ObjUsage). Build once per analysis
 // over the full deduplicated site set; query per finding. Immutable after
-// BuildIndex.
+// NewIndex.
 type Index struct {
-	in *access.Interner
-	// census[id] maps a usage signature to the number of sites whose
-	// windows touch object id with exactly that signature.
-	census []map[uint8]int
+	tbl *access.SiteTable
+	// census[id][sig] is the number of sites whose windows touch object id
+	// with exactly usage signature sig (usage bits are 4 bits wide).
+	census [][16]int32
 	// total[id] is the number of sites touching object id at all.
-	total []int
+	total []int32
 }
 
-// BuildIndex computes the census over every site's usage signatures. The
-// result depends only on the set of sites, not their order.
-func BuildIndex(sites []*access.Site) *Index {
-	in := access.InternSites(sites)
-	x := &Index{
-		in:     in,
-		census: make([]map[uint8]int, in.Len()),
-		total:  make([]int, in.Len()),
-	}
-	for _, s := range sites {
-		for _, u := range in.ObjUsages(s) {
-			m := x.census[u.ID]
-			if m == nil {
-				m = make(map[uint8]int, 4)
-				x.census[u.ID] = m
-			}
-			m[u.Bits]++
+// NewIndex computes the census over the usage vectors of every site in
+// tbl. The result depends only on the set of sites, not their order.
+func NewIndex(tbl *access.SiteTable) *Index {
+	n := tbl.Interner().Len()
+	x := &Index{tbl: tbl, census: make([][16]int32, n), total: make([]int32, n)}
+	for i := range tbl.Sites() {
+		for _, u := range tbl.Vecs(i).Usages {
+			x.census[u.ID][u.Bits]++
 			x.total[u.ID]++
 		}
 	}
 	return x
 }
 
+// BuildIndexParallel computes the census over sites from a fresh site
+// table, interning and vectorizing over up to workers goroutines
+// (GOMAXPROCS when workers <= 0). The result does not depend on workers.
+func BuildIndexParallel(sites []*access.Site, workers int) *Index {
+	return NewIndex(access.BuildSiteTable(nil, sites, nil, workers))
+}
+
 // Objects returns the number of objects in the census.
-func (x *Index) Objects() int { return x.in.Len() }
+func (x *Index) Objects() int { return x.tbl.Interner().Len() }
 
 // Support is the outlier evidence for one (object, site) query: how the
 // OTHER sites touching the object order their accesses, and whether the
@@ -114,38 +111,36 @@ type Support struct {
 	Deviates bool
 }
 
-// Support queries the census for object o as seen from site s: s's own
-// contribution is subtracted out, so the majority is established purely by
-// the other sites. An object the index has never seen yields a zero Support.
+// Support queries the census for object o as seen from site s, one of the
+// indexed sites: s's own contribution is subtracted out, so the majority is
+// established purely by the other sites. An object the index has never
+// seen yields a zero Support; a site outside the index counts as touching
+// nothing.
 func (x *Index) Support(o access.Object, s *access.Site) Support {
-	id, ok := x.in.ID(o)
+	id, ok := x.tbl.Interner().ID(o)
 	if !ok {
 		return Support{}
 	}
 	var sig uint8
-	for _, u := range x.in.ObjUsages(s) {
-		if u.ID == id {
-			sig = u.Bits
-			break
+	if i, ok := x.tbl.Index(s); ok {
+		for _, u := range x.tbl.Vecs(i).Usages {
+			if u.ID == id {
+				sig = u.Bits
+				break
+			}
 		}
 	}
-	sp := Support{Sig: sig, Others: x.total[id]}
+	sp := Support{Sig: sig, Others: int(x.total[id])}
 	if sig != 0 {
 		sp.Others-- // exclude the queried site itself
 	}
 	// Majority among the others, deterministic tie-break: lowest signature.
-	sigs := make([]int, 0, len(x.census[id]))
-	for b := range x.census[id] {
-		sigs = append(sigs, int(b))
-	}
-	sort.Ints(sigs)
-	for _, b := range sigs {
-		n := x.census[id][uint8(b)]
+	for b, n := range x.census[id] {
 		if uint8(b) == sig {
 			n-- // the queried site's own vote does not establish a protocol
 		}
-		if n > sp.Majority {
-			sp.Majority, sp.MajoritySig = n, uint8(b)
+		if int(n) > sp.Majority {
+			sp.Majority, sp.MajoritySig = int(n), uint8(b)
 		}
 	}
 	sp.Deviates = sp.Majority > 0 && sp.Sig != sp.MajoritySig &&

@@ -62,7 +62,7 @@ func genSites(rng *rand.Rand, n int) []*access.Site {
 }
 
 // TestSupportPermutationInvariance is the quickcheck property the census
-// doc promises: BuildIndex depends only on the SET of sites, so Support for
+// doc promises: the census depends only on the SET of sites, so Support for
 // every (object, site) query must be identical under any permutation of the
 // input order.
 func TestSupportPermutationInvariance(t *testing.T) {
@@ -73,7 +73,7 @@ func TestSupportPermutationInvariance(t *testing.T) {
 		{Struct: "s1", Field: "a"}, {Struct: "s1", Field: "b"},
 		{Struct: "s2", Field: "only"},
 	}
-	base := BuildIndex(sites)
+	base := BuildIndexParallel(sites, 1)
 	want := map[string]Support{}
 	for _, o := range objs {
 		for i, s := range sites {
@@ -83,7 +83,7 @@ func TestSupportPermutationInvariance(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		perm := append([]*access.Site(nil), sites...)
 		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		x := BuildIndex(perm)
+		x := BuildIndexParallel(perm, 1)
 		for _, o := range objs {
 			for i, s := range sites {
 				got := x.Support(o, s)
@@ -108,7 +108,7 @@ func TestSingleSiteObjectNoMajority(t *testing.T) {
 		mkSite("s1", []accSpec{{obj: shared, kind: access.Load, before: true}}),
 		mkSite("s2", []accSpec{{obj: shared, kind: access.Load, before: true}}),
 	}
-	x := BuildIndex(sites)
+	x := BuildIndexParallel(sites, 1)
 	sp := x.Support(lone, sites[0])
 	if sp.Others != 0 || sp.Majority != 0 || sp.Deviates {
 		t.Errorf("single-site object: Support = %+v, want Others=0 Majority=0 Deviates=false", sp)
