@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint fuzz test test-race race race-fleet bench bench-incremental bench-pairing bench-fleet bench-confidence bench-frontend bench-treescale serve eval eval-json corpus trace-demo clean
+.PHONY: all build vet lint fuzz test test-race race race-fleet bench bench-incremental bench-pairing bench-fleet bench-confidence serve eval eval-json corpus trace-demo clean
 
 all: build lint test
 
@@ -68,26 +68,6 @@ bench-fleet:
 bench-confidence:
 	OFENCE_BENCH_CONFIDENCE_OUT=$(CURDIR)/BENCH_confidence.json \
 		$(GO) test ./internal/report/ -run '^TestWriteBenchConfidenceJSON$$' -count=1 -v
-
-# Frontend headline number: the pre-overhaul frontend (rune lexer,
-# heap-allocated AST) vs the zero-copy/interned/arena frontend, plus cold
-# whole-project analysis classic vs pipelined at Workers=8. Asserts the new
-# frontend's analysis output byte-identical to the legacy oracle, then
-# refreshes BENCH_frontend.json via the harness in
-# internal/ofence/frontend_bench_test.go.
-bench-frontend:
-	OFENCE_BENCH_FRONTEND_OUT=$(CURDIR)/BENCH_frontend.json \
-		$(GO) test ./internal/ofence/ -run '^TestWriteBenchFrontendJSON$$' -count=1 -v
-
-# Tree-scale headline number: cold full-run analysis of a generated
-# 2,048-file kernel tree (internal/sitegen GenerateTree) at Workers=8,
-# pre-PR sequential global phases vs the sharded/SCC-scheduled ones, JSON
-# asserted byte-identical to the sequential oracle at Workers 1 and 8
-# before recording. Refreshes BENCH_treescale.json via the harness in
-# internal/ofence/treescale_bench_test.go.
-bench-treescale:
-	OFENCE_BENCH_TREESCALE_OUT=$(CURDIR)/BENCH_treescale.json \
-		$(GO) test ./internal/ofence/ -run '^TestWriteBenchTreescaleJSON$$' -count=1 -v -timeout 30m
 
 # Race-detector gate for the fleet subsystem: coordinator lease juggling,
 # worker heartbeats, the shared artifact stores.

@@ -77,9 +77,8 @@ type Node struct {
 	// UnresolvedCalls counts call sites in this function that could not be
 	// resolved to any definition (external functions, unknown pointers).
 	UnresolvedCalls int
-	// allCalls caches cast.Calls(Fn.Body) when the sharded builder already
-	// paid for the walk, so FileDeps does not re-walk every body. The
-	// sequential Build leaves it nil (FileDeps falls back to walking).
+	// allCalls caches cast.Calls(Fn.Body) from the edge pass, so FileDeps
+	// does not re-walk every body.
 	allCalls []*cast.CallExpr
 }
 
@@ -105,66 +104,6 @@ type Graph struct {
 	initTargets []*Node
 }
 
-// Build constructs the graph over files. Files with nil ASTs (parse
-// failures) are skipped; the builder never fails.
-func Build(files []File) *Graph {
-	g := &Graph{
-		byName:     map[string][]*Node{},
-		byFile:     map[string]*Node{},
-		ptrTargets: map[string][]*Node{},
-	}
-	// Pass 1: nodes for every definition.
-	for _, f := range files {
-		if f.AST == nil {
-			continue
-		}
-		for _, fn := range f.AST.Functions() {
-			if fn.Body == nil {
-				continue
-			}
-			n := &Node{File: f.Name, Fn: fn, Static: fn.Static}
-			g.Nodes = append(g.Nodes, n)
-			g.byName[fn.Name] = append(g.byName[fn.Name], n)
-			g.byFile[fileKey(f.Name, fn.Name)] = n
-		}
-	}
-	// Pass 2: function-pointer assignment tracking (file-scope initializers
-	// and statements inside every body).
-	for _, f := range files {
-		if f.AST == nil {
-			continue
-		}
-		for _, d := range f.AST.Decls {
-			if vd, ok := d.(*cast.VarDecl); ok && vd.Init != nil {
-				g.collectPtrExpr(f.Name, vd.Name, vd.Init)
-			}
-		}
-		for _, fn := range f.AST.Functions() {
-			if fn.Body == nil {
-				continue
-			}
-			cast.Walk(fn.Body, func(node cast.Node) bool {
-				switch x := node.(type) {
-				case *cast.AssignExpr:
-					g.collectPtrAssign(f.Name, x)
-				case *cast.DeclStmt:
-					if x.Init != nil {
-						g.collectPtrExpr(f.Name, x.Name, x.Init)
-					}
-				}
-				return true
-			})
-		}
-	}
-	// Pass 3: edges.
-	for _, n := range g.Nodes {
-		for _, call := range cast.Calls(n.Fn.Body) {
-			g.addCallEdges(n, call)
-		}
-	}
-	return g
-}
-
 func fileKey(file, name string) string { return file + "\x00" + name }
 
 // funcNamed returns the definition a bare identifier refers to from file,
@@ -179,44 +118,6 @@ func (g *Graph) funcNamed(file, name string) *Node {
 		}
 	}
 	return nil
-}
-
-// collectPtrAssign records "slot = fn" and "x->field = fn" assignments.
-func (g *Graph) collectPtrAssign(file string, as *cast.AssignExpr) {
-	slot := slotName(as.X)
-	if slot == "" {
-		return
-	}
-	g.collectPtrExpr(file, slot, as.Y)
-}
-
-// collectPtrExpr records every function referenced by expr under slot.
-// Initializer lists recurse: named slots keep the outer name (best-effort;
-// designated initializers are not distinguished by the parser), and the
-// functions are additionally remembered as fallback init targets.
-func (g *Graph) collectPtrExpr(file, slot string, expr cast.Expr) {
-	switch x := expr.(type) {
-	case *cast.Ident:
-		if n := g.funcNamed(file, x.Name); n != nil {
-			g.addPtrTarget(slot, n)
-		}
-	case *cast.UnaryExpr:
-		g.collectPtrExpr(file, slot, x.X) // &fn
-	case *cast.CastExpr:
-		g.collectPtrExpr(file, slot, x.X)
-	case *cast.CondExpr:
-		g.collectPtrExpr(file, slot, x.Then)
-		g.collectPtrExpr(file, slot, x.Else)
-	case *cast.InitListExpr:
-		for _, el := range x.Elems {
-			if id, ok := unwrapIdent(el); ok {
-				if n := g.funcNamed(file, id); n != nil {
-					g.addPtrTarget(slot, n)
-					g.initTargets = append(g.initTargets, n)
-				}
-			}
-		}
-	}
 }
 
 func unwrapIdent(e cast.Expr) (string, bool) {
@@ -259,22 +160,8 @@ func slotName(e cast.Expr) string {
 	return ""
 }
 
-// addCallEdges resolves one call site and appends the edges.
-func (g *Graph) addCallEdges(caller *Node, call *cast.CallExpr) {
-	edges, resolved := g.edgesFor(caller, call)
-	if !resolved {
-		caller.UnresolvedCalls++
-		return
-	}
-	for _, e := range edges {
-		caller.Calls = append(caller.Calls, e)
-		e.Callee.CalledBy = append(e.Callee.CalledBy, e)
-	}
-}
-
-// edgesFor resolves one call site to its edges without mutating the graph,
-// so the sequential and sharded builders share one resolution semantics. It
-// only reads the phase-1/phase-2 maps, which are frozen by the time edges
+// edgesFor resolves one call site to its edges without mutating the graph.
+// It only reads the phase-1/phase-2 maps, which are frozen by the time edges
 // are resolved — safe to call concurrently from BuildParallel's workers.
 func (g *Graph) edgesFor(caller *Node, call *cast.CallExpr) (edges []*Edge, resolved bool) {
 	mk := func(callee *Node, kind EdgeKind) *Edge {
@@ -390,11 +277,7 @@ func (g *Graph) FileDeps() map[string][]string {
 		for _, e := range n.Calls {
 			add(n.File, e.Callee.File)
 		}
-		calls := n.allCalls
-		if calls == nil {
-			calls = cast.Calls(n.Fn.Body)
-		}
-		for _, call := range calls {
+		for _, call := range n.allCalls {
 			name := call.FunName()
 			if name == "" {
 				continue

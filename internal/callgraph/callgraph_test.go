@@ -16,6 +16,17 @@ func parse(t *testing.T, name, src string) File {
 	return File{Name: name, AST: ast}
 }
 
+// build constructs the graph at Workers 1, 3 and 8, checks the three are
+// identical, and returns one.
+func build(t *testing.T, files []File) *Graph {
+	t.Helper()
+	g := BuildParallel(files, 1)
+	for _, workers := range []int{3, 8} {
+		graphsEquivalent(t, g, BuildParallel(files, workers))
+	}
+	return g
+}
+
 func node(t *testing.T, g *Graph, file, name string) *Node {
 	t.Helper()
 	for _, n := range g.Nodes {
@@ -37,7 +48,7 @@ func calls(n *Node, callee *Node) bool {
 }
 
 func TestDirectCallsAcrossFiles(t *testing.T) {
-	g := Build([]File{
+	g := build(t, []File{
 		parse(t, "a.c", `void helper(void) { } void caller(void) { helper(); }`),
 		parse(t, "b.c", `void other(void) { helper(); }`),
 	})
@@ -54,7 +65,7 @@ func TestDirectCallsAcrossFiles(t *testing.T) {
 }
 
 func TestRecursionAndMutualRecursion(t *testing.T) {
-	g := Build([]File{parse(t, "r.c", `
+	g := build(t, []File{parse(t, "r.c", `
 void rec(int n) { if (n) rec(n - 1); }
 void ping(int n);
 void pong(int n) { if (n) ping(n - 1); }
@@ -92,7 +103,7 @@ void ping(int n) { if (n) pong(n - 1); }
 // Two files each define a static helper with the same name; calls must bind
 // to the same-file definition, never leak across files.
 func TestSameNameStaticsStayFileLocal(t *testing.T) {
-	g := Build([]File{
+	g := build(t, []File{
 		parse(t, "x.c", `static void helper(void) { } void fx(void) { helper(); }`),
 		parse(t, "y.c", `static void helper(void) { } void fy(void) { helper(); }`),
 	})
@@ -115,7 +126,7 @@ func TestSameNameStaticsStayFileLocal(t *testing.T) {
 // A static definition shadows an external one of the same name within its
 // own file; other files bind to the external definition.
 func TestStaticShadowsExternal(t *testing.T) {
-	g := Build([]File{
+	g := build(t, []File{
 		parse(t, "ext.c", `void work(void) { }`),
 		parse(t, "sh.c", `static void work(void) { } void fs(void) { work(); }`),
 		parse(t, "user.c", `void fu(void) { work(); }`),
@@ -129,7 +140,7 @@ func TestStaticShadowsExternal(t *testing.T) {
 }
 
 func TestFunctionPointerResolution(t *testing.T) {
-	g := Build([]File{parse(t, "p.c", `
+	g := build(t, []File{parse(t, "p.c", `
 struct ops { void (*submit)(void); };
 void impl_a(void) { }
 void impl_b(void) { }
@@ -156,7 +167,7 @@ void var_call(void) { submit_fn fp; fp = impl_a; fp(); }
 // Pointer calls with no recorded assignment must count as unresolved —
 // the degrade-to-intraprocedural contract, never an error.
 func TestUnresolvedPointerDegrades(t *testing.T) {
-	g := Build([]File{parse(t, "u.c", `
+	g := build(t, []File{parse(t, "u.c", `
 struct mystery { void (*cb)(void); };
 void run(struct mystery *m) { m->cb(); external_fn(); }
 `)})
@@ -174,7 +185,7 @@ void run(struct mystery *m) { m->cb(); external_fn(); }
 }
 
 func TestResolverForVisibility(t *testing.T) {
-	g := Build([]File{
+	g := build(t, []File{
 		parse(t, "x.c", `static void helper(void) { int x; }`),
 		parse(t, "y.c", `void pub(void) { }`),
 	})
@@ -195,14 +206,14 @@ func TestResolverForVisibility(t *testing.T) {
 }
 
 func TestNilASTSkipped(t *testing.T) {
-	g := Build([]File{{Name: "broken.c", AST: nil}, parse(t, "ok.c", `void f(void) { }`)})
+	g := build(t, []File{{Name: "broken.c", AST: nil}, parse(t, "ok.c", `void f(void) { }`)})
 	if len(g.Nodes) != 1 {
 		t.Errorf("nodes = %d, want 1", len(g.Nodes))
 	}
 }
 
 func TestFileDeps(t *testing.T) {
-	g := Build([]File{
+	g := build(t, []File{
 		parse(t, "a.c", `void helper(void) { } void a_fn(void) { b_fn(); }`),
 		parse(t, "b.c", `void b_fn(void) { helper(); }`),
 		parse(t, "c.c", `static void helper(void) { } void c_fn(void) { helper(); }`),
@@ -232,7 +243,7 @@ func TestFileDeps(t *testing.T) {
 }
 
 func TestFileDepsPointerCalls(t *testing.T) {
-	g := Build([]File{
+	g := build(t, []File{
 		parse(t, "ops.c", `void impl(void) { }`),
 		parse(t, "use.c", `
 struct ops { void (*run)(void); };

@@ -1,6 +1,5 @@
-// parallel.go shards Build's three passes over a worker pool with a
-// deterministic merge, for tree-scale corpora where the sequential builder
-// is a global serial phase. The contract is exact equivalence with Build:
+// parallel.go builds the graph in three passes sharded over a worker pool
+// with a deterministic merge. The graph is identical at every worker count:
 // same nodes in the same order, same edges in the same order, same
 // pointer-target tables (see TestBuildParallelEquivalence).
 //
@@ -14,8 +13,7 @@
 //     concurrently and only the ordered merge mutates the tables.
 //   - Pass 3 (edges) writes each caller's Calls locally (one worker owns one
 //     node) and leaves the cross-node CalledBy lists to a sequential pass in
-//     node order, which is exactly the order the sequential builder appends
-//     them in.
+//     node order.
 package callgraph
 
 import (
@@ -33,8 +31,9 @@ type ptrRec struct {
 	init bool
 }
 
-// BuildParallel constructs the same graph as Build, sharding the per-file
-// work over up to workers goroutines (GOMAXPROCS when workers <= 0).
+// BuildParallel constructs the graph over files, sharding the per-file work
+// over up to workers goroutines (GOMAXPROCS when workers <= 0). Files with
+// nil ASTs (parse failures) are skipped; the builder never fails.
 func BuildParallel(files []File, workers int) *Graph {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -127,8 +126,8 @@ func BuildParallel(files []File, workers int) *Graph {
 			n.Calls = append(n.Calls, edges...)
 		}
 	})
-	// CalledBy in the sequential builder's order: nodes in build order, each
-	// node's call sites in source order.
+	// CalledBy in build order: nodes in build order, each node's call sites
+	// in source order.
 	for _, n := range g.Nodes {
 		for _, e := range n.Calls {
 			e.Callee.CalledBy = append(e.Callee.CalledBy, e)
@@ -137,8 +136,11 @@ func BuildParallel(files []File, workers int) *Graph {
 	return g
 }
 
-// ptrCollector mirrors collectPtrExpr's recursion, recording facts instead
-// of mutating the graph's tables.
+// ptrCollector records every function an expression stores under a slot,
+// as facts the ordered merge applies to the graph's tables. Initializer
+// lists recurse: named slots keep the outer name (best-effort; designated
+// initializers are not distinguished by the parser), and the functions are
+// additionally remembered as fallback init targets.
 type ptrCollector struct {
 	g    *Graph
 	file string

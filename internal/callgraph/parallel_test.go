@@ -7,10 +7,10 @@ import (
 	"ofence/internal/sitegen"
 )
 
-// graphsEquivalent asserts g2 (sharded) is exactly g1 (sequential): same
-// node order, same edges in the same order over the same call expressions,
-// same pointer-target tables. Both graphs must be built over the same
-// parsed []File so AST pointers are comparable.
+// graphsEquivalent asserts g2 is exactly g1: same node order, same edges in
+// the same order over the same call expressions, same pointer-target
+// tables. Both graphs must be built over the same parsed []File so AST
+// pointers are comparable.
 func graphsEquivalent(t *testing.T, g1, g2 *Graph) {
 	t.Helper()
 	if len(g1.Nodes) != len(g2.Nodes) {
@@ -69,7 +69,7 @@ func graphsEquivalent(t *testing.T, g1, g2 *Graph) {
 
 // TestBuildParallelEquivalence covers the resolution corner cases: statics
 // shadowing externals, function-pointer slots, initializer-list fallbacks,
-// unresolved calls — at several worker counts against the sequential graph.
+// unresolved calls — at several worker counts against the one-worker graph.
 func TestBuildParallelEquivalence(t *testing.T) {
 	files := []File{
 		parse(t, "a.c", `
@@ -93,34 +93,34 @@ void cond_assign(int x) { void (*h)(void) = x ? impl_run : impl_stop; h(); }
 `),
 		{Name: "broken.c", AST: nil},
 	}
-	seq := Build(files)
+	one := BuildParallel(files, 1)
 	for _, workers := range []int{1, 3, 8} {
 		par := BuildParallel(files, workers)
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			graphsEquivalent(t, seq, par)
+			graphsEquivalent(t, one, par)
 		})
 	}
 }
 
-// TestBuildParallelEquivalenceTree runs the differential over a generated
-// source tree — cross-file chains, helpers, unresolved noise calls — which
-// is the corpus shape the sharded builder exists for.
+// TestBuildParallelEquivalenceTree checks worker-count invariance over a
+// generated source tree — cross-file chains, helpers, unresolved noise
+// calls — which is the corpus shape the sharded builder exists for.
 func TestBuildParallelEquivalenceTree(t *testing.T) {
 	tr := sitegen.GenerateTree(sitegen.DefaultTreeSpec(48, 3))
 	var files []File
 	for _, f := range tr.Files {
 		files = append(files, parse(t, f.Name, f.Src))
 	}
-	seq := Build(files)
+	one := BuildParallel(files, 1)
 	par := BuildParallel(files, 8)
-	graphsEquivalent(t, seq, par)
+	graphsEquivalent(t, one, par)
 
 	// The cache FileDeps consumes must reflect the same dependency map.
-	sd, pd := seq.FileDeps(), par.FileDeps()
-	if len(sd) != len(pd) {
-		t.Fatalf("FileDeps sizes differ: %d vs %d", len(sd), len(pd))
+	od, pd := one.FileDeps(), par.FileDeps()
+	if len(od) != len(pd) {
+		t.Fatalf("FileDeps sizes differ: %d vs %d", len(od), len(pd))
 	}
-	for f, la := range sd {
+	for f, la := range od {
 		lb := pd[f]
 		if len(la) != len(lb) {
 			t.Fatalf("FileDeps[%s]: %v vs %v", f, la, lb)

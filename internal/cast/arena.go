@@ -11,7 +11,7 @@ import "unsafe"
 // slab-sized ones, and nodes of a file are contiguous in memory.
 //
 // An Arena is single-goroutine (one per parser). A nil *Arena is valid and
-// falls back to plain per-node allocation — the legacy oracle path.
+// falls back to plain per-node allocation — the cparser.NewNoArena path.
 type Arena struct {
 	idents    slab[Ident]
 	lits      slab[Lit]

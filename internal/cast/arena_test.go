@@ -28,7 +28,7 @@ func TestArenaAllocZeroedAndDistinct(t *testing.T) {
 	}
 }
 
-// TestArenaNilFallback checks the legacy path: a nil arena allocates plainly
+// TestArenaNilFallback checks the NewNoArena path: a nil arena allocates plainly
 // and reports zero bytes.
 func TestArenaNilFallback(t *testing.T) {
 	var a *Arena

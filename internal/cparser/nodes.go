@@ -8,8 +8,8 @@ import (
 )
 
 // Constructors for the hot AST node kinds, routed through the parser's arena.
-// With the arena nil (NewLegacy) each helper degrades to a plain allocation,
-// so the legacy oracle path builds an identical tree through identical code.
+// With the arena nil (NewNoArena) each helper degrades to a plain allocation,
+// so both parsers build an identical tree through identical code.
 
 func (p *Parser) newIdent(pos ctoken.Position, name string) *cast.Ident {
 	n := p.arena.NewIdent()
@@ -211,12 +211,8 @@ var (
 
 // taggedName returns "struct X" / "union X" / "enum X": struct-typed
 // declarations repeat the same few tags thousands of times per file, and the
-// concatenation was one of the parser's last per-node allocations. The
-// legacy oracle (nil arena) keeps the plain concatenation.
+// concatenation was one of the parser's last per-node allocations.
 func (p *Parser) taggedName(kw, tag string) string {
-	if p.arena == nil {
-		return kw + " " + tag
-	}
 	k := [2]string{kw, tag}
 	tagNameMu.RLock()
 	s, ok := tagNameCache[k]

@@ -27,15 +27,14 @@ type Parser struct {
 	i    int
 	errs []error
 
-	// arena batch-allocates the hot AST node kinds. nil (NewLegacy) means
+	// arena batch-allocates the hot AST node kinds. nil (NewNoArena) means
 	// plain per-node allocation.
 	arena *cast.Arena
 
-	// typedefs tracks typedef names so declarations can be distinguished
-	// from expressions. The legacy parser seeds it with the kernel typedefs;
-	// the arena parser sets base and consults the shared kernelTypedefSet.
+	// typedefs tracks the typedef names the file declares, so declarations
+	// can be distinguished from expressions; the kernel typedefs are
+	// consulted in the shared kernelTypedefSet.
 	typedefs map[string]bool
-	base     bool
 }
 
 // kernelTypedefs are typedef names assumed known even when their defining
@@ -51,8 +50,8 @@ var kernelTypedefs = []string{
 }
 
 // kernelTypedefSet is the kernelTypedefs list as a shared immutable set, so
-// the arena parser consults it in place instead of copying 49 entries into a
-// fresh map per file.
+// the parser consults it in place instead of copying 49 entries into a fresh
+// map per file.
 var kernelTypedefSet = func() map[string]bool {
 	m := make(map[string]bool, len(kernelTypedefs))
 	for _, n := range kernelTypedefs {
@@ -66,7 +65,7 @@ var kernelTypedefSet = func() map[string]bool {
 // consulted via the shared set (the typedefs map is created lazily on the
 // first typedef declaration).
 func New(toks []ctoken.Token) *Parser {
-	return &Parser{toks: toks, arena: new(cast.Arena), base: true}
+	return &Parser{toks: toks, arena: new(cast.Arena)}
 }
 
 // NewNoArena returns the hot-path parser with per-node heap allocation
@@ -76,22 +75,12 @@ func New(toks []ctoken.Token) *Parser {
 // few of its nodes) must be individually collectable for the drop to
 // actually free memory.
 func NewNoArena(toks []ctoken.Token) *Parser {
-	return &Parser{toks: toks, base: true}
-}
-
-// NewLegacy returns a parser that heap-allocates every node individually —
-// the pre-arena behavior, kept as the differential and benchmark oracle.
-func NewLegacy(toks []ctoken.Token) *Parser {
-	p := &Parser{toks: toks, typedefs: map[string]bool{}}
-	for _, n := range kernelTypedefs {
-		p.typedefs[n] = true
-	}
-	return p
+	return &Parser{toks: toks}
 }
 
 // isTypedef reports whether name is a known typedef.
 func (p *Parser) isTypedef(name string) bool {
-	return p.typedefs[name] || (p.base && kernelTypedefSet[name])
+	return p.typedefs[name] || kernelTypedefSet[name]
 }
 
 // addTypedef records a typedef declaration.
@@ -102,8 +91,8 @@ func (p *Parser) addTypedef(name string) {
 	p.typedefs[name] = true
 }
 
-// ArenaBytes reports the slab bytes allocated for this parse (0 on the
-// legacy path) — the source of the frontend.arena_bytes counter.
+// ArenaBytes reports the slab bytes allocated for this parse (0 for
+// NewNoArena) — the source of the frontend.arena_bytes counter.
 func (p *Parser) ArenaBytes() int64 { return p.arena.Bytes() }
 
 // ParseSource preprocesses and parses src in one call.
@@ -931,13 +920,10 @@ func (p *Parser) skipParam() {
 func (p *Parser) parseBlock() *cast.BlockStmt {
 	pos := p.expect(ctoken.LBrace).Pos
 	b := p.newBlock(pos)
-	if p.arena != nil {
-		// Statement lists were the parser's hottest leftover allocation: an
-		// append-grown nil slice reallocates through every doubling step.
-		// Most blocks fit eight statements; legacy (nil arena) keeps the
-		// original growth profile.
-		b.Stmts = make([]cast.Stmt, 0, 8)
-	}
+	// Statement lists were the parser's hottest leftover allocation: an
+	// append-grown nil slice reallocates through every doubling step. Most
+	// blocks fit eight statements.
+	b.Stmts = make([]cast.Stmt, 0, 8)
 	for !p.at(ctoken.RBrace) && !p.at(ctoken.EOF) {
 		before := p.i
 		s := p.parseStmt()

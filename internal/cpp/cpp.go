@@ -45,14 +45,9 @@ type Options struct {
 	MaxExpansionDepth int
 	// Syms, when non-nil, interns every identifier the directive scanner
 	// emits into a shared symbol table (see ctoken.SymTab): all files of a
-	// project agree on one canonical spelling per identifier. Ignored by the
-	// legacy lexer path. Never changes the token stream or the fingerprint.
+	// project agree on one canonical spelling per identifier. Never changes
+	// the token stream or the fingerprint.
 	Syms *ctoken.SymTab
-	// LegacyLexer tokenizes with the original map-dispatch ctoken.Lexer
-	// instead of the zero-copy ctoken.Scanner. The output is identical
-	// (differential suites pin it); the flag exists so benchmarks and tests
-	// can hold the pre-overhaul frontend as an oracle.
-	LegacyLexer bool
 }
 
 // Result is the preprocessed token stream plus diagnostics.
@@ -70,12 +65,6 @@ type Result struct {
 	// re-computation below.
 	fp     string
 	fpFile string
-
-	// legacy marks a run produced under Options.LegacyLexer. Fingerprint
-	// then recomputes through the historical fmt.Fprintf formulation — the
-	// same bytes, at the pre-overhaul cost — so the oracle path measures
-	// what the original frontend actually did.
-	legacy bool
 }
 
 // Fingerprint returns the content address of the preprocess artifact: the
@@ -87,17 +76,6 @@ type Result struct {
 func (r *Result) Fingerprint(file string) string {
 	if r.fp != "" && file == r.fpFile {
 		return r.fp
-	}
-	if r.legacy {
-		h := sha256.New()
-		fmt.Fprintf(h, "%s\x00", file)
-		for _, tok := range r.Tokens {
-			fmt.Fprintf(h, "%s\x00%s:%d:%d\n", tok.Text, tok.Pos.File, tok.Pos.Line, tok.Pos.Col)
-		}
-		for _, err := range r.Errors {
-			fmt.Fprintf(h, "E%s\x00", err.Error())
-		}
-		return hex.EncodeToString(h.Sum(nil))
 	}
 	h := sha256.New()
 	var buf []byte
@@ -111,10 +89,9 @@ func (r *Result) Fingerprint(file string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// hashSeed, hashToken and hashError stream the fingerprint preimage — the
-// exact byte sequence the historical fmt.Fprintf formulation produced
+// hashSeed, hashToken and hashError stream the fingerprint preimage
 // ("file\x00", then "text\x00file:line:col\n" per token, then "Eerr\x00"
-// per diagnostic) — without fmt's reflection or per-token allocations. They
+// per diagnostic) without fmt's reflection or per-token allocations. They
 // thread a reusable scratch buffer.
 func hashSeed(h hash.Hash, buf []byte, file string) []byte {
 	buf = append(buf[:0], file...)
@@ -215,9 +192,6 @@ func appendDecimal(b []byte, v int) []byte {
 // the per-token appends store the slice headers back to the heap once, not
 // once per append (each header store is a write barrier on this path).
 func (p *preprocessor) hashTok(tok ctoken.Token) {
-	if p.h == nil {
-		return
-	}
 	b := p.hbuf
 	if len(b) >= 4<<10 {
 		p.h.Write(b)
@@ -291,49 +265,39 @@ func preprocess(file, src string, opts Options) *Result {
 		macros:   map[string]*Macro{},
 		includes: map[string]bool{},
 	}
-	var sc *scratch
-	if !opts.LegacyLexer {
-		// The overhauled frontend sizes the output once, fingerprints as it
-		// emits, and runs on pooled scratch buffers. The legacy oracle keeps
-		// the original cost profile: a nil output slice grown by append, and
-		// no streamed fingerprint — Result.Fingerprint re-walks the tokens on
-		// demand, as the pre-overhaul frontend always did.
-		sc = scratchPool.Get().(*scratch)
-		p.h = sha256.New()
-		p.hbuf = append(sc.hbuf[:0], file...)
-		p.hbuf = append(p.hbuf, 0)
-		p.hpfx = sc.hpfx
-		p.lineBuf = sc.lineBuf
-		if opts.Syms != nil {
-			if sc.ident == nil {
-				sc.ident = new(ctoken.IdentCache)
-			}
-			p.ident = sc.ident.For(opts.Syms)
+	// The output is fingerprinted as it is emitted, on pooled scratch
+	// buffers.
+	sc := scratchPool.Get().(*scratch)
+	p.h = sha256.New()
+	p.hbuf = append(sc.hbuf[:0], file...)
+	p.hbuf = append(p.hbuf, 0)
+	p.hpfx = sc.hpfx
+	p.lineBuf = sc.lineBuf
+	if opts.Syms != nil {
+		if sc.ident == nil {
+			sc.ident = new(ctoken.IdentCache)
 		}
+		p.ident = sc.ident.For(opts.Syms)
 	}
 	for name, body := range opts.Defines {
-		lx := ctoken.NewLexer("<define:"+name+">", body)
-		p.macros[name] = &Macro{Name: name, Body: lx.All()}
+		toks := ctoken.NewScanner("<define:"+name+">", body).AppendAll(nil)
+		p.macros[name] = &Macro{Name: name, Body: toks}
 		p.bloomAdd(name)
 	}
 	p.processFile(file, src)
-	res := &Result{Tokens: p.out, Errors: p.errs, Macros: p.macros, legacy: opts.LegacyLexer}
-	if p.h != nil {
-		for _, err := range p.errs {
-			p.flushHash()
-			p.hbuf = hashError(p.h, p.hbuf, err)
-			p.hbuf = p.hbuf[:0]
-		}
+	res := &Result{Tokens: p.out, Errors: p.errs, Macros: p.macros}
+	for _, err := range p.errs {
 		p.flushHash()
-		res.fp = hex.EncodeToString(p.h.Sum(nil))
-		res.fpFile = file
+		p.hbuf = hashError(p.h, p.hbuf, err)
+		p.hbuf = p.hbuf[:0]
 	}
-	if sc != nil {
-		sc.hbuf = p.hbuf[:0]
-		sc.hpfx = p.hpfx[:0]
-		sc.lineBuf = p.lineBuf[:0]
-		scratchPool.Put(sc)
-	}
+	p.flushHash()
+	res.fp = hex.EncodeToString(p.h.Sum(nil))
+	res.fpFile = file
+	sc.hbuf = p.hbuf[:0]
+	sc.hpfx = p.hpfx[:0]
+	sc.lineBuf = p.lineBuf[:0]
+	scratchPool.Put(sc)
 	return res
 }
 
@@ -341,66 +305,12 @@ func (p *preprocessor) errorf(pos ctoken.Position, format string, args ...any) {
 	p.errs = append(p.errs, fmt.Errorf("%s: %s", pos, fmt.Sprintf(format, args...)))
 }
 
-// line-oriented phase: split into directive lines and ordinary token runs.
+// line is one directive line: the directive name ("#" when the first token
+// after the hash is not a name), its operand tokens, and its position.
 type line struct {
-	directive string // "" for ordinary lines
+	directive string
 	toks      []ctoken.Token
 	pos       ctoken.Position
-}
-
-// splitLinesLegacy is the original Lexer-driven splitter, kept as the
-// differential oracle behind Options.LegacyLexer.
-func splitLinesLegacy(file, src string, errs *[]error) []line {
-	lx := ctoken.NewLexer(file, src)
-	lx.KeepNewlines = true
-	var lines []line
-	cur := line{}
-	atLineStart := true
-	flush := func() {
-		if cur.directive != "" || len(cur.toks) > 0 {
-			lines = append(lines, cur)
-		}
-		cur = line{}
-		atLineStart = true
-	}
-	for {
-		t := lx.Next()
-		if t.Kind == ctoken.EOF {
-			flush()
-			break
-		}
-		if t.Kind == ctoken.Newline {
-			flush()
-			continue
-		}
-		if atLineStart && t.Kind == ctoken.Hash {
-			name := lx.Next()
-			if name.Kind == ctoken.Ident || name.Kind == ctoken.Keyword {
-				cur.directive = name.Text
-				cur.pos = t.Pos
-			} else if name.Kind == ctoken.Newline {
-				// "#" alone: null directive.
-				flush()
-				continue
-			} else if name.Kind == ctoken.EOF {
-				flush()
-				break
-			} else {
-				cur.directive = "#"
-				cur.pos = t.Pos
-				cur.toks = append(cur.toks, name)
-			}
-			atLineStart = false
-			continue
-		}
-		atLineStart = false
-		if cur.pos.Line == 0 {
-			cur.pos = t.Pos
-		}
-		cur.toks = append(cur.toks, t)
-	}
-	*errs = append(*errs, lx.Errors()...)
-	return lines
 }
 
 // condState tracks one level of #if nesting.
@@ -416,20 +326,7 @@ func (p *preprocessor) processFile(file, src string) {
 	}
 	p.includes[file] = true
 	defer delete(p.includes, file)
-
-	if !p.opts.LegacyLexer {
-		p.streamFile(file, src)
-		return
-	}
-
-	lines := splitLinesLegacy(file, src, &p.errs)
-	var conds []condState
-	for _, ln := range lines {
-		conds = p.dispatch(ln, conds)
-	}
-	if len(conds) != 0 {
-		p.errorf(ctoken.Position{File: file, Line: 1, Col: 1}, "unterminated conditional (%d open)", len(conds))
-	}
+	p.streamFile(file, src)
 }
 
 // condsLive reports whether every open conditional branch is active.
@@ -442,10 +339,8 @@ func condsLive(conds []condState) bool {
 	return true
 }
 
-// dispatch processes one line against the conditional stack and returns the
-// updated stack. It is shared by the legacy line walk (which feeds it every
-// line) and the streaming path (which feeds it directive lines only and
-// emits ordinary tokens inline).
+// dispatch processes one directive line against the conditional stack and
+// returns the updated stack.
 func (p *preprocessor) dispatch(ln line, conds []condState) []condState {
 	switch ln.directive {
 	case "ifdef", "ifndef":
@@ -504,26 +399,18 @@ func (p *preprocessor) dispatch(ln line, conds []condState) []condState {
 		if ln.directive == "error" && condsLive(conds) {
 			p.errorf(ln.pos, "#error: %s", renderTokens(ln.toks))
 		}
-	case "":
-		if condsLive(conds) {
-			// hide starts nil: expand only ever reads it (lookups and range
-			// are fine on a nil map) and builds fresh sub maps, so the
-			// historical per-line map literal was pure allocation.
-			p.expandInto(ln.toks, 0, nil)
-		}
 	default:
 		// Unknown directive: skip, as Smatch does.
 	}
 	return conds
 }
 
-// streamFile is the overhauled single-pass preprocessor: it drives the
-// zero-copy scanner token by token and emits ordinary live-line tokens
-// straight into the output — each folded into the running fingerprint as it
-// passes — with no whole-file token buffer and no line materialization in
-// between. Directive lines and macro-bearing line suffixes are collected
-// into one small reused buffer and handled by the same dispatch/expand
-// machinery as the legacy walk, so semantics match line for line.
+// streamFile is the single-pass preprocessor: it drives the zero-copy
+// scanner token by token and emits ordinary live-line tokens straight into
+// the output — each folded into the running fingerprint as it passes — with
+// no whole-file token buffer and no line materialization in between.
+// Directive lines and macro-bearing line suffixes are collected into one
+// small reused buffer and handled by dispatch and expand.
 func (p *preprocessor) streamFile(file, src string) {
 	sc := ctoken.NewScanner(file, src)
 	sc.KeepNewlines = true
@@ -607,9 +494,8 @@ func (p *preprocessor) streamFile(file, src string) {
 	if len(conds) != 0 {
 		p.errorf(ctoken.Position{File: file, Line: 1, Col: 1}, "unterminated conditional (%d open)", len(conds))
 	}
-	// The line splitter reported a file's lexical errors before any of its
-	// directive errors; splice the scanner's errors into the same slot so
-	// diagnostics order (and with it the fingerprint) is unchanged.
+	// A file's lexical errors precede its directive errors: splice the
+	// scanner's errors in ahead of those the directives reported.
 	if scErrs := sc.Errors(); len(scErrs) > 0 {
 		p.errs = append(p.errs, scErrs...)
 		copy(p.errs[errStart+len(scErrs):], p.errs[errStart:len(p.errs)-len(scErrs)])
@@ -698,17 +584,6 @@ func (p *preprocessor) include(ln line) {
 		return
 	}
 	p.processFile(path, src)
-}
-
-// expandInto appends toks to the output, expanding macros. Only the legacy
-// line walk reaches it — the streaming path emits ordinary tokens inline —
-// so it keeps the original always-allocate expander cost profile.
-func (p *preprocessor) expandInto(toks []ctoken.Token, depth int, hide map[string]bool) {
-	expanded := p.expand(toks, depth, hide)
-	for _, t := range expanded {
-		p.hashTok(t)
-	}
-	p.out = append(p.out, expanded...)
 }
 
 // expand returns toks with all macro invocations expanded. hide carries the
@@ -884,8 +759,7 @@ func pasteTokens(left, right []ctoken.Token, at ctoken.Position) []ctoken.Token 
 		return left
 	}
 	glued := left[len(left)-1].Text + right[0].Text
-	lx := ctoken.NewLexer(at.File, glued)
-	mid := lx.All()
+	mid := ctoken.NewScanner(at.File, glued).AppendAll(nil)
 	for i := range mid {
 		mid[i].Pos = at
 	}

@@ -2,21 +2,20 @@ package ctoken
 
 import "fmt"
 
-// Scanner is the hot-path tokenizer of the frontend. It produces exactly the
-// token stream of Lexer (kind, text and position, byte for byte — lexer_diff
-// tests and FuzzScannerMatchesLexer pin the equivalence) but is built for
-// throughput:
+// Scanner converts C source text into tokens. It strips comments,
+// recognizes line continuations (backslash-newline), and can optionally emit
+// Newline tokens so that the preprocessor can delimit directives. Its token
+// streams are pinned by testdata/tokens.golden. It is built for throughput:
 //
-//   - token text is always a subslice of src — the scanner never
-//     concatenates or copies spellings;
+//   - token text is a subslice of src — the scanner never concatenates or
+//     copies spellings (a stray byte >= 0x80 is the one exception, see
+//     scanOperator);
 //   - operator and keyword recognition is branch dispatch (compiled jump
-//     tables) instead of the Lexer's map probes;
+//     tables), not map probes;
 //   - AppendAll tokenizes into a caller-provided buffer, so a per-worker
 //     buffer can be recycled across files;
 //   - identifiers are optionally interned through a shared SymTab, giving
 //     every downstream stage canonical spellings and dense IDs.
-//
-// The Lexer is kept unchanged as the differential oracle.
 type Scanner struct {
 	src  string
 	file string
@@ -24,8 +23,8 @@ type Scanner struct {
 	line int
 	col  int
 
-	// KeepNewlines makes the scanner emit Newline tokens, exactly like
-	// Lexer.KeepNewlines.
+	// KeepNewlines makes the scanner emit Newline tokens. The preprocessor
+	// enables this; the parser consumes a stream without them.
 	KeepNewlines bool
 
 	// Syms, when non-nil, interns every identifier spelling and replaces the
@@ -360,7 +359,7 @@ func (s *Scanner) scanChar(pos Position) Token {
 }
 
 // scanOperator resolves operators with explicit branch dispatch on the lead
-// byte, longest match first, mirroring the Lexer's three/two/one byte order.
+// byte, longest match first.
 func (s *Scanner) scanOperator(pos Position) Token {
 	c := s.src[s.off]
 	n1 := s.peek(1)
@@ -484,8 +483,8 @@ func (s *Scanner) scanOperator(pos Position) Token {
 		}
 		return s.op(Not, 1, pos)
 	}
-	// Match the oracle byte for byte: the Lexer converts the offending byte
-	// through string(byte), which UTF-8 encodes values >= 0x80.
+	// The token text is string(byte), which UTF-8 encodes values >= 0x80:
+	// diagnostics and the golden token streams depend on that spelling.
 	b := s.advance()
 	s.errorf(pos, "illegal character %q", string(b))
 	return Token{Kind: ILLEGAL, Text: string(b), Pos: pos}
@@ -496,4 +495,18 @@ func (s *Scanner) op(k Kind, n int, pos Position) Token {
 	s.off += n
 	s.col += n
 	return Token{Kind: k, Text: s.src[start : start+n], Pos: pos}
+}
+
+func isIdentStart(c byte) bool {
+	return c == '_' || c == '$' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
+}
+
+func isIdentCont(c byte) bool {
+	return isIdentStart(c) || (c >= '0' && c <= '9')
+}
+
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
+
+func isHex(c byte) bool {
+	return isDigit(c) || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 }

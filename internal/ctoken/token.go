@@ -1,5 +1,5 @@
 // Package ctoken defines the lexical tokens of the C subset analyzed by
-// OFence and a lexer that converts kernel C source into a token stream.
+// OFence and the Scanner that converts kernel C source into a token stream.
 //
 // The token set covers everything that appears in the barrier-bearing code
 // of the Linux kernel that OFence inspects: identifiers, keywords, integer,

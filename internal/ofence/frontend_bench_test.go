@@ -2,13 +2,8 @@ package ofence_test
 
 import (
 	"context"
-	"encoding/json"
-	"os"
 	"runtime"
-	"sort"
-	"strings"
 	"testing"
-	"time"
 
 	"ofence/internal/corpus"
 	"ofence/internal/cparser"
@@ -23,24 +18,10 @@ func benchFrontendSources() []ofence.SourceFile {
 	return corpus.Generate(corpus.DefaultConfig(42)).Sources()
 }
 
-// frontendLegacy runs the pre-overhaul frontend over the corpus: rune-based
-// map-dispatch lexer, per-node heap-allocating parser, no interning, and the
-// separate fingerprint pass the analysis always needs for its cache keys.
-func frontendLegacy(srcs []ofence.SourceFile) int {
-	nodes := 0
-	for _, sf := range srcs {
-		pre := cpp.Preprocess(sf.Name, sf.Src, cpp.Options{LegacyLexer: true})
-		pre.Fingerprint(sf.Name)
-		f := cparser.NewLegacy(pre.Tokens).ParseFile(sf.Name)
-		nodes += len(f.Decls)
-	}
-	return nodes
-}
-
-// frontendNew runs the overhauled frontend: zero-copy byte scanner with
-// identifiers interned into a shared SymTab, arena-batched AST allocation,
-// and the fingerprint streamed during preprocessing (Fingerprint is a cached
-// read).
+// frontendNew runs the front end over the corpus: zero-copy byte scanner
+// with identifiers interned into a shared SymTab, arena-batched AST
+// allocation, and the fingerprint streamed during preprocessing
+// (Fingerprint is a cached read).
 func frontendNew(srcs []ofence.SourceFile) int {
 	syms := ctoken.NewSymTab()
 	nodes := 0
@@ -53,22 +34,15 @@ func frontendNew(srcs []ofence.SourceFile) int {
 	return nodes
 }
 
-// BenchmarkFrontendCold measures the cold preprocess+parse path old-vs-new
-// over the default corpus. "legacy" is the pre-PR frontend (rune lexer,
-// heap-allocated AST); "interned" is the zero-copy scanner + SymTab + arena
-// frontend, single-threaded, isolating the data-layer win; "pipelined8" is
-// the whole-project cold analysis with the fused per-file schedule at
-// Workers=8/GOMAXPROCS=8, versus "classic8" (the same analysis forced
-// through the legacy frontend). make bench-frontend runs these via
-// TestWriteBenchFrontendJSON and records BENCH_frontend.json.
+// BenchmarkFrontendCold measures the cold front end over the default
+// corpus. "interned" is preprocess+parse, single-threaded; "classic8" is the
+// whole-project cold analysis through AddSources+Analyze (every file parsed
+// before any extraction starts) at Workers=8/GOMAXPROCS=8, versus
+// "pipelined8", the same analysis with the fused per-file schedule.
+// BENCH_frontend.json records the overhaul's comparison against the
+// pre-overhaul front end, which is retired; bench/ is the live measurement.
 func BenchmarkFrontendCold(b *testing.B) {
 	srcs := benchFrontendSources()
-	b.Run("legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			frontendLegacy(srcs)
-		}
-	})
 	b.Run("interned", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -83,7 +57,6 @@ func BenchmarkFrontendCold(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			p := ofence.NewProject()
-			p.UseLegacyFrontendForTest()
 			p.AddSources(srcs)
 			p.Analyze(o)
 		}
@@ -101,139 +74,4 @@ func BenchmarkFrontendCold(b *testing.B) {
 			}
 		}
 	})
-}
-
-// TestWriteBenchFrontendJSON refreshes BENCH_frontend.json: it runs the
-// BenchmarkFrontendCold variants via testing.Benchmark and writes their
-// results in the BENCH_*.json schema (docs_test.go lints the shape). Gated
-// behind OFENCE_BENCH_FRONTEND_OUT so plain `go test` stays fast;
-// `make bench-frontend` sets it.
-func TestWriteBenchFrontendJSON(t *testing.T) {
-	out := os.Getenv("OFENCE_BENCH_FRONTEND_OUT")
-	if out == "" {
-		t.Skip("set OFENCE_BENCH_FRONTEND_OUT to refresh BENCH_frontend.json")
-	}
-	srcs := benchFrontendSources()
-
-	// Sanity-gate the numbers: the new frontend must analyze identically to
-	// the legacy oracle before any result is recorded.
-	oracle := ofence.NewProject()
-	oracle.UseLegacyFrontendForTest()
-	oracle.AddSources(srcs)
-	want := viewJSON(t, oracle.Analyze(ofence.DefaultOptions()))
-	probe := ofence.NewProject()
-	res, err := probe.AnalyzeSourcesCtx(context.Background(), srcs, ofence.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viewJSON(t, res) != want {
-		t.Fatal("new frontend diverges from the legacy oracle; refusing to record benchmark")
-	}
-
-	// Measure legacy/interned as three interleaved rounds and keep the round
-	// with the median speedup: scheduling noise on a small machine moves both
-	// sides of a round together, so the paired ratio is far more stable than
-	// either measurement alone.
-	type round struct {
-		legacy, interned testing.BenchmarkResult
-		ratio            float64
-	}
-	rounds := make([]round, 3)
-	for i := range rounds {
-		l := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				frontendLegacy(srcs)
-			}
-		})
-		n := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				frontendNew(srcs)
-			}
-		})
-		rounds[i] = round{l, n, float64(l.NsPerOp()) / float64(n.NsPerOp())}
-	}
-	sort.Slice(rounds, func(i, j int) bool { return rounds[i].ratio < rounds[j].ratio })
-	legacy, interned := rounds[1].legacy, rounds[1].interned
-	o := ofence.DefaultOptions()
-	o.Workers = 8
-	classic := testing.Benchmark(func(b *testing.B) {
-		old := runtime.GOMAXPROCS(8)
-		defer runtime.GOMAXPROCS(old)
-		for i := 0; i < b.N; i++ {
-			p := ofence.NewProject()
-			p.UseLegacyFrontendForTest()
-			p.AddSources(srcs)
-			p.Analyze(o)
-		}
-	})
-	pipelined := testing.Benchmark(func(b *testing.B) {
-		old := runtime.GOMAXPROCS(8)
-		defer runtime.GOMAXPROCS(old)
-		for i := 0; i < b.N; i++ {
-			p := ofence.NewProject()
-			if _, err := p.AnalyzeSourcesCtx(context.Background(), srcs, o); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	round1 := func(x float64) float64 { return float64(int(x*10+0.5)) / 10 }
-	speedupFrontend := round1(float64(legacy.NsPerOp()) / float64(interned.NsPerOp()))
-	speedupAnalyze := round1(float64(classic.NsPerOp()) / float64(pipelined.NsPerOp()))
-
-	entry := func(r testing.BenchmarkResult) map[string]any {
-		return map[string]any{
-			"ns_per_op":     r.NsPerOp(),
-			"bytes_per_op":  r.AllocedBytesPerOp(),
-			"allocs_per_op": r.AllocsPerOp(),
-		}
-	}
-	doc := map[string]any{
-		"benchmark":   "BenchmarkFrontendCold",
-		"description": "Cold frontend over the paper-scale default corpus (~300 files, internal/corpus). 'legacy' is the pre-PR frontend: rune-based map-dispatch lexer and a parser that heap-allocates every AST node. 'interned' is the overhauled frontend: zero-copy byte scanner, identifiers interned into a shared SymTab, slab-arena AST allocation — single-threaded, isolating the data-layer win. 'classic8' and 'pipelined8' compare whole-project cold analysis (Workers=8, GOMAXPROCS=8) on the legacy frontend + barrier schedule versus the new frontend + fused per-file preprocess->parse->extract pipeline. Analysis output is asserted byte-identical to the legacy oracle before recording. legacy/interned are measured as three interleaved rounds with the median-speedup round recorded, so scheduling noise that moves both sides of a round together cancels in the ratio.",
-		"command":     "go test -run '^$' -bench BenchmarkFrontendCold -benchtime 3s ./internal/ofence/",
-		"refresh":     "make bench-frontend",
-		"environment": map[string]string{
-			"cpu":  benchCPUExt(),
-			"go":   runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
-			"date": time.Now().Format("2006-01-02"),
-		},
-		"results": map[string]any{
-			"legacy":     entry(legacy),
-			"interned":   entry(interned),
-			"classic8":   entry(classic),
-			"pipelined8": entry(pipelined),
-		},
-		"speedup_frontend":      speedupFrontend,
-		"speedup_cold_analyze8": speedupAnalyze,
-		"acceptance":            "speedup_frontend >= 3x cold preprocess+parse over the pre-PR frontend, single-threaded; analysis output byte-identical to the legacy oracle",
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("frontend legacy %v, interned %v (%.1fx); cold analyze classic8 %v, pipelined8 %v (%.1fx) -> %s",
-		legacy.NsPerOp(), interned.NsPerOp(), speedupFrontend, classic.NsPerOp(), pipelined.NsPerOp(), speedupAnalyze, out)
-	if speedupFrontend < 3 {
-		t.Errorf("acceptance not met: frontend speedup %.1fx (want >= 3)", speedupFrontend)
-	}
-}
-
-// benchCPUExt returns the host CPU model for the environment block.
-func benchCPUExt() string {
-	data, err := os.ReadFile("/proc/cpuinfo")
-	if err != nil {
-		return runtime.GOARCH
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if strings.HasPrefix(line, "model name") {
-			if i := strings.Index(line, ":"); i >= 0 {
-				return strings.TrimSpace(line[i+1:])
-			}
-		}
-	}
-	return runtime.GOARCH
 }

@@ -7,29 +7,15 @@ import (
 	"ofence/internal/ofence"
 )
 
-// FuzzFrontendAnalysisDiff fuzzes the frontend overhaul end to end: for any
-// input the overhauled frontend (zero-copy scanner, interned identifiers,
-// arena parser, fused pipeline) must serialize the analysis byte-identically
-// to the legacy-frontend oracle. The scanner-level differential fuzz
-// (ctoken.FuzzScannerMatchesLexer) pins token streams; this one pins what
-// the user actually sees, catching divergence introduced anywhere between
-// the lexer and the report — interning aliasing bugs included, since
-// findings carry identifier strings canonicalized through the SymTab.
+// FuzzFrontendAnalysisDiff fuzzes the analysis end to end: for any input
+// the pipelined analysis must serialize byte-identically at Workers 1 and
+// 8, catching scheduling-dependent divergence introduced anywhere between
+// the scanner and the report — identifier-interning races included, since
+// findings carry identifier strings canonicalized through the shared
+// SymTab. The seeds are golden cases too (TestGoldens), so their output is
+// pinned as well.
 func FuzzFrontendAnalysisDiff(f *testing.F) {
-	seeds := []string{
-		"int x;\n",
-		"struct dev { int flag; spinlock_t lock; };\n" +
-			"void init(struct dev *d) { d->flag = 1; smp_wmb(); d->ready = 1; }\n" +
-			"int use(struct dev *d) { if (d->ready) { smp_rmb(); return d->flag; } return 0; }\n",
-		"#define READY 1\nstruct s { int a; };\nint f(struct s *p) { return p->a == READY; }\n",
-		"#ifdef CONFIG_SMP\nint smp_only(void) { return 1; }\n#else\nint smp_only(void) { return 0; }\n#endif\n",
-		"void w(struct d *p) { WRITE_ONCE(p->v, 1); smp_store_release(&p->ok, 1); }\n" +
-			"int r(struct d *p) { if (smp_load_acquire(&p->ok)) return READ_ONCE(p->v); return -1; }\n",
-		"typedef unsigned long ulong_t;\nulong_t g(ulong_t v) { return v << 2; }\n",
-		"int broken( { ;;; \"unterminated\n",
-		"#define twice(x) ((x) + (x))\nint h(int v) { return twice(v); }\n",
-	}
-	for _, s := range seeds {
+	for _, s := range frontendFuzzSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -37,18 +23,18 @@ func FuzzFrontendAnalysisDiff(f *testing.F) {
 			t.Skip("oversized input")
 		}
 		srcs := []ofence.SourceFile{{Name: "fuzz.c", Src: src}}
-		oracle := ofence.NewProject()
-		oracle.UseLegacyFrontendForTest()
-		oracle.AddSources(srcs)
-		want := viewJSON(t, oracle.Analyze(ofence.DefaultOptions()))
-
-		p := ofence.NewProject()
-		res, err := p.AnalyzeSourcesCtx(context.Background(), srcs, ofence.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
+		var views []string
+		for _, workers := range []int{1, 8} {
+			opts := ofence.DefaultOptions()
+			opts.Workers = workers
+			res, err := ofence.NewProject().AnalyzeSourcesCtx(context.Background(), srcs, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			views = append(views, viewJSON(t, res))
 		}
-		if got := viewJSON(t, res); got != want {
-			t.Errorf("analysis diverges from legacy frontend\nlegacy: %s\nnew:    %s", want, got)
+		if views[0] != views[1] {
+			t.Errorf("analysis differs between Workers 1 and 8\n1: %s\n8: %s", views[0], views[1])
 		}
 	})
 }

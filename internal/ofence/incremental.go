@@ -35,8 +35,8 @@ import (
 	"ofence/internal/cast"
 	"ofence/internal/cparser"
 	"ofence/internal/cpp"
-	"ofence/internal/ctoken"
 	"ofence/internal/ctypes"
+	"ofence/internal/memmodel"
 	"ofence/internal/obs"
 	"ofence/internal/rescache"
 )
@@ -68,16 +68,15 @@ type artifacts struct {
 	arenaBytes int64
 	// table is the cfg-stage symbol table; nil until the first Analyze.
 	table *ctypes.Table
-	// sitesKey records the extract-stage key sites were computed under
-	// ("" before the first Analyze); Analyze recomputes extraction exactly
-	// when the current key differs.
-	sitesKey rescache.Key
 	// sites are the extract-stage barrier sites.
 	sites []*access.Site
-	// extractFP is the options fingerprint sites were extracted under at
-	// InterprocDepth 0, or "" when they were not: a depth-0 run under the
-	// same fingerprint serves the unit without hashing its extract key.
-	extractFP string
+	// extractFP and extractClosure are the options fingerprint and the
+	// dependency-closure key ("" at InterprocDepth 0) sites were extracted
+	// under; both "" before the first Analyze. Together with preHash they
+	// determine the extract key, so a run whose fingerprint and closure
+	// match serves the unit without hashing the key.
+	extractFP      string
+	extractClosure string
 }
 
 // preArtifact is the preprocess-stage cache value.
@@ -162,17 +161,11 @@ func (p *Project) frontendDirect(ctx context.Context, name, src string, env proj
 	wrapCtx, wrapSpan := obs.Start(ctx, "parse")
 	wrapSpan.SetAttr("file", name)
 	copts := cpp.Options{Include: env.include, Defines: env.defines, Syms: p.syms}
-	if p.legacyFrontend {
-		copts.Syms, copts.LegacyLexer = nil, true
-	}
 	pre := cpp.PreprocessCtx(wrapCtx, name, src, copts)
 	// No arena: these trees are built to be dropped after extraction, and
 	// slab-batched nodes would stay pinned by the site records' pointers
 	// into them (see cparser.NewNoArena).
 	psr := cparser.NewNoArena(pre.Tokens)
-	if p.legacyFrontend {
-		psr = cparser.NewLegacy(pre.Tokens)
-	}
 	ast := psr.ParseFile(name)
 	errs := append(append([]error{}, pre.Errors...), psr.Errors()...)
 	wrapSpan.Add("tokens", int64(len(pre.Tokens)))
@@ -201,9 +194,6 @@ func (p *Project) frontendWith(ctx context.Context, name, src string, env projec
 		wrapCtx, wrapSpan = obs.Start(ctx, "parse")
 		wrapSpan.SetAttr("file", name)
 		copts := cpp.Options{Include: env.include, Defines: env.defines, Syms: p.syms}
-		if p.legacyFrontend {
-			copts.Syms, copts.LegacyLexer = nil, true
-		}
 		pre := cpp.PreprocessCtx(wrapCtx, name, src, copts)
 		return &preArtifact{pre: pre, hash: pre.Fingerprint(name)}, nil
 	})
@@ -211,9 +201,6 @@ func (p *Project) frontendWith(ctx context.Context, name, src string, env projec
 
 	pv, _, _ := p.stages.Stage(stageParse).Do(rescache.KeyOf("parse-v1", name, pa.hash), func() (any, error) {
 		psr := cparser.New(pa.pre.Tokens)
-		if p.legacyFrontend {
-			psr = cparser.NewLegacy(pa.pre.Tokens)
-		}
 		ast := psr.ParseFile(name)
 		errs := append(append([]error{}, pa.pre.Errors...), psr.Errors()...)
 		return &parseArtifact{ast: ast, errs: errs, arenaBytes: psr.ArenaBytes()}, nil
@@ -261,20 +248,7 @@ func (p *Project) refreshStale(ctx context.Context, files []*FileUnit, env proje
 			if ctx.Err() != nil {
 				return // canceled: stay stale, the next Analyze retries
 			}
-			art := p.frontendWith(ctx, fu.Name, fu.src, env, direct)
-			p.mu.Lock()
-			if fu.art == nil || fu.art.preHash != art.preHash {
-				fu.art = art
-				fu.AST, fu.Errs = art.ast, art.errs
-				fu.Table, fu.Sites = nil, nil
-			} else if fu.art.ast == nil {
-				next := *fu.art
-				next.ast = art.ast
-				fu.art = &next
-				fu.AST = art.ast
-			}
-			fu.envStale = false
-			p.mu.Unlock()
+			p.refreshUnit(ctx, fu, env, direct)
 		}(fu)
 	}
 	for range stale {
@@ -282,52 +256,81 @@ func (p *Project) refreshStale(ctx context.Context, files []*FileUnit, env proje
 	}
 }
 
-// pipelineFile streams one unit that is not clean (see analyze) through the
-// fused per-file pipeline of the depth-0 Analyze: front-end refresh (only
-// when the unit is new or its environment went stale), then the
-// reuse-check → table → extract tail. It preserves refreshStale's
-// semantics exactly — a unit whose preprocessed content is unchanged keeps
-// every artifact, including cached sites — and the classic path's reuse
-// accounting: +reused for in-place or shared-cache sites, +recomputed when
-// extraction runs.
-func (p *Project) pipelineFile(ectx context.Context, fu *FileUnit, env projectEnv, fp string, opts Options, extractCache *rescache.Cache, reused, recomputed *atomic.Int64) {
+// refreshUnit re-runs the front-end for one unit and installs the result,
+// returning the unit's current record. A unit whose preprocessed content
+// changed gets the fresh record; a released unit with unchanged content
+// gets the fresh AST grafted into its record, keeping every cached
+// artifact (table, sites, extract key).
+func (p *Project) refreshUnit(ctx context.Context, fu *FileUnit, env projectEnv, direct bool) *artifacts {
 	p.mu.Lock()
-	art, stale, src := fu.art, fu.envStale, fu.src
+	src := fu.src
 	p.mu.Unlock()
+	fresh := p.frontendWith(ctx, fu.Name, src, env, direct)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if fu.art == nil || fu.art.preHash != fresh.preHash {
+		fu.art = fresh
+		fu.AST, fu.Errs = fresh.ast, fresh.errs
+		fu.Table, fu.Sites = nil, nil
+	} else if fu.art.ast == nil {
+		next := *fu.art
+		next.ast = fresh.ast
+		fu.art = &next
+		fu.AST = fresh.ast
+	}
+	fu.envStale = false
+	return fu.art
+}
 
+// extractPlan is what every unit's extraction shares within one Analyze
+// run. The interprocedural fields are nil at InterprocDepth 0.
+type extractPlan struct {
+	fp    string
+	opts  Options
+	cache *rescache.Cache
+	// closures maps each file to its dependency-closure key (closureKeys).
+	closures map[string]string
+	// inferred are the barrier semantics the semprop fixpoint inferred.
+	inferred map[string]memmodel.BarrierKind
+	// resolve returns a file's cross-file callee resolver.
+	resolve func(file string) func(string) *cast.FuncDecl
+}
+
+// pipelineFile streams one unit that is not clean (see analyze) through the
+// per-file pipeline: front-end refresh (only when the unit is new, its
+// environment went stale, or a ReleaseASTs run dropped its AST), then the
+// reuse-check → table → extract tail. A unit whose preprocessed content is
+// unchanged keeps every artifact, including cached sites. Accounting:
+// +reused for in-place or shared-cache sites, +recomputed when extraction
+// runs.
+func (p *Project) pipelineFile(ectx context.Context, fu *FileUnit, env projectEnv, plan *extractPlan, reused, recomputed *atomic.Int64) {
+	opts := plan.opts
+	p.mu.Lock()
+	art, stale := fu.art, fu.envStale
+	p.mu.Unlock()
 	if art == nil || stale || art.ast == nil {
-		fresh := p.frontendWith(ectx, fu.Name, src, env, opts.ReleaseASTs)
-		p.mu.Lock()
-		if fu.art == nil || fu.art.preHash != fresh.preHash {
-			fu.art = fresh
-			fu.AST, fu.Errs = fresh.ast, fresh.errs
-			fu.Table, fu.Sites = nil, nil
-		} else if fu.art.ast == nil {
-			// Released unit, unchanged content: graft the fresh AST, keep
-			// every cached artifact (table, sites, key).
-			next := *fu.art
-			next.ast = fresh.ast
-			fu.art = &next
-			fu.AST = fresh.ast
-		}
-		fu.envStale = false
-		art = fu.art
-		p.mu.Unlock()
+		art = p.refreshUnit(ectx, fu, env, opts.ReleaseASTs)
 	}
 
-	if art.extractFP == fp {
+	closure := plan.closures[fu.Name]
+	if art.extractFP == plan.fp && art.extractClosure == closure {
 		reused.Add(1)
 		p.mu.Lock()
 		fu.Table, fu.Sites = art.table, art.sites
 		p.mu.Unlock()
 		return
 	}
-	want := extractKeyFor(fp, fu.Name, art.preHash, "")
-	v, hit, _ := extractCache.Do(want, func() (any, error) {
+	want := extractKeyFor(plan.fp, fu.Name, art.preHash, closure)
+	v, hit, _ := plan.cache.Do(want, func() (any, error) {
 		recomputed.Add(1)
 		table := p.tableFor(fu.Name, art)
 		aopts := opts.Access
-		aopts.Syms = p.extractSyms()
+		aopts.Syms = p.syms
+		aopts.InferredSemantics = plan.inferred
+		if plan.resolve != nil {
+			aopts.Resolve = plan.resolve(fu.Name)
+		}
+		aopts.InterprocDepth = opts.InterprocDepth
 		ex := access.NewExtractor(fu.Name, table, aopts)
 		sites := ex.ExtractFileCtx(ectx, art.ast)
 		return &extractArtifact{table: table, sites: sites}, nil
@@ -337,28 +340,21 @@ func (p *Project) pipelineFile(ectx context.Context, fu *FileUnit, env projectEn
 	}
 	ea := v.(*extractArtifact)
 	next := *art
-	next.table, next.sites, next.sitesKey, next.extractFP = ea.table, ea.sites, want, fp
-	if opts.ReleaseASTs {
-		// Extraction is the AST's last consumer at depth 0: drop it so live
-		// parse trees never exceed the in-flight worker count.
+	next.table, next.sites, next.extractFP, next.extractClosure = ea.table, ea.sites, plan.fp, closure
+	// Extraction is the AST's last consumer at depth 0: drop it so live
+	// parse trees never exceed the in-flight worker count. At depth > 0,
+	// analyze drops every AST once all extraction is done.
+	release := opts.ReleaseASTs && opts.InterprocDepth == 0
+	if release {
 		next.ast = nil
 	}
 	p.mu.Lock()
 	fu.art = &next
-	if opts.ReleaseASTs {
+	if release {
 		fu.AST = nil
 	}
 	fu.Table, fu.Sites = ea.table, ea.sites
 	p.mu.Unlock()
-}
-
-// extractSyms returns the identifier table extraction should canonicalize
-// Object strings through — nil on the legacy oracle path.
-func (p *Project) extractSyms() *ctoken.SymTab {
-	if p.legacyFrontend {
-		return nil
-	}
-	return p.syms
 }
 
 // tableFor returns the cfg-stage symbol table for one file, memoized under
@@ -384,66 +380,25 @@ func extractKeyFor(fp, name, preHash, closure string) rescache.Key {
 	return rescache.KeyOf(fp, "extract-v1", name, preHash, closure)
 }
 
-// interprocClosures returns, per file, the content hash of its transitive
-// call-graph dependency closure: the sorted (name, preHash) pairs of every
-// file whose code the file's interprocedural extraction could observe —
-// through spliced callee bodies or through inferred barrier semantics,
-// which propagate along call edges. deps is callgraph.(*Graph).FileDeps.
+// closureKeys returns, per file, a key over its transitive call-graph
+// dependency closure: every file whose code the file's interprocedural
+// extraction could observe — through spliced callee bodies or through
+// inferred barrier semantics, which propagate along call edges. deps is
+// callgraph.(*Graph).FileDeps.
 //
-// The hash changes exactly when a file in the closure changes content, so
+// The key changes exactly when a file in the closure changes content, so
 // keying extraction on it conservatively invalidates every (transitive)
 // caller of an edited file while files outside the closure keep their
-// cached sites.
-func interprocClosures(deps map[string][]string, files []*FileUnit) map[string]string {
-	preOf := make(map[string]string, len(files))
-	for _, fu := range files {
-		if fu.art != nil {
-			preOf[fu.Name] = fu.art.preHash
-		}
-	}
-	out := make(map[string]string, len(files))
-	for _, fu := range files {
-		seen := map[string]bool{fu.Name: true}
-		queue := []string{fu.Name}
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			for _, next := range deps[cur] {
-				if !seen[next] {
-					seen[next] = true
-					queue = append(queue, next)
-				}
-			}
-		}
-		names := make([]string, 0, len(seen))
-		for n := range seen {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		parts := make([]string, 0, 2*len(names))
-		for _, n := range names {
-			parts = append(parts, n, preOf[n])
-		}
-		out[fu.Name] = string(rescache.KeyOf("closure-v1", parts...))
-	}
-	return out
-}
-
-// interprocClosuresSCC computes what interprocClosures computes — a per-file
-// key that changes exactly when some file in the transitive dependency
-// closure changes content — in O(V+E) instead of one BFS per file. The
-// file-dependency graph is condensed into strongly connected components
-// (iterative Tarjan); each component's hash covers its members' sorted
-// (name, preHash) pairs plus its successor components' sorted hashes, and a
-// file's key is its component's hash. Tarjan emits a component only after
-// every component reachable from it, so one pass in emission order has all
-// successor hashes ready. The hashes are structural (everything sorted
-// before hashing), hence independent of traversal order.
+// cached sites (pinned by TestClosureKeyTracksReachability).
 //
-// The literal key values differ from interprocClosures' closure-v1 keys —
-// harmless, they are private extract-cache addresses, never outputs — but
-// the invalidation behavior is identical (pinned by TestClosureSCCDifferential).
-func interprocClosuresSCC(deps map[string][]string, files []*FileUnit) map[string]string {
+// It runs in O(V+E): the file-dependency graph is condensed into strongly
+// connected components (iterative Tarjan); each component's hash covers its
+// members' sorted (name, preHash) pairs plus its successor components'
+// sorted hashes, and a file's key is its component's hash. Tarjan emits a
+// component only after every component reachable from it, so one pass in
+// emission order has all successor hashes ready. The hashes are structural
+// (everything sorted before hashing), hence independent of traversal order.
+func closureKeys(deps map[string][]string, files []*FileUnit) map[string]string {
 	n := len(files)
 	names := make([]string, n)
 	preOf := make([]string, n)

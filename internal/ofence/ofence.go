@@ -23,7 +23,6 @@ import (
 	"ofence/internal/cast"
 	"ofence/internal/ctoken"
 	"ofence/internal/ctypes"
-	"ofence/internal/memmodel"
 	"ofence/internal/obs"
 	"ofence/internal/rescache"
 	"ofence/internal/semprop"
@@ -132,17 +131,6 @@ type Project struct {
 	// canonicalizes Object strings against it, so equal names across files
 	// share one backing string. Shared with clones (it only ever grows).
 	syms *ctoken.SymTab
-	// legacyFrontend routes preprocessing through the pre-interning lexer
-	// and parsing through the arena-free parser. The frontend overhaul's
-	// differential tests and benchmarks use it as the oracle; it is never
-	// set in production paths.
-	legacyFrontend bool
-	// seqGlobal routes the interprocedural global phases through the
-	// sequential pre-sharding implementations (callgraph.Build, round-robin
-	// semprop, per-file closure BFS, unsharded dedup). The
-	// tree-scale overhaul's differential tests and benchmarks use it as the
-	// oracle; it is never set in production paths.
-	seqGlobal bool
 	// runMu serializes Analyze calls on this project: runs swap the
 	// per-unit artifact records, which concurrent runs would race on.
 	runMu sync.Mutex
@@ -244,13 +232,6 @@ func (p *Project) AddSourcesCtx(ctx context.Context, srcs []SourceFile) []*FileU
 	return units
 }
 
-// AnalyzeSources adds srcs to the project and analyzes them in one call.
-// See AnalyzeSourcesCtx.
-func (p *Project) AnalyzeSources(srcs []SourceFile, opts Options) *Result {
-	res, _ := p.AnalyzeSourcesCtx(context.Background(), srcs, opts)
-	return res
-}
-
 // AnalyzeSourcesCtx appends srcs as pending units and analyzes the project.
 // Unlike AddSources+Analyze — which parses every file to a barrier before
 // any extraction starts — the pending units enter Analyze's pipelined
@@ -297,9 +278,6 @@ func (p *Project) Clone() *Project {
 		stages:  p.stages,
 		syms:    p.syms,
 		table:   p.table,
-
-		legacyFrontend: p.legacyFrontend,
-		seqGlobal:      p.seqGlobal,
 	}
 	for k, v := range p.headers {
 		q.headers[k] = v
@@ -461,50 +439,9 @@ func (p *Project) analyze(ctx context.Context, opts Options) (*Result, error) {
 	}
 	phaseStart := time.Now()
 	var reused, recomputed, busyNS atomic.Int64
-	extractCache := p.stages.Stage(stageExtract)
-	var ectx context.Context
-	var esp *obs.Span
+	plan := extractPlan{fp: fp, opts: opts, cache: p.stages.Stage(stageExtract)}
 
-	if opts.InterprocDepth == 0 {
-		// Phases 0+1 fused into a pipelined per-file schedule: each worker
-		// streams one file end to end — front-end refresh (preprocess+parse,
-		// only when the unit is stale or new) → symbol table → extraction —
-		// so there is no front-end barrier and the parse of a later file
-		// overlaps the extraction of an earlier one. Sound only at depth 0,
-		// where a file's extraction depends on nothing but that file.
-		ectx, esp = obs.Start(ctx, "extract")
-		// A clean unit — not stale, its sites extracted at depth 0 under fp —
-		// is served inline, with no key hashing and no goroutine; only the
-		// rest enter the pool.
-		var dirty []*FileUnit
-		p.mu.Lock()
-		for _, fu := range files {
-			if art := fu.art; art != nil && !fu.envStale && art.extractFP == fp {
-				fu.Table, fu.Sites = art.table, art.sites
-				reused.Add(1)
-				continue
-			}
-			dirty = append(dirty, fu)
-		}
-		p.mu.Unlock()
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for _, fu := range dirty {
-			wg.Add(1)
-			go func(fu *FileUnit) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				if ctx.Err() != nil {
-					return // canceled: leave the unit's artifacts as they were
-				}
-				start := time.Now()
-				defer func() { busyNS.Add(int64(time.Since(start))) }()
-				p.pipelineFile(ectx, fu, env, fp, opts, extractCache, &reused, &recomputed)
-			}(fu)
-		}
-		wg.Wait()
-	} else {
+	if opts.InterprocDepth > 0 {
 		// Phase 0: re-run the front-end for units dirtied by Define/AddHeader
 		// (or whose AST a previous ReleaseASTs run dropped), so every unit's
 		// artifacts are keyed by current content. A barrier here is required:
@@ -521,120 +458,83 @@ func (p *Project) analyze(ctx context.Context, opts Options) (*Result, error) {
 		// they always run; the per-file extract cache stays sound because its
 		// keys fold in each file's dependency-closure hash — a one-file edit
 		// re-keys (and so re-extracts) every transitive caller, and only those.
-		var resolve func(file string) func(string) *cast.FuncDecl
-		var inferredNames map[string]memmodel.BarrierKind
-		var closures map[string]string
-		{
-			cgf := make([]callgraph.File, 0, len(files))
-			for _, fu := range files {
-				cgf = append(cgf, callgraph.File{Name: fu.Name, AST: fu.AST})
-			}
-			_, gsp := obs.Start(ctx, "callgraph")
-			var g *callgraph.Graph
-			if p.seqGlobal {
-				g = callgraph.Build(cgf)
-			} else {
-				g = callgraph.BuildParallel(cgf, workers)
-			}
-			res.CallGraph = g.Stats()
-			gsp.Add("functions", int64(res.CallGraph.Functions))
-			gsp.Add("edges", int64(res.CallGraph.Edges))
-			gsp.Add("unresolved", int64(res.CallGraph.Unresolved))
-			gsp.End()
-			_, ssp := obs.Start(ctx, "semprop")
-			sopts := semprop.Options{ExtraFull: opts.Access.ExtraBarrierSemantics}
-			if p.seqGlobal {
-				sopts.Sequential = true
-			} else {
-				sopts.Workers = workers
-			}
-			inf := semprop.Infer(g, sopts)
-			res.Inferred = inf.Functions()
-			ssp.Add("inferred", int64(len(res.Inferred)))
-			ssp.Add("sccs", int64(inf.Components))
-			ssp.Add("scc_levels", int64(inf.Levels))
-			ssp.End()
-			inferredNames = inf.NameKinds()
-			resolve = g.ResolverFor
-			if p.seqGlobal {
-				closures = interprocClosures(g.FileDeps(), files)
-			} else {
-				closures = interprocClosuresSCC(g.FileDeps(), files)
-			}
-		}
-
-		// Phase 1: per-file extraction, in parallel. A unit whose artifact
-		// record already carries sites for the wanted key is served in place; a
-		// key found in the shared stage cache (e.g. computed by a clone) is
-		// adopted without running; only genuinely new (file content × options ×
-		// closure) combinations execute.
-		ectx, esp = obs.Start(ctx, "extract")
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
+		cgf := make([]callgraph.File, 0, len(files))
 		for _, fu := range files {
-			p.mu.Lock()
-			art := fu.art
-			p.mu.Unlock()
-			want := extractKeyFor(fp, fu.Name, art.preHash, closures[fu.Name])
-			if art.sitesKey == want {
-				reused.Add(1)
-				p.mu.Lock()
-				fu.Table, fu.Sites = art.table, art.sites
-				p.mu.Unlock()
-				continue
+			cgf = append(cgf, callgraph.File{Name: fu.Name, AST: fu.AST})
+		}
+		_, gsp := obs.Start(ctx, "callgraph")
+		g := callgraph.BuildParallel(cgf, workers)
+		res.CallGraph = g.Stats()
+		gsp.Add("functions", int64(res.CallGraph.Functions))
+		gsp.Add("edges", int64(res.CallGraph.Edges))
+		gsp.Add("unresolved", int64(res.CallGraph.Unresolved))
+		gsp.End()
+		_, ssp := obs.Start(ctx, "semprop")
+		inf := semprop.Infer(g, semprop.Options{ExtraFull: opts.Access.ExtraBarrierSemantics, Workers: workers})
+		res.Inferred = inf.Functions()
+		ssp.Add("inferred", int64(len(res.Inferred)))
+		ssp.Add("sccs", int64(inf.Components))
+		ssp.Add("scc_levels", int64(inf.Levels))
+		ssp.End()
+		plan.inferred = inf.NameKinds()
+		plan.resolve = g.ResolverFor
+		plan.closures = closureKeys(g.FileDeps(), files)
+	}
+
+	// Phase 1: per-file extraction. A clean unit — not stale, its record
+	// extracted under fp and the run's dependency closure ("" at depth 0) —
+	// is served inline, with no key hashing and no goroutine. The rest enter
+	// a worker pool; at depth 0 each worker streams its file end to end —
+	// front-end refresh (preprocess+parse, only when the unit is stale or
+	// new) → symbol table → extraction — so there is no front-end barrier
+	// and the parse of a later file overlaps the extraction of an earlier
+	// one. A key found in the shared stage cache (e.g. computed by a clone)
+	// is adopted without running; only genuinely new (file content ×
+	// options × closure) combinations execute.
+	ectx, esp := obs.Start(ctx, "extract")
+	var dirty []*FileUnit
+	p.mu.Lock()
+	for _, fu := range files {
+		if art := fu.art; art != nil && !fu.envStale && art.extractFP == fp && art.extractClosure == plan.closures[fu.Name] {
+			fu.Table, fu.Sites = art.table, art.sites
+			reused.Add(1)
+			continue
+		}
+		dirty = append(dirty, fu)
+	}
+	p.mu.Unlock()
+	sem := make(chan struct{}, workers)
+	var wg sync.WaitGroup
+	for _, fu := range dirty {
+		wg.Add(1)
+		go func(fu *FileUnit) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			if ctx.Err() != nil {
+				return // canceled: leave the unit's artifacts as they were
 			}
-			wg.Add(1)
-			go func(fu *FileUnit, art *artifacts, want rescache.Key) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				if ctx.Err() != nil {
-					return // canceled: leave the unit's artifacts as they were
-				}
-				start := time.Now()
-				defer func() { busyNS.Add(int64(time.Since(start))) }()
-				v, hit, _ := extractCache.Do(want, func() (any, error) {
-					recomputed.Add(1)
-					table := p.tableFor(fu.Name, art)
-					aopts := opts.Access
-					aopts.Syms = p.extractSyms()
-					aopts.InferredSemantics = inferredNames
-					aopts.Resolve = resolve(fu.Name)
-					aopts.InterprocDepth = opts.InterprocDepth
-					ex := access.NewExtractor(fu.Name, table, aopts)
-					sites := ex.ExtractFileCtx(ectx, art.ast)
-					return &extractArtifact{table: table, sites: sites}, nil
-				})
-				if hit {
-					reused.Add(1)
-				}
-				ea := v.(*extractArtifact)
-				next := *art
-				// extractFP marks depth-0 sites only: these are not.
-				next.table, next.sites, next.sitesKey, next.extractFP = ea.table, ea.sites, want, ""
-				p.mu.Lock()
+			start := time.Now()
+			defer func() { busyNS.Add(int64(time.Since(start))) }()
+			p.pipelineFile(ectx, fu, env, &plan, &reused, &recomputed)
+		}(fu)
+	}
+	wg.Wait()
+	if opts.InterprocDepth > 0 && opts.ReleaseASTs {
+		// Extraction is done and the call graph is built: drop every
+		// unit's top-level AST reference so steady-state residency is
+		// sites and tables, not parse trees. refreshStale re-frontends
+		// released units on the next interprocedural run.
+		p.mu.Lock()
+		for _, fu := range files {
+			if fu.art != nil && fu.art.ast != nil {
+				next := *fu.art
+				next.ast = nil
 				fu.art = &next
-				fu.Table, fu.Sites = ea.table, ea.sites
-				p.mu.Unlock()
-			}(fu, art, want)
-		}
-		wg.Wait()
-		if opts.ReleaseASTs {
-			// Extraction is done and the call graph is built: drop every
-			// unit's top-level AST reference so steady-state residency is
-			// sites and tables, not parse trees. refreshStale re-frontends
-			// released units on the next interprocedural run.
-			p.mu.Lock()
-			for _, fu := range files {
-				if fu.art != nil && fu.art.ast != nil {
-					next := *fu.art
-					next.ast = nil
-					fu.art = &next
-				}
-				fu.AST = nil
 			}
-			p.mu.Unlock()
+			fu.AST = nil
 		}
+		p.mu.Unlock()
 	}
 	res.Timing.Extract = time.Since(phaseStart)
 	if err := ctx.Err(); err != nil {
@@ -670,11 +570,7 @@ func (p *Project) analyze(ctx context.Context, opts Options) (*Result, error) {
 		// Cross-file inlining makes the same physical barrier visible from
 		// callers in other files; keep the richest view, as per-file
 		// extraction already does within one file.
-		if p.seqGlobal {
-			res.Sites = dedupSites(res.Sites)
-		} else {
-			res.Sites = dedupSitesSharded(res.Sites, workers)
-		}
+		res.Sites = dedupSitesSharded(res.Sites, workers)
 	}
 	sortSites(res.Sites)
 

@@ -29,24 +29,19 @@ func pipelineDiffSources() []ofence.SourceFile {
 }
 
 // TestPipelinedMatchesClassicAndLegacyFrontend is the frontend overhaul's
-// correctness bar: the fused pipelined schedule (AnalyzeSourcesCtx), the
-// classic barrier schedule (AddSources+Analyze), and the legacy-frontend
-// oracle (pre-interning lexer, arena-free parser, no canonicalization) must
-// serialize byte-identically, at every worker count and GOMAXPROCS setting.
+// correctness bar: the fused pipelined schedule (AnalyzeSourcesCtx) and the
+// classic barrier schedule (AddSources+Analyze) must both reproduce the
+// golden record, which the retired legacy front end (rune lexer, arena-free
+// parser, no canonicalization) produced as well, at every worker count and
+// GOMAXPROCS setting.
 func TestPipelinedMatchesClassicAndLegacyFrontend(t *testing.T) {
+	goldens := loadGoldens(t)
 	srcs := pipelineDiffSources()
 	opts := ofence.DefaultOptions()
 
-	oracle := ofence.NewProject()
-	oracle.UseLegacyFrontendForTest()
-	oracle.AddSources(srcs)
-	want := viewJSON(t, oracle.Analyze(opts))
-
 	classic := ofence.NewProject()
 	classic.AddSources(srcs)
-	if got := viewJSON(t, classic.Analyze(opts)); got != want {
-		t.Fatalf("classic schedule on the new frontend diverges from the legacy oracle:\n%s\nvs\n%s", got, want)
-	}
+	checkGolden(t, goldens, "diffsrc/depth0", classic.Analyze(opts))
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, gmp := range []int{1, 2, 8} {
@@ -60,9 +55,7 @@ func TestPipelinedMatchesClassicAndLegacyFrontend(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := viewJSON(t, res); got != want {
-					t.Errorf("pipelined result diverges from the legacy oracle")
-				}
+				checkGolden(t, goldens, "diffsrc/depth0", res)
 			})
 		}
 	}
@@ -106,9 +99,10 @@ func TestPipelinedReusesArtifacts(t *testing.T) {
 	}
 }
 
-// TestFrontendMetersReported checks the meters behind the new extract-span
+// TestFrontendMetersReported checks the meters behind the extract-span
 // counters: a cold pipelined run records the corpus's token volume and the
-// parser's arena footprint, and the legacy oracle records no arena bytes.
+// parser's arena footprint, and a ReleaseASTs run — which parses through
+// cparser.NewNoArena — records tokens but no arena bytes.
 func TestFrontendMetersReported(t *testing.T) {
 	srcs := pipelineDiffSources()
 	p := ofence.NewProject()
@@ -127,11 +121,13 @@ func TestFrontendMetersReported(t *testing.T) {
 		t.Error("frontend arena meter stayed zero")
 	}
 
-	legacy := ofence.NewProject()
-	legacy.UseLegacyFrontendForTest()
-	legacy.AddSources(srcs)
-	legacy.Analyze(ofence.DefaultOptions())
-	if _, la := legacy.FrontendMetersForTest(); la != 0 {
-		t.Errorf("legacy frontend reported %d arena bytes, want 0", la)
+	release := ofence.DefaultOptions()
+	release.ReleaseASTs = true
+	noArena := ofence.NewProject()
+	if _, err := noArena.AnalyzeSourcesCtx(context.Background(), srcs, release); err != nil {
+		t.Fatal(err)
+	}
+	if rt, ra := noArena.FrontendMetersForTest(); rt != tokens || ra != 0 {
+		t.Errorf("ReleaseASTs run reported %d tokens and %d arena bytes, want %d and 0", rt, ra, tokens)
 	}
 }

@@ -2,258 +2,29 @@ package ofence_test
 
 import (
 	"context"
-	"encoding/json"
-	"os"
-	"runtime"
-	"sort"
 	"testing"
-	"time"
 
-	"ofence/internal/obs"
 	"ofence/internal/ofence"
 	"ofence/internal/sitegen"
 )
 
-// benchTreeSpec is the tree the headline benchmark runs over: 2,048 files
-// across kernel-ish subsystem directories, with ChainDepth deepening the
-// wrapper chains to four links per file. The deep chains (every caller
-// ahead of its callee in declaration order) are the adversarial shape for
-// the pre-PR global phases: the round-robin semantics fixpoint advances
-// inference by one call link per global round, so convergence costs one
-// full pass over every function in the tree per chain link — here about
-// 8,700 passes — where the SCC-topological schedule evaluates each
-// function exactly once regardless of chain depth.
-func benchTreeSpec() sitegen.TreeSpec {
-	spec := sitegen.DefaultTreeSpec(2048, 42)
-	spec.ChainDepth = 4
-	spec.CoreChain = 4 * spec.Files
-	return spec
-}
-
-// treescaleRun builds a cold project over tr and analyzes it, returning the
-// wall time of the full run (parse through ranking), the result, and the
-// per-phase span durations.
-func treescaleRun(t testing.TB, tr *sitegen.Tree, oracle bool, opts ofence.Options) (time.Duration, *ofence.Result, map[string]time.Duration) {
-	// Level the GC field: without this, the first (sequential) run pays the
-	// heap's growth from a small target while later runs coast under the
-	// target the earlier ones left behind.
-	runtime.GC()
-	tracer := obs.New()
-	ctx := obs.WithTracer(context.Background(), tracer)
-	start := time.Now()
-	p := treeProject(tr, oracle)
-	res, err := p.AnalyzeParallel(ctx, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wall := time.Since(start)
-	phases := map[string]time.Duration{}
-	for _, sp := range tracer.Spans() {
-		if sp.Parent() != nil && sp.Parent().Name() == "analyze" {
-			if d, ok := sp.Elapsed(); ok {
-				phases[sp.Name()] += d
-			}
-		}
-	}
-	return wall, res, phases
-}
-
-// treescalePeakHeap runs a cold InterprocDepth=0 analysis while sampling
-// the live heap, returning the peak HeapAlloc observed (bytes). Depth 0 is
-// where ReleaseASTs bounds the cold peak: the pipeline drops each parse
-// tree at extraction and skips the front-end stage caches, so live trees
-// never exceed the in-flight worker count, where the default path caches
-// every file's tokens and AST. (At interprocedural depth the call-graph
-// phase needs every tree live at once, and on this barrier-dense corpus
-// the site records keep most function bodies reachable afterwards, so
-// neither number moves much there.) The sampled runs are not the timed
-// runs.
-func treescalePeakHeap(t testing.TB, tr *sitegen.Tree, opts ofence.Options) uint64 {
-	runtime.GC()
-	stop := make(chan struct{})
-	peakc := make(chan uint64)
-	go func() {
-		var peak uint64
-		var ms runtime.MemStats
-		ticker := time.NewTicker(10 * time.Millisecond)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				peakc <- peak
-				return
-			case <-ticker.C:
-				runtime.ReadMemStats(&ms)
-				if ms.HeapAlloc > peak {
-					peak = ms.HeapAlloc
-				}
-			}
-		}
-	}()
-	p := treeProject(tr, false)
-	if _, err := p.AnalyzeParallel(context.Background(), opts); err != nil {
-		t.Fatal(err)
-	}
-	close(stop)
-	return <-peakc
-}
-
-// BenchmarkTreescaleCold compares cold full-run analysis of a generated
-// kernel tree with sequential global phases ("seq8", the pre-PR
-// implementations behind UseSequentialGlobalForTest) against the sharded/
-// SCC-scheduled ones ("scc8"), both at Workers=8. CI smokes this at one
-// iteration over a 256-file tree; make bench-treescale records the
-// 2,048-file headline in BENCH_treescale.json via TestWriteBenchTreescaleJSON.
+// BenchmarkTreescaleCold measures cold full-run analysis (parse through
+// ranking) of a generated 256-file kernel tree at InterprocDepth=1,
+// Workers=8 ("scc8": sharded call-graph build, SCC-scheduled semantics
+// fixpoint, condensation-memoized closure keys, sharded dedup and census).
+// CI smokes it at one iteration. BENCH_treescale.json records the tree-scale
+// overhaul's comparison against the sequential global phases, which are
+// retired; bench/ is the live measurement.
 func BenchmarkTreescaleCold(b *testing.B) {
 	tr := sitegen.GenerateTree(sitegen.DefaultTreeSpec(256, 42))
 	opts := ofence.DefaultOptions()
 	opts.InterprocDepth = 1
 	opts.Workers = 8
-	b.Run("seq8", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			treescaleRun(b, tr, true, opts)
-		}
-	})
 	b.Run("scc8", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			treescaleRun(b, tr, false, opts)
+			if _, err := treeProject(tr).AnalyzeParallel(context.Background(), opts); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
-}
-
-// TestWriteBenchTreescaleJSON refreshes BENCH_treescale.json: cold full-run
-// analysis of the 2,048-file generated kernel tree, sequential global
-// phases versus the sharded/SCC-scheduled ones. Before any number is
-// recorded the production path's JSON is asserted byte-identical to the
-// sequential oracle at Workers 1 and 8 on the same tree. Gated behind
-// OFENCE_BENCH_TREESCALE_OUT so plain `go test` stays fast;
-// `make bench-treescale` sets it.
-func TestWriteBenchTreescaleJSON(t *testing.T) {
-	out := os.Getenv("OFENCE_BENCH_TREESCALE_OUT")
-	if out == "" {
-		t.Skip("set OFENCE_BENCH_TREESCALE_OUT to refresh BENCH_treescale.json")
-	}
-	tr := sitegen.GenerateTree(benchTreeSpec())
-	opts := ofence.DefaultOptions()
-	opts.InterprocDepth = 1
-
-	// Paired interleaved rounds, §11's methodology: noise on a small shared
-	// box moves both sides of a back-to-back (sequential, production) pair
-	// together while separated runs drift apart, so the per-round ratio is
-	// the stable statistic. Three rounds, keep the median-ratio round.
-	// Every run's JSON is gated against the first oracle run's bytes.
-	oopts := opts
-	oopts.Workers = 8
-	type round struct {
-		seqWall, sccWall     time.Duration
-		seqPhases, sccPhases map[string]time.Duration
-	}
-	var want string
-	var treeStats map[string]any
-	rounds := make([]round, 3)
-	for i := range rounds {
-		seqWall, seqRes, seqPhases := treescaleRun(t, tr, true, oopts)
-		if i == 0 {
-			want = viewJSON(t, seqRes)
-			if len(seqRes.Sites) < 2000 || len(seqRes.Pairings) == 0 {
-				t.Fatalf("degenerate tree: %d sites, %d pairings", len(seqRes.Sites), len(seqRes.Pairings))
-			}
-			treeStats = map[string]any{
-				"files":     len(tr.Files),
-				"headers":   len(tr.Headers),
-				"configs":   len(tr.Configs),
-				"sites":     len(seqRes.Sites),
-				"functions": seqRes.CallGraph.Functions,
-				"inferred":  len(seqRes.Inferred),
-				"tree_hash": tr.Hash(),
-			}
-		} else if viewJSON(t, seqRes) != want {
-			t.Fatal("sequential oracle is not deterministic across runs; refusing to record benchmark")
-		}
-		seqRes = nil // release before the paired run so it doesn't GC around the oracle's result
-		sccWall, res, sccPhases := treescaleRun(t, tr, false, oopts)
-		if viewJSON(t, res) != want {
-			t.Fatal("Workers=8 production run diverges from sequential oracle; refusing to record benchmark")
-		}
-		rounds[i] = round{seqWall, sccWall, seqPhases, sccPhases}
-	}
-	sort.Slice(rounds, func(i, j int) bool {
-		return float64(rounds[i].seqWall)/float64(rounds[i].sccWall) <
-			float64(rounds[j].seqWall)/float64(rounds[j].sccWall)
-	})
-	med := rounds[1]
-	seqWall, seqPhases := med.seqWall, med.seqPhases
-	sccWall, sccPhases := med.sccWall, med.sccPhases
-
-	// Byte-identity gate at Workers=1 (untimed for the headline, recorded
-	// for reference).
-	w1opts := opts
-	w1opts.Workers = 1
-	scc1Wall, res1, _ := treescaleRun(t, tr, false, w1opts)
-	if viewJSON(t, res1) != want {
-		t.Fatal("Workers=1 production run diverges from sequential oracle; refusing to record benchmark")
-	}
-
-	// Peak-memory comparison (untimed cold depth-0 runs): sampled peak live
-	// heap with and without ReleaseASTs.
-	d0 := ofence.DefaultOptions()
-	d0.Workers = 8
-	peakKeep := treescalePeakHeap(t, tr, d0)
-	r0 := d0
-	r0.ReleaseASTs = true
-	peakRelease := treescalePeakHeap(t, tr, r0)
-
-	round1 := func(x float64) float64 { return float64(int(x*10+0.5)) / 10 }
-	speedup := round1(float64(seqWall) / float64(sccWall))
-
-	phaseNS := func(m map[string]time.Duration) map[string]any {
-		out := map[string]any{}
-		for name, d := range m {
-			out[name+"_ns"] = int64(d)
-		}
-		return out
-	}
-	doc := map[string]any{
-		"benchmark":   "BenchmarkTreescaleCold",
-		"description": "Cold full-run analysis (parse through ranking) of a generated 2,048-file kernel tree (internal/sitegen GenerateTree: 16 subsystem directories, per-directory call chains into an 8,192-link cross-subsystem core chain at ChainDepth=4, message-passing pairs, config-gated #ifdef variance) at InterprocDepth=1, Workers=8. 'seq8' is the pre-PR sequential global-phase implementation (single-threaded callgraph build, round-robin semantics fixpoint that costs one full pass per call link, per-file BFS closure hashing, unsharded dedup and ranking census). 'scc8' is this PR: sharded per-file callgraph build with deterministic merge, SCC-topological fixpoint scheduling that evaluates each non-recursive function exactly once, condensation-memoized closure hashing, sharded dedup and census. JSON output is asserted byte-identical to the sequential oracle at Workers 1 and 8 on the same tree before recording. scc8 is the median of three cold runs. The peak_heap_depth0 entries compare sampled peak live heap of untimed cold InterprocDepth=0 Workers=8 runs with and without ReleaseASTs — depth 0 is where the release bounds the cold peak (live parse trees never exceed the in-flight worker count instead of every file's tokens and AST accumulating in the stage caches); at interprocedural depth the call-graph phase needs every tree at once.",
-		"command":     "go test -run '^$' -bench BenchmarkTreescaleCold -benchtime 1x ./internal/ofence/",
-		"refresh":     "make bench-treescale",
-		"environment": map[string]string{
-			"cpu":  benchCPUExt(),
-			"go":   runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
-			"date": time.Now().Format("2006-01-02"),
-		},
-		"results": map[string]any{
-			"seq8": map[string]any{
-				"wall_ns": int64(seqWall),
-				"phases":  phaseNS(seqPhases),
-			},
-			"scc8": map[string]any{
-				"wall_ns": int64(sccWall),
-				"phases":  phaseNS(sccPhases),
-			},
-			"scc1": map[string]any{
-				"wall_ns": int64(scc1Wall),
-			},
-			"peak_heap_depth0": map[string]any{
-				"keep_asts_bytes":    peakKeep,
-				"release_asts_bytes": peakRelease,
-			},
-		},
-		"tree":              treeStats,
-		"speedup_treescale": speedup,
-		"acceptance":        "speedup_treescale >= 2.5x cold full-run analysis of a >=2,000-file tree at Workers=8 vs the pre-PR sequential global phases; JSON byte-identical to the sequential oracle at Workers in {1,8}",
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("treescale seq8 %v, scc8 %v (%.1fx), scc1 %v; depth-0 peak heap keep=%dMB release=%dMB -> %s",
-		seqWall, sccWall, speedup, scc1Wall, peakKeep>>20, peakRelease>>20, out)
-	if speedup < 2.5 {
-		t.Errorf("acceptance not met: treescale speedup %.1fx (want >= 2.5)", speedup)
-	}
 }

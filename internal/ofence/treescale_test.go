@@ -4,70 +4,50 @@ import (
 	"fmt"
 	"testing"
 
-	"ofence/internal/kernelhdr"
 	"ofence/internal/ofence"
 	"ofence/internal/sitegen"
 )
 
-// treeProject loads a generated kernel-shaped tree into a fresh project:
-// the miniature kernel headers, the tree's per-directory headers, half the
-// tree's config symbols (so #ifdef variance is exercised in both states),
-// and every source file.
-func treeProject(tr *sitegen.Tree, oracle bool) *ofence.Project {
+// treeProject loads a generated kernel-shaped tree into a fresh project
+// (see loadTree).
+func treeProject(tr *sitegen.Tree) *ofence.Project {
 	p := ofence.NewProject()
-	if oracle {
-		p.UseSequentialGlobalForTest()
-	}
-	kernelhdr.Register(p)
-	for _, h := range tr.Headers {
-		p.AddHeader(h.Name, h.Src)
-	}
-	for i, c := range tr.Configs {
-		if i%2 == 0 {
-			p.Define(c, "1")
-		}
-	}
-	srcs := make([]ofence.SourceFile, 0, len(tr.Files))
-	for _, f := range tr.Files {
-		srcs = append(srcs, ofence.SourceFile{Name: f.Name, Src: f.Src})
-	}
-	p.AddSources(srcs)
+	loadTree(p, tr)
 	return p
 }
 
-// TestTreescaleByteIdentity is the correctness bar of the parallel global
-// phases on a small generated tree: the production path (sharded call
-// graph, SCC-scheduled semprop, sharded dedup and census) must serialize
-// byte-identically to the sequential oracle at every worker count, with and
-// without ReleaseASTs.
+// TestTreescaleByteIdentity pins the parallel global phases on a small
+// generated tree: the sharded call graph, SCC-scheduled semprop, sharded
+// dedup and census must reproduce the golden depth-1 record at every
+// worker count, with and without ReleaseASTs.
 func TestTreescaleByteIdentity(t *testing.T) {
-	tr := sitegen.GenerateTree(sitegen.DefaultTreeSpec(160, 7))
+	goldens := loadGoldens(t)
+	tr := goldenTree()
 	opts := ofence.DefaultOptions()
 	opts.InterprocDepth = 1
 
-	oracle := treeProject(tr, true)
 	oopts := opts
 	oopts.Workers = 1
-	ores := oracle.Analyze(oopts)
+	ores := treeProject(tr).Analyze(oopts)
+	checkGolden(t, goldens, "tree160/depth1", ores)
 	want := viewJSON(t, ores)
 	if len(ores.Sites) == 0 || len(ores.Pairings) == 0 || len(ores.Findings) == 0 {
-		t.Fatalf("oracle run is degenerate: %d sites, %d pairings, %d findings",
+		t.Fatalf("run is degenerate: %d sites, %d pairings, %d findings",
 			len(ores.Sites), len(ores.Pairings), len(ores.Findings))
 	}
 	if ores.CallGraph.Functions == 0 || len(ores.Inferred) == 0 {
-		t.Fatalf("oracle run has no interprocedural signal: %+v", ores.CallGraph)
+		t.Fatalf("run has no interprocedural signal: %+v", ores.CallGraph)
 	}
 
 	for _, workers := range []int{1, 3, 8} {
 		for _, release := range []bool{false, true} {
 			t.Run(fmt.Sprintf("workers=%d release=%t", workers, release), func(t *testing.T) {
-				p := treeProject(tr, false)
 				ropts := opts
 				ropts.Workers = workers
 				ropts.ReleaseASTs = release
-				res := p.Analyze(ropts)
+				res := treeProject(tr).Analyze(ropts)
 				if got := viewJSON(t, res); got != want {
-					t.Errorf("parallel global phases diverge from sequential oracle")
+					t.Errorf("output diverges from the one-worker run")
 				}
 				if res.Inferred == nil || res.CallGraph != ores.CallGraph {
 					t.Errorf("call-graph stats diverge: %+v vs %+v", res.CallGraph, ores.CallGraph)
@@ -85,7 +65,7 @@ func TestTreescaleReleaseASTsWarmReuse(t *testing.T) {
 	opts := ofence.DefaultOptions()
 	opts.ReleaseASTs = true
 
-	p := treeProject(tr, false)
+	p := treeProject(tr)
 	cold := p.Analyze(opts)
 	coldJSON := viewJSON(t, cold)
 	for _, fu := range p.Files() {

@@ -162,7 +162,7 @@ func Inferred(ev *Evaluation) (InferredStats, []semprop.InferredFn) {
 		cpp.Options{Include: kernelhdr.Headers()})
 	cgf = append(cgf, callgraph.File{Name: semprop.Table2ModelFile, AST: model})
 
-	g := callgraph.Build(cgf)
+	g := callgraph.BuildParallel(cgf, 0)
 	inf := semprop.Infer(g, semprop.Options{ExtraFull: ev.Opts.Access.ExtraBarrierSemantics})
 	fns := inf.Functions()
 

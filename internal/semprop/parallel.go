@@ -4,16 +4,15 @@
 // Why this is sound: the per-function transfer is monotone in the callee
 // kinds over a finite lattice, so any fair chaotic iteration from ⊥
 // converges to the same unique least fixpoint — evaluation order changes
-// only how many evaluations are spent, never the answer (the differential
-// suite pins this against the legacy schedule).
+// only how many evaluations are spent, never the answer.
 //
 // Why this is fast: a function's kind depends only on its callees' kinds.
 // g.SCCs() is already reverse-topological (callees before callers), so
 // processing components in that order means every non-recursive function is
-// evaluated EXACTLY once — its callees are final when it runs. The legacy
-// schedule instead pays a full pass over all N nodes per round, and needs
-// one round per link of the longest call chain whose callee appears later
-// in build order (a caller-in-earlier-file chain of depth D costs D·N
+// evaluated EXACTLY once — its callees are final when it runs. Round-robin
+// over every node instead pays a full pass over all N nodes per round, and
+// needs one round per link of the longest call chain whose callee appears
+// later in build order (a caller-in-earlier-file chain of depth D costs D·N
 // evaluations; kernel-style wrapper stacks make D hundreds deep).
 // Recursive components iterate locally to their own fixpoint — bounded by
 // 2·|component|+1 tiny rounds — without dragging the rest of the graph
@@ -50,27 +49,11 @@ func inferSCC(g *callgraph.Graph, opts Options, extra map[string]bool, inf *Infe
 	}
 
 	// Per-function precomputation (CFG build, block classification) is
-	// node-local; fan it out and translate each dynamic candidate list to
-	// dense indices so the hot evaluation loop never touches a map.
+	// node-local; fan it out. Call candidates become dense indices, so the
+	// hot evaluation loop never touches a map.
 	infos := make([]*fnInfo, n)
 	fanOut(n, workers, func(i int) {
-		info := precompute(g.Nodes[i], extra)
-		info.dynIdx = make([][][]int32, len(info.dynamic))
-		for bi, sites := range info.dynamic {
-			if len(sites) == 0 {
-				continue
-			}
-			out := make([][]int32, len(sites))
-			for si, cs := range sites {
-				ids := make([]int32, len(cs))
-				for ci, c := range cs {
-					ids[ci] = int32(idx[c])
-				}
-				out[si] = ids
-			}
-			info.dynIdx[bi] = out
-		}
-		infos[i] = info
+		infos[i] = precompute(g.Nodes[i], extra, idx)
 	})
 
 	// Condense and level the component DAG. SCCs() returns components in
@@ -132,7 +115,7 @@ func inferSCC(g *callgraph.Graph, opts Options, extra map[string]bool, inf *Infe
 func evalComp(comp []*callgraph.Node, infos []*fnInfo, idx map[*callgraph.Node]int, kinds []memmodel.BarrierKind) int {
 	if len(comp) == 1 && !callsSelf(comp[0]) {
 		i := idx[comp[0]]
-		kinds[i] = evaluateIdx(infos[i], kinds)
+		kinds[i] = evaluate(infos[i], kinds)
 		return 1
 	}
 	rounds := 0
@@ -141,7 +124,7 @@ func evalComp(comp []*callgraph.Node, infos []*fnInfo, idx map[*callgraph.Node]i
 		rounds++
 		for _, nd := range comp {
 			i := idx[nd]
-			k := evaluateIdx(infos[i], kinds)
+			k := evaluate(infos[i], kinds)
 			if k != kinds[i] {
 				kinds[i] = k
 				changed = true
@@ -160,18 +143,19 @@ func callsSelf(n *callgraph.Node) bool {
 	return false
 }
 
-// evaluateIdx is evaluate over the dense kind slice (info.dynIdx instead of
-// info.dynamic). Keep the dataflow in lockstep with evaluate — the
-// differential suite compares the two paths' results, not their code.
-func evaluateIdx(info *fnInfo, cur []memmodel.BarrierKind) memmodel.BarrierKind {
+// evaluate runs the per-function MUST dataflow under the current
+// interprocedural kinds and returns the function's barrier kind.
+func evaluate(info *fnInfo, cur []memmodel.BarrierKind) memmodel.BarrierKind {
 	nb := len(info.graph.Blocks)
 	if nb == 0 || len(info.exits) == 0 {
 		return memmodel.None
 	}
 
+	// blockKind = static ∨ (for each dynamic call site, the meet over its
+	// candidate targets: the semantics guaranteed whichever binds).
 	blockKind := func(bi int) memmodel.BarrierKind {
 		k := info.static[bi]
-		for _, cs := range info.dynIdx[bi] {
+		for _, cs := range info.dynamic[bi] {
 			ck := memmodel.FullBarrier
 			for _, c := range cs {
 				ck = meet(ck, cur[c])
@@ -185,6 +169,7 @@ func evaluateIdx(info *fnInfo, cur []memmodel.BarrierKind) memmodel.BarrierKind 
 	for i := range out {
 		out[i] = memmodel.FullBarrier // top: optimistic for a must-analysis
 	}
+	// Iterate to the inner fixpoint; values only descend.
 	for changed := true; changed; {
 		changed = false
 		for bi := 0; bi < nb; bi++ {

@@ -12,33 +12,31 @@ import (
 	"ofence/internal/sitegen"
 )
 
-// diffInfer runs the legacy round-robin schedule and the SCC schedule over
-// the same graph and asserts identical per-node kinds at several worker
-// counts. Order-independence of the least fixpoint is the whole soundness
-// argument for the SCC schedule; this is its regression net.
+// diffInfer runs the SCC schedule over the same graph at Workers 1, 3 and 8
+// and asserts identical per-node kinds and schedule statistics. Components
+// of one level evaluate concurrently, so worker-count invariance is what
+// pins that they never observe each other's kinds.
 func diffInfer(t *testing.T, g *callgraph.Graph, opts semprop.Options) {
 	t.Helper()
-	seqOpts := opts
-	seqOpts.Sequential = true
-	seq := semprop.Infer(g, seqOpts)
-	if !seq.Converged {
-		t.Fatalf("sequential oracle did not converge in %d rounds", seq.Rounds)
-	}
+	opts.Workers = 1
+	one := semprop.Infer(g, opts)
 	for _, workers := range []int{1, 3, 8} {
-		sccOpts := opts
-		sccOpts.Sequential = false
-		sccOpts.Workers = workers
-		scc := semprop.Infer(g, sccOpts)
+		opts.Workers = workers
+		scc := semprop.Infer(g, opts)
 		if !scc.Converged {
 			t.Fatalf("workers=%d: SCC schedule did not converge", workers)
 		}
 		if scc.Components == 0 || scc.Levels == 0 {
 			t.Errorf("workers=%d: SCC schedule reported no components/levels", workers)
 		}
+		if scc.Rounds != one.Rounds || scc.Components != one.Components || scc.Levels != one.Levels {
+			t.Errorf("workers=%d: rounds/components/levels %d/%d/%d, want %d/%d/%d", workers,
+				scc.Rounds, scc.Components, scc.Levels, one.Rounds, one.Components, one.Levels)
+		}
 		for _, n := range g.Nodes {
-			if seq.Kind(n) != scc.Kind(n) {
-				t.Errorf("workers=%d: %s/%s: sequential %v vs SCC %v",
-					workers, n.File, n.Name(), seq.Kind(n), scc.Kind(n))
+			if one.Kind(n) != scc.Kind(n) {
+				t.Errorf("workers=%d: %s/%s: %v, one worker gives %v",
+					workers, n.File, n.Name(), scc.Kind(n), one.Kind(n))
 			}
 		}
 	}
@@ -67,10 +65,10 @@ void partial(int c) { if (c) leaf(); }
 	diffInfer(t, g, semprop.Options{})
 }
 
-// TestSCCScheduleEquivalenceTree runs the differential over generated
-// trees: deep caller-before-callee wrapper chains bottoming into a
-// cross-subsystem core chain — the adversarial shape for the legacy
-// schedule and the reason the SCC schedule exists.
+// TestSCCScheduleEquivalenceTree checks worker-count invariance over
+// generated trees: deep caller-before-callee wrapper chains bottoming into
+// a cross-subsystem core chain — the adversarial shape for round-robin
+// iteration and the reason the SCC schedule exists.
 func TestSCCScheduleEquivalenceTree(t *testing.T) {
 	for _, seed := range []int64{1, 99} {
 		tr := sitegen.GenerateTree(sitegen.DefaultTreeSpec(64, seed))
@@ -79,7 +77,7 @@ func TestSCCScheduleEquivalenceTree(t *testing.T) {
 			ast, _ := cparser.ParseSource(f.Name, f.Src, cpp.Options{Include: kernelhdr.Headers()})
 			cgf = append(cgf, callgraph.File{Name: f.Name, AST: ast})
 		}
-		g := callgraph.Build(cgf)
+		g := callgraph.BuildParallel(cgf, 0)
 		diffInfer(t, g, semprop.Options{})
 
 		// The deep chains must actually be inferred end to end: every
@@ -102,8 +100,8 @@ func TestSCCScheduleEquivalenceTree(t *testing.T) {
 }
 
 // TestSCCScheduleRoundsBounded pins the point of the schedule: local round
-// counts stay tiny even when the legacy schedule needs hundreds of global
-// rounds over the same graph.
+// counts stay tiny on a graph whose call chains run dozens of levels deep,
+// where round-robin iteration needs a global round per level.
 func TestSCCScheduleRoundsBounded(t *testing.T) {
 	tr := sitegen.GenerateTree(sitegen.DefaultTreeSpec(96, 5))
 	var cgf []callgraph.File
@@ -111,17 +109,16 @@ func TestSCCScheduleRoundsBounded(t *testing.T) {
 		ast, _ := cparser.ParseSource(f.Name, f.Src, cpp.Options{Include: kernelhdr.Headers()})
 		cgf = append(cgf, callgraph.File{Name: f.Name, AST: ast})
 	}
-	g := callgraph.Build(cgf)
+	g := callgraph.BuildParallel(cgf, 0)
 
-	seq := semprop.Infer(g, semprop.Options{Sequential: true})
 	scc := semprop.Infer(g, semprop.Options{})
-	if seq.Rounds < 20 {
-		t.Fatalf("tree no longer adversarial for the legacy schedule (%d rounds) — regenerate the spec", seq.Rounds)
+	if scc.Levels < 20 {
+		t.Fatalf("tree no longer adversarial for round-robin iteration (%d levels) — regenerate the spec", scc.Levels)
 	}
 	if scc.Rounds > 4 {
 		t.Errorf("SCC local rounds = %d, want <= 4 (acyclic components evaluate once)", scc.Rounds)
 	}
-	if msg := fmt.Sprintf("seq=%d scc=%d comps=%d levels=%d", seq.Rounds, scc.Rounds, scc.Components, scc.Levels); testing.Verbose() {
+	if msg := fmt.Sprintf("scc=%d comps=%d levels=%d", scc.Rounds, scc.Components, scc.Levels); testing.Verbose() {
 		t.Log(msg)
 	}
 }

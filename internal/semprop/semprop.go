@@ -86,17 +86,8 @@ type Options struct {
 	// ExtraFull lists functions assumed to imply a full barrier, mirroring
 	// access.Options.ExtraBarrierSemantics (user extensions of Table 2).
 	ExtraFull []string
-	// MaxRounds bounds the interprocedural fixpoint; 0 derives the
-	// theoretical bound 2*|functions|+1. Setting it forces the legacy
-	// global round-robin schedule (the SCC schedule has no meaningful
-	// global round count to bound).
-	MaxRounds int
 	// Workers bounds the SCC schedule's parallelism (0 = GOMAXPROCS).
 	Workers int
-	// Sequential forces the legacy whole-graph round-robin fixpoint. The
-	// differential tests and the tree-scale benchmark use it as the
-	// oracle; production callers leave it false and get the SCC schedule.
-	Sequential bool
 }
 
 // InferredFn is one function with inferred barrier semantics.
@@ -113,17 +104,18 @@ type InferredFn struct {
 // Inference is the fixpoint result.
 type Inference struct {
 	Graph *callgraph.Graph
-	// Rounds is how many interprocedural passes ran.
+	// Rounds is the largest number of local rounds any component needed
+	// to reach its fixpoint (1 when no function is recursive).
 	Rounds int
-	// Converged reports whether a fixpoint was reached within the round
-	// bound (always true for the derived bound; false only when a smaller
-	// MaxRounds cut iteration short).
+	// Converged reports whether the fixpoint was reached. Every component
+	// iterates to its local fixpoint, so it is always true; reports print
+	// it.
 	Converged bool
 	// Components is the number of strongly connected components the SCC
-	// schedule processed; 0 when the legacy sequential loop ran.
+	// schedule processed.
 	Components int
 	// Levels is the depth of the condensation's topological levelling the
-	// SCC schedule walked; 0 when the legacy sequential loop ran.
+	// SCC schedule walked.
 	Levels int
 
 	kinds map[*callgraph.Node]memmodel.BarrierKind
@@ -199,86 +191,44 @@ type fnInfo struct {
 	graph *cfg.Graph
 	// static is each block's barrier contribution from the catalogs alone.
 	static []memmodel.BarrierKind
-	// dynamic lists, per block, the resolved call candidates whose inferred
-	// kinds contribute on re-evaluation.
-	dynamic [][][]*callgraph.Node
+	// dynamic lists, per block and call site, the dense node indices of the
+	// resolved call candidates whose inferred kinds contribute on
+	// re-evaluation.
+	dynamic [][][]int32
 	// exits are the reachable no-successor block IDs.
 	exits []int
 	preds [][]int
-	// dynIdx mirrors dynamic with dense node indices into the SCC
-	// schedule's kind slice; nil on the legacy sequential path.
-	dynIdx [][][]int32
 }
 
-// Infer runs the interprocedural fixpoint over g. By default the fixpoint
-// is scheduled over the Tarjan condensation (see parallel.go): each
-// strongly connected component is evaluated to its local fixpoint exactly
-// once, in topological order, with independent components of a level
-// running concurrently. Setting Options.Sequential — or bounding
-// Options.MaxRounds, which only means something for global rounds — runs
-// the legacy whole-graph round-robin instead. Both reach the same least
-// fixpoint: the transfer function is monotone over a finite lattice, so
-// chaotic iteration converges to a unique result regardless of evaluation
-// order.
+// Infer runs the interprocedural fixpoint over g, scheduled over the
+// Tarjan condensation (see parallel.go): each strongly connected component
+// is evaluated to its local fixpoint exactly once, in topological order,
+// with independent components of a level running concurrently.
 func Infer(g *callgraph.Graph, opts Options) *Inference {
 	extra := map[string]bool{}
 	for _, name := range opts.ExtraFull {
 		extra[name] = true
 	}
 	inf := &Inference{Graph: g, kinds: map[*callgraph.Node]memmodel.BarrierKind{}}
-	if opts.Sequential || opts.MaxRounds > 0 {
-		inferRounds(g, opts, extra, inf)
-	} else {
-		inferSCC(g, opts, extra, inf)
-	}
+	inferSCC(g, opts, extra, inf)
 	return inf
-}
-
-// inferRounds is the legacy global round-robin fixpoint, kept verbatim as
-// the differential oracle and the MaxRounds-bounded mode.
-func inferRounds(g *callgraph.Graph, opts Options, extra map[string]bool, inf *Inference) {
-	infos := make([]*fnInfo, len(g.Nodes))
-	for i, n := range g.Nodes {
-		infos[i] = precompute(n, extra)
-	}
-	for _, n := range g.Nodes {
-		inf.kinds[n] = memmodel.None
-	}
-
-	maxRounds := opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 2*len(g.Nodes) + 1
-	}
-	changed := true
-	for changed && inf.Rounds < maxRounds {
-		changed = false
-		inf.Rounds++
-		for i, n := range g.Nodes {
-			k := evaluate(infos[i], inf.kinds)
-			if k != inf.kinds[n] {
-				inf.kinds[n] = k
-				changed = true
-			}
-		}
-	}
-	inf.Converged = !changed
 }
 
 // precompute builds the CFG and splits each block's barrier contribution
 // into the static part (catalog lookups, fixed across rounds) and the
-// dynamic part (resolved callees whose kinds evolve).
-func precompute(n *callgraph.Node, extra map[string]bool) *fnInfo {
+// dynamic part (resolved callees, as indices into idx, whose kinds evolve).
+func precompute(n *callgraph.Node, extra map[string]bool, idx map[*callgraph.Node]int) *fnInfo {
 	g := cfg.Build(n.Fn)
 	info := &fnInfo{
 		graph:   g,
 		static:  make([]memmodel.BarrierKind, len(g.Blocks)),
-		dynamic: make([][][]*callgraph.Node, len(g.Blocks)),
+		dynamic: make([][][]int32, len(g.Blocks)),
 	}
 
 	// Candidate targets per call site, from the resolved edges.
-	cands := map[*cast.CallExpr][]*callgraph.Node{}
+	cands := map[*cast.CallExpr][]int32{}
 	for _, e := range n.Calls {
-		cands[e.Call] = append(cands[e.Call], e.Callee)
+		cands[e.Call] = append(cands[e.Call], int32(idx[e.Callee]))
 	}
 
 	for bi, blk := range g.Blocks {
@@ -323,58 +273,4 @@ func precompute(n *callgraph.Node, extra map[string]bool) *fnInfo {
 		}
 	}
 	return info
-}
-
-// evaluate runs the per-function MUST dataflow under the current
-// interprocedural kinds and returns the function's barrier kind.
-func evaluate(info *fnInfo, cur map[*callgraph.Node]memmodel.BarrierKind) memmodel.BarrierKind {
-	nb := len(info.graph.Blocks)
-	if nb == 0 || len(info.exits) == 0 {
-		return memmodel.None
-	}
-
-	// blockKind = static ∨ (for each dynamic call site, the meet over its
-	// candidate targets: the semantics guaranteed whichever binds).
-	blockKind := func(bi int) memmodel.BarrierKind {
-		k := info.static[bi]
-		for _, cs := range info.dynamic[bi] {
-			ck := memmodel.FullBarrier
-			for _, c := range cs {
-				ck = meet(ck, cur[c])
-			}
-			k = join(k, ck)
-		}
-		return k
-	}
-
-	out := make([]memmodel.BarrierKind, nb)
-	for i := range out {
-		out[i] = memmodel.FullBarrier // top: optimistic for a must-analysis
-	}
-	// Iterate to the inner fixpoint; values only descend.
-	for changed := true; changed; {
-		changed = false
-		for bi := 0; bi < nb; bi++ {
-			in := memmodel.None
-			if bi != 0 { // entry keeps in = none: nothing executed yet
-				if ps := info.preds[bi]; len(ps) > 0 {
-					in = memmodel.FullBarrier
-					for _, p := range ps {
-						in = meet(in, out[p])
-					}
-				}
-			}
-			o := join(in, blockKind(bi))
-			if o != out[bi] {
-				out[bi] = o
-				changed = true
-			}
-		}
-	}
-
-	k := memmodel.FullBarrier
-	for _, e := range info.exits {
-		k = meet(k, out[e])
-	}
-	return k
 }

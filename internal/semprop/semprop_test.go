@@ -31,7 +31,7 @@ func buildGraph(t *testing.T, files map[string]string) *callgraph.Graph {
 		ast, _ := cparser.ParseSource(name, files[name], cpp.Options{Include: kernelhdr.Headers()})
 		cgf = append(cgf, callgraph.File{Name: name, AST: ast})
 	}
-	return callgraph.Build(cgf)
+	return callgraph.BuildParallel(cgf, 0)
 }
 
 func inferKinds(t *testing.T, files map[string]string) map[string]memmodel.BarrierKind {
