@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint fuzz test test-race race race-fleet bench bench-incremental bench-pairing bench-fleet bench-confidence serve eval eval-json corpus trace-demo clean
+.PHONY: all build vet lint fuzz test test-race race race-service smoke bench bench-incremental bench-pairing bench-confidence serve eval eval-json corpus trace-demo clean
 
 all: build lint test
 
@@ -20,9 +20,12 @@ lint: vet
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) test . -run TestDocs
 
-# Short fuzz pass over the parser robustness target (no panics, no hangs).
+# Short fuzz passes over the robustness targets: the parser (no panics, no
+# hangs) and the service's HTTP handler (no panics, no 5xx, 4xx for
+# malformed bodies).
 fuzz:
 	$(GO) test ./internal/cparser/ -fuzz FuzzParseSource -fuzztime 30s
+	$(GO) test ./internal/service/ -run '^$$' -fuzz FuzzHandler -fuzztime 30s
 
 test:
 	$(GO) test ./...
@@ -53,14 +56,6 @@ bench-pairing:
 	OFENCE_BENCH_PAIRING_OUT=$(CURDIR)/BENCH_pairing.json \
 		$(GO) test ./internal/ofence/ -run '^TestWriteBenchPairingJSON$$' -count=1 -v
 
-# Fleet headline number: draining a cold synthetic-corpus batch through a
-# coordinator with 1 vs 4 workers over the full wire protocol, results
-# asserted byte-identical between widths. Refreshes BENCH_fleet.json via
-# the harness in internal/fleet/bench_test.go (see docs/FLEET.md).
-bench-fleet:
-	OFENCE_BENCH_FLEET_OUT=$(CURDIR)/BENCH_fleet.json \
-		$(GO) test ./internal/fleet/ -run '^TestWriteBenchFleetJSON$$' -count=1 -v
-
 # Confidence-ranking headline number: precision/recall/F1 of the ranking
 # pass (internal/rank) on the labeled confidence corpus, swept over the
 # -min-confidence threshold grid. Refreshes BENCH_confidence.json via the
@@ -69,10 +64,15 @@ bench-confidence:
 	OFENCE_BENCH_CONFIDENCE_OUT=$(CURDIR)/BENCH_confidence.json \
 		$(GO) test ./internal/report/ -run '^TestWriteBenchConfidenceJSON$$' -count=1 -v
 
-# Race-detector gate for the fleet subsystem: coordinator lease juggling,
-# worker heartbeats, the shared artifact stores.
-race-fleet:
-	$(GO) test -race -count=1 ./internal/fleet/ ./internal/rescache/
+# Race-detector gate for the job engine: lease juggling, worker
+# heartbeats, in-process and external workers, the shared artifact stores.
+race-service:
+	$(GO) test -race -count=1 ./internal/service/ ./internal/rescache/
+
+# Builds ofence-serve and ofence-worker and runs them together end to end
+# (cmd/ofence-serve/smoke_test.go).
+smoke:
+	$(GO) test -count=1 -run '^TestDaemonSmoke$$' -v ./cmd/ofence-serve/
 
 # Run the analysis daemon (see README "Running as a service").
 serve:

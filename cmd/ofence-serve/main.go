@@ -18,17 +18,16 @@
 // so cached work survives restarts; -store memory shares a byte-bounded
 // in-memory blob tier instead.
 //
-// With -fleet the process runs a fleet coordinator plus -fleet-workers
-// in-process workers speaking the full wire protocol over an in-memory
-// transport: the same API, backed by the lease/heartbeat/re-dispatch
-// machinery that external ofence-worker processes use. External workers
-// can join the same coordinator at any time.
+// The service is a coordinator: -workers in-process analysis slots lease
+// its tasks by direct call. With -fleet-token the worker wire protocol and
+// the artifact store are mounted too, and ofence-worker processes carrying
+// the token join; -workers -1 leaves all analysis to them.
 //
 // SIGINT/SIGTERM triggers a graceful drain: the listener stops accepting,
 // queued and running jobs finish (up to -drain), then the process exits.
 //
-// See docs/SERVICE.md for the API reference, docs/FLEET.md for fleet mode,
-// and docs/OBSERVABILITY.md for the metrics and profiling guide.
+// See docs/SERVICE.md for the API reference and the worker protocol, and
+// docs/OBSERVABILITY.md for the metrics and profiling guide.
 package main
 
 import (
@@ -43,7 +42,6 @@ import (
 	"syscall"
 	"time"
 
-	"ofence/internal/fleet"
 	"ofence/internal/rescache"
 	"ofence/internal/service"
 )
@@ -51,10 +49,10 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
-		workers  = flag.Int("workers", 0, "analysis worker pool size (0 = GOMAXPROCS)")
+		workers  = flag.Int("workers", 0, "in-process analysis slots (0 = GOMAXPROCS, negative = none: external workers only)")
 		queue    = flag.Int("queue", 64, "queued-job bound; beyond it POST /v1/analyze returns 429")
 		cacheN   = flag.Int("cache", 256, "result cache capacity (entries)")
-		timeout  = flag.Duration("timeout", 30*time.Second, "per-job analysis timeout")
+		timeout  = flag.Duration("timeout", 30*time.Second, "per-attempt analysis timeout; a task is retried up to 3 attempts")
 		drain    = flag.Duration("drain", 30*time.Second, "shutdown drain budget for in-flight jobs")
 		maxBytes = flag.Int("max-source-bytes", 8<<20, "total source size bound per request")
 		warmN    = flag.Int("warm-lineages", 0, "warm projects kept for incremental re-analysis, one per source-set lineage (0 = default 32, negative = disabled)")
@@ -62,9 +60,7 @@ func main() {
 		storeK   = flag.String("store", "", "artifact store backend: memory, disk, or empty for none")
 		storeDir = flag.String("store-dir", "", "disk store directory (required with -store disk)")
 		storeMax = flag.Int64("store-max-bytes", 0, "artifact store byte budget; oldest blobs are evicted past it (0 = unbounded disk, 256MiB memory default)")
-		fleetOn  = flag.Bool("fleet", false, "run as a fleet coordinator with in-process workers instead of a single-process service")
-		fleetN   = flag.Int("fleet-workers", 4, "in-process fleet workers under -fleet (0 = none; external ofence-worker processes may join)")
-		fleetTok = flag.String("fleet-token", "", "shared secret required on the worker and store endpoints under -fleet (empty = open, trusted network only)")
+		token    = flag.String("fleet-token", "", "shared secret external workers present; mounts /v1/fleet/* and /v1/store/* (empty = no external workers)")
 	)
 	flag.Parse()
 	store, err := openStore(*storeK, *storeDir, *storeMax)
@@ -74,18 +70,6 @@ func main() {
 	if store != nil {
 		defer store.Close()
 	}
-	if *fleetOn {
-		cfg := fleet.Config{
-			Store:          store,
-			MaxSourceBytes: *maxBytes,
-			TaskTimeout:    *timeout,
-			AuthToken:      *fleetTok,
-		}
-		if err := runFleet(*addr, cfg, *fleetN, *drain, *pprofA); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 	if err := run(*addr, service.Config{
 		Workers:        *workers,
 		QueueDepth:     *queue,
@@ -94,6 +78,7 @@ func main() {
 		MaxSourceBytes: *maxBytes,
 		WarmLineages:   *warmN,
 		Store:          store,
+		AuthToken:      *token,
 	}, *drain, *pprofA); err != nil {
 		log.Fatal(err)
 	}
@@ -188,88 +173,6 @@ func run(addr string, cfg service.Config, drain time.Duration, pprofAddr string)
 	}
 	if drainErr != nil {
 		return fmt.Errorf("drain incomplete, in-flight jobs canceled: %w", drainErr)
-	}
-	log.Print("drained cleanly")
-	return nil
-}
-
-// runFleet serves a fleet coordinator on addr with n in-process workers.
-// The workers speak the same wire protocol as external ofence-worker
-// processes, routed through an in-memory transport instead of the listener.
-func runFleet(addr string, cfg fleet.Config, n int, drain time.Duration, pprofAddr string) error {
-	coord := fleet.NewCoordinator(cfg)
-	handler := coord.Handler()
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
-	errc := make(chan error, 1)
-	go func() {
-		log.Printf("ofence-serve (fleet coordinator) listening on %s", addr)
-		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-			errc <- err
-		}
-	}()
-
-	var pprofSrv *http.Server
-	if pprofAddr != "" {
-		pprofSrv = &http.Server{
-			Addr:              pprofAddr,
-			Handler:           pprofHandler(),
-			ReadHeaderTimeout: 10 * time.Second,
-		}
-		go func() {
-			log.Printf("pprof listening on %s", pprofAddr)
-			if err := pprofSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				errc <- fmt.Errorf("pprof listener: %w", err)
-			}
-		}()
-	}
-
-	wctx, stopWorkers := context.WithCancel(context.Background())
-	defer stopWorkers()
-	for i := 0; i < n; i++ {
-		w := fleet.NewInProcessWorker(coord, fmt.Sprintf("local-%d", i+1))
-		go func() {
-			if err := w.Run(wctx); err != nil && err != context.Canceled {
-				log.Printf("worker %s: %v", w.ID(), err)
-			}
-		}()
-	}
-	if n > 0 {
-		log.Printf("%d in-process workers started", n)
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errc:
-		return err
-	case s := <-sig:
-		log.Printf("received %s, draining (budget %s)", s, drain)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-
-	// Same ordering as the single-process path: drain the coordinator FIRST
-	// (workers keep polling and completing over the in-memory transport;
-	// /metrics and /healthz stay scrapable), stop the workers, then close
-	// the listeners.
-	drainErr := coord.Close(ctx)
-	stopWorkers()
-	if err := srv.Shutdown(ctx); err != nil {
-		log.Printf("http shutdown: %v", err)
-	}
-	if pprofSrv != nil {
-		if err := pprofSrv.Shutdown(ctx); err != nil {
-			log.Printf("pprof shutdown: %v", err)
-		}
-	}
-	if drainErr != nil {
-		return fmt.Errorf("drain incomplete, in-flight jobs failed: %w", drainErr)
 	}
 	log.Print("drained cleanly")
 	return nil

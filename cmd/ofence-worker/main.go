@@ -1,79 +1,60 @@
-// Command ofence-worker runs fleet analysis workers against a coordinator
-// (ofence-serve -fleet, or any process serving the internal/fleet wire
-// protocol):
+// Command ofence-worker runs one analysis worker against an ofence-serve
+// coordinator started with -fleet-token:
 //
-//	ofence-worker -coordinator http://host:8080 -n 4
+//	ofence-worker -coordinator http://host:8080 -token T -capacity 4
 //
-// Each worker polls the coordinator for leased tasks, runs the analysis
-// pipeline, heartbeats while working, and reports results. Workers attach
-// their per-file stage caches to the coordinator's artifact store over
-// /v1/store/{key}, so front-end work done by any worker is a cache hit
-// fleet-wide. SIGINT/SIGTERM stops polling; in-flight leases lapse and the
-// coordinator re-dispatches them.
+// The worker leases tasks from the coordinator, runs the analysis pipeline
+// in up to -capacity slots that share one set of stage caches and warm
+// lineages, heartbeats while working, and reports results. Its per-file
+// stage caches publish to the coordinator's artifact store over
+// /v1/store/{key}, so front-end work done by any worker is a cache hit for
+// every other. SIGINT/SIGTERM stops leasing; in-flight leases lapse and
+// the coordinator re-dispatches them.
 //
-// See docs/FLEET.md for the wire protocol and operational guide.
+// See docs/SERVICE.md for the wire protocol and operational guide.
 package main
 
 import (
 	"context"
 	"flag"
-	"fmt"
 	"log"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
-	"ofence/internal/fleet"
+	"ofence/internal/service"
 )
 
 func main() {
 	var (
 		coordinator = flag.String("coordinator", "http://localhost:8080", "coordinator base URL")
-		n           = flag.Int("n", 1, "worker loops to run in this process")
-		capacity    = flag.Int("capacity", 1, "tasks each worker runs concurrently (per-task goroutines and heartbeats)")
-		id          = flag.String("id", "", "worker ID prefix (default worker-<pid>)")
-		poll        = flag.Duration("poll", 0, "idle poll cadence override (0 = use the coordinator's)")
-		token       = flag.String("token", "", "shared fleet secret (must match the coordinator's -fleet-token)")
+		capacity    = flag.Int("capacity", 1, "tasks run concurrently, sharing the process's stage caches and warm lineages")
+		id          = flag.String("id", "", "worker ID (default worker-<pid>-1)")
+		token       = flag.String("token", "", "shared secret; must match the coordinator's -fleet-token")
 	)
 	flag.Parse()
-	if *n < 1 {
-		*n = 1
-	}
-	if *capacity < 1 {
-		*capacity = 1
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var wg sync.WaitGroup
-	for i := 0; i < *n; i++ {
-		cfg := fleet.WorkerConfig{
-			Coordinator:  *coordinator,
-			PollInterval: *poll,
-			Token:        *token,
-			Capacity:     *capacity,
+	w := service.NewWorker(service.WorkerConfig{
+		Coordinator: *coordinator,
+		ID:          *id,
+		Token:       *token,
+		Capacity:    *capacity,
+	})
+	log.Printf("worker %s leasing from %s", w.ID(), *coordinator)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if err := w.Run(ctx); err != nil && err != context.Canceled {
+			log.Printf("worker %s: %v", w.ID(), err)
 		}
-		if *id != "" {
-			cfg.ID = fmt.Sprintf("%s-%d", *id, i+1)
-		}
-		w := fleet.NewWorker(cfg)
-		log.Printf("worker %s polling %s", w.ID(), *coordinator)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := w.Run(ctx); err != nil && err != context.Canceled {
-				log.Printf("worker %s: %v", w.ID(), err)
-			}
-		}()
-	}
+	}()
 
 	<-ctx.Done()
 	log.Print("stopping; in-flight leases will be re-dispatched by the coordinator")
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):

@@ -148,13 +148,13 @@ func recvType(expr ast.Expr) string {
 	return "?"
 }
 
-// TestDocsMetricsCoverage fails when internal/service or internal/fleet
-// registers a Prometheus series (any whole string literal of the form
-// ofence_*) that docs/OBSERVABILITY.md does not mention, or when any obs
-// span counter added anywhere in the tree (a `.Add("name", ...)` literal)
-// is missing from the span documentation. This keeps the metrics catalog —
-// including the incremental-pipeline counters and the fleet series —
-// honest the same way the flag table is.
+// TestDocsMetricsCoverage fails when internal/service registers a
+// Prometheus series (any whole string literal of the form ofence_*) that
+// docs/OBSERVABILITY.md does not mention, or when any obs span counter
+// added anywhere in the tree (a `.Add("name", ...)` literal) is missing
+// from the span documentation. This keeps the metrics catalog — including
+// the incremental-pipeline counters and the lease series — honest the same
+// way the flag table is.
 func TestDocsMetricsCoverage(t *testing.T) {
 	doc, err := os.ReadFile(filepath.Join("docs", "OBSERVABILITY.md"))
 	if err != nil {
@@ -162,11 +162,9 @@ func TestDocsMetricsCoverage(t *testing.T) {
 	}
 	text := string(doc)
 
-	for _, dir := range []string{filepath.Join("internal", "service"), filepath.Join("internal", "fleet")} {
-		for _, name := range stringLiterals(t, dir, isMetricName) {
-			if !strings.Contains(text, "`"+name+"`") {
-				t.Errorf("docs/OBSERVABILITY.md does not document metric %s", name)
-			}
+	for _, name := range stringLiterals(t, filepath.Join("internal", "service"), isMetricName) {
+		if !strings.Contains(text, "`"+name+"`") {
+			t.Errorf("docs/OBSERVABILITY.md does not document metric %s", name)
 		}
 	}
 	for _, name := range spanCounterNames(t) {

@@ -25,7 +25,7 @@ type Key string
 
 // Valid reports whether k has the canonical form KeyOf produces: exactly
 // 64 lowercase hex digits. Anything that accepts keys from an untrusted
-// caller — the fleet coordinator's /v1/store endpoints, or a store that
+// caller — the service's /v1/store endpoints, or a store that
 // maps keys to filesystem paths — must reject invalid keys before use, so
 // a crafted key (path traversal, index-line injection) never reaches a
 // backend.

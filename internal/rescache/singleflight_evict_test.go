@@ -117,7 +117,7 @@ func TestSingleflightJoinersShareEvictedFlight(t *testing.T) {
 
 // TestSingleflightEvictionStress hammers Do/Add/Get over a tiny cache with
 // generation-tagged values and asserts no lookup ever observes a value for
-// the wrong key (run under -race via make race-fleet / test-race).
+// the wrong key (run under -race via make race-service / test-race).
 func TestSingleflightEvictionStress(t *testing.T) {
 	c := New(2)
 	keys := []Key{"a", "b", "c", "d"}

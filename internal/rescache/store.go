@@ -11,7 +11,7 @@
 //     default when nothing durable is configured.
 //   - DiskStore (diskstore.go): content-addressed files plus an fsync'd
 //     index; survives restarts.
-//   - fleet.RemoteStore (internal/fleet): an HTTP client against the
+//   - service.RemoteStore (internal/service): an HTTP client against the
 //     coordinator's store endpoints, giving every worker the same view.
 //
 // Stores are caches, not databases: implementations must swallow I/O

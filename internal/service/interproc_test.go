@@ -31,12 +31,12 @@ void consumer(struct foo *f) {
 // InterprocDepth must reach the engine options and change the cache
 // fingerprint: the same sources at different depths are different results.
 func TestInterprocOptionsSpec(t *testing.T) {
-	base := OptionsSpec{}.resolve()
-	deep := OptionsSpec{InterprocDepth: 2}.resolve()
+	base := OptionsSpec{}.Resolve()
+	deep := OptionsSpec{InterprocDepth: 2}.Resolve()
 	if base.InterprocDepth != 0 || deep.InterprocDepth != 2 {
 		t.Fatalf("depths = %d, %d", base.InterprocDepth, deep.InterprocDepth)
 	}
-	if fingerprint(base) == fingerprint(deep) {
+	if base.Fingerprint() == deep.Fingerprint() {
 		t.Error("fingerprint ignores InterprocDepth; depth changes would hit stale cache entries")
 	}
 }
@@ -52,34 +52,28 @@ func TestInterprocJobAndMetric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := waitDone(t, j)
-	if v.State != JobDone {
-		t.Fatalf("job state = %s (%s)", v.State, v.Error)
-	}
-	if len(v.Result.Pairings) != 0 || len(v.Result.Inferred) != 0 {
+	res := resultOf(t, waitDone(t, j))
+	if len(res.Pairings) != 0 || len(res.Inferred) != 0 {
 		t.Fatalf("depth 0: %d pairings, %d inferred, want 0/0",
-			len(v.Result.Pairings), len(v.Result.Inferred))
+			len(res.Pairings), len(res.Inferred))
 	}
 
 	j, err = s.Submit(interprocRequest(), OptionsSpec{InterprocDepth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v = waitDone(t, j)
-	if v.State != JobDone {
-		t.Fatalf("job state = %s (%s)", v.State, v.Error)
-	}
-	if len(v.Result.Pairings) != 1 {
-		t.Errorf("depth 2: pairings = %d, want 1", len(v.Result.Pairings))
+	res = resultOf(t, waitDone(t, j))
+	if len(res.Pairings) != 1 {
+		t.Errorf("depth 2: pairings = %d, want 1", len(res.Pairings))
 	}
 	found := false
-	for _, f := range v.Result.Inferred {
+	for _, f := range res.Inferred {
 		if f.Name == "publish_barrier" {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("inferred set %v missing publish_barrier", v.Result.Inferred)
+		t.Errorf("inferred set %v missing publish_barrier", res.Inferred)
 	}
 
 	text := s.MetricsText()

@@ -1,11 +1,25 @@
-// Package service is the serving subsystem behind the ofence-serve daemon:
-// an asynchronous job model over a bounded worker pool, with request-scoped
-// timeouts and cancellation, graceful drain on shutdown, and a
-// content-addressed result cache (internal/rescache) so that re-analyzing
-// unchanged source is a hash lookup instead of a full pipeline run.
+// Package service is the analysis job engine behind ofence-serve and
+// ofence-worker. A Service is a coordinator with one job table, one lease
+// queue, one result tier and one metric catalog:
 //
-// The analysis itself is ofence.Project.AnalyzeParallel — one project per
-// job, so concurrent jobs never share mutable analysis state.
+//   - Every job is keyed on its raw content (file names and bytes, defines,
+//     the bundled kernel headers and the options fingerprint). A repeat is
+//     answered from a content-addressed result cache (internal/rescache),
+//     identical in-flight jobs share one analysis, and an optional artifact
+//     store behind the cache keeps results across restarts.
+//   - Every other job becomes a task on the lease queue. Workers lease
+//     tasks, heartbeat while they analyze, and report the result as JSON. A
+//     lease that lapses (dead, hung or partitioned worker) is re-dispatched
+//     with backoff; a task that keeps failing is quarantined and fails its
+//     job.
+//   - Workers run one loop in two places. The Service's in-process workers
+//     call it directly; ofence-worker processes make the same four calls
+//     (register, lease, heartbeat, complete) over HTTP/JSON. Either kind
+//     keeps warm per-lineage projects, so a one-file edit of a known source
+//     set re-runs the per-file stages for that file only.
+//
+// The HTTP API, wire protocol, lease semantics and security model are in
+// docs/SERVICE.md.
 package service
 
 import (
@@ -15,14 +29,10 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"ofence/internal/cpp"
 	"ofence/internal/kernelhdr"
-	"ofence/internal/obs"
 	"ofence/internal/ofence"
 	"ofence/internal/rescache"
 )
@@ -54,18 +64,13 @@ type OptionsSpec struct {
 	CheckOnce        bool `json:"check_once,omitempty"`
 	Workers          int  `json:"workers,omitempty"`
 	// MinConfidence gates findings by the ranking pass's score
-	// (internal/rank); 0 keeps every finding. Folded into the result-cache
-	// fingerprint: gated and ungated results never alias.
+	// (internal/rank); 0 keeps every finding. Folded into the job key:
+	// gated and ungated results never alias.
 	MinConfidence float64 `json:"min_confidence,omitempty"`
 }
 
-// Resolve maps the spec onto the engine options. It is exported for the
-// fleet subsystem, whose workers resolve the same wire spec the service
-// accepts so that coordinator-dispatched jobs use identical options.
-func (o OptionsSpec) Resolve() ofence.Options { return o.resolve() }
-
-// resolve maps the spec onto the engine options.
-func (o OptionsSpec) resolve() ofence.Options {
+// Resolve maps the spec onto the engine options.
+func (o OptionsSpec) Resolve() ofence.Options {
 	opts := ofence.DefaultOptions()
 	if o.WriteWindow > 0 {
 		opts.Access.WriteWindow = o.WriteWindow
@@ -92,36 +97,47 @@ func (o OptionsSpec) resolve() ofence.Options {
 	return opts
 }
 
-// fingerprint folds every option that can change analysis RESULTS into the
-// cache key. Workers is deliberately excluded: it changes scheduling, never
-// output. This is the engine's own per-file staging fingerprint, so the
-// whole-result cache and the incremental caches invalidate together.
-func fingerprint(opts ofence.Options) string {
-	return opts.Fingerprint()
+// headerDigest condenses an include tree into one key part, so a binary
+// whose bundled headers changed never serves results computed against the
+// old ones from a durable store.
+func headerDigest(headers map[string]string) string {
+	return string(rescache.KeyOf("headers-v1", sortedPairs(headers, "H")...))
 }
 
-// ResultViewCodec translates cached *ofence.ResultView values to and from
-// JSON blobs for an ArtifactStore. The fleet coordinator uses the same
-// codec for its job-result tier, so a result computed by a worker, a
-// single-process service, or a previous incarnation before a restart is
-// interchangeable.
-func ResultViewCodec() rescache.Codec {
-	return rescache.Codec{
-		Encode: func(v any) ([]byte, error) {
-			view, ok := v.(*ofence.ResultView)
-			if !ok {
-				return nil, fmt.Errorf("result codec: unexpected value %T", v)
-			}
-			return json.Marshal(view)
-		},
-		Decode: func(blob []byte) (any, error) {
-			view := &ofence.ResultView{}
-			if err := json.Unmarshal(blob, view); err != nil {
-				return nil, err
-			}
-			return view, nil
-		},
+// jobKey is the job's content address: the options fingerprint, the
+// header digest, and the sorted file names with their raw contents and
+// defines. Raw-content keying is conservative — any byte change re-keys,
+// including a comment-only edit — and costs one hash pass instead of a
+// preprocessor run per file. Workers is excluded by the fingerprint: it
+// changes scheduling, never output.
+func jobKey(req *Request, spec OptionsSpec, headers string) rescache.Key {
+	parts := append(sortedPairs(req.Files, "F"), sortedPairs(req.Defines, "D")...)
+	return rescache.KeyOf("result-v2|"+headers+"|"+spec.Resolve().Fingerprint(), parts...)
+}
+
+// sortedPairs flattens m into tag+key, value pairs in key order.
+func sortedPairs(m map[string]string, tag string) []string {
+	out := make([]string, 0, 2*len(m))
+	for _, k := range sortedNames(m) {
+		out = append(out, tag+k, m[k])
 	}
+	return out
+}
+
+func sortedNames(m map[string]string) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// blobCodec stores result blobs as they are: the cache's values are the
+// result JSON the worker produced.
+var blobCodec = rescache.Codec{
+	Encode: func(v any) ([]byte, error) { return v.([]byte), nil },
+	Decode: func(blob []byte) (any, error) { return blob, nil },
 }
 
 // JobState is the lifecycle of a job.
@@ -136,24 +152,34 @@ const (
 	JobCanceled JobState = "canceled"
 )
 
-// Job is one tracked analysis. All mutable fields are guarded by mu; Done
-// is closed exactly once when the job reaches a terminal state.
+// Job is one tracked analysis. Its mutable fields are guarded by the
+// Service mutex; Done is closed exactly once, when the job reaches a
+// terminal state.
 type Job struct {
 	id   string
+	s    *Service
 	req  *Request
-	opts ofence.Options
+	spec OptionsSpec
+	key  rescache.Key
 	done chan struct{}
 
-	mu        sync.Mutex
-	state     JobState
-	cacheHit  bool
-	errMsg    string
-	result    *ofence.ResultView
-	submitted time.Time
-	waitDur   time.Duration
-	hashDur   time.Duration
-	analyzeD  time.Duration
-	totalDur  time.Duration
+	state      JobState
+	cacheHit   bool
+	errMsg     string
+	result     json.RawMessage
+	reused     int
+	recomputed int
+	worker     string
+	task       *task // the job's analysis task; nil when the cache answered
+	submitted  time.Time
+	hashDur    time.Duration
+	started    time.Time // leased, or the cache lookup began
+	finished   time.Time
+}
+
+// terminal reports whether the job has finished. Caller holds s.mu.
+func (j *Job) terminal() bool {
+	return j.state == JobDone || j.state == JobFailed || j.state == JobCanceled
 }
 
 // ID returns the job identifier.
@@ -164,45 +190,73 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 
 // JobView is the JSON projection of a job.
 type JobView struct {
-	ID        string             `json:"id"`
-	State     JobState           `json:"state"`
-	CacheHit  bool               `json:"cache_hit"`
-	Error     string             `json:"error,omitempty"`
-	Result    *ofence.ResultView `json:"result,omitempty"`
-	WaitMS    float64            `json:"wait_ms"`
-	HashMS    float64            `json:"hash_ms"`
-	AnalyzeMS float64            `json:"analyze_ms"`
-	TotalMS   float64            `json:"total_ms"`
+	ID       string   `json:"id"`
+	State    JobState `json:"state"`
+	CacheHit bool     `json:"cache_hit"`
+	Error    string   `json:"error,omitempty"`
+	// Result is the analysis result exactly as the worker (or the store)
+	// produced it: an ofence.ResultView in JSON.
+	Result json.RawMessage `json:"result,omitempty"`
+	// FilesReused/FilesRecomputed report how much per-file work the
+	// analysis served from the stage caches; a cached result reuses every
+	// file.
+	FilesReused     int `json:"files_reused"`
+	FilesRecomputed int `json:"files_recomputed"`
+	// Redispatches counts leases lost to dead, stuck or failing workers;
+	// Attempts counts dispatches of the job's task.
+	Redispatches int     `json:"redispatches"`
+	Attempts     int     `json:"attempts"`
+	Worker       string  `json:"worker,omitempty"`
+	WaitMS       float64 `json:"wait_ms"`
+	HashMS       float64 `json:"hash_ms"`
+	AnalyzeMS    float64 `json:"analyze_ms"`
+	TotalMS      float64 `json:"total_ms"`
 }
 
 // View snapshots the job.
 func (j *Job) View() JobView {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	j.s.mu.Lock()
+	defer j.s.mu.Unlock()
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	return JobView{
-		ID:        j.id,
-		State:     j.state,
-		CacheHit:  j.cacheHit,
-		Error:     j.errMsg,
-		Result:    j.result,
-		WaitMS:    ms(j.waitDur),
-		HashMS:    ms(j.hashDur),
-		AnalyzeMS: ms(j.analyzeD),
-		TotalMS:   ms(j.totalDur),
+	v := JobView{
+		ID:              j.id,
+		State:           j.state,
+		CacheHit:        j.cacheHit,
+		Error:           j.errMsg,
+		Result:          j.result,
+		FilesReused:     j.reused,
+		FilesRecomputed: j.recomputed,
+		Worker:          j.worker,
+		HashMS:          ms(j.hashDur),
 	}
+	if t := j.task; t != nil {
+		v.Redispatches, v.Attempts = t.redispatches, t.attempt
+	}
+	if !j.started.IsZero() {
+		v.WaitMS = ms(j.started.Sub(j.submitted) - j.hashDur)
+	}
+	if !j.finished.IsZero() {
+		v.AnalyzeMS = ms(j.finished.Sub(j.started))
+		v.TotalMS = ms(j.finished.Sub(j.submitted))
+	}
+	return v
 }
 
 // Config sizes the service. Zero fields pick the defaults noted per field.
 type Config struct {
-	// Workers is the analysis pool size (default GOMAXPROCS).
+	// Workers is the number of in-process analysis slots (default
+	// GOMAXPROCS). A negative value runs none: the service then only
+	// coordinates external ofence-worker processes.
 	Workers int
-	// QueueDepth bounds queued-but-unstarted jobs (default 64); beyond it
-	// Submit fails with ErrQueueFull.
+	// QueueDepth bounds queued jobs — submitted, and neither leased to a
+	// worker nor answered from the cache (default 64); beyond it Submit
+	// fails with ErrQueueFull.
 	QueueDepth int
-	// CacheEntries bounds the result cache (default 256 results).
+	// CacheEntries bounds the in-memory result cache (default 256).
 	CacheEntries int
-	// JobTimeout bounds one analysis (default 30s).
+	// JobTimeout bounds one analysis attempt (default 30s). The worker
+	// cancels the attempt at the deadline and the coordinator renews no
+	// lease past it; the task is then retried, up to MaxAttempts.
 	JobTimeout time.Duration
 	// MaxSourceBytes bounds the total source size of one request
 	// (default 8 MiB).
@@ -210,23 +264,35 @@ type Config struct {
 	// MaxJobs bounds how many finished jobs stay queryable (default 1024);
 	// the oldest finished jobs are forgotten first.
 	MaxJobs int
-	// WarmLineages bounds how many warm projects are kept, one per source-set
-	// lineage (same file names + defines), so repeat submissions re-analyze
-	// incrementally instead of from scratch (default 32; negative disables
-	// warm reuse and builds a fresh project per job).
+	// WarmLineages bounds the in-process workers' warm projects, one per
+	// source-set lineage (same file names + defines), so repeat
+	// submissions re-analyze incrementally (default 32; negative builds a
+	// fresh project per task).
 	WarmLineages int
-	// Store is an optional artifact tier layered behind the result cache
-	// and the per-file stage caches (see internal/rescache.ArtifactStore):
-	// results and serializable stage artifacts computed here are published
-	// to it, and entries computed by any process sharing the store — a
-	// previous incarnation after a restart, or fleet workers — are hits.
-	// nil keeps the caches memory-only. The service does not close the
-	// store; the owner does.
+	// Store is an optional artifact tier behind the result cache and the
+	// in-process workers' stage caches: entries computed by any process
+	// sharing it — a previous incarnation, or external workers — are hits.
+	// nil keeps the caches memory-only. The service does not close it.
 	Store rescache.ArtifactStore
+	// LeaseTimeout is how long a leased task may go without a heartbeat
+	// before it is re-dispatched (default 15s). Workers heartbeat every
+	// LeaseTimeout/3; a worker silent for LeaseTimeout is dropped.
+	LeaseTimeout time.Duration
+	// MaxAttempts bounds dispatches of one task; beyond it the task is
+	// quarantined and its job fails (default 3).
+	MaxAttempts int
+	// RetryBackoff delays re-dispatch attempt n by RetryBackoff·2^(n-1),
+	// capped at one minute (default 500ms).
+	RetryBackoff time.Duration
+	// AuthToken is the shared secret external workers present as
+	// `Authorization: Bearer <token>`. The worker endpoints (/v1/fleet/*)
+	// and the store endpoints (/v1/store/*) are mounted only when it is
+	// set; without it they do not exist (404).
+	AuthToken string
 }
 
 func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
+	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.QueueDepth <= 0 {
@@ -247,215 +313,93 @@ func (c Config) withDefaults() Config {
 	if c.WarmLineages == 0 {
 		c.WarmLineages = 32
 	}
+	if c.LeaseTimeout <= 0 {
+		c.LeaseTimeout = 15 * time.Second
+	}
+	if c.MaxAttempts <= 0 {
+		c.MaxAttempts = 3
+	}
+	if c.RetryBackoff <= 0 {
+		c.RetryBackoff = 500 * time.Millisecond
+	}
 	return c
 }
 
-// Service runs analysis jobs on a bounded worker pool with a shared result
-// cache. Create with New, stop with Close.
+// Service is the coordinator: it owns the job table, the lease queue, the
+// result cache and the metrics, and runs the in-process workers. Create
+// with New, stop with Close.
 type Service struct {
-	cfg        Config
-	cache      *rescache.Cache
-	stages     *rescache.Stages
-	headers    map[string]string
-	met        *metrics
-	queue      chan *Job
-	quit       chan struct{}
-	baseCtx    context.Context
-	cancelBase context.CancelFunc
-	wg         sync.WaitGroup
-	busy       atomic.Int64
+	cfg     Config
+	headers string // headerDigest of the bundled kernel headers
+	cache   *rescache.Cache
+	// store backs /v1/store/*: cfg.Store, or a MemStore when external
+	// workers are enabled without one. nil when neither is configured.
+	store rescache.ArtifactStore
+	an    *analyzer // the in-process workers' analyzer
+	local *Worker   // the in-process workers; nil when cfg.Workers < 0
+	met   *metrics
 
-	mu     sync.Mutex
-	closed bool
-	jobs   map[string]*Job
-	order  []string
-	nextID uint64
+	mu       sync.Mutex
+	closed   bool // draining: Submit fails with ErrClosed
+	canceled bool // the drain deadline passed: no task is dispatched
+	jobs     map[string]*Job
+	order    []string
+	nextJob  uint64
+	queued   int              // jobs in JobQueued, bounded by cfg.QueueDepth
+	tasks    map[string]*task // live tasks: queued or leased
+	queue    []*task          // ready order; finished entries are skipped
+	wake     chan struct{}    // closed and replaced whenever a task is queued
+	nextTask uint64
+	workers  map[string]*workerState
 
-	// warm maps a source-set lineage (same file names + defines) to its
-	// long-lived project, bounded by cfg.WarmLineages with LRU eviction.
-	warmMu sync.Mutex
-	warm   map[string]*warmProject
-
-	// analyzeFn is the job body; tests may replace it before any Submit to
-	// inject blocking or failing analyses.
-	analyzeFn func(ctx context.Context, req *Request, opts ofence.Options) (*ofence.ResultView, error)
+	// ctx is canceled when Close finishes (or its deadline passes); the
+	// in-process workers, the janitor and every waiting lease end with it.
+	ctx    context.Context
+	cancel context.CancelFunc
+	jobsWG sync.WaitGroup // one per job until it is terminal
+	bg     sync.WaitGroup // janitor and in-process workers
 }
 
-// New starts a service with cfg's worker pool.
+// New starts a service: the lease janitor and cfg.Workers in-process
+// analysis slots.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Service{
-		cfg:        cfg,
-		cache:      rescache.New(cfg.CacheEntries),
-		stages:     rescache.NewStages(0),
-		headers:    kernelhdr.Headers(),
-		met:        newMetrics(),
-		queue:      make(chan *Job, cfg.QueueDepth),
-		quit:       make(chan struct{}),
-		baseCtx:    ctx,
-		cancelBase: cancel,
-		jobs:       map[string]*Job{},
-		warm:       map[string]*warmProject{},
+		cfg:     cfg,
+		headers: headerDigest(kernelhdr.Headers()),
+		cache:   rescache.New(cfg.CacheEntries),
+		store:   cfg.Store,
+		an:      newAnalyzer(cfg.Store, cfg.WarmLineages),
+		met:     newMetrics(),
+		jobs:    map[string]*Job{},
+		tasks:   map[string]*task{},
+		wake:    make(chan struct{}),
+		workers: map[string]*workerState{},
+		ctx:     ctx,
+		cancel:  cancel,
 	}
 	if cfg.Store != nil {
-		s.cache.AttachStore(cfg.Store, ResultViewCodec())
-		s.stages.AttachStore(cfg.Store, ofence.StageCodecs())
+		s.cache.AttachStore(cfg.Store, blobCodec)
 	}
-	s.analyzeFn = s.defaultAnalyze
-	for i := 0; i < cfg.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
+	if s.store == nil && cfg.AuthToken != "" {
+		s.store = rescache.NewMemStore(0)
+	}
+	s.bg.Add(1)
+	go s.janitor()
+	if cfg.Workers > 0 {
+		s.local = newWorker("local", s, cfg.Workers, s.an, nil)
+		s.bg.Add(1)
+		go func() {
+			defer s.bg.Done()
+			_ = s.local.Run(ctx)
+		}()
 	}
 	return s
 }
 
-// defaultAnalyze runs the real pipeline over a clone of the request's warm
-// lineage project: repeat submissions of an evolving source set re-run the
-// per-file stages only for changed files. Clones share immutable artifacts
-// and the stage caches, so concurrent jobs never share mutable analysis
-// state.
-func (s *Service) defaultAnalyze(ctx context.Context, req *Request, opts ofence.Options) (*ofence.ResultView, error) {
-	proj := s.projectFor(ctx, req)
-	res, err := proj.AnalyzeParallel(ctx, opts)
-	if err != nil {
-		return nil, err
-	}
-	s.met.add(&s.met.filesReused, uint64(res.Incremental.FilesReused))
-	s.met.add(&s.met.filesRecomputed, uint64(res.Incremental.FilesRecomputed))
-	v := res.View()
-	return &v, nil
-}
-
-// warmProject is one lineage's long-lived project. mu serializes source
-// swaps and the initial build; jobs analyze clones, never proj itself.
-type warmProject struct {
-	mu   sync.Mutex
-	proj *ofence.Project
-	used time.Time
-}
-
-// lineageKey identifies a warm project: the sorted file NAMES plus the
-// defines. File contents are deliberately excluded — a lineage is an
-// evolving source set, and content changes are what the incremental
-// pipeline absorbs.
-func lineageKey(req *Request) string {
-	names := sortedNames(req.Files)
-	parts := make([]string, 0, len(names)+2*len(req.Defines))
-	for _, n := range names {
-		parts = append(parts, "F"+n)
-	}
-	defs := make([]string, 0, len(req.Defines))
-	for k := range req.Defines {
-		defs = append(defs, k)
-	}
-	sort.Strings(defs)
-	for _, k := range defs {
-		parts = append(parts, "D"+k, req.Defines[k])
-	}
-	return string(rescache.KeyOf("lineage-v1", parts...))
-}
-
-// projectFor returns the project a job analyzes. With warm reuse enabled it
-// is a clone of the request's lineage project, refreshed to the request's
-// contents (unchanged files keep their artifacts); otherwise a fresh
-// project.
-func (s *Service) projectFor(ctx context.Context, req *Request) *ofence.Project {
-	if s.cfg.WarmLineages < 0 {
-		return s.buildProject(ctx, req)
-	}
-	key := lineageKey(req)
-	s.warmMu.Lock()
-	w, ok := s.warm[key]
-	if ok {
-		s.met.count(&s.met.lineageHits)
-	} else {
-		s.met.count(&s.met.lineageMisses)
-		w = &warmProject{}
-		s.warm[key] = w
-		for len(s.warm) > s.cfg.WarmLineages {
-			oldestKey := ""
-			var oldest time.Time
-			for k, cand := range s.warm {
-				if k != key && (oldestKey == "" || cand.used.Before(oldest)) {
-					oldestKey, oldest = k, cand.used
-				}
-			}
-			if oldestKey == "" {
-				break
-			}
-			delete(s.warm, oldestKey)
-			s.met.count(&s.met.lineageEvictions)
-		}
-	}
-	w.used = time.Now()
-	s.warmMu.Unlock()
-
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.proj == nil {
-		w.proj = s.buildProject(ctx, req)
-	} else {
-		for _, name := range sortedNames(req.Files) {
-			w.proj.ReplaceSourceCtx(ctx, name, req.Files[name])
-		}
-	}
-	return w.proj.Clone()
-}
-
-// buildProject assembles a cold project for the request. Every project
-// shares the service-wide stage caches (content-addressed, so sharing
-// across unrelated requests is safe by construction) and, through them,
-// the optional artifact store.
-func (s *Service) buildProject(ctx context.Context, req *Request) *ofence.Project {
-	proj := ofence.NewProjectWithStages(s.stages)
-	kernelhdr.Register(proj)
-	for k, v := range req.Defines {
-		proj.Define(k, v)
-	}
-	srcs := make([]ofence.SourceFile, 0, len(req.Files))
-	for _, name := range sortedNames(req.Files) {
-		srcs = append(srcs, ofence.SourceFile{Name: name, Src: req.Files[name]})
-	}
-	proj.AddSourcesCtx(ctx, srcs)
-	return proj
-}
-
-// WarmLineages returns the number of warm projects currently kept.
-func (s *Service) WarmLineages() int {
-	s.warmMu.Lock()
-	defer s.warmMu.Unlock()
-	return len(s.warm)
-}
-
-func sortedNames(m map[string]string) []string {
-	names := make([]string, 0, len(m))
-	for name := range m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// contentKey computes the job's cache key: the SHA-256 of every file's
-// PREPROCESSED token stream (so include resolution, macro expansion and
-// config defines are folded in) combined with the options fingerprint. See
-// DESIGN.md "Result cache" for the invalidation rules.
-func (s *Service) contentKey(req *Request, opts ofence.Options) rescache.Key {
-	names := sortedNames(req.Files)
-	parts := make([]string, 0, 2*len(names))
-	for _, name := range names {
-		pre := cpp.Preprocess(name, req.Files[name], cpp.Options{
-			Include: s.headers,
-			Defines: req.Defines,
-		})
-		parts = append(parts, name, pre.Fingerprint(name))
-	}
-	return rescache.KeyOf(fingerprint(opts), parts...)
-}
-
-// Submit validates and enqueues a job. It never blocks: a full queue fails
-// fast with ErrQueueFull, a draining service with ErrClosed.
+// Submit validates a request and starts its job. It never blocks: a full
+// queue fails fast with ErrQueueFull, a draining service with ErrClosed.
 func (s *Service) Submit(req *Request, spec OptionsSpec) (*Job, error) {
 	if len(req.Files) == 0 {
 		return nil, ErrNoFiles
@@ -467,137 +411,66 @@ func (s *Service) Submit(req *Request, spec OptionsSpec) (*Job, error) {
 	if total > s.cfg.MaxSourceBytes {
 		return nil, ErrTooLarge
 	}
+	start := time.Now()
+	key := jobKey(req, spec, s.headers)
+	hash := time.Since(start)
 
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
-	s.nextID++
-	j := &Job{
-		id:        fmt.Sprintf("job-%08d", s.nextID),
-		req:       req,
-		opts:      spec.resolve(),
-		done:      make(chan struct{}),
-		state:     JobQueued,
-		submitted: time.Now(),
-	}
-	select {
-	case s.queue <- j:
-	default:
+	if s.queued >= s.cfg.QueueDepth {
 		s.mu.Unlock()
 		s.met.count(&s.met.queueRejected)
 		return nil, ErrQueueFull
 	}
+	s.nextJob++
+	j := &Job{
+		id:        fmt.Sprintf("job-%08d", s.nextJob),
+		s:         s,
+		req:       req,
+		spec:      spec,
+		key:       key,
+		done:      make(chan struct{}),
+		state:     JobQueued,
+		submitted: start,
+		hashDur:   hash,
+	}
+	s.queued++
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	s.pruneLocked()
+	s.jobsWG.Add(1)
 	s.mu.Unlock()
 	s.met.count(&s.met.jobsSubmitted)
+	s.met.stage("hash").observe(hash)
+	go s.resolve(j)
 	return j, nil
 }
 
-// pruneLocked forgets the oldest finished jobs beyond the retention bound.
-// Caller holds s.mu.
-func (s *Service) pruneLocked() {
-	for len(s.order) > s.cfg.MaxJobs {
-		pruned := false
-		for i, id := range s.order {
-			j := s.jobs[id]
-			j.mu.Lock()
-			terminal := j.state == JobDone || j.state == JobFailed || j.state == JobCanceled
-			j.mu.Unlock()
-			if terminal {
-				delete(s.jobs, id)
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				pruned = true
-				break
-			}
-		}
-		if !pruned {
-			return // everything retained is still live
-		}
-	}
-}
-
-// Job returns a submitted job by ID.
-func (s *Service) Job(id string) (*Job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	return j, ok
-}
-
-func (s *Service) worker() {
-	defer s.wg.Done()
-	for {
-		select {
-		case j := <-s.queue:
-			s.run(j)
-		case <-s.quit:
-			// Drain: finish everything already queued, then exit.
-			for {
-				select {
-				case j := <-s.queue:
-					s.run(j)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// run executes one job under the configured timeout.
-func (s *Service) run(j *Job) {
-	s.busy.Add(1)
-	defer s.busy.Add(-1)
-
+// resolve answers j from the result cache, joins an identical in-flight
+// job, or dispatches j's task and waits for its result.
+func (s *Service) resolve(j *Job) {
+	defer s.jobsWG.Done()
 	start := time.Now()
-	j.mu.Lock()
-	j.state = JobRunning
-	j.waitDur = start.Sub(j.submitted)
-	j.mu.Unlock()
-	s.met.stage("wait").observe(start.Sub(j.submitted))
+	v, hit, err := s.cache.Do(j.key, func() (any, error) { return s.dispatch(j) })
 
-	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.JobTimeout)
-	defer cancel()
-
-	hashStart := time.Now()
-	key := s.contentKey(j.req, j.opts)
-	hashDur := time.Since(hashStart)
-	s.met.stage("hash").observe(hashDur)
-
-	// Each job gets its own tracer; the pipeline spans it records are folded
-	// into the ofence_stage_duration_seconds histograms below. Cache hits and
-	// deduplicated lookups skip the closure and contribute no stage samples.
-	tracer := obs.New()
-	tctx := obs.WithTracer(ctx, tracer)
-
-	analyzeStart := time.Now()
-	v, hit, err := s.cache.Do(key, func() (any, error) {
-		return s.analyzeFn(tctx, j.req, j.opts)
-	})
-	analyzeDur := time.Since(analyzeStart)
-	s.met.stage("analyze").observe(analyzeDur)
-	for _, sp := range tracer.Spans() {
-		if d, ok := sp.Elapsed(); ok {
-			s.met.stageDuration(sp.Name()).observe(d)
-		}
+	s.mu.Lock()
+	if j.state == JobQueued {
+		s.queued--
 	}
-
-	j.mu.Lock()
-	j.hashDur = hashDur
-	j.analyzeD = analyzeDur
+	if j.started.IsZero() {
+		j.started = start
+	}
+	j.finished = time.Now()
 	j.cacheHit = hit
-	j.totalDur = time.Since(j.submitted)
 	switch {
 	case err == nil:
 		j.state = JobDone
-		j.result = v.(*ofence.ResultView)
-		s.met.add(&s.met.inferredSemantics, uint64(len(j.result.Inferred)))
-		for _, f := range j.result.Findings {
-			s.met.confidence.observeValue(f.Confidence)
+		j.result = v.([]byte)
+		if hit {
+			j.reused = len(j.req.Files)
 		}
 	case errors.Is(err, context.Canceled):
 		j.state = JobCanceled
@@ -607,8 +480,11 @@ func (s *Service) run(j *Job) {
 		j.errMsg = err.Error()
 	}
 	state := j.state
-	total := j.totalDur
-	j.mu.Unlock()
+	wait, analyze, total := j.started.Sub(j.submitted)-j.hashDur, j.finished.Sub(j.started), j.finished.Sub(j.submitted)
+	s.mu.Unlock()
+
+	s.met.stage("wait").observe(wait)
+	s.met.stage("analyze").observe(analyze)
 	s.met.stage("total").observe(total)
 	switch state {
 	case JobDone:
@@ -621,93 +497,91 @@ func (s *Service) run(j *Job) {
 	close(j.done)
 }
 
-// Close drains the service: no new submissions are accepted, queued and
-// running jobs are finished, and the workers exit. If ctx expires first the
-// base context is canceled — in-flight analyses abort at their next
-// cancellation point and are marked canceled — and ctx's error is returned.
+// dispatch queues j's analysis task and waits until a worker completes
+// it, it is quarantined, or the drain deadline cancels it.
+func (s *Service) dispatch(j *Job) (any, error) {
+	s.mu.Lock()
+	if s.canceled {
+		s.mu.Unlock()
+		return nil, context.Canceled
+	}
+	t := s.newTaskLocked(j)
+	j.task = t
+	s.mu.Unlock()
+	<-t.done
+	if t.err != nil {
+		return nil, t.err
+	}
+	return []byte(t.result), nil
+}
+
+// pruneLocked forgets the oldest finished jobs beyond the retention bound.
+// Caller holds s.mu.
+func (s *Service) pruneLocked() {
+	for len(s.order) > s.cfg.MaxJobs {
+		i := 0
+		for i < len(s.order) && !s.jobs[s.order[i]].terminal() {
+			i++
+		}
+		if i == len(s.order) {
+			return // everything retained is still live
+		}
+		delete(s.jobs, s.order[i])
+		s.order = append(s.order[:i], s.order[i+1:]...)
+	}
+}
+
+// Job returns a submitted job by ID.
+func (s *Service) Job(id string) (*Job, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j, ok := s.jobs[id]
+	return j, ok
+}
+
+// Close drains the service: no new submissions are accepted, and queued
+// and running jobs finish — workers keep leasing until the last one is
+// done. If ctx expires first, every unfinished job is canceled, running
+// in-process analyses abort at their next cancellation point, and ctx's
+// error is returned. Close returns once the in-process workers and the
+// janitor have exited.
 func (s *Service) Close(ctx context.Context) error {
 	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.quit)
-	}
+	s.closed = true
 	s.mu.Unlock()
 
-	done := make(chan struct{})
+	drained := make(chan struct{})
 	go func() {
-		s.wg.Wait()
-		close(done)
+		s.jobsWG.Wait()
+		close(drained)
 	}()
+	var err error
 	select {
-	case <-done:
-		return nil
+	case <-drained:
 	case <-ctx.Done():
-		s.cancelBase()
-		<-done
-		return ctx.Err()
+		err = ctx.Err()
+		s.cancel()
+		s.mu.Lock()
+		s.canceled = true
+		for _, t := range s.tasks {
+			s.finishTaskLocked(t, nil, context.Canceled)
+		}
+		s.mu.Unlock()
+		<-drained
 	}
+	s.cancel()
+	s.bg.Wait()
+	return err
 }
 
-// CacheStats snapshots the result-cache counters.
+// CacheStats snapshots the result-cache counters. A miss is a job that
+// ran an analysis.
 func (s *Service) CacheStats() rescache.Stats { return s.cache.Stats() }
 
-// QueueDepth returns the number of queued-but-unstarted jobs.
-func (s *Service) QueueDepth() int { return len(s.queue) }
+// StageStats snapshots the in-process workers' per-file stage cache
+// counters, keyed by stage name.
+func (s *Service) StageStats() map[string]rescache.Stats { return s.an.stages.Stats() }
 
-// BusyWorkers returns the number of workers currently running a job.
-func (s *Service) BusyWorkers() int { return int(s.busy.Load()) }
-
-// MetricsText renders every service metric in the Prometheus text
-// exposition format.
-func (s *Service) MetricsText() string {
-	var b strings.Builder
-	st := s.cache.Stats()
-	util := 0.0
-	if s.cfg.Workers > 0 {
-		util = float64(s.busy.Load()) / float64(s.cfg.Workers)
-	}
-	s.met.render(&b, map[string]float64{
-		"ofence_queue_depth":        float64(len(s.queue)),
-		"ofence_workers":            float64(s.cfg.Workers),
-		"ofence_workers_busy":       float64(s.busy.Load()),
-		"ofence_worker_utilization": util,
-		"ofence_cache_entries":      float64(st.Entries),
-		"ofence_cache_hit_rate":     st.HitRate(),
-		"ofence_warm_lineages":      float64(s.WarmLineages()),
-	})
-	for _, c := range []struct {
-		name, help string
-		v          uint64
-	}{
-		{"ofence_cache_hits_total", "Lookups served from the result cache", st.Hits},
-		{"ofence_cache_misses_total", "Lookups that ran the analysis", st.Misses},
-		{"ofence_cache_dedup_total", "Lookups that joined an identical in-flight analysis", st.Dedups},
-		{"ofence_cache_evictions_total", "Entries dropped by the LRU bound", st.Evictions},
-	} {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.v)
-	}
-	if s.cfg.Store != nil {
-		ss := s.cfg.Store.Stats()
-		backend := s.cfg.Store.Name()
-		for _, c := range []struct {
-			name, help string
-			v          uint64
-		}{
-			{"ofence_store_gets_total", "Artifact-store lookups", ss.Gets},
-			{"ofence_store_hits_total", "Artifact-store lookups that returned a blob", ss.Hits},
-			{"ofence_store_puts_total", "Artifacts published to the store", ss.Puts},
-			{"ofence_store_errors_total", "Swallowed artifact-store backend failures", ss.Errors},
-		} {
-			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s{backend=%q} %d\n",
-				c.name, c.help, c.name, c.name, backend, c.v)
-		}
-		fmt.Fprintf(&b, "# HELP ofence_store_hit_ratio Fraction of store lookups that hit\n"+
-			"# TYPE ofence_store_hit_ratio gauge\nofence_store_hit_ratio{backend=%q} %g\n",
-			backend, ss.HitRatio())
-	}
-	return b.String()
-}
-
-// StageStats snapshots the service-wide per-file stage cache counters,
-// keyed by stage name. Every project the service builds shares this family.
-func (s *Service) StageStats() map[string]rescache.Stats { return s.stages.Stats() }
+// WarmLineages returns the number of warm projects the in-process workers
+// keep.
+func (s *Service) WarmLineages() int { return s.an.lineages() }

@@ -57,10 +57,34 @@ func waitDone(t *testing.T, j *Job) JobView {
 	t.Helper()
 	select {
 	case <-j.Done():
-	case <-time.After(30 * time.Second):
-		t.Fatalf("job %s did not finish", j.ID())
+	case <-time.After(60 * time.Second):
+		t.Fatalf("job %s did not finish (state %s)", j.ID(), j.View().State)
 	}
 	return j.View()
+}
+
+// resultOf decodes a job's result JSON.
+func resultOf(t *testing.T, v JobView) *ofence.ResultView {
+	t.Helper()
+	if len(v.Result) == 0 {
+		t.Fatalf("job %s (%s) has no result: %s", v.ID, v.State, v.Error)
+	}
+	res := &ofence.ResultView{}
+	if err := json.Unmarshal(v.Result, res); err != nil {
+		t.Fatalf("job %s result: %v", v.ID, err)
+	}
+	return res
+}
+
+// stubAnalysis replaces the in-process workers' analysis. Call it before
+// the first Submit.
+func stubAnalysis(s *Service, fn func(ctx context.Context, t *Task) (*completeRequest, error)) {
+	s.local.analyzeFn = fn
+}
+
+// emptyResult is a stub analysis's successful outcome.
+func emptyResult() *completeRequest {
+	return &completeRequest{Result: json.RawMessage(`{}`)}
 }
 
 func TestSubmitValidation(t *testing.T) {
@@ -72,6 +96,12 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := s.Submit(big, OptionsSpec{}); err != ErrTooLarge {
 		t.Errorf("oversized request: err = %v", err)
 	}
+	if err := s.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit(testRequest("int x;"), OptionsSpec{}); err != ErrClosed {
+		t.Errorf("closed service: err = %v", err)
+	}
 }
 
 func TestCacheHitOnRepeat(t *testing.T) {
@@ -80,18 +110,16 @@ func TestCacheHitOnRepeat(t *testing.T) {
 	if first.State != JobDone || first.CacheHit {
 		t.Fatalf("first job: %+v", first)
 	}
-	if first.Result == nil || len(first.Result.Pairings) != 1 {
-		t.Fatalf("first result: %+v", first.Result)
+	if res := resultOf(t, first); len(res.Pairings) != 1 {
+		t.Fatalf("first result: %+v", res)
 	}
 	second := waitDone(t, mustSubmit(t, s, testRequest(testSrc)))
 	if second.State != JobDone || !second.CacheHit {
 		t.Fatalf("second job should hit the cache: %+v", second)
 	}
-	// Cached and computed results are the same view.
-	aj, _ := json.Marshal(first.Result)
-	bj, _ := json.Marshal(second.Result)
-	if !bytes.Equal(aj, bj) {
-		t.Errorf("cached result differs:\n%s\nvs\n%s", aj, bj)
+	// Cached and computed results are the same bytes.
+	if !bytes.Equal(first.Result, second.Result) {
+		t.Errorf("cached result differs:\n%s\nvs\n%s", first.Result, second.Result)
 	}
 	if st := s.CacheStats(); st.Hits != 1 || st.Misses != 1 {
 		t.Errorf("cache stats = %+v", st)
@@ -137,11 +165,11 @@ func TestInflightDeduplication(t *testing.T) {
 	s := newTestService(t, Config{Workers: 2})
 	release := make(chan struct{})
 	started := make(chan string, 2)
-	s.analyzeFn = func(ctx context.Context, req *Request, opts ofence.Options) (*ofence.ResultView, error) {
+	stubAnalysis(s, func(context.Context, *Task) (*completeRequest, error) {
 		started <- "run"
 		<-release
-		return &ofence.ResultView{Sites: 2}, nil
-	}
+		return emptyResult(), nil
+	})
 	j1 := mustSubmit(t, s, testRequest(testSrc))
 	<-started // leader is inside analyzeFn
 	j2 := mustSubmit(t, s, testRequest(testSrc))
@@ -169,14 +197,18 @@ func TestInflightDeduplication(t *testing.T) {
 }
 
 func TestJobTimeout(t *testing.T) {
-	s := newTestService(t, Config{Workers: 1, JobTimeout: 20 * time.Millisecond})
-	s.analyzeFn = func(ctx context.Context, req *Request, opts ofence.Options) (*ofence.ResultView, error) {
+	s := newTestService(t, Config{Workers: 1, JobTimeout: 20 * time.Millisecond, RetryBackoff: time.Millisecond})
+	stubAnalysis(s, func(ctx context.Context, _ *Task) (*completeRequest, error) {
 		<-ctx.Done() // simulate an analysis stuck mid-run
 		return nil, ctx.Err()
-	}
+	})
 	v := waitDone(t, mustSubmit(t, s, testRequest(testSrc)))
 	if v.State != JobFailed || !strings.Contains(v.Error, "deadline") {
 		t.Fatalf("timed-out job: %+v", v)
+	}
+	// Each attempt timed out on its own and was retried up to the bound.
+	if v.Attempts != 3 || v.Redispatches != 2 {
+		t.Errorf("attempts %d, redispatches %d, want 3 and 2", v.Attempts, v.Redispatches)
 	}
 	// Errors are not cached: a later identical request retries.
 	if st := s.CacheStats(); st.Entries != 0 {
@@ -187,11 +219,11 @@ func TestJobTimeout(t *testing.T) {
 func TestCloseCancelsInflightJobs(t *testing.T) {
 	s := New(Config{Workers: 1})
 	running := make(chan struct{})
-	s.analyzeFn = func(ctx context.Context, req *Request, opts ofence.Options) (*ofence.ResultView, error) {
+	stubAnalysis(s, func(ctx context.Context, _ *Task) (*completeRequest, error) {
 		close(running)
 		<-ctx.Done()
 		return nil, ctx.Err()
-	}
+	})
 	j := mustSubmit(t, s, testRequest(testSrc))
 	<-running
 
@@ -207,10 +239,10 @@ func TestCloseCancelsInflightJobs(t *testing.T) {
 
 func TestGracefulDrainFinishesQueuedJobs(t *testing.T) {
 	s := New(Config{Workers: 2})
-	s.analyzeFn = func(ctx context.Context, req *Request, opts ofence.Options) (*ofence.ResultView, error) {
+	stubAnalysis(s, func(context.Context, *Task) (*completeRequest, error) {
 		time.Sleep(10 * time.Millisecond)
-		return &ofence.ResultView{Sites: 1}, nil
-	}
+		return emptyResult(), nil
+	})
 	jobs := make([]*Job, 0, 6)
 	for i := 0; i < 6; i++ {
 		jobs = append(jobs, mustSubmit(t, s, testRequest(srcVariant(i))))
@@ -235,16 +267,23 @@ func TestQueueFull(t *testing.T) {
 	release := make(chan struct{})
 	running := make(chan struct{})
 	var once sync.Once
-	s.analyzeFn = func(ctx context.Context, req *Request, opts ofence.Options) (*ofence.ResultView, error) {
+	stubAnalysis(s, func(context.Context, *Task) (*completeRequest, error) {
 		once.Do(func() { close(running) })
 		<-release
-		return &ofence.ResultView{}, nil
-	}
+		return emptyResult(), nil
+	})
 	mustSubmit(t, s, testRequest(srcVariant(0)))
 	<-running // worker busy; queue slot free again
 	mustSubmit(t, s, testRequest(srcVariant(1)))
 	if _, err := s.Submit(testRequest(srcVariant(2)), OptionsSpec{}); err != ErrQueueFull {
 		t.Fatalf("third submit: err = %v", err)
+	}
+
+	// Over HTTP a full queue is 429.
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	if resp, _ := postAnalyze(t, srv.URL, analyzeRequest{Request: *testRequest(srcVariant(3))}); resp.StatusCode != http.StatusTooManyRequests {
+		t.Errorf("full queue over HTTP: %d", resp.StatusCode)
 	}
 	close(release)
 }
@@ -279,8 +318,8 @@ func TestHTTPAnalyzeSyncAndPoll(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || v.State != JobDone {
 		t.Fatalf("sync analyze: %d %+v", resp.StatusCode, v)
 	}
-	if v.Result == nil || len(v.Result.Pairings) != 1 || len(v.Result.Findings) == 0 {
-		t.Fatalf("sync result: %+v", v.Result)
+	if res := resultOf(t, v); len(res.Pairings) != 1 || len(res.Findings) == 0 {
+		t.Fatalf("sync result: %+v", res)
 	}
 
 	// Async analyze + poll.
@@ -301,8 +340,8 @@ func TestHTTPAnalyzeSyncAndPoll(t *testing.T) {
 		}
 		r.Body.Close()
 		if pv.State == JobDone {
-			if pv.Result == nil || len(pv.Result.Pairings) != 1 {
-				t.Fatalf("polled result: %+v", pv.Result)
+			if res := resultOf(t, pv); len(res.Pairings) != 1 {
+				t.Fatalf("polled result: %+v", res)
 			}
 			break
 		}
@@ -409,8 +448,8 @@ func TestHTTPConcurrentAnalyze(t *testing.T) {
 		if codes[i] != http.StatusOK || v.State != JobDone {
 			t.Fatalf("request %d: code=%d view=%+v", i, codes[i], v)
 		}
-		if v.Result == nil || len(v.Result.Pairings) != 1 || len(v.Result.Findings) == 0 {
-			t.Fatalf("request %d result: %+v", i, v.Result)
+		if res := resultOf(t, v); len(res.Pairings) != 1 || len(res.Findings) == 0 {
+			t.Fatalf("request %d result: %+v", i, res)
 		}
 		if v.CacheHit {
 			hits++
@@ -436,9 +475,9 @@ func TestHTTPConcurrentAnalyze(t *testing.T) {
 
 func TestJobRetentionPrunesFinished(t *testing.T) {
 	s := newTestService(t, Config{Workers: 1, MaxJobs: 2})
-	s.analyzeFn = func(ctx context.Context, req *Request, opts ofence.Options) (*ofence.ResultView, error) {
-		return &ofence.ResultView{}, nil
-	}
+	stubAnalysis(s, func(context.Context, *Task) (*completeRequest, error) {
+		return emptyResult(), nil
+	})
 	ids := make([]string, 0, 4)
 	for i := 0; i < 4; i++ {
 		j := mustSubmit(t, s, testRequest(srcVariant(i)))
@@ -520,7 +559,7 @@ func TestWarmLineageIncremental(t *testing.T) {
 	s := newTestService(t, Config{Workers: 1})
 	reqA := &Request{Files: map[string]string{"a.c": testSrc, "b.c": srcVariant(1)}}
 	first := waitDone(t, mustSubmit(t, s, reqA))
-	if first.State != JobDone || len(first.Result.Pairings) != 2 {
+	if first.State != JobDone || len(resultOf(t, first).Pairings) != 2 {
 		t.Fatalf("first job: %+v", first)
 	}
 	if got := metricValue(t, s, "ofence_lineage_misses_total"); got != 1 {
@@ -533,6 +572,9 @@ func TestWarmLineageIncremental(t *testing.T) {
 	second := waitDone(t, mustSubmit(t, s, reqB))
 	if second.State != JobDone || second.CacheHit {
 		t.Fatalf("second job: %+v", second)
+	}
+	if second.FilesReused != 1 || second.FilesRecomputed != 1 {
+		t.Errorf("job view reused %d, recomputed %d, want 1 and 1", second.FilesReused, second.FilesRecomputed)
 	}
 	if got := metricValue(t, s, "ofence_lineage_hits_total"); got != 1 {
 		t.Errorf("lineage hits = %g, want 1", got)
@@ -547,10 +589,8 @@ func TestWarmLineageIncremental(t *testing.T) {
 	// The warm-path result must match a cold service's analysis verbatim.
 	cold := newTestService(t, Config{Workers: 1, WarmLineages: -1})
 	coldView := waitDone(t, mustSubmit(t, cold, reqB))
-	aj, _ := json.Marshal(second.Result)
-	bj, _ := json.Marshal(coldView.Result)
-	if !bytes.Equal(aj, bj) {
-		t.Errorf("warm result differs from cold:\n%s\nvs\n%s", aj, bj)
+	if !bytes.Equal(second.Result, coldView.Result) {
+		t.Errorf("warm result differs from cold:\n%s\nvs\n%s", second.Result, coldView.Result)
 	}
 }
 
