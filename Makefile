@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint fuzz test test-race race race-service smoke bench bench-incremental bench-pairing bench-confidence serve eval eval-json corpus trace-demo clean
+.PHONY: all build vet lint fuzz test test-race race race-service smoke examples bench bench-incremental bench-pairing bench-confidence serve eval eval-json corpus trace-demo clean
 
 all: build lint test
 
@@ -73,6 +73,13 @@ race-service:
 # (cmd/ofence-serve/smoke_test.go).
 smoke:
 	$(GO) test -count=1 -run '^TestDaemonSmoke$$' -v ./cmd/ofence-serve/
+
+# Runs every example program; an example that misses its expected result
+# prints "BUG: ..." and exits 1, which fails the target.
+examples:
+	@for d in examples/*/; do \
+		echo "== $$d"; $(GO) run ./$$d > /dev/null || exit 1; \
+	done
 
 # Run the analysis daemon (see README "Running as a service").
 serve:

@@ -11,8 +11,11 @@
 //
 //	proj := ofence.NewProject()
 //	ofence.RegisterKernelHeaders(proj) // resolve #include <linux/...>
-//	proj.AddSource("drivers/foo.c", src)
-//	res := proj.Analyze(ofence.DefaultOptions())
+//	proj.AddSource("drivers/foo.c", src) // records the file
+//	res, err := proj.AnalyzeParallel(ctx, ofence.DefaultOptions())
+//	if err != nil {
+//		return err // ctx was canceled or timed out
+//	}
 //	for _, pg := range res.Pairings {
 //		fmt.Println(pg) // inferred concurrency
 //	}
@@ -36,18 +39,19 @@ import (
 	"ofence/internal/validate"
 )
 
-// Project is a set of C files analyzed together; see Analyze and
-// AnalyzeParallel. All methods are safe for concurrent use; Analyze calls on
-// one Project are serialized internally, so concurrent analyses of the same
-// file set should each use Project.Clone. Project.AnalyzeParallel(ctx, opts)
-// is the context-aware entry point: it fans per-file extraction and
-// per-pairing checking out across a bounded worker pool and honors
-// cancellation and deadlines. The ofence-serve daemon and the CLIs both
-// route through it.
+// Project is a set of C files analyzed together. AddSource, AddSources and
+// ReplaceSource only record sources; Project.AnalyzeParallel(ctx, opts) is
+// the one call that preprocesses, parses and analyzes them. It fans the
+// per-file work and per-pairing checking out across a bounded worker pool
+// and honors cancellation and deadlines; the ofence-serve daemon and the
+// CLIs route through it. All methods are safe for concurrent use; analyses
+// of one Project are serialized internally, so concurrent analyses of the
+// same file set should each use Project.Clone.
 type Project = ofence.Project
 
-// SourceFile is one named C source for Project.AddSources, which parses a
-// batch of files in parallel while keeping deterministic order.
+// SourceFile is one named C source for Project.AddSources, which records a
+// batch of files in the order given; a repeated name keeps its first
+// position and its last source.
 type SourceFile = ofence.SourceFile
 
 // Options configures the analysis; DefaultOptions returns the paper's
@@ -55,7 +59,7 @@ type SourceFile = ofence.SourceFile
 // filter on, §7 annotation checking on).
 type Options = ofence.Options
 
-// Result is the outcome of Project.Analyze: barrier sites, pairings,
+// Result is the outcome of Project.AnalyzeParallel: barrier sites, pairings,
 // unpaired and implicit-IPC barriers, and findings.
 type Result = ofence.Result
 
@@ -82,7 +86,8 @@ const (
 	MissingOnce = ofence.MissingOnce
 )
 
-// FileUnit is one parsed translation unit of a Project.
+// FileUnit is one translation unit of a Project; its AST, symbol table,
+// barrier sites and parse errors are filled in by analysis.
 type FileUnit = ofence.FileUnit
 
 // ResultView is the JSON-friendly projection of a Result (Result.View).

@@ -26,14 +26,25 @@ void pkt_consume(struct pkt *p) {
 	use(p->len);
 }`
 
+// mustAnalyze runs AnalyzeParallel under a background context and fails
+// the test on error.
+func mustAnalyze(tb testing.TB, p *ofence.Project, opts ofence.Options) *ofence.Result {
+	tb.Helper()
+	res, err := p.AnalyzeParallel(context.Background(), opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 func TestPublicAPIRoundTrip(t *testing.T) {
 	proj := ofence.NewProject()
 	ofence.RegisterKernelHeaders(proj)
-	fu := proj.AddSource("net/pkt.c", apiSrc)
-	for _, err := range fu.Errs {
+	proj.AddSource("net/pkt.c", apiSrc)
+	res := mustAnalyze(t, proj, ofence.DefaultOptions())
+	for _, err := range res.ParseErrors {
 		t.Fatalf("parse: %v", err)
 	}
-	res := proj.Analyze(ofence.DefaultOptions())
 	if len(res.Pairings) != 1 {
 		t.Fatalf("pairings = %d", len(res.Pairings))
 	}
@@ -74,7 +85,7 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 func TestPublicAPIBatchHelpers(t *testing.T) {
 	proj := ofence.NewProject()
 	proj.AddSource("x.c", apiSrc)
-	res := proj.Analyze(ofence.DefaultOptions())
+	res := mustAnalyze(t, proj, ofence.DefaultOptions())
 	patches, failed := ofence.GeneratePatches(res.Findings)
 	if len(patches) == 0 {
 		t.Error("no patches")
@@ -95,7 +106,7 @@ func TestPublicAPIIncremental(t *testing.T) {
 	proj := ofence.NewProject()
 	proj.AddSource("x.c", apiSrc)
 	opts := ofence.DefaultOptions()
-	res := proj.Analyze(opts)
+	res := mustAnalyze(t, proj, opts)
 	before := len(res.Findings)
 	if before == 0 {
 		t.Fatal("no findings before fix")
@@ -105,7 +116,7 @@ func TestPublicAPIIncremental(t *testing.T) {
 		t.Fatal("fixture replace failed")
 	}
 	proj.ReplaceSource("x.c", fixed)
-	res = proj.Analyze(opts)
+	res = mustAnalyze(t, proj, opts)
 	for _, f := range res.Findings {
 		if f.Kind == ofence.MisplacedAccess {
 			t.Errorf("fixed source still flagged: %v", f)
@@ -123,7 +134,7 @@ func TestPublicAPIAnalyzeParallel(t *testing.T) {
 	if len(res.Pairings) != 1 {
 		t.Fatalf("pairings = %d", len(res.Pairings))
 	}
-	seq := proj.Clone().Analyze(ofence.DefaultOptions())
+	seq := mustAnalyze(t, proj.Clone(), ofence.DefaultOptions())
 	if len(seq.Findings) != len(res.Findings) {
 		t.Errorf("parallel findings %d != sequential %d", len(res.Findings), len(seq.Findings))
 	}

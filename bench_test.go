@@ -12,6 +12,8 @@ import (
 	"testing"
 
 	"ofence/internal/corpus"
+	"ofence/internal/cparser"
+	"ofence/internal/cpp"
 	"ofence/internal/kernelhdr"
 	"ofence/internal/litmus"
 	"ofence/internal/memmodel"
@@ -57,7 +59,7 @@ void all_barriers(struct t1 *p) {
 	for i := 0; i < b.N; i++ {
 		proj := ofence.NewProject()
 		proj.AddSource("t1.c", src)
-		res := proj.Analyze(ofence.DefaultOptions())
+		res := mustAnalyze(b, proj, ofence.DefaultOptions())
 		if len(res.Sites) != 8 {
 			b.Fatalf("sites = %d, want 8", len(res.Sites))
 		}
@@ -144,7 +146,7 @@ void writer(struct my_struct *p) {
 	for i := 0; i < b.N; i++ {
 		proj := ofence.NewProject()
 		proj.AddSource("l1.c", src)
-		res := proj.Analyze(ofence.DefaultOptions())
+		res := mustAnalyze(b, proj, ofence.DefaultOptions())
 		if len(res.Pairings) != 1 {
 			b.Fatalf("pairings = %d", len(res.Pairings))
 		}
@@ -164,7 +166,7 @@ func BenchmarkFigure5SeqcountQuad(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		proj := ofence.NewProject()
 		proj.AddSource(fx.Name, fx.Source)
-		res := proj.Analyze(ofence.DefaultOptions())
+		res := mustAnalyze(b, proj, ofence.DefaultOptions())
 		if len(res.Pairings) != 1 || len(res.Pairings[0].Sites) != 4 {
 			b.Fatal("quad pairing lost")
 		}
@@ -228,7 +230,7 @@ func BenchmarkSingleFileIncremental(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		proj := ofence.NewProject()
 		proj.AddSource(name, src)
-		proj.Analyze(ofence.DefaultOptions())
+		mustAnalyze(b, proj, ofence.DefaultOptions())
 	}
 }
 
@@ -302,7 +304,7 @@ func BenchmarkSection7OnceAnnotations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		proj := ofence.NewProject()
 		proj.AddSource(fx.Name, fx.Source)
-		res := proj.Analyze(ofence.DefaultOptions())
+		res := mustAnalyze(b, proj, ofence.DefaultOptions())
 		n := 0
 		for _, f := range res.Findings {
 			if f.Kind == ofence.MissingOnce {
@@ -367,7 +369,7 @@ void r(struct s *p) {
 			for i := 0; i < b.N; i++ {
 				proj := ofence.NewProject()
 				proj.AddSource("inline.c", src)
-				res := proj.Analyze(opts)
+				res := mustAnalyze(b, proj, opts)
 				want := 0
 				if depth >= 1 {
 					want = 1
@@ -423,9 +425,8 @@ func BenchmarkParserThroughput(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		proj := ofence.NewProject()
 		for _, name := range c.Order {
-			proj.AddSource(name, c.Files[name])
+			cparser.ParseSource(name, c.Files[name], cpp.Options{})
 		}
 	}
 }
@@ -590,7 +591,7 @@ func BenchmarkReanalyzeOneFile(b *testing.B) {
 			p := ofence.NewProject()
 			kernelhdr.Register(p)
 			p.AddSources(edited)
-			if res := p.Analyze(opts); len(res.Pairings) != nFiles {
+			if res := mustAnalyze(b, p, opts); len(res.Pairings) != nFiles {
 				b.Fatalf("pairings = %d, want %d", len(res.Pairings), nFiles)
 			}
 		}
@@ -600,12 +601,12 @@ func BenchmarkReanalyzeOneFile(b *testing.B) {
 		p := ofence.NewProject()
 		kernelhdr.Register(p)
 		p.AddSources(srcs)
-		p.Analyze(opts)
+		mustAnalyze(b, p, opts)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			p.ReplaceSource("inc_000.c", incrementalBenchSrc(0, i+2))
-			res := p.Analyze(opts)
+			res := mustAnalyze(b, p, opts)
 			if len(res.Pairings) != nFiles {
 				b.Fatalf("pairings = %d, want %d", len(res.Pairings), nFiles)
 			}

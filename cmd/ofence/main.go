@@ -113,8 +113,7 @@ func main() {
 		srcs = append(srcs, found...)
 		hdrs = append(hdrs, headers...)
 	}
-	files := len(srcs)
-	if files == 0 {
+	if len(srcs) == 0 {
 		fmt.Fprintln(os.Stderr, "ofence: no .c files found")
 		exit(1)
 	}
@@ -128,10 +127,11 @@ func main() {
 	for _, h := range hdrs {
 		proj.AddHeader(h.Name, h.Src)
 	}
-	// The fused pipelined schedule: each worker streams a file from
-	// preprocess through extraction instead of parsing everything to a
-	// barrier first. Output is byte-identical to the two-phase sequence.
-	res, err := proj.AnalyzeSourcesCtx(ctx, srcs, opts)
+	// A path named twice (or reached through a directory and by name) is
+	// one file: the project keeps file names unique.
+	proj.AddSources(srcs)
+	files := len(proj.Files())
+	res, err := proj.AnalyzeParallel(ctx, opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ofence: %v\n", err)
 		exit(1)
@@ -478,7 +478,7 @@ func readSource(path string) (ofence.SourceFile, error) {
 	if err != nil {
 		return ofence.SourceFile{}, err
 	}
-	return ofence.SourceFile{Name: path, Src: string(src)}, nil
+	return ofence.SourceFile{Name: filepath.Clean(path), Src: string(src)}, nil
 }
 
 func indent(s, pad string) string {

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -156,7 +158,7 @@ func TestTraceFlow(t *testing.T) {
 		t.Fatal("traceContext(true) returned no tracer")
 	}
 	proj := ofence.NewProject()
-	proj.AddSourcesCtx(ctx, []ofence.SourceFile{{Name: "a.c", Src: testSrc}})
+	proj.AddSources([]ofence.SourceFile{{Name: "a.c", Src: testSrc}})
 	if _, err := proj.AnalyzeParallel(ctx, ofence.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
@@ -240,5 +242,45 @@ func TestSARIFReport(t *testing.T) {
 	}
 	if !seen["OF0001"] {
 		t.Errorf("rule IDs %v missing OF0001 (misplaced access)", seen)
+	}
+}
+
+// TestRepeatedPathIsOneFile builds the CLI and runs it on one file named
+// several ways: a repeated argument, a ./-prefixed spelling and the file's
+// directory all name one file, analyzed once.
+func TestRepeatedPathIsOneFile(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the CLI")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "ofence")
+	build := exec.Command(filepath.Join(runtime.GOROOT(), "bin", "go"), "build", "-o", bin, "ofence/cmd/ofence")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	if err := os.Mkdir(filepath.Join(dir, "d"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "d", "a.c"), []byte(testSrc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run := func(args ...string) string {
+		t.Helper()
+		cmd := exec.Command(bin, args...)
+		cmd.Dir = dir
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("ofence %v: %v", args, err)
+		}
+		return string(out)
+	}
+	want := run("-json", "d/a.c")
+	for _, args := range [][]string{{"d/a.c", "d/a.c"}, {"d", "./d/a.c"}} {
+		if got := run(append([]string{"-json"}, args...)...); got != want {
+			t.Errorf("-json %v differs from -json d/a.c:\n%s\nvs\n%s", args, got, want)
+		}
+		if got := run(args...); !strings.Contains(got, "ofence: 1 files, 2 barrier sites") {
+			t.Errorf("ofence %v: want one file with two sites, got:\n%s", args, got)
+		}
 	}
 }

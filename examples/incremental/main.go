@@ -7,7 +7,10 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
+	"os"
 	"time"
 
 	"ofence/internal/corpus"
@@ -53,7 +56,10 @@ func main() {
 	opts := ofence.DefaultOptions()
 
 	start := time.Now()
-	res := proj.Analyze(opts)
+	res, err := proj.AnalyzeParallel(context.Background(), opts)
+	if err != nil {
+		log.Fatal(err)
+	}
 	full := time.Since(start)
 	fmt.Printf("full analysis: %d files, %d sites, %d pairings, %d findings in %v\n",
 		len(proj.Files()), len(res.Sites), len(res.Pairings), len(res.Findings), full)
@@ -66,21 +72,24 @@ func main() {
 	}
 	if jobFinding == nil {
 		fmt.Println("BUG: job.c deviation not found")
-		return
+		os.Exit(1)
 	}
 	fmt.Printf("\nfound in job.c: %s\n", jobFinding)
 
 	// The developer fixes the file; re-analysis re-extracts only job.c.
 	proj.ReplaceSource("drivers/job.c", fixedReader)
 	start = time.Now()
-	res = proj.Analyze(opts)
+	res, err = proj.AnalyzeParallel(context.Background(), opts)
+	if err != nil {
+		log.Fatal(err)
+	}
 	incr := time.Since(start)
 	fmt.Printf("\nincremental re-analysis after the fix: %v (full run was %v)\n", incr, full)
 
 	for _, f := range res.Findings {
 		if f.Site.File == "drivers/job.c" && f.Kind == ofence.MisplacedAccess {
 			fmt.Println("BUG: fix not recognized")
-			return
+			os.Exit(1)
 		}
 	}
 	fmt.Println("job.c is clean; all other files' results unchanged")

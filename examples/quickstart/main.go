@@ -6,7 +6,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"ofence/internal/ofence"
 )
@@ -31,7 +33,10 @@ void writer(struct my_struct *b) {
 func main() {
 	proj := ofence.NewProject()
 	proj.AddSource("listing1.c", listing1)
-	res := proj.Analyze(ofence.DefaultOptions())
+	res, err := proj.AnalyzeParallel(context.Background(), ofence.DefaultOptions())
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println("== Listing 1 (paper §2) ==")
 	fmt.Printf("barrier sites: %d\n", len(res.Sites))

@@ -8,7 +8,10 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
+	"os"
 
 	"ofence/internal/litmus"
 	"ofence/internal/ofence"
@@ -44,7 +47,10 @@ func main() {
 
 	proj := ofence.NewProject()
 	proj.AddSource("net/sunrpc/xprt.c", buggy)
-	res := proj.Analyze(ofence.DefaultOptions())
+	res, err := proj.AnalyzeParallel(context.Background(), ofence.DefaultOptions())
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("\npairings: %d\n", len(res.Pairings))
 	for _, pg := range res.Pairings {
@@ -60,13 +66,13 @@ func main() {
 	}
 	if finding == nil {
 		fmt.Println("BUG: misplaced access not detected")
-		return
+		os.Exit(1)
 	}
 
 	p, err := patch.Generate(finding)
 	if err != nil {
-		fmt.Printf("patch generation failed: %v\n", err)
-		return
+		fmt.Printf("BUG: patch generation failed: %v\n", err)
+		os.Exit(1)
 	}
 	fmt.Println("\ngenerated patch:")
 	fmt.Println(p.String())

@@ -9,7 +9,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"ofence/internal/litmus"
 	"ofence/internal/ofence"
@@ -42,7 +44,10 @@ func main() {
 
 	proj := ofence.NewProject()
 	proj.AddSource("net/ipv4/netfilter/arp_tables.c", arp)
-	res := proj.Analyze(ofence.DefaultOptions())
+	res, err := proj.AnalyzeParallel(context.Background(), ofence.DefaultOptions())
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("\nbarrier sites: %d\n", len(res.Sites))
 	for _, s := range res.Sites {

@@ -8,7 +8,10 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
+	"os"
 
 	"ofence/internal/memmodel"
 	"ofence/internal/ofence"
@@ -36,7 +39,10 @@ func main() {
 
 	proj := ofence.NewProject()
 	proj.AddSource("block/blk-rq-qos.c", blkRqQos)
-	res := proj.Analyze(ofence.DefaultOptions())
+	res, err := proj.AnalyzeParallel(context.Background(), ofence.DefaultOptions())
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("\nbarrier sites: %d, pairings: %d, implicit-IPC writers: %d\n",
 		len(res.Sites), len(res.Pairings), len(res.ImplicitIPC))
@@ -48,8 +54,8 @@ func main() {
 		fmt.Printf("\nfinding: %s\n", f)
 		p, err := patch.Generate(f)
 		if err != nil {
-			fmt.Printf("patch generation failed: %v\n", err)
-			return
+			fmt.Printf("BUG: patch generation failed: %v\n", err)
+			os.Exit(1)
 		}
 		fmt.Println("\ngenerated patch:")
 		fmt.Println(p.String())

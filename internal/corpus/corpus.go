@@ -929,7 +929,7 @@ func (g *generator) coincidentalPair(t *Truth) string {
 }
 
 // Sources returns the corpus files in deterministic order, ready for
-// Project.AddSources (which parses them in parallel).
+// Project.AddSources (the analysis then parses them in parallel).
 func (c *Corpus) Sources() []ofence.SourceFile {
 	srcs := make([]ofence.SourceFile, 0, len(c.Order))
 	for _, name := range c.Order {

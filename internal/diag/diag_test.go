@@ -1,6 +1,7 @@
 package diag
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -32,14 +33,18 @@ func runBoth(t *testing.T, srcs map[string]string) (*Context, []Diagnostic) {
 		}
 	}
 	for _, name := range names {
-		fu := p.AddSource(name, srcs[name])
-		for _, err := range fu.Errs {
-			t.Fatalf("%s: parse error: %v", name, err)
-		}
+		p.AddSource(name, srcs[name])
 	}
 	opts := ofence.DefaultOptions()
+	res, err := p.AnalyzeParallel(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range res.ParseErrors {
+		t.Fatalf("parse error: %v", err)
+	}
 	ctx := &Context{
-		Result:  p.Analyze(opts),
+		Result:  res,
 		Files:   p.Files(),
 		Sources: srcs,
 		Opts:    opts,

@@ -1,6 +1,7 @@
 package kernelhdr
 
 import (
+	"context"
 	"testing"
 
 	"ofence/internal/cast"
@@ -86,11 +87,14 @@ static void mydev_poll(struct mydev *d) {
 `
 	proj := ofence.NewProject()
 	Register(proj)
-	fu := proj.AddSource("drivers/mydev.c", src)
-	for _, err := range fu.Errs {
+	proj.AddSource("drivers/mydev.c", src)
+	res, err := proj.AnalyzeParallel(context.Background(), ofence.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range res.ParseErrors {
 		t.Fatalf("parse: %v", err)
 	}
-	res := proj.Analyze(ofence.DefaultOptions())
 	if len(res.Sites) != 2 {
 		t.Fatalf("sites = %d", len(res.Sites))
 	}
@@ -115,11 +119,14 @@ void swap_cfg(struct holder *h, struct cfg *next) {
 `
 	proj := ofence.NewProject()
 	Register(proj)
-	fu := proj.AddSource("rcu_user.c", src)
-	for _, err := range fu.Errs {
+	proj.AddSource("rcu_user.c", src)
+	res, err := proj.AnalyzeParallel(context.Background(), ofence.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range res.ParseErrors {
 		t.Fatalf("parse: %v", err)
 	}
-	res := proj.Analyze(ofence.DefaultOptions())
 	// rcu_assign_pointer expands to smp_store_release: one barrier site.
 	if len(res.Sites) != 1 || res.Sites[0].Name != "smp_store_release" {
 		t.Fatalf("sites = %v", res.Sites)
@@ -139,11 +146,14 @@ void w(struct s *p) {
 `
 	proj := ofence.NewProject()
 	Register(proj)
-	fu := proj.AddSource("t.c", src)
-	for _, err := range fu.Errs {
+	proj.AddSource("t.c", src)
+	res, err := proj.AnalyzeParallel(context.Background(), ofence.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range res.ParseErrors {
 		t.Fatalf("parse: %v", err)
 	}
-	res := proj.Analyze(ofence.DefaultOptions())
 	if len(res.Sites) != 1 {
 		t.Fatalf("sites = %d", len(res.Sites))
 	}

@@ -1,6 +1,7 @@
 package lockset
 
 import (
+	"context"
 	"testing"
 
 	"ofence/internal/access"
@@ -11,11 +12,14 @@ import (
 func analyzeSrc(t *testing.T, src string) *Report {
 	t.Helper()
 	p := ofence.NewProject()
-	fu := p.AddSource("test.c", src)
-	for _, err := range fu.Errs {
+	p.AddSource("test.c", src)
+	res, err := p.AnalyzeParallel(context.Background(), ofence.DefaultOptions()) // populates tables
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range res.ParseErrors {
 		t.Fatalf("parse error: %v", err)
 	}
-	p.Analyze(ofence.DefaultOptions()) // populates tables
 	return Analyze(p.Files())
 }
 
@@ -188,7 +192,10 @@ void r_bad(struct b *p) {
 	p := ofence.NewProject()
 	p.AddSource("ok.c", correct)
 	p.AddSource("bad.c", buggy)
-	res := p.Analyze(ofence.DefaultOptions())
+	res, err := p.AnalyzeParallel(context.Background(), ofence.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// OFence: exactly the buggy reader is flagged.
 	var flagged []string
@@ -226,7 +233,9 @@ func TestBaselineOnCorpus(t *testing.T) {
 	for _, name := range c.Order {
 		p.AddSource(name, c.Files[name])
 	}
-	p.Analyze(ofence.DefaultOptions())
+	if _, err := p.AnalyzeParallel(context.Background(), ofence.DefaultOptions()); err != nil {
+		t.Fatal(err)
+	}
 	rep := Analyze(p.Files())
 
 	// Lock-protected objects: never warned.

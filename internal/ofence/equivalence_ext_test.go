@@ -1,6 +1,7 @@
 package ofence_test
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"testing"
@@ -16,6 +17,17 @@ func viewJSON(t *testing.T, res *ofence.Result) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// mustAnalyze runs AnalyzeParallel under a background context and fails
+// the test on error.
+func mustAnalyze(tb testing.TB, p *ofence.Project, opts ofence.Options) *ofence.Result {
+	tb.Helper()
+	res, err := p.AnalyzeParallel(context.Background(), opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
 }
 
 // TestIncrementalEquivalenceFixtures is the correctness bar of the
@@ -48,14 +60,14 @@ func TestIncrementalEquivalenceFixtures(t *testing.T) {
 					}
 					cold.AddSource(sf.Name, sf.Src)
 				}
-				coldJSON := viewJSON(t, cold.Analyze(opts))
+				coldJSON := viewJSON(t, mustAnalyze(t, cold, opts))
 
 				// Warm: analyze the buggy set, apply the fix, re-analyze.
 				warm := ofence.NewProject()
 				warm.AddSources(all)
-				preJSON := viewJSON(t, warm.Analyze(opts))
+				preJSON := viewJSON(t, mustAnalyze(t, warm, opts))
 				warm.ReplaceSource(fx.Name, fx.Fixed)
-				res := warm.Analyze(opts)
+				res := mustAnalyze(t, warm, opts)
 				if got := viewJSON(t, res); got != coldJSON {
 					t.Errorf("incremental result differs from cold analysis:\n%s\nvs\n%s", got, coldJSON)
 				}
@@ -69,7 +81,7 @@ func TestIncrementalEquivalenceFixtures(t *testing.T) {
 
 				// Reverting the edit replays the original analysis verbatim.
 				warm.ReplaceSource(fx.Name, fx.Source)
-				if got := viewJSON(t, warm.Analyze(opts)); got != preJSON {
+				if got := viewJSON(t, mustAnalyze(t, warm, opts)); got != preJSON {
 					t.Errorf("revert result differs from original analysis")
 				}
 			})

@@ -24,7 +24,7 @@ func TestInterprocCalleeEditInvalidatesCaller(t *testing.T) {
 	opts.InterprocDepth = 2
 
 	p := interprocProject(t)
-	if got := p.Analyze(opts); len(got.Pairings) != 1 {
+	if got := mustAnalyze(t, p, opts); len(got.Pairings) != 1 {
 		t.Fatalf("warm-up pairings = %d, want 1", len(got.Pairings))
 	}
 
@@ -42,13 +42,13 @@ void publish_barrier(void) { }
 		}
 		cold.AddSource(fu.Name, fu.src)
 	}
-	coldRes := cold.Analyze(opts)
+	coldRes := mustAnalyze(t, cold, opts)
 	if len(coldRes.Pairings) != 0 {
 		t.Fatalf("cold gutted pairings = %d, want 0", len(coldRes.Pairings))
 	}
 
 	p.ReplaceSource("barrier.c", guttedBarrier)
-	res := p.Analyze(opts)
+	res := mustAnalyze(t, p, opts)
 	if got, want := resultJSON(t, res), resultJSON(t, coldRes); got != want {
 		t.Errorf("incremental result differs from cold analysis:\n%s\nvs\n%s", got, want)
 	}

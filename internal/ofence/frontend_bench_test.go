@@ -35,10 +35,9 @@ func frontendNew(srcs []ofence.SourceFile) int {
 }
 
 // BenchmarkFrontendCold measures the cold front end over the default
-// corpus. "interned" is preprocess+parse, single-threaded; "classic8" is the
-// whole-project cold analysis through AddSources+Analyze (every file parsed
-// before any extraction starts) at Workers=8/GOMAXPROCS=8, versus
-// "pipelined8", the same analysis with the fused per-file schedule.
+// corpus. "interned" is preprocess+parse, single-threaded; "pipelined8" is
+// the whole-project cold analysis, with its fused per-file schedule, at
+// Workers=8/GOMAXPROCS=8.
 // BENCH_frontend.json records the overhaul's comparison against the
 // pre-overhaul front end, which is retired; bench/ is the live measurement.
 func BenchmarkFrontendCold(b *testing.B) {
@@ -47,18 +46,6 @@ func BenchmarkFrontendCold(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			frontendNew(srcs)
-		}
-	})
-	b.Run("classic8", func(b *testing.B) {
-		old := runtime.GOMAXPROCS(8)
-		defer runtime.GOMAXPROCS(old)
-		o := ofence.DefaultOptions()
-		o.Workers = 8
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			p := ofence.NewProject()
-			p.AddSources(srcs)
-			p.Analyze(o)
 		}
 	})
 	b.Run("pipelined8", func(b *testing.B) {

@@ -178,7 +178,7 @@ func TestGoldens(t *testing.T) {
 	run := func(c goldenCase, opts ofence.Options) *ofence.Result {
 		p := ofence.NewProject()
 		c.load(p)
-		return p.Analyze(opts)
+		return mustAnalyze(t, p, opts)
 	}
 	for _, c := range goldenCases() {
 		for depth := 0; depth <= 2; depth++ {

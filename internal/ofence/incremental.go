@@ -58,7 +58,7 @@ type artifacts struct {
 	// (cpp.Result.Fingerprint): the key every downstream stage derives from.
 	preHash string
 	// ast and errs are the parse-stage outputs (errs combines preprocessor
-	// and parser diagnostics, as AddSource has always reported them).
+	// and parser diagnostics, as FileUnit.Errs reports them).
 	ast  *cast.File
 	errs []error
 	// tokens and arenaBytes are frontend cost meters: the preprocessed token
@@ -66,13 +66,13 @@ type artifacts struct {
 	// ran and carried through cache hits for the frontend.* obs counters.
 	tokens     int
 	arenaBytes int64
-	// table is the cfg-stage symbol table; nil until the first Analyze.
+	// table is the cfg-stage symbol table; nil until the first extraction.
 	table *ctypes.Table
 	// sites are the extract-stage barrier sites.
 	sites []*access.Site
 	// extractFP and extractClosure are the options fingerprint and the
 	// dependency-closure key ("" at InterprocDepth 0) sites were extracted
-	// under; both "" before the first Analyze. Together with preHash they
+	// under; both "" before the first extraction. Together with preHash they
 	// determine the extract key, so a run whose fingerprint and closure
 	// match serves the unit without hashing the key.
 	extractFP      string
@@ -144,69 +144,46 @@ func sortedKeys(m map[string]string) []string {
 	return out
 }
 
-// frontend runs the preprocess and parse stages for (name, src) under env,
-// through the stage caches. On a full hit nothing runs and no spans are
-// recorded; on a preprocess miss both stages run under the classic
-// parse-wrapping-preprocess span topology of cparser.ParseSourceCtx.
-func (p *Project) frontend(ctx context.Context, name, src string, env projectEnv) *artifacts {
-	return p.frontendWith(ctx, name, src, env, false)
-}
-
-// frontendDirect is the uncached front-end used by ReleaseASTs mode: the
-// same preprocess+parse under the same span topology, but bypassing the
-// stage caches entirely so the LRU retains neither token streams nor parse
-// trees — the artifacts record is the only reference, and the pipeline
-// drops its ast as soon as extraction is done.
-func (p *Project) frontendDirect(ctx context.Context, name, src string, env projectEnv) *artifacts {
-	wrapCtx, wrapSpan := obs.Start(ctx, "parse")
-	wrapSpan.SetAttr("file", name)
-	copts := cpp.Options{Include: env.include, Defines: env.defines, Syms: p.syms}
-	pre := cpp.PreprocessCtx(wrapCtx, name, src, copts)
-	// No arena: these trees are built to be dropped after extraction, and
-	// slab-batched nodes would stay pinned by the site records' pointers
-	// into them (see cparser.NewNoArena).
-	psr := cparser.NewNoArena(pre.Tokens)
-	ast := psr.ParseFile(name)
-	errs := append(append([]error{}, pre.Errors...), psr.Errors()...)
-	wrapSpan.Add("tokens", int64(len(pre.Tokens)))
-	wrapSpan.Add("decls", int64(len(ast.Decls)))
-	wrapSpan.Add("errors", int64(len(errs)))
-	wrapSpan.End()
-	return &artifacts{
-		preHash: pre.Fingerprint(name), ast: ast, errs: errs,
-		tokens: len(pre.Tokens), arenaBytes: psr.ArenaBytes(),
-	}
-}
-
-// frontendWith routes to the cached or direct front-end.
+// frontendWith runs the preprocess and parse stages for (name, src) under
+// env. When this caller runs the preprocess stage, both stages run under
+// one "parse" span wrapping "preprocess", the span topology of
+// cparser.ParseSourceCtx; a cache hit records no spans. Stages go through
+// the stage caches unless direct (ReleaseASTs mode) is set: then the LRU
+// retains neither token streams nor parse trees — the artifacts record is
+// the only reference, and the pipeline drops its ast as soon as extraction
+// is done. Direct trees are parsed without the arena, since slab-batched
+// nodes would stay pinned by the site records' pointers into them (see
+// cparser.NewNoArena).
 func (p *Project) frontendWith(ctx context.Context, name, src string, env projectEnv, direct bool) *artifacts {
-	if direct {
-		return p.frontendDirect(ctx, name, src, env)
-	}
-	preKey := rescache.KeyOf("preprocess-v1", env.hash, name, src)
-
-	// The "parse" span must start before preprocessing runs and end after
-	// parsing finishes, but only exist when this caller actually executes
-	// the preprocess stage — cache hits contribute no spans.
 	var wrapSpan *obs.Span
-	wrapCtx := ctx
-	v, _, _ := p.stages.Stage(stagePreprocess).Do(preKey, func() (any, error) {
+	preprocess := func() (any, error) {
+		var wrapCtx context.Context
 		wrapCtx, wrapSpan = obs.Start(ctx, "parse")
 		wrapSpan.SetAttr("file", name)
 		copts := cpp.Options{Include: env.include, Defines: env.defines, Syms: p.syms}
 		pre := cpp.PreprocessCtx(wrapCtx, name, src, copts)
 		return &preArtifact{pre: pre, hash: pre.Fingerprint(name)}, nil
-	})
-	pa := v.(*preArtifact)
-
-	pv, _, _ := p.stages.Stage(stageParse).Do(rescache.KeyOf("parse-v1", name, pa.hash), func() (any, error) {
-		psr := cparser.New(pa.pre.Tokens)
+	}
+	newParser := cparser.New
+	if direct {
+		newParser = cparser.NewNoArena
+	}
+	parse := func(pa *preArtifact) (any, error) {
+		psr := newParser(pa.pre.Tokens)
 		ast := psr.ParseFile(name)
 		errs := append(append([]error{}, pa.pre.Errors...), psr.Errors()...)
 		return &parseArtifact{ast: ast, errs: errs, arenaBytes: psr.ArenaBytes()}, nil
-	})
-	ba := pv.(*parseArtifact)
-
+	}
+	var v, pv any
+	if direct {
+		v, _ = preprocess()
+		pv, _ = parse(v.(*preArtifact))
+	} else {
+		v, _, _ = p.stages.Stage(stagePreprocess).Do(rescache.KeyOf("preprocess-v1", env.hash, name, src), preprocess)
+		pa := v.(*preArtifact)
+		pv, _, _ = p.stages.Stage(stageParse).Do(rescache.KeyOf("parse-v1", name, pa.hash), func() (any, error) { return parse(pa) })
+	}
+	pa, ba := v.(*preArtifact), pv.(*parseArtifact)
 	if wrapSpan != nil {
 		wrapSpan.Add("tokens", int64(len(pa.pre.Tokens)))
 		wrapSpan.Add("decls", int64(len(ba.ast.Decls)))
@@ -219,18 +196,18 @@ func (p *Project) frontendWith(ctx context.Context, name, src string, env projec
 	}
 }
 
-// refreshStale re-runs the front-end for units whose preprocessing
-// environment changed since their artifacts were built (Define/AddHeader
-// dirty every file) and for units whose AST a previous ReleaseASTs run
-// dropped — interprocedural analysis needs every parse tree. A unit whose
-// preprocessed content is byte-identical under the new environment keeps
-// every artifact, including cached sites; a released unit with unchanged
-// content gets the fresh AST grafted into its record, keeping cached sites.
+// refreshStale runs the front-end, before any extraction, for stale units
+// (recorded or replaced since the last run, or dirtied by Define/AddHeader)
+// and for units whose AST a previous ReleaseASTs run dropped —
+// interprocedural analysis needs every parse tree. A unit whose
+// preprocessed content is unchanged keeps every artifact, including cached
+// sites; a released unit with unchanged content gets the fresh AST grafted
+// into its record, keeping cached sites.
 func (p *Project) refreshStale(ctx context.Context, files []*FileUnit, env projectEnv, workers int, direct bool) {
 	var stale []*FileUnit
 	p.mu.Lock()
 	for _, fu := range files {
-		if fu.envStale || fu.art == nil || fu.art.ast == nil {
+		if fu.stale || fu.art == nil || fu.art.ast == nil {
 			stale = append(stale, fu)
 		}
 	}
@@ -246,7 +223,7 @@ func (p *Project) refreshStale(ctx context.Context, files []*FileUnit, env proje
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			if ctx.Err() != nil {
-				return // canceled: stay stale, the next Analyze retries
+				return // canceled: stay stale, the next run retries
 			}
 			p.refreshUnit(ctx, fu, env, direct)
 		}(fu)
@@ -256,34 +233,32 @@ func (p *Project) refreshStale(ctx context.Context, files []*FileUnit, env proje
 	}
 }
 
-// refreshUnit re-runs the front-end for one unit and installs the result,
-// returning the unit's current record. A unit whose preprocessed content
-// changed gets the fresh record; a released unit with unchanged content
-// gets the fresh AST grafted into its record, keeping every cached
-// artifact (table, sites, extract key).
+// refreshUnit runs the front-end for one unit and installs the result,
+// returning the unit's current record. It is the only place C source is
+// preprocessed and parsed. A unit whose preprocessed content changed gets
+// the fresh record; a unit with unchanged content (a replaced unit carries
+// its predecessor's record) keeps every cached artifact (table, sites,
+// extract key), with the fresh AST grafted in if a ReleaseASTs run dropped
+// it.
 func (p *Project) refreshUnit(ctx context.Context, fu *FileUnit, env projectEnv, direct bool) *artifacts {
-	p.mu.Lock()
-	src := fu.src
-	p.mu.Unlock()
-	fresh := p.frontendWith(ctx, fu.Name, src, env, direct)
+	fresh := p.frontendWith(ctx, fu.Name, fu.src, env, direct)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if fu.art == nil || fu.art.preHash != fresh.preHash {
 		fu.art = fresh
-		fu.AST, fu.Errs = fresh.ast, fresh.errs
 		fu.Table, fu.Sites = nil, nil
 	} else if fu.art.ast == nil {
 		next := *fu.art
 		next.ast = fresh.ast
 		fu.art = &next
-		fu.AST = fresh.ast
 	}
-	fu.envStale = false
+	fu.AST, fu.Errs = fu.art.ast, fu.art.errs
+	fu.stale = false
 	return fu.art
 }
 
-// extractPlan is what every unit's extraction shares within one Analyze
-// run. The interprocedural fields are nil at InterprocDepth 0.
+// extractPlan is what every unit's extraction shares within one
+// analysis run. The interprocedural fields are nil at InterprocDepth 0.
 type extractPlan struct {
 	fp    string
 	opts  Options
@@ -296,9 +271,9 @@ type extractPlan struct {
 	resolve func(file string) func(string) *cast.FuncDecl
 }
 
-// pipelineFile streams one unit that is not clean (see analyze) through the
-// per-file pipeline: front-end refresh (only when the unit is new, its
-// environment went stale, or a ReleaseASTs run dropped its AST), then the
+// pipelineFile streams one unit that is not clean (see AnalyzeParallel)
+// through the per-file pipeline: front-end refresh (only when the unit is
+// stale or a ReleaseASTs run dropped its AST), then the
 // reuse-check → table → extract tail. A unit whose preprocessed content is
 // unchanged keeps every artifact, including cached sites. Accounting:
 // +reused for in-place or shared-cache sites, +recomputed when extraction
@@ -306,7 +281,7 @@ type extractPlan struct {
 func (p *Project) pipelineFile(ectx context.Context, fu *FileUnit, env projectEnv, plan *extractPlan, reused, recomputed *atomic.Int64) {
 	opts := plan.opts
 	p.mu.Lock()
-	art, stale := fu.art, fu.envStale
+	art, stale := fu.art, fu.stale
 	p.mu.Unlock()
 	if art == nil || stale || art.ast == nil {
 		art = p.refreshUnit(ectx, fu, env, opts.ReleaseASTs)
@@ -512,7 +487,7 @@ func closureKeys(deps map[string][]string, files []*FileUnit) map[string]string 
 	return out
 }
 
-// IncrementalStats summarizes how much per-file work one Analyze call
+// IncrementalStats summarizes how much per-file work one AnalyzeParallel call
 // reused. Reused counts files whose sites came from their artifact record
 // or the shared extract cache; Recomputed counts files whose extraction
 // actually ran. The struct is deliberately not part of ResultView: the

@@ -37,18 +37,17 @@ void consumer(struct foo *f) {
 }
 `},
 	}
-	for _, fu := range p.AddSources(srcs) {
-		if len(fu.Errs) > 0 {
-			t.Fatalf("%s: parse errors: %v", fu.Name, fu.Errs)
-		}
-	}
+	p.AddSources(srcs)
 	return p
 }
 
 func TestInterprocCrossFilePairing(t *testing.T) {
 	p := interprocProject(t)
 
-	base := p.Analyze(DefaultOptions())
+	base := mustAnalyze(t, p, DefaultOptions())
+	if len(base.ParseErrors) > 0 {
+		t.Fatalf("parse errors: %v", base.ParseErrors)
+	}
 	if len(base.Pairings) != 0 {
 		t.Fatalf("depth 0: pairings = %d, want 0 (barrier context is in another file)", len(base.Pairings))
 	}
@@ -58,7 +57,7 @@ func TestInterprocCrossFilePairing(t *testing.T) {
 
 	opts := DefaultOptions()
 	opts.InterprocDepth = 2
-	res := p.Analyze(opts)
+	res := mustAnalyze(t, p, opts)
 	if len(res.Pairings) != 1 {
 		t.Fatalf("depth 2: pairings = %d, want 1", len(res.Pairings))
 	}
@@ -106,7 +105,7 @@ func TestInterprocGlobalSiteDedup(t *testing.T) {
 	p := interprocProject(t)
 	opts := DefaultOptions()
 	opts.InterprocDepth = 2
-	res := p.Analyze(opts)
+	res := mustAnalyze(t, p, opts)
 	seen := map[string]bool{}
 	for _, s := range res.Sites {
 		if seen[s.ID()] {
@@ -132,7 +131,7 @@ func TestInterprocGlobalSiteDedup(t *testing.T) {
 // graph, the inference, and every new JSON field.
 func TestDefaultOptionsByteIdentical(t *testing.T) {
 	p := interprocProject(t)
-	res := p.Analyze(DefaultOptions())
+	res := mustAnalyze(t, p, DefaultOptions())
 	raw, err := json.Marshal(res.View())
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +146,7 @@ func TestDefaultOptionsByteIdentical(t *testing.T) {
 
 	explicit := DefaultOptions()
 	explicit.InterprocDepth = 0
-	raw2, err := json.Marshal(p.Clone().Analyze(explicit).View())
+	raw2, err := json.Marshal(mustAnalyze(t, p.Clone(), explicit).View())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,13 +161,13 @@ func TestInterprocCacheInvalidation(t *testing.T) {
 	p := interprocProject(t)
 	opts := DefaultOptions()
 	opts.InterprocDepth = 2
-	if n := len(p.Analyze(opts).Pairings); n != 1 {
+	if n := len(mustAnalyze(t, p, opts).Pairings); n != 1 {
 		t.Fatalf("depth 2: pairings = %d, want 1", n)
 	}
-	if n := len(p.Analyze(DefaultOptions()).Pairings); n != 0 {
+	if n := len(mustAnalyze(t, p, DefaultOptions()).Pairings); n != 0 {
 		t.Fatalf("back to depth 0: pairings = %d, want 0 (stale interproc extraction reused)", n)
 	}
-	if n := len(p.Analyze(opts).Pairings); n != 1 {
+	if n := len(mustAnalyze(t, p, opts).Pairings); n != 1 {
 		t.Fatalf("depth 2 again: pairings = %d, want 1", n)
 	}
 }
@@ -193,14 +192,13 @@ void user(struct foo *f) {
 		{Name: "lvl2.c", Src: `void lvl3(void); void lvl2(void) { lvl3(); }`},
 		{Name: "lvl3.c", Src: `void lvl3(void) { smp_mb(); }`},
 	}
-	for _, fu := range p.AddSources(srcs) {
-		if len(fu.Errs) > 0 {
-			t.Fatalf("%s: parse errors: %v", fu.Name, fu.Errs)
-		}
-	}
+	p.AddSources(srcs)
 	opts := DefaultOptions()
 	opts.InterprocDepth = 1 // lvl1's body splices, the chain below does not
-	res := p.Analyze(opts)
+	res := mustAnalyze(t, p, opts)
+	if len(res.ParseErrors) > 0 {
+		t.Fatalf("parse errors: %v", res.ParseErrors)
+	}
 
 	// The full chain carries the barrier on every path, so every level is
 	// inferred as a full barrier.

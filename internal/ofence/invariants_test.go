@@ -12,7 +12,8 @@ import (
 // Structural invariants of the pairing algorithm, checked over randomly
 // seeded corpora.
 
-func analyzeCorpusSeed(seed int64) (*ofence.Result, *corpus.Corpus) {
+func analyzeCorpusSeed(t *testing.T, seed int64) (*ofence.Result, *corpus.Corpus) {
+	t.Helper()
 	cfg := corpus.DefaultConfig(seed)
 	cfg.Counts = map[corpus.PatternKind]int{
 		corpus.InitFlag:     10,
@@ -32,12 +33,12 @@ func analyzeCorpusSeed(seed int64) (*ofence.Result, *corpus.Corpus) {
 	for _, name := range c.Order {
 		p.AddSource(name, c.Files[name])
 	}
-	return p.Analyze(ofence.DefaultOptions()), c
+	return mustAnalyze(t, p, ofence.DefaultOptions()), c
 }
 
 func TestQuickPairingInvariants(t *testing.T) {
 	f := func(seed int64) bool {
-		res, _ := analyzeCorpusSeed(seed % 1000)
+		res, _ := analyzeCorpusSeed(t, seed%1000)
 
 		// 1. Site partition: every site is in exactly one of {paired,
 		// unpaired, implicit}.
@@ -101,8 +102,8 @@ func TestQuickPairingInvariants(t *testing.T) {
 
 func TestQuickAnalysisDeterministic(t *testing.T) {
 	f := func(seed int64) bool {
-		res1, _ := analyzeCorpusSeed(seed % 500)
-		res2, _ := analyzeCorpusSeed(seed % 500)
+		res1, _ := analyzeCorpusSeed(t, seed%500)
+		res2, _ := analyzeCorpusSeed(t, seed%500)
 		if len(res1.Pairings) != len(res2.Pairings) || len(res1.Findings) != len(res2.Findings) {
 			return false
 		}
@@ -125,7 +126,7 @@ func TestQuickAnalysisDeterministic(t *testing.T) {
 
 func TestQuickFindingsReferenceValidSites(t *testing.T) {
 	f := func(seed int64) bool {
-		res, _ := analyzeCorpusSeed(seed % 300)
+		res, _ := analyzeCorpusSeed(t, seed%300)
 		valid := map[*access.Site]bool{}
 		for _, s := range res.Sites {
 			valid[s] = true

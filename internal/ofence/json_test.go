@@ -58,7 +58,7 @@ func TestResultViewMarshals(t *testing.T) {
 func TestResultViewParseErrors(t *testing.T) {
 	p := NewProject()
 	p.AddSource("bad.c", "void f( {{{")
-	res := p.Analyze(DefaultOptions())
+	res := mustAnalyze(t, p, DefaultOptions())
 	v := res.View()
 	if len(v.ParseErrors) == 0 {
 		t.Error("parse errors missing from view")

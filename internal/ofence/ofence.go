@@ -2,10 +2,10 @@
 // barriers by matching the shared objects accessed around them (Algorithm 1)
 // and checking the paired code for ordering-constraint deviations (§5).
 //
-// The entry point is Project: add C sources, then Analyze. Analysis is
-// file-parallel like the original tool. Results carry the pairings, the
-// findings (misplaced accesses, wrong barrier types, repeated reads,
-// unneeded barriers, missing READ_ONCE/WRITE_ONCE annotations), and
+// The entry point is Project: record C sources, then AnalyzeParallel.
+// Analysis is file-parallel like the original tool. Results carry the
+// pairings, the findings (misplaced accesses, wrong barrier types, repeated
+// reads, unneeded barriers, missing READ_ONCE/WRITE_ONCE annotations), and
 // statistics used by the evaluation harness.
 package ofence
 
@@ -80,9 +80,10 @@ func DefaultOptions() Options {
 	}
 }
 
-// FileUnit is one analyzed translation unit. Name/AST/Table/Sites/Errs are
-// read-only mirrors of the unit's current artifact record, refreshed by the
-// project whenever a stage recomputes.
+// FileUnit is one translation unit of a project. Adding or replacing a
+// source records a unit and nothing more: AST, Errs, Table and Sites are
+// filled in by analysis, as read-only mirrors of the unit's current
+// artifact record.
 type FileUnit struct {
 	Name  string
 	AST   *cast.File
@@ -97,9 +98,10 @@ type FileUnit struct {
 	// replaced wholesale on recompute, never mutated, so clones sharing the
 	// old record are undisturbed.
 	art *artifacts
-	// envStale marks that headers/defines changed after art was built; the
-	// next Analyze re-runs the front-end to re-key the file.
-	envStale bool
+	// stale marks that the front end must run before art can be used: the
+	// unit is new or replaced, or headers/defines changed after art was
+	// built. The next analysis re-runs the front end to re-key the file.
+	stale bool
 }
 
 // Project is a set of files analyzed together. Pairing is global; the
@@ -108,16 +110,21 @@ type FileUnit struct {
 // its inputs in a cache shared with clones (see incremental.go), so
 // re-analyzing after ReplaceSource re-runs per-file stages only for the
 // changed file and replays the cheap project-wide phases over cached sites
-// (the paper's incremental mode, §6.1).
+// (the paper's incremental mode, §6.1). Adding or replacing a source only
+// records it; AnalyzeParallel is the one call that preprocesses, parses and
+// extracts.
 //
-// Concurrency: every method is safe to call concurrently, and Analyze calls
-// on the SAME project are serialized internally (they swap per-unit
-// artifact pointers); to overlap analyses of one file set, give each
+// Concurrency: every method is safe to call concurrently, and
+// AnalyzeParallel calls on the SAME project are serialized internally (they
+// swap per-unit artifact pointers); a source replaced during a run takes
+// effect on the next one. To overlap analyses of one file set, give each
 // goroutine its own Clone — clones share the stage caches, so work done by
 // one is reused by all.
 type Project struct {
-	mu      sync.Mutex
-	files   []*FileUnit
+	mu    sync.Mutex
+	files []*FileUnit
+	// index maps each file name to its position in files: names are unique.
+	index   map[string]int
 	headers map[string]string
 	defines map[string]string
 	// envHash caches the content hash of headers+defines; "" means
@@ -131,7 +138,7 @@ type Project struct {
 	// canonicalizes Object strings against it, so equal names across files
 	// share one backing string. Shared with clones (it only ever grows).
 	syms *ctoken.SymTab
-	// runMu serializes Analyze calls on this project: runs swap the
+	// runMu serializes AnalyzeParallel calls on this project: runs swap the
 	// per-unit artifact records, which concurrent runs would race on.
 	runMu sync.Mutex
 	// table is the site table the last run published: the pairing and
@@ -144,6 +151,7 @@ type Project struct {
 // NewProject returns an empty project.
 func NewProject() *Project {
 	return &Project{
+		index:   map[string]int{},
 		headers: map[string]string{},
 		defines: map[string]string{},
 		stages:  rescache.NewStages(0),
@@ -153,7 +161,7 @@ func NewProject() *Project {
 
 // AddHeader registers an include-resolvable header shared by sources. Every
 // existing file is marked stale: header text can reach any translation unit
-// through #include, so the next Analyze re-keys them all (files whose
+// through #include, so the next analysis re-keys them all (files whose
 // preprocessed content is unchanged keep their cached artifacts).
 func (p *Project) AddHeader(path, src string) {
 	p.mu.Lock()
@@ -176,20 +184,18 @@ func (p *Project) Define(name, value string) {
 func (p *Project) markEnvChangedLocked() {
 	p.envHash = ""
 	for _, fu := range p.files {
-		fu.envStale = true
+		fu.stale = true
 	}
 }
 
-// AddSource parses one C file into the project. Parse errors are recorded on
-// the file unit, not fatal (Smatch-style resilience).
+// AddSource records one C file in the project and returns its unit. Adding
+// a name the project already has replaces that file's source in place. The
+// next analysis parses the file; parse errors are recorded on the unit and
+// in Result.ParseErrors, not fatal (Smatch-style resilience).
 func (p *Project) AddSource(name, src string) *FileUnit {
-	env := p.envSnapshot()
-	art := p.frontend(context.Background(), name, src, env)
-	fu := &FileUnit{Name: name, AST: art.ast, Errs: art.errs, src: src, art: art}
 	p.mu.Lock()
-	p.files = append(p.files, fu)
-	p.mu.Unlock()
-	return fu
+	defer p.mu.Unlock()
+	return p.recordLocked(name, src, true)
 }
 
 // SourceFile is one named C source for batch addition.
@@ -198,58 +204,56 @@ type SourceFile struct {
 	Src  string
 }
 
-// AddSources parses a batch of files into the project, fanning the parses
-// out over a worker pool sized by GOMAXPROCS. The units are appended in the
-// order given, so results are deterministic regardless of scheduling.
-func (p *Project) AddSources(srcs []SourceFile) []*FileUnit {
-	return p.AddSourcesCtx(context.Background(), srcs)
-}
-
-// AddSourcesCtx is AddSources under an observability context: when ctx
-// carries an obs.Tracer, each file's preprocessing and parsing is recorded
-// as "preprocess"/"parse" spans (see internal/obs).
-func (p *Project) AddSourcesCtx(ctx context.Context, srcs []SourceFile) []*FileUnit {
-	env := p.envSnapshot()
-	units := make([]*FileUnit, len(srcs))
-	workers := runtime.GOMAXPROCS(0)
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, sf := range srcs {
-		wg.Add(1)
-		go func(i int, sf SourceFile) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			art := p.frontend(ctx, sf.Name, sf.Src, env)
-			units[i] = &FileUnit{Name: sf.Name, AST: art.ast, Errs: art.errs, src: sf.Src, art: art}
-		}(i, sf)
-	}
-	wg.Wait()
-
+// AddSources records a batch of files, in the order given, as AddSource
+// does: a repeated name keeps its first position and its last source.
+func (p *Project) AddSources(srcs []SourceFile) {
 	p.mu.Lock()
-	p.files = append(p.files, units...)
-	p.mu.Unlock()
-	return units
+	defer p.mu.Unlock()
+	for _, sf := range srcs {
+		p.recordLocked(sf.Name, sf.Src, true)
+	}
 }
 
-// AnalyzeSourcesCtx appends srcs as pending units and analyzes the project.
-// Unlike AddSources+Analyze — which parses every file to a barrier before
-// any extraction starts — the pending units enter Analyze's pipelined
-// schedule (at InterprocDepth 0), so one worker carries a file from
-// preprocess through extraction while others are still parsing later files.
-// The result is byte-identical to the two-call sequence; only the schedule
-// differs.
+// AnalyzeSourcesCtx records srcs with AddSources and analyzes the project.
 func (p *Project) AnalyzeSourcesCtx(ctx context.Context, srcs []SourceFile, opts Options) (*Result, error) {
-	units := make([]*FileUnit, len(srcs))
-	for i, sf := range srcs {
-		// envStale routes the unit through the front-end on first analysis,
-		// both in the fused pipeline and in refreshStale.
-		units[i] = &FileUnit{Name: sf.Name, src: sf.Src, envStale: true}
-	}
+	p.AddSources(srcs)
+	return p.AnalyzeParallel(ctx, opts)
+}
+
+// ReplaceSource swaps one file's source, returning the file's unit, or nil
+// when no file of that name exists. A byte-identical source leaves the unit
+// as is. Otherwise a fresh unit takes the old one's place, so a run already
+// holding the old unit is undisturbed; it carries the old artifact record,
+// and when the new source preprocesses to the same content (a whitespace or
+// comment-only edit) the next analysis keeps its cached extraction.
+func (p *Project) ReplaceSource(name, src string) *FileUnit {
 	p.mu.Lock()
-	p.files = append(p.files, units...)
-	p.mu.Unlock()
-	return p.analyze(ctx, opts)
+	defer p.mu.Unlock()
+	return p.recordLocked(name, src, false)
+}
+
+// recordLocked is the one source recorder. A name the project has gets a
+// fresh stale unit in its position, carrying the old artifact record,
+// unless the source is byte-identical; a new name is appended when add is
+// set. Callers hold p.mu.
+func (p *Project) recordLocked(name, src string, add bool) *FileUnit {
+	i, ok := p.index[name]
+	if !ok {
+		if !add {
+			return nil
+		}
+		fu := &FileUnit{Name: name, src: src, stale: true}
+		p.index[name] = len(p.files)
+		p.files = append(p.files, fu)
+		return fu
+	}
+	old := p.files[i]
+	if old.src == src {
+		return old
+	}
+	fu := &FileUnit{Name: name, src: src, art: old.art, stale: true}
+	p.files[i] = fu
+	return fu
 }
 
 // Files returns a snapshot of the file units in insertion order.
@@ -271,6 +275,7 @@ func (p *Project) Clone() *Project {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	q := &Project{
+		index:   make(map[string]int, len(p.index)),
 		headers: make(map[string]string, len(p.headers)),
 		defines: make(map[string]string, len(p.defines)),
 		files:   make([]*FileUnit, 0, len(p.files)),
@@ -288,49 +293,13 @@ func (p *Project) Clone() *Project {
 	for _, fu := range p.files {
 		q.files = append(q.files, &FileUnit{
 			Name: fu.Name, AST: fu.AST, Table: fu.Table, Sites: fu.Sites,
-			Errs: fu.Errs, src: fu.src, art: fu.art, envStale: fu.envStale,
+			Errs: fu.Errs, src: fu.src, art: fu.art, stale: fu.stale,
 		})
 	}
+	for k, v := range p.index {
+		q.index[k] = v
+	}
 	return q
-}
-
-// ReplaceSource swaps one file's source in place, keeping every other
-// file's cached artifacts valid. When the new source preprocesses to the
-// same content hash (whitespace or comment-only edit), the existing unit —
-// including its cached extraction — is kept as is. It returns the unit, or
-// nil when no file of that name exists.
-func (p *Project) ReplaceSource(name, src string) *FileUnit {
-	return p.ReplaceSourceCtx(context.Background(), name, src)
-}
-
-// ReplaceSourceCtx is ReplaceSource under an observability context: when the
-// front-end actually runs (changed content), it is recorded as
-// "preprocess"/"parse" spans on ctx's tracer.
-func (p *Project) ReplaceSourceCtx(ctx context.Context, name, src string) *FileUnit {
-	p.mu.Lock()
-	idx := -1
-	for i, fu := range p.files {
-		if fu.Name == name {
-			idx = i
-			break
-		}
-	}
-	p.mu.Unlock()
-	if idx < 0 {
-		return nil
-	}
-	env := p.envSnapshot()
-	art := p.frontend(ctx, name, src, env)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	old := p.files[idx]
-	if old.art != nil && old.art.preHash == art.preHash && !old.envStale {
-		old.src = src
-		return old
-	}
-	fu := &FileUnit{Name: name, AST: art.ast, Errs: art.errs, src: src, art: art}
-	p.files[idx] = fu
-	return fu
 }
 
 // Pairing is a set of barrier sites inferred to run concurrently. Sites[0]
@@ -359,7 +328,7 @@ func (pr *Pairing) String() string {
 	return s
 }
 
-// Timing is the per-phase cost breakdown of one Analyze call.
+// Timing is the per-phase cost breakdown of one AnalyzeParallel call.
 type Timing struct {
 	// Extract covers per-file table building and access extraction (zero
 	// for files served from the incremental cache).
@@ -370,7 +339,7 @@ type Timing struct {
 	Check time.Duration
 }
 
-// Result is the outcome of Analyze.
+// Result is the outcome of AnalyzeParallel.
 type Result struct {
 	Timing   Timing
 	Sites    []*access.Site
@@ -398,23 +367,15 @@ type Result struct {
 	PairStats PairStats
 }
 
-// Analyze runs extraction, pairing and checking over every file.
-func (p *Project) Analyze(opts Options) *Result {
-	res, _ := p.analyze(context.Background(), opts)
-	return res
-}
-
-// AnalyzeParallel is Analyze with request-scoped cancellation: per-file
-// extraction and per-pairing checking fan out across a bounded worker pool,
-// and the analysis aborts between work items as soon as ctx is canceled or
-// times out, returning ctx's error. This is the entry point the serving
-// subsystem (internal/service) and the CLIs route through.
+// AnalyzeParallel runs the front end of every recorded or replaced file,
+// then extraction, pairing, checking and ranking over the whole project.
+// Per-file work and per-pairing checking fan out across a bounded worker
+// pool, and the analysis aborts between work items as soon as ctx is
+// canceled or times out, returning ctx's error; files it did not reach stay
+// pending for the next run. It is the one analysis entry point: the CLIs,
+// the serving subsystem (internal/service) and the evaluation route through
+// it.
 func (p *Project) AnalyzeParallel(ctx context.Context, opts Options) (*Result, error) {
-	return p.analyze(ctx, opts)
-}
-
-// analyze is the shared pipeline behind Analyze and AnalyzeParallel.
-func (p *Project) analyze(ctx context.Context, opts Options) (*Result, error) {
 	if opts.MinSharedObjects <= 0 {
 		opts.MinSharedObjects = 2
 	}
@@ -442,10 +403,11 @@ func (p *Project) analyze(ctx context.Context, opts Options) (*Result, error) {
 	plan := extractPlan{fp: fp, opts: opts, cache: p.stages.Stage(stageExtract)}
 
 	if opts.InterprocDepth > 0 {
-		// Phase 0: re-run the front-end for units dirtied by Define/AddHeader
-		// (or whose AST a previous ReleaseASTs run dropped), so every unit's
-		// artifacts are keyed by current content. A barrier here is required:
-		// the call graph below needs every AST.
+		// Phase 0: run the front-end for units recorded or replaced since
+		// the last run, units dirtied by Define/AddHeader, and units whose
+		// AST a previous ReleaseASTs run dropped, so every unit's artifacts
+		// are keyed by current content. A barrier here is required: the call
+		// graph below needs every AST.
 		p.refreshStale(ctx, files, env, workers, opts.ReleaseASTs)
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -485,8 +447,8 @@ func (p *Project) analyze(ctx context.Context, opts Options) (*Result, error) {
 	// extracted under fp and the run's dependency closure ("" at depth 0) —
 	// is served inline, with no key hashing and no goroutine. The rest enter
 	// a worker pool; at depth 0 each worker streams its file end to end —
-	// front-end refresh (preprocess+parse, only when the unit is stale or
-	// new) → symbol table → extraction — so there is no front-end barrier
+	// front-end refresh (preprocess+parse, only when the unit is stale) →
+	// symbol table → extraction — so there is no front-end barrier
 	// and the parse of a later file overlaps the extraction of an earlier
 	// one. A key found in the shared stage cache (e.g. computed by a clone)
 	// is adopted without running; only genuinely new (file content ×
@@ -495,7 +457,7 @@ func (p *Project) analyze(ctx context.Context, opts Options) (*Result, error) {
 	var dirty []*FileUnit
 	p.mu.Lock()
 	for _, fu := range files {
-		if art := fu.art; art != nil && !fu.envStale && art.extractFP == fp && art.extractClosure == plan.closures[fu.Name] {
+		if art := fu.art; art != nil && !fu.stale && art.extractFP == fp && art.extractClosure == plan.closures[fu.Name] {
 			fu.Table, fu.Sites = art.table, art.sites
 			reused.Add(1)
 			continue

@@ -11,12 +11,13 @@ func analyze(t *testing.T, srcs map[string]string) *Result {
 	t.Helper()
 	p := NewProject()
 	for name, src := range srcs {
-		fu := p.AddSource(name, src)
-		for _, err := range fu.Errs {
-			t.Fatalf("%s: parse error: %v", name, err)
-		}
+		p.AddSource(name, src)
 	}
-	return p.Analyze(DefaultOptions())
+	res := mustAnalyze(t, p, DefaultOptions())
+	for _, err := range res.ParseErrors {
+		t.Fatalf("parse error: %v", err)
+	}
+	return res
 }
 
 func one(t *testing.T, src string) *Result {
@@ -562,7 +563,7 @@ func TestOnceCheckDisabled(t *testing.T) {
 	p.AddSource("t.c", listing1)
 	opts := DefaultOptions()
 	opts.CheckOnce = false
-	res := p.Analyze(opts)
+	res := mustAnalyze(t, p, opts)
 	if mo := findings(res, MissingOnce); len(mo) != 0 {
 		t.Errorf("CheckOnce=false still produced findings: %v", mo)
 	}
@@ -666,7 +667,7 @@ void r2(struct s *p) {
 func TestParseErrorsSurfaced(t *testing.T) {
 	p := NewProject()
 	p.AddSource("bad.c", "void f( {{{")
-	res := p.Analyze(DefaultOptions())
+	res := mustAnalyze(t, p, DefaultOptions())
 	if len(res.ParseErrors) == 0 {
 		t.Error("parse errors not surfaced")
 	}

@@ -632,8 +632,8 @@ func mergeByCommon(pairings []*Pairing, common [][]uint32) []*Pairing {
 // implicit-IPC writers, plus the engine's execution counters. The sites are
 // re-sorted into canonical position order internally, so the result does
 // not depend on input order, worker count, or GOMAXPROCS. This is the
-// entry point for pairing-only tooling and benchmarks; Analyze routes
-// through the same engine.
+// entry point for pairing-only tooling and benchmarks; AnalyzeParallel
+// routes through the same engine.
 func PairSites(ctx context.Context, sites []*access.Site, opts Options) (pairings []*Pairing, unpaired, implicit []*access.Site, stats PairStats) {
 	sorted := make([]*access.Site, len(sites))
 	copy(sorted, sites)

@@ -26,7 +26,7 @@ func TestPairingJSONDeterministic(t *testing.T) {
 		p.AddSources(srcs)
 		opts := ofence.DefaultOptions()
 		opts.Workers = workers
-		return viewJSON(t, p.Analyze(opts))
+		return viewJSON(t, mustAnalyze(t, p, opts))
 	}
 
 	want := analyze(1) // sequential pairing: the reference output
@@ -55,7 +55,7 @@ func TestPairSitesInputOrderInvariant(t *testing.T) {
 	c := corpus.Generate(corpus.DefaultConfig(31))
 	p := ofence.NewProject()
 	p.AddSources(c.Sources())
-	res := p.Analyze(ofence.DefaultOptions())
+	res := mustAnalyze(t, p, ofence.DefaultOptions())
 	if len(res.Sites) == 0 {
 		t.Fatal("corpus produced no sites")
 	}

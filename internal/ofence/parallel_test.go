@@ -3,7 +3,11 @@ package ofence
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -53,19 +57,78 @@ func viewEqual(t *testing.T, a, b *Result) {
 	}
 }
 
+// mustAnalyze runs AnalyzeParallel under a background context and fails
+// the test on error.
+func mustAnalyze(tb testing.TB, p *Project, opts Options) *Result {
+	tb.Helper()
+	res, err := p.AnalyzeParallel(context.Background(), opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 func TestAnalyzeParallelMatchesSequential(t *testing.T) {
-	seq := newParallelTestProject(t).Analyze(DefaultOptions())
+	one := DefaultOptions()
+	one.Workers = 1
+	seq := mustAnalyze(t, newParallelTestProject(t), one)
 
 	opts := DefaultOptions()
 	opts.Workers = 4
-	par, err := newParallelTestProject(t).AnalyzeParallel(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	par := mustAnalyze(t, newParallelTestProject(t), opts)
 	if len(seq.Findings) == 0 {
 		t.Fatal("test source produced no findings")
 	}
 	viewEqual(t, seq, par)
+}
+
+// parallelTestSources returns n copies of parallelTestSrc, each with its
+// own struct tag, so every file forms its own pairing.
+func parallelTestSources(n int) []SourceFile {
+	srcs := make([]SourceFile, n)
+	for i := range srcs {
+		srcs[i] = SourceFile{
+			Name: fmt.Sprintf("f%d.c", i),
+			Src:  strings.ReplaceAll(parallelTestSrc, "ps", fmt.Sprintf("ps%d", i)),
+		}
+	}
+	return srcs
+}
+
+// cancelAfter is a context that cancels itself on its k-th Err check, so a
+// test lands a cancel at a fixed point of a run without timing.
+type cancelAfter struct {
+	context.Context
+	cancel context.CancelFunc
+	left   atomic.Int64
+}
+
+func newCancelAfter(k int) *cancelAfter {
+	ctx, cancel := context.WithCancel(context.Background())
+	c := &cancelAfter{Context: ctx, cancel: cancel}
+	c.left.Store(int64(k))
+	return c
+}
+
+func (c *cancelAfter) Err() error {
+	if c.left.Add(-1) <= 0 {
+		c.cancel() // idempotent; every check from the k-th on sees it
+	}
+	return c.Context.Err()
+}
+
+// waitGoroutines waits until the goroutine count is back at base, failing
+// with every goroutine's stack if it is not within a few seconds.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines, baseline %d:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		runtime.Gosched()
+	}
 }
 
 func TestAnalyzeParallelCanceledContext(t *testing.T) {
@@ -85,6 +148,40 @@ func TestAnalyzeParallelCanceledContext(t *testing.T) {
 	if err != nil || len(res.Pairings) == 0 {
 		t.Fatalf("post-cancel analysis: res=%v err=%v", res, err)
 	}
+
+	// A cancel landing partway through the front end of freshly recorded
+	// sources. Each pending file checks the context once before its front
+	// end runs (in the depth-0 pipeline or the depth-1 refresh barrier), so
+	// the k-th check lets exactly k-1 files through and stops the rest.
+	srcs := parallelTestSources(8)
+	for _, depth := range []int{0, 1} {
+		opts := DefaultOptions()
+		opts.InterprocDepth = depth
+		opts.Workers = 3
+		cold := NewProject()
+		cold.AddSources(srcs)
+		want := mustAnalyze(t, cold, opts)
+		for _, k := range []int{1, 4, len(srcs)} {
+			t.Run(fmt.Sprintf("depth%d/check%d", depth, k), func(t *testing.T) {
+				base := runtime.NumGoroutine()
+				p := NewProject()
+				p.AddSources(srcs)
+				if _, err := p.AnalyzeParallel(newCancelAfter(k), opts); err != context.Canceled {
+					t.Fatalf("err = %v, want context.Canceled", err)
+				}
+				waitGoroutines(t, base)
+				res := mustAnalyze(t, p, opts)
+				viewEqual(t, want, res)
+				if depth == 0 {
+					// The k-1 files that got through were parsed and
+					// extracted; the next run does only the rest.
+					if got, wantN := res.Incremental.FilesRecomputed, len(srcs)-(k-1); got != wantN {
+						t.Errorf("next run recomputed %d files, want %d", got, wantN)
+					}
+				}
+			})
+		}
+	}
 }
 
 func TestAnalyzeParallelDeadline(t *testing.T) {
@@ -101,7 +198,7 @@ func TestAnalyzeParallelDeadline(t *testing.T) {
 // clones of one project) at once.
 func TestConcurrentAnalyzeIndependentProjects(t *testing.T) {
 	base := newParallelTestProject(t)
-	want := base.Clone().Analyze(DefaultOptions())
+	want := mustAnalyze(t, base.Clone(), DefaultOptions())
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -129,17 +226,22 @@ func TestConcurrentAnalyzeIndependentProjects(t *testing.T) {
 }
 
 // TestConcurrentAnalyzeSameProject exercises the internal serialization:
-// concurrent Analyze calls on ONE project must not race on the extraction
-// cache and must each return complete results.
+// concurrent AnalyzeParallel calls on ONE project must not race on the
+// extraction cache and must each return complete results.
 func TestConcurrentAnalyzeSameProject(t *testing.T) {
 	p := newParallelTestProject(t)
-	want := len(p.Analyze(DefaultOptions()).Findings)
+	want := len(mustAnalyze(t, p, DefaultOptions()).Findings)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if got := len(p.Analyze(DefaultOptions()).Findings); got != want {
+			res, err := p.AnalyzeParallel(context.Background(), DefaultOptions())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if got := len(res.Findings); got != want {
 				t.Errorf("findings = %d, want %d", got, want)
 			}
 		}()
@@ -155,9 +257,9 @@ func TestAddSourcesDeterministicOrder(t *testing.T) {
 	}
 	for round := 0; round < 3; round++ {
 		p := NewProject()
-		units := p.AddSources(srcs)
-		if len(units) != len(srcs) {
-			t.Fatalf("units = %d", len(units))
+		p.AddSources(srcs)
+		if got := len(p.Files()); got != len(srcs) {
+			t.Fatalf("units = %d", got)
 		}
 		for i, fu := range p.Files() {
 			if fu.Name != srcs[i].Name {
@@ -181,12 +283,12 @@ void qr(struct qs *q) {
 	smp_rmb();
 	use(q->val, s);
 }`)
-	p.Analyze(DefaultOptions())
+	mustAnalyze(t, p, DefaultOptions())
 
 	// The clone inherits the originals' immutable artifacts: re-analyzing
 	// the identical file set is pure cache replay.
 	c := p.Clone()
-	res := c.Analyze(DefaultOptions())
+	res := mustAnalyze(t, c, DefaultOptions())
 	if got := res.Incremental; got.FilesReused != 2 || got.FilesRecomputed != 0 {
 		t.Fatalf("clone replay: reused=%d recomputed=%d, want 2/0", got.FilesReused, got.FilesRecomputed)
 	}
@@ -200,13 +302,13 @@ void qw(struct qs *q) {
 	smp_wmb();
 	q->seq = 2;
 }`)
-	res = c.Analyze(DefaultOptions())
+	res = mustAnalyze(t, c, DefaultOptions())
 	if got := res.Incremental; got.FilesReused != 1 || got.FilesRecomputed != 1 {
 		t.Fatalf("clone after edit: reused=%d recomputed=%d, want 1/1", got.FilesReused, got.FilesRecomputed)
 	}
 
 	// Copy-on-write: the clone's mutation never disturbs the original.
-	res = p.Analyze(DefaultOptions())
+	res = mustAnalyze(t, p, DefaultOptions())
 	if len(res.Pairings) == 0 {
 		t.Error("original project affected by clone mutation")
 	}

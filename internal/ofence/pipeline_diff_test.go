@@ -29,19 +29,15 @@ func pipelineDiffSources() []ofence.SourceFile {
 }
 
 // TestPipelinedMatchesClassicAndLegacyFrontend is the frontend overhaul's
-// correctness bar: the fused pipelined schedule (AnalyzeSourcesCtx) and the
-// classic barrier schedule (AddSources+Analyze) must both reproduce the
-// golden record, which the retired legacy front end (rune lexer, arena-free
-// parser, no canonicalization) produced as well, at every worker count and
-// GOMAXPROCS setting.
+// correctness bar: the fused pipelined schedule must reproduce the golden
+// record, which the retired legacy front end (rune lexer, arena-free
+// parser, no canonicalization) and the retired classic schedule (every file
+// parsed to a barrier before extraction) produced as well, at every worker
+// count and GOMAXPROCS setting.
 func TestPipelinedMatchesClassicAndLegacyFrontend(t *testing.T) {
 	goldens := loadGoldens(t)
 	srcs := pipelineDiffSources()
 	opts := ofence.DefaultOptions()
-
-	classic := ofence.NewProject()
-	classic.AddSources(srcs)
-	checkGolden(t, goldens, "diffsrc/depth0", classic.Analyze(opts))
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, gmp := range []int{1, 2, 8} {
@@ -62,9 +58,9 @@ func TestPipelinedMatchesClassicAndLegacyFrontend(t *testing.T) {
 }
 
 // TestPipelinedReusesArtifacts pins the fused schedule's incremental
-// semantics: a second Analyze reuses every file in place, a whitespace edit
+// semantics: a second run reuses every file in place, a whitespace edit
 // changes nothing downstream of preprocess, and a real edit recomputes
-// exactly the changed file — as the classic schedule always behaved.
+// exactly the changed file.
 func TestPipelinedReusesArtifacts(t *testing.T) {
 	srcs := pipelineDiffSources()
 	opts := ofence.DefaultOptions()
@@ -76,7 +72,7 @@ func TestPipelinedReusesArtifacts(t *testing.T) {
 	if got := res.Incremental; got.FilesRecomputed != len(srcs) {
 		t.Fatalf("cold run recomputed %d files, want %d", got.FilesRecomputed, len(srcs))
 	}
-	warm := p.Analyze(opts)
+	warm := mustAnalyze(t, p, opts)
 	if got := warm.Incremental; got.FilesReused != len(srcs) || got.FilesRecomputed != 0 {
 		t.Errorf("warm run reused=%d recomputed=%d, want %d/0", got.FilesReused, got.FilesRecomputed, len(srcs))
 	}
@@ -86,14 +82,14 @@ func TestPipelinedReusesArtifacts(t *testing.T) {
 
 	// Whitespace-only edit: preprocessed content unchanged, everything reused.
 	p.ReplaceSource(srcs[0].Name, srcs[0].Src+"\n\n")
-	edited := p.Analyze(opts)
+	edited := mustAnalyze(t, p, opts)
 	if got := edited.Incremental; got.FilesReused != len(srcs) || got.FilesRecomputed != 0 {
 		t.Errorf("after whitespace edit reused=%d recomputed=%d, want %d/0", got.FilesReused, got.FilesRecomputed, len(srcs))
 	}
 
 	// Real edit: exactly the changed file recomputes.
 	p.ReplaceSource(srcs[0].Name, srcs[0].Src+"\nint pipeline_extra;\n")
-	edited = p.Analyze(opts)
+	edited = mustAnalyze(t, p, opts)
 	if got := edited.Incremental; got.FilesRecomputed != 1 || got.FilesReused != len(srcs)-1 {
 		t.Errorf("after edit recomputed=%d reused=%d, want 1/%d", got.FilesRecomputed, got.FilesReused, len(srcs)-1)
 	}

@@ -41,7 +41,7 @@ func TestAnalyzeSurvivesMutatedSources(t *testing.T) {
 		for _, name := range c.Order {
 			p.AddSource(name, mutate(c.Files[name]))
 		}
-		res := p.Analyze(ofence.DefaultOptions()) // must not panic
+		res := mustAnalyze(t, p, ofence.DefaultOptions()) // must not panic
 		_ = res.Findings
 		_ = res.View() // nor the serialization
 	}
@@ -56,7 +56,7 @@ func TestAnalyzeSurvivesTruncatedSources(t *testing.T) {
 		for cut := 0; cut < len(src); cut += 37 {
 			p := ofence.NewProject()
 			p.AddSource(name, src[:cut])
-			p.Analyze(ofence.DefaultOptions()) // must not panic
+			mustAnalyze(t, p, ofence.DefaultOptions()) // must not panic
 		}
 	}
 }
@@ -78,6 +78,6 @@ func TestAnalyzeEmptyAndDegenerate(t *testing.T) {
 	} {
 		p := ofence.NewProject()
 		p.AddSource("d.c", src)
-		p.Analyze(ofence.DefaultOptions()) // must not panic
+		mustAnalyze(t, p, ofence.DefaultOptions()) // must not panic
 	}
 }

@@ -257,12 +257,12 @@ func TestDepthSwitchServesOwnSites(t *testing.T) {
 	p := interprocProject(t)
 	d0, d1 := DefaultOptions(), DefaultOptions()
 	d1.InterprocDepth = 1
-	want := resultJSON(t, interprocProject(t).Analyze(d0))
-	p.Analyze(d0)
-	if got := resultJSON(t, p.Analyze(d1)); got == want {
+	want := resultJSON(t, mustAnalyze(t, interprocProject(t), d0))
+	mustAnalyze(t, p, d0)
+	if got := resultJSON(t, mustAnalyze(t, p, d1)); got == want {
 		t.Fatal("fixture is degenerate: depth 1 serializes like depth 0")
 	}
-	if got := resultJSON(t, p.Analyze(d0)); got != want {
+	if got := resultJSON(t, mustAnalyze(t, p, d0)); got != want {
 		t.Errorf("depth 0 after depth 1 differs from cold depth 0:\n%s\nvs\n%s", got, want)
 	}
 }

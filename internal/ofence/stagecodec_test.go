@@ -92,18 +92,23 @@ func TestPreprocessStageStoreRoundTripDisk(t *testing.T) {
 // as strings.
 func TestPreprocessCodecErrorStrings(t *testing.T) {
 	store := rescache.NewMemStore(0)
-	const bad = "#include \"no/such/header.h\"\nint x;\n"
+	const bad = "#include \"no/such/header.h\"\n#endif\nint x;\n"
 
 	cold := rescache.NewStages(0)
 	cold.AttachStore(store, StageCodecs())
 	p1 := NewProjectWithStages(cold)
 	fu1 := p1.AddSource("bad.c", bad)
+	mustAnalyze(t, p1, DefaultOptions())
 
 	warm := rescache.NewStages(0)
 	warm.AttachStore(store, StageCodecs())
 	p2 := NewProjectWithStages(warm)
 	fu2 := p2.AddSource("bad.c", bad)
+	mustAnalyze(t, p2, DefaultOptions())
 
+	if len(fu1.Errs) == 0 {
+		t.Fatal("the stray #endif produced no diagnostic")
+	}
 	if len(fu1.Errs) != len(fu2.Errs) {
 		t.Fatalf("error counts diverge: %d vs %d", len(fu1.Errs), len(fu2.Errs))
 	}

@@ -3,7 +3,6 @@ package ofence
 import (
 	"context"
 	"fmt"
-	"strings"
 	"testing"
 
 	"ofence/internal/obs"
@@ -12,34 +11,48 @@ import (
 // TestTraceSpansUnderAnalyzeParallel drives the real pipeline with many
 // files and workers under a shared tracer and asserts the span forest it
 // records: every stage present, per-file extraction spans parented under
-// the extract stage, and counters matching the result. Run under -race by
-// make race — this is the concurrent-span-creation coverage for the obs
-// layer in its production call shape.
+// the extract stage, every front-end span under the analyze root (sources
+// are only recorded before the run, so the front end runs inside it), and
+// counters matching the result. Run under -race by make race — this is the
+// concurrent-span-creation coverage for the obs layer in its production
+// call shape.
 func TestTraceSpansUnderAnalyzeParallel(t *testing.T) {
 	const files = 8
-	tracer := obs.New()
-	ctx := obs.WithTracer(context.Background(), tracer)
+	srcs := parallelTestSources(files)
+	for _, depth := range []int{0, 1} {
+		opts := DefaultOptions()
+		opts.Workers = 4
+		opts.InterprocDepth = depth
+		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
+			tracer := obs.New()
+			ctx := obs.WithTracer(context.Background(), tracer)
+			proj := NewProject()
+			proj.AddSources(srcs)
+			res, err := proj.AnalyzeParallel(ctx, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Pairings) != files {
+				t.Fatalf("pairings = %d, want %d", len(res.Pairings), files)
+			}
+			checkTraceShape(t, tracer, res, files, files)
 
-	proj := NewProject()
-	srcs := make([]SourceFile, files)
-	for i := range srcs {
-		srcs[i] = SourceFile{
-			Name: fmt.Sprintf("f%d.c", i),
-			Src:  strings.ReplaceAll(parallelTestSrc, "ps", fmt.Sprintf("ps%d", i)),
-		}
+			// A replaced file's front end runs inside the next run too.
+			tracer = obs.New()
+			ctx = obs.WithTracer(context.Background(), tracer)
+			proj.ReplaceSource(srcs[0].Name, srcs[0].Src+"\nint traced_edit;\n")
+			if res, err = proj.AnalyzeParallel(ctx, opts); err != nil {
+				t.Fatal(err)
+			}
+			checkTraceShape(t, tracer, res, files, 1)
+		})
 	}
-	proj.AddSourcesCtx(ctx, srcs)
+}
 
-	opts := DefaultOptions()
-	opts.Workers = 4
-	res, err := proj.AnalyzeParallel(ctx, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Pairings) != files {
-		t.Fatalf("pairings = %d, want %d", len(res.Pairings), files)
-	}
-
+// checkTraceShape asserts the span forest of one traced run over a project
+// of files files, of which parsed ran the front end.
+func checkTraceShape(t *testing.T, tracer *obs.Tracer, res *Result, files, parsed int) {
+	t.Helper()
 	byName := map[string][]*obs.Span{}
 	for _, sp := range tracer.Spans() {
 		byName[sp.Name()] = append(byName[sp.Name()], sp)
@@ -52,16 +65,19 @@ func TestTraceSpansUnderAnalyzeParallel(t *testing.T) {
 			t.Errorf("stage %q recorded no spans", stage)
 		}
 	}
-	if got := len(byName["extract.file"]); got != files {
-		t.Errorf("extract.file spans = %d, want %d", got, files)
+	if got := len(byName["analyze"]); got != 1 {
+		t.Fatalf("analyze spans = %d, want 1", got)
+	}
+	if got, want := len(byName["extract.file"]), res.Incremental.FilesRecomputed; got != want {
+		t.Errorf("extract.file spans = %d, want %d (one per extracted file)", got, want)
 	}
 	for _, sp := range byName["extract.file"] {
 		if sp.Parent() == nil || sp.Parent().Name() != "extract" {
 			t.Errorf("extract.file span parented under %v, want extract", sp.Parent())
 		}
 	}
-	if got := len(byName["parse"]); got != files {
-		t.Errorf("parse spans = %d, want %d (one per file)", got, files)
+	if got := len(byName["parse"]); got != parsed {
+		t.Errorf("parse spans = %d, want %d (one per parsed file)", got, parsed)
 	}
 	for _, sp := range byName["parse"] {
 		kids := sp.Children()
@@ -69,11 +85,21 @@ func TestTraceSpansUnderAnalyzeParallel(t *testing.T) {
 			t.Errorf("parse span children = %v, want one preprocess", kids)
 		}
 	}
+	for _, name := range []string{"parse", "preprocess"} {
+		for _, sp := range byName[name] {
+			under := false
+			for a := sp.Parent(); a != nil; a = a.Parent() {
+				under = under || a.Name() == "analyze"
+			}
+			if !under {
+				t.Errorf("%s span has no analyze ancestor", name)
+			}
+		}
+	}
 
 	// The analyze root's counters must agree with the result it produced.
-	analyze := byName["analyze"][0]
-	for _, c := range analyze.Counters() {
-		if c.Name == "files" && c.Value != files {
+	for _, c := range byName["analyze"][0].Counters() {
+		if c.Name == "files" && c.Value != int64(files) {
 			t.Errorf("analyze files counter = %d, want %d", c.Value, files)
 		}
 	}
@@ -100,7 +126,7 @@ func TestAnalyzeWithoutTracerUnchanged(t *testing.T) {
 
 	ctx := obs.WithTracer(context.Background(), obs.New())
 	traced := NewProject()
-	traced.AddSourcesCtx(ctx, []SourceFile{{Name: "p.c", Src: parallelTestSrc}})
+	traced.AddSources([]SourceFile{{Name: "p.c", Src: parallelTestSrc}})
 	resTraced, err := traced.AnalyzeParallel(ctx, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)

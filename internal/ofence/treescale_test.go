@@ -28,7 +28,7 @@ func TestTreescaleByteIdentity(t *testing.T) {
 
 	oopts := opts
 	oopts.Workers = 1
-	ores := treeProject(tr).Analyze(oopts)
+	ores := mustAnalyze(t, treeProject(tr), oopts)
 	checkGolden(t, goldens, "tree160/depth1", ores)
 	want := viewJSON(t, ores)
 	if len(ores.Sites) == 0 || len(ores.Pairings) == 0 || len(ores.Findings) == 0 {
@@ -45,7 +45,7 @@ func TestTreescaleByteIdentity(t *testing.T) {
 				ropts := opts
 				ropts.Workers = workers
 				ropts.ReleaseASTs = release
-				res := treeProject(tr).Analyze(ropts)
+				res := mustAnalyze(t, treeProject(tr), ropts)
 				if got := viewJSON(t, res); got != want {
 					t.Errorf("output diverges from the one-worker run")
 				}
@@ -66,14 +66,14 @@ func TestTreescaleReleaseASTsWarmReuse(t *testing.T) {
 	opts.ReleaseASTs = true
 
 	p := treeProject(tr)
-	cold := p.Analyze(opts)
+	cold := mustAnalyze(t, p, opts)
 	coldJSON := viewJSON(t, cold)
 	for _, fu := range p.Files() {
 		if fu.AST != nil {
 			t.Fatalf("%s: AST retained after ReleaseASTs analysis", fu.Name)
 		}
 	}
-	warm := p.Analyze(opts)
+	warm := mustAnalyze(t, p, opts)
 	if got := viewJSON(t, warm); got != coldJSON {
 		t.Error("warm ReleaseASTs run diverges from cold")
 	}
@@ -85,7 +85,7 @@ func TestTreescaleReleaseASTsWarmReuse(t *testing.T) {
 	// released units — and must still produce a coherent result.
 	opts2 := opts
 	opts2.Access.WriteWindow += 2
-	re := p.Analyze(opts2)
+	re := mustAnalyze(t, p, opts2)
 	if re.Incremental.FilesRecomputed != len(tr.Files) {
 		t.Errorf("re-keyed run recomputed %d files; want %d",
 			re.Incremental.FilesRecomputed, len(tr.Files))

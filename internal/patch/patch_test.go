@@ -1,6 +1,7 @@
 package patch
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -10,11 +11,15 @@ import (
 func analyzeOne(t *testing.T, src string) *ofence.Result {
 	t.Helper()
 	p := ofence.NewProject()
-	fu := p.AddSource("test.c", src)
-	for _, err := range fu.Errs {
+	p.AddSource("test.c", src)
+	res, err := p.AnalyzeParallel(context.Background(), ofence.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range res.ParseErrors {
 		t.Fatalf("parse error: %v", err)
 	}
-	return p.Analyze(ofence.DefaultOptions())
+	return res
 }
 
 func firstOf(t *testing.T, res *ofence.Result, kind ofence.FindingKind) *ofence.Finding {

@@ -37,14 +37,14 @@ type Evaluation struct {
 	Elapsed time.Duration
 }
 
-// RunCorpus analyzes the corpus and times the full run. Files are parsed in
-// parallel (AddSources) but land in corpus order, so every downstream table
-// is deterministic.
+// RunCorpus analyzes the corpus and times the full run, front end included.
+// Files are recorded in corpus order (AddSources) and parsed in parallel by
+// the analysis, so every downstream table is deterministic.
 func RunCorpus(c *corpus.Corpus, opts ofence.Options) *Evaluation {
 	p := ofence.NewProject()
 	kernelhdr.Register(p)
-	p.AddSources(c.Sources())
 	start := time.Now()
+	p.AddSources(c.Sources())
 	res, err := p.AnalyzeParallel(context.Background(), opts)
 	if err != nil {
 		// Unreachable with a background context; keep the evaluation total.
@@ -621,7 +621,11 @@ func RunFixtures(opts ofence.Options) []FixtureResult {
 		fx := fixtures[i]
 		p := ofence.NewProject()
 		p.AddSource(fx.Name, fx.Source)
-		res := p.Analyze(opts)
+		res, err := p.AnalyzeParallel(context.Background(), opts)
+		if err != nil {
+			// Unreachable with a background context; keep the table total.
+			panic(err)
+		}
 		fr := FixtureResult{Fixture: fx, Pairings: len(res.Pairings)}
 		names := map[string]bool{}
 		for _, f := range res.Findings {

@@ -370,10 +370,18 @@ func newAnalyzer(store rescache.ArtifactStore, warmLineages int) *analyzer {
 func (a *analyzer) analyze(ctx context.Context, t *Task) (*completeRequest, error) {
 	tracer := obs.New()
 	tctx := obs.WithTracer(ctx, tracer)
-	proj, lineage, evicted := a.projectFor(tctx, &t.Request)
+	proj, warm, lineage, evicted := a.projectFor(&t.Request)
 	res, err := proj.AnalyzeParallel(tctx, t.Options.Resolve())
 	if err != nil {
 		return nil, err
+	}
+	if warm != nil {
+		// The analyzed clone becomes the lineage's project, so the next
+		// task starts from the records this run built. Every task replaces
+		// every file, so whichever concurrent clone lands last will do.
+		warm.mu.Lock()
+		warm.proj = proj
+		warm.mu.Unlock()
 	}
 	v := res.View()
 	blob, err := json.Marshal(&v)
@@ -400,7 +408,8 @@ func (a *analyzer) analyze(ctx context.Context, t *Task) (*completeRequest, erro
 }
 
 // warmProject is one lineage's long-lived project. mu serializes source
-// swaps and the initial build; tasks analyze clones, never proj itself.
+// swaps, the initial build and the swap to an analyzed clone; tasks analyze
+// clones, never proj itself.
 type warmProject struct {
 	mu   sync.Mutex
 	proj *ofence.Project
@@ -422,13 +431,13 @@ func lineageKey(req *Request) string {
 }
 
 // projectFor returns the project a task analyzes. With warm reuse enabled
-// it is a clone of the request's lineage project, refreshed to the
-// request's contents (unchanged files keep their artifacts), and lineage
+// it is a clone of the request's lineage project w with the request's
+// sources recorded (unchanged files keep their artifacts), and lineage
 // reports "hit" or "miss" with the lineages evicted to make room;
-// otherwise a fresh project.
-func (a *analyzer) projectFor(ctx context.Context, req *Request) (proj *ofence.Project, lineage string, evicted int) {
+// otherwise a fresh project and a nil w.
+func (a *analyzer) projectFor(req *Request) (proj *ofence.Project, w *warmProject, lineage string, evicted int) {
 	if a.warmN < 0 {
-		return a.buildProject(ctx, req), "", 0
+		return a.buildProject(req), nil, "", 0
 	}
 	key := lineageKey(req)
 	a.warmMu.Lock()
@@ -459,20 +468,20 @@ func (a *analyzer) projectFor(ctx context.Context, req *Request) (proj *ofence.P
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.proj == nil {
-		w.proj = a.buildProject(ctx, req)
+		w.proj = a.buildProject(req)
 	} else {
 		for _, name := range sortedNames(req.Files) {
-			w.proj.ReplaceSourceCtx(ctx, name, req.Files[name])
+			w.proj.ReplaceSource(name, req.Files[name])
 		}
 	}
-	return w.proj.Clone(), lineage, evicted
+	return w.proj.Clone(), w, lineage, evicted
 }
 
-// buildProject assembles a cold project for the request. Every project
-// shares the analyzer's stage caches (content-addressed, so sharing
-// across unrelated requests is safe by construction) and, through them,
-// the optional artifact store.
-func (a *analyzer) buildProject(ctx context.Context, req *Request) *ofence.Project {
+// buildProject records the request's sources in a new project; the task's
+// analysis parses them. Every project shares the analyzer's stage caches
+// (content-addressed, so sharing across unrelated requests is safe by
+// construction) and, through them, the optional artifact store.
+func (a *analyzer) buildProject(req *Request) *ofence.Project {
 	proj := ofence.NewProjectWithStages(a.stages)
 	kernelhdr.Register(proj)
 	for k, v := range req.Defines {
@@ -482,7 +491,7 @@ func (a *analyzer) buildProject(ctx context.Context, req *Request) *ofence.Proje
 	for _, name := range sortedNames(req.Files) {
 		srcs = append(srcs, ofence.SourceFile{Name: name, Src: req.Files[name]})
 	}
-	proj.AddSourcesCtx(ctx, srcs)
+	proj.AddSources(srcs)
 	return proj
 }
 

@@ -1,6 +1,7 @@
 package validate
 
 import (
+	"context"
 	"testing"
 
 	"ofence/internal/corpus"
@@ -10,11 +11,15 @@ import (
 func analyzeOne(t *testing.T, name, src string) *ofence.Result {
 	t.Helper()
 	p := ofence.NewProject()
-	fu := p.AddSource(name, src)
-	for _, err := range fu.Errs {
+	p.AddSource(name, src)
+	res, err := p.AnalyzeParallel(context.Background(), ofence.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range res.ParseErrors {
 		t.Fatalf("parse error: %v", err)
 	}
-	return p.Analyze(ofence.DefaultOptions())
+	return res
 }
 
 func findingOf(t *testing.T, res *ofence.Result, kind ofence.FindingKind) *ofence.Finding {
@@ -159,7 +164,10 @@ func TestCheckAllOnCorpus(t *testing.T) {
 	for _, name := range c.Order {
 		p.AddSource(name, c.Files[name])
 	}
-	res := p.Analyze(ofence.DefaultOptions())
+	res, err := p.AnalyzeParallel(context.Background(), ofence.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	verdicts := CheckAll(res.Findings)
 	if len(verdicts) == 0 {
 		t.Fatal("no verdicts")
