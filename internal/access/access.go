@@ -188,7 +188,7 @@ type Options struct {
 	InferredSemantics map[string]memmodel.BarrierKind
 	// Resolve maps a callee name to its cross-file definition (the call
 	// graph's per-file view); nil disables cross-file inlining.
-	Resolve func(name string) *cast.FuncDecl
+	Resolve cfg.Resolver
 	// InterprocDepth bounds cross-file callee inlining; 0 keeps the paper's
 	// same-file one-level behavior exactly.
 	InterprocDepth int

@@ -5,6 +5,12 @@
 // function boundaries plus one level of same-file callees, and this package
 // is what lets later passes cross file boundaries soundly.
 //
+// The graph is built in two steps. Summarize reduces one file's AST to an
+// AST-free Summary of everything the graph and the inference read (see
+// summary.go); Link joins the summaries of a project. Nothing downstream of
+// Summarize touches an AST, so a linked graph over equal summaries is equal,
+// and a caller may keep one across runs while no summary changes.
+//
 // Resolution covers two call forms:
 //
 //   - Direct calls f(...): resolved to the definition of f, honoring C
@@ -58,18 +64,25 @@ func (k EdgeKind) String() string {
 type Edge struct {
 	Caller *Node
 	Callee *Node
-	Call   *cast.CallExpr
-	Kind   EdgeKind
+	// Site is the call's ordinal in Caller.Func.Calls.
+	Site int
+	Kind EdgeKind
 }
 
 // Node is one function definition (a FuncDecl with a body).
 type Node struct {
 	// File is the defining translation unit.
 	File string
-	// Fn is the definition.
-	Fn *cast.FuncDecl
-	// Static records file-local linkage.
-	Static bool
+	// Func is the definition's summary.
+	Func *Func
+	// Ord is the definition's position among its file's definitions:
+	// Summary.Funcs, and cast.File.Functions of the file's AST.
+	Ord int
+	// ID is the node's position in Graph.Nodes.
+	ID int
+	// fileIdx is the defining file's position in the summaries the graph
+	// was linked from.
+	fileIdx int
 	// Calls are the outgoing resolved edges in call-site order.
 	Calls []*Edge
 	// CalledBy are the incoming edges.
@@ -77,23 +90,23 @@ type Node struct {
 	// UnresolvedCalls counts call sites in this function that could not be
 	// resolved to any definition (external functions, unknown pointers).
 	UnresolvedCalls int
-	// allCalls caches cast.Calls(Fn.Body) from the edge pass, so FileDeps
-	// does not re-walk every body.
-	allCalls []*cast.CallExpr
 }
 
 // Name returns the function name.
-func (n *Node) Name() string { return n.Fn.Name }
+func (n *Node) Name() string { return n.Func.Name }
 
 // Graph is the whole-corpus call graph.
 type Graph struct {
 	// Nodes in deterministic (file, declaration) order.
 	Nodes []*Node
+	// files names the linked files in order.
+	files []string
 	// byName maps a function name to every definition carrying it (multiple
 	// entries when distinct files define same-named statics).
 	byName map[string][]*Node
-	// byFile maps "file\x00name" to the definition for static lookup.
-	byFile map[string]*Node
+	// local maps a file to its definitions by name; the last definition of
+	// a name in a file wins.
+	local map[string]map[string]*Node
 	// ptrTargets maps a slot name (variable or struct-field name) to the
 	// functions whose address is stored into such a slot somewhere in the
 	// corpus.
@@ -104,35 +117,20 @@ type Graph struct {
 	initTargets []*Node
 }
 
-func fileKey(file, name string) string { return file + "\x00" + name }
-
-// funcNamed returns the definition a bare identifier refers to from file,
-// honoring static visibility.
-func (g *Graph) funcNamed(file, name string) *Node {
-	if n, ok := g.byFile[fileKey(file, name)]; ok {
+// Resolve returns the definition a bare identifier refers to from file,
+// honoring static visibility: the lookup cfg-level cross-file inlining
+// uses. It returns nil for names with no visible definition, so callers
+// degrade to the paper's one-level same-file behavior.
+func (g *Graph) Resolve(file, name string) *Node {
+	if n := g.local[file][name]; n != nil {
 		return n // same-file definition (static or not) wins
 	}
 	for _, n := range g.byName[name] {
-		if !n.Static {
+		if !n.Func.Static {
 			return n // external linkage: visible everywhere
 		}
 	}
 	return nil
-}
-
-func unwrapIdent(e cast.Expr) (string, bool) {
-	for {
-		switch x := e.(type) {
-		case *cast.Ident:
-			return x.Name, true
-		case *cast.UnaryExpr:
-			e = x.X
-		case *cast.CastExpr:
-			e = x.X
-		default:
-			return "", false
-		}
-	}
 }
 
 func (g *Graph) addPtrTarget(slot string, n *Node) {
@@ -144,36 +142,21 @@ func (g *Graph) addPtrTarget(slot string, n *Node) {
 	g.ptrTargets[slot] = append(g.ptrTargets[slot], n)
 }
 
-// slotName names the destination of a pointer store: a plain variable or
-// the final field of a field chain.
-func slotName(e cast.Expr) string {
-	switch x := e.(type) {
-	case *cast.Ident:
-		return x.Name
-	case *cast.FieldExpr:
-		return x.Name
-	case *cast.UnaryExpr:
-		return slotName(x.X) // *fp = ...
-	case *cast.IndexExpr:
-		return slotName(x.X) // ops[i] = ...
-	}
-	return ""
-}
-
 // edgesFor resolves one call site to its edges without mutating the graph.
-// It only reads the phase-1/phase-2 maps, which are frozen by the time edges
-// are resolved — safe to call concurrently from BuildParallel's workers.
-func (g *Graph) edgesFor(caller *Node, call *cast.CallExpr) (edges []*Edge, resolved bool) {
+// It only reads the node and pointer-target tables, which are frozen by the
+// time edges are resolved — safe to call concurrently from Link's workers.
+func (g *Graph) edgesFor(caller *Node, site int) (edges []*Edge, resolved bool) {
 	mk := func(callee *Node, kind EdgeKind) *Edge {
-		return &Edge{Caller: caller, Callee: callee, Call: call, Kind: kind}
+		return &Edge{Caller: caller, Callee: callee, Site: site, Kind: kind}
 	}
-	if name := call.FunName(); name != "" {
-		if callee := g.funcNamed(caller.File, name); callee != nil {
+	call := &caller.Func.Calls[site]
+	if call.Name != "" {
+		if callee := g.Resolve(caller.File, call.Name); callee != nil {
 			return []*Edge{mk(callee, Direct)}, true
 		}
 		// A bare identifier that is not a definition may still be a
 		// function-pointer variable: fp(...).
-		if cands := g.ptrTargets[name]; len(cands) > 0 {
+		if cands := g.ptrTargets[call.Name]; len(cands) > 0 {
 			for _, callee := range cands {
 				edges = append(edges, mk(callee, Pointer))
 			}
@@ -182,14 +165,11 @@ func (g *Graph) edgesFor(caller *Node, call *cast.CallExpr) (edges []*Edge, reso
 		return nil, false
 	}
 	// Indirect call: p->op(...), (*fp)(...), ops[i].fn(...).
-	slot := slotName(call.Fun)
-	cands := g.ptrTargets[slot]
-	if len(cands) == 0 && slot != "" {
+	cands := g.ptrTargets[call.Slot]
+	if len(cands) == 0 && call.Slot != "" && call.Field {
 		// Field calls with no named match fall back to functions seen in
 		// positional initializer lists.
-		if _, isField := unwrapField(call.Fun); isField {
-			cands = g.initTargets
-		}
+		cands = g.initTargets
 	}
 	if len(cands) == 0 {
 		return nil, false
@@ -200,104 +180,8 @@ func (g *Graph) edgesFor(caller *Node, call *cast.CallExpr) (edges []*Edge, reso
 	return edges, true
 }
 
-func unwrapField(e cast.Expr) (*cast.FieldExpr, bool) {
-	for {
-		switch x := e.(type) {
-		case *cast.FieldExpr:
-			return x, true
-		case *cast.UnaryExpr:
-			e = x.X
-		case *cast.CastExpr:
-			e = x.X
-		case *cast.IndexExpr:
-			e = x.X
-		default:
-			return nil, false
-		}
-	}
-}
-
 // Lookup returns every definition named name, in build order.
 func (g *Graph) Lookup(name string) []*Node { return g.byName[name] }
-
-// ResolverFor returns a name resolver with fromFile's visibility: the
-// function cfg-level cross-file inlining uses. It returns nil for names with
-// no visible definition, so callers degrade to the paper's one-level
-// same-file behavior.
-func (g *Graph) ResolverFor(fromFile string) func(name string) *cast.FuncDecl {
-	return func(name string) *cast.FuncDecl {
-		if n := g.funcNamed(fromFile, name); n != nil {
-			return n.Fn
-		}
-		return nil
-	}
-}
-
-// Callees returns the distinct nodes n calls, in first-call order.
-func (n *Node) Callees() []*Node {
-	var out []*Node
-	seen := map[*Node]bool{}
-	for _, e := range n.Calls {
-		if !seen[e.Callee] {
-			seen[e.Callee] = true
-			out = append(out, e.Callee)
-		}
-	}
-	return out
-}
-
-// FileDeps returns the conservative file-level dependency map the
-// incremental pipeline keys interprocedural extraction on: file A depends on
-// file B when A's extraction could observe code from B — through a resolved
-// call edge (direct or function-pointer), or because a name called anywhere
-// in A has a definition in B (the superset any per-file resolver may splice,
-// regardless of which visibility context resolves the nested call). The
-// lists are sorted, duplicate-free and never include the file itself.
-//
-// The map is deliberately an over-approximation: a file outside another
-// file's transitive dependency closure can never influence its extraction,
-// so artifacts keyed over the closure's contents are safe to reuse.
-func (g *Graph) FileDeps() map[string][]string {
-	deps := map[string]map[string]bool{}
-	add := func(from, to string) {
-		if from == to {
-			return
-		}
-		m, ok := deps[from]
-		if !ok {
-			m = map[string]bool{}
-			deps[from] = m
-		}
-		m[to] = true
-	}
-	for _, n := range g.Nodes {
-		if _, ok := deps[n.File]; !ok {
-			deps[n.File] = map[string]bool{}
-		}
-		for _, e := range n.Calls {
-			add(n.File, e.Callee.File)
-		}
-		for _, call := range n.allCalls {
-			name := call.FunName()
-			if name == "" {
-				continue
-			}
-			for _, def := range g.byName[name] {
-				add(n.File, def.File)
-			}
-		}
-	}
-	out := make(map[string][]string, len(deps))
-	for file, set := range deps {
-		list := make([]string, 0, len(set))
-		for to := range set {
-			list = append(list, to)
-		}
-		sort.Strings(list)
-		out[file] = list
-	}
-	return out
-}
 
 // Stats summarizes the graph for reports and metrics.
 type Stats struct {
@@ -325,52 +209,56 @@ func (g *Graph) Stats() Stats {
 
 // SCCs returns the strongly connected components of the graph in Tarjan
 // order (reverse topological: callees before callers), each component's
-// nodes in build order. Recursive functions form components of size >= 1
+// nodes in discovery order. Recursive functions form components of size >= 1
 // with a self or mutual cycle.
 func (g *Graph) SCCs() [][]*Node {
-	index := map[*Node]int{}
-	low := map[*Node]int{}
-	onStack := map[*Node]bool{}
+	n := len(g.Nodes)
+	index := make([]int, n)
+	low := make([]int, n)
+	onStack := make([]bool, n)
+	for i := range index {
+		index[i] = -1
+	}
 	var stack []*Node
 	var comps [][]*Node
 	next := 0
 
 	var strongconnect func(v *Node)
 	strongconnect = func(v *Node) {
-		index[v] = next
-		low[v] = next
+		index[v.ID] = next
+		low[v.ID] = next
 		next++
 		stack = append(stack, v)
-		onStack[v] = true
+		onStack[v.ID] = true
 		for _, e := range v.Calls {
 			w := e.Callee
-			if _, seen := index[w]; !seen {
+			if index[w.ID] < 0 {
 				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
+				if low[w.ID] < low[v.ID] {
+					low[v.ID] = low[w.ID]
 				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
+			} else if onStack[w.ID] && index[w.ID] < low[v.ID] {
+				low[v.ID] = index[w.ID]
 			}
 		}
-		if low[v] == index[v] {
+		if low[v.ID] == index[v.ID] {
 			var comp []*Node
 			for {
 				w := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
-				onStack[w] = false
+				onStack[w.ID] = false
 				comp = append(comp, w)
 				if w == v {
 					break
 				}
 			}
-			sort.Slice(comp, func(i, j int) bool { return index[comp[i]] < index[comp[j]] })
+			sort.Slice(comp, func(i, j int) bool { return index[comp[i].ID] < index[comp[j].ID] })
 			comps = append(comps, comp)
 		}
 	}
-	for _, n := range g.Nodes {
-		if _, seen := index[n]; !seen {
-			strongconnect(n)
+	for _, v := range g.Nodes {
+		if index[v.ID] < 0 {
+			strongconnect(v)
 		}
 	}
 	return comps

@@ -189,8 +189,8 @@ func TestResolverForVisibility(t *testing.T) {
 		parse(t, "x.c", `static void helper(void) { int x; }`),
 		parse(t, "y.c", `void pub(void) { }`),
 	})
-	rx := g.ResolverFor("x.c")
-	ry := g.ResolverFor("y.c")
+	rx := func(name string) *Node { return g.Resolve("x.c", name) }
+	ry := func(name string) *Node { return g.Resolve("y.c", name) }
 	if rx("helper") == nil {
 		t.Error("x.c must see its static helper")
 	}
@@ -209,55 +209,5 @@ func TestNilASTSkipped(t *testing.T) {
 	g := build(t, []File{{Name: "broken.c", AST: nil}, parse(t, "ok.c", `void f(void) { }`)})
 	if len(g.Nodes) != 1 {
 		t.Errorf("nodes = %d, want 1", len(g.Nodes))
-	}
-}
-
-func TestFileDeps(t *testing.T) {
-	g := build(t, []File{
-		parse(t, "a.c", `void helper(void) { } void a_fn(void) { b_fn(); }`),
-		parse(t, "b.c", `void b_fn(void) { helper(); }`),
-		parse(t, "c.c", `static void helper(void) { } void c_fn(void) { helper(); }`),
-		parse(t, "d.c", `void d_fn(void) { unresolved_external(); }`),
-	})
-	deps := g.FileDeps()
-
-	// a.c calls b_fn (defined in b.c).
-	if got := deps["a.c"]; len(got) != 1 || got[0] != "b.c" {
-		t.Errorf("deps[a.c] = %v, want [b.c]", got)
-	}
-	// b.c calls helper: resolved to a.c's external definition, and the
-	// name-match superset also pulls in c.c's static one (conservative).
-	if got := deps["b.c"]; len(got) != 2 || got[0] != "a.c" || got[1] != "c.c" {
-		t.Errorf("deps[b.c] = %v, want [a.c c.c]", got)
-	}
-	// c.c's helper call resolves to its own static definition, but the
-	// name-match superset still records a.c as a potential provider.
-	if got := deps["c.c"]; len(got) != 1 || got[0] != "a.c" {
-		t.Errorf("deps[c.c] = %v, want [a.c]", got)
-	}
-	// d.c calls nothing resolvable anywhere: no dependencies, but the file
-	// must still appear as a key.
-	if got, ok := deps["d.c"]; !ok || len(got) != 0 {
-		t.Errorf("deps[d.c] = %v (ok=%t), want empty present", got, ok)
-	}
-}
-
-func TestFileDepsPointerCalls(t *testing.T) {
-	g := build(t, []File{
-		parse(t, "ops.c", `void impl(void) { }`),
-		parse(t, "use.c", `
-struct ops { void (*run)(void); };
-struct ops o = { impl };
-void driver(struct ops *p) { p->run(); }`),
-	})
-	deps := g.FileDeps()
-	found := false
-	for _, d := range deps["use.c"] {
-		if d == "ops.c" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("deps[use.c] = %v, want ops.c via pointer edge", deps["use.c"])
 	}
 }

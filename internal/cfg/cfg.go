@@ -89,16 +89,29 @@ type LinearizeOptions struct {
 	// Cross-file splices consume ResolveDepth, a budget separate from
 	// InlineDepth, so enabling interprocedural exploration never changes the
 	// paper-faithful same-file behavior.
-	Resolve func(name string) *cast.FuncDecl
+	Resolve Resolver
 	// ResolveDepth is how many levels of cross-file callees to splice via
 	// Resolve; 0 disables cross-file inlining.
 	ResolveDepth int
 }
 
+// Resolver maps a callee name to its cross-file definition, or to the zero
+// Def when no definition is visible.
+type Resolver func(name string) Def
+
+// Def is a function definition with the visibility of its own file: calls
+// inside its spliced body bind through Table and Resolve, never through
+// those of the file it is spliced into.
+type Def struct {
+	Fn      *cast.FuncDecl
+	Table   *ctypes.Table
+	Resolve Resolver
+}
+
 // Linearize flattens fn's body into the ordered unit stream.
 func Linearize(fn *cast.FuncDecl, opts LinearizeOptions) []*Unit {
 	ln := &linearizer{opts: opts}
-	ln.fn(fn, "", opts.InlineDepth, opts.ResolveDepth)
+	ln.fn(Def{Fn: fn, Table: opts.Table, Resolve: opts.Resolve}, "", opts.InlineDepth, opts.ResolveDepth)
 	for i, u := range ln.units {
 		u.Index = i
 	}
@@ -143,16 +156,16 @@ func (l *linearizer) newUnit(kind UnitKind, stmt cast.Stmt, expr cast.Expr, fn *
 	return u
 }
 
-func (l *linearizer) fn(fn *cast.FuncDecl, inlinedFrom string, depth, rdepth int) {
-	if fn.Body == nil || l.full {
+func (l *linearizer) fn(d Def, inlinedFrom string, depth, rdepth int) {
+	if d.Fn.Body == nil || l.full {
 		return
 	}
-	l.block(fn.Body, fn, inlinedFrom, depth, rdepth)
+	l.block(d.Fn.Body, d, inlinedFrom, depth, rdepth)
 }
 
-func (l *linearizer) block(b *cast.BlockStmt, fn *cast.FuncDecl, inlinedFrom string, depth, rdepth int) {
+func (l *linearizer) block(b *cast.BlockStmt, d Def, inlinedFrom string, depth, rdepth int) {
 	for _, s := range b.Stmts {
-		l.stmt(s, fn, inlinedFrom, depth, rdepth)
+		l.stmt(s, d, inlinedFrom, depth, rdepth)
 		if l.full {
 			return
 		}
@@ -164,23 +177,25 @@ func (l *linearizer) block(b *cast.BlockStmt, fn *cast.FuncDecl, inlinedFrom str
 // depth; cross-file callees found via Resolve consume rdepth. The table is
 // consulted first so interprocedural mode reproduces the paper's same-file
 // behavior exactly and only adds splices the one-level mode could not see.
-func (l *linearizer) maybeInline(e cast.Expr, fn *cast.FuncDecl, depth, rdepth int) bool {
+// Both lookups use the visibility of d's file, so a call inside a body
+// spliced from another file binds as it does in that file.
+func (l *linearizer) maybeInline(e cast.Expr, d Def, depth, rdepth int) bool {
 	call, ok := e.(*cast.CallExpr)
 	if !ok {
 		return false
 	}
 	name := call.FunName()
-	if name == "" || name == fn.Name {
+	if name == "" || name == d.Fn.Name {
 		return false
 	}
-	if depth > 0 && l.opts.Table != nil {
-		if callee := l.opts.Table.Func(name); callee != nil && callee.Body != nil {
-			l.fn(callee, name, depth-1, rdepth)
+	if depth > 0 && d.Table != nil {
+		if callee := d.Table.Func(name); callee != nil && callee.Body != nil {
+			l.fn(Def{Fn: callee, Table: d.Table, Resolve: d.Resolve}, name, depth-1, rdepth)
 			return true
 		}
 	}
-	if rdepth > 0 && l.opts.Resolve != nil {
-		if callee := l.opts.Resolve(name); callee != nil && callee.Body != nil {
+	if rdepth > 0 && d.Resolve != nil {
+		if callee := d.Resolve(name); callee.Fn != nil && callee.Fn.Body != nil {
 			l.fn(callee, name, depth, rdepth-1)
 			return true
 		}
@@ -188,49 +203,50 @@ func (l *linearizer) maybeInline(e cast.Expr, fn *cast.FuncDecl, depth, rdepth i
 	return false
 }
 
-func (l *linearizer) stmt(s cast.Stmt, fn *cast.FuncDecl, inlinedFrom string, depth, rdepth int) {
+func (l *linearizer) stmt(s cast.Stmt, d Def, inlinedFrom string, depth, rdepth int) {
 	if l.full {
 		return
 	}
+	fn := d.Fn
 	switch x := s.(type) {
 	case *cast.BlockStmt:
-		l.block(x, fn, inlinedFrom, depth, rdepth)
+		l.block(x, d, inlinedFrom, depth, rdepth)
 	case *cast.ExprStmt:
 		u := l.newUnit(UnitStmt, x, x.X, fn, inlinedFrom, x.Position)
-		if l.maybeInline(x.X, fn, depth, rdepth) {
+		if l.maybeInline(x.X, d, depth, rdepth) {
 			u.InlinedCall = true
 		}
 	case *cast.DeclStmt:
 		u := l.newUnit(UnitStmt, x, x.Init, fn, inlinedFrom, x.Position)
-		if x.Init != nil && l.maybeInline(x.Init, fn, depth, rdepth) {
+		if x.Init != nil && l.maybeInline(x.Init, d, depth, rdepth) {
 			u.InlinedCall = true
 		}
 	case *cast.IfStmt:
 		l.newUnit(UnitCond, x, x.Cond, fn, inlinedFrom, x.Position)
-		l.stmt(x.Then, fn, inlinedFrom, depth, rdepth)
+		l.stmt(x.Then, d, inlinedFrom, depth, rdepth)
 		if x.Else != nil {
-			l.stmt(x.Else, fn, inlinedFrom, depth, rdepth)
+			l.stmt(x.Else, d, inlinedFrom, depth, rdepth)
 		}
 	case *cast.ForStmt:
 		if x.Init != nil {
-			l.stmt(x.Init, fn, inlinedFrom, depth, rdepth)
+			l.stmt(x.Init, d, inlinedFrom, depth, rdepth)
 		}
 		if x.Cond != nil {
 			l.newUnit(UnitCond, x, x.Cond, fn, inlinedFrom, x.Position)
 		}
-		l.stmt(x.Body, fn, inlinedFrom, depth, rdepth)
+		l.stmt(x.Body, d, inlinedFrom, depth, rdepth)
 		if x.Post != nil {
 			l.newUnit(UnitStmt, x, x.Post, fn, inlinedFrom, x.Position)
 		}
 	case *cast.WhileStmt:
 		l.newUnit(UnitCond, x, x.Cond, fn, inlinedFrom, x.Position)
-		l.stmt(x.Body, fn, inlinedFrom, depth, rdepth)
+		l.stmt(x.Body, d, inlinedFrom, depth, rdepth)
 	case *cast.DoWhileStmt:
-		l.stmt(x.Body, fn, inlinedFrom, depth, rdepth)
+		l.stmt(x.Body, d, inlinedFrom, depth, rdepth)
 		l.newUnit(UnitCond, x, x.Cond, fn, inlinedFrom, x.Position)
 	case *cast.SwitchStmt:
 		l.newUnit(UnitCond, x, x.Tag, fn, inlinedFrom, x.Position)
-		l.stmt(x.Body, fn, inlinedFrom, depth, rdepth)
+		l.stmt(x.Body, d, inlinedFrom, depth, rdepth)
 	case *cast.ReturnStmt:
 		l.newUnit(UnitStmt, x, x.Value, fn, inlinedFrom, x.Position)
 	case *cast.CaseStmt, *cast.LabelStmt, *cast.EmptyStmt,

@@ -16,8 +16,8 @@ func resultJSON(t *testing.T, res *Result) string {
 }
 
 // TestInterprocCalleeEditInvalidatesCaller pins the interprocedural
-// invalidation rule: editing a file re-keys every transitive caller through
-// the dependency-closure hash, so callers never reuse sites built over
+// invalidation rule: an edit that changes a name's inferred kind re-keys
+// every file observing that kind, so callers never reuse sites built over
 // stale inferred semantics — while unrelated files stay cached.
 func TestInterprocCalleeEditInvalidatesCaller(t *testing.T) {
 	opts := DefaultOptions()

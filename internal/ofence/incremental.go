@@ -12,10 +12,12 @@
 //     positions and diagnostics) — whitespace/comment-only edits hash
 //     identically and reuse everything downstream.
 //   - extract: the parse fingerprint × the options fingerprint, plus — in
-//     interprocedural mode — the content hash of the file's transitive
-//     call-graph dependency closure, so editing a callee conservatively
-//     re-extracts every (transitive) caller instead of reusing sites built
-//     over stale inferred semantics.
+//     interprocedural mode — a key over exactly what the file's extraction
+//     observes besides its own tokens (see global.go): for every call name
+//     its linearization can reach, the resolution outcome, the defining
+//     file and fingerprint of each spliced definition, and the inferred
+//     kind. An edit re-extracts the files that observe what it changed,
+//     and no others.
 //
 // Artifact records are copy-on-write: recomputing a stage swaps in a fresh
 // record on this project's unit and never mutates the shared one, so a
@@ -32,6 +34,7 @@ import (
 	"sync/atomic"
 
 	"ofence/internal/access"
+	"ofence/internal/callgraph"
 	"ofence/internal/cast"
 	"ofence/internal/cparser"
 	"ofence/internal/cpp"
@@ -66,17 +69,21 @@ type artifacts struct {
 	// ran and carried through cache hits for the frontend.* obs counters.
 	tokens     int
 	arenaBytes int64
+	// summary is the call-graph summary of ast (callgraph.Summarize),
+	// taken by the first run at InterprocDepth ≥ 1; nil until then. Like
+	// every artifact here it is a function of preHash.
+	summary *callgraph.Summary
 	// table is the cfg-stage symbol table; nil until the first extraction.
 	table *ctypes.Table
 	// sites are the extract-stage barrier sites.
 	sites []*access.Site
-	// extractFP and extractClosure are the options fingerprint and the
-	// dependency-closure key ("" at InterprocDepth 0) sites were extracted
+	// extractFP and extractObserved are the options fingerprint and the
+	// observed-input key ("" at InterprocDepth 0) sites were extracted
 	// under; both "" before the first extraction. Together with preHash they
-	// determine the extract key, so a run whose fingerprint and closure
-	// match serves the unit without hashing the key.
-	extractFP      string
-	extractClosure string
+	// determine the extract key, so a run whose fingerprint and observed
+	// inputs match serves the unit without hashing the key.
+	extractFP       string
+	extractObserved string
 }
 
 // preArtifact is the preprocess-stage cache value.
@@ -263,12 +270,13 @@ type extractPlan struct {
 	fp    string
 	opts  Options
 	cache *rescache.Cache
-	// closures maps each file to its dependency-closure key (closureKeys).
-	closures map[string]string
+	// observed maps each file to its observed-input key
+	// (callgraph.Observations.Key).
+	observed map[string]string
 	// inferred are the barrier semantics the semprop fixpoint inferred.
 	inferred map[string]memmodel.BarrierKind
-	// resolve returns a file's cross-file callee resolver.
-	resolve func(file string) func(string) *cast.FuncDecl
+	// defs resolves cross-file callees to this run's definitions.
+	defs *runDefs
 }
 
 // pipelineFile streams one unit that is not clean (see AnalyzeParallel)
@@ -287,23 +295,23 @@ func (p *Project) pipelineFile(ectx context.Context, fu *FileUnit, env projectEn
 		art = p.refreshUnit(ectx, fu, env, opts.ReleaseASTs)
 	}
 
-	closure := plan.closures[fu.Name]
-	if art.extractFP == plan.fp && art.extractClosure == closure {
+	observed := plan.observed[fu.Name]
+	if art.extractFP == plan.fp && art.extractObserved == observed {
 		reused.Add(1)
 		p.mu.Lock()
 		fu.Table, fu.Sites = art.table, art.sites
 		p.mu.Unlock()
 		return
 	}
-	want := extractKeyFor(plan.fp, fu.Name, art.preHash, closure)
+	want := extractKeyFor(plan.fp, fu.Name, art.preHash, observed)
 	v, hit, _ := plan.cache.Do(want, func() (any, error) {
 		recomputed.Add(1)
 		table := p.tableFor(fu.Name, art)
 		aopts := opts.Access
 		aopts.Syms = p.syms
 		aopts.InferredSemantics = plan.inferred
-		if plan.resolve != nil {
-			aopts.Resolve = plan.resolve(fu.Name)
+		if plan.defs != nil {
+			aopts.Resolve = plan.defs.resolver(fu.Name)
 		}
 		aopts.InterprocDepth = opts.InterprocDepth
 		ex := access.NewExtractor(fu.Name, table, aopts)
@@ -315,7 +323,7 @@ func (p *Project) pipelineFile(ectx context.Context, fu *FileUnit, env projectEn
 	}
 	ea := v.(*extractArtifact)
 	next := *art
-	next.table, next.sites, next.extractFP, next.extractClosure = ea.table, ea.sites, plan.fp, closure
+	next.table, next.sites, next.extractFP, next.extractObserved = ea.table, ea.sites, plan.fp, observed
 	// Extraction is the AST's last consumer at depth 0: drop it so live
 	// parse trees never exceed the in-flight worker count. At depth > 0,
 	// analyze drops every AST once all extraction is done.
@@ -346,145 +354,13 @@ func (p *Project) tableFor(name string, art *artifacts) *ctypes.Table {
 }
 
 // extractKeyFor builds the extract-stage key: options fingerprint × file
-// name × content hash, plus the interprocedural dependency-closure hash
+// name × content hash, plus the file's observed-input key
 // when cross-file analysis is on.
-func extractKeyFor(fp, name, preHash, closure string) rescache.Key {
-	if closure == "" {
-		return rescache.KeyOf(fp, "extract-v1", name, preHash)
+func extractKeyFor(fp, name, preHash, observed string) rescache.Key {
+	if observed == "" {
+		return rescache.KeyOf(fp, "extract-v2", name, preHash)
 	}
-	return rescache.KeyOf(fp, "extract-v1", name, preHash, closure)
-}
-
-// closureKeys returns, per file, a key over its transitive call-graph
-// dependency closure: every file whose code the file's interprocedural
-// extraction could observe — through spliced callee bodies or through
-// inferred barrier semantics, which propagate along call edges. deps is
-// callgraph.(*Graph).FileDeps.
-//
-// The key changes exactly when a file in the closure changes content, so
-// keying extraction on it conservatively invalidates every (transitive)
-// caller of an edited file while files outside the closure keep their
-// cached sites (pinned by TestClosureKeyTracksReachability).
-//
-// It runs in O(V+E): the file-dependency graph is condensed into strongly
-// connected components (iterative Tarjan); each component's hash covers its
-// members' sorted (name, preHash) pairs plus its successor components'
-// sorted hashes, and a file's key is its component's hash. Tarjan emits a
-// component only after every component reachable from it, so one pass in
-// emission order has all successor hashes ready. The hashes are structural
-// (everything sorted before hashing), hence independent of traversal order.
-func closureKeys(deps map[string][]string, files []*FileUnit) map[string]string {
-	n := len(files)
-	names := make([]string, n)
-	preOf := make([]string, n)
-	idxOf := make(map[string]int, n)
-	for i, fu := range files {
-		names[i] = fu.Name
-		idxOf[fu.Name] = i
-		if fu.art != nil {
-			preOf[i] = fu.art.preHash
-		}
-	}
-	adj := make([][]int, n)
-	for i, nm := range names {
-		for _, d := range deps[nm] {
-			if j, ok := idxOf[d]; ok {
-				adj[i] = append(adj[i], j)
-			}
-		}
-	}
-
-	const unvisited = -1
-	index := make([]int, n)
-	low := make([]int, n)
-	comp := make([]int, n)
-	onstack := make([]bool, n)
-	for i := range index {
-		index[i] = unvisited
-		comp[i] = unvisited
-	}
-	var stack []int
-	var comps [][]int
-	next := 0
-	type frame struct{ v, ei int }
-	for root := 0; root < n; root++ {
-		if index[root] != unvisited {
-			continue
-		}
-		index[root], low[root] = next, next
-		next++
-		stack = append(stack, root)
-		onstack[root] = true
-		frames := []frame{{root, 0}}
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			if f.ei < len(adj[f.v]) {
-				w := adj[f.v][f.ei]
-				f.ei++
-				if index[w] == unvisited {
-					index[w], low[w] = next, next
-					next++
-					stack = append(stack, w)
-					onstack[w] = true
-					frames = append(frames, frame{w, 0})
-				} else if onstack[w] && index[w] < low[f.v] {
-					low[f.v] = index[w]
-				}
-				continue
-			}
-			v := f.v
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				if pv := frames[len(frames)-1].v; low[v] < low[pv] {
-					low[pv] = low[v]
-				}
-			}
-			if low[v] == index[v] {
-				var members []int
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onstack[w] = false
-					comp[w] = len(comps)
-					members = append(members, w)
-					if w == v {
-						break
-					}
-				}
-				comps = append(comps, members)
-			}
-		}
-	}
-
-	hash := make([]string, len(comps))
-	for c, members := range comps {
-		mnames := make([]string, len(members))
-		for k, v := range members {
-			mnames[k] = names[v]
-		}
-		sort.Strings(mnames)
-		parts := make([]string, 0, 2*len(mnames))
-		for _, nm := range mnames {
-			parts = append(parts, nm, preOf[idxOf[nm]])
-		}
-		succSeen := map[int]bool{}
-		var succ []string
-		for _, v := range members {
-			for _, w := range adj[v] {
-				if comp[w] != c && !succSeen[comp[w]] {
-					succSeen[comp[w]] = true
-					succ = append(succ, hash[comp[w]])
-				}
-			}
-		}
-		sort.Strings(succ)
-		hash[c] = string(rescache.KeyOf("closure-v2", append(parts, succ...)...))
-	}
-	out := make(map[string]string, n)
-	for i, nm := range names {
-		out[nm] = hash[comp[i]]
-	}
-	return out
+	return rescache.KeyOf(fp, "extract-v2", name, preHash, observed)
 }
 
 // IncrementalStats summarizes how much per-file work one AnalyzeParallel call

@@ -222,3 +222,40 @@ void user(struct foo *f) {
 		}
 	}
 }
+
+// A call inside a body spliced from another file binds with the visibility
+// of that file. g, spliced from b.c into a.c's f, calls h: b.c's own empty
+// static h, not a.c's static h with its barrier. Binding through the root
+// file would plant a phantom smp_wmb in f between p->x and p->y.
+func TestSplicedCalleeBindsInItsOwnFile(t *testing.T) {
+	p := NewProject()
+	p.AddSources([]SourceFile{
+		{Name: "a.c", Src: `
+struct s { int x; int y; };
+void g(struct s *p);
+static void h(void) { smp_wmb(); }
+void f(struct s *p) { g(p); }
+`},
+		{Name: "b.c", Src: `
+struct s { int x; int y; };
+static void h(void) { }
+void g(struct s *p) { p->x = 1; h(); p->y = 1; }
+`},
+	})
+	for _, depth := range []int{0, 1} {
+		opts := DefaultOptions()
+		opts.InterprocDepth = depth
+		res := mustAnalyze(t, p, opts)
+		if len(res.ParseErrors) > 0 {
+			t.Fatalf("parse errors: %v", res.ParseErrors)
+		}
+		if len(res.Sites) != 1 {
+			t.Fatalf("depth %d: %d sites, want only a.c:h's smp_wmb", depth, len(res.Sites))
+		}
+		s := res.Sites[0]
+		if s.File != "a.c" || s.Fn.Name != "h" || len(s.Before)+len(s.After) != 0 {
+			t.Errorf("depth %d: site %s in %s:%s with %d+%d accesses, want a.c:h with none",
+				depth, s.Name, s.File, s.Fn.Name, len(s.Before), len(s.After))
+		}
+	}
+}

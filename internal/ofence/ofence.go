@@ -146,6 +146,9 @@ type Project struct {
 	// access.BuildSiteTable). A published table is immutable, so clones
 	// share the pointer. Written under runMu and mu, read under either.
 	table *access.SiteTable
+	// global is the call graph and inference the last interprocedural run
+	// linked (see global.go), shared with clones like table.
+	global *globalRecord
 }
 
 // NewProject returns an empty project.
@@ -283,6 +286,7 @@ func (p *Project) Clone() *Project {
 		stages:  p.stages,
 		syms:    p.syms,
 		table:   p.table,
+		global:  p.global,
 	}
 	for k, v := range p.headers {
 		q.headers[k] = v
@@ -413,38 +417,19 @@ func (p *Project) AnalyzeParallel(ctx context.Context, opts Options) (*Result, e
 			return nil, err
 		}
 
-		// Interprocedural mode: build the cross-file call graph and run the
-		// barrier-semantics fixpoint before extraction, so every file's
-		// exploration sees the inferred implicit barriers and can splice callees
-		// across file boundaries. Both phases are cheap and project-wide, so
-		// they always run; the per-file extract cache stays sound because its
-		// keys fold in each file's dependency-closure hash — a one-file edit
-		// re-keys (and so re-extracts) every transitive caller, and only those.
-		cgf := make([]callgraph.File, 0, len(files))
-		for _, fu := range files {
-			cgf = append(cgf, callgraph.File{Name: fu.Name, AST: fu.AST})
-		}
-		_, gsp := obs.Start(ctx, "callgraph")
-		g := callgraph.BuildParallel(cgf, workers)
-		res.CallGraph = g.Stats()
-		gsp.Add("functions", int64(res.CallGraph.Functions))
-		gsp.Add("edges", int64(res.CallGraph.Edges))
-		gsp.Add("unresolved", int64(res.CallGraph.Unresolved))
-		gsp.End()
-		_, ssp := obs.Start(ctx, "semprop")
-		inf := semprop.Infer(g, semprop.Options{ExtraFull: opts.Access.ExtraBarrierSemantics, Workers: workers})
-		res.Inferred = inf.Functions()
-		ssp.Add("inferred", int64(len(res.Inferred)))
-		ssp.Add("sccs", int64(inf.Components))
-		ssp.Add("scc_levels", int64(inf.Levels))
-		ssp.End()
-		plan.inferred = inf.NameKinds()
-		plan.resolve = g.ResolverFor
-		plan.closures = closureKeys(g.FileDeps(), files)
+		// Interprocedural mode: the cross-file call graph and the
+		// barrier-semantics fixpoint run before extraction, so every file's
+		// exploration sees the inferred implicit barriers and can splice
+		// callees across file boundaries. Both read only per-file summaries
+		// and are reused whole while no summary changed; extraction is keyed
+		// on what each file observes of them (see global.go), so a one-file
+		// edit re-extracts the edited file and the files that splice what it
+		// changed.
+		p.globalPhases(ctx, files, opts, workers, res, &plan)
 	}
 
 	// Phase 1: per-file extraction. A clean unit — not stale, its record
-	// extracted under fp and the run's dependency closure ("" at depth 0) —
+	// extracted under fp and its observed-input key ("" at depth 0) —
 	// is served inline, with no key hashing and no goroutine. The rest enter
 	// a worker pool; at depth 0 each worker streams its file end to end —
 	// front-end refresh (preprocess+parse, only when the unit is stale) →
@@ -452,12 +437,12 @@ func (p *Project) AnalyzeParallel(ctx context.Context, opts Options) (*Result, e
 	// and the parse of a later file overlaps the extraction of an earlier
 	// one. A key found in the shared stage cache (e.g. computed by a clone)
 	// is adopted without running; only genuinely new (file content ×
-	// options × closure) combinations execute.
+	// options × observed inputs) combinations execute.
 	ectx, esp := obs.Start(ctx, "extract")
 	var dirty []*FileUnit
 	p.mu.Lock()
 	for _, fu := range files {
-		if art := fu.art; art != nil && !fu.stale && art.extractFP == fp && art.extractClosure == plan.closures[fu.Name] {
+		if art := fu.art; art != nil && !fu.stale && art.extractFP == fp && art.extractObserved == plan.observed[fu.Name] {
 			fu.Table, fu.Sites = art.table, art.sites
 			reused.Add(1)
 			continue

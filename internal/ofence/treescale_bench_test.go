@@ -11,7 +11,8 @@ import (
 // BenchmarkTreescaleCold measures cold full-run analysis (parse through
 // ranking) of a generated 256-file kernel tree at InterprocDepth=1,
 // Workers=8 ("scc8": sharded call-graph build, SCC-scheduled semantics
-// fixpoint, condensation-memoized closure keys, sharded dedup and census).
+// fixpoint, memoized observed-input extract keys, sharded dedup and
+// census).
 // CI smokes it at one iteration. BENCH_treescale.json records the tree-scale
 // overhaul's comparison against the sequential global phases, which are
 // retired; bench/ is the live measurement.

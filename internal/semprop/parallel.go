@@ -43,17 +43,12 @@ func inferSCC(g *callgraph.Graph, opts Options, extra map[string]bool, inf *Infe
 		return
 	}
 
-	idx := make(map[*callgraph.Node]int, n)
-	for i, nd := range g.Nodes {
-		idx[nd] = i
-	}
-
-	// Per-function precomputation (CFG build, block classification) is
-	// node-local; fan it out. Call candidates become dense indices, so the
-	// hot evaluation loop never touches a map.
+	// Per-function precomputation (block classification from the
+	// summaries) is node-local; fan it out. Call candidates are node IDs, so
+	// the hot evaluation loop never touches a map.
 	infos := make([]*fnInfo, n)
 	fanOut(n, workers, func(i int) {
-		infos[i] = precompute(g.Nodes[i], extra, idx)
+		infos[i] = precompute(g.Nodes[i], extra)
 	})
 
 	// Condense and level the component DAG. SCCs() returns components in
@@ -63,7 +58,7 @@ func inferSCC(g *callgraph.Graph, opts Options, extra map[string]bool, inf *Infe
 	compOf := make([]int32, n)
 	for ci, comp := range comps {
 		for _, nd := range comp {
-			compOf[idx[nd]] = int32(ci)
+			compOf[nd.ID] = int32(ci)
 		}
 	}
 	level := make([]int32, len(comps))
@@ -71,7 +66,7 @@ func inferSCC(g *callgraph.Graph, opts Options, extra map[string]bool, inf *Infe
 	for ci, comp := range comps {
 		for _, nd := range comp {
 			for _, e := range nd.Calls {
-				cc := compOf[idx[e.Callee]]
+				cc := compOf[e.Callee.ID]
 				if int(cc) != ci && level[cc]+1 > level[ci] {
 					level[ci] = level[cc] + 1
 				}
@@ -90,7 +85,7 @@ func inferSCC(g *callgraph.Graph, opts Options, extra map[string]bool, inf *Infe
 	var maxRounds atomic.Int64
 	for _, compIDs := range byLevel {
 		fanOut(len(compIDs), workers, func(i int) {
-			r := int64(evalComp(comps[compIDs[i]], infos, idx, kinds))
+			r := int64(evalComp(comps[compIDs[i]], infos, kinds))
 			for {
 				cur := maxRounds.Load()
 				if r <= cur || maxRounds.CompareAndSwap(cur, r) {
@@ -103,18 +98,16 @@ func inferSCC(g *callgraph.Graph, opts Options, extra map[string]bool, inf *Infe
 	inf.Rounds = int(maxRounds.Load())
 	inf.Components = len(comps)
 	inf.Levels = int(maxLevel) + 1
-	for i, nd := range g.Nodes {
-		inf.kinds[nd] = kinds[i]
-	}
+	inf.kinds = kinds
 }
 
 // evalComp evaluates one component to its local fixpoint, returning the
 // local round count. Callee kinds outside the component are final (lower
 // levels completed behind a barrier); kinds inside it are owned by this
 // goroutine only.
-func evalComp(comp []*callgraph.Node, infos []*fnInfo, idx map[*callgraph.Node]int, kinds []memmodel.BarrierKind) int {
+func evalComp(comp []*callgraph.Node, infos []*fnInfo, kinds []memmodel.BarrierKind) int {
 	if len(comp) == 1 && !callsSelf(comp[0]) {
-		i := idx[comp[0]]
+		i := comp[0].ID
 		kinds[i] = evaluate(infos[i], kinds)
 		return 1
 	}
@@ -123,7 +116,7 @@ func evalComp(comp []*callgraph.Node, infos []*fnInfo, idx map[*callgraph.Node]i
 		changed = false
 		rounds++
 		for _, nd := range comp {
-			i := idx[nd]
+			i := nd.ID
 			k := evaluate(infos[i], kinds)
 			if k != kinds[i] {
 				kinds[i] = k
@@ -146,7 +139,7 @@ func callsSelf(n *callgraph.Node) bool {
 // evaluate runs the per-function MUST dataflow under the current
 // interprocedural kinds and returns the function's barrier kind.
 func evaluate(info *fnInfo, cur []memmodel.BarrierKind) memmodel.BarrierKind {
-	nb := len(info.graph.Blocks)
+	nb := len(info.preds)
 	if nb == 0 || len(info.exits) == 0 {
 		return memmodel.None
 	}

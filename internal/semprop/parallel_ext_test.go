@@ -2,6 +2,7 @@ package semprop_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"ofence/internal/callgraph"
@@ -86,7 +87,7 @@ func TestSCCScheduleEquivalenceTree(t *testing.T) {
 		inf := semprop.Infer(g, semprop.Options{})
 		heads := 0
 		for _, n := range g.Nodes {
-			if len(n.Fn.Name) > 10 && n.Fn.Name[len(n.Fn.Name)-10:] == "_sync_0000" {
+			if strings.HasSuffix(n.Name(), "_sync_0000") {
 				heads++
 				if inf.Kind(n) == 0 {
 					t.Errorf("seed %d: chain head %s inferred as none", seed, n.Name())

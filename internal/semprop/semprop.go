@@ -26,11 +26,13 @@
 // # The analysis
 //
 // Per function, a forward MUST dataflow over the control-flow graph
-// (internal/cfg): in(b) is the meet over predecessors' out (entry starts at
-// none — nothing has executed), out(b) joins in(b) with the barriers the
-// block itself executes. The function's kind is the meet over all exit
-// blocks — the ordering guaranteed on EVERY path. Blocks start at full
-// (top) and only descend, so the inner fixpoint terminates.
+// (internal/cfg, reduced to a callgraph.Flow by callgraph.Summarize): in(b)
+// is the meet over predecessors' out (entry starts at none — nothing has
+// executed), out(b) joins in(b) with the barriers the block itself
+// executes. The function's kind is the meet over all exit blocks — the
+// ordering guaranteed on EVERY path. Blocks start at full (top) and only
+// descend, so the inner fixpoint terminates. The inference reads nothing
+// but the graph and its summaries: it never touches an AST.
 //
 // Interprocedurally, all functions start at none and the per-function
 // analysis is re-run — calls contributing their callee's current kind —
@@ -48,8 +50,6 @@ import (
 	"sort"
 
 	"ofence/internal/callgraph"
-	"ofence/internal/cast"
-	"ofence/internal/cfg"
 	"ofence/internal/memmodel"
 )
 
@@ -118,25 +118,32 @@ type Inference struct {
 	// SCC schedule walked.
 	Levels int
 
-	kinds map[*callgraph.Node]memmodel.BarrierKind
+	// kinds holds each node's kind, indexed by Node.ID.
+	kinds []memmodel.BarrierKind
 }
 
 // Kind returns the inferred kind for a graph node.
-func (inf *Inference) Kind(n *callgraph.Node) memmodel.BarrierKind { return inf.kinds[n] }
+func (inf *Inference) Kind(n *callgraph.Node) memmodel.BarrierKind {
+	if n.ID < len(inf.kinds) && inf.Graph.Nodes[n.ID] == n {
+		return inf.kinds[n.ID]
+	}
+	return memmodel.None
+}
 
 // Functions returns every function with non-none inferred semantics, sorted
 // by (name, file) for deterministic reports.
 func (inf *Inference) Functions() []InferredFn {
 	var out []InferredFn
-	for n, k := range inf.kinds {
+	for i, k := range inf.kinds {
 		if k == memmodel.None {
 			continue
 		}
+		n := inf.Graph.Nodes[i]
 		known := memmodel.IsBarrier(n.Name()) || memmodel.Lookup(n.Name()) != nil ||
 			memmodel.SeqcountKind(n.Name()) != memmodel.None
 		out = append(out, InferredFn{Name: n.Name(), File: n.File, Kind: k, Known: known})
 	}
-	sort.Slice(out, func(i, j int) bool {
+	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Name != out[j].Name {
 			return out[i].Name < out[j].Name
 		}
@@ -153,8 +160,8 @@ func (inf *Inference) Functions() []InferredFn {
 func (inf *Inference) NameKinds() map[string]memmodel.BarrierKind {
 	byName := map[string]memmodel.BarrierKind{}
 	seen := map[string]bool{}
-	for n, k := range inf.kinds {
-		name := n.Name()
+	for i, k := range inf.kinds {
+		name := inf.Graph.Nodes[i].Name()
 		if !seen[name] {
 			seen[name] = true
 			byName[name] = k
@@ -188,16 +195,14 @@ func InferredOnly(fns []InferredFn) map[string]bool {
 
 // fnInfo is the per-function precomputation reused across fixpoint rounds.
 type fnInfo struct {
-	graph *cfg.Graph
 	// static is each block's barrier contribution from the catalogs alone.
 	static []memmodel.BarrierKind
-	// dynamic lists, per block and call site, the dense node indices of the
-	// resolved call candidates whose inferred kinds contribute on
-	// re-evaluation.
+	// dynamic lists, per block and call site, the node IDs of the resolved
+	// call candidates whose inferred kinds contribute on re-evaluation.
 	dynamic [][][]int32
 	// exits are the reachable no-successor block IDs.
-	exits []int
-	preds [][]int
+	exits []int32
+	preds [][]int32
 }
 
 // Infer runs the interprocedural fixpoint over g, scheduled over the
@@ -209,67 +214,43 @@ func Infer(g *callgraph.Graph, opts Options) *Inference {
 	for _, name := range opts.ExtraFull {
 		extra[name] = true
 	}
-	inf := &Inference{Graph: g, kinds: map[*callgraph.Node]memmodel.BarrierKind{}}
+	inf := &Inference{Graph: g}
 	inferSCC(g, opts, extra, inf)
 	return inf
 }
 
-// precompute builds the CFG and splits each block's barrier contribution
-// into the static part (catalog lookups, fixed across rounds) and the
-// dynamic part (resolved callees, as indices into idx, whose kinds evolve).
-func precompute(n *callgraph.Node, extra map[string]bool, idx map[*callgraph.Node]int) *fnInfo {
-	g := cfg.Build(n.Fn)
+// precompute splits each block's barrier contribution into the static part
+// (catalog lookups, fixed across rounds) and the dynamic part (resolved
+// callees, as node IDs, whose kinds evolve). A call resolved to
+// definitions is judged by those definitions — re-derived, not hardcoded.
+func precompute(n *callgraph.Node, extra map[string]bool) *fnInfo {
+	f := n.Func
+	nb := len(f.Flow.Preds)
 	info := &fnInfo{
-		graph:   g,
-		static:  make([]memmodel.BarrierKind, len(g.Blocks)),
-		dynamic: make([][][]int32, len(g.Blocks)),
+		static:  make([]memmodel.BarrierKind, nb),
+		dynamic: make([][][]int32, nb),
+		exits:   f.Flow.Exits,
+		preds:   f.Flow.Preds,
 	}
-
-	// Candidate targets per call site, from the resolved edges.
-	cands := map[*cast.CallExpr][]int32{}
+	cands := make([][]int32, len(f.Calls))
 	for _, e := range n.Calls {
-		cands[e.Call] = append(cands[e.Call], int32(idx[e.Callee]))
+		cands[e.Site] = append(cands[e.Site], int32(e.Callee.ID))
 	}
-
-	for bi, blk := range g.Blocks {
-		for _, u := range blk.Units {
-			root := u.Root()
-			if root == nil {
+	for bi, sites := range f.Flow.Calls {
+		for _, site := range sites {
+			if cs := cands[site]; len(cs) > 0 {
+				info.dynamic[bi] = append(info.dynamic[bi], cs)
 				continue
 			}
-			for _, call := range cast.Calls(root) {
-				// A call resolved to definitions is judged by those
-				// definitions — re-derived, not hardcoded.
-				if cs := cands[call]; len(cs) > 0 {
-					info.dynamic[bi] = append(info.dynamic[bi], cs)
-					continue
-				}
-				name := call.FunName()
-				if name == "" {
-					continue // unresolved pointer call: contributes none
-				}
-				switch {
-				case memmodel.Barrier(name) != nil:
-					info.static[bi] = join(info.static[bi], memmodel.Barrier(name).Kind)
-				case memmodel.SeqcountKind(name) != memmodel.None:
-					info.static[bi] = join(info.static[bi], memmodel.SeqcountKind(name))
-				case memmodel.HasBarrierSemantics(name) || extra[name]:
-					info.static[bi] = join(info.static[bi], memmodel.FullBarrier)
-				}
+			c := &f.Calls[site]
+			if c.Name == "" {
+				continue // unresolved pointer call: contributes none
 			}
-		}
-	}
-
-	reach := g.Reachable()
-	for id := range g.Blocks {
-		if reach[id] && len(g.Blocks[id].Succs) == 0 {
-			info.exits = append(info.exits, id)
-		}
-	}
-	info.preds = make([][]int, len(g.Blocks))
-	for _, blk := range g.Blocks {
-		for _, s := range blk.Succs {
-			info.preds[s.ID] = append(info.preds[s.ID], blk.ID)
+			k := c.Kind
+			if k == memmodel.None && extra[c.Name] {
+				k = memmodel.FullBarrier
+			}
+			info.static[bi] = join(info.static[bi], k)
 		}
 	}
 	return info
