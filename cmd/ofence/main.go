@@ -168,10 +168,11 @@ func main() {
 			res.CallGraph.Functions, res.CallGraph.Edges, res.CallGraph.PtrEdges,
 			res.CallGraph.Unresolved, len(res.Inferred))
 	}
-	fmt.Printf("ofence: extract %v, pair %v, check %v\n",
+	fmt.Printf("ofence: extract %v, pair %v, check %v, rank %v\n",
 		res.Timing.Extract.Round(time.Microsecond),
 		res.Timing.Pair.Round(time.Microsecond),
-		res.Timing.Check.Round(time.Microsecond))
+		res.Timing.Check.Round(time.Microsecond),
+		res.Timing.Rank.Round(time.Microsecond))
 
 	if *explain {
 		fmt.Print(ofence.ExplainResult(res))

@@ -1,9 +1,6 @@
 package ofence
 
 import (
-	"context"
-	"sort"
-
 	"ofence/internal/access"
 	"ofence/internal/cfg"
 	"ofence/internal/memmodel"
@@ -78,49 +75,6 @@ func (f *Finding) String() string {
 
 type checker struct {
 	opts Options
-}
-
-// checkParallel runs the deviation checkers over the pairings on a pool of
-// workers goroutines. Findings are collected per pairing index and merged
-// in order (then sorted by position), so the output is deterministic
-// regardless of scheduling. It stops early and returns ctx's error when the
-// context is canceled.
-func (c *checker) checkParallel(ctx context.Context, res *Result, workers int) ([]*Finding, error) {
-	perPairing := make([][]*Finding, len(res.Pairings))
-	forEachIndex(len(res.Pairings), workers, func(i int) {
-		if ctx.Err() == nil {
-			perPairing[i] = c.checkPairing(res.Pairings[i])
-		}
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	var out []*Finding
-	for _, fs := range perPairing {
-		out = append(out, fs...)
-	}
-	for _, s := range res.Unpaired {
-		if f := c.checkUnneeded(s, nil); f != nil {
-			out = append(out, f)
-		}
-	}
-	for _, s := range res.ImplicitIPC {
-		if f := c.checkUnneeded(s, nil); f != nil {
-			out = append(out, f)
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Site.File != b.Site.File {
-			return a.Site.File < b.Site.File
-		}
-		if a.Site.Pos.Line != b.Site.Pos.Line {
-			return a.Site.Pos.Line < b.Site.Pos.Line
-		}
-		return a.Kind < b.Kind
-	})
-	return out, nil
 }
 
 // checkPairing dispatches on pairing arity (§5.2 vs §5.3).

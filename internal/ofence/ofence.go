@@ -141,14 +141,17 @@ type Project struct {
 	// runMu serializes AnalyzeParallel calls on this project: runs swap the
 	// per-unit artifact records, which concurrent runs would race on.
 	runMu sync.Mutex
-	// table is the site table the last run published: the pairing and
-	// ranking data layer the next run derives its own from (see
+	// table is the site table the last completed run published: the
+	// pairing and ranking data layer the next run derives its own from (see
 	// access.BuildSiteTable). A published table is immutable, so clones
 	// share the pointer. Written under runMu and mu, read under either.
 	table *access.SiteTable
 	// global is the call graph and inference the last interprocedural run
 	// linked (see global.go), shared with clones like table.
 	global *globalRecord
+	// verdicts is the check and rank record the last completed run
+	// published with table (see verdicts.go), shared with clones like it.
+	verdicts *verdictRecord
 }
 
 // NewProject returns an empty project.
@@ -278,15 +281,16 @@ func (p *Project) Clone() *Project {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	q := &Project{
-		index:   make(map[string]int, len(p.index)),
-		headers: make(map[string]string, len(p.headers)),
-		defines: make(map[string]string, len(p.defines)),
-		files:   make([]*FileUnit, 0, len(p.files)),
-		envHash: p.envHash,
-		stages:  p.stages,
-		syms:    p.syms,
-		table:   p.table,
-		global:  p.global,
+		index:    make(map[string]int, len(p.index)),
+		headers:  make(map[string]string, len(p.headers)),
+		defines:  make(map[string]string, len(p.defines)),
+		files:    make([]*FileUnit, 0, len(p.files)),
+		envHash:  p.envHash,
+		stages:   p.stages,
+		syms:     p.syms,
+		table:    p.table,
+		global:   p.global,
+		verdicts: p.verdicts,
 	}
 	for k, v := range p.headers {
 		q.headers[k] = v
@@ -341,6 +345,8 @@ type Timing struct {
 	Pair time.Duration
 	// Check covers the deviation checkers.
 	Check time.Duration
+	// Rank covers confidence scoring, sorting and the MinConfidence gate.
+	Rank time.Duration
 }
 
 // Result is the outcome of AnalyzeParallel.
@@ -389,7 +395,9 @@ func (p *Project) AnalyzeParallel(ctx context.Context, opts Options) (*Result, e
 	ctx, asp := obs.Start(ctx, "analyze")
 	defer asp.End()
 	res := &Result{}
-	fp := opts.Fingerprint()
+	// Nothing before the gate reads MinConfidence, so flipping it keeps
+	// every file's extraction and the check and rank record.
+	fp := ungatedFingerprint(opts)
 
 	env := p.envSnapshot()
 	p.mu.Lock()
@@ -527,10 +535,10 @@ func (p *Project) AnalyzeParallel(ctx context.Context, opts Options) (*Result, e
 	// and re-vectorizes only what it changed; pairing and ranking share it.
 	phaseStart = time.Now()
 	pctx, psp := obs.Start(ctx, "pair")
-	tbl := access.BuildSiteTable(p.table, res.Sites, opts.GenericStructs, workers)
 	p.mu.Lock()
-	p.table = tbl
+	prevTable := p.table
 	p.mu.Unlock()
+	tbl := access.BuildSiteTable(prevTable, res.Sites, opts.GenericStructs, workers)
 	pairer := newPairer(tbl, opts)
 	res.Pairings, res.Unpaired, res.ImplicitIPC = pairer.run(pctx)
 	res.PairStats = pairer.stats
@@ -553,24 +561,41 @@ func (p *Project) AnalyzeParallel(ctx context.Context, opts Options) (*Result, e
 		return nil, err
 	}
 
-	// Phase 3: checking, fanned out per pairing.
+	// Phases 3 and 4: checking, fanned out per pairing, then confidence
+	// ranking (internal/rank). Both derive from the last completed run's
+	// record (see verdicts.go): only pairings the edit changed are checked,
+	// and only findings whose evidence moved are re-scored.
+	p.mu.Lock()
+	prev := p.verdicts
+	p.mu.Unlock()
+	if prev != nil && prev.fp != fp {
+		prev = nil
+	}
 	phaseStart = time.Now()
 	_, ksp := obs.Start(ctx, "check")
 	ck := &checker{opts: opts}
-	findings, err := ck.checkParallel(ctx, res, workers)
+	v, err := ck.check(ctx, prev, res, workers)
 	if err != nil {
 		ksp.End()
 		return nil, err
 	}
-	res.Findings = findings
-	ksp.Add("findings", int64(len(res.Findings)))
+	ksp.Add("findings", int64(v.total))
+	ksp.Add("pairings_checked", int64(v.checked))
+	ksp.Add("pairings_reused", int64(len(v.items)-v.checked))
 	ksp.End()
 	res.Timing.Check = time.Since(phaseStart)
 
-	// Phase 4: confidence ranking (internal/rank). Every finding is scored
-	// from the outlier census, pairing margins, site richness and semantics
-	// provenance; MinConfidence > 0 additionally gates the finding list.
-	rankFindings(ctx, res, opts, tbl, workers)
+	phaseStart = time.Now()
+	rec := v.rank(ctx, prev, fp, res, opts, tbl, workers)
+	res.Timing.Rank = time.Since(phaseStart)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	// Only a completed run publishes: the next run derives its site table
+	// and its verdicts from this one's.
+	p.mu.Lock()
+	p.table, p.verdicts = tbl, rec
+	p.mu.Unlock()
 	return res, nil
 }
 

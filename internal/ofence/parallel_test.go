@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"ofence/internal/obs"
 )
 
 // parallelTestSrc holds a pairing with a misplaced-access deviation plus an
@@ -179,6 +181,92 @@ func TestAnalyzeParallelCanceledContext(t *testing.T) {
 						t.Errorf("next run recomputed %d files, want %d", got, wantN)
 					}
 				}
+			})
+		}
+	}
+}
+
+// errCounter is a context that counts its Err calls and is never canceled.
+type errCounter struct {
+	context.Context
+	n atomic.Int64
+}
+
+func (c *errCounter) Err() error {
+	c.n.Add(1)
+	return nil
+}
+
+// phaseChecks analyzes p under a tracer whose clock reads the number of
+// context checks made so far, and returns how many checks the run made
+// before the span called phase and how many inside it.
+func phaseChecks(t *testing.T, p *Project, opts Options, phase string) (before, inside int) {
+	t.Helper()
+	c := &errCounter{Context: context.Background()}
+	tr := obs.New(obs.WithClock(func() time.Time { return time.Unix(0, c.n.Load()) }))
+	if _, err := p.AnalyzeParallel(obs.WithTracer(c, tr), opts); err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range tr.Spans() {
+		if sp.Name() == phase {
+			d, _ := sp.Elapsed()
+			return int(sp.StartTime().UnixNano()), int(d)
+		}
+	}
+	t.Fatalf("no %s span", phase)
+	return 0, 0
+}
+
+// TestCancelInCheckAndRank lands a cancel inside the check phase and
+// another inside the rank phase of a warm run after a one-file edit. Each
+// run must return the context's error, leave no goroutine behind and
+// publish nothing, and the next run must equal a cold one.
+func TestCancelInCheckAndRank(t *testing.T) {
+	srcs := parallelTestSources(8)
+	edited := append([]SourceFile(nil), srcs...)
+	edited[3].Src = strings.Replace(edited[3].Src, "p->data = 1;", "p->data = 7;", 1)
+	for _, depth := range []int{0, 1} {
+		opts := DefaultOptions()
+		opts.InterprocDepth = depth
+		opts.Workers = 3
+		cold := NewProject()
+		cold.AddSources(edited)
+		want := mustAnalyze(t, cold, opts)
+		warm := func() *Project {
+			p := NewProject()
+			p.AddSources(srcs)
+			mustAnalyze(t, p, opts)
+			p.ReplaceSource(edited[3].Name, edited[3].Src)
+			return p
+		}
+		for _, phase := range []string{"check", "rank"} {
+			t.Run(fmt.Sprintf("depth%d/%s", depth, phase), func(t *testing.T) {
+				before, inside := phaseChecks(t, warm(), opts, phase)
+				if inside == 0 {
+					t.Fatalf("the %s phase made no context check", phase)
+				}
+				p := warm()
+				table, verdicts := p.table, p.verdicts
+				base := runtime.NumGoroutine()
+				tr := obs.New()
+				ctx := obs.WithTracer(newCancelAfter(before+(inside+1)/2), tr)
+				if _, err := p.AnalyzeParallel(ctx, opts); err != context.Canceled {
+					t.Fatalf("err = %v, want context.Canceled", err)
+				}
+				waitGoroutines(t, base)
+				var last string
+				for _, sp := range tr.Spans() {
+					if sp.Parent() != nil && sp.Parent().Name() == "analyze" {
+						last = sp.Name()
+					}
+				}
+				if last != phase {
+					t.Errorf("the canceled run's last phase was %q, want %q", last, phase)
+				}
+				if p.table != table || p.verdicts != verdicts {
+					t.Error("a canceled run published its site table or verdicts")
+				}
+				viewEqual(t, want, mustAnalyze(t, p, opts))
 			})
 		}
 	}

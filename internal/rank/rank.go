@@ -81,6 +81,19 @@ func NewIndex(tbl *access.SiteTable) *Index {
 	return x
 }
 
+// ChangedRows returns, in ascending order, the IDs of the objects whose
+// census row differs from prev's. Both indexes must share one interner, so
+// that an ID names the same object in each.
+func (x *Index) ChangedRows(prev *Index) []uint32 {
+	var out []uint32
+	for id := range x.total {
+		if x.total[id] != prev.total[id] || x.census[id] != prev.census[id] {
+			out = append(out, uint32(id))
+		}
+	}
+	return out
+}
+
 // BuildIndexParallel computes the census over sites from a fresh site
 // table, interning and vectorizing over up to workers goroutines
 // (GOMAXPROCS when workers <= 0). The result does not depend on workers.
