@@ -26,6 +26,7 @@ lint: vet
 fuzz:
 	$(GO) test ./internal/cparser/ -fuzz FuzzParseSource -fuzztime 30s
 	$(GO) test ./internal/service/ -run '^$$' -fuzz FuzzHandler -fuzztime 30s
+	$(GO) test ./internal/cpp/ -run '^$$' -fuzz FuzzIncludeReplay -fuzztime 30s
 
 test:
 	$(GO) test ./...

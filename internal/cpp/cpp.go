@@ -15,12 +15,12 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 
 	"ofence/internal/ctoken"
-	"ofence/internal/obs"
 )
 
 // Macro is one #define.
@@ -54,7 +54,9 @@ type Options struct {
 type Result struct {
 	Tokens []ctoken.Token
 	Errors []error
-	// Macros is the final macro table, useful for tests and tooling.
+	// Macros is the final macro table, useful for tests and tooling. Its
+	// *Macro values may be shared with other Results of the same Env, so
+	// they are read-only.
 	Macros map[string]*Macro
 
 	// fp/fpFile memoize Fingerprint for the file the run was attributed to:
@@ -122,11 +124,32 @@ func hashError(h hash.Hash, buf []byte, err error) []byte {
 }
 
 type preprocessor struct {
+	env      *Env
 	opts     Options
+	root     string // the file being preprocessed
 	macros   map[string]*Macro
 	out      []ctoken.Token
 	errs     []error
 	includes map[string]bool // cycle protection
+
+	// chain digests every #define/#undef applied so far (see chain.next);
+	// chainBuf is its scratch encoding buffer.
+	chain    chain
+	chainBuf []byte
+
+	// rec collects the top-level #include being expanded into a segment;
+	// nil outside one. segs are the segments this file recorded, published
+	// to env when the file is done; replayed and recorded count top-level
+	// includes spliced from env's memo and expanded into a recording.
+	rec                *segment
+	segs               []*segment
+	replayed, recorded int
+
+	// splices are the replayed segments' tokens, spliced into out at the
+	// end so the output is allocated once at its final size; spliced is
+	// their total length.
+	splices []splice
+	spliced int
 
 	// h accumulates the content fingerprint while tokens are emitted, so
 	// Result.Fingerprint for the root file is ready the moment preprocessing
@@ -194,8 +217,8 @@ func appendDecimal(b []byte, v int) []byte {
 func (p *preprocessor) hashTok(tok ctoken.Token) {
 	b := p.hbuf
 	if len(b) >= 4<<10 {
-		p.h.Write(b)
-		b = b[:0]
+		p.flushHash()
+		b = p.hbuf
 	}
 	if tok.Pos.Line != p.hpfxLine || tok.Pos.File != p.hpfxFile {
 		pfx := append(p.hpfx[:0], 0)
@@ -212,10 +235,14 @@ func (p *preprocessor) hashTok(tok ctoken.Token) {
 	p.hbuf = append(b, '\n')
 }
 
-// flushHash drains the pending preimage batch into the digest.
+// flushHash drains the pending preimage batch into the digest, and into
+// the preimage of the segment being recorded, if any.
 func (p *preprocessor) flushHash() {
 	if len(p.hbuf) > 0 {
 		p.h.Write(p.hbuf)
+		if p.rec != nil {
+			p.rec.pre = append(p.rec.pre, p.hbuf...)
+		}
 		p.hbuf = p.hbuf[:0]
 	}
 }
@@ -225,18 +252,9 @@ func Preprocess(file, src string, opts Options) *Result {
 	return PreprocessCtx(context.Background(), file, src, opts)
 }
 
-// PreprocessCtx is Preprocess under an observability context: when ctx
-// carries an obs.Tracer, the run is recorded as a "preprocess" span with
-// the emitted token and macro counts.
+// PreprocessCtx is Env.PreprocessCtx on a fresh environment.
 func PreprocessCtx(ctx context.Context, file, src string, opts Options) *Result {
-	_, sp := obs.Start(ctx, "preprocess")
-	defer sp.End()
-	sp.SetAttr("file", file)
-	res := preprocess(file, src, opts)
-	sp.Add("tokens", int64(len(res.Tokens)))
-	sp.Add("macros", int64(len(res.Macros)))
-	sp.Add("errors", int64(len(res.Errors)))
-	return res
+	return NewEnv(opts).PreprocessCtx(ctx, file, src)
 }
 
 // scratch recycles the streaming preprocessor's per-file working buffers —
@@ -256,13 +274,13 @@ var scratchPool = sync.Pool{
 	},
 }
 
-func preprocess(file, src string, opts Options) *Result {
-	if opts.MaxExpansionDepth <= 0 {
-		opts.MaxExpansionDepth = 64
-	}
+func (e *Env) preprocess(file, src string) (res *Result, replayed, recorded int) {
+	opts := e.opts
 	p := &preprocessor{
+		env:      e,
 		opts:     opts,
-		macros:   map[string]*Macro{},
+		root:     file,
+		macros:   make(map[string]*Macro, len(e.defines)),
 		includes: map[string]bool{},
 	}
 	// The output is fingerprinted as it is emitted, on pooled scratch
@@ -279,13 +297,13 @@ func preprocess(file, src string, opts Options) *Result {
 		}
 		p.ident = sc.ident.For(opts.Syms)
 	}
-	for name, body := range opts.Defines {
-		toks := ctoken.NewScanner("<define:"+name+">", body).AppendAll(nil)
-		p.macros[name] = &Macro{Name: name, Body: toks}
+	for name, m := range e.defines {
+		p.macros[name] = m
 		p.bloomAdd(name)
 	}
 	p.processFile(file, src)
-	res := &Result{Tokens: p.out, Errors: p.errs, Macros: p.macros}
+	e.publish(p.segs)
+	res = &Result{Tokens: p.tokens(), Errors: p.errs, Macros: p.macros}
 	for _, err := range p.errs {
 		p.flushHash()
 		p.hbuf = hashError(p.h, p.hbuf, err)
@@ -298,7 +316,7 @@ func preprocess(file, src string, opts Options) *Result {
 	sc.hpfx = p.hpfx[:0]
 	sc.lineBuf = p.lineBuf[:0]
 	scratchPool.Put(sc)
-	return res
+	return res, p.replayed, p.recorded
 }
 
 func (p *preprocessor) errorf(pos ctoken.Position, format string, args ...any) {
@@ -321,12 +339,36 @@ type condState struct {
 }
 
 func (p *preprocessor) processFile(file, src string) {
+	if p.rec != nil && !slices.Contains(p.rec.tried, file) {
+		p.rec.tried = append(p.rec.tried, file)
+	}
 	if p.includes[file] {
 		return
 	}
 	p.includes[file] = true
 	defer delete(p.includes, file)
 	p.streamFile(file, src)
+}
+
+// setMacro applies a #define (m non-nil) or an #undef (m nil), folding it
+// into the chain and into the segment being recorded, if any.
+func (p *preprocessor) setMacro(name string, m *Macro) {
+	p.chain, p.chainBuf = p.chain.next(p.chainBuf, name, m)
+	if p.rec != nil {
+		p.rec.ops = append(p.rec.ops, macroOp{name, m})
+	}
+	p.applyMacro(name, m)
+}
+
+// applyMacro writes a #define (m non-nil) or an #undef (m nil) into the
+// macro table.
+func (p *preprocessor) applyMacro(name string, m *Macro) {
+	if m == nil {
+		delete(p.macros, name)
+		return
+	}
+	p.macros[name] = m
+	p.bloomAdd(name)
 }
 
 // condsLive reports whether every open conditional branch is active.
@@ -343,26 +385,31 @@ func condsLive(conds []condState) bool {
 // returns the updated stack.
 func (p *preprocessor) dispatch(ln line, conds []condState) []condState {
 	switch ln.directive {
+	// A skipped group is processed only for nesting (C11 6.10.1p6): no
+	// condition inside it is checked, looked up or evaluated.
 	case "ifdef", "ifndef":
-		want := ln.directive == "ifdef"
+		live := condsLive(conds)
 		on := false
-		if len(ln.toks) >= 1 && ln.toks[0].Kind == ctoken.Ident {
+		switch {
+		case !live:
+		case len(ln.toks) >= 1 && ln.toks[0].Kind == ctoken.Ident:
 			_, defined := p.macros[ln.toks[0].Text]
-			on = defined == want
-		} else {
+			on = defined == (ln.directive == "ifdef")
+		default:
 			p.errorf(ln.pos, "#%s requires an identifier", ln.directive)
 		}
-		conds = append(conds, condState{active: on, everMatched: on, parentLive: condsLive(conds)})
+		conds = append(conds, condState{active: on, everMatched: on, parentLive: live})
 	case "if":
-		on := p.evalCond(ln.toks, ln.pos)
-		conds = append(conds, condState{active: on, everMatched: on, parentLive: condsLive(conds)})
+		live := condsLive(conds)
+		on := live && p.evalCond(ln.toks, ln.pos)
+		conds = append(conds, condState{active: on, everMatched: on, parentLive: live})
 	case "elif":
 		if len(conds) == 0 {
 			p.errorf(ln.pos, "#elif without #if")
 			return conds
 		}
 		c := &conds[len(conds)-1]
-		if c.everMatched {
+		if c.everMatched || !c.parentLive {
 			c.active = false
 		} else {
 			c.active = p.evalCond(ln.toks, ln.pos)
@@ -388,7 +435,7 @@ func (p *preprocessor) dispatch(ln line, conds []condState) []condState {
 		}
 	case "undef":
 		if condsLive(conds) && len(ln.toks) >= 1 {
-			delete(p.macros, ln.toks[0].Text)
+			p.setMacro(ln.toks[0].Text, nil)
 		}
 	case "include":
 		if condsLive(conds) {
@@ -417,9 +464,10 @@ func (p *preprocessor) streamFile(file, src string) {
 	sc.Syms = p.opts.Syms
 	sc.Ident = p.ident
 	if p.out == nil {
-		// Root file: size the output once for the expected whole-file token
-		// count — dense C runs about one token per four source bytes — so
-		// emission almost never reallocates.
+		// Root file: size the output once for the expected token count of
+		// the file itself — dense C runs about one token per four source
+		// bytes — so emission rarely reallocates; replayed headers are
+		// spliced in once at the end (see tokens).
 		p.out = make([]ctoken.Token, 0, len(src)/4+16)
 	}
 	errStart := len(p.errs)
@@ -539,8 +587,7 @@ func (p *preprocessor) define(ln line) {
 	} else {
 		m.Body = copyToks(rest)
 	}
-	p.macros[name] = m
-	p.bloomAdd(name)
+	p.setMacro(name, m)
 }
 
 // copyToks detaches a macro body from the pooled line buffer it was scanned
@@ -583,7 +630,78 @@ func (p *preprocessor) include(ln line) {
 		// Unresolvable header: skip silently (outside the analyzed tree).
 		return
 	}
-	p.processFile(path, src)
+	if len(p.includes) > 1 {
+		// Nested: part of the enclosing header's expansion.
+		p.processFile(path, src)
+		return
+	}
+	key := memoKey{path, p.chain}
+	switch seg, record := p.env.find(key, p.root); {
+	case seg != nil:
+		p.replay(seg)
+	case record:
+		p.record(key, src)
+	default:
+		p.processFile(path, src)
+	}
+}
+
+// splice is a replayed segment's tokens, due at index at of out.
+type splice struct {
+	at   int
+	toks []ctoken.Token
+}
+
+// replay splices a recorded top-level include into the output: its tokens,
+// diagnostics, macro operations and fingerprint bytes, in the order
+// expanding the header would have produced them.
+func (p *preprocessor) replay(seg *segment) {
+	p.splices = append(p.splices, splice{len(p.out), seg.toks})
+	p.spliced += len(seg.toks)
+	p.errs = append(p.errs, seg.errs...)
+	for _, op := range seg.ops {
+		p.applyMacro(op.name, op.m)
+	}
+	p.chain = seg.after
+	p.flushHash()
+	p.h.Write(seg.pre)
+	p.replayed++
+}
+
+// tokens returns the output with every replayed segment spliced in.
+func (p *preprocessor) tokens() []ctoken.Token {
+	if len(p.splices) == 0 {
+		return p.out
+	}
+	out := make([]ctoken.Token, 0, len(p.out)+p.spliced)
+	last := 0
+	for _, s := range p.splices {
+		out = append(out, p.out[last:s.at]...)
+		out = append(out, s.toks...)
+		last = s.at
+	}
+	return append(out, p.out[last:]...)
+}
+
+// record expands a top-level include while collecting it into a segment.
+// The segment is kept for publication unless the header tried to open the
+// root file: its expansion then depends on which file includes it.
+func (p *preprocessor) record(key memoKey, src string) {
+	p.flushHash()
+	seg := &segment{key: key}
+	p.rec = seg
+	outStart, errStart := len(p.out), len(p.errs)
+	p.processFile(key.path, src)
+	p.flushHash()
+	p.rec = nil
+	seg.after = p.chain
+	p.recorded++
+	if slices.Contains(seg.tried, p.root) {
+		return
+	}
+	seg.toks = slices.Clone(p.out[outStart:])
+	seg.errs = slices.Clone(p.errs[errStart:])
+	p.segs = append(p.segs, seg)
 }
 
 // expand returns toks with all macro invocations expanded. hide carries the

@@ -279,6 +279,22 @@ func TestErrorDirectiveInDeadBranch(t *testing.T) {
 	}
 }
 
+// TestDeadBranchConditionalsNotEvaluated checks that a skipped group is
+// processed only for nesting (C11 6.10.1p6): an #if, #elif, #ifdef or
+// #ifndef inside it is not checked or evaluated, so it reports nothing.
+func TestDeadBranchConditionalsNotEvaluated(t *testing.T) {
+	src := "#ifdef NOPE\n#if 1/0\n#elif defined(\n#endif\n#endif\n" +
+		"#if 0\n#if 2 +\n#elif 1/0\n#else\nint hidden;\n#endif\n#endif\n" +
+		"#if 0\n#ifdef\n#endif\n#ifndef 3\n#endif\n#endif\nint x;\n"
+	r := Preprocess("t.c", src, Options{})
+	if len(r.Errors) != 0 {
+		t.Errorf("conditions in a skipped group reported %v", r.Errors)
+	}
+	if got := texts(r.Tokens); got != "int x ;" {
+		t.Errorf("got %q", got)
+	}
+}
+
 func TestUnbalancedConditionals(t *testing.T) {
 	r := Preprocess("t.c", "#ifdef A\nint x;", Options{})
 	if len(r.Errors) == 0 {
@@ -478,5 +494,67 @@ func TestFingerprintStreamedMatchesRecomputed(t *testing.T) {
 	}
 	if other := res.Fingerprint("b.c"); other == fast {
 		t.Fatalf("fingerprint ignored the file name")
+	}
+}
+
+// TestChainNext pins what the memo key's operation chain distinguishes:
+// the name, #define against #undef, kind, parameters, variadic flag and
+// body token kinds and texts each change the chain; body positions do not,
+// since expansion retargets them.
+func TestChainNext(t *testing.T) {
+	base := func() *Macro {
+		body := []ctoken.Token{
+			{Kind: ctoken.Ident, Text: "a", Pos: ctoken.Position{File: "a.h", Line: 1, Col: 15}},
+			{Kind: ctoken.Plus, Text: "+", Pos: ctoken.Position{File: "a.h", Line: 1, Col: 17}},
+			{Kind: ctoken.Ident, Text: "b", Pos: ctoken.Position{File: "a.h", Line: 1, Col: 19}},
+		}
+		return &Macro{Name: "M", Params: []string{"a", "b"}, IsFunc: true, Body: body}
+	}
+	with := func(change func(*Macro)) *Macro {
+		m := base()
+		change(m)
+		return m
+	}
+	var buf []byte
+	after := func(name string, m *Macro) chain {
+		var c chain
+		c, buf = chain{}.next(buf, name, m)
+		return c
+	}
+	want := after("M", base())
+	cases := []struct {
+		name  string
+		op    string
+		m     *Macro
+		equal bool
+	}{
+		{"same", "M", base(), true},
+		{"body positions", "M", with(func(m *Macro) {
+			for i := range m.Body {
+				m.Body[i].Pos = ctoken.Position{File: "b.c", Line: 7, Col: i}
+			}
+		}), true},
+		{"name", "N", base(), false},
+		{"params", "M", with(func(m *Macro) { m.Params = []string{"a", "c"} }), false},
+		{"params split", "M", with(func(m *Macro) { m.Params = []string{"ab"} }), false},
+		{"variadic", "M", with(func(m *Macro) { m.Variadic = true }), false},
+		{"object-like", "M", with(func(m *Macro) { m.IsFunc, m.Params = false, nil }), false},
+		{"body text", "M", with(func(m *Macro) { m.Body[2].Text = "c" }), false},
+		{"body kind", "M", with(func(m *Macro) { m.Body[1].Kind = ctoken.Minus }), false},
+		{"body length", "M", with(func(m *Macro) { m.Body = m.Body[:2] }), false},
+		{"undef", "M", nil, false},
+	}
+	for _, c := range cases {
+		if got := after(c.op, c.m) == want; got != c.equal {
+			t.Errorf("%s: equal chain = %t, want %t", c.name, got, c.equal)
+		}
+	}
+	// Order matters: the chain digests a history, not a set.
+	ab, _ := chain{}.next(nil, "A", nil)
+	ab, _ = ab.next(nil, "B", nil)
+	ba, _ := chain{}.next(nil, "B", nil)
+	ba, _ = ba.next(nil, "A", nil)
+	if ab == ba {
+		t.Error("#undef A, #undef B and #undef B, #undef A gave the same chain")
 	}
 }

@@ -36,16 +36,20 @@ var preprocessCorpus = []string{
 	"#if (3 % 0)\nint z;\n#endif\n",
 }
 
-// preprocessRecord preprocesses src with includes, defines and interning in
-// play and renders the golden record of the run: the SHA-256 over every
-// token (kind, text, position), every diagnostic and the fingerprint, plus
-// counts.
-func preprocessRecord(src string) string {
-	res := Preprocess("diff.c", src, Options{
+// goldenOptions puts includes, defines and interning in play.
+func goldenOptions() Options {
+	return Options{
 		Include: map[string]string{"inc.h": "#define FROM_INC 7\nint inc_var = FROM_INC;\n"},
 		Defines: map[string]string{"CONFIG_SMP": "1"},
 		Syms:    ctoken.NewSymTab(),
-	})
+	}
+}
+
+// preprocessRecord preprocesses src under goldenOptions and renders the
+// golden record of the run: the SHA-256 over every token (kind, text,
+// position), every diagnostic and the fingerprint, plus counts.
+func preprocessRecord(src string) string {
+	res := Preprocess("diff.c", src, goldenOptions())
 	h := sha256.New()
 	for _, tok := range res.Tokens {
 		fmt.Fprintf(h, "%d %q %s\n", tok.Kind, tok.Text, tok.Pos)

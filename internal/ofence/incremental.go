@@ -29,6 +29,7 @@ package ofence
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -106,15 +107,16 @@ type extractArtifact struct {
 	sites []*access.Site
 }
 
-// projectEnv is a point-in-time snapshot of the preprocessing environment.
+// projectEnv is a point-in-time snapshot of the preprocessing environment:
+// the content hash of the headers and defines, and the cpp.Env built from
+// them.
 type projectEnv struct {
-	include map[string]string
-	defines map[string]string
-	hash    string
+	hash string
+	env  *cpp.Env
 }
 
-// envSnapshot copies the headers/defines under the lock and returns them
-// with their content hash (cached until AddHeader/Define invalidates it).
+// envSnapshot returns the environment's content hash and cpp.Env, both
+// cached until AddHeader/Define invalidates them.
 func (p *Project) envSnapshot() projectEnv {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -128,18 +130,12 @@ func (p *Project) envSnapshot() projectEnv {
 		}
 		p.envHash = string(rescache.KeyOf("env-v1", parts...))
 	}
-	env := projectEnv{
-		include: make(map[string]string, len(p.headers)),
-		defines: make(map[string]string, len(p.defines)),
-		hash:    p.envHash,
+	if p.env == nil {
+		// The Env keeps its maps, so it gets copies AddHeader/Define will
+		// not write to.
+		p.env = cpp.NewEnv(cpp.Options{Include: maps.Clone(p.headers), Defines: maps.Clone(p.defines), Syms: p.syms})
 	}
-	for k, v := range p.headers {
-		env.include[k] = v
-	}
-	for k, v := range p.defines {
-		env.defines[k] = v
-	}
-	return env
+	return projectEnv{hash: p.envHash, env: p.env}
 }
 
 func sortedKeys(m map[string]string) []string {
@@ -167,8 +163,7 @@ func (p *Project) frontendWith(ctx context.Context, name, src string, env projec
 		var wrapCtx context.Context
 		wrapCtx, wrapSpan = obs.Start(ctx, "parse")
 		wrapSpan.SetAttr("file", name)
-		copts := cpp.Options{Include: env.include, Defines: env.defines, Syms: p.syms}
-		pre := cpp.PreprocessCtx(wrapCtx, name, src, copts)
+		pre := env.env.PreprocessCtx(wrapCtx, name, src)
 		return &preArtifact{pre: pre, hash: pre.Fingerprint(name)}, nil
 	}
 	newParser := cparser.New

@@ -21,6 +21,7 @@ import (
 	"ofence/internal/access"
 	"ofence/internal/callgraph"
 	"ofence/internal/cast"
+	"ofence/internal/cpp"
 	"ofence/internal/ctoken"
 	"ofence/internal/ctypes"
 	"ofence/internal/obs"
@@ -130,6 +131,11 @@ type Project struct {
 	// envHash caches the content hash of headers+defines; "" means
 	// recompute (AddHeader/Define reset it).
 	envHash string
+	// env is the preprocessing environment built from headers+defines, with
+	// its memo of recorded #include expansions; nil means rebuild
+	// (AddHeader/Define reset it). Shared with clones like syms, in which
+	// its recorded token texts are canonical.
+	env *cpp.Env
 	// stages holds the content-addressed per-file artifact caches, shared
 	// with clones so equal work is never redone.
 	stages *rescache.Stages
@@ -185,10 +191,11 @@ func (p *Project) Define(name, value string) {
 	p.markEnvChangedLocked()
 }
 
-// markEnvChangedLocked invalidates the cached environment hash and marks
-// every unit for a front-end refresh. Callers hold p.mu.
+// markEnvChangedLocked invalidates the cached environment hash and Env and
+// marks every unit for a front-end refresh. Callers hold p.mu.
 func (p *Project) markEnvChangedLocked() {
 	p.envHash = ""
+	p.env = nil
 	for _, fu := range p.files {
 		fu.stale = true
 	}
@@ -286,6 +293,7 @@ func (p *Project) Clone() *Project {
 		defines:  make(map[string]string, len(p.defines)),
 		files:    make([]*FileUnit, 0, len(p.files)),
 		envHash:  p.envHash,
+		env:      p.env,
 		stages:   p.stages,
 		syms:     p.syms,
 		table:    p.table,
