@@ -22,11 +22,14 @@ lint: vet
 
 # Short fuzz passes over the robustness targets: the parser (no panics, no
 # hangs) and the service's HTTP handler (no panics, no 5xx, 4xx for
-# malformed bodies).
+# malformed bodies); and over two differential ones: header replay against
+# a fresh environment, and warm pairing after random edits against a cold
+# PairSites.
 fuzz:
 	$(GO) test ./internal/cparser/ -fuzz FuzzParseSource -fuzztime 30s
 	$(GO) test ./internal/service/ -run '^$$' -fuzz FuzzHandler -fuzztime 30s
 	$(GO) test ./internal/cpp/ -run '^$$' -fuzz FuzzIncludeReplay -fuzztime 30s
+	$(GO) test ./internal/ofence/ -run '^$$' -fuzz FuzzIncrementalPairing -fuzztime 30s
 
 test:
 	$(GO) test ./...

@@ -3,6 +3,7 @@ package access_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ofence/internal/access"
@@ -12,14 +13,15 @@ import (
 // TestBuildSiteTableMatchesCold asserts that a table derived from a
 // previous one is the table a cold build makes — the same interned objects
 // under the same IDs and the same vectors for every site — whatever it
-// carried over, and that its stats say what that was.
+// carried over, that its stats say what that was, and that its diff maps
+// every kept site to its previous index.
 func TestBuildSiteTableMatchesCold(t *testing.T) {
 	for _, seed := range []int64{1, 7} {
 		cfg := sitegen.DefaultConfig(300, seed)
 		all := sitegen.Generate(cfg)
 		regenerated := sitegen.Generate(cfg) // same objects, new site pointers
 		n := len(all)
-		prev := access.BuildSiteTable(nil, all, nil, 2)
+		prev, _ := access.BuildSiteTable(nil, all, nil, 2)
 		cases := []struct {
 			name       string
 			sites      []*access.Site
@@ -35,8 +37,20 @@ func TestBuildSiteTableMatchesCold(t *testing.T) {
 		}
 		for _, tc := range cases {
 			label := fmt.Sprintf("seed=%d/%s", seed, tc.name)
-			got := access.BuildSiteTable(prev, tc.sites, tc.generic, 3)
-			want := access.BuildSiteTable(nil, tc.sites, tc.generic, 1)
+			got, d := access.BuildSiteTable(prev, tc.sites, tc.generic, 3)
+			want, _ := access.BuildSiteTable(nil, tc.sites, tc.generic, 1)
+			if carried := tc.reused && tc.generic == nil; carried != (d != nil) {
+				t.Errorf("%s: diff %v, want one exactly when vectors carry", label, d != nil)
+			} else if carried {
+				for i, j := range d.FromPrev {
+					if (j < 0) != slices.Contains(d.Added, int32(i)) || j >= 0 && prev.Sites()[j] != tc.sites[i] {
+						t.Fatalf("%s: site %d maps to previous index %d", label, i, j)
+					}
+				}
+				if len(d.Added) != tc.vectorized {
+					t.Errorf("%s: %d sites added, want %d", label, len(d.Added), tc.vectorized)
+				}
+			}
 			if st := got.Stats(); st.InternerReused != tc.reused || st.Vectorized != tc.vectorized {
 				t.Errorf("%s: stats %+v, want reused=%t vectorized=%d", label, st, tc.reused, tc.vectorized)
 			}

@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -155,6 +156,9 @@ type Project struct {
 	// global is the call graph and inference the last interprocedural run
 	// linked (see global.go), shared with clones like table.
 	global *globalRecord
+	// pairs is the pairing record the last completed run published with
+	// table (see pair.go), shared with clones like it.
+	pairs *pairRecord
 	// verdicts is the check and rank record the last completed run
 	// published with table (see verdicts.go), shared with clones like it.
 	verdicts *verdictRecord
@@ -298,6 +302,7 @@ func (p *Project) Clone() *Project {
 		syms:     p.syms,
 		table:    p.table,
 		global:   p.global,
+		pairs:    p.pairs,
 		verdicts: p.verdicts,
 	}
 	for k, v := range p.headers {
@@ -541,13 +546,16 @@ func (p *Project) AnalyzeParallel(ctx context.Context, opts Options) (*Result, e
 	// (see pair.go; the result is byte-identical at any worker count). The
 	// run's site table derives from the last run's, so an edit re-interns
 	// and re-vectorizes only what it changed; pairing and ranking share it.
+	// Pairing derives from the last run's pair record: only the writers
+	// whose objects the edit touched search again.
 	phaseStart = time.Now()
 	pctx, psp := obs.Start(ctx, "pair")
 	p.mu.Lock()
-	prevTable := p.table
+	prevTable, prevPairs := p.table, p.pairs
 	p.mu.Unlock()
-	tbl := access.BuildSiteTable(prevTable, res.Sites, opts.GenericStructs, workers)
+	tbl, diff := access.BuildSiteTable(prevTable, res.Sites, opts.GenericStructs, workers)
 	pairer := newPairer(tbl, opts)
+	pairer.derive(prevPairs, prevTable, diff, fp)
 	res.Pairings, res.Unpaired, res.ImplicitIPC = pairer.run(pctx)
 	res.PairStats = pairer.stats
 	psp.Add("pairings", int64(len(res.Pairings)))
@@ -563,6 +571,9 @@ func (p *Project) AnalyzeParallel(ctx context.Context, opts Options) (*Result, e
 	}
 	psp.Add("interner_reused", reusedInterner)
 	psp.Add("sites_vectorized", int64(res.PairStats.SitesVectorized))
+	psp.Add("writers_searched", int64(res.PairStats.WritersSearched))
+	psp.Add("pairings_reused", int64(res.PairStats.PairingsReused))
+	psp.Add("objects_dirty", int64(res.PairStats.ObjectsDirty))
 	psp.End()
 	res.Timing.Pair = time.Since(phaseStart)
 	if err := ctx.Err(); err != nil {
@@ -599,10 +610,13 @@ func (p *Project) AnalyzeParallel(ctx context.Context, opts Options) (*Result, e
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Only a completed run publishes: the next run derives its site table
-	// and its verdicts from this one's.
+	// Only a completed run publishes: the next run derives its site table,
+	// its pairing and its verdicts from this one's. The pair record keeps
+	// the pairings check settled on, so the next check finds them by
+	// pointer.
+	pairer.rec.pairings = slices.Clone(res.Pairings)
 	p.mu.Lock()
-	p.table, p.verdicts = tbl, rec
+	p.table, p.pairs, p.verdicts = tbl, pairer.rec, rec
 	p.mu.Unlock()
 	return res, nil
 }
@@ -714,15 +728,7 @@ func dedupSitesSharded(sites []*access.Site, workers int) []*access.Site {
 	return out
 }
 
+// sortSites sorts sites into the canonical order (access.SortSites).
 func sortSites(sites []*access.Site) {
-	sort.Slice(sites, func(i, j int) bool {
-		a, b := sites[i], sites[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		return a.Pos.Col < b.Pos.Col
-	})
+	access.SortSites(sites)
 }

@@ -194,5 +194,40 @@ func TestPairStatsCounters(t *testing.T) {
 
 // coldTable builds a fresh site table over sites, as a cold analysis does.
 func coldTable(sites []*access.Site, opts Options) *access.SiteTable {
-	return access.BuildSiteTable(nil, sites, opts.GenericStructs, opts.Workers)
+	tbl, _ := access.BuildSiteTable(nil, sites, opts.GenericStructs, opts.Workers)
+	return tbl
+}
+
+// TestSortSitesTotalOrder sorts two permutations of one site set in which
+// a macro's smp_wmb and smp_mb share a source position, and a header's
+// smp_wmb has the same line and column. The canonical order must break
+// the ties by barrier name and then by the position's file, so both sort
+// alike: pairing's tie-break and the incremental pairing record rely on a
+// total order.
+func TestSortSitesTotalOrder(t *testing.T) {
+	mk := func(file, name string, line, col int) *access.Site {
+		pos := ctoken.Position{File: file, Line: line, Col: col}
+		return &access.Site{
+			File: "m.c", Fn: &cast.FuncDecl{Name: "f", Position: pos},
+			Name: name, Kind: memmodel.FullBarrier, Pos: pos,
+			WakeUpAfter: -1, NextBarrierAfter: -1,
+		}
+	}
+	wmb, mb, hdr := mk("m.c", "smp_wmb", 4, 23), mk("m.c", "smp_mb", 4, 23), mk("h.h", "smp_wmb", 4, 23)
+	before, after := mk("m.c", "smp_rmb", 2, 5), mk("m.c", "smp_rmb", 9, 5)
+	order := func(sites ...*access.Site) string {
+		sortSites(sites)
+		var ids []string
+		for _, s := range sites {
+			ids = append(ids, s.ID())
+		}
+		return strings.Join(ids, " ")
+	}
+	a := order(before, wmb, mb, hdr, after)
+	if b := order(after, hdr, mb, before, wmb); a != b {
+		t.Fatalf("the order depends on the input order:\n%s\n%s", a, b)
+	}
+	if want := "m.c:2:5/smp_rmb m.c:4:23/smp_mb h.h:4:23/smp_wmb m.c:4:23/smp_wmb m.c:9:5/smp_rmb"; a != want {
+		t.Errorf("order %s, want %s", a, want)
+	}
 }

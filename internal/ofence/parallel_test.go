@@ -199,8 +199,8 @@ func (c *errCounter) Err() error {
 
 // phaseChecks analyzes p under a tracer whose clock reads the number of
 // context checks made so far, and returns how many checks the run made
-// before the span called phase and how many inside it.
-func phaseChecks(t *testing.T, p *Project, opts Options, phase string) (before, inside int) {
+// before the span called phase and how many inside it, and the span.
+func phaseChecks(t *testing.T, p *Project, opts Options, phase string) (before, inside int, sp *obs.Span) {
 	t.Helper()
 	c := &errCounter{Context: context.Background()}
 	tr := obs.New(obs.WithClock(func() time.Time { return time.Unix(0, c.n.Load()) }))
@@ -210,11 +210,32 @@ func phaseChecks(t *testing.T, p *Project, opts Options, phase string) (before, 
 	for _, sp := range tr.Spans() {
 		if sp.Name() == phase {
 			d, _ := sp.Elapsed()
-			return int(sp.StartTime().UnixNano()), int(d)
+			return int(sp.StartTime().UnixNano()), int(d), sp
 		}
 	}
 	t.Fatalf("no %s span", phase)
-	return 0, 0
+	return 0, 0, nil
+}
+
+// spanCount returns counter name of span sp, or 0.
+func spanCount(sp *obs.Span, name string) int {
+	for _, c := range sp.Counters() {
+		if c.Name == name {
+			return int(c.Value)
+		}
+	}
+	return 0
+}
+
+// lastPhase returns the name of the last span under the analyze span.
+func lastPhase(tr *obs.Tracer) string {
+	var last string
+	for _, sp := range tr.Spans() {
+		if sp.Parent() != nil && sp.Parent().Name() == "analyze" {
+			last = sp.Name()
+		}
+	}
+	return last
 }
 
 // TestCancelInCheckAndRank lands a cancel inside the check phase and
@@ -241,7 +262,7 @@ func TestCancelInCheckAndRank(t *testing.T) {
 		}
 		for _, phase := range []string{"check", "rank"} {
 			t.Run(fmt.Sprintf("depth%d/%s", depth, phase), func(t *testing.T) {
-				before, inside := phaseChecks(t, warm(), opts, phase)
+				before, inside, _ := phaseChecks(t, warm(), opts, phase)
 				if inside == 0 {
 					t.Fatalf("the %s phase made no context check", phase)
 				}
@@ -254,17 +275,67 @@ func TestCancelInCheckAndRank(t *testing.T) {
 					t.Fatalf("err = %v, want context.Canceled", err)
 				}
 				waitGoroutines(t, base)
-				var last string
-				for _, sp := range tr.Spans() {
-					if sp.Parent() != nil && sp.Parent().Name() == "analyze" {
-						last = sp.Name()
-					}
-				}
-				if last != phase {
+				if last := lastPhase(tr); last != phase {
 					t.Errorf("the canceled run's last phase was %q, want %q", last, phase)
 				}
 				if p.table != table || p.verdicts != verdicts {
 					t.Error("a canceled run published its site table or verdicts")
+				}
+				viewEqual(t, want, mustAnalyze(t, p, opts))
+			})
+		}
+	}
+}
+
+// TestCancelInPair lands a cancel inside the candidate search and another
+// inside the handshake of a warm run after a one-file edit, at depths 0
+// and 1. The search checks ctx before each writer it searches and the
+// handshake on its first site, so the k-th check of the pair span is the
+// k-th writer's while k <= writers_searched and the handshake's after.
+// Each run must return the context's error, leave no goroutine behind and
+// publish no site table, pair record or verdicts, and the next run must
+// equal a cold one.
+func TestCancelInPair(t *testing.T) {
+	srcs := parallelTestSources(8)
+	edited := append([]SourceFile(nil), srcs...)
+	edited[3].Src = strings.Replace(edited[3].Src, "p->data = 1;", "p->data = 7;", 1)
+	for _, depth := range []int{0, 1} {
+		opts := DefaultOptions()
+		opts.InterprocDepth = depth
+		opts.Workers = 3
+		cold := NewProject()
+		cold.AddSources(edited)
+		want := mustAnalyze(t, cold, opts)
+		warm := func() *Project {
+			p := NewProject()
+			p.AddSources(srcs)
+			mustAnalyze(t, p, opts)
+			p.ReplaceSource(edited[3].Name, edited[3].Src)
+			return p
+		}
+		before, inside, sp := phaseChecks(t, warm(), opts, "pair")
+		searched := spanCount(sp, "writers_searched")
+		if searched == 0 || inside <= searched {
+			t.Fatalf("depth %d: %d writers searched, %d checks in pair; the edit lost its subject", depth, searched, inside)
+		}
+		for _, at := range []struct {
+			name string
+			k    int
+		}{{"search", before + 1}, {"handshake", before + searched + 1}} {
+			t.Run(fmt.Sprintf("depth%d/%s", depth, at.name), func(t *testing.T) {
+				p := warm()
+				table, pairs, verdicts := p.table, p.pairs, p.verdicts
+				base := runtime.NumGoroutine()
+				tr := obs.New()
+				if _, err := p.AnalyzeParallel(obs.WithTracer(newCancelAfter(at.k), tr), opts); err != context.Canceled {
+					t.Fatalf("err = %v, want context.Canceled", err)
+				}
+				waitGoroutines(t, base)
+				if last := lastPhase(tr); last != "pair" {
+					t.Errorf("the canceled run's last phase was %q, want pair", last)
+				}
+				if p.table != table || p.pairs != pairs || p.verdicts != verdicts {
+					t.Error("a canceled run published its site table, pair record or verdicts")
 				}
 				viewEqual(t, want, mustAnalyze(t, p, opts))
 			})

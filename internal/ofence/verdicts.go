@@ -72,8 +72,12 @@ func ungatedFingerprint(opts Options) string {
 }
 
 // sameAs reports whether pg and q have the same sites, in order, the same
-// common objects and the same weight.
+// common objects and the same weight. A pairing the pair record kept is
+// the recorded pointer itself.
 func (pg *Pairing) sameAs(q *Pairing) bool {
+	if pg == q {
+		return true
+	}
 	if pg.Weight != q.Weight || len(pg.Sites) != len(q.Sites) || len(pg.Common) != len(q.Common) {
 		return false
 	}

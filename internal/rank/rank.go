@@ -98,7 +98,8 @@ func (x *Index) ChangedRows(prev *Index) []uint32 {
 // table, interning and vectorizing over up to workers goroutines
 // (GOMAXPROCS when workers <= 0). The result does not depend on workers.
 func BuildIndexParallel(sites []*access.Site, workers int) *Index {
-	return NewIndex(access.BuildSiteTable(nil, sites, nil, workers))
+	tbl, _ := access.BuildSiteTable(nil, sites, nil, workers)
+	return NewIndex(tbl)
 }
 
 // Objects returns the number of objects in the census.
