@@ -21,14 +21,18 @@ lint: vet
 	$(GO) test . -run TestDocs
 
 # Short fuzz passes over the robustness targets: the parser (no panics, no
-# hangs) and the service's HTTP handler (no panics, no 5xx, 4xx for
-# malformed bodies); and over two differential ones: header replay against
-# a fresh environment, and warm pairing after random edits against a cold
-# PairSites.
+# hangs), the service's HTTP handler (no panics, no 5xx, 4xx for malformed
+# bodies) and the disk store's index replay (no panics, exact byte
+# accounting, every well-formed line applied); and over three differential
+# ones: header replay against a fresh environment, header-declaration
+# splicing against a fresh parser, and warm pairing after random edits
+# against a cold PairSites.
 fuzz:
 	$(GO) test ./internal/cparser/ -fuzz FuzzParseSource -fuzztime 30s
 	$(GO) test ./internal/service/ -run '^$$' -fuzz FuzzHandler -fuzztime 30s
+	$(GO) test ./internal/rescache/ -run '^$$' -fuzz FuzzDiskStoreReplay -fuzztime 30s
 	$(GO) test ./internal/cpp/ -run '^$$' -fuzz FuzzIncludeReplay -fuzztime 30s
+	$(GO) test ./internal/cparser/ -run '^$$' -fuzz FuzzHeaderDeclReplay -fuzztime 30s
 	$(GO) test ./internal/ofence/ -run '^$$' -fuzz FuzzIncrementalPairing -fuzztime 30s
 
 test:

@@ -301,6 +301,10 @@ func (t *SiteTable) Sites() []*Site { return t.sites }
 // Vecs returns the vectors of the site at index i.
 func (t *SiteTable) Vecs(i int) *SiteVecs { return t.vecs[i] }
 
+// AllVecs returns every site's vectors, indexed like Sites. The slice is
+// the table's own: callers must not modify it.
+func (t *SiteTable) AllVecs() []*SiteVecs { return t.vecs }
+
 // Stats reports what the table carried over from the previous one.
 func (t *SiteTable) Stats() TableStats { return t.stats }
 

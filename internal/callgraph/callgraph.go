@@ -92,6 +92,10 @@ type Node struct {
 	UnresolvedCalls int
 }
 
+// FileIndex returns the defining file's position in the summaries the
+// graph was linked from.
+func (n *Node) FileIndex() int { return n.fileIdx }
+
 // Name returns the function name.
 func (n *Node) Name() string { return n.Func.Name }
 

@@ -76,7 +76,10 @@ func (g *Graph) Observe(kinds map[string]memmodel.BarrierKind, inline, depth int
 // current summaries in link order; they may differ from the ones the
 // graph was linked from in fingerprints only.
 func (o *Observations) Key(i int, sums []*Summary) string {
-	e := enc(nil).str(o.digest[i])
+	// Most keys fit the stack buffer, so building one allocates only the
+	// digest string.
+	var buf [512]byte
+	e := enc(buf[:0]).str(o.digest[i])
 	for _, n := range o.reach[i] {
 		e = e.str(sums[n.fileIdx].Funcs[n.Ord].Fingerprint)
 	}

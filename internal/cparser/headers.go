@@ -1,0 +1,180 @@
+package cparser
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"slices"
+	"sync"
+
+	"ofence/internal/cast"
+	"ofence/internal/cpp"
+)
+
+// maxVariants bounds the recorded parses kept per include key, as
+// cpp.Env bounds its recorded expansions per header: a header included
+// after ever-changing typedef histories would otherwise grow one variant
+// per history for as long as the memo lives. Past the bound, further
+// variants are simply parsed in place.
+const maxVariants = 16
+
+// HeaderDecls is the header-declaration memo of one preprocessing
+// environment: for a top-level #include (a cpp.Include) the top-level
+// declarations, diagnostics and typedef names that parsing its tokens
+// produced, keyed by its cpp.IncludeKey and the includer's typedef
+// history before it. A parser that meets the same include after the same
+// history splices the recorded declarations in instead of parsing the
+// header's tokens again (see Parser.UseHeaders); its output is identical
+// either way.
+//
+// A HeaderDecls belongs to one cpp.Env, whose Results' include keys it
+// compares, and lives as long as it. It is safe for concurrent use. The
+// declarations it hands out are shared by every file that splices them,
+// so they are read-only.
+type HeaderDecls struct {
+	mu   sync.Mutex
+	memo map[declKey]*declSegment
+	// variants counts the segments memo holds per include key.
+	variants map[cpp.IncludeKey]int
+}
+
+// NewHeaderDecls returns an empty memo.
+func NewHeaderDecls() *HeaderDecls {
+	return &HeaderDecls{memo: map[declKey]*declSegment{}, variants: map[cpp.IncludeKey]int{}}
+}
+
+// declKey names one recorded parse: the include and the typedef history
+// before it. Parsing depends on the tokens, which the include key fixes,
+// and on the set of typedef names, which the history fixes.
+type declKey struct {
+	inc      cpp.IncludeKey
+	typedefs typedefChain
+}
+
+// declSegment is the recorded parse of one top-level include. A segment
+// whose parse read past the include's end is recorded as open, with
+// nothing else: the include is parsed in place in every file.
+type declSegment struct {
+	open  bool
+	decls []cast.Decl
+	errs  []error
+	// typedefs are the names the header made typedefs, in order; after is
+	// the typedef history once they are added.
+	typedefs []string
+	after    typedefChain
+}
+
+// typedefChain is a running digest of the typedef names a file added, in
+// order.
+type typedefChain [sha256.Size]byte
+
+// next returns c extended by name, encoding it into buf, which it returns
+// for reuse.
+func (c typedefChain) next(buf []byte, name string) (typedefChain, []byte) {
+	buf = append(buf[:0], c[:]...)
+	buf = binary.AppendUvarint(buf, uint64(len(name)))
+	buf = append(buf, name...)
+	return sha256.Sum256(buf), buf
+}
+
+// find returns the recorded parse under key, or reports whether the
+// include has room for another recorded variant.
+func (h *HeaderDecls) find(key declKey) (seg *declSegment, record bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if seg, ok := h.memo[key]; ok {
+		if seg.open {
+			return nil, false
+		}
+		return seg, false
+	}
+	return nil, h.variants[key.inc] < maxVariants
+}
+
+// publish adds seg under key unless the memo already holds a parse there
+// (concurrent files can record the same one) or the include has no room.
+func (h *HeaderDecls) publish(key declKey, seg *declSegment) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if _, ok := h.memo[key]; ok || h.variants[key.inc] >= maxVariants {
+		return
+	}
+	h.memo[key] = seg
+	h.variants[key.inc]++
+}
+
+// UseHeaders makes ParseFile splice the declarations of incs, the
+// top-level includes of the parser's tokens, from memo, and record those
+// memo lacks. incs and the tokens must come from one cpp.Result of the
+// cpp.Env that memo belongs to.
+func (p *Parser) UseHeaders(memo *HeaderDecls, incs []cpp.Include) {
+	p.hdr, p.incs = memo, incs
+}
+
+// header handles the top-level include inc, at whose first token the
+// parser stands between two top-level declarations. It splices the
+// recorded parse of inc from the memo, or parses inc's tokens in place as
+// if the file ended after them and records the parse. It reports false,
+// having consumed nothing, when the tokens must be parsed as ordinary
+// ones: the memo has no room, or the parse read past inc's end, so its
+// declarations depend on the tokens after the header.
+func (p *Parser) header(f *cast.File, inc cpp.Include) bool {
+	key := declKey{inc.Key, p.chain}
+	seg, record := p.hdr.find(key)
+	if seg != nil {
+		f.Decls = append(f.Decls, seg.decls...)
+		p.replayed += len(seg.decls)
+		for _, err := range seg.errs {
+			if len(p.errs) < maxErrors {
+				p.errs = append(p.errs, err)
+			}
+		}
+		if len(seg.typedefs) > 0 && p.typedefs == nil {
+			p.typedefs = make(map[string]bool, len(seg.typedefs))
+		}
+		for _, name := range seg.typedefs {
+			p.typedefs[name] = true
+		}
+		p.chain = seg.after
+		p.i = inc.End
+		return true
+	}
+	if !record {
+		return false
+	}
+	// The header's nodes get slabs of their own, so the memo never pins
+	// the slabs of the file that recorded it.
+	toks, arena := p.toks, p.arena
+	decls, errs, added, chain := len(f.Decls), len(p.errs), len(p.added), p.chain
+	p.toks, p.pastEnd = toks[:inc.End], false
+	if arena != nil {
+		p.arena = new(cast.Arena)
+	}
+	for p.i < inc.End {
+		p.topDecl(f)
+	}
+	hdrArena := p.arena
+	p.toks, p.arena = toks, arena
+	if p.pastEnd {
+		f.Decls = f.Decls[:decls]
+		p.errs = p.errs[:errs]
+		for _, name := range p.added[added:] {
+			delete(p.typedefs, name)
+		}
+		p.added, p.chain = p.added[:added], chain
+		p.i = inc.Start
+		p.hdr.publish(key, &declSegment{open: true})
+		return false
+	}
+	p.hdrBytes += hdrArena.Bytes()
+	// A parse that hit the error bound may have dropped diagnostics a
+	// replay would need.
+	if len(p.errs) < maxErrors {
+		p.hdr.publish(key, &declSegment{
+			decls:    slices.Clone(f.Decls[decls:]),
+			errs:     slices.Clone(p.errs[errs:]),
+			typedefs: slices.Clone(p.added[added:]),
+			after:    p.chain,
+		})
+	}
+	return true
+}

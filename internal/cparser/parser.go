@@ -35,7 +35,28 @@ type Parser struct {
 	// can be distinguished from expressions; the kernel typedefs are
 	// consulted in the shared kernelTypedefSet.
 	typedefs map[string]bool
+
+	// hdr, when set, is the header-declaration memo ParseFile splices from
+	// at incs, the top-level includes of toks (see UseHeaders). The fields
+	// below serve it.
+	hdr  *HeaderDecls
+	incs []cpp.Include
+	// chain digests the typedef names the file added, in order (see
+	// addTypedef), and chainBuf is its scratch buffer; added lists the
+	// names it parsed itself.
+	added    []string
+	chain    typedefChain
+	chainBuf []byte
+	// pastEnd is set whenever the parser reads at or past the end of toks.
+	pastEnd bool
+	// replayed counts the top-level declarations spliced from hdr, and
+	// hdrBytes the slab bytes of the header parses it kept.
+	replayed int
+	hdrBytes int64
 }
+
+// maxErrors bounds the parse errors recorded per file.
+const maxErrors = 100
 
 // kernelTypedefs are typedef names assumed known even when their defining
 // header was not included, mirroring Smatch's builtin knowledge.
@@ -83,17 +104,31 @@ func (p *Parser) isTypedef(name string) bool {
 	return p.typedefs[name] || kernelTypedefSet[name]
 }
 
-// addTypedef records a typedef declaration.
+// addTypedef records a typedef declaration. A name that already is a
+// typedef changes nothing, so the file's typedef history is the list of
+// names that became one.
 func (p *Parser) addTypedef(name string) {
+	if p.isTypedef(name) {
+		return
+	}
 	if p.typedefs == nil {
 		p.typedefs = make(map[string]bool, 8)
 	}
 	p.typedefs[name] = true
+	if p.hdr != nil {
+		p.added = append(p.added, name)
+		p.chain, p.chainBuf = p.chain.next(p.chainBuf, name)
+	}
 }
 
 // ArenaBytes reports the slab bytes allocated for this parse (0 for
-// NewNoArena) — the source of the frontend.arena_bytes counter.
-func (p *Parser) ArenaBytes() int64 { return p.arena.Bytes() }
+// NewNoArena) — the source of the frontend.arena_bytes counter. Spliced
+// header declarations count only in the parse that recorded them.
+func (p *Parser) ArenaBytes() int64 { return p.arena.Bytes() + p.hdrBytes }
+
+// DeclsReplayed reports how many of the top-level declarations ParseFile
+// returned were spliced from the header-declaration memo.
+func (p *Parser) DeclsReplayed() int { return p.replayed }
 
 // ParseSource preprocesses and parses src in one call.
 func ParseSource(file, src string, opts cpp.Options) (*cast.File, []error) {
@@ -148,13 +183,14 @@ func ParseTokensMetered(ctx context.Context, file string, pre *cpp.Result) (*cas
 func (p *Parser) Errors() []error { return p.errs }
 
 func (p *Parser) errorf(pos ctoken.Position, format string, args ...any) {
-	if len(p.errs) < 100 {
+	if len(p.errs) < maxErrors {
 		p.errs = append(p.errs, fmt.Errorf("%s: %s", pos, fmt.Sprintf(format, args...)))
 	}
 }
 
 func (p *Parser) cur() ctoken.Token {
 	if p.i >= len(p.toks) {
+		p.pastEnd = true
 		return ctoken.Token{Kind: ctoken.EOF}
 	}
 	return p.toks[p.i]
@@ -162,6 +198,7 @@ func (p *Parser) cur() ctoken.Token {
 
 func (p *Parser) peekAt(n int) ctoken.Token {
 	if p.i+n >= len(p.toks) {
+		p.pastEnd = true
 		return ctoken.Token{Kind: ctoken.EOF}
 	}
 	return p.toks[p.i+n]
@@ -187,6 +224,7 @@ func (p *Parser) advance() {
 // place instead of copying it (a Token is 56 bytes).
 func (p *Parser) at(k ctoken.Kind) bool {
 	if p.i >= len(p.toks) {
+		p.pastEnd = true
 		return k == ctoken.EOF
 	}
 	return p.toks[p.i].Kind == k
@@ -194,6 +232,7 @@ func (p *Parser) at(k ctoken.Kind) bool {
 
 func (p *Parser) atKeyword(kw string) bool {
 	if p.i >= len(p.toks) {
+		p.pastEnd = true
 		return false
 	}
 	t := &p.toks[p.i]
@@ -265,19 +304,31 @@ func (p *Parser) ParseFile(name string) *cast.File {
 	if p.arena != nil {
 		f.Decls = make([]cast.Decl, 0, 32)
 	}
+	incs := p.incs
 	for !p.at(ctoken.EOF) {
-		before := p.i
-		d := p.parseTopDecl()
-		if d != nil {
-			f.Decls = append(f.Decls, d)
+		for len(incs) > 0 && incs[0].Start < p.i {
+			incs = incs[1:]
 		}
-		if p.i == before {
-			// No progress: skip one token to guarantee termination.
-			p.errorf(p.cur().Pos, "unexpected token %v at top level", p.cur())
-			p.advance()
+		if len(incs) > 0 && incs[0].Start == p.i && p.header(f, incs[0]) {
+			continue
 		}
+		p.topDecl(f)
 	}
 	return f
+}
+
+// topDecl parses one top-level declaration into f.
+func (p *Parser) topDecl(f *cast.File) {
+	before := p.i
+	d := p.parseTopDecl()
+	if d != nil {
+		f.Decls = append(f.Decls, d)
+	}
+	if p.i == before {
+		// No progress: skip one token to guarantee termination.
+		p.errorf(p.cur().Pos, "unexpected token %v at top level", p.cur())
+		p.advance()
+	}
 }
 
 // parseTopDecl parses one top-level declaration: typedef, struct/union/enum

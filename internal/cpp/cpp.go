@@ -58,6 +58,10 @@ type Result struct {
 	// *Macro values may be shared with other Results of the same Env, so
 	// they are read-only.
 	Macros map[string]*Macro
+	// Includes are the top-level #includes this run replayed from or
+	// recorded into its Env's memo, in order, leaving out those that
+	// expand to no tokens (see Include).
+	Includes []Include
 
 	// fp/fpFile memoize Fingerprint for the file the run was attributed to:
 	// the digest is streamed while tokens are emitted, so the usual caller
@@ -144,6 +148,8 @@ type preprocessor struct {
 	rec                *segment
 	segs               []*segment
 	replayed, recorded int
+	// incs are the Result's Includes.
+	incs []Include
 
 	// splices are the replayed segments' tokens, spliced into out at the
 	// end so the output is allocated once at its final size; spliced is
@@ -303,7 +309,7 @@ func (e *Env) preprocess(file, src string) (res *Result, replayed, recorded int)
 	}
 	p.processFile(file, src)
 	e.publish(p.segs)
-	res = &Result{Tokens: p.tokens(), Errors: p.errs, Macros: p.macros}
+	res = &Result{Tokens: p.tokens(), Errors: p.errs, Macros: p.macros, Includes: p.incs}
 	for _, err := range p.errs {
 		p.flushHash()
 		p.hbuf = hashError(p.h, p.hbuf, err)
@@ -656,6 +662,7 @@ type splice struct {
 // diagnostics, macro operations and fingerprint bytes, in the order
 // expanding the header would have produced them.
 func (p *preprocessor) replay(seg *segment) {
+	p.addInclude(seg.key, len(p.out), len(seg.toks))
 	p.splices = append(p.splices, splice{len(p.out), seg.toks})
 	p.spliced += len(seg.toks)
 	p.errs = append(p.errs, seg.errs...)
@@ -702,6 +709,17 @@ func (p *preprocessor) record(key memoKey, src string) {
 	seg.toks = slices.Clone(p.out[outStart:])
 	seg.errs = slices.Clone(p.errs[errStart:])
 	p.segs = append(p.segs, seg)
+	p.addInclude(key, outStart, len(seg.toks))
+}
+
+// addInclude lists the top-level include under key whose n tokens start at
+// index at of out among the Result's Includes, unless it is empty. Indices
+// into the Result count the segments spliced in before it.
+func (p *preprocessor) addInclude(key memoKey, at, n int) {
+	if n > 0 {
+		at += p.spliced
+		p.incs = append(p.incs, Include{Start: at, End: at + n, Key: IncludeKey{key}})
+	}
 }
 
 // expand returns toks with all macro invocations expanded. hide carries the

@@ -53,6 +53,18 @@ type memoKey struct {
 	chain chain
 }
 
+// Include is one top-level #include of a Result: Result.Tokens[Start:End]
+// is its expansion. Within one Env, the expansions of Includes with equal
+// Keys are equal token for token, in every file.
+type Include struct {
+	Start, End int
+	Key        IncludeKey
+}
+
+// IncludeKey names a recorded expansion: the header path and the
+// includer's #define/#undef history before it. It is comparable.
+type IncludeKey struct{ k memoKey }
+
 // chain is a running digest of the #define/#undef operations applied to a
 // macro table, in order.
 type chain [sha256.Size]byte

@@ -1,5 +1,11 @@
 package ofence
 
+import (
+	"context"
+
+	"ofence/internal/cast"
+)
+
 // FrontendMetersForTest sums the per-file frontend meters (preprocessed
 // token count, AST arena bytes) across the project's artifact records.
 func (p *Project) FrontendMetersForTest() (tokens, arenaBytes int64) {
@@ -12,4 +18,11 @@ func (p *Project) FrontendMetersForTest() (tokens, arenaBytes int64) {
 		}
 	}
 	return
+}
+
+// FrontendForTest runs the front end for (name, src) under the project's
+// current environment, as analysis does, and returns the parse tree. The
+// header-declaration memo keeps what the parse records.
+func (p *Project) FrontendForTest(name, src string) *cast.File {
+	return p.frontendWith(context.Background(), name, src, p.envSnapshot(), false).ast
 }

@@ -46,8 +46,10 @@ type globalRecord struct {
 	stats    callgraph.Stats
 	kinds    map[string]memmodel.BarrierKind
 	inferred []semprop.InferredFn
-	sccs     int
-	levels   int
+	// inferredOnly is semprop.InferredOnly(inferred), which ranking reads.
+	inferredOnly map[string]bool
+	sccs         int
+	levels       int
 	// obs are the extract-key observations at one pair of depth budgets;
 	// a run at other budgets derives a record with its own.
 	obs *callgraph.Observations
@@ -95,6 +97,7 @@ func (p *Project) globalPhases(ctx context.Context, files []*FileUnit, opts Opti
 		inf := semprop.Infer(rec.graph, semprop.Options{ExtraFull: opts.Access.ExtraBarrierSemantics, Workers: workers})
 		rec.kinds = inf.NameKinds()
 		rec.inferred = inf.Functions()
+		rec.inferredOnly = semprop.InferredOnly(rec.inferred)
 		rec.sccs, rec.levels = inf.Components, inf.Levels
 	}
 	ssp.Add("inferred", int64(len(rec.inferred)))
@@ -122,11 +125,8 @@ func (p *Project) globalPhases(ctx context.Context, files []*FileUnit, opts Opti
 	p.global = rec
 	p.mu.Unlock()
 	res.CallGraph, res.Inferred = rec.stats, rec.inferred
-	plan.inferred = rec.kinds
-	plan.defs = &runDefs{p: p, graph: rec.graph, files: make(map[string]*defFile, len(files))}
-	for i, fu := range files {
-		plan.defs.files[fu.Name] = &defFile{art: arts[i]}
-	}
+	plan.inferred, plan.inferredOnly = rec.kinds, rec.inferredOnly
+	plan.defs = &runDefs{p: p, graph: rec.graph, arts: arts}
 }
 
 // summarize takes the call-graph summary of every unit whose record lacks
@@ -163,7 +163,26 @@ func (p *Project) summarize(files []*FileUnit, workers int) int {
 type runDefs struct {
 	p     *Project
 	graph *callgraph.Graph
-	files map[string]*defFile
+	// arts are the files' records in link order. files holds, by link
+	// position, the definitions of the files a resolve reached.
+	arts  []*artifacts
+	mu    sync.Mutex
+	files map[int]*defFile
+}
+
+// file returns the definitions of the file at link position i.
+func (d *runDefs) file(i int) *defFile {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	df := d.files[i]
+	if df == nil {
+		if d.files == nil {
+			d.files = map[int]*defFile{}
+		}
+		df = &defFile{art: d.arts[i]}
+		d.files[i] = df
+	}
+	return df
 }
 
 // defFile is one file's definitions, table and resolver, built on first
@@ -183,7 +202,7 @@ func (d *runDefs) resolver(file string) cfg.Resolver {
 		if n == nil {
 			return cfg.Def{}
 		}
-		df := d.files[n.File]
+		df := d.file(n.FileIndex())
 		df.once.Do(func() {
 			df.funcs = df.art.ast.Functions()
 			df.table = d.p.tableFor(n.File, df.art)

@@ -99,6 +99,9 @@ type parseArtifact struct {
 	errs []error
 	// arenaBytes is the AST arena footprint of the parse that built ast.
 	arenaBytes int64
+	// replayed counts the top-level declarations of ast spliced from the
+	// header-declaration memo.
+	replayed int
 }
 
 // extractArtifact is the extract-stage cache value.
@@ -108,15 +111,17 @@ type extractArtifact struct {
 }
 
 // projectEnv is a point-in-time snapshot of the preprocessing environment:
-// the content hash of the headers and defines, and the cpp.Env built from
-// them.
+// the content hash of the headers and defines, the cpp.Env built from them
+// and the header-declaration memo that belongs to the Env.
 type projectEnv struct {
-	hash string
-	env  *cpp.Env
+	hash  string
+	env   *cpp.Env
+	decls *cparser.HeaderDecls
 }
 
-// envSnapshot returns the environment's content hash and cpp.Env, both
-// cached until AddHeader/Define invalidates them.
+// envSnapshot returns the environment's content hash, cpp.Env and
+// header-declaration memo, all cached until AddHeader/Define invalidates
+// them.
 func (p *Project) envSnapshot() projectEnv {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -134,8 +139,9 @@ func (p *Project) envSnapshot() projectEnv {
 		// The Env keeps its maps, so it gets copies AddHeader/Define will
 		// not write to.
 		p.env = cpp.NewEnv(cpp.Options{Include: maps.Clone(p.headers), Defines: maps.Clone(p.defines), Syms: p.syms})
+		p.decls = cparser.NewHeaderDecls()
 	}
-	return projectEnv{hash: p.envHash, env: p.env}
+	return projectEnv{hash: p.envHash, env: p.env, decls: p.decls}
 }
 
 func sortedKeys(m map[string]string) []string {
@@ -156,7 +162,8 @@ func sortedKeys(m map[string]string) []string {
 // the only reference, and the pipeline drops its ast as soon as extraction
 // is done. Direct trees are parsed without the arena, since slab-batched
 // nodes would stay pinned by the site records' pointers into them (see
-// cparser.NewNoArena).
+// cparser.NewNoArena). Either parser splices the declarations of the
+// file's top-level includes from env's header-declaration memo.
 func (p *Project) frontendWith(ctx context.Context, name, src string, env projectEnv, direct bool) *artifacts {
 	var wrapSpan *obs.Span
 	preprocess := func() (any, error) {
@@ -172,9 +179,10 @@ func (p *Project) frontendWith(ctx context.Context, name, src string, env projec
 	}
 	parse := func(pa *preArtifact) (any, error) {
 		psr := newParser(pa.pre.Tokens)
+		psr.UseHeaders(env.decls, pa.pre.Includes)
 		ast := psr.ParseFile(name)
 		errs := append(append([]error{}, pa.pre.Errors...), psr.Errors()...)
-		return &parseArtifact{ast: ast, errs: errs, arenaBytes: psr.ArenaBytes()}, nil
+		return &parseArtifact{ast: ast, errs: errs, arenaBytes: psr.ArenaBytes(), replayed: psr.DeclsReplayed()}, nil
 	}
 	var v, pv any
 	if direct {
@@ -189,6 +197,8 @@ func (p *Project) frontendWith(ctx context.Context, name, src string, env projec
 	if wrapSpan != nil {
 		wrapSpan.Add("tokens", int64(len(pa.pre.Tokens)))
 		wrapSpan.Add("decls", int64(len(ba.ast.Decls)))
+		wrapSpan.Add("decls_replayed", int64(ba.replayed))
+		wrapSpan.Add("decls_parsed", int64(len(ba.ast.Decls)-ba.replayed))
 		wrapSpan.Add("errors", int64(len(ba.errs)))
 		wrapSpan.End()
 	}
@@ -268,8 +278,10 @@ type extractPlan struct {
 	// observed maps each file to its observed-input key
 	// (callgraph.Observations.Key).
 	observed map[string]string
-	// inferred are the barrier semantics the semprop fixpoint inferred.
-	inferred map[string]memmodel.BarrierKind
+	// inferred are the barrier semantics the semprop fixpoint inferred, and
+	// inferredOnly the names that have them only by inference.
+	inferred     map[string]memmodel.BarrierKind
+	inferredOnly map[string]bool
 	// defs resolves cross-file callees to this run's definitions.
 	defs *runDefs
 }

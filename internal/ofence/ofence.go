@@ -22,6 +22,7 @@ import (
 	"ofence/internal/access"
 	"ofence/internal/callgraph"
 	"ofence/internal/cast"
+	"ofence/internal/cparser"
 	"ofence/internal/cpp"
 	"ofence/internal/ctoken"
 	"ofence/internal/ctypes"
@@ -137,6 +138,9 @@ type Project struct {
 	// (AddHeader/Define reset it). Shared with clones like syms, in which
 	// its recorded token texts are canonical.
 	env *cpp.Env
+	// decls is the header-declaration memo of env (see
+	// cparser.HeaderDecls), built, reset and shared with it.
+	decls *cparser.HeaderDecls
 	// stages holds the content-addressed per-file artifact caches, shared
 	// with clones so equal work is never redone.
 	stages *rescache.Stages
@@ -199,7 +203,7 @@ func (p *Project) Define(name, value string) {
 // marks every unit for a front-end refresh. Callers hold p.mu.
 func (p *Project) markEnvChangedLocked() {
 	p.envHash = ""
-	p.env = nil
+	p.env, p.decls = nil, nil
 	for _, fu := range p.files {
 		fu.stale = true
 	}
@@ -298,6 +302,7 @@ func (p *Project) Clone() *Project {
 		files:    make([]*FileUnit, 0, len(p.files)),
 		envHash:  p.envHash,
 		env:      p.env,
+		decls:    p.decls,
 		stages:   p.stages,
 		syms:     p.syms,
 		table:    p.table,
@@ -511,6 +516,13 @@ func (p *Project) AnalyzeParallel(ctx context.Context, opts Options) (*Result, e
 	}
 
 	var frontTokens, frontArena int64
+	nSites := 0
+	for _, fu := range files {
+		nSites += len(fu.Sites)
+	}
+	if nSites > 0 {
+		res.Sites = make([]*access.Site, 0, nSites)
+	}
 	for _, fu := range files {
 		res.Sites = append(res.Sites, fu.Sites...)
 		res.ParseErrors = append(res.ParseErrors, fu.Errs...)
@@ -605,7 +617,12 @@ func (p *Project) AnalyzeParallel(ctx context.Context, opts Options) (*Result, e
 	res.Timing.Check = time.Since(phaseStart)
 
 	phaseStart = time.Now()
-	rec := v.rank(ctx, prev, fp, res, opts, tbl, workers)
+	// The census derives from the last run's when the site table did.
+	var censusDiff *access.TableDiff
+	if prev != nil && prev.census.Table() == prevTable {
+		censusDiff = diff
+	}
+	rec := v.rank(ctx, prev, fp, res, opts, tbl, censusDiff, plan.inferredOnly, workers)
 	res.Timing.Rank = time.Since(phaseStart)
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -82,6 +82,9 @@ type PairStats struct {
 	// decisively the pairing won. The runner-up is optimistic — candidate
 	// pairs skipped by the weight lower bound are never probed, so a true
 	// runner-up can be missed — which only ever overstates the margin.
+	// A run whose margins equal the previous run's shares that run's map,
+	// so one map can back several Results and the project's pair record:
+	// it is read-only, and callers must not modify it.
 	Margins map[string]PairMargin
 	// InternerReused reports that the run's site table kept the previous
 	// run's object interner: the edit left the tree's set of
@@ -160,6 +163,30 @@ type pairRecord struct {
 	finals    []finalPairing
 	sites     []int32
 	pairingOf []int32
+	// margins is the run's PairStats.Margins.
+	margins map[string]PairMargin
+}
+
+// pairScratch holds the working arrays of a run that no record keeps.
+// Runs recycle them through scratchPool, so a warm run does not allocate
+// them afresh.
+type pairScratch struct {
+	heard, next, last, slots, leader []int32
+	paired, dirty                    []bool
+	pres                             []prePairing
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(pairScratch) }}
+
+// zeroed returns s resized to n zero values, reusing its storage when it
+// is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 type pairer struct {
@@ -216,11 +243,8 @@ func newPairer(tbl *access.SiteTable, opts Options) *pairer {
 		opts:    opts,
 		workers: workers,
 		in:      tbl.Interner(),
-		vecs:    make([]*access.SiteVecs, len(sites)),
+		vecs:    tbl.AllVecs(),
 		stats:   PairStats{InternerReused: ts.InternerReused, SitesVectorized: ts.Vectorized},
-	}
-	for i := range sites {
-		pr.vecs[i] = tbl.Vecs(i)
 	}
 	return pr
 }
@@ -339,7 +363,10 @@ func (pr *pairer) buildIndex() (todo []int32) {
 func (pr *pairer) deriveIndex() (todo []int32) {
 	prev, d := pr.prev, pr.diff
 	nObj := pr.in.Len()
-	dirty := make([]bool, nObj)
+	sc := scratchPool.Get().(*pairScratch)
+	defer scratchPool.Put(sc)
+	sc.dirty = zeroed(sc.dirty, nObj)
+	dirty := sc.dirty
 	var dirtyIDs []uint32
 	markDirty := func(objs []access.ObjDist) {
 		for _, od := range objs {
@@ -520,13 +547,16 @@ type finalPairing struct {
 func (pr *pairer) link(ctx context.Context) (pairings []*Pairing, unpaired, implicit []*access.Site) {
 	n := int32(len(pr.sites))
 	rec := &pairRecord{fp: pr.fp, tbl: pr.tbl, bests: pr.bests, post: pr.post, off: pr.off, minW: pr.minW}
+	sc := scratchPool.Get().(*pairScratch)
+	defer scratchPool.Put(sc)
 	// Handshake: each writer proposes to its candidate, which hears the
 	// proposal back; every site keeps the first lowest-weight proposal in
 	// writer order — the first-wins tie-break of per-site candidate lists.
 	// heard[x] is one more than the writer of the proposal site x keeps,
 	// or 0: the proposal weighs that writer's weight, and its other side
 	// is the writer, or the writer's candidate when x is the writer.
-	heard := make([]int32, n)
+	sc.heard = zeroed(sc.heard, int(n))
+	heard := sc.heard
 	propose := func(at, w int32) {
 		if h := heard[at]; h == 0 || pr.bests[w].weight < pr.bests[h-1].weight {
 			heard[at] = w + 1
@@ -551,8 +581,9 @@ func (pr *pairer) link(ctx context.Context) (pairings []*Pairing, unpaired, impl
 	}
 
 	// A pairing survives only when both sides still select each other.
-	paired := make([]bool, n)
-	pres := make([]prePairing, 0, proposals)
+	sc.paired = zeroed(sc.paired, int(n))
+	paired := sc.paired
+	pres := sc.pres[:0]
 	for i := int32(0); i < n; i++ {
 		if !pr.bests[i].writer || paired[i] {
 			continue
@@ -567,6 +598,7 @@ func (pr *pairer) link(ctx context.Context) (pairings []*Pairing, unpaired, impl
 		pres = append(pres, prePairing{writer: i, partner: partner, weight: weight, clo: clo, chi: int32(len(rec.common))})
 		paired[i], paired[partner] = true, true
 	}
+	sc.pres = pres
 	pr.stats.Pruned = int64(2 * (proposals - len(pres)))
 	commonOf := func(k int) []uint32 { return rec.common[pres[k].clo:pres[k].chi] }
 
@@ -594,8 +626,9 @@ func (pr *pairer) link(ctx context.Context) (pairings []*Pairing, unpaired, impl
 	// (Figure 5: the seqcount duos form a single four-barrier pairing): the
 	// first of each set keeps its place and absorbs the sites of the later
 	// ones. next links each set's pairings in order.
-	leader := groupByCommon(len(pres), commonOf)
-	next, last := make([]int32, len(pres)), make([]int32, len(pres))
+	leader := groupByCommon(sc, len(pres), commonOf)
+	sc.next, sc.last = zeroed(sc.next, len(pres)), zeroed(sc.last, len(pres))
+	next, last := sc.next, sc.last
 	for k := range pres {
 		next[k], last[k] = -1, int32(k)
 		if g := leader[k]; g != int32(k) {
@@ -650,6 +683,7 @@ func (pr *pairer) link(ctx context.Context) (pairings []*Pairing, unpaired, impl
 	}
 
 	pr.stats.Margins = pr.margins()
+	rec.margins = pr.stats.Margins
 	pr.rec = rec
 	return pairings, unpaired, implicit
 }
@@ -690,17 +724,20 @@ func (pr *pairer) recordedPairing(f finalPairing, rec *pairRecord) *Pairing {
 // groupByCommon returns, for each of n pairings, the index of the first
 // pairing whose common-object set (commonOf) is equal, found through an
 // open-addressed table indexed by the top bits of a multiplicative hash.
-func groupByCommon(n int, commonOf func(k int) []uint32) []int32 {
+// Its arrays are sc's.
+func groupByCommon(sc *pairScratch, n int, commonOf func(k int) []uint32) []int32 {
 	bits := 1
 	for 1<<bits < 2*n {
 		bits++
 	}
 	size := 1 << bits
-	slots := make([]int32, size)
+	sc.slots = zeroed(sc.slots, size)
+	slots := sc.slots
 	for i := range slots {
 		slots[i] = -1
 	}
-	leader := make([]int32, n)
+	sc.leader = zeroed(sc.leader, n)
+	leader := sc.leader
 	for k := 0; k < n; k++ {
 		ids := commonOf(k)
 		h := uint64(14695981039346656037)
@@ -724,8 +761,13 @@ func groupByCommon(n int, commonOf func(k int) []uint32) []int32 {
 
 // margins builds PairStats.Margins from every writer's candidate: a later
 // writer with the same site ID overwrites an earlier one's entry. The map
-// is sized for its entries up front, so it never grows.
+// is sized for its entries up front, so it never grows. A run whose
+// writers give the same entries, in the same order, as the previous run's
+// shares that run's map.
 func (pr *pairer) margins() map[string]PairMargin {
+	if pr.sameMargins() {
+		return pr.prev.margins
+	}
 	n := 0
 	for i := range pr.bests {
 		if pr.bests[i].contributes() {
@@ -742,6 +784,39 @@ func (pr *pairer) margins() map[string]PairMargin {
 		}
 	}
 	return m
+}
+
+// sameMargins reports whether the writers that contribute a margin entry
+// give, in site order, the same site IDs, weights and runner-ups as those
+// of the previous run's record.
+func (pr *pairer) sameMargins() bool {
+	prev := pr.prev
+	if prev == nil {
+		return false
+	}
+	prevSites := prev.tbl.Sites()
+	j := 0
+	next := func() {
+		for j < len(prev.bests) && !prev.bests[j].contributes() {
+			j++
+		}
+	}
+	for i := range pr.bests {
+		c := &pr.bests[i]
+		if !c.contributes() {
+			continue
+		}
+		next()
+		if j == len(prev.bests) {
+			return false
+		}
+		if p := &prev.bests[j]; c.weight != p.weight || c.second != p.second || pr.sites[i].ID() != prevSites[j].ID() {
+			return false
+		}
+		j++
+	}
+	next()
+	return j == len(prev.bests)
 }
 
 // bestFor finds write barrier b's lowest-weight candidate partner:

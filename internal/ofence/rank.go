@@ -9,7 +9,6 @@ import (
 	"ofence/internal/access"
 	"ofence/internal/obs"
 	"ofence/internal/rank"
-	"ofence/internal/semprop"
 )
 
 // rank is analysis phase 4: score the findings with the confidence ranker
@@ -24,18 +23,23 @@ import (
 // Evidence per finding:
 //   - outlier census over ALL deduplicated sites (how the other uses of the
 //     finding's object order their accesses), read from the run's site
-//     table, which pairing built;
+//     table, which pairing built; when d, the table's diff from the one
+//     prev's census counts, is non-nil, the census derives from prev's;
 //   - the pairing's winning weight and probed runner-up (its writer's
 //     PairStats.Margins entry);
 //   - the finding site's window richness and inlined-provenance flag;
 //   - whether the ordering rests on interprocedurally inferred semantics
 //     (the site's own barrier name, or — for unneeded-barrier findings —
 //     the following call the finding trusts to provide the ordering).
-func (v *verdicts) rank(ctx context.Context, prev *verdictRecord, fp string, res *Result, opts Options, tbl *access.SiteTable, workers int) *verdictRecord {
+func (v *verdicts) rank(ctx context.Context, prev *verdictRecord, fp string, res *Result, opts Options, tbl *access.SiteTable, d *access.TableDiff, inferredOnly map[string]bool, workers int) *verdictRecord {
 	_, rsp := obs.Start(ctx, "rank")
 	defer rsp.End()
-	idx := rank.NewIndex(tbl)
-	inferredOnly := semprop.InferredOnly(res.Inferred)
+	var idx *rank.Index
+	if d != nil {
+		idx = prev.census.Derive(tbl, d)
+	} else {
+		idx = rank.NewIndex(tbl)
+	}
 	// Every recorded score is stale when the IDs moved; otherwise only those
 	// of objects whose census row did.
 	all := prev == nil || !res.PairStats.InternerReused

@@ -28,11 +28,13 @@ func TestBuildIndexParallelQuickcheck(t *testing.T) {
 					if seq.tbl.Interner().Object(uint32(id)) != par.tbl.Interner().Object(uint32(id)) {
 						t.Fatalf("%s: ID %d interned differently", label, id)
 					}
-					if seq.total[id] != par.total[id] {
-						t.Fatalf("%s: total[%d] = %d vs %d", label, id, seq.total[id], par.total[id])
+					sm, st := seq.row(uint32(id))
+					pm, pt := par.row(uint32(id))
+					if st != pt {
+						t.Fatalf("%s: total[%d] = %d vs %d", label, id, st, pt)
 					}
-					if sm, pm := seq.census[id], par.census[id]; sm != pm {
-						t.Fatalf("%s: census[%d] = %v vs %v", label, id, sm, pm)
+					if *sm != *pm {
+						t.Fatalf("%s: census[%d] = %v vs %v", label, id, *sm, *pm)
 					}
 				}
 				// Support must agree for every object every site touches.
@@ -62,5 +64,59 @@ func TestBuildIndexParallelDegenerate(t *testing.T) {
 	o := access.Object{Struct: "a_proto_00000", Field: "data"}
 	if a, b := seq.Support(o, sites[0]), par.Support(o, sites[0]); a != b {
 		t.Errorf("single site Support: %+v vs %+v", a, b)
+	}
+}
+
+// TestDeriveMatchesNewIndex drops and re-adds sites between site tables
+// and checks that the census derived through each table diff equals the
+// census built afresh, and that deriving leaves the source index as it
+// was.
+func TestDeriveMatchesNewIndex(t *testing.T) {
+	sites := sitegen.Generate(sitegen.DefaultConfig(400, 3))
+	access.SortSites(sites)
+	same := func(label string, a, b *Index) {
+		t.Helper()
+		if a.Objects() != b.Objects() {
+			t.Fatalf("%s: Objects %d vs %d", label, a.Objects(), b.Objects())
+		}
+		for id := range uint32(a.Objects()) {
+			ac, at := a.row(id)
+			bc, bt := b.row(id)
+			if at != bt || *ac != *bc {
+				t.Fatalf("%s: row %d = %v/%d vs %v/%d", label, id, *ac, at, *bc, bt)
+			}
+		}
+	}
+	prevTbl, _ := access.BuildSiteTable(nil, sites, nil, 1)
+	prev := NewIndex(prevTbl)
+	derived := 0
+	for step := 1; step <= 40; step++ {
+		// Every step-th site is dropped; on odd steps the full set returns.
+		cur := sites
+		if step%2 == 0 {
+			cur = nil
+			for i, s := range sites {
+				if i%step != 0 {
+					cur = append(cur, s)
+				}
+			}
+		}
+		tbl, d := access.BuildSiteTable(prevTbl, cur, nil, 1)
+		fresh := NewIndex(tbl)
+		if d != nil {
+			before := NewIndex(prevTbl)
+			x := prev.Derive(tbl, d)
+			same(fmt.Sprintf("step %d derived", step), x, fresh)
+			same(fmt.Sprintf("step %d source", step), prev, before)
+			if got, want := x.ChangedRows(prev), fresh.ChangedRows(before); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("step %d: ChangedRows %v, want %v", step, got, want)
+			}
+			fresh = x
+			derived++
+		}
+		prevTbl, prev = tbl, fresh
+	}
+	if derived == 0 {
+		t.Fatal("no table kept its interner: nothing derived")
 	}
 }

@@ -56,39 +56,104 @@ const (
 // Index is the cross-project outlier census: for every interned
 // (struct, field) object, how many sites exhibit each access-ordering
 // protocol (usage signature — see access.ObjUsage). Build once per analysis
-// over the full deduplicated site set; query per finding. Immutable after
-// NewIndex.
+// over the full deduplicated site set, or derive it from the previous
+// analysis's (Derive); query per finding. Immutable once built.
 type Index struct {
 	tbl *access.SiteTable
-	// census[id][sig] is the number of sites whose windows touch object id
-	// with exactly usage signature sig (usage bits are 4 bits wide).
-	census [][16]int32
-	// total[id] is the number of sites touching object id at all.
-	total []int32
+	// pages hold the census rows, pageRows to a page: object id's row is
+	// pages[id/pageRows] at id%pageRows. An index derived from another
+	// shares every page none of whose rows changed.
+	pages []*censusPage
+}
+
+// pageRows is the number of census rows a page holds.
+const pageRows = 64
+
+// censusPage is pageRows consecutive census rows.
+type censusPage struct {
+	// census[r][sig] is the number of sites whose windows touch the row's
+	// object with exactly usage signature sig (usage bits are 4 bits wide).
+	census [pageRows][16]int32
+	// total[r] is the number of sites touching the row's object at all.
+	total [pageRows]int32
+}
+
+// row returns object id's census row and total.
+func (x *Index) row(id uint32) (*[16]int32, int32) {
+	pg := x.pages[id/pageRows]
+	return &pg.census[id%pageRows], pg.total[id%pageRows]
 }
 
 // NewIndex computes the census over the usage vectors of every site in
-// tbl. The result depends only on the set of sites, not their order.
+// tbl. The result depends only on the set of sites, not their order. It is
+// the census derived from the empty index, to which every site of tbl is
+// added.
 func NewIndex(tbl *access.SiteTable) *Index {
-	n := tbl.Interner().Len()
-	x := &Index{tbl: tbl, census: make([][16]int32, n), total: make([]int32, n)}
-	for i := range tbl.Sites() {
-		for _, u := range tbl.Vecs(i).Usages {
-			x.census[u.ID][u.Bits]++
-			x.total[u.ID]++
-		}
+	all := make([]int32, len(tbl.Sites()))
+	for i := range all {
+		all[i] = int32(i)
 	}
-	return x
+	return new(Index).Derive(tbl, &access.TableDiff{Added: all})
 }
+
+// Derive returns the index of tbl, which access.BuildSiteTable derived
+// from x's table with diff d: x's census less the usages of d's dropped
+// sites plus those of its added sites. It copies only the pages those
+// usages fall in and shares the rest with x, which it leaves unchanged.
+// Derive equals NewIndex(tbl).
+func (x *Index) Derive(tbl *access.SiteTable, d *access.TableDiff) *Index {
+	n := (tbl.Interner().Len() + pageRows - 1) / pageRows
+	y := &Index{tbl: tbl, pages: make([]*censusPage, max(n, len(x.pages)))}
+	copy(y.pages, x.pages)
+	owned := make([]bool, len(y.pages))
+	// Rows x lacks start at zero, on pages y owns from the start.
+	fresh := make([]censusPage, len(y.pages)-len(x.pages))
+	for k := range fresh {
+		p := len(x.pages) + k
+		y.pages[p], owned[p] = &fresh[k], true
+	}
+	for _, j := range d.Dropped {
+		y.count(x.tbl.Vecs(int(j)), -1, owned)
+	}
+	for _, i := range d.Added {
+		y.count(tbl.Vecs(int(i)), 1, owned)
+	}
+	return y
+}
+
+// count adds delta to the census rows of v's usages. owned marks the
+// pages x owns: a page it does not own yet is copied first.
+func (x *Index) count(v *access.SiteVecs, delta int32, owned []bool) {
+	for _, u := range v.Usages {
+		p := u.ID / pageRows
+		if !owned[p] {
+			cp := *x.pages[p]
+			x.pages[p], owned[p] = &cp, true
+		}
+		pg := x.pages[p]
+		pg.census[u.ID%pageRows][u.Bits] += delta
+		pg.total[u.ID%pageRows] += delta
+	}
+}
+
+// Table returns the site table the census counts.
+func (x *Index) Table() *access.SiteTable { return x.tbl }
 
 // ChangedRows returns, in ascending order, the IDs of the objects whose
 // census row differs from prev's. Both indexes must share one interner, so
-// that an ID names the same object in each.
+// that an ID names the same object in each. Pages the two share are equal
+// and skipped.
 func (x *Index) ChangedRows(prev *Index) []uint32 {
 	var out []uint32
-	for id := range x.total {
-		if x.total[id] != prev.total[id] || x.census[id] != prev.census[id] {
-			out = append(out, uint32(id))
+	for p, pg := range x.pages {
+		old := prev.pages[p]
+		if pg == old {
+			continue
+		}
+		for r := range pageRows {
+			if pg.total[r] != old.total[r] || pg.census[r] != old.census[r] {
+				out = append(out, uint32(p*pageRows+r))
+			}
 		}
 	}
 	return out
@@ -144,12 +209,13 @@ func (x *Index) Support(o access.Object, s *access.Site) Support {
 			}
 		}
 	}
-	sp := Support{Sig: sig, Others: int(x.total[id])}
+	census, total := x.row(id)
+	sp := Support{Sig: sig, Others: int(total)}
 	if sig != 0 {
 		sp.Others-- // exclude the queried site itself
 	}
 	// Majority among the others, deterministic tie-break: lowest signature.
-	for b, n := range x.census[id] {
+	for b, n := range census {
 		if uint8(b) == sig {
 			n-- // the queried site's own vote does not establish a protocol
 		}

@@ -2,9 +2,11 @@ package rescache
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -122,16 +124,28 @@ func OpenDiskStoreCapped(dir string, maxBytes int64) (*DiskStore, error) {
 	return d, nil
 }
 
-// replay parses the index, skipping malformed lines (a torn final append).
-// "v1 <key> <size> <sum>" lines insert or supersede an entry; "d1 <key>"
-// tombstones drop one. Live entries keep their log order, so eviction order
-// survives restarts.
+// maxIndexLine bounds an index line. Well-formed lines are under 200
+// bytes, so a longer one is garbage, skipped like any malformed line.
+const maxIndexLine = 1 << 20
+
+// replay parses the index, skipping malformed lines (a torn final append,
+// a negative size, a size the byte total cannot hold, a line longer than
+// maxIndexLine). "v1 <key> <size> <sum>" lines insert or supersede an
+// entry; "d1 <key>" tombstones drop one. Live entries keep their log
+// order, so eviction order survives restarts.
 func (d *DiskStore) replay(data []byte) {
-	sc := bufio.NewScanner(strings.NewReader(string(data)))
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
+	for len(data) > 0 {
+		line := data
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			line, data = data[:i], data[i+1:]
+		} else {
+			data = nil
+		}
 		d.logLines++
+		if len(line) > maxIndexLine {
+			continue
+		}
+		fields := strings.Fields(string(line))
 		if len(fields) == 2 && fields[0] == "d1" {
 			key := Key(fields[1])
 			if ent, ok := d.index[key]; ok {
@@ -144,17 +158,21 @@ func (d *DiskStore) replay(data []byte) {
 			continue // torn or foreign line: ignore
 		}
 		size, err := strconv.ParseInt(fields[2], 10, 64)
-		if err != nil || len(fields[3]) != sha256.Size*2 {
+		if err != nil || size < 0 || len(fields[3]) != sha256.Size*2 {
 			continue
 		}
 		key := Key(fields[1])
 		if !key.Valid() {
 			continue
 		}
+		rest := d.bytes
 		if old, ok := d.index[key]; ok {
-			d.bytes -= old.size
+			rest -= old.size
 		}
-		d.bytes += size
+		if size > math.MaxInt64-rest {
+			continue
+		}
+		d.bytes = rest + size
 		d.seq++
 		d.index[key] = diskEntry{size: size, sum: fields[3], seq: d.seq}
 		d.order = append(d.order, diskOrder{key: key, seq: d.seq})
