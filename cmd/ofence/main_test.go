@@ -7,7 +7,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -253,11 +252,7 @@ func TestRepeatedPathIsOneFile(t *testing.T) {
 		t.Skip("builds and runs the CLI")
 	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "ofence")
-	build := exec.Command(filepath.Join(runtime.GOROOT(), "bin", "go"), "build", "-o", bin, "ofence/cmd/ofence")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildCLI(t, dir)
 	if err := os.Mkdir(filepath.Join(dir, "d"), 0o755); err != nil {
 		t.Fatal(err)
 	}

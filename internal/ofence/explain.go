@@ -38,7 +38,8 @@ func writeAccessLines(b *strings.Builder, pg *Pairing, list []*access.Access, be
 	if before {
 		side = "before"
 	}
-	// One line per (object, kind), at the closest distance.
+	// One line per (object, kind), at the closest distance, ordered by
+	// distance, object and kind.
 	type key struct {
 		o access.Object
 		k access.Kind
@@ -61,7 +62,10 @@ func writeAccessLines(b *strings.Builder, pg *Pairing, list []*access.Access, be
 		if best[keys[i]] != best[keys[j]] {
 			return best[keys[i]] < best[keys[j]]
 		}
-		return keys[i].o.String() < keys[j].o.String()
+		if oi, oj := keys[i].o.String(), keys[j].o.String(); oi != oj {
+			return oi < oj
+		}
+		return keys[i].k < keys[j].k
 	})
 	for _, kk := range keys {
 		fmt.Fprintf(b, "    %-5s of %-30s %s barrier, distance %d\n",
