@@ -73,7 +73,8 @@ bench-confidence:
 		$(GO) test ./internal/report/ -run '^TestWriteBenchConfidenceJSON$$' -count=1 -v
 
 # Race-detector gate for the job engine: lease juggling, worker
-# heartbeats, in-process and external workers, the shared artifact stores.
+# heartbeats, in-process and external workers, the result cache and the
+# stage caches every in-process worker shares.
 race-service:
 	$(GO) test -race -count=1 ./internal/service/ ./internal/rescache/
 

@@ -13,15 +13,15 @@
 // endpoints (/debug/pprof/...) on its own address, kept off the API
 // listener so profiling is never exposed to API clients by accident.
 //
-// With -store disk -store-dir DIR the result cache and the per-file stage
-// caches are backed by a crash-consistent content-addressed store on disk,
-// so cached work survives restarts; -store memory shares a byte-bounded
-// in-memory blob tier instead.
+// With -store disk -store-dir DIR the result cache is backed by a
+// crash-consistent content-addressed store on disk, so cached results
+// survive restarts; -store memory adds a byte-bounded in-memory blob tier
+// instead.
 //
 // The service is a coordinator: -workers in-process analysis slots lease
-// its tasks by direct call. With -fleet-token the worker wire protocol and
-// the artifact store are mounted too, and ofence-worker processes carrying
-// the token join; -workers -1 leaves all analysis to them.
+// its tasks by direct call. With -fleet-token the worker wire protocol is
+// mounted too, and ofence-worker processes carrying the token join;
+// -workers -1 leaves all analysis to them.
 //
 // SIGINT/SIGTERM triggers a graceful drain: the listener stops accepting,
 // queued and running jobs finish (up to -drain), then the process exits.
@@ -57,10 +57,10 @@ func main() {
 		maxBytes = flag.Int("max-source-bytes", 8<<20, "total source size bound per request")
 		warmN    = flag.Int("warm-lineages", 0, "warm projects kept for incremental re-analysis, one per source-set lineage (0 = default 32, negative = disabled)")
 		pprofA   = flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = disabled)")
-		storeK   = flag.String("store", "", "artifact store backend: memory, disk, or empty for none")
+		storeK   = flag.String("store", "", "result store backend behind the result cache: memory, disk, or empty for none")
 		storeDir = flag.String("store-dir", "", "disk store directory (required with -store disk)")
 		storeMax = flag.Int64("store-max-bytes", 0, "artifact store byte budget; oldest blobs are evicted past it (0 = unbounded disk, 256MiB memory default)")
-		token    = flag.String("fleet-token", "", "shared secret external workers present; mounts /v1/fleet/* and /v1/store/* (empty = no external workers)")
+		token    = flag.String("fleet-token", "", "shared secret external workers present; mounts /v1/fleet/* (empty = no external workers)")
 	)
 	flag.Parse()
 	store, err := openStore(*storeK, *storeDir, *storeMax)

@@ -158,13 +158,15 @@ func TestDaemonSmoke(t *testing.T) {
 		t.Errorf("ofence_files_reused_total = %g after a one-file edit, want > 0", got)
 	}
 
+	// The fleet token mounts the worker protocol only; there is no artifact
+	// store endpoint.
 	resp, err := http.Get(base + "/v1/store/x")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnauthorized {
-		t.Errorf("GET /v1/store/x without the token: %d, want 401", resp.StatusCode)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /v1/store/x: %d, want 404", resp.StatusCode)
 	}
 
 	if err := serve.Process.Signal(syscall.SIGTERM); err != nil {

@@ -5,11 +5,10 @@
 //
 // The worker leases tasks from the coordinator, runs the analysis pipeline
 // in up to -capacity slots that share one set of stage caches and warm
-// lineages, heartbeats while working, and reports results. Its per-file
-// stage caches publish to the coordinator's artifact store over
-// /v1/store/{key}, so front-end work done by any worker is a cache hit for
-// every other. SIGINT/SIGTERM stops leasing; in-flight leases lapse and
-// the coordinator re-dispatches them.
+// lineages, heartbeats while working, and reports results. Its stage
+// caches are in-process only: front-end work is shared between its slots,
+// not with other workers. SIGINT/SIGTERM stops leasing; in-flight leases
+// lapse and the coordinator re-dispatches them.
 //
 // See docs/SERVICE.md for the wire protocol and operational guide.
 package main

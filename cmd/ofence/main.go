@@ -17,8 +17,6 @@
 //	-sarif            emit the diagnostics engine's findings as SARIF 2.1.0
 //	-stage-stats      print per-stage incremental cache and memory statistics
 //	                  to stderr
-//	-release-asts     drop each file's AST once extracted (bounds peak memory
-//	                  on tree-scale runs; byte-identical output)
 //	-trace            print the per-stage observability tree to stderr
 //	-trace-out FILE   write a Chrome trace_event JSON trace (Perfetto-loadable)
 //	-exit-code        exit 1 when findings are reported (CI gating)
@@ -70,7 +68,6 @@ func main() {
 		traceOut     = flag.String("trace-out", "", "write a Chrome trace_event JSON file (open in chrome://tracing or Perfetto)")
 		useExitCode  = flag.Bool("exit-code", false, "exit with status 1 when findings are reported (SARIF-tool convention for CI gates)")
 		stageStats   = flag.Bool("stage-stats", false, "print per-stage incremental cache and memory statistics to stderr")
-		releaseASTs  = flag.Bool("release-asts", false, "drop each file's AST once extracted and bypass the front-end caches (bounds peak memory on tree-scale runs; identical output)")
 		writeWindow  = flag.Int("write-window", 5, "statements explored around write barriers")
 		readWindow   = flag.Int("read-window", 50, "statements explored around read barriers")
 		workers      = flag.Int("workers", 0, "parallel file workers (0 = GOMAXPROCS)")
@@ -101,7 +98,6 @@ func main() {
 	opts.CheckOnce = *checkOnce
 	opts.InterprocDepth = *interproc
 	opts.MinConfidence = *minConf
-	opts.ReleaseASTs = *releaseASTs
 
 	var srcs, hdrs []ofence.SourceFile
 	for _, arg := range flag.Args() {

@@ -3,7 +3,8 @@ package ofence_test
 // Documentation lint, run by `make lint` (go test . -run TestDocs):
 //
 //   - every flag registered by a cmd/ binary must be mentioned in
-//     docs/CLI.md, so the flag reference cannot go stale;
+//     docs/CLI.md, and every flag row of a binary's section must name a
+//     flag the binary registers, so the flag reference cannot go stale;
 //   - every exported top-level identifier in internal/obs must carry a doc
 //     comment, since obs is the instrumentation API other packages build
 //     against.
@@ -16,6 +17,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -57,8 +59,30 @@ func cmdFlags(t *testing.T, mainGo string) []string {
 	return flags
 }
 
+// flagRow matches a flag-table row of docs/CLI.md and captures the flag
+// name: "| `-name` ...".
+var flagRow = regexp.MustCompile("^\\| `-([A-Za-z0-9-]+)`")
+
+// docFlagRows returns the flag names the tables of each "## <section>" of
+// docs/CLI.md list, keyed by section title.
+func docFlagRows(text string) map[string][]string {
+	rows := map[string][]string{}
+	section := ""
+	for _, line := range strings.Split(text, "\n") {
+		if title, ok := strings.CutPrefix(line, "## "); ok {
+			section = strings.TrimSpace(title)
+			continue
+		}
+		if m := flagRow.FindStringSubmatch(line); m != nil {
+			rows[section] = append(rows[section], m[1])
+		}
+	}
+	return rows
+}
+
 // TestDocsCLIFlagCoverage fails when a binary registers a flag that
-// docs/CLI.md does not mention as `-name`.
+// docs/CLI.md does not mention as `-name`, or when a binary's section of
+// docs/CLI.md has a flag row for a flag the binary does not register.
 func TestDocsCLIFlagCoverage(t *testing.T) {
 	doc, err := os.ReadFile(filepath.Join("docs", "CLI.md"))
 	if err != nil {
@@ -70,14 +94,22 @@ func TestDocsCLIFlagCoverage(t *testing.T) {
 	if err != nil || len(cmds) == 0 {
 		t.Fatalf("no cmd/*/main.go found (err=%v)", err)
 	}
+	rows := docFlagRows(text)
 	for _, mainGo := range cmds {
 		binary := filepath.Base(filepath.Dir(mainGo))
 		if !strings.Contains(text, "## "+binary) {
 			t.Errorf("docs/CLI.md has no section for %s", binary)
 		}
+		registered := map[string]bool{}
 		for _, name := range cmdFlags(t, mainGo) {
+			registered[name] = true
 			if !strings.Contains(text, "`-"+name+"`") && !strings.Contains(text, "`-"+name+" ") {
 				t.Errorf("docs/CLI.md does not document %s -%s", binary, name)
+			}
+		}
+		for _, name := range rows[binary] {
+			if !registered[name] {
+				t.Errorf("docs/CLI.md lists %s -%s, which %s does not register", binary, name, mainGo)
 			}
 		}
 	}

@@ -10,8 +10,7 @@ import "unsafe"
 // pressure: tens of thousands of node allocations per file collapse into
 // slab-sized ones, and nodes of a file are contiguous in memory.
 //
-// An Arena is single-goroutine (one per parser). A nil *Arena is valid and
-// falls back to plain per-node allocation — the cparser.NewNoArena path.
+// An Arena is single-goroutine (one per parser).
 type Arena struct {
 	idents    slab[Ident]
 	lits      slab[Lit]
@@ -79,214 +78,123 @@ func (s *slab[T]) alloc(bytes *int64) *T {
 // Bytes returns the total slab capacity allocated so far — the
 // frontend.arena_bytes observability counter.
 func (a *Arena) Bytes() int64 {
-	if a == nil {
-		return 0
-	}
 	return a.bytes
 }
 
-// The New* methods return a zeroed node for the caller to fill. On a nil
-// Arena they allocate plainly, preserving pre-arena behavior bit for bit.
+// The New* methods return a zeroed node for the caller to fill.
 
 func (a *Arena) NewIdent() *Ident {
-	if a == nil {
-		return new(Ident)
-	}
 	return a.idents.alloc(&a.bytes)
 }
 
 func (a *Arena) NewLit() *Lit {
-	if a == nil {
-		return new(Lit)
-	}
 	return a.lits.alloc(&a.bytes)
 }
 
 func (a *Arena) NewFieldExpr() *FieldExpr {
-	if a == nil {
-		return new(FieldExpr)
-	}
 	return a.fields.alloc(&a.bytes)
 }
 
 func (a *Arena) NewIndexExpr() *IndexExpr {
-	if a == nil {
-		return new(IndexExpr)
-	}
 	return a.indexes.alloc(&a.bytes)
 }
 
 func (a *Arena) NewCallExpr() *CallExpr {
-	if a == nil {
-		return new(CallExpr)
-	}
 	return a.calls.alloc(&a.bytes)
 }
 
 func (a *Arena) NewPostfixExpr() *PostfixExpr {
-	if a == nil {
-		return new(PostfixExpr)
-	}
 	return a.postfixes.alloc(&a.bytes)
 }
 
 func (a *Arena) NewUnaryExpr() *UnaryExpr {
-	if a == nil {
-		return new(UnaryExpr)
-	}
 	return a.unaries.alloc(&a.bytes)
 }
 
 func (a *Arena) NewBinaryExpr() *BinaryExpr {
-	if a == nil {
-		return new(BinaryExpr)
-	}
 	return a.binaries.alloc(&a.bytes)
 }
 
 func (a *Arena) NewAssignExpr() *AssignExpr {
-	if a == nil {
-		return new(AssignExpr)
-	}
 	return a.assigns.alloc(&a.bytes)
 }
 
 func (a *Arena) NewCondExpr() *CondExpr {
-	if a == nil {
-		return new(CondExpr)
-	}
 	return a.conds.alloc(&a.bytes)
 }
 
 func (a *Arena) NewCommaExpr() *CommaExpr {
-	if a == nil {
-		return new(CommaExpr)
-	}
 	return a.commas.alloc(&a.bytes)
 }
 
 func (a *Arena) NewCastExpr() *CastExpr {
-	if a == nil {
-		return new(CastExpr)
-	}
 	return a.casts.alloc(&a.bytes)
 }
 
 func (a *Arena) NewTypeExpr() *TypeExpr {
-	if a == nil {
-		return new(TypeExpr)
-	}
 	return a.types.alloc(&a.bytes)
 }
 
 func (a *Arena) NewExprStmt() *ExprStmt {
-	if a == nil {
-		return new(ExprStmt)
-	}
 	return a.exprStmts.alloc(&a.bytes)
 }
 
 func (a *Arena) NewDeclStmt() *DeclStmt {
-	if a == nil {
-		return new(DeclStmt)
-	}
 	return a.declStmts.alloc(&a.bytes)
 }
 
 func (a *Arena) NewBlockStmt() *BlockStmt {
-	if a == nil {
-		return new(BlockStmt)
-	}
 	return a.blocks.alloc(&a.bytes)
 }
 
 func (a *Arena) NewReturnStmt() *ReturnStmt {
-	if a == nil {
-		return new(ReturnStmt)
-	}
 	return a.returns.alloc(&a.bytes)
 }
 
 func (a *Arena) NewIfStmt() *IfStmt {
-	if a == nil {
-		return new(IfStmt)
-	}
 	return a.ifs.alloc(&a.bytes)
 }
 
 func (a *Arena) NewForStmt() *ForStmt {
-	if a == nil {
-		return new(ForStmt)
-	}
 	return a.fors.alloc(&a.bytes)
 }
 
 func (a *Arena) NewWhileStmt() *WhileStmt {
-	if a == nil {
-		return new(WhileStmt)
-	}
 	return a.whiles.alloc(&a.bytes)
 }
 
 func (a *Arena) NewDoWhileStmt() *DoWhileStmt {
-	if a == nil {
-		return new(DoWhileStmt)
-	}
 	return a.dos.alloc(&a.bytes)
 }
 
 func (a *Arena) NewSwitchStmt() *SwitchStmt {
-	if a == nil {
-		return new(SwitchStmt)
-	}
 	return a.switches.alloc(&a.bytes)
 }
 
 func (a *Arena) NewVarDecl() *VarDecl {
-	if a == nil {
-		return new(VarDecl)
-	}
 	return a.varDecls.alloc(&a.bytes)
 }
 
 func (a *Arena) NewStructDecl() *StructDecl {
-	if a == nil {
-		return new(StructDecl)
-	}
 	return a.structDecls.alloc(&a.bytes)
 }
 
 func (a *Arena) NewFieldDecl() *FieldDecl {
-	if a == nil {
-		return new(FieldDecl)
-	}
 	return a.fieldDecls.alloc(&a.bytes)
 }
 
 func (a *Arena) NewEnumDecl() *EnumDecl {
-	if a == nil {
-		return new(EnumDecl)
-	}
 	return a.enumDecls.alloc(&a.bytes)
 }
 
 func (a *Arena) NewTypedefDecl() *TypedefDecl {
-	if a == nil {
-		return new(TypedefDecl)
-	}
 	return a.typedefDecls.alloc(&a.bytes)
 }
 
 func (a *Arena) NewFuncDecl() *FuncDecl {
-	if a == nil {
-		return new(FuncDecl)
-	}
 	return a.funcDecls.alloc(&a.bytes)
 }
 
 func (a *Arena) NewParamDecl() *ParamDecl {
-	if a == nil {
-		return new(ParamDecl)
-	}
 	return a.paramDecls.alloc(&a.bytes)
 }

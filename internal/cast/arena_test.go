@@ -27,15 +27,3 @@ func TestArenaAllocZeroedAndDistinct(t *testing.T) {
 		}
 	}
 }
-
-// TestArenaNilFallback checks the NewNoArena path: a nil arena allocates plainly
-// and reports zero bytes.
-func TestArenaNilFallback(t *testing.T) {
-	var a *Arena
-	if n := a.NewBinaryExpr(); n == nil || n.Op != 0 {
-		t.Fatalf("nil arena returned %+v", n)
-	}
-	if a.Bytes() != 0 {
-		t.Fatalf("nil arena Bytes() = %d", a.Bytes())
-	}
-}

@@ -145,10 +145,7 @@ func (p *Parser) header(f *cast.File, inc cpp.Include) bool {
 	// the slabs of the file that recorded it.
 	toks, arena := p.toks, p.arena
 	decls, errs, added, chain := len(f.Decls), len(p.errs), len(p.added), p.chain
-	p.toks, p.pastEnd = toks[:inc.End], false
-	if arena != nil {
-		p.arena = new(cast.Arena)
-	}
+	p.toks, p.arena, p.pastEnd = toks[:inc.End], new(cast.Arena), false
 	for p.i < inc.End {
 		p.topDecl(f)
 	}

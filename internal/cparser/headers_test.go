@@ -47,20 +47,15 @@ func (pr printer) file(f *cast.File, errs []error) string {
 // memoParse is what diffMemo saw of one file's parse with the memo.
 type memoParse struct {
 	// replayed is the number of declarations spliced; arena and fresh are
-	// the arena bytes of the memo's parse and of the fresh parser's, both
-	// zero when the memo's parse used the NoArena parser.
+	// the arena bytes of the memo's parse and of the fresh parser's.
 	replayed     int
 	arena, fresh int64
 }
 
-// parseWith parses pre's tokens, splicing from memo unless it is nil, on
-// an arena parser or a NoArena one. It returns the rendering and the
-// parser.
-func parseWith(pr printer, name string, pre *cpp.Result, memo *cparser.HeaderDecls, arena bool) (string, *cparser.Parser) {
-	p := cparser.NewNoArena(pre.Tokens)
-	if arena {
-		p = cparser.New(pre.Tokens)
-	}
+// parseWith parses pre's tokens, splicing from memo unless it is nil. It
+// returns the rendering and the parser.
+func parseWith(pr printer, name string, pre *cpp.Result, memo *cparser.HeaderDecls) (string, *cparser.Parser) {
+	p := cparser.New(pre.Tokens)
 	if memo != nil {
 		p.UseHeaders(memo, pre.Includes)
 	}
@@ -70,10 +65,8 @@ func parseWith(pr printer, name string, pre *cpp.Result, memo *cparser.HeaderDec
 
 // diffMemo parses files through one cpp.Env and one HeaderDecls, in order,
 // passes times over, and checks every parse against a fresh cparser.New
-// over the same tokens, which splices nothing. The memo's parses alternate
-// between the arena and the NoArena parser, file by file and pass by pass,
-// so both parsers share the memo and meet every file. It returns what it
-// saw of each file's parse, per pass.
+// over the same tokens, which splices nothing. It returns what it saw of
+// each file's parse, per pass.
 func diffMemo(t *testing.T, opts cpp.Options, files []srcFile, passes int) [][]memoParse {
 	t.Helper()
 	env := cpp.NewEnv(opts)
@@ -81,19 +74,18 @@ func diffMemo(t *testing.T, opts cpp.Options, files []srcFile, passes int) [][]m
 	shared := printer{}
 	seen := make([][]memoParse, passes)
 	for pass := range seen {
-		for i, f := range files {
+		for _, f := range files {
 			pre := env.PreprocessCtx(context.Background(), f.name, f.src)
-			want, fresh := parseWith(nil, f.name, pre, nil, true)
-			arena := (i+pass)%2 == 1
-			got, p := parseWith(shared, f.name, pre, memo, arena)
+			want, fresh := parseWith(nil, f.name, pre, nil)
+			got, p := parseWith(shared, f.name, pre, memo)
 			if got != want {
 				t.Errorf("pass %d, %s: the memo's parse differs from a fresh parser\n got: %s\nwant: %s", pass, f.name, got, want)
 			}
-			mp := memoParse{replayed: p.DeclsReplayed()}
-			if arena {
-				mp.arena, mp.fresh = p.ArenaBytes(), fresh.ArenaBytes()
-			}
-			seen[pass] = append(seen[pass], mp)
+			seen[pass] = append(seen[pass], memoParse{
+				replayed: p.DeclsReplayed(),
+				arena:    p.ArenaBytes(),
+				fresh:    fresh.ArenaBytes(),
+			})
 		}
 	}
 	return seen
@@ -262,13 +254,13 @@ func TestHeaderDeclsConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := w; i < len(files); i += workers {
 				pres[i] = env.PreprocessCtx(context.Background(), files[i].name, files[i].src)
-				got[i], _ = parseWith(nil, files[i].name, pres[i], memo, i%2 == 0)
+				got[i], _ = parseWith(nil, files[i].name, pres[i], memo)
 			}
 		}()
 	}
 	wg.Wait()
 	for i, f := range files {
-		if want, _ := parseWith(nil, f.name, pres[i], nil, true); got[i] != want {
+		if want, _ := parseWith(nil, f.name, pres[i], nil); got[i] != want {
 			t.Errorf("%s: the memo's parse differs from a fresh parser", f.name)
 		}
 	}

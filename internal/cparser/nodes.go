@@ -8,8 +8,6 @@ import (
 )
 
 // Constructors for the hot AST node kinds, routed through the parser's arena.
-// With the arena nil (NewNoArena) each helper degrades to a plain allocation,
-// so both parsers build an identical tree through identical code.
 
 func (p *Parser) newIdent(pos ctoken.Position, name string) *cast.Ident {
 	n := p.arena.NewIdent()

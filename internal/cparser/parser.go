@@ -27,8 +27,7 @@ type Parser struct {
 	i    int
 	errs []error
 
-	// arena batch-allocates the hot AST node kinds. nil (NewNoArena) means
-	// plain per-node allocation.
+	// arena batch-allocates the hot AST node kinds.
 	arena *cast.Arena
 
 	// typedefs tracks the typedef names the file declares, so declarations
@@ -89,16 +88,6 @@ func New(toks []ctoken.Token) *Parser {
 	return &Parser{toks: toks, arena: new(cast.Arena)}
 }
 
-// NewNoArena returns the hot-path parser with per-node heap allocation
-// instead of arena slabs. ReleaseASTs mode parses with it: one live
-// pointer into a slab pins the whole slab, so a parse tree meant to be
-// dropped after extraction (while its barrier sites keep pointers to a
-// few of its nodes) must be individually collectable for the drop to
-// actually free memory.
-func NewNoArena(toks []ctoken.Token) *Parser {
-	return &Parser{toks: toks}
-}
-
 // isTypedef reports whether name is a known typedef.
 func (p *Parser) isTypedef(name string) bool {
 	return p.typedefs[name] || kernelTypedefSet[name]
@@ -121,8 +110,8 @@ func (p *Parser) addTypedef(name string) {
 	}
 }
 
-// ArenaBytes reports the slab bytes allocated for this parse (0 for
-// NewNoArena) — the source of the frontend.arena_bytes counter. Spliced
+// ArenaBytes reports the slab bytes allocated for this parse — the source
+// of the frontend.arena_bytes counter. Spliced
 // header declarations count only in the parse that recorded them.
 func (p *Parser) ArenaBytes() int64 { return p.arena.Bytes() + p.hdrBytes }
 

@@ -68,7 +68,8 @@ type Diagnostic struct {
 type Context struct {
 	// Result is the completed analysis.
 	Result *ofence.Result
-	// Files are the project's parsed units.
+	// Files are the project's units after a completed analysis, each
+	// with its AST.
 	Files []*ofence.FileUnit
 	// Sources maps file names to raw text, used for suppression comments;
 	// files absent from the map simply have no suppressions.

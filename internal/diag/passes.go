@@ -131,9 +131,6 @@ func (barrierInLoopPass) Run(ctx *Context) []Diagnostic {
 	var out []Diagnostic
 	seen := map[string]bool{}
 	for _, fu := range ctx.Files {
-		if fu.AST == nil {
-			continue
-		}
 		for _, fn := range fu.AST.Functions() {
 			if fn.Body == nil {
 				continue
@@ -190,9 +187,6 @@ func covers(a, b memmodel.BarrierKind) bool {
 func (dupBarrierPass) Run(ctx *Context) []Diagnostic {
 	var out []Diagnostic
 	for _, fu := range ctx.Files {
-		if fu.AST == nil {
-			continue
-		}
 		for _, fn := range fu.AST.Functions() {
 			if fn.Body == nil {
 				continue

@@ -13,8 +13,7 @@ import (
 // TestHeaderDeclsReadOnly checks that the header declarations the
 // environment's memo shares between files are never written to: it
 // records them by parsing every file of a tree under another name, then
-// analyzes the tree at depth 0 (with and without ReleaseASTs) and depth 1
-// with four workers, and two edited clones concurrently, and requires
+// analyzes the tree at depths 0 and 1 with four workers, and two edited clones concurrently, and requires
 // every shared declaration to print as it did before and every run to
 // equal a cold one. Run under -race it also checks the memo's locking.
 func TestHeaderDeclsReadOnly(t *testing.T) {
@@ -47,13 +46,11 @@ func TestHeaderDeclsReadOnly(t *testing.T) {
 	}
 	d0 := ofence.DefaultOptions()
 	d0.Workers = 4
-	released := d0
-	released.ReleaseASTs = true
 	d1 := d0
 	d1.InterprocDepth = 1
-	for _, opts := range []ofence.Options{d0, released, d1} {
+	for _, opts := range []ofence.Options{d0, d1} {
 		if viewJSON(t, mustAnalyze(t, p, opts)) != cold(nil, opts) {
-			t.Errorf("depth %d, ReleaseASTs %t: output differs from a cold run", opts.InterprocDepth, opts.ReleaseASTs)
+			t.Errorf("depth %d: output differs from a cold run", opts.InterprocDepth)
 		}
 	}
 	spliced := 0

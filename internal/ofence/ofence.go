@@ -58,19 +58,6 @@ type Options struct {
 	// is still scored. rank.DefaultThreshold is the tuned operating point
 	// recorded in BENCH_confidence.json.
 	MinConfidence float64
-	// ReleaseASTs bounds AST residency on tree-scale runs: the per-file
-	// pipeline bypasses the preprocess/parse stage caches and drops each
-	// file's AST as soon as its extraction is done, so at InterprocDepth 0
-	// the number of live ASTs never exceeds Workers. At interprocedural
-	// depth every AST must be live at once for the call-graph phase, so
-	// there the win is the resident project afterwards (a warm server
-	// retains no parse trees), not the cold peak. Trees are parsed without
-	// the AST arena in this mode — slab-batched nodes would stay pinned by
-	// the barrier sites' node pointers, defeating the drop. The trade is
-	// CPU for RSS — a later re-extraction must re-run the front-end. Excluded from
-	// Fingerprint (like Workers, it changes scheduling and residency, never
-	// results).
-	ReleaseASTs bool
 }
 
 // DefaultOptions returns the paper's parameters.
@@ -177,6 +164,18 @@ func NewProject() *Project {
 		stages:  rescache.NewStages(0),
 		syms:    ctoken.NewSymTab(),
 	}
+}
+
+// NewProjectWithStages returns an empty project whose per-file stage caches
+// are the given family instead of a private one — the way a serving process
+// shares one content-addressed artifact tier across every project it
+// builds. A nil stages falls back to a private family.
+func NewProjectWithStages(stages *rescache.Stages) *Project {
+	p := NewProject()
+	if stages != nil {
+		p.stages = stages
+	}
+	return p
 }
 
 // AddHeader registers an include-resolvable header shared by sources. Every
@@ -434,11 +433,10 @@ func (p *Project) AnalyzeParallel(ctx context.Context, opts Options) (*Result, e
 
 	if opts.InterprocDepth > 0 {
 		// Phase 0: run the front-end for units recorded or replaced since
-		// the last run, units dirtied by Define/AddHeader, and units whose
-		// AST a previous ReleaseASTs run dropped, so every unit's artifacts
-		// are keyed by current content. A barrier here is required: the call
-		// graph below needs every AST.
-		p.refreshStale(ctx, files, env, workers, opts.ReleaseASTs)
+		// the last run and units dirtied by Define/AddHeader, so every
+		// unit's artifacts are keyed by current content. A barrier here is
+		// required: the call graph below needs every AST.
+		p.refreshStale(ctx, files, env, workers)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -493,22 +491,6 @@ func (p *Project) AnalyzeParallel(ctx context.Context, opts Options) (*Result, e
 		}(fu)
 	}
 	wg.Wait()
-	if opts.InterprocDepth > 0 && opts.ReleaseASTs {
-		// Extraction is done and the call graph is built: drop every
-		// unit's top-level AST reference so steady-state residency is
-		// sites and tables, not parse trees. refreshStale re-frontends
-		// released units on the next interprocedural run.
-		p.mu.Lock()
-		for _, fu := range files {
-			if fu.art != nil && fu.art.ast != nil {
-				next := *fu.art
-				next.ast = nil
-				fu.art = &next
-			}
-			fu.AST = nil
-		}
-		p.mu.Unlock()
-	}
 	res.Timing.Extract = time.Since(phaseStart)
 	if err := ctx.Err(); err != nil {
 		esp.End()

@@ -273,12 +273,13 @@ func isWriteSide(s *access.Site) bool {
 	return s.Kind.OrdersWrites()
 }
 
-// forEachIndex fans fn out over indices [0, n) on a pool of workers
-// goroutines, each claiming the next unclaimed index. Each index is passed
-// to exactly one call, so results written per index are independent of
-// scheduling.
+// forEachIndex fans fn out over indices [0, n) on a pool of poolSize(n,
+// workers) goroutines, each claiming the next unclaimed index. Each index
+// is passed to exactly one call, so results written per index are
+// independent of scheduling.
 func forEachIndex(n, workers int, fn func(i int)) {
-	if workers <= 1 || n < 64 {
+	workers = poolSize(n, workers)
+	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
@@ -296,6 +297,15 @@ func forEachIndex(n, workers int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
+}
+
+// poolSize is how many goroutines forEachIndex starts for n indices: none
+// beyond the caller's below 64 indices, and never more than one per index.
+func poolSize(n, workers int) int {
+	if n < 64 {
+		return 1
+	}
+	return min(workers, n)
 }
 
 // run executes Algorithm 1 and returns pairings, unpaired sites, and

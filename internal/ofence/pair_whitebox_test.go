@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"ofence/internal/access"
@@ -229,5 +230,28 @@ func TestSortSitesTotalOrder(t *testing.T) {
 	}
 	if want := "m.c:2:5/smp_rmb m.c:4:23/smp_mb h.h:4:23/smp_wmb m.c:4:23/smp_wmb m.c:9:5/smp_rmb"; a != want {
 		t.Errorf("order %s, want %s", a, want)
+	}
+}
+
+// TestForEachIndexPoolClamped checks that forEachIndex starts at most one
+// goroutine per index, whatever worker count it is given, and still passes
+// every index to exactly one call.
+func TestForEachIndexPoolClamped(t *testing.T) {
+	for _, c := range []struct{ n, workers, want int }{
+		{63, 256, 1},
+		{64, 256, 64},
+		{64, 8, 8},
+		{1000, 256, 256},
+	} {
+		if got := poolSize(c.n, c.workers); got != c.want {
+			t.Errorf("poolSize(%d, %d) = %d, want %d", c.n, c.workers, got, c.want)
+		}
+	}
+	var calls [64]atomic.Int32
+	forEachIndex(len(calls), 256, func(i int) { calls[i].Add(1) })
+	for i := range calls {
+		if n := calls[i].Load(); n != 1 {
+			t.Errorf("index %d passed to %d calls, want 1", i, n)
+		}
 	}
 }

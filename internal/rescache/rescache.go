@@ -25,10 +25,9 @@ type Key string
 
 // Valid reports whether k has the canonical form KeyOf produces: exactly
 // 64 lowercase hex digits. Anything that accepts keys from an untrusted
-// caller — the service's /v1/store endpoints, or a store that
-// maps keys to filesystem paths — must reject invalid keys before use, so
-// a crafted key (path traversal, index-line injection) never reaches a
-// backend.
+// caller, such as a store that maps keys to filesystem paths, must reject
+// invalid keys before use, so a crafted key (path traversal, index-line
+// injection) never reaches a backend.
 func (k Key) Valid() bool {
 	if len(k) != 2*sha256.Size {
 		return false
@@ -262,8 +261,6 @@ type Stages struct {
 	mu     sync.Mutex
 	cap    int
 	stages map[string]*Cache
-	store  ArtifactStore
-	codecs map[string]Codec
 }
 
 // NewStages returns a stage-cache family where each stage's cache is
@@ -276,22 +273,6 @@ func NewStages(capacityPerStage int) *Stages {
 	return &Stages{cap: capacityPerStage, stages: map[string]*Cache{}}
 }
 
-// AttachStore layers an ArtifactStore behind every stage that has a codec
-// in codecs; stages without one stay memory-only (their artifacts hold live
-// pointers that cannot cross a process boundary). Attach before analysis
-// begins — already-created stage caches are wired retroactively.
-func (s *Stages) AttachStore(store ArtifactStore, codecs map[string]Codec) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.store = store
-	s.codecs = codecs
-	for name, c := range s.stages {
-		if codec, ok := codecs[name]; ok {
-			c.AttachStore(store, codec)
-		}
-	}
-}
-
 // Stage returns the cache for one named stage, creating it on first use.
 func (s *Stages) Stage(name string) *Cache {
 	s.mu.Lock()
@@ -299,11 +280,6 @@ func (s *Stages) Stage(name string) *Cache {
 	c, ok := s.stages[name]
 	if !ok {
 		c = New(s.cap)
-		if s.store != nil {
-			if codec, has := s.codecs[name]; has {
-				c.AttachStore(s.store, codec)
-			}
-		}
 		s.stages[name] = c
 	}
 	return c

@@ -6,8 +6,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-
-	"ofence/internal/rescache"
 )
 
 // analyzeRequest is the POST /v1/analyze body: the sources, the options,
@@ -30,16 +28,13 @@ type errorResponse struct {
 //	GET  /healthz             liveness (503 while draining)
 //	GET  /metrics             Prometheus text metrics
 //
-// With Config.AuthToken set it also mounts the worker wire protocol and
-// the artifact store, each request authenticated by
-// `Authorization: Bearer <token>`:
+// With Config.AuthToken set it also mounts the worker wire protocol, each
+// request authenticated by `Authorization: Bearer <token>`:
 //
 //	POST /v1/fleet/register   announce a worker
 //	POST /v1/fleet/poll       lease the next task (204 when none is ready)
 //	POST /v1/fleet/heartbeat  renew liveness + task leases
 //	POST /v1/fleet/complete   report a finished task
-//	GET  /v1/store/{key}      fetch an artifact blob (404 on miss)
-//	PUT  /v1/store/{key}      publish an artifact blob
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
@@ -51,8 +46,6 @@ func (s *Service) Handler() http.Handler {
 		mux.HandleFunc("POST /v1/fleet/poll", s.authed(s.handlePoll))
 		mux.HandleFunc("POST /v1/fleet/heartbeat", s.authed(s.handleHeartbeat))
 		mux.HandleFunc("POST /v1/fleet/complete", s.authed(s.handleComplete))
-		mux.HandleFunc("GET /v1/store/{key}", s.authed(s.handleStoreGet))
-		mux.HandleFunc("PUT /v1/store/{key}", s.authed(s.handleStorePut))
 	}
 	return mux
 }
@@ -205,46 +198,4 @@ func (s *Service) handleComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	_ = s.complete(r.Context(), &req)
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// storeKey extracts the {key} path value, answering 400 unless it is a
-// canonical content address. Validation comes before any backend sees the
-// key: under Go 1.22 ServeMux %2F does not split path segments, so an
-// unchecked "..%2F..%2Fetc%2Fcron" would reach DiskStore as a relative
-// path and escape the store root.
-func storeKey(w http.ResponseWriter, r *http.Request) (rescache.Key, bool) {
-	key := rescache.Key(r.PathValue("key"))
-	if !key.Valid() {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "malformed store key"})
-		return "", false
-	}
-	return key, true
-}
-
-func (s *Service) handleStoreGet(w http.ResponseWriter, r *http.Request) {
-	key, ok := storeKey(w, r)
-	if !ok {
-		return
-	}
-	blob, ok := s.store.Get(key)
-	if !ok {
-		w.WriteHeader(http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(blob)
-}
-
-func (s *Service) handleStorePut(w http.ResponseWriter, r *http.Request) {
-	key, ok := storeKey(w, r)
-	if !ok {
-		return
-	}
-	blob, err := io.ReadAll(http.MaxBytesReader(w, r.Body, int64(s.cfg.MaxSourceBytes)+16<<20))
-	if err != nil {
-		writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{Error: err.Error()})
-		return
-	}
-	s.store.Put(key, blob)
-	w.WriteHeader(http.StatusNoContent)
 }

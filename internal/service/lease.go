@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"time"
-
-	"ofence/internal/rescache"
 )
 
 // taskState is the lifecycle of a dispatched task.
@@ -51,11 +49,9 @@ type task struct {
 
 // workerState tracks one registered worker's liveness and leases.
 type workerState struct {
-	lastSeen     time.Time
-	leases       map[string]bool
-	lost         []string // leases expired away from it, reported on its next heartbeat
-	storeBackend string
-	storeStats   rescache.StoreStats
+	lastSeen time.Time
+	leases   map[string]bool
+	lost     []string // leases expired away from it, reported on its next heartbeat
 }
 
 // heartbeatEvery is the lease-renewal cadence workers follow. It is also
@@ -247,9 +243,6 @@ func (s *Service) complete(_ context.Context, req *completeRequest) error {
 	s.mu.Lock()
 	if w := s.workers[req.WorkerID]; w != nil {
 		delete(w.leases, req.TaskID)
-		if req.Store != nil {
-			w.storeStats, w.storeBackend = *req.Store, req.StoreBackend
-		}
 	}
 	t, ok := s.tasks[req.TaskID]
 	if !ok {

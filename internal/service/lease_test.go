@@ -2,8 +2,8 @@ package service
 
 // Tests of the lease machinery and external workers: re-dispatch of dead
 // and hung workers, quarantine, per-attempt timeouts, the restart-surviving
-// store, the worker wire protocol and its token, and byte identity between
-// in-process and external workers.
+// result store, the worker wire protocol and its token, and byte identity
+// between in-process and external workers.
 
 import (
 	"bytes"
@@ -12,8 +12,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -74,7 +72,7 @@ func directResult(t *testing.T, req *Request, spec OptionsSpec) []byte {
 // function kills it early (a crash, as far as s can tell).
 func startWorker(t *testing.T, s *Service, id string, fn func(context.Context, *Task) (*completeRequest, error)) func() {
 	t.Helper()
-	w := newWorker(id, s, 1, s.an, nil)
+	w := newWorker(id, s, 1, s.an)
 	if fn != nil {
 		w.analyzeFn = fn
 	}
@@ -340,12 +338,14 @@ func TestFleetHTTPEndToEnd(t *testing.T) {
 		"ofence_inflight_leases 0",
 		"ofence_workers_alive 1",
 		"ofence_workers 0",
-		`ofence_store_hit_ratio{backend="remote"}`,
 		`ofence_stage_duration_seconds_count{stage="pair"} 1`,
 	} {
 		if !strings.Contains(string(raw), want) {
 			t.Fatalf("metrics missing %q:\n%s", want, raw)
 		}
+	}
+	if strings.Contains(string(raw), "ofence_store_") {
+		t.Fatalf("store series without a configured Store:\n%s", raw)
 	}
 }
 
@@ -356,32 +356,6 @@ func compact(t *testing.T, raw []byte) []byte {
 		t.Fatal(err)
 	}
 	return b.Bytes()
-}
-
-// TestRemoteStoreRoundTrip: the worker-side store client against the
-// coordinator's /v1/store endpoints, including the miss path.
-func TestRemoteStoreRoundTrip(t *testing.T) {
-	s := newTestService(t, Config{Workers: -1, AuthToken: testToken})
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-	rs := NewRemoteStore(srv.URL, testToken, nil)
-	defer rs.Close()
-
-	key := rescache.KeyOf("test", "k1")
-	if _, ok := rs.Get(key); ok {
-		t.Fatal("miss expected on empty store")
-	}
-	rs.Put(key, []byte("blob-1"))
-	got, ok := rs.Get(key)
-	if !ok || string(got) != "blob-1" {
-		t.Fatalf("round trip failed: %q %v", got, ok)
-	}
-	if st := rs.Stats(); st.Gets != 2 || st.Hits != 1 || st.Puts != 1 || st.Errors != 0 {
-		t.Fatalf("stats %+v", st)
-	}
-	if blob, ok := s.store.Get(key); !ok || string(blob) != "blob-1" {
-		t.Fatal("blob not visible in the coordinator's store")
-	}
 }
 
 // TestJobKeySensitivity: the job key must move with anything that can
@@ -429,66 +403,6 @@ func TestJobKeySensitivity(t *testing.T) {
 	}
 	if jobKey(base, OptionsSpec{}, headerDigest(headers)) == k {
 		t.Error("key ignored a change of the bundled headers")
-	}
-}
-
-// TestStoreKeyValidationHTTP: /v1/store/{key} must reject anything that is
-// not a canonical content address before it can reach a backend. Under Go
-// 1.22 ServeMux an encoded "/" does not split path segments, so without
-// validation "..%2F..%2Fpwned" reaches DiskStore.objectPath as a relative
-// path and escapes the store root.
-func TestStoreKeyValidationHTTP(t *testing.T) {
-	parent := t.TempDir()
-	store, err := rescache.OpenDiskStore(filepath.Join(parent, "store"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	s := newTestService(t, Config{Workers: -1, Store: store, AuthToken: testToken})
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-
-	do := func(method, rawKey string, blob []byte) int {
-		req, err := http.NewRequest(method, srv.URL+"/v1/store/"+rawKey, bytes.NewReader(blob))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Authorization", "Bearer "+testToken)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-	for _, rawKey := range []string{
-		"..%2F..%2F..%2Fpwned",
-		"..%2f..%2fpwned",
-		strings.Repeat("a", 63),
-		strings.Repeat("A", 64),
-		"aa%20bb%0Av1%20cc%205%20dd", // spaces + newline: index.log injection
-	} {
-		if code := do(http.MethodPut, rawKey, []byte("owned")); code != http.StatusBadRequest {
-			t.Errorf("PUT %s: status %d, want 400", rawKey, code)
-		}
-	}
-	entries, err := os.ReadDir(parent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Name() != "store" {
-		t.Fatalf("store escaped its root: parent now holds %v", entries)
-	}
-	if code := do(http.MethodGet, "not-a-key", nil); code != http.StatusBadRequest {
-		t.Fatalf("GET invalid key: status %d, want 400", code)
-	}
-
-	key := rescache.KeyOf("http-test", "k")
-	if code := do(http.MethodPut, string(key), []byte("blob-1")); code != http.StatusNoContent {
-		t.Fatalf("PUT valid key: status %d, want 204", code)
-	}
-	if blob, ok := store.Get(key); !ok || string(blob) != "blob-1" {
-		t.Fatalf("valid key not stored: %q %v", blob, ok)
 	}
 }
 
@@ -649,9 +563,6 @@ func TestFleetAuthToken(t *testing.T) {
 			t.Errorf("POST %s without a configured token: %d, want 404", path, resp.StatusCode)
 		}
 	}
-	if resp, err := http.Get(osrv.URL + "/v1/store/" + string(rescache.KeyOf("k"))); err != nil || resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET /v1/store without a configured token: %v %v, want 404", err, resp)
-	}
 
 	s := newTestService(t, Config{Workers: -1, AuthToken: testToken})
 	srv := httptest.NewServer(s.Handler())
@@ -664,19 +575,6 @@ func TestFleetAuthToken(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusUnauthorized {
 		t.Fatalf("unauthenticated poll: status %d, want 401", resp.StatusCode)
-	}
-	key := rescache.KeyOf("auth-test", "k")
-	putReq, _ := http.NewRequest(http.MethodPut, srv.URL+"/v1/store/"+string(key), strings.NewReader("forged"))
-	putReq.Header.Set("Authorization", "Bearer wrong")
-	if resp, err = http.DefaultClient.Do(putReq); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnauthorized {
-		t.Fatalf("store put with a wrong token: status %d, want 401", resp.StatusCode)
-	}
-	if _, ok := s.store.Get(key); ok {
-		t.Fatal("unauthenticated put reached the store (cache poisoning)")
 	}
 	if resp, err = http.Get(srv.URL + "/healthz"); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz behind auth: %v", err)

@@ -177,20 +177,7 @@ func (s *Service) MetricsText() string {
 	m := s.met
 	st := s.cache.Stats()
 
-	// Live state under the service mutex: the queue, the leases, and the
-	// store counters external workers last reported, summed per backend.
-	stores := map[string]rescache.StoreStats{}
-	addStore := func(backend string, ss rescache.StoreStats) {
-		if backend == "" {
-			return
-		}
-		agg := stores[backend]
-		agg.Gets += ss.Gets
-		agg.Hits += ss.Hits
-		agg.Puts += ss.Puts
-		agg.Errors += ss.Errors
-		stores[backend] = agg
-	}
+	// Live state under the service mutex: the queue and the leases.
 	s.mu.Lock()
 	queued, alive := s.queued, len(s.workers)
 	leased := 0
@@ -199,13 +186,7 @@ func (s *Service) MetricsText() string {
 			leased++
 		}
 	}
-	for _, w := range s.workers {
-		addStore(w.storeBackend, w.storeStats)
-	}
 	s.mu.Unlock()
-	if s.store != nil {
-		addStore(s.store.Name(), s.store.Stats())
-	}
 
 	slots, busy := 0, 0
 	if s.local != nil {
@@ -265,8 +246,8 @@ func (s *Service) MetricsText() string {
 		fmt.Fprintf(&b, "# TYPE %s gauge\n%s %g\n", g.name, g.name, g.v)
 	}
 
-	if len(stores) > 0 {
-		backends := sortedKeys(stores)
+	if store := s.cfg.Store; store != nil {
+		backend, ss := store.Name(), store.Stats()
 		for _, c := range []struct {
 			name, help string
 			v          func(rescache.StoreStats) uint64
@@ -276,15 +257,10 @@ func (s *Service) MetricsText() string {
 			{"ofence_store_puts_total", "Artifacts published to the store, by backend", func(ss rescache.StoreStats) uint64 { return ss.Puts }},
 			{"ofence_store_errors_total", "Swallowed artifact-store backend failures, by backend", func(ss rescache.StoreStats) uint64 { return ss.Errors }},
 		} {
-			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n", c.name, c.help, c.name)
-			for _, backend := range backends {
-				fmt.Fprintf(&b, "%s{backend=%q} %d\n", c.name, backend, c.v(stores[backend]))
-			}
+			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s{backend=%q} %d\n", c.name, c.help, c.name, c.name, backend, c.v(ss))
 		}
 		b.WriteString("# HELP ofence_store_hit_ratio Fraction of store lookups that hit, by backend\n# TYPE ofence_store_hit_ratio gauge\n")
-		for _, backend := range backends {
-			fmt.Fprintf(&b, "ofence_store_hit_ratio{backend=%q} %g\n", backend, stores[backend].HitRatio())
-		}
+		fmt.Fprintf(&b, "ofence_store_hit_ratio{backend=%q} %g\n", backend, ss.HitRatio())
 	}
 
 	for _, fam := range []struct {

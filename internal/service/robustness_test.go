@@ -10,8 +10,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"ofence/internal/rescache"
 )
 
 // waitGoroutines polls until the goroutine count is back at base, failing
@@ -136,18 +134,14 @@ func TestGoroutinesReturnToBaseline(t *testing.T) {
 
 // FuzzHandler sends arbitrary bodies to every endpoint that takes one,
 // with the worker token set: no body may panic the service or get a 5xx,
-// and a body that is not JSON gets a 4xx from the JSON endpoints.
+// and a body that is not JSON gets a 4xx.
 func FuzzHandler(f *testing.F) {
-	routes := []struct {
-		method, path string
-		json         bool
-	}{
-		{http.MethodPost, "/v1/analyze", true},
-		{http.MethodPost, "/v1/fleet/register", true},
-		{http.MethodPost, "/v1/fleet/poll", true},
-		{http.MethodPost, "/v1/fleet/heartbeat", true},
-		{http.MethodPost, "/v1/fleet/complete", true},
-		{http.MethodPut, "/v1/store/" + string(rescache.KeyOf("fuzz", "k")), false},
+	routes := []string{
+		"/v1/analyze",
+		"/v1/fleet/register",
+		"/v1/fleet/poll",
+		"/v1/fleet/heartbeat",
+		"/v1/fleet/complete",
 	}
 	seed := func(route int, v any) {
 		body, ok := v.(string)
@@ -168,7 +162,7 @@ func FuzzHandler(f *testing.F) {
 	seed(3, heartbeatRequest{WorkerID: "w1", TaskIDs: []string{"task-00000001"}})
 	seed(4, completeRequest{WorkerID: "w1", TaskID: "task-00000001", Attempt: 1, Error: "boom"})
 	seed(4, completeRequest{WorkerID: "w1", TaskID: "task-00000002", Result: json.RawMessage(`{"sites":1}`)})
-	seed(5, "blob")
+	seed(4, "blob")
 
 	s := New(Config{
 		Workers:        1,
@@ -186,19 +180,19 @@ func FuzzHandler(f *testing.F) {
 	h := s.Handler()
 
 	f.Fuzz(func(t *testing.T, route uint8, body []byte) {
-		rt := routes[int(route)%len(routes)]
+		path := routes[int(route)%len(routes)]
 		// Waiting analyses and idle polls end with the request.
 		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 		defer cancel()
-		req := httptest.NewRequest(rt.method, rt.path, bytes.NewReader(body)).WithContext(ctx)
+		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)).WithContext(ctx)
 		req.Header.Set("Authorization", "Bearer "+testToken)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		if rec.Code >= 500 {
-			t.Fatalf("%s %s %q: status %d: %s", rt.method, rt.path, body, rec.Code, rec.Body)
+			t.Fatalf("POST %s %q: status %d: %s", path, body, rec.Code, rec.Body)
 		}
-		if rt.json && !json.Valid(body) && (rec.Code < 400 || rec.Code >= 500) {
-			t.Fatalf("%s %s with malformed body %q: status %d, want 4xx", rt.method, rt.path, body, rec.Code)
+		if !json.Valid(body) && rec.Code < 400 {
+			t.Fatalf("POST %s with malformed body %q: status %d, want 4xx", path, body, rec.Code)
 		}
 	})
 }

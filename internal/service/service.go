@@ -69,7 +69,9 @@ type OptionsSpec struct {
 	MinConfidence float64 `json:"min_confidence,omitempty"`
 }
 
-// Resolve maps the spec onto the engine options.
+// Resolve maps the spec onto the engine options. A request's worker count
+// is capped at GOMAXPROCS: more goroutines than cores only add scheduling
+// work, and the value comes from an untrusted body.
 func (o OptionsSpec) Resolve() ofence.Options {
 	opts := ofence.DefaultOptions()
 	if o.WriteWindow > 0 {
@@ -89,7 +91,7 @@ func (o OptionsSpec) Resolve() ofence.Options {
 	}
 	opts.CheckOnce = o.CheckOnce
 	if o.Workers > 0 {
-		opts.Workers = o.Workers
+		opts.Workers = min(o.Workers, runtime.GOMAXPROCS(0))
 	}
 	if o.MinConfidence > 0 {
 		opts.MinConfidence = o.MinConfidence
@@ -269,10 +271,9 @@ type Config struct {
 	// submissions re-analyze incrementally (default 32; negative builds a
 	// fresh project per task).
 	WarmLineages int
-	// Store is an optional artifact tier behind the result cache and the
-	// in-process workers' stage caches: entries computed by any process
-	// sharing it — a previous incarnation, or external workers — are hits.
-	// nil keeps the caches memory-only. The service does not close it.
+	// Store is an optional artifact tier behind the result cache: results
+	// a previous incarnation stored are hits. nil keeps the cache
+	// memory-only. The service does not close it.
 	Store rescache.ArtifactStore
 	// LeaseTimeout is how long a leased task may go without a heartbeat
 	// before it is re-dispatched (default 15s). Workers heartbeat every
@@ -286,8 +287,7 @@ type Config struct {
 	RetryBackoff time.Duration
 	// AuthToken is the shared secret external workers present as
 	// `Authorization: Bearer <token>`. The worker endpoints (/v1/fleet/*)
-	// and the store endpoints (/v1/store/*) are mounted only when it is
-	// set; without it they do not exist (404).
+	// are mounted only when it is set; without it they do not exist (404).
 	AuthToken string
 }
 
@@ -332,12 +332,9 @@ type Service struct {
 	cfg     Config
 	headers string // headerDigest of the bundled kernel headers
 	cache   *rescache.Cache
-	// store backs /v1/store/*: cfg.Store, or a MemStore when external
-	// workers are enabled without one. nil when neither is configured.
-	store rescache.ArtifactStore
-	an    *analyzer // the in-process workers' analyzer
-	local *Worker   // the in-process workers; nil when cfg.Workers < 0
-	met   *metrics
+	an      *analyzer // the in-process workers' analyzer
+	local   *Worker   // the in-process workers; nil when cfg.Workers < 0
+	met     *metrics
 
 	mu       sync.Mutex
 	closed   bool // draining: Submit fails with ErrClosed
@@ -369,8 +366,7 @@ func New(cfg Config) *Service {
 		cfg:     cfg,
 		headers: headerDigest(kernelhdr.Headers()),
 		cache:   rescache.New(cfg.CacheEntries),
-		store:   cfg.Store,
-		an:      newAnalyzer(cfg.Store, cfg.WarmLineages),
+		an:      newAnalyzer(cfg.WarmLineages),
 		met:     newMetrics(),
 		jobs:    map[string]*Job{},
 		tasks:   map[string]*task{},
@@ -382,13 +378,10 @@ func New(cfg Config) *Service {
 	if cfg.Store != nil {
 		s.cache.AttachStore(cfg.Store, blobCodec)
 	}
-	if s.store == nil && cfg.AuthToken != "" {
-		s.store = rescache.NewMemStore(0)
-	}
 	s.bg.Add(1)
 	go s.janitor()
 	if cfg.Workers > 0 {
-		s.local = newWorker("local", s, cfg.Workers, s.an, nil)
+		s.local = newWorker("local", s, cfg.Workers, s.an)
 		s.bg.Add(1)
 		go func() {
 			defer s.bg.Done()

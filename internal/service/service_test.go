@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -606,5 +607,22 @@ func TestWarmLineageEviction(t *testing.T) {
 	}
 	if got := metricValue(t, s, "ofence_warm_lineages"); got != 1 {
 		t.Errorf("warm lineage gauge = %g, want 1", got)
+	}
+}
+
+// TestResolveCapsWorkers: a request's worker count reaches the engine
+// capped at GOMAXPROCS, so one body cannot ask the pairing and checking
+// pools for 2^30 goroutines. Workers stays outside the job key.
+func TestResolveCapsWorkers(t *testing.T) {
+	gmp := runtime.GOMAXPROCS(0)
+	for _, c := range []struct{ spec, want int }{
+		{0, 0},
+		{1, 1},
+		{gmp, gmp},
+		{1 << 30, gmp},
+	} {
+		if got := (OptionsSpec{Workers: c.spec}).Resolve().Workers; got != c.want {
+			t.Errorf("workers %d resolves to %d, want %d", c.spec, got, c.want)
+		}
 	}
 }

@@ -87,10 +87,6 @@ type completeRequest struct {
 	Inferred   int           `json:"inferred,omitempty"`
 	Confidence []float64     `json:"confidence,omitempty"`
 	Spans      []SpanSummary `json:"spans,omitempty"`
-	// Store optionally reports the worker's artifact-store counters, summed
-	// per backend into the ofence_store_* series.
-	Store        *rescache.StoreStats `json:"store,omitempty"`
-	StoreBackend string               `json:"store_backend,omitempty"`
 }
 
 // coordinator is what a Worker needs from the Service it works for. The
@@ -116,7 +112,7 @@ type WorkerConfig struct {
 	// ID names the worker (default "worker-<pid>-<n>").
 	ID string
 	// Token is the coordinator's AuthToken, sent as `Authorization: Bearer`
-	// on every wire-protocol and store request.
+	// on every wire-protocol request.
 	Token string
 	// Capacity is how many tasks the worker runs concurrently (default 1).
 	// The slots share one analyzer: its stage caches and warm lineages.
@@ -131,9 +127,6 @@ type Worker struct {
 	id       string
 	conn     coordinator
 	capacity int
-	// store is reported in completions; nil for in-process workers, whose
-	// store is the coordinator's own.
-	store rescache.ArtifactStore
 
 	// analyzeFn runs one task; tests replace it to inject hangs and
 	// failures (a worker "killed mid-job" is one whose context dies while
@@ -144,20 +137,19 @@ type Worker struct {
 	tasksDone atomic.Uint64
 }
 
-func newWorker(id string, conn coordinator, capacity int, an *analyzer, store rescache.ArtifactStore) *Worker {
-	return &Worker{id: id, conn: conn, capacity: max(capacity, 1), store: store, analyzeFn: an.analyze}
+func newWorker(id string, conn coordinator, capacity int, an *analyzer) *Worker {
+	return &Worker{id: id, conn: conn, capacity: max(capacity, 1), analyzeFn: an.analyze}
 }
 
 // NewWorker builds an external worker against cfg.Coordinator. Its stage
-// caches publish to the coordinator's artifact store over /v1/store/*, so
-// front-end work any worker did is a hit for every other.
+// caches are its own: front-end work is shared between the worker's slots,
+// not between processes.
 func NewWorker(cfg WorkerConfig) *Worker {
 	if cfg.ID == "" {
 		cfg.ID = fmt.Sprintf("worker-%d-%d", os.Getpid(), workerSeq.Add(1))
 	}
-	store := NewRemoteStore(cfg.Coordinator, cfg.Token, nil)
 	conn := &httpCoordinator{base: cfg.Coordinator, token: cfg.Token, client: &http.Client{Timeout: 60 * time.Second}}
-	return newWorker(cfg.ID, conn, cfg.Capacity, newAnalyzer(store, 0), store)
+	return newWorker(cfg.ID, conn, cfg.Capacity, newAnalyzer(0))
 }
 
 // ID returns the worker's identifier.
@@ -267,10 +259,6 @@ func (w *Worker) runTask(ctx context.Context, t *Task) {
 		w.tasksDone.Add(1)
 	}
 	out.WorkerID, out.TaskID, out.Attempt = w.id, t.ID, t.Attempt
-	if w.store != nil {
-		st := w.store.Stats()
-		out.Store, out.StoreBackend = &st, w.store.Name()
-	}
 	// A lost completion costs only a retry: the lease lapses.
 	_ = w.conn.complete(ctx, out)
 }
@@ -352,17 +340,13 @@ type analyzer struct {
 	warm   map[string]*warmProject
 }
 
-// newAnalyzer builds an analyzer whose stage caches publish to store (nil
-// keeps them memory-only). warmLineages 0 picks the default of 32.
-func newAnalyzer(store rescache.ArtifactStore, warmLineages int) *analyzer {
+// newAnalyzer builds an analyzer with memory-only stage caches.
+// warmLineages 0 picks the default of 32.
+func newAnalyzer(warmLineages int) *analyzer {
 	if warmLineages == 0 {
 		warmLineages = 32
 	}
-	a := &analyzer{stages: rescache.NewStages(0), warmN: warmLineages, warm: map[string]*warmProject{}}
-	if store != nil {
-		a.stages.AttachStore(store, ofence.StageCodecs())
-	}
-	return a
+	return &analyzer{stages: rescache.NewStages(0), warmN: warmLineages, warm: map[string]*warmProject{}}
 }
 
 // analyze runs the real pipeline over a clone of the task's warm lineage
@@ -480,7 +464,7 @@ func (a *analyzer) projectFor(req *Request) (proj *ofence.Project, w *warmProjec
 // buildProject records the request's sources in a new project; the task's
 // analysis parses them. Every project shares the analyzer's stage caches
 // (content-addressed, so sharing across unrelated requests is safe by
-// construction) and, through them, the optional artifact store.
+// construction).
 func (a *analyzer) buildProject(req *Request) *ofence.Project {
 	proj := ofence.NewProjectWithStages(a.stages)
 	kernelhdr.Register(proj)
