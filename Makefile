@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint fuzz test test-race race race-service smoke examples bench bench-incremental bench-pairing bench-confidence serve eval eval-json corpus trace-demo clean
+.PHONY: all build vet lint fuzz test test-race race race-service smoke examples bench bench-confidence serve eval eval-json corpus trace-demo clean
 
 all: build lint test
 
@@ -49,20 +49,6 @@ race: test-race
 # One benchmark per paper table/figure (see EXPERIMENTS.md).
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# The incremental pipeline's headline number: cold vs one-file re-analysis
-# over a 64-file project. Reference results live in BENCH_incremental.json.
-bench-incremental:
-	$(GO) test -run '^$$' -bench BenchmarkReanalyzeOneFile -benchtime 3s .
-
-# Pairing-engine headline number: the pre-index pairer vs the
-# interned/indexed engine (sequential and sharded) over a synthetic
-# ~2000-site kernel-scale corpus (internal/sitegen). Refreshes
-# BENCH_pairing.json via the measurement harness in
-# internal/ofence/pair_bench_test.go.
-bench-pairing:
-	OFENCE_BENCH_PAIRING_OUT=$(CURDIR)/BENCH_pairing.json \
-		$(GO) test ./internal/ofence/ -run '^TestWriteBenchPairingJSON$$' -count=1 -v
 
 # Confidence-ranking headline number: precision/recall/F1 of the ranking
 # pass (internal/rank) on the labeled confidence corpus, swept over the

@@ -572,8 +572,9 @@ void inc_r_%d(struct inc%d *p) {
 // (paper §6.1): a 64-file project in which each iteration edits ONE file.
 // "cold" rebuilds and re-analyzes the whole project from scratch;
 // "incremental" applies the edit with ReplaceSource and re-analyzes, which
-// re-runs the per-file stages only for the edited file. The measured ratio
-// is recorded in BENCH_incremental.json (refresh with make bench-incremental).
+// re-runs the per-file stages only for the edited file. DESIGN §11 keeps
+// the ratio it last recorded; bench/ (edit_d0, edit_d1) is the live
+// measurement.
 func BenchmarkReanalyzeOneFile(b *testing.B) {
 	const nFiles = 64
 	srcs := make([]ofence.SourceFile, nFiles)
@@ -618,10 +619,10 @@ func BenchmarkReanalyzeOneFile(b *testing.B) {
 }
 
 // BenchmarkPairSitesKernelScale measures the exported pairing entry point
-// over the synthetic kernel-scale corpus (internal/sitegen), sequential vs
-// sharded. The white-box old-vs-new comparison — including the preserved
-// pre-index pairer — lives in internal/ofence (BenchmarkPairKernelScale,
-// refreshed into BENCH_pairing.json by make bench-pairing).
+// over the synthetic kernel-scale corpus (internal/sitegen). The engine
+// runs on one goroutine, so the worker count should not move it. The
+// white-box old-vs-new comparison — including the preserved pre-index
+// pairer — lives in internal/ofence (BenchmarkPairKernelScale).
 func BenchmarkPairSitesKernelScale(b *testing.B) {
 	sites := sitegen.Generate(sitegen.DefaultConfig(2000, 42))
 	opts := ofence.DefaultOptions()

@@ -13,10 +13,8 @@
 // endpoints (/debug/pprof/...) on its own address, kept off the API
 // listener so profiling is never exposed to API clients by accident.
 //
-// With -store disk -store-dir DIR the result cache is backed by a
-// crash-consistent content-addressed store on disk, so cached results
-// survive restarts; -store memory adds a byte-bounded in-memory blob tier
-// instead.
+// With -store-dir DIR the result cache is backed by a crash-consistent
+// content-addressed store on disk, so cached results survive restarts.
 //
 // The service is a coordinator: -workers in-process analysis slots lease
 // its tasks by direct call. With -fleet-token the worker wire protocol is
@@ -57,18 +55,19 @@ func main() {
 		maxBytes = flag.Int("max-source-bytes", 8<<20, "total source size bound per request")
 		warmN    = flag.Int("warm-lineages", 0, "warm projects kept for incremental re-analysis, one per source-set lineage (0 = default 32, negative = disabled)")
 		pprofA   = flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = disabled)")
-		storeK   = flag.String("store", "", "result store backend behind the result cache: memory, disk, or empty for none")
-		storeDir = flag.String("store-dir", "", "disk store directory (required with -store disk)")
-		storeMax = flag.Int64("store-max-bytes", 0, "artifact store byte budget; oldest blobs are evicted past it (0 = unbounded disk, 256MiB memory default)")
+		storeDir = flag.String("store-dir", "", "back the result cache with a disk store in this directory (empty = no store)")
+		storeMax = flag.Int64("store-max-bytes", 0, "disk store byte budget; oldest blobs are evicted past it (0 = unbounded)")
 		token    = flag.String("fleet-token", "", "shared secret external workers present; mounts /v1/fleet/* (empty = no external workers)")
 	)
 	flag.Parse()
-	store, err := openStore(*storeK, *storeDir, *storeMax)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if store != nil {
-		defer store.Close()
+	var store rescache.ArtifactStore
+	if *storeDir != "" {
+		d, err := rescache.OpenDiskStoreCapped(*storeDir, *storeMax)
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer d.Close()
+		store = d
 	}
 	if err := run(*addr, service.Config{
 		Workers:        *workers,
@@ -81,24 +80,6 @@ func main() {
 		AuthToken:      *token,
 	}, *drain, *pprofA); err != nil {
 		log.Fatal(err)
-	}
-}
-
-// openStore maps the -store/-store-dir/-store-max-bytes flags onto a
-// backend.
-func openStore(kind, dir string, maxBytes int64) (rescache.ArtifactStore, error) {
-	switch kind {
-	case "":
-		return nil, nil
-	case "memory":
-		return rescache.NewMemStore(maxBytes), nil
-	case "disk":
-		if dir == "" {
-			return nil, fmt.Errorf("-store disk requires -store-dir")
-		}
-		return rescache.OpenDiskStoreCapped(dir, maxBytes)
-	default:
-		return nil, fmt.Errorf("unknown -store backend %q (want memory or disk)", kind)
 	}
 }
 

@@ -276,8 +276,8 @@ func printStageStats(enabled bool, proj *ofence.Project, res *ofence.Result, tra
 	fmt.Fprintf(os.Stderr, "ofence: files %d (%d recomputed, %d reused)\n",
 		inc.FilesTotal, inc.FilesRecomputed, inc.FilesReused)
 	ps := res.PairStats
-	fmt.Fprintf(os.Stderr, "ofence: pairing shards=%d index_probes=%d pruned_bound=%d pruned=%d\n",
-		ps.Shards, ps.IndexProbes, ps.PrunedBound, ps.Pruned)
+	fmt.Fprintf(os.Stderr, "ofence: pairing index_probes=%d pruned_bound=%d pruned=%d\n",
+		ps.IndexProbes, ps.PrunedBound, ps.Pruned)
 	stats := proj.StageStats()
 	names := make([]string, 0, len(stats))
 	for name := range stats {

@@ -1,10 +1,6 @@
 package access
 
-import (
-	"runtime"
-	"sort"
-	"sync"
-)
+import "sort"
 
 // Interner is a project-level symbol table assigning dense uint32 IDs to
 // (struct, field) Objects. The pairing engine replaces its hot-path
@@ -40,14 +36,6 @@ func InternSites(sites []*Site) *Interner {
 			seen[o] = struct{}{}
 		}
 	}
-	return freezeObjects(seen)
-}
-
-// freezeObjects is the deterministic freeze phase shared by InternSites and
-// InternSitesParallel: sort the collected object set into canonical
-// (Struct, Field) order and assign dense IDs in that order. The input map
-// is consumed.
-func freezeObjects(seen map[Object]struct{}) *Interner {
 	all := make([]Object, 0, len(seen))
 	for o := range seen {
 		all = append(all, o)
@@ -63,47 +51,6 @@ func freezeObjects(seen map[Object]struct{}) *Interner {
 		t.ids[o] = uint32(i)
 	}
 	return t
-}
-
-// InternSitesParallel builds exactly the table InternSites builds — same
-// objects, same dense IDs — in two phases: a concurrent collect (each
-// worker gathers the object sets of a stride of sites into a private map)
-// and a deterministic freeze (union, canonical sort, dense assignment).
-// The union is a set union, so shard boundaries and scheduling cannot
-// reach the result; TestInternSitesParallelQuickcheck pins this.
-func InternSitesParallel(sites []*Site, workers int) *Interner {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(sites) {
-		workers = len(sites)
-	}
-	if workers <= 1 {
-		return InternSites(sites)
-	}
-	shards := make([]map[Object]struct{}, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			local := make(map[Object]struct{})
-			for i := w; i < len(sites); i += workers {
-				for o := range sites[i].Objects() {
-					local[o] = struct{}{}
-				}
-			}
-			shards[w] = local
-		}(w)
-	}
-	wg.Wait()
-	seen := shards[0]
-	for _, sh := range shards[1:] {
-		for o := range sh {
-			seen[o] = struct{}{}
-		}
-	}
-	return freezeObjects(seen)
 }
 
 // Intern returns o's ID, assigning the next dense ID on first sight.

@@ -2,7 +2,6 @@ package access
 
 import (
 	"cmp"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -104,22 +103,18 @@ func SortSites(sites []*Site) {
 // table's index order. With a previous table in canonical order (a nil one,
 // or one out of order, makes the build cold), the previous Interner is
 // reused when the sites access exactly its object set.
-// IDs are a pure function of the object set (freezeObjects sorts it), so
+// IDs are a pure function of the object set (InternSites sorts it), so
 // reuse yields the very IDs a fresh build would assign. When the Interner
 // is reused and the generic-struct filter is unchanged, every site pointer
 // the previous table holds keeps its vectors (sites are immutable once
 // extracted; the filter is part of the key because Objs depends on it),
 // and the diff says which ones those are; otherwise the diff is nil. Only
-// the other sites are vectorized, over up to workers goroutines
-// (GOMAXPROCS when workers <= 0). The result holds only the given sites,
+// the other sites are vectorized. The result holds only the given sites,
 // in a copy of the slice, and prev is never modified.
 //
 // One merge walk matches the two tables' sites (see align); no map is
 // built.
-func BuildSiteTable(prev *SiteTable, sites []*Site, generic []string, workers int) (*SiteTable, *TableDiff) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+func BuildSiteTable(prev *SiteTable, sites []*Site, generic []string) (*SiteTable, *TableDiff) {
 	sites = append([]*Site(nil), sites...) // the caller keeps its slice
 	t := &SiteTable{
 		sites:   sites,
@@ -135,7 +130,7 @@ func BuildSiteTable(prev *SiteTable, sites []*Site, generic []string, workers in
 	if d != nil && prev.covers(t, d) {
 		t.in, t.stats.InternerReused = prev.in, true
 	} else {
-		t.in = InternSitesParallel(sites, workers)
+		t.in = InternSites(sites)
 	}
 	// align carried every kept site's vectors; they hold only under the
 	// same Interner and generic filter.
@@ -157,7 +152,7 @@ func BuildSiteTable(prev *SiteTable, sites []*Site, generic []string, workers in
 		skip[g] = true
 	}
 	keep := func(o Object) bool { return !skip[o.Struct] }
-	build := func(i int32) {
+	for _, i := range todo {
 		s := sites[i]
 		t.vecs[i] = &SiteVecs{
 			Objs:   t.in.ObjDists(s, keep),
@@ -165,26 +160,6 @@ func BuildSiteTable(prev *SiteTable, sites []*Site, generic []string, workers in
 			After:  t.in.SideIDs(s.After),
 			Usages: t.in.ObjUsages(s),
 		}
-	}
-	if workers > len(todo)/64 {
-		workers = len(todo) / 64 // small batches are not worth the fan-out
-	}
-	if workers <= 1 {
-		for _, i := range todo {
-			build(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for k := w; k < len(todo); k += workers {
-					build(todo[k])
-				}
-			}(w)
-		}
-		wg.Wait()
 	}
 	t.countRefs()
 	return t, d

@@ -21,7 +21,7 @@ func TestBuildSiteTableMatchesCold(t *testing.T) {
 		all := sitegen.Generate(cfg)
 		regenerated := sitegen.Generate(cfg) // same objects, new site pointers
 		n := len(all)
-		prev, _ := access.BuildSiteTable(nil, all, nil, 2)
+		prev, _ := access.BuildSiteTable(nil, all, nil)
 		cases := []struct {
 			name       string
 			sites      []*access.Site
@@ -37,8 +37,8 @@ func TestBuildSiteTableMatchesCold(t *testing.T) {
 		}
 		for _, tc := range cases {
 			label := fmt.Sprintf("seed=%d/%s", seed, tc.name)
-			got, d := access.BuildSiteTable(prev, tc.sites, tc.generic, 3)
-			want, _ := access.BuildSiteTable(nil, tc.sites, tc.generic, 1)
+			got, d := access.BuildSiteTable(prev, tc.sites, tc.generic)
+			want, _ := access.BuildSiteTable(nil, tc.sites, tc.generic)
 			if carried := tc.reused && tc.generic == nil; carried != (d != nil) {
 				t.Errorf("%s: diff %v, want one exactly when vectors carry", label, d != nil)
 			} else if carried {

@@ -1,9 +1,9 @@
-// link.go builds the graph from file summaries in three passes sharded over
-// a worker pool with a deterministic merge. The graph is identical at every
+// link.go builds the graph from file summaries in three passes fanned out
+// with par.For and merged deterministically. The graph is identical at every
 // worker count: same nodes in the same order, same edges in the same order,
 // same pointer-target tables (see TestBuildParallelEquivalence).
 //
-// The sharding respects what each pass may read:
+// The fan-out respects what each pass may read:
 //
 //   - Pass 1 (nodes) reads one summary at a time and is merged in file
 //     order, so build order — and everything downstream keyed on it — is
@@ -18,8 +18,8 @@ package callgraph
 
 import (
 	"runtime"
-	"sync"
-	"sync/atomic"
+
+	"ofence/internal/par"
 )
 
 // ptrRec is one resolved pointer-target fact, in discovery order.
@@ -29,16 +29,16 @@ type ptrRec struct {
 	init bool
 }
 
-// BuildParallel summarizes files and links the summaries, sharding the
-// per-file work over up to workers goroutines (GOMAXPROCS when workers <=
-// 0). Files with nil ASTs (parse failures) contribute nothing; building
-// never fails.
+// BuildParallel summarizes files and links the summaries, fanning the
+// per-file work out over up to workers goroutines (GOMAXPROCS when
+// workers <= 0). Files with nil ASTs (parse failures) contribute nothing;
+// building never fails.
 func BuildParallel(files []File, workers int) *Graph {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	sums := make([]*Summary, len(files))
-	forEach(len(files), workers, func(i int) {
+	par.For(len(files), workers, func(i int) {
 		sums[i] = Summarize(files[i].Name, files[i].AST)
 	})
 	return Link(sums, workers)
@@ -72,7 +72,7 @@ func Link(sums []*Summary, workers int) *Graph {
 	// Pass 2: concurrent resolve (the tables are frozen now), ordered merge
 	// into the shared tables.
 	recs := make([][]ptrRec, len(sums))
-	forEach(len(sums), workers, func(i int) {
+	par.For(len(sums), workers, func(i int) {
 		s := sums[i]
 		for _, st := range s.Stores {
 			if n := g.Resolve(s.File, st.Ident); n != nil {
@@ -91,7 +91,7 @@ func Link(sums []*Summary, workers int) *Graph {
 
 	// Pass 3: per-node edge resolution in parallel; every table read here is
 	// frozen. The caller-side lists and unresolved counts are node-local.
-	forEach(len(g.Nodes), workers, func(i int) {
+	par.For(len(g.Nodes), workers, func(i int) {
 		n := g.Nodes[i]
 		for site := range n.Func.Calls {
 			edges, resolved := g.edgesFor(n, site)
@@ -110,37 +110,4 @@ func Link(sums []*Summary, workers int) *Graph {
 		}
 	}
 	return g
-}
-
-// forEach fans f over [0, n) with at most workers goroutines. Iterations
-// must be independent; completion is a barrier.
-func forEach(n, workers int, f func(i int)) {
-	if n == 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -5,12 +5,12 @@ import (
 	"sync"
 )
 
-// symShards is the stripe count. Power of two so the shard index is a mask;
+// symStripes is the stripe count. Power of two so the shard index is a mask;
 // 16 stripes keep the per-stripe RWMutex uncontended at tree-scale worker
 // counts while the ID layout (local<<symShardBits | shard) stays well under
 // uint32 for any realistic identifier population.
 const (
-	symShards    = 16
+	symStripes   = 16
 	symShardBits = 4
 )
 
@@ -34,7 +34,7 @@ const (
 // stable for the table's lifetime and canonical per spelling, but they are
 // NOT dense — treat them as opaque tokens, never as slice indices.
 type SymTab struct {
-	shards [symShards]symShard
+	shards [symStripes]symShard
 }
 
 type symShard struct {
@@ -61,7 +61,7 @@ func symShardOf(name string) uint32 {
 		h ^= uint32(name[i])
 		h *= 16777619
 	}
-	return h & (symShards - 1)
+	return h & (symStripes - 1)
 }
 
 // intern returns the spelling's shard-local index and canonical backing
@@ -107,7 +107,7 @@ func (t *SymTab) Canon(name string) string {
 // Name returns the spelling interned as id. It panics on IDs the table
 // never issued, like a slice index out of range.
 func (t *SymTab) Name(id uint32) string {
-	sh := &t.shards[id&(symShards-1)]
+	sh := &t.shards[id&(symStripes-1)]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	return sh.names[id>>symShardBits]

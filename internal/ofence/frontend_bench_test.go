@@ -38,8 +38,8 @@ func frontendNew(srcs []ofence.SourceFile) int {
 // corpus. "interned" is preprocess+parse, single-threaded; "pipelined8" is
 // the whole-project cold analysis, with its fused per-file schedule, at
 // Workers=8/GOMAXPROCS=8.
-// BENCH_frontend.json records the overhaul's comparison against the
-// pre-overhaul front end, which is retired; bench/ is the live measurement.
+// DESIGN §11 keeps the overhaul's recorded bar against the pre-overhaul
+// front end, which is retired; bench/ is the live measurement.
 func BenchmarkFrontendCold(b *testing.B) {
 	srcs := benchFrontendSources()
 	b.Run("interned", func(b *testing.B) {

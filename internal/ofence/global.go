@@ -33,6 +33,7 @@ import (
 	"ofence/internal/ctypes"
 	"ofence/internal/memmodel"
 	"ofence/internal/obs"
+	"ofence/internal/par"
 	"ofence/internal/semprop"
 )
 
@@ -143,7 +144,7 @@ func (p *Project) summarize(files []*FileUnit, workers int) int {
 	}
 	p.mu.Unlock()
 	sums := make([]*callgraph.Summary, len(todo))
-	forEachIndex(len(todo), workers, func(i int) {
+	par.For(len(todo), workers, func(i int) {
 		sums[i] = callgraph.Summarize(todo[i].Name, arts[i].ast)
 	})
 	p.mu.Lock()

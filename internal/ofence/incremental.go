@@ -42,6 +42,7 @@ import (
 	"ofence/internal/ctypes"
 	"ofence/internal/memmodel"
 	"ofence/internal/obs"
+	"ofence/internal/par"
 	"ofence/internal/rescache"
 )
 
@@ -209,22 +210,12 @@ func (p *Project) refreshStale(ctx context.Context, files []*FileUnit, env proje
 	if len(stale) == 0 {
 		return
 	}
-	sem := make(chan struct{}, workers)
-	done := make(chan struct{})
-	for _, fu := range stale {
-		go func(fu *FileUnit) {
-			defer func() { done <- struct{}{} }()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if ctx.Err() != nil {
-				return // canceled: stay stale, the next run retries
-			}
-			p.refreshUnit(ctx, fu, env)
-		}(fu)
-	}
-	for range stale {
-		<-done
-	}
+	par.For(len(stale), workers, func(i int) {
+		if ctx.Err() != nil {
+			return // canceled: stay stale, the next run retries
+		}
+		p.refreshUnit(ctx, stale[i], env)
+	})
 }
 
 // refreshUnit runs the front-end for one unit and installs the result,

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,6 +26,7 @@ import (
 	"ofence/internal/ctoken"
 	"ofence/internal/ctypes"
 	"ofence/internal/obs"
+	"ofence/internal/par"
 	"ofence/internal/rescache"
 	"ofence/internal/semprop"
 )
@@ -388,9 +388,9 @@ type Result struct {
 	// Incremental reports per-file cache reuse for this call. Excluded from
 	// ResultView so incremental and cold runs serialize identically.
 	Incremental IncrementalStats
-	// PairStats reports the pairing engine's execution counters (shards,
-	// index probes, bound-pruned candidate pairs). Excluded from ResultView
-	// so sequential and parallel runs serialize identically.
+	// PairStats reports the pairing engine's execution counters (index
+	// probes, bound-pruned candidate pairs, carried-over state). Excluded
+	// from ResultView so incremental and cold runs serialize identically.
 	PairStats PairStats
 }
 
@@ -474,23 +474,14 @@ func (p *Project) AnalyzeParallel(ctx context.Context, opts Options) (*Result, e
 		dirty = append(dirty, fu)
 	}
 	p.mu.Unlock()
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for _, fu := range dirty {
-		wg.Add(1)
-		go func(fu *FileUnit) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if ctx.Err() != nil {
-				return // canceled: leave the unit's artifacts as they were
-			}
-			start := time.Now()
-			defer func() { busyNS.Add(int64(time.Since(start))) }()
-			p.pipelineFile(ectx, fu, env, &plan, &reused, &recomputed)
-		}(fu)
-	}
-	wg.Wait()
+	par.For(len(dirty), workers, func(i int) {
+		if ctx.Err() != nil {
+			return // canceled: leave the unit's artifacts as they were
+		}
+		start := time.Now()
+		p.pipelineFile(ectx, dirty[i], env, &plan, &reused, &recomputed)
+		busyNS.Add(int64(time.Since(start)))
+	})
 	res.Timing.Extract = time.Since(phaseStart)
 	if err := ctx.Err(); err != nil {
 		esp.End()
@@ -532,22 +523,25 @@ func (p *Project) AnalyzeParallel(ctx context.Context, opts Options) (*Result, e
 		// Cross-file inlining makes the same physical barrier visible from
 		// callers in other files; keep the richest view, as per-file
 		// extraction already does within one file.
-		res.Sites = dedupSitesSharded(res.Sites, workers)
+		_, dsp := obs.Start(ctx, "dedup")
+		dsp.Add("sites_in", int64(len(res.Sites)))
+		res.Sites = dedupSites(res.Sites)
+		dsp.Add("sites_out", int64(len(res.Sites)))
+		dsp.End()
 	}
 	sortSites(res.Sites)
 
-	// Phase 2: global pairing (Algorithm 1), sharded over the worker pool
-	// (see pair.go; the result is byte-identical at any worker count). The
-	// run's site table derives from the last run's, so an edit re-interns
-	// and re-vectorizes only what it changed; pairing and ranking share it.
-	// Pairing derives from the last run's pair record: only the writers
-	// whose objects the edit touched search again.
+	// Phase 2: global pairing (Algorithm 1), on this goroutine (see
+	// pair.go). The run's site table derives from the last run's, so an
+	// edit re-interns and re-vectorizes only what it changed; pairing and
+	// ranking share it. Pairing derives from the last run's pair record:
+	// only the writers whose objects the edit touched search again.
 	phaseStart = time.Now()
 	pctx, psp := obs.Start(ctx, "pair")
 	p.mu.Lock()
 	prevTable, prevPairs := p.table, p.pairs
 	p.mu.Unlock()
-	tbl, diff := access.BuildSiteTable(prevTable, res.Sites, opts.GenericStructs, workers)
+	tbl, diff := access.BuildSiteTable(prevTable, res.Sites, opts.GenericStructs)
 	pairer := newPairer(tbl, opts)
 	pairer.derive(prevPairs, prevTable, diff, fp)
 	res.Pairings, res.Unpaired, res.ImplicitIPC = pairer.run(pctx)
@@ -558,7 +552,6 @@ func (p *Project) AnalyzeParallel(ctx context.Context, opts Options) (*Result, e
 	psp.Add("candidates_pruned", res.PairStats.Pruned)
 	psp.Add("candidates_pruned_bound", res.PairStats.PrunedBound)
 	psp.Add("index_probes", res.PairStats.IndexProbes)
-	psp.Add("pair_shards", int64(res.PairStats.Shards))
 	var reusedInterner int64
 	if res.PairStats.InternerReused {
 		reusedInterner = 1
@@ -640,89 +633,6 @@ func dedupSites(sites []*access.Site) []*access.Site {
 	out := make([]*access.Site, 0, len(order))
 	for _, id := range order {
 		out = append(out, best[id])
-	}
-	return out
-}
-
-// dedupSitesSharded is dedupSites sharded over the worker pool for
-// tree-scale site lists. Sites are sharded by a hash of their canonical
-// barrier identity, so every occurrence of one physical barrier lands in
-// one shard; each shard scans its sites in ascending input order keeping
-// the richest view (first seen wins ties — dedupSites' exact rule) along
-// with the input index of the identity's first occurrence, and the merge
-// re-sorts winners by that first index. The output is therefore the byte-
-// identical site list dedupSites produces, at any worker count.
-func dedupSitesSharded(sites []*access.Site, workers int) []*access.Site {
-	if workers > 16 {
-		workers = 16
-	}
-	if workers <= 1 || len(sites) < 64 {
-		return dedupSites(sites)
-	}
-	// Phase 1: canonical IDs and shard assignment, computed once per site
-	// (ID() canonicalization is the hot part of dedup at tree scale).
-	ids := make([]string, len(sites))
-	shard := make([]uint8, len(sites))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(sites); i += workers {
-				id := sites[i].ID()
-				h := uint32(2166136261)
-				for j := 0; j < len(id); j++ {
-					h ^= uint32(id[j])
-					h *= 16777619
-				}
-				ids[i] = id
-				shard[i] = uint8(h % uint32(workers))
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	// Phase 2: per-shard keep-richest over that shard's identities.
-	type kept struct {
-		site  *access.Site
-		first int
-	}
-	perShard := make([][]*kept, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			best := map[string]*kept{}
-			var order []*kept
-			for i, s := range sites {
-				if int(shard[i]) != w {
-					continue
-				}
-				cur, ok := best[ids[i]]
-				if !ok {
-					k := &kept{site: s, first: i}
-					best[ids[i]] = k
-					order = append(order, k)
-					continue
-				}
-				if s.Richness() > cur.site.Richness() {
-					cur.site = s
-				}
-			}
-			perShard[w] = order
-		}(w)
-	}
-	wg.Wait()
-
-	// Phase 3: merge by first-occurrence index — dedupSites' output order.
-	var all []*kept
-	for _, sh := range perShard {
-		all = append(all, sh...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].first < all[j].first })
-	out := make([]*access.Site, len(all))
-	for i, k := range all {
-		out[i] = k.site
 	}
 	return out
 }

@@ -3,13 +3,10 @@ package ofence
 import (
 	"cmp"
 	"context"
-	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"ofence/internal/access"
-	"ofence/internal/obs"
 )
 
 // This file is the pairing engine: Algorithm 1 rebuilt for kernel-scale
@@ -33,12 +30,10 @@ import (
 //     indexed weight of each object — skips candidate pairs that cannot
 //     beat the best candidate found so far (counted as
 //     candidates_pruned_bound);
-//   - the per-write-barrier candidate search is sharded across a bounded
-//     worker pool; because each site's best candidate depends only on the
-//     immutable index, the shards race on nothing, and everything
-//     order-sensitive runs afterwards in one pass in canonical site order,
-//     so the output is byte-identical to the sequential path at any
-//     GOMAXPROCS;
+//   - the whole engine runs on the analysis goroutine: each writer's
+//     candidate search reads only the immutable index, and everything
+//     order-sensitive runs afterwards in one pass in canonical site order
+//     (DESIGN §12 has the numbers that retired the sharded search);
 //   - the pass after the search (the mutual-best handshake, the extension
 //     step and the merge by common objects) keeps no per-site candidate
 //     lists and no string-keyed maps: each site keeps the first
@@ -57,14 +52,10 @@ import (
 // Ties between equal-weight candidates are broken by canonical site order
 // (access.CompareSites, total over one analysis's sites): the two-pointer
 // scans run in ascending site order and keep the first minimum, so the
-// earliest site wins — stable across map-iteration and shard orders.
+// earliest site wins — stable across map-iteration order.
 
 // PairStats reports the pairing engine's execution counters for one run.
 type PairStats struct {
-	// Shards is the number of worker shards the candidate search ran on:
-	// at least 1 on a cold run, 0 when a warm run searched its few writers
-	// inline.
-	Shards int
 	// IndexProbes counts inverted-index intersections this run's search
 	// actually performed (get_pair/get_single calls that survived the bound
 	// cutoff).
@@ -190,10 +181,9 @@ func zeroed[T any](s []T, n int) []T {
 }
 
 type pairer struct {
-	tbl     *access.SiteTable
-	sites   []*access.Site
-	opts    Options
-	workers int
+	tbl   *access.SiteTable
+	sites []*access.Site
+	opts  Options
 
 	// in is the project-level interned-object table; all slices below are
 	// keyed by its dense IDs.
@@ -231,22 +221,15 @@ func newPairer(tbl *access.SiteTable, opts Options) *pairer {
 	if opts.MinSharedObjects <= 0 {
 		opts.MinSharedObjects = 2
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	sites := tbl.Sites()
 	ts := tbl.Stats()
-	pr := &pairer{
-		tbl:     tbl,
-		sites:   sites,
-		opts:    opts,
-		workers: workers,
-		in:      tbl.Interner(),
-		vecs:    tbl.AllVecs(),
-		stats:   PairStats{InternerReused: ts.InternerReused, SitesVectorized: ts.Vectorized},
+	return &pairer{
+		tbl:   tbl,
+		sites: tbl.Sites(),
+		opts:  opts,
+		in:    tbl.Interner(),
+		vecs:  tbl.AllVecs(),
+		stats: PairStats{InternerReused: ts.InternerReused, SitesVectorized: ts.Vectorized},
 	}
-	return pr
 }
 
 // derive makes pr's run start from prev, the record of the last completed
@@ -273,46 +256,10 @@ func isWriteSide(s *access.Site) bool {
 	return s.Kind.OrdersWrites()
 }
 
-// forEachIndex fans fn out over indices [0, n) on a pool of poolSize(n,
-// workers) goroutines, each claiming the next unclaimed index. Each index
-// is passed to exactly one call, so results written per index are
-// independent of scheduling.
-func forEachIndex(n, workers int, fn func(i int)) {
-	workers = poolSize(n, workers)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// poolSize is how many goroutines forEachIndex starts for n indices: none
-// beyond the caller's below 64 indices, and never more than one per index.
-func poolSize(n, workers int) int {
-	if n < 64 {
-		return 1
-	}
-	return min(workers, n)
-}
-
 // run executes Algorithm 1 and returns pairings, unpaired sites, and
-// implicit-IPC writers, and sets pr.rec. The candidate search is sharded
-// across the worker pool; everything order-sensitive happens afterwards,
-// single-threaded, in canonical site order. A canceled run returns nothing
-// and records nothing.
+// implicit-IPC writers, and sets pr.rec. Everything order-sensitive
+// happens after the candidate search, in canonical site order. A canceled
+// run returns nothing and records nothing.
 func (pr *pairer) run(ctx context.Context) (pairings []*Pairing, unpaired, implicit []*access.Site) {
 	var todo []int32
 	if pr.prev != nil {
@@ -466,64 +413,24 @@ func (pr *pairer) deriveIndex() (todo []int32) {
 	return slices.Compact(todo)
 }
 
-// search runs the candidate search for the writers in todo. A warm run
-// with fewer than 64 of them searches inline; otherwise the search is
-// sharded over the worker pool. Shard boundaries never influence results:
-// every shard reads the same immutable index and writes only its own
-// writers' candidates. ctx is checked before each writer.
+// search runs the candidate search for the writers in todo. ctx is
+// checked before each writer.
 func (pr *pairer) search(ctx context.Context, todo []int32) {
 	pr.stats.WritersSearched = len(todo)
-	if pr.prev != nil && len(todo) < 64 {
-		for _, i := range todo {
-			if ctx.Err() != nil {
-				return // canceled: analyze surfaces the error after the phase
-			}
-			pr.resolve(i, &pr.stats)
+	for _, i := range todo {
+		if ctx.Err() != nil {
+			return // canceled: analyze surfaces the error after the phase
 		}
-		return
+		pr.resolve(i)
 	}
-	shards := pr.workers
-	if max := (len(todo) + 63) / 64; shards > max {
-		shards = max // tiny inputs are not worth the fan-out
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	pr.stats.Shards = shards
-
-	per := (len(todo) + shards - 1) / shards
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	for s := 0; s < shards; s++ {
-		lo, hi := min(s*per, len(todo)), min((s+1)*per, len(todo))
-		wg.Add(1)
-		go func(part []int32) {
-			defer wg.Done()
-			_, ssp := obs.Start(ctx, "pair.shard")
-			defer ssp.End()
-			var st PairStats
-			for _, i := range part {
-				if ctx.Err() != nil {
-					break // canceled: analyze surfaces the error after the phase
-				}
-				pr.resolve(i, &st)
-			}
-			ssp.Add("sites", int64(len(part)))
-			mu.Lock()
-			pr.stats.IndexProbes += st.IndexProbes
-			pr.stats.PrunedBound += st.PrunedBound
-			mu.Unlock()
-		}(todo[lo:hi])
-	}
-	wg.Wait()
 }
 
 // resolve searches writer i's candidate and applies the implicit-IPC check
 // (§4.2): when the wake-up call is closer to the barrier than the
 // pairing's shared objects, or the writer has no candidate at all, the
 // barrier orders the wake-up; it is left unpaired.
-func (pr *pairer) resolve(i int32, st *PairStats) {
-	c, o1, o2 := pr.bestFor(i, st)
+func (pr *pairer) resolve(i int32) {
+	c, o1, o2 := pr.bestFor(i)
 	c.writer = true
 	if wake := pr.sites[i].WakeUpAfter; wake >= 0 {
 		c.implicit = c.other < 0 || wake <= pr.minObjDist(int(i), o1, o2)
@@ -834,7 +741,7 @@ func (pr *pairer) sameMargins() bool {
 // postings, keeping the candidate with the lowest distance product. A pair
 // whose weight lower bound cannot beat the best found so far is skipped
 // before touching the index. o1 and o2 are the winning object pair.
-func (pr *pairer) bestFor(b int32, st *PairStats) (best candidate, bo1, bo2 uint32) {
+func (pr *pairer) bestFor(b int32) (best candidate, bo1, bo2 uint32) {
 	objs := pr.vecs[b].Objs
 	best = candidate{other: -1, weight: -1, second: -1}
 	// noteAlt records a probed-but-losing partner's weight for the margin
@@ -853,10 +760,10 @@ func (pr *pairer) bestFor(b int32, st *PairStats) (best candidate, bo1, bo2 uint
 			o1, o2 := objs[i].ID, objs[j].ID
 			myWeight := int(weightOf32(objs[i].Dist)) * int(weightOf32(objs[j].Dist))
 			if best.weight >= 0 && myWeight*int(pr.minW[o1])*int(pr.minW[o2]) >= best.weight {
-				st.PrunedBound++
+				pr.stats.PrunedBound++
 				continue
 			}
-			st.IndexProbes++
+			pr.stats.IndexProbes++
 			pair, pairWeight, alt, altWeight := pr.getPair(b, o1, o2)
 			if pair < 0 {
 				continue
@@ -888,10 +795,10 @@ func (pr *pairer) bestFor(b int32, st *PairStats) (best candidate, bo1, bo2 uint
 		for _, od := range objs {
 			myWeight := int(weightOf32(od.Dist))
 			if best.weight >= 0 && myWeight*int(pr.minW[od.ID]) >= best.weight {
-				st.PrunedBound++
+				pr.stats.PrunedBound++
 				continue
 			}
-			st.IndexProbes++
+			pr.stats.IndexProbes++
 			pair, pairWeight := pr.getSingle(b, od.ID)
 			if pair < 0 {
 				continue
@@ -1046,14 +953,14 @@ func weightOf32(d int32) int32 {
 // sites and returns the pairings, the sites left unpaired, and the
 // implicit-IPC writers, plus the engine's execution counters. The sites are
 // re-sorted into canonical position order internally, so the result does
-// not depend on input order, worker count, or GOMAXPROCS. This is the
+// not depend on input order. This is the
 // entry point for pairing-only tooling and benchmarks, and the cold oracle
 // of incremental pairing; AnalyzeParallel routes through the same engine.
 func PairSites(ctx context.Context, sites []*access.Site, opts Options) (pairings []*Pairing, unpaired, implicit []*access.Site, stats PairStats) {
 	sorted := make([]*access.Site, len(sites))
 	copy(sorted, sites)
 	sortSites(sorted)
-	tbl, _ := access.BuildSiteTable(nil, sorted, opts.GenericStructs, opts.Workers)
+	tbl, _ := access.BuildSiteTable(nil, sorted, opts.GenericStructs)
 	pr := newPairer(tbl, opts)
 	pairings, unpaired, implicit = pr.run(ctx)
 	return pairings, unpaired, implicit, pr.stats

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"ofence/internal/access"
@@ -78,8 +77,8 @@ func randomPairSites(rng *rand.Rand, n int) []*access.Site {
 
 // TestPairerMatchesLegacyOracle runs the interned/indexed engine
 // differentially against the preserved pre-index pairer over structured
-// (sitegen) and adversarial (random) corpora, sequentially and sharded:
-// every variant must reproduce the oracle fingerprint exactly.
+// (sitegen) and adversarial (random) corpora at several worker counts:
+// every run must reproduce the oracle fingerprint exactly.
 func TestPairerMatchesLegacyOracle(t *testing.T) {
 	ctx := context.Background()
 	cases := []struct {
@@ -175,16 +174,11 @@ func TestPairerTieBreakBySiteOrder(t *testing.T) {
 }
 
 // TestPairStatsCounters pins that the index and the bound cutoff actually
-// engage on a kernel-shaped corpus — the speedup claims in
-// BENCH_pairing.json depend on both.
+// engage on a kernel-shaped corpus — the pairing engine's speed over the
+// pre-index pairer depends on both.
 func TestPairStatsCounters(t *testing.T) {
 	sites := sitegen.Generate(sitegen.DefaultConfig(400, 11))
-	opts := DefaultOptions()
-	opts.Workers = 4
-	_, _, _, stats := PairSites(context.Background(), sites, opts)
-	if stats.Shards < 1 {
-		t.Errorf("Shards = %d, want >= 1", stats.Shards)
-	}
+	_, _, _, stats := PairSites(context.Background(), sites, DefaultOptions())
 	if stats.IndexProbes == 0 {
 		t.Errorf("IndexProbes = 0, want > 0")
 	}
@@ -195,7 +189,7 @@ func TestPairStatsCounters(t *testing.T) {
 
 // coldTable builds a fresh site table over sites, as a cold analysis does.
 func coldTable(sites []*access.Site, opts Options) *access.SiteTable {
-	tbl, _ := access.BuildSiteTable(nil, sites, opts.GenericStructs, opts.Workers)
+	tbl, _ := access.BuildSiteTable(nil, sites, opts.GenericStructs)
 	return tbl
 }
 
@@ -230,28 +224,5 @@ func TestSortSitesTotalOrder(t *testing.T) {
 	}
 	if want := "m.c:2:5/smp_rmb m.c:4:23/smp_mb h.h:4:23/smp_wmb m.c:4:23/smp_wmb m.c:9:5/smp_rmb"; a != want {
 		t.Errorf("order %s, want %s", a, want)
-	}
-}
-
-// TestForEachIndexPoolClamped checks that forEachIndex starts at most one
-// goroutine per index, whatever worker count it is given, and still passes
-// every index to exactly one call.
-func TestForEachIndexPoolClamped(t *testing.T) {
-	for _, c := range []struct{ n, workers, want int }{
-		{63, 256, 1},
-		{64, 256, 64},
-		{64, 8, 8},
-		{1000, 256, 256},
-	} {
-		if got := poolSize(c.n, c.workers); got != c.want {
-			t.Errorf("poolSize(%d, %d) = %d, want %d", c.n, c.workers, got, c.want)
-		}
-	}
-	var calls [64]atomic.Int32
-	forEachIndex(len(calls), 256, func(i int) { calls[i].Add(1) })
-	for i := range calls {
-		if n := calls[i].Load(); n != 1 {
-			t.Errorf("index %d passed to %d calls, want 1", i, n)
-		}
 	}
 }

@@ -13,10 +13,10 @@ import (
 
 // TestPairingJSONDeterministic is the parallel-pairing determinism suite:
 // the -json projection of the fixture corpus must be byte-identical across
-// sequential pairing (Workers=1), sharded pairing at several widths, and
-// GOMAXPROCS 1/2/8. Sharding only fans out the read-only candidate search;
-// every order-sensitive step runs in canonical site order, so any
-// divergence here is an engine bug, not schedule noise.
+// Workers=1, several wider pools, and GOMAXPROCS 1/2/8. Only per-index
+// work (extraction, check, rank) fans out; pairing and every
+// order-sensitive step run on one goroutine in canonical site order, so
+// any divergence here is an engine bug, not schedule noise.
 func TestPairingJSONDeterministic(t *testing.T) {
 	c := corpus.Generate(corpus.DefaultConfig(29))
 	srcs := c.Sources()

@@ -8,6 +8,7 @@ import (
 
 	"ofence/internal/access"
 	"ofence/internal/obs"
+	"ofence/internal/par"
 	"ofence/internal/rank"
 )
 
@@ -68,7 +69,7 @@ func (v *verdicts) rank(ctx context.Context, prev *verdictRecord, fp string, res
 	}
 	var rescored, reused atomic.Int64
 
-	forEachIndex(len(v.items), workers, func(i int) {
+	par.For(len(v.items), workers, func(i int) {
 		if ctx.Err() != nil {
 			return
 		}

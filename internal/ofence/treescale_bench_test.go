@@ -10,12 +10,9 @@ import (
 
 // BenchmarkTreescaleCold measures cold full-run analysis (parse through
 // ranking) of a generated 256-file kernel tree at InterprocDepth=1,
-// Workers=8 ("scc8": sharded call-graph build, SCC-scheduled semantics
-// fixpoint, memoized observed-input extract keys, sharded dedup and
-// census).
-// CI smokes it at one iteration. BENCH_treescale.json records the tree-scale
-// overhaul's comparison against the sequential global phases, which are
-// retired; bench/ is the live measurement.
+// Workers=8 ("scc8": parallel call-graph summaries, SCC-scheduled semantics
+// fixpoint, memoized observed-input extract keys). DESIGN §12 keeps the
+// tree-scale overhaul's recorded bar; bench/ is the live measurement.
 func BenchmarkTreescaleCold(b *testing.B) {
 	tr := sitegen.GenerateTree(sitegen.DefaultTreeSpec(256, 42))
 	opts := ofence.DefaultOptions()

@@ -16,10 +16,10 @@ func treeProject(tr *sitegen.Tree) *ofence.Project {
 	return p
 }
 
-// TestTreescaleByteIdentity pins the parallel global phases on a small
-// generated tree: the sharded call graph, SCC-scheduled semprop, sharded
-// dedup and census must reproduce the golden depth-1 record at every
-// worker count. The subtests keep the "release=false" suffix of the
+// TestTreescaleByteIdentity pins the global phases on a small generated
+// tree: the parallel call-graph summaries, SCC-scheduled semprop, dedup
+// and census must reproduce the golden depth-1 record at every worker
+// count. The subtests keep the "release=false" suffix of the
 // retired AST-releasing mode, so their names stay stable.
 func TestTreescaleByteIdentity(t *testing.T) {
 	goldens := loadGoldens(t)

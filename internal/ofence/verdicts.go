@@ -29,6 +29,7 @@ import (
 	"context"
 
 	"ofence/internal/access"
+	"ofence/internal/par"
 	"ofence/internal/rank"
 )
 
@@ -134,7 +135,7 @@ func (c *checker) check(ctx context.Context, prev *verdictRecord, res *Result, w
 		v.items[i], v.fresh[i] = &checkedPairing{pg: pg}, true
 		todo = append(todo, i)
 	}
-	forEachIndex(len(todo), workers, func(k int) {
+	par.For(len(todo), workers, func(k int) {
 		if ctx.Err() == nil {
 			it := v.items[todo[k]]
 			it.findings = c.checkPairing(it.pg)

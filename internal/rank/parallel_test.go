@@ -8,8 +8,8 @@ import (
 	"ofence/internal/sitegen"
 )
 
-// TestBuildIndexParallelQuickcheck asserts the census built over a
-// sharded site table is the census built on one worker — identical interned
+// TestBuildIndexParallelQuickcheck asserts the census built at any worker
+// count is the census built at one — identical interned
 // IDs, per-object signature counts and totals, and therefore identical
 // Support answers for every (object, site) query — over randomized
 // workloads at the satellite's worker grid.
@@ -87,7 +87,7 @@ func TestDeriveMatchesNewIndex(t *testing.T) {
 			}
 		}
 	}
-	prevTbl, _ := access.BuildSiteTable(nil, sites, nil, 1)
+	prevTbl, _ := access.BuildSiteTable(nil, sites, nil)
 	prev := NewIndex(prevTbl)
 	derived := 0
 	for step := 1; step <= 40; step++ {
@@ -101,7 +101,7 @@ func TestDeriveMatchesNewIndex(t *testing.T) {
 				}
 			}
 		}
-		tbl, d := access.BuildSiteTable(prevTbl, cur, nil, 1)
+		tbl, d := access.BuildSiteTable(prevTbl, cur, nil)
 		fresh := NewIndex(tbl)
 		if d != nil {
 			before := NewIndex(prevTbl)

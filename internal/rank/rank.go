@@ -160,10 +160,11 @@ func (x *Index) ChangedRows(prev *Index) []uint32 {
 }
 
 // BuildIndexParallel computes the census over sites from a fresh site
-// table, interning and vectorizing over up to workers goroutines
-// (GOMAXPROCS when workers <= 0). The result does not depend on workers.
+// table. workers is unused: the table is built on the calling goroutine.
+// The function stays only for bench/probe.go's per-layer replay, until
+// that replay reads the analyzer's own spans (ROADMAP item 1).
 func BuildIndexParallel(sites []*access.Site, workers int) *Index {
-	tbl, _ := access.BuildSiteTable(nil, sites, nil, workers)
+	tbl, _ := access.BuildSiteTable(nil, sites, nil)
 	return NewIndex(tbl)
 }
 

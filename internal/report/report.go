@@ -10,7 +10,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"ofence/internal/access"
@@ -24,6 +23,7 @@ import (
 	"ofence/internal/lockset"
 	"ofence/internal/memmodel"
 	"ofence/internal/ofence"
+	"ofence/internal/par"
 	"ofence/internal/semprop"
 	"ofence/internal/validate"
 )
@@ -51,38 +51,6 @@ func RunCorpus(c *corpus.Corpus, opts ofence.Options) *Evaluation {
 		panic(err)
 	}
 	return &Evaluation{Corpus: c, Opts: opts, Project: p, Result: res, Elapsed: time.Since(start)}
-}
-
-// forEach runs fn(i) for every index in [0, n) on a GOMAXPROCS-sized worker
-// pool. Callers write results to index i, so output order stays
-// deterministic regardless of scheduling.
-func forEach(n int, fn func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 }
 
 // findingName maps FindingKind to the ground-truth vocabulary.
@@ -309,7 +277,7 @@ type Fig6Point struct {
 // to windows[i].
 func Figure6(c *corpus.Corpus, windows []int, base ofence.Options) []Fig6Point {
 	out := make([]Fig6Point, len(windows))
-	forEach(len(windows), func(i int) {
+	par.For(len(windows), runtime.GOMAXPROCS(0), func(i int) {
 		opts := base
 		opts.Access.WriteWindow = windows[i]
 		ev := RunCorpus(c, opts)
@@ -617,7 +585,7 @@ type FixtureResult struct {
 func RunFixtures(opts ofence.Options) []FixtureResult {
 	fixtures := corpus.Fixtures()
 	out := make([]FixtureResult, len(fixtures))
-	forEach(len(fixtures), func(i int) {
+	par.For(len(fixtures), runtime.GOMAXPROCS(0), func(i int) {
 		fx := fixtures[i]
 		p := ofence.NewProject()
 		p.AddSource(fx.Name, fx.Source)

@@ -9,36 +9,6 @@ import (
 	"testing"
 )
 
-func TestMemStoreRoundTripAndEviction(t *testing.T) {
-	m := NewMemStore(64)
-	m.Put(Key("a"), []byte("aaaa"))
-	if got, ok := m.Get(Key("a")); !ok || string(got) != "aaaa" {
-		t.Fatalf("Get(a) = %q, %v", got, ok)
-	}
-	// Re-put of a present key is a no-op.
-	m.Put(Key("a"), []byte("ignored"))
-	if got, _ := m.Get(Key("a")); string(got) != "aaaa" {
-		t.Fatalf("re-put overwrote content-addressed blob: %q", got)
-	}
-	// Push past the byte bound; the least recently used blob goes first.
-	m.Put(Key("b"), make([]byte, 40))
-	m.Get(Key("a")) // touch a so b is LRU
-	m.Put(Key("c"), make([]byte, 40))
-	if _, ok := m.Get(Key("b")); ok {
-		t.Fatal("LRU blob b survived eviction")
-	}
-	if _, ok := m.Get(Key("a")); !ok {
-		t.Fatal("recently used blob a was evicted")
-	}
-	st := m.Stats()
-	if st.Puts != 3 || st.Gets == 0 {
-		t.Fatalf("unexpected stats %+v", st)
-	}
-	if st.HitRatio() <= 0 {
-		t.Fatal("hit ratio not tracked")
-	}
-}
-
 func TestDiskStoreRoundTripAndRestart(t *testing.T) {
 	dir := t.TempDir()
 	d, err := OpenDiskStore(dir)
@@ -103,13 +73,18 @@ func TestCacheStoreTier(t *testing.T) {
 			return s, err
 		},
 	}
-	store := NewMemStore(0)
+	store, err := OpenDiskStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	key := KeyOf("fp", "k")
 
 	c1 := New(8)
 	c1.AttachStore(store, codec)
 	computes := 0
 	fn := func() (any, error) { computes++; return "value", nil }
-	if v, hit, _ := c1.Do(Key("k"), fn); hit || v != "value" {
+	if v, hit, _ := c1.Do(key, fn); hit || v != "value" {
 		t.Fatalf("first Do: v=%v hit=%v", v, hit)
 	}
 	if st := store.Stats(); st.Puts != 1 {
@@ -120,7 +95,7 @@ func TestCacheStoreTier(t *testing.T) {
 	// compute.
 	c2 := New(8)
 	c2.AttachStore(store, codec)
-	v, hit, err := c2.Do(Key("k"), fn)
+	v, hit, err := c2.Do(key, fn)
 	if err != nil || !hit || v != "value" {
 		t.Fatalf("second cache Do: v=%v hit=%v err=%v", v, hit, err)
 	}
@@ -135,8 +110,13 @@ func TestCacheStoreTier(t *testing.T) {
 // TestCacheStoreDecodeFailureRecomputes ensures a corrupt blob falls
 // through to the computation instead of failing the lookup.
 func TestCacheStoreDecodeFailureRecomputes(t *testing.T) {
-	store := NewMemStore(0)
-	store.Put(Key("k"), []byte("not json"))
+	store, err := OpenDiskStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	key := KeyOf("fp", "k")
+	store.Put(key, []byte("not json"))
 	c := New(8)
 	c.AttachStore(store, Codec{
 		Encode: func(v any) ([]byte, error) { return json.Marshal(v) },
@@ -146,7 +126,7 @@ func TestCacheStoreDecodeFailureRecomputes(t *testing.T) {
 			return s, err
 		},
 	})
-	v, hit, err := c.Do(Key("k"), func() (any, error) { return "fresh", nil })
+	v, hit, err := c.Do(key, func() (any, error) { return "fresh", nil })
 	if err != nil || hit || v != "fresh" {
 		t.Fatalf("Do over corrupt blob: v=%v hit=%v err=%v", v, hit, err)
 	}

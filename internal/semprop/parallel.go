@@ -24,11 +24,11 @@ package semprop
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"ofence/internal/callgraph"
 	"ofence/internal/memmodel"
+	"ofence/internal/par"
 )
 
 // inferSCC runs the condensation-scheduled fixpoint, filling inf.
@@ -47,7 +47,7 @@ func inferSCC(g *callgraph.Graph, opts Options, extra map[string]bool, inf *Infe
 	// summaries) is node-local; fan it out. Call candidates are node IDs, so
 	// the hot evaluation loop never touches a map.
 	infos := make([]*fnInfo, n)
-	fanOut(n, workers, func(i int) {
+	par.For(n, workers, func(i int) {
 		infos[i] = precompute(g.Nodes[i], extra)
 	})
 
@@ -84,7 +84,7 @@ func inferSCC(g *callgraph.Graph, opts Options, extra map[string]bool, inf *Infe
 	kinds := make([]memmodel.BarrierKind, n) // ⊥ = None
 	var maxRounds atomic.Int64
 	for _, compIDs := range byLevel {
-		fanOut(len(compIDs), workers, func(i int) {
+		par.For(len(compIDs), workers, func(i int) {
 			r := int64(evalComp(comps[compIDs[i]], infos, kinds))
 			for {
 				cur := maxRounds.Load()
@@ -188,37 +188,4 @@ func evaluate(info *fnInfo, cur []memmodel.BarrierKind) memmodel.BarrierKind {
 		k = meet(k, out[e])
 	}
 	return k
-}
-
-// fanOut runs f over [0, n) with at most workers goroutines and waits for
-// completion. Iterations must be independent.
-func fanOut(n, workers int, f func(i int)) {
-	if n == 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -81,7 +81,7 @@ func (h *histogram) snapshot() (cum []uint64, sum float64, n uint64) {
 // ("wait", "hash", "analyze", "total"); pipeline-stage histograms
 // (ofence_stage_duration_seconds) are keyed by the obs span name of each
 // pipeline stage ("preprocess", "parse", "cfg", "extract", "pair",
-// "pair.shard", "check", ...) and fed from the span summaries every
+// "check", ...) and fed from the span summaries every
 // completed task reports, in-process or remote alike.
 type metrics struct {
 	mu       sync.Mutex

@@ -39,11 +39,18 @@ import (
 
 // Sentinel errors surfaced to API clients.
 var (
-	ErrQueueFull = errors.New("analysis queue is full")
-	ErrClosed    = errors.New("service is draining")
-	ErrNoFiles   = errors.New("request has no source files")
-	ErrTooLarge  = errors.New("request exceeds the source size limit")
+	ErrQueueFull  = errors.New("analysis queue is full")
+	ErrClosed     = errors.New("service is draining")
+	ErrNoFiles    = errors.New("request has no source files")
+	ErrTooLarge   = errors.New("request exceeds the source size limit")
+	ErrBadOptions = errors.New("request options out of range")
 )
+
+// MaxDepth bounds a request's interproc_depth and inline_depth. Inlining
+// refuses only direct self-calls, so a mutual recursion is expanded once
+// per depth level: an unbounded depth from an untrusted body can exhaust
+// the process.
+const MaxDepth = 8
 
 // Request is one analysis submission: a set of named C sources plus
 // optional preprocessor defines (kernel config symbols). The bundled
@@ -393,9 +400,16 @@ func New(cfg Config) *Service {
 
 // Submit validates a request and starts its job. It never blocks: a full
 // queue fails fast with ErrQueueFull, a draining service with ErrClosed.
+// A depth beyond MaxDepth fails with ErrBadOptions.
 func (s *Service) Submit(req *Request, spec OptionsSpec) (*Job, error) {
 	if len(req.Files) == 0 {
 		return nil, ErrNoFiles
+	}
+	if spec.InterprocDepth > MaxDepth {
+		return nil, fmt.Errorf("%w: interproc_depth %d exceeds %d", ErrBadOptions, spec.InterprocDepth, MaxDepth)
+	}
+	if spec.InlineDepth != nil && *spec.InlineDepth > MaxDepth {
+		return nil, fmt.Errorf("%w: inline_depth %d exceeds %d", ErrBadOptions, *spec.InlineDepth, MaxDepth)
 	}
 	total := 0
 	for name, src := range req.Files {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -518,7 +519,7 @@ func TestPipelineStageMetrics(t *testing.T) {
 	if !strings.Contains(text, "# TYPE ofence_stage_duration_seconds histogram") {
 		t.Fatalf("stage-duration family missing:\n%s", text)
 	}
-	stages := []string{"analyze", "preprocess", "parse", "cfg", "extract", "extract.file", "pair", "pair.shard", "check"}
+	stages := []string{"analyze", "preprocess", "parse", "cfg", "extract", "extract.file", "pair", "check"}
 	distinct := 0
 	for _, stage := range stages {
 		if strings.Contains(text, fmt.Sprintf(`ofence_stage_duration_seconds_count{stage=%q} 1`, stage)) {
@@ -624,5 +625,40 @@ func TestResolveCapsWorkers(t *testing.T) {
 		if got := (OptionsSpec{Workers: c.spec}).Resolve().Workers; got != c.want {
 			t.Errorf("workers %d resolves to %d, want %d", c.spec, got, c.want)
 		}
+	}
+}
+
+// TestSubmitBoundsDepth: a depth beyond MaxDepth fails with ErrBadOptions
+// (HTTP 400) before anything is queued, so the analysis never runs.
+func TestSubmitBoundsDepth(t *testing.T) {
+	s := newTestService(t, Config{Workers: 1})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	huge := 1000000
+	for name, spec := range map[string]OptionsSpec{
+		"interproc_depth": {InterprocDepth: huge},
+		"inline_depth":    {InlineDepth: &huge},
+	} {
+		if _, err := s.Submit(testRequest("int x;"), spec); !errors.Is(err, ErrBadOptions) {
+			t.Errorf("%s %d: err = %v, want ErrBadOptions", name, huge, err)
+		}
+		resp, _ := postAnalyze(t, srv.URL, analyzeRequest{Request: *testRequest("int x;"), Options: spec})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s %d over HTTP: %d, want 400", name, huge, resp.StatusCode)
+		}
+	}
+	s.mu.Lock()
+	queued, jobs := s.queued, len(s.jobs)
+	s.mu.Unlock()
+	if queued != 0 || jobs != 0 {
+		t.Errorf("%d queued, %d jobs after rejected submissions, want none", queued, jobs)
+	}
+	depth := MaxDepth
+	j, err := s.Submit(testRequest("int x;"), OptionsSpec{InterprocDepth: MaxDepth, InlineDepth: &depth})
+	if err != nil {
+		t.Fatalf("depth %d: %v", MaxDepth, err)
+	}
+	if v := waitDone(t, j); v.State != JobDone {
+		t.Errorf("depth %d: state %s (%s)", MaxDepth, v.State, v.Error)
 	}
 }
