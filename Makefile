@@ -21,14 +21,17 @@ lint: vet
 	$(GO) test . -run TestDocs
 
 # Short fuzz passes over the robustness targets: the parser (no panics, no
-# hangs), the service's HTTP handler (no panics, no 5xx, 4xx for malformed
-# bodies) and the disk store's index replay (no panics, exact byte
-# accounting, every well-formed line applied); and over three differential
-# ones: header replay against a fresh environment, header-declaration
-# splicing against a fresh parser, and warm pairing after random edits
-# against a cold PairSites.
+# hangs), the preprocessor's per-file work budget (every input of at most
+# 4 KiB ends within it), the service's HTTP handler (no panics, no 5xx, 4xx
+# for malformed bodies) and the disk store's index replay (no panics, exact
+# byte accounting, every well-formed line applied); and over three
+# differential ones: header replay against a fresh environment,
+# header-declaration splicing against a fresh parser, and warm analysis
+# after random edits and depth flips against a cold PairSites and a cold
+# -json.
 fuzz:
 	$(GO) test ./internal/cparser/ -fuzz FuzzParseSource -fuzztime 30s
+	$(GO) test ./internal/cpp/ -run '^$$' -fuzz FuzzPreprocessBounded -fuzztime 30s
 	$(GO) test ./internal/service/ -run '^$$' -fuzz FuzzHandler -fuzztime 30s
 	$(GO) test ./internal/rescache/ -run '^$$' -fuzz FuzzDiskStoreReplay -fuzztime 30s
 	$(GO) test ./internal/cpp/ -run '^$$' -fuzz FuzzIncludeReplay -fuzztime 30s

@@ -25,6 +25,9 @@ type Observations struct {
 	Inline, Depth int
 	digest        []string
 	reach         [][]*Node
+	// readers[j] lists, ascending, the files whose keys read a
+	// fingerprint of file j: those whose reach holds one of its nodes.
+	readers [][]int32
 }
 
 // defObs is what one definition's linearization at one budget observes
@@ -52,7 +55,10 @@ func (g *Graph) Observe(kinds map[string]memmodel.BarrierKind, inline, depth int
 	for i := range w.memo {
 		w.memo[i] = make([]*defObs, len(g.Nodes))
 	}
-	o := &Observations{Inline: inline, Depth: depth, digest: make([]string, len(g.files)), reach: make([][]*Node, len(g.files))}
+	o := &Observations{
+		Inline: inline, Depth: depth,
+		digest: make([]string, len(g.files)), reach: make([][]*Node, len(g.files)), readers: make([][]int32, len(g.files)),
+	}
 	nodes := g.Nodes // in file order
 	for i := range g.files {
 		end := 0
@@ -66,10 +72,21 @@ func (g *Graph) Observe(kinds map[string]memmodel.BarrierKind, inline, depth int
 			o.reach[i] = addReach(o.reach[i], d.reach...)
 		}
 		o.digest[i] = digest(e)
+		for _, n := range o.reach[i] {
+			// Files are visited in order, so i is the largest reader yet.
+			if r := o.readers[n.fileIdx]; len(r) == 0 || r[len(r)-1] != int32(i) {
+				o.readers[n.fileIdx] = append(r, int32(i))
+			}
+		}
 		nodes = nodes[end:]
 	}
 	return o
 }
+
+// Readers returns, ascending, the files whose keys read a fingerprint of
+// the j-th file: the keys a change of its summary can move. The slice is
+// shared; callers must not modify it.
+func (o *Observations) Readers(j int) []int32 { return o.readers[j] }
 
 // Key returns the observed-input key of the i-th file: its digest plus
 // the fingerprint, in sums, of every definition it splices. sums are the

@@ -147,13 +147,17 @@ func NewEnv(opts Options) *Env {
 
 // PreprocessCtx runs the preprocessor over src, attributing positions to
 // file. When ctx carries an obs.Tracer, the run is recorded as a
-// "preprocess" span with the emitted token and macro counts and the number
-// of top-level includes replayed from the memo or recorded into it.
+// "preprocess" span with the emitted token and macro counts, the number
+// of top-level includes replayed from the memo or recorded into it, and a
+// budget_exceeded counter of 1 when the file went over maxFileWork.
 func (e *Env) PreprocessCtx(ctx context.Context, file, src string) *Result {
 	_, sp := obs.Start(ctx, "preprocess")
 	defer sp.End()
 	sp.SetAttr("file", file)
-	res, replayed, recorded := e.preprocess(file, src)
+	res, replayed, recorded, over := e.preprocess(file, src)
+	if over {
+		sp.Add("budget_exceeded", 1)
+	}
 	sp.Add("tokens", int64(len(res.Tokens)))
 	sp.Add("macros", int64(len(res.Macros)))
 	sp.Add("errors", int64(len(res.Errors)))

@@ -24,7 +24,7 @@ var decimalLit = regexp.MustCompile(`\b[0-9]+\b`)
 
 // literalEdit sets one integer literal of src, outside preprocessor lines,
 // to a new value drawn by rng.
-func literalEdit(t *testing.T, rng *rand.Rand, src string) string {
+func literalEdit(t testing.TB, rng *rand.Rand, src string) string {
 	t.Helper()
 	lines := strings.Split(src, "\n")
 	type at struct{ line, lo, hi int }

@@ -113,10 +113,12 @@ func changedFiles(before, after map[string]string) []string {
 
 // keyStep analyzes p and checks that the extract keys changed, relative
 // to the previous keys, for exactly the files whose observed inputs
-// changed. It returns the new keys, oracle and changed set.
+// changed, and that the derived keys and dedup equal their from-scratch
+// references (checkDerived). It returns the new keys, oracle and changed set.
 func keyStep(t *testing.T, p *Project, opts Options, keys, oracle map[string]string, what string) (map[string]string, map[string]string, []string) {
 	t.Helper()
 	mustAnalyze(t, p, opts)
+	checkDerived(t, p, what)
 	k, o := extractKeys(p), observedOracle(t, p, opts)
 	if keys != nil {
 		gotK, gotO := changedFiles(keys, k), changedFiles(oracle, o)

@@ -40,9 +40,13 @@ import (
 // globalRecord is one run's linked call graph and inference. It is never
 // mutated after publication, so a project and its clones share it.
 type globalRecord struct {
-	// stamp is every file's (name, summary hash) in project order, then
-	// the options the inference reads.
-	stamp    []string
+	// names and sums are every file's name and summary in project order,
+	// and extra the options the inference reads: the stamp a run must
+	// match to reuse the graph and the inference. keys were computed from
+	// sums too.
+	names    []string
+	sums     []*callgraph.Summary
+	extra    []string
 	graph    *callgraph.Graph
 	stats    callgraph.Stats
 	kinds    map[string]memmodel.BarrierKind
@@ -52,8 +56,58 @@ type globalRecord struct {
 	sccs         int
 	levels       int
 	// obs are the extract-key observations at one pair of depth budgets;
-	// a run at other budgets derives a record with its own.
-	obs *callgraph.Observations
+	// a run at other budgets derives a record with its own. keys are
+	// every file's observed-input key under obs, by link position.
+	obs  *callgraph.Observations
+	keys []string
+}
+
+// sameStamp reports whether files with summaries sums, under the
+// inference options extra, link and infer as the record did. A summary
+// is compared by pointer before its hash: a file whose record is unchanged
+// keeps its summary.
+func (r *globalRecord) sameStamp(files []*FileUnit, sums []*callgraph.Summary, extra []string) bool {
+	if len(r.names) != len(files) || !slices.Equal(r.extra, extra) {
+		return false
+	}
+	for i, fu := range files {
+		if r.names[i] != fu.Name || (r.sums[i] != sums[i] && r.sums[i].Hash != sums[i].Hash) {
+			return false
+		}
+	}
+	return true
+}
+
+// deriveKeys returns every file's observed-input key under the record's
+// observations for summaries sums, and how many it hashed. Keys of a
+// record without them are all hashed; otherwise only the keys of the
+// files that read a file whose summary is not the one the record's keys
+// were computed from. The record is not modified: changed keys go into a
+// copy.
+func (r *globalRecord) deriveKeys(sums []*callgraph.Summary) ([]string, int) {
+	if r.keys == nil {
+		keys := make([]string, len(sums))
+		for i := range keys {
+			keys[i] = r.obs.Key(i, sums)
+		}
+		return keys, len(keys)
+	}
+	var todo []int32
+	for j, s := range sums {
+		if s != r.sums[j] {
+			todo = append(todo, r.obs.Readers(j)...)
+		}
+	}
+	if len(todo) == 0 {
+		return r.keys, 0
+	}
+	slices.Sort(todo)
+	todo = slices.Compact(todo)
+	keys := slices.Clone(r.keys)
+	for _, i := range todo {
+		keys[i] = r.obs.Key(int(i), sums)
+	}
+	return keys, len(todo)
 }
 
 // globalPhases summarizes the files that lack a summary, then links and
@@ -72,17 +126,18 @@ func (p *Project) globalPhases(ctx context.Context, files []*FileUnit, opts Opti
 	prev := p.global
 	p.mu.Unlock()
 	sums := make([]*callgraph.Summary, len(files))
-	stamp := make([]string, 0, 2*len(files)+len(opts.Access.ExtraBarrierSemantics))
 	for i, art := range arts {
 		sums[i] = art.summary
-		stamp = append(stamp, files[i].Name, art.summary.Hash)
 	}
-	stamp = append(stamp, opts.Access.ExtraBarrierSemantics...)
+	extra := opts.Access.ExtraBarrierSemantics
 
 	rec, cutoff := prev, int64(1)
-	if prev == nil || !slices.Equal(prev.stamp, stamp) {
+	if prev == nil || !prev.sameStamp(files, sums, extra) {
 		cutoff = 0
-		rec = &globalRecord{stamp: stamp}
+		rec = &globalRecord{names: make([]string, len(files)), sums: sums, extra: slices.Clone(extra)}
+		for i, fu := range files {
+			rec.names[i] = fu.Name
+		}
 		rec.graph = callgraph.Link(sums, workers)
 		rec.stats = rec.graph.Stats()
 	}
@@ -95,7 +150,7 @@ func (p *Project) globalPhases(ctx context.Context, files []*FileUnit, opts Opti
 
 	_, ssp := obs.Start(ctx, "semprop")
 	if cutoff == 0 {
-		inf := semprop.Infer(rec.graph, semprop.Options{ExtraFull: opts.Access.ExtraBarrierSemantics, Workers: workers})
+		inf := semprop.Infer(rec.graph, semprop.Options{ExtraFull: extra, Workers: workers})
 		rec.kinds = inf.NameKinds()
 		rec.inferred = inf.Functions()
 		rec.inferredOnly = semprop.InferredOnly(rec.inferred)
@@ -108,18 +163,23 @@ func (p *Project) globalPhases(ctx context.Context, files []*FileUnit, opts Opti
 	ssp.Add("files_summarized", int64(summarized))
 	ssp.End()
 
+	// The keys derive from the record's: a file's key moves only with the
+	// fingerprints it reads, so only the readers of a file whose summary
+	// changed are hashed again.
 	_, ksp := obs.Start(ctx, "extract_keys")
 	inline, depth := opts.Access.InlineDepth, opts.InterprocDepth
 	if rec.obs == nil || rec.obs.Inline != inline || rec.obs.Depth != depth {
 		next := *rec
-		next.obs = rec.graph.Observe(rec.kinds, inline, depth)
+		next.obs, next.keys = rec.graph.Observe(rec.kinds, inline, depth), nil
 		rec = &next
 	}
-	plan.observed = make(map[string]string, len(files))
-	for i, fu := range files {
-		plan.observed[fu.Name] = rec.obs.Key(i, sums)
-	}
+	keys, hashed := rec.deriveKeys(sums)
+	next := *rec
+	next.sums, next.keys = sums, keys
+	rec = &next
+	plan.observed = keys
 	ksp.Add("files", int64(len(files)))
+	ksp.Add("keys_recomputed", int64(hashed))
 	ksp.End()
 
 	p.mu.Lock()

@@ -147,6 +147,10 @@ type Project struct {
 	// global is the call graph and inference the last interprocedural run
 	// linked (see global.go), shared with clones like table.
 	global *globalRecord
+	// dedup is the deduplicated, sorted site list the last completed
+	// interprocedural run published (see dedup.go), shared with clones
+	// like table.
+	dedup *dedupRecord
 	// pairs is the pairing record the last completed run published with
 	// table (see pair.go), shared with clones like it.
 	pairs *pairRecord
@@ -306,6 +310,7 @@ func (p *Project) Clone() *Project {
 		syms:     p.syms,
 		table:    p.table,
 		global:   p.global,
+		dedup:    p.dedup,
 		pairs:    p.pairs,
 		verdicts: p.verdicts,
 	}
@@ -463,15 +468,15 @@ func (p *Project) AnalyzeParallel(ctx context.Context, opts Options) (*Result, e
 	// is adopted without running; only genuinely new (file content ×
 	// options × observed inputs) combinations execute.
 	ectx, esp := obs.Start(ctx, "extract")
-	var dirty []*FileUnit
+	var dirty []int
 	p.mu.Lock()
-	for _, fu := range files {
-		if art := fu.art; art != nil && !fu.stale && art.extractFP == fp && art.extractObserved == plan.observed[fu.Name] {
+	for i, fu := range files {
+		if art := fu.art; art != nil && !fu.stale && art.extractFP == fp && art.extractObserved == plan.observedAt(i) {
 			fu.Table, fu.Sites = art.table, art.sites
 			reused.Add(1)
 			continue
 		}
-		dirty = append(dirty, fu)
+		dirty = append(dirty, i)
 	}
 	p.mu.Unlock()
 	par.For(len(dirty), workers, func(i int) {
@@ -479,7 +484,7 @@ func (p *Project) AnalyzeParallel(ctx context.Context, opts Options) (*Result, e
 			return // canceled: leave the unit's artifacts as they were
 		}
 		start := time.Now()
-		p.pipelineFile(ectx, dirty[i], env, &plan, &reused, &recomputed)
+		p.pipelineFile(ectx, files[dirty[i]], plan.observedAt(dirty[i]), env, &plan, &reused, &recomputed)
 		busyNS.Add(int64(time.Since(start)))
 	})
 	res.Timing.Extract = time.Since(phaseStart)
@@ -492,12 +497,6 @@ func (p *Project) AnalyzeParallel(ctx context.Context, opts Options) (*Result, e
 	nSites := 0
 	for _, fu := range files {
 		nSites += len(fu.Sites)
-	}
-	if nSites > 0 {
-		res.Sites = make([]*access.Site, 0, nSites)
-	}
-	for _, fu := range files {
-		res.Sites = append(res.Sites, fu.Sites...)
 		res.ParseErrors = append(res.ParseErrors, fu.Errs...)
 		if fu.art != nil {
 			frontTokens += int64(fu.art.tokens)
@@ -512,24 +511,42 @@ func (p *Project) AnalyzeParallel(ctx context.Context, opts Options) (*Result, e
 	esp.Add("files", int64(len(files)))
 	esp.Add("files_reused", reused.Load())
 	esp.Add("files_recomputed", recomputed.Load())
-	esp.Add("sites", int64(len(res.Sites)))
+	esp.Add("sites", int64(nSites))
 	esp.Add("frontend.tokens", frontTokens)
 	esp.Add("frontend.arena_bytes", frontArena)
 	if wall := time.Since(phaseStart); wall > 0 && workers > 0 {
 		esp.Add("pipeline.occupancy_pct", busyNS.Load()*100/(int64(wall)*int64(workers)))
 	}
 	esp.End()
+	var prevDedup, dedup *dedupRecord
 	if opts.InterprocDepth > 0 {
 		// Cross-file inlining makes the same physical barrier visible from
 		// callers in other files; keep the richest view, as per-file
-		// extraction already does within one file.
+		// extraction already does within one file. The choice and the
+		// canonical order derive from the last run's (see dedup.go).
 		_, dsp := obs.Start(ctx, "dedup")
-		dsp.Add("sites_in", int64(len(res.Sites)))
-		res.Sites = dedupSites(res.Sites)
+		p.mu.Lock()
+		prevDedup = p.dedup
+		p.mu.Unlock()
+		var rechosen int
+		dedup, rechosen = deriveDedup(prevDedup, files)
+		res.Sites = dedup.sites
+		if dedup == prevDedup {
+			res.Sites = slices.Clone(res.Sites) // the caller owns Result.Sites
+		}
+		dsp.Add("sites_in", int64(nSites))
 		dsp.Add("sites_out", int64(len(res.Sites)))
+		dsp.Add("ids_rechosen", int64(rechosen))
 		dsp.End()
+	} else {
+		if nSites > 0 {
+			res.Sites = make([]*access.Site, 0, nSites)
+		}
+		for _, fu := range files {
+			res.Sites = append(res.Sites, fu.Sites...)
+		}
+		sortSites(res.Sites)
 	}
-	sortSites(res.Sites)
 
 	// Phase 2: global pairing (Algorithm 1), on this goroutine (see
 	// pair.go). The run's site table derives from the last run's, so an
@@ -542,6 +559,11 @@ func (p *Project) AnalyzeParallel(ctx context.Context, opts Options) (*Result, e
 	prevTable, prevPairs := p.table, p.pairs
 	p.mu.Unlock()
 	tbl, diff := access.BuildSiteTable(prevTable, res.Sites, opts.GenericStructs)
+	if dedup != prevDedup {
+		// A new record keeps the table's copy of the sorted list, since
+		// the caller owns Result.Sites.
+		dedup.sites = tbl.Sites()
+	}
 	pairer := newPairer(tbl, opts)
 	pairer.derive(prevPairs, prevTable, diff, fp)
 	res.Pairings, res.Unpaired, res.ImplicitIPC = pairer.run(pctx)
@@ -609,32 +631,11 @@ func (p *Project) AnalyzeParallel(ctx context.Context, opts Options) (*Result, e
 	pairer.rec.pairings = slices.Clone(res.Pairings)
 	p.mu.Lock()
 	p.table, p.pairs, p.verdicts = tbl, pairer.rec, rec
+	if dedup != nil {
+		p.dedup = dedup
+	}
 	p.mu.Unlock()
 	return res, nil
-}
-
-// dedupSites collapses sites with the same canonical barrier identity,
-// keeping the richest view (first seen wins ties), preserving input order.
-func dedupSites(sites []*access.Site) []*access.Site {
-	best := map[string]*access.Site{}
-	var order []string
-	for _, s := range sites {
-		id := s.ID()
-		cur, ok := best[id]
-		if !ok {
-			best[id] = s
-			order = append(order, id)
-			continue
-		}
-		if s.Richness() > cur.Richness() {
-			best[id] = s
-		}
-	}
-	out := make([]*access.Site, 0, len(order))
-	for _, id := range order {
-		out = append(out, best[id])
-	}
-	return out
 }
 
 // sortSites sorts sites into the canonical order (access.SortSites).

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"regexp"
 	"slices"
 	"strings"
 	"sync"
@@ -157,11 +158,24 @@ func newPairingEditor(srcs []ofence.SourceFile) *pairingEditor {
 	return e
 }
 
+// voidFunc matches the head of a definition of a function that takes no
+// arguments, capturing its name.
+var voidFunc = regexp.MustCompile(`(?m)^void ([a-z_0-9]+)\(void\)\n\{\n`)
+
 // edit applies edit kind (0 literal, 1 structural, 2 and 3 object-adding,
-// 4 object-removing) to file name and returns the kind's label.
+// 4 object-removing, 5 a new call of another file's function, which
+// changes the call graph) to file name and returns the kind's label.
 func (e *pairingEditor) edit(t *testing.T, rng *rand.Rand, step, kind int, name string, res *ofence.Result) string {
 	t.Helper()
 	switch kind {
+	case 5:
+		at := voidFunc.FindStringIndex(e.cur[name])
+		for _, other := range e.names {
+			if m := voidFunc.FindStringSubmatch(e.cur[other]); other != name && m != nil && at != nil {
+				e.cur[name] = e.cur[name][:at[1]] + "\t" + m[1] + "();\n" + e.cur[name][at[1]:]
+				return "new call"
+			}
+		}
 	case 1:
 		e.cur[name] = structuralEdit(t, step, e.cur[name])
 		return "structural"
@@ -365,11 +379,13 @@ var (
 )
 
 // FuzzIncrementalPairing runs a random edit sequence over a small tree plus
-// the pairing fixtures: each input byte picks a file and an edit kind, and
-// every fourth byte also flips MinSharedObjects or the generic filter. After
-// every edit the warm pairing must equal a cold PairSites.
+// the pairing fixtures: each input byte picks a file and an edit kind (a
+// new call among them, which misses the depth-1 cutoff), and every fourth
+// byte also flips MinSharedObjects, the generic filter or InterprocDepth
+// between 0 and 1. After every edit the warm pairing must equal a cold
+// PairSites, and the warm -json output a cold analysis's.
 func FuzzIncrementalPairing(f *testing.F) {
-	for _, seed := range []string{"\x00\x05\x0a", "\x01\x02\x03\x04", "\x13\x27\x3b\x4f\x63", "\xff\x00\xff\x00"} {
+	for _, seed := range []string{"\x00\x05\x0a", "\x01\x02\x03\x04", "\x13\x27\x3b\x4f\x63", "\xff\x00\xff\x00", "\x05\x0b\x11\x02\x17\x1d"} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
@@ -391,19 +407,28 @@ func FuzzIncrementalPairing(f *testing.F) {
 		rng := rand.New(rand.NewSource(int64(len(ops))))
 		for step, b := range ops {
 			if step%4 == 3 {
-				if b&1 == 0 {
+				switch b % 3 {
+				case 0:
 					opts.MinSharedObjects = 3 - opts.MinSharedObjects
-				} else if len(opts.GenericStructs) > 0 {
-					opts.GenericStructs = nil
-				} else {
-					opts.GenericStructs = ofence.DefaultOptions().GenericStructs
+				case 1:
+					if len(opts.GenericStructs) > 0 {
+						opts.GenericStructs = nil
+					} else {
+						opts.GenericStructs = ofence.DefaultOptions().GenericStructs
+					}
+				default:
+					opts.InterprocDepth = 1 - opts.InterprocDepth
 				}
 			}
-			name := ed.names[int(b/5)%len(ed.names)]
-			kind := ed.edit(t, rng, step, int(b%5), name, res)
+			name := ed.names[int(b/6)%len(ed.names)]
+			kind := ed.edit(t, rng, step, int(b%6), name, res)
 			p.ReplaceSource(name, ed.cur[name])
 			res = mustAnalyze(t, p, opts)
-			checkColdPairing(t, fmt.Sprintf("op %d (%s edit of %s)", step, kind, name), res, opts)
+			label := fmt.Sprintf("op %d (%s edit of %s, depth %d)", step, kind, name, opts.InterprocDepth)
+			checkColdPairing(t, label, res, opts)
+			if viewJSON(t, res) != viewJSON(t, coldTree(t, fuzzPairingTree, ed.sources(), opts)) {
+				t.Fatalf("%s: warm output differs from a cold analysis", label)
+			}
 		}
 	})
 }
