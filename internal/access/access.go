@@ -511,10 +511,12 @@ func (e *Extractor) ExtractFile(f *cast.File) []*Site {
 	return e.ExtractFileCtx(context.Background(), f)
 }
 
-// ExtractFileCtx is ExtractFile under an observability context: when ctx
-// carries an obs.Tracer, the run is recorded as an "extract.file" span with
-// a "cfg" child covering the control-flow linearization of every function,
-// counting the stream units built and the barrier sites found.
+// ExtractFileCtx is ExtractFile under a context: when ctx carries an
+// obs.Tracer, the run is recorded as an "extract.file" span with a "cfg"
+// child covering the control-flow linearization of every function,
+// counting the stream units built and the barrier sites found. ctx is
+// polled before each function; once it is done the extraction stops and
+// returns nil.
 func (e *Extractor) ExtractFileCtx(ctx context.Context, f *cast.File) []*Site {
 	ctx, sp := obs.Start(ctx, "extract.file")
 	defer sp.End()
@@ -527,6 +529,10 @@ func (e *Extractor) ExtractFileCtx(ctx context.Context, f *cast.File) []*Site {
 	streams := make([][]*cfg.Unit, len(fns))
 	totalUnits := 0
 	for i, fn := range fns {
+		if ctx.Err() != nil {
+			csp.End()
+			return nil
+		}
 		if fn.Body == nil {
 			continue
 		}
@@ -539,6 +545,9 @@ func (e *Extractor) ExtractFileCtx(ctx context.Context, f *cast.File) []*Site {
 
 	var all []*Site
 	for i, fn := range fns {
+		if ctx.Err() != nil {
+			return nil
+		}
 		if fn.Body == nil {
 			continue
 		}

@@ -17,6 +17,7 @@
 package callgraph
 
 import (
+	"context"
 	"runtime"
 
 	"ofence/internal/par"
@@ -47,6 +48,14 @@ func BuildParallel(files []File, workers int) *Graph {
 // Link joins file summaries, in the order given, into the graph. It reads
 // nothing but the summaries, so equal summaries link to equal graphs.
 func Link(sums []*Summary, workers int) *Graph {
+	g, _ := LinkCtx(context.Background(), sums, workers)
+	return g
+}
+
+// LinkCtx is Link polling ctx before each file's and each node's
+// resolution: once ctx is done it stops and returns ctx's error and no
+// graph.
+func LinkCtx(ctx context.Context, sums []*Summary, workers int) (*Graph, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -73,6 +82,9 @@ func Link(sums []*Summary, workers int) *Graph {
 	// into the shared tables.
 	recs := make([][]ptrRec, len(sums))
 	par.For(len(sums), workers, func(i int) {
+		if ctx.Err() != nil {
+			return
+		}
 		s := sums[i]
 		for _, st := range s.Stores {
 			if n := g.Resolve(s.File, st.Ident); n != nil {
@@ -91,7 +103,13 @@ func Link(sums []*Summary, workers int) *Graph {
 
 	// Pass 3: per-node edge resolution in parallel; every table read here is
 	// frozen. The caller-side lists and unresolved counts are node-local.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	par.For(len(g.Nodes), workers, func(i int) {
+		if ctx.Err() != nil {
+			return
+		}
 		n := g.Nodes[i]
 		for site := range n.Func.Calls {
 			edges, resolved := g.edgesFor(n, site)
@@ -104,10 +122,13 @@ func Link(sums []*Summary, workers int) *Graph {
 	})
 	// CalledBy in build order: nodes in build order, each node's call sites
 	// in source order.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	for _, n := range g.Nodes {
 		for _, e := range n.Calls {
 			e.Callee.CalledBy = append(e.Callee.CalledBy, e)
 		}
 	}
-	return g
+	return g, nil
 }

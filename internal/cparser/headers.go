@@ -102,6 +102,20 @@ func (h *HeaderDecls) publish(key declKey, seg *declSegment) {
 	h.variants[key.inc]++
 }
 
+// pendingDecls is a header parse a file recorded under key, published to
+// the memo when the file's parse completes.
+type pendingDecls struct {
+	key declKey
+	seg *declSegment
+}
+
+// record queues seg for publication under key when the file is done, as
+// the preprocessor publishes its recordings: a canceled parse records
+// nothing.
+func (p *Parser) record(key declKey, seg *declSegment) {
+	p.pending = append(p.pending, pendingDecls{key, seg})
+}
+
 // UseHeaders makes ParseFile splice the declarations of incs, the
 // top-level includes of the parser's tokens, from memo, and record those
 // memo lacks. incs and the tokens must come from one cpp.Result of the
@@ -146,7 +160,7 @@ func (p *Parser) header(f *cast.File, inc cpp.Include) bool {
 	toks, arena := p.toks, p.arena
 	decls, errs, added, chain := len(f.Decls), len(p.errs), len(p.added), p.chain
 	p.toks, p.arena, p.pastEnd = toks[:inc.End], new(cast.Arena), false
-	for p.i < inc.End {
+	for p.i < inc.End && !p.done() {
 		p.topDecl(f)
 	}
 	hdrArena := p.arena
@@ -159,14 +173,17 @@ func (p *Parser) header(f *cast.File, inc cpp.Include) bool {
 		}
 		p.added, p.chain = p.added[:added], chain
 		p.i = inc.Start
-		p.hdr.publish(key, &declSegment{open: true})
+		p.record(key, &declSegment{open: true})
 		return false
+	}
+	if p.canceled {
+		return true // nothing is recorded; ParseFile stops
 	}
 	p.hdrBytes += hdrArena.Bytes()
 	// A parse that hit the error bound may have dropped diagnostics a
 	// replay would need.
 	if len(p.errs) < maxErrors {
-		p.hdr.publish(key, &declSegment{
+		p.record(key, &declSegment{
 			decls:    slices.Clone(f.Decls[decls:]),
 			errs:     slices.Clone(p.errs[errs:]),
 			typedefs: slices.Clone(p.added[added:]),

@@ -292,3 +292,45 @@ func FuzzHeaderDeclReplay(f *testing.F) {
 		diffMemo(t, opts, []srcFile{{"r1.c", r1}, {"r2.c", r2}}, 3)
 	})
 }
+
+// doneAfter is a context whose Err reports context.Canceled from its n-th
+// call on.
+type doneAfter struct {
+	context.Context
+	n int
+}
+
+func (c *doneAfter) Err() error {
+	if c.n--; c.n <= 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestParseFileCtxCanceled parses a file with a top-level include under a
+// context that is done once the header is parsed: the parse must return
+// the context's error and record no header parse, so the next file parses
+// the header itself.
+func TestParseFileCtxCanceled(t *testing.T) {
+	env := cpp.NewEnv(cpp.Options{Include: map[string]string{"h.h": "struct h { int a; };\nint g(void);\n"}})
+	memo := cparser.NewHeaderDecls()
+	parse := func(ctx context.Context, name string) (*cparser.Parser, error) {
+		pre := env.PreprocessCtx(context.Background(), name, "#include \"h.h\"\nint f(void) { return 0; }\n")
+		p := cparser.New(pre.Tokens)
+		p.UseHeaders(memo, pre.Includes)
+		_, err := p.ParseFileCtx(ctx, name)
+		return p, err
+	}
+	// One poll before the header, one per header declaration, then the
+	// one before f.
+	if _, err := parse(&doneAfter{context.Background(), 4}, "a.c"); err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	p, err := parse(context.Background(), "b.c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.DeclsReplayed() != 0 {
+		t.Errorf("%d declarations replayed after a canceled parse, want 0", p.DeclsReplayed())
+	}
+}

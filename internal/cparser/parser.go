@@ -52,6 +52,12 @@ type Parser struct {
 	// hdrBytes the slab bytes of the header parses it kept.
 	replayed int
 	hdrBytes int64
+	// pending are the header parses the file recorded, published to hdr
+	// when the file is done; ctx, when set, is polled per top-level
+	// declaration, and canceled records that it was done.
+	pending  []pendingDecls
+	ctx      context.Context
+	canceled bool
 }
 
 // maxErrors bounds the parse errors recorded per file.
@@ -294,7 +300,7 @@ func (p *Parser) ParseFile(name string) *cast.File {
 		f.Decls = make([]cast.Decl, 0, 32)
 	}
 	incs := p.incs
-	for !p.at(ctoken.EOF) {
+	for !p.at(ctoken.EOF) && !p.done() {
 		for len(incs) > 0 && incs[0].Start < p.i {
 			incs = incs[1:]
 		}
@@ -303,7 +309,35 @@ func (p *Parser) ParseFile(name string) *cast.File {
 		}
 		p.topDecl(f)
 	}
+	if !p.canceled {
+		for _, pd := range p.pending {
+			p.hdr.publish(pd.key, pd.seg)
+		}
+	}
+	p.pending = nil
 	return f
+}
+
+// ParseFileCtx is ParseFile polling ctx before each top-level declaration.
+// Once ctx is done the parse stops and returns ctx's error, and the header
+// parses of the file are not recorded.
+func (p *Parser) ParseFileCtx(ctx context.Context, name string) (*cast.File, error) {
+	p.ctx = ctx
+	f := p.ParseFile(name)
+	p.ctx = nil
+	if p.canceled {
+		return nil, ctx.Err()
+	}
+	return f, nil
+}
+
+// done polls the parser's context, if it has one, and reports whether it
+// was done.
+func (p *Parser) done() bool {
+	if p.ctx != nil && !p.canceled && p.ctx.Err() != nil {
+		p.canceled = true
+	}
+	return p.canceled
 }
 
 // topDecl parses one top-level declaration into f.

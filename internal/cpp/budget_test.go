@@ -106,3 +106,27 @@ func FuzzPreprocessBounded(f *testing.F) {
 		}
 	})
 }
+
+// TestCancelInsideFile cancels a file inside its expansion: the doubling
+// file at k = 22 would spend its whole budget. The run must stop at a poll,
+// give the context's error as its one diagnostic and record none of its
+// top-level includes, so a later file with the same include records it.
+func TestCancelInsideFile(t *testing.T) {
+	env := NewEnv(Options{Include: map[string]string{"h.h": "int h;\n"}})
+	src := "#include \"h.h\"\n" + doubling(22, "x")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	r := env.PreprocessCtx(ctx, "a.c", src)
+	if len(r.Tokens) != 0 || len(r.Errors) != 1 || r.Errors[0] != context.Canceled {
+		t.Fatalf("%d tokens, errors %v; want none and context.Canceled", len(r.Tokens), r.Errors)
+	}
+	tracer := obs.New()
+	env.PreprocessCtx(obs.WithTracer(context.Background(), tracer), "b.c", "#include \"h.h\"\n")
+	for _, sp := range tracer.Spans() {
+		for _, c := range sp.Counters() {
+			if c.Name == "includes_recorded" && c.Value != 1 {
+				t.Errorf("includes_recorded = %d after a canceled file, want 1", c.Value)
+			}
+		}
+	}
+}

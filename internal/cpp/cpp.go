@@ -200,6 +200,11 @@ type preprocessor struct {
 	// that it went past it, which stops all further work.
 	work int
 	over bool
+	// ctx is polled every pollWork units of work; canceled records that
+	// it was done, which stops all further work like over.
+	ctx      context.Context
+	nextPoll int
+	canceled bool
 
 	// macroBloom is a first-byte filter over defined macro names: the
 	// streaming path checks it before probing the macro table for every
@@ -303,7 +308,7 @@ var scratchPool = sync.Pool{
 // preprocess runs the preprocessor over one file and reports how many
 // top-level includes it replayed and recorded, and whether the file went
 // over maxFileWork.
-func (e *Env) preprocess(file, src string) (res *Result, replayed, recorded int, over bool) {
+func (e *Env) preprocess(ctx context.Context, file, src string) (res *Result, replayed, recorded int, over bool) {
 	opts := e.opts
 	p := &preprocessor{
 		env:      e,
@@ -311,6 +316,8 @@ func (e *Env) preprocess(file, src string) (res *Result, replayed, recorded int,
 		root:     file,
 		macros:   make(map[string]*Macro, len(e.defines)),
 		includes: map[string]bool{},
+		ctx:      ctx,
+		nextPoll: pollWork,
 	}
 	// The output is fingerprinted as it is emitted, on pooled scratch
 	// buffers.
@@ -339,8 +346,11 @@ func (e *Env) preprocess(file, src string) (res *Result, replayed, recorded int,
 		sc.hbuf = p.hbuf[:0]
 		scratchPool.Put(sc)
 		err := fmt.Errorf("%s: preprocessing exceeds %d tokens; file skipped", ctoken.Position{File: file, Line: 1, Col: 1}, maxFileWork)
+		if p.canceled {
+			err = ctx.Err()
+		}
 		res = &Result{Errors: []error{err}, Macros: p.macros}
-		return res, p.replayed, p.recorded, true
+		return res, p.replayed, p.recorded, !p.canceled
 	}
 	e.publish(p.segs)
 	res = &Result{Tokens: p.tokens(), Errors: p.errs, Macros: p.macros, Includes: p.incs}
@@ -366,12 +376,22 @@ func (p *preprocessor) hideStack() []string {
 	return p.hide[:0]
 }
 
+// pollWork is how many units of work the preprocessor does between two
+// polls of its context.
+const pollWork = 4096
+
 // spend charges n to the file's work and reports whether the file is
-// still within maxFileWork.
+// still within maxFileWork and its context is not done.
 func (p *preprocessor) spend(n int) bool {
 	p.work += n
 	if p.work > maxFileWork {
 		p.over = true
+	}
+	if p.work >= p.nextPoll {
+		p.nextPoll = p.work + pollWork
+		if p.ctx.Err() != nil {
+			p.over, p.canceled = true, true
+		}
 	}
 	return !p.over
 }

@@ -149,12 +149,15 @@ func NewEnv(opts Options) *Env {
 // file. When ctx carries an obs.Tracer, the run is recorded as a
 // "preprocess" span with the emitted token and macro counts, the number
 // of top-level includes replayed from the memo or recorded into it, and a
-// budget_exceeded counter of 1 when the file went over maxFileWork.
+// budget_exceeded counter of 1 when the file went over maxFileWork. ctx
+// is polled every 4,096 units of that work: once it is done the file
+// stops, records nothing into the Env and yields no tokens and ctx's
+// error as its one diagnostic.
 func (e *Env) PreprocessCtx(ctx context.Context, file, src string) *Result {
 	_, sp := obs.Start(ctx, "preprocess")
 	defer sp.End()
 	sp.SetAttr("file", file)
-	res, replayed, recorded, over := e.preprocess(file, src)
+	res, replayed, recorded, over := e.preprocess(ctx, file, src)
 	if over {
 		sp.Add("budget_exceeded", 1)
 	}

@@ -304,13 +304,18 @@ func (c *checker) checkWrongType(pg *Pairing, s *access.Site) *Finding {
 	return nil
 }
 
+// unneededCandidate reports whether site s, left unpaired, is an unneeded
+// barrier (§5.1): it is immediately followed by another barrier or by a
+// function with barrier semantics. Seqcount barriers are part of a fixed
+// protocol and never are.
+func unneededCandidate(s *access.Site) bool {
+	return !s.Seq && s.NextBarrierAfter == 1
+}
+
 // checkUnneeded is §5.1: an unpaired barrier immediately followed by another
 // barrier or by a function with barrier semantics offers nothing.
 func (c *checker) checkUnneeded(s *access.Site, pg *Pairing) *Finding {
-	if s.Seq {
-		return nil // seqcount barriers are part of a fixed protocol
-	}
-	if s.NextBarrierAfter != 1 {
+	if !unneededCandidate(s) {
 		return nil
 	}
 	return &Finding{

@@ -1,9 +1,14 @@
-// Site dedup and canonical order at InterprocDepth ≥ 1.
+// Site dedup and canonical order.
 //
-// Cross-file splicing makes one physical barrier visible from every file
-// that splices its function, so a run keeps one view per site ID: the
-// richest, the first in file order on ties (per-file extraction already
-// keeps one view per ID within a file). The project keeps the last
+// At InterprocDepth 0 a run's sites are every file's, in canonical order.
+// The project keeps the last depth-0 run's order as an immutable
+// orderRecord, and a run merges the sites of the files whose sites changed
+// into it in place of their old ones.
+//
+// At InterprocDepth ≥ 1 cross-file splicing makes one physical barrier
+// visible from every file that splices its function, so a run keeps one
+// view per site ID: the richest, the first in file order on ties
+// (per-file extraction already keeps one view per ID within a file). The project keeps the last
 // completed run's choice as an immutable dedupRecord, like the site table
 // and the pair record, and a run re-chooses only the IDs that the units
 // whose sites changed carried or carry now, then merges the new winners
@@ -16,13 +21,64 @@ import (
 	"ofence/internal/access"
 )
 
+// orderRecord is one depth-0 run's sites. It is never mutated after
+// publication, so a project and its clones share it.
+type orderRecord struct {
+	// names and units are every file's name and extracted sites, by
+	// position.
+	names []string
+	units unitSites
+	// sites are every unit's sites in canonical order (access.CompareSites).
+	sites []*access.Site
+}
+
+// deriveOrder returns the record of files' current sites, derived from
+// prev: the sites of the units whose sites changed leave the sorted list
+// and their new sites merge in. prev is not modified; when nothing changed
+// it is returned as is.
+func deriveOrder(prev *orderRecord, files []*FileUnit) *orderRecord {
+	if prev == nil || !sameNames(prev.names, files) {
+		prev = &orderRecord{names: make([]string, len(files)), units: newUnitSites(len(files))}
+		for i, fu := range files {
+			prev.names[i] = fu.Name
+		}
+	}
+	var next *orderRecord
+	var drop []int
+	var add []*access.Site
+	for i, fu := range files {
+		if sameSites(prev.units.at(i), fu.Sites) {
+			continue
+		}
+		if next == nil {
+			next = &orderRecord{names: prev.names, units: prev.units.clone()}
+		}
+		for _, s := range prev.units.at(i) {
+			j, _ := slices.BinarySearchFunc(prev.sites, s, access.CompareSites)
+			for prev.sites[j] != s {
+				j++
+			}
+			drop = append(drop, j)
+		}
+		add = append(add, fu.Sites...)
+		next.units.set(prev.units, i, fu.Sites)
+	}
+	if next == nil {
+		return prev
+	}
+	slices.Sort(drop)
+	access.SortSites(add)
+	next.sites = mergeSites(prev.sites, drop, add)
+	return next
+}
+
 // dedupRecord is one run's deduplicated sites. It is never mutated after
 // publication, so a project and its clones share it.
 type dedupRecord struct {
 	// names and units are every file's name and extracted sites, by
 	// position.
 	names []string
-	units [][]*access.Site
+	units unitSites
 	// carriers maps each site ID to the positions, ascending, of the
 	// units whose sites carry it.
 	carriers map[string][]int32
@@ -35,21 +91,21 @@ type dedupRecord struct {
 // modified; when nothing changed it is returned as is.
 func deriveDedup(prev *dedupRecord, files []*FileUnit) (*dedupRecord, int) {
 	if prev == nil || !sameNames(prev.names, files) {
-		prev = &dedupRecord{names: make([]string, len(files)), units: make([][]*access.Site, len(files))}
+		prev = &dedupRecord{names: make([]string, len(files)), units: newUnitSites(len(files))}
 		for i, fu := range files {
 			prev.names[i] = fu.Name
 		}
 	}
 	var changed []int32
 	for i, fu := range files {
-		if !sameSites(prev.units[i], fu.Sites) {
+		if !sameSites(prev.units.at(i), fu.Sites) {
 			changed = append(changed, int32(i))
 		}
 	}
 	if len(changed) == 0 {
 		return prev, 0
 	}
-	next := &dedupRecord{names: prev.names, units: slices.Clone(prev.units), carriers: prev.carriers}
+	next := &dedupRecord{names: prev.names, units: prev.units.clone(), carriers: prev.carriers}
 
 	// The IDs to choose again, in first-seen order, and per ID the
 	// changed units that carry it now, ascending.
@@ -68,8 +124,8 @@ func deriveDedup(prev *dedupRecord, files []*FileUnit) (*dedupRecord, int) {
 	}
 	moved := false // whether some changed unit's IDs changed
 	for _, i := range changed {
-		old, cur := prev.units[i], files[i].Sites
-		next.units[i] = cur
+		old, cur := prev.units.at(int(i)), files[i].Sites
+		next.units.set(prev.units, int(i), cur)
 		moved = moved || !sameIDs(old, cur)
 		for _, s := range old {
 			touch(s.ID())
@@ -130,7 +186,7 @@ func deriveDedup(prev *dedupRecord, files []*FileUnit) (*dedupRecord, int) {
 func (r *dedupRecord) choose(id string) *access.Site {
 	var best *access.Site
 	for _, u := range r.carriers[id] {
-		for _, s := range r.units[u] {
+		for _, s := range r.units.at(int(u)) {
 			if s.ID() == id {
 				if best == nil || s.Richness() > best.Richness() {
 					best = s
@@ -140,6 +196,46 @@ func (r *dedupRecord) choose(id string) *access.Site {
 		}
 	}
 	return best
+}
+
+// unitSites are every file's extracted sites, by position, in pages of
+// unitPage files, so that a record derived from another copies only the
+// pages of the files whose sites changed.
+type unitSites struct {
+	pages []*[unitPage][]*access.Site
+}
+
+// unitPage is the number of files a unitSites page holds.
+const unitPage = 64
+
+// newUnitSites returns the unitSites of n files with no sites.
+func newUnitSites(n int) unitSites {
+	u := unitSites{pages: make([]*[unitPage][]*access.Site, (n+unitPage-1)/unitPage)}
+	for p := range u.pages {
+		u.pages[p] = new([unitPage][]*access.Site)
+	}
+	return u
+}
+
+// at returns the sites of file i.
+func (u unitSites) at(i int) []*access.Site {
+	return u.pages[i/unitPage][i%unitPage]
+}
+
+// clone returns a unitSites sharing every page with u.
+func (u unitSites) clone() unitSites {
+	return unitSites{pages: slices.Clone(u.pages)}
+}
+
+// set makes sites file i's, first copying the page that holds it while u
+// shares that page with prev, the record u was cloned from.
+func (u unitSites) set(prev unitSites, i int, sites []*access.Site) {
+	p := i / unitPage
+	if u.pages[p] == prev.pages[p] {
+		cp := *u.pages[p]
+		u.pages[p] = &cp
+	}
+	u.pages[p][i%unitPage] = sites
 }
 
 // mergeSites returns sorted with the sites at indices drop (ascending)

@@ -6,6 +6,7 @@ import (
 	"maps"
 	"regexp"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -83,9 +84,187 @@ func checkDerived(t *testing.T, p *Project, what string) {
 		t.Errorf("%s: derived carriers differ from the reference", what)
 	}
 	for i, fu := range files {
-		if !sameSites(d.units[i], fu.Sites) || d.names[i] != fu.Name {
+		if !sameSites(d.units.at(i), fu.Sites) || d.names[i] != fu.Name {
 			t.Errorf("%s: the dedup record's unit %d is not %s's sites", what, i, fu.Name)
 		}
+	}
+}
+
+// findingsReference is the from-scratch order that the verdict record's
+// derived one replaces: every finding in check order — each pairing's,
+// then the unneeded barriers' — stably sorted by file, line and kind.
+func findingsReference(rec *verdictRecord) []*Finding {
+	var out []*Finding
+	for _, it := range rec.items {
+		out = append(out, it.findings...)
+	}
+	out = append(out, rec.unneeded...)
+	sort.SliceStable(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.Site.File != b.Site.File {
+			return a.Site.File < b.Site.File
+		}
+		if a.Site.Pos.Line != b.Site.Pos.Line {
+			return a.Site.Pos.Line < b.Site.Pos.Line
+		}
+		return a.Kind < b.Kind
+	})
+	return out
+}
+
+// checkDerivedOrder fails unless the last run of p left a verdict record
+// whose finding order equals findingsReference and, at depth 0, an order
+// record whose sites are every file's, stably sorted into canonical
+// order.
+func checkDerivedOrder(t *testing.T, p *Project, opts Options, what string) {
+	t.Helper()
+	p.mu.Lock()
+	files := slices.Clone(p.files)
+	rec, order := p.verdicts, p.order
+	p.mu.Unlock()
+	if len(rec.sorted) == 0 {
+		t.Fatalf("%s: no findings; the test lost its subject", what)
+	}
+	if want := findingsReference(rec); !slices.Equal(rec.sorted, want) {
+		t.Errorf("%s: derived finding order differs from a full stable sort (%d findings, want %d)", what, len(rec.sorted), len(want))
+	}
+	if opts.InterprocDepth > 0 {
+		return
+	}
+	var want []*access.Site
+	for i, fu := range files {
+		want = append(want, fu.Sites...)
+		if !sameSites(order.units.at(i), fu.Sites) || order.names[i] != fu.Name {
+			t.Errorf("%s: the order record's unit %d is not %s's sites", what, i, fu.Name)
+		}
+	}
+	sortSites(want)
+	if !slices.Equal(order.sites, want) {
+		t.Errorf("%s: derived depth-0 site order differs from a full stable sort", what)
+	}
+}
+
+// TestDerivedOrder drives a generated tree from depths 0 and 1 through a
+// literal edit, a whitespace edit, a restore, a new cross-file call and a
+// Define. After every run the derived finding order must equal a full
+// stable sort and, at depth 0, the derived site order too; every warm run
+// must equal a cold one, and the literal edit must visit fewer findings
+// than it ranks.
+func TestDerivedOrder(t *testing.T) {
+	tr := sitegen.GenerateTree(sitegen.DefaultTreeSpec(24, 7))
+	for _, depth := range []int{0, 1} {
+		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.InterprocDepth = depth
+			opts.Workers = 2
+			p := NewProject()
+			loadGenTree(p, tr)
+			res := mustAnalyze(t, p, opts)
+			checkDerivedOrder(t, p, opts, "cold")
+			f, g := tr.Files[3], tr.Files[4]
+			m := voidFunc.FindStringIndex(f.Src)
+			callee := voidFunc.FindStringSubmatch(g.Src)
+			if m == nil || callee == nil || !storedLiteral.MatchString(f.Src) {
+				t.Fatal("the tree lost the shapes the edits need")
+			}
+			literal := strings.Replace(f.Src, storedLiteral.FindString(f.Src), "= 977;", 1)
+			// A store next to a barrier to an object of another file's
+			// pairing moves that object's census row and re-scores some
+			// of the pairing's findings, which merge back among the rest.
+			var obj access.Object
+			for _, pg := range res.Pairings {
+				if !slices.ContainsFunc(pg.Sites, func(s *access.Site) bool { return s.File == f.Name }) {
+					obj = pg.Common[0]
+					break
+				}
+			}
+			object := f.Src + fmt.Sprintf("\nvoid order_probe(struct %s *p)\n{\n\tp->%s = 5;\n\tsmp_mb();\n}\n", obj.Struct, obj.Field)
+			steps := []struct {
+				what string
+				do   func()
+			}{
+				{"literal", func() { p.ReplaceSource(f.Name, literal) }},
+				{"whitespace", func() { p.ReplaceSource(f.Name, literal+"\n\n") }},
+				{"restore", func() { p.ReplaceSource(f.Name, f.Src) }},
+				{"object", func() { p.ReplaceSource(f.Name, object) }},
+				{"new call", func() { p.ReplaceSource(f.Name, f.Src[:m[1]]+"\t"+callee[1]+"();\n"+f.Src[m[1]:]) }},
+				{"define", func() { p.Define(tr.Configs[1], "1") }},
+			}
+			for _, st := range steps {
+				st.do()
+				tracer := obs.New()
+				res, err := p.AnalyzeParallel(obs.WithTracer(context.Background(), tracer), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := resultJSON(t, res), coldProjectJSON(t, p, opts); got != want {
+					t.Errorf("%s: warm output differs from a cold run", st.what)
+				}
+				checkDerivedOrder(t, p, opts, st.what)
+				sp := onlySpan(t, tracer, "rank")
+				if visited, ranked := spanCount(sp, "findings_visited"), spanCount(sp, "ranked"); st.what == "literal" && visited >= ranked {
+					t.Errorf("literal edit visited %d findings of %d", visited, ranked)
+				}
+				if st.what == "object" && spanCount(sp, "findings_visited") == spanCount(sp, "findings_rescored") {
+					t.Errorf("object edit re-scored every finding it visited; the test lost its subject")
+				}
+			}
+		})
+	}
+}
+
+// TestDerivedOrderTies keys findings of two pairings alike: a header's
+// writer and a writer of the including file on the same line number have
+// the same file, line and kind, so check order — the canonical order of
+// the writers — decides. An edit of one pairing's reader re-checks that
+// pairing alone, and its findings must merge back where a full sort puts
+// them.
+func TestDerivedOrderTies(t *testing.T) {
+	reader := `struct s { int a; int b; };
+struct t { int x; int y; };
+int r%[1]d(struct %[2]s *p)
+{
+	if (!p->%[3]s)
+		return 0;
+	smp_rmb();
+	return p->%[4]s + %[5]d;
+}
+`
+	p := NewProject()
+	p.AddHeader("pub.h", "struct s { int a; int b; };\nstatic inline void pub(struct s *p) { p->a = 1; smp_wmb(); p->b = 1; }\n")
+	p.AddSources([]SourceFile{
+		{Name: "a.c", Src: "#include \"pub.h\"\nstruct t { int x; int y; }; void w2(struct t *q) { q->x = 1; smp_wmb(); q->y = 1; }\n"},
+		{Name: "b.c", Src: fmt.Sprintf(reader, 1, "s", "b", "a", 0)},
+		{Name: "c.c", Src: fmt.Sprintf(reader, 2, "t", "y", "x", 0)},
+	})
+	opts := DefaultOptions()
+	res := mustAnalyze(t, p, opts)
+	if len(res.Pairings) != 2 || res.Pairings[0].Writer().Pos.Line != res.Pairings[1].Writer().Pos.Line {
+		t.Fatalf("want two pairings whose writers share a line, got %d", len(res.Pairings))
+	}
+	tied := 0
+	for _, f := range res.Findings {
+		if f.Site.File == "a.c" && f.Kind == MissingOnce {
+			tied++
+		}
+	}
+	if tied < 4 {
+		t.Fatalf("%d missing-ONCE findings in a.c, want both writers'", tied)
+	}
+	checkDerivedOrder(t, p, opts, "cold")
+	for i, lit := range []int{7, 8, 0} {
+		p.ReplaceSource("c.c", fmt.Sprintf(reader, 2, "t", "y", "x", lit))
+		what := fmt.Sprintf("edit %d of c.c", i)
+		if got, want := resultJSON(t, mustAnalyze(t, p, opts)), coldProjectJSON(t, p, opts); got != want {
+			t.Errorf("%s: warm output differs from a cold run", what)
+		}
+		checkDerivedOrder(t, p, opts, what)
+		p.ReplaceSource("b.c", fmt.Sprintf(reader, 1, "s", "b", "a", lit))
+		what = fmt.Sprintf("edit %d of b.c", i)
+		if got, want := resultJSON(t, mustAnalyze(t, p, opts)), coldProjectJSON(t, p, opts); got != want {
+			t.Errorf("%s: warm output differs from a cold run", what)
+		}
+		checkDerivedOrder(t, p, opts, what)
 	}
 }
 
@@ -232,15 +411,23 @@ func onlySpan(t *testing.T, tr *obs.Tracer, name string) *obs.Span {
 	return found[0]
 }
 
-// TestCloneDerivesConcurrently gives a depth-1 project and its clone
-// different edits — a literal edit on one, a new cross-file call on the
-// other — and analyzes both at once, twice over. Both derive from the
-// records they share; each must equal a cold analysis of its own sources
-// and hold records equal to the from-scratch reference.
+// TestCloneDerivesConcurrently gives a project and its clone different
+// edits — a literal edit on one, a new cross-file call on the other — and
+// analyzes both at once, twice over, at depths 0 and 1. Both derive from
+// the records they share; each must equal a cold analysis of its own
+// sources and hold records equal to the from-scratch references. The CI
+// race job runs it; run it under -race -count=10 after a change to a
+// record.
 func TestCloneDerivesConcurrently(t *testing.T) {
+	for _, depth := range []int{0, 1} {
+		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) { cloneDerivesConcurrently(t, depth) })
+	}
+}
+
+func cloneDerivesConcurrently(t *testing.T, depth int) {
 	tr := sitegen.GenerateTree(sitegen.DefaultTreeSpec(16, 5))
 	opts := DefaultOptions()
-	opts.InterprocDepth = 1
+	opts.InterprocDepth = depth
 	opts.Workers = 2
 	p := NewProject()
 	loadGenTree(p, tr)
@@ -278,7 +465,10 @@ func TestCloneDerivesConcurrently(t *testing.T) {
 			if resultJSON(t, results[i]) != coldProjectJSON(t, pr, opts) {
 				t.Errorf("%s: output differs from a cold run", what)
 			}
-			checkDerived(t, pr, what)
+			checkDerivedOrder(t, pr, opts, what)
+			if depth > 0 {
+				checkDerived(t, pr, what)
+			}
 		}
 	}
 }

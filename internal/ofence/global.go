@@ -114,8 +114,10 @@ func (r *globalRecord) deriveKeys(sums []*callgraph.Summary) ([]string, int) {
 // infers — or reuses the project's record when no summary changed — and
 // fills the interprocedural half of plan: the inferred kinds, the
 // cross-file resolver and every file's observed-input key. It runs under
-// the "callgraph", "semprop" and "extract_keys" spans.
-func (p *Project) globalPhases(ctx context.Context, files []*FileUnit, opts Options, workers int, res *Result, plan *extractPlan) {
+// the "callgraph", "semprop" and "extract_keys" spans. Linking and
+// inference poll ctx; a canceled run returns ctx's error and publishes
+// nothing.
+func (p *Project) globalPhases(ctx context.Context, files []*FileUnit, opts Options, workers int, res *Result, plan *extractPlan) error {
 	_, gsp := obs.Start(ctx, "callgraph")
 	summarized := p.summarize(files, workers)
 	arts := make([]*artifacts, len(files))
@@ -138,7 +140,11 @@ func (p *Project) globalPhases(ctx context.Context, files []*FileUnit, opts Opti
 		for i, fu := range files {
 			rec.names[i] = fu.Name
 		}
-		rec.graph = callgraph.Link(sums, workers)
+		var err error
+		if rec.graph, err = callgraph.LinkCtx(ctx, sums, workers); err != nil {
+			gsp.End()
+			return err
+		}
 		rec.stats = rec.graph.Stats()
 	}
 	gsp.Add("functions", int64(rec.stats.Functions))
@@ -150,7 +156,11 @@ func (p *Project) globalPhases(ctx context.Context, files []*FileUnit, opts Opti
 
 	_, ssp := obs.Start(ctx, "semprop")
 	if cutoff == 0 {
-		inf := semprop.Infer(rec.graph, semprop.Options{ExtraFull: extra, Workers: workers})
+		inf, err := semprop.InferCtx(ctx, rec.graph, semprop.Options{ExtraFull: extra, Workers: workers})
+		if err != nil {
+			ssp.End()
+			return err
+		}
 		rec.kinds = inf.NameKinds()
 		rec.inferred = inf.Functions()
 		rec.inferredOnly = semprop.InferredOnly(rec.inferred)
@@ -188,6 +198,7 @@ func (p *Project) globalPhases(ctx context.Context, files []*FileUnit, opts Opti
 	res.CallGraph, res.Inferred = rec.stats, rec.inferred
 	plan.inferred, plan.inferredOnly = rec.kinds, rec.inferredOnly
 	plan.defs = &runDefs{p: p, graph: rec.graph, arts: arts}
+	return nil
 }
 
 // summarize takes the call-graph summary of every unit whose record lacks

@@ -159,25 +159,43 @@ func sortedKeys(m map[string]string) []string {
 // one "parse" span wrapping "preprocess", the span topology of
 // cparser.ParseSourceCtx; a cache hit records no spans. Both stages go
 // through the stage caches, and the parser splices the declarations of the
-// file's top-level includes from env's header-declaration memo.
-func (p *Project) frontendWith(ctx context.Context, name, src string, env projectEnv) *artifacts {
+// file's top-level includes from env's header-declaration memo. When ctx
+// is done inside a stage, the stage stops and caches and records nothing,
+// and frontendWith returns ctx's error.
+func (p *Project) frontendWith(ctx context.Context, name, src string, env projectEnv) (*artifacts, error) {
 	var wrapSpan *obs.Span
 	preprocess := func() (any, error) {
 		var wrapCtx context.Context
 		wrapCtx, wrapSpan = obs.Start(ctx, "parse")
 		wrapSpan.SetAttr("file", name)
 		pre := env.env.PreprocessCtx(wrapCtx, name, src)
+		if err := ctx.Err(); err != nil {
+			wrapSpan.End()
+			return nil, err
+		}
 		return &preArtifact{pre: pre, hash: pre.Fingerprint(name)}, nil
 	}
-	v, _, _ := p.stages.Stage(stagePreprocess).Do(rescache.KeyOf("preprocess-v1", env.hash, name, src), preprocess)
+	v, _, err := doStage(ctx, p.stages.Stage(stagePreprocess), rescache.KeyOf("preprocess-v1", env.hash, name, src), preprocess)
+	if err != nil {
+		return nil, err
+	}
 	pa := v.(*preArtifact)
-	pv, _, _ := p.stages.Stage(stageParse).Do(rescache.KeyOf("parse-v1", name, pa.hash), func() (any, error) {
+	pv, _, err := doStage(ctx, p.stages.Stage(stageParse), rescache.KeyOf("parse-v1", name, pa.hash), func() (any, error) {
 		psr := cparser.New(pa.pre.Tokens)
 		psr.UseHeaders(env.decls, pa.pre.Includes)
-		ast := psr.ParseFile(name)
+		ast, err := psr.ParseFileCtx(ctx, name)
+		if err != nil {
+			return nil, err
+		}
 		errs := append(append([]error{}, pa.pre.Errors...), psr.Errors()...)
 		return &parseArtifact{ast: ast, errs: errs, arenaBytes: psr.ArenaBytes(), replayed: psr.DeclsReplayed()}, nil
 	})
+	if err != nil {
+		if wrapSpan != nil {
+			wrapSpan.End()
+		}
+		return nil, err
+	}
 	ba := pv.(*parseArtifact)
 	if wrapSpan != nil {
 		wrapSpan.Add("tokens", int64(len(pa.pre.Tokens)))
@@ -190,6 +208,18 @@ func (p *Project) frontendWith(ctx context.Context, name, src string, env projec
 	return &artifacts{
 		preHash: pa.hash, ast: ba.ast, errs: ba.errs,
 		tokens: len(pa.pre.Tokens), arenaBytes: ba.arenaBytes,
+	}, nil
+}
+
+// doStage is cache.Do for a stage that fails only when its context is
+// done. A caller that joined another caller's computation whose context
+// was done computes again while its own ctx is live.
+func doStage(ctx context.Context, cache *rescache.Cache, k rescache.Key, fn func() (any, error)) (v any, hit bool, err error) {
+	for {
+		v, hit, err = cache.Do(k, fn)
+		if err == nil || ctx.Err() != nil {
+			return v, hit, err
+		}
 	}
 }
 
@@ -224,8 +254,11 @@ func (p *Project) refreshStale(ctx context.Context, files []*FileUnit, env proje
 // the fresh record; a unit with unchanged content (a replaced unit carries
 // its predecessor's record) keeps every cached artifact (table, sites,
 // extract key).
-func (p *Project) refreshUnit(ctx context.Context, fu *FileUnit, env projectEnv) *artifacts {
-	fresh := p.frontendWith(ctx, fu.Name, fu.src, env)
+func (p *Project) refreshUnit(ctx context.Context, fu *FileUnit, env projectEnv) (*artifacts, error) {
+	fresh, err := p.frontendWith(ctx, fu.Name, fu.src, env)
+	if err != nil {
+		return nil, err // canceled: the unit stays stale
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if fu.art == nil || fu.art.preHash != fresh.preHash {
@@ -234,7 +267,7 @@ func (p *Project) refreshUnit(ctx context.Context, fu *FileUnit, env projectEnv)
 	}
 	fu.AST, fu.Errs = fu.art.ast, fu.art.errs
 	fu.stale = false
-	return fu.art
+	return fu.art, nil
 }
 
 // extractPlan is what every unit's extraction shares within one
@@ -275,7 +308,10 @@ func (p *Project) pipelineFile(ectx context.Context, fu *FileUnit, observed stri
 	art, stale := fu.art, fu.stale
 	p.mu.Unlock()
 	if art == nil || stale {
-		art = p.refreshUnit(ectx, fu, env)
+		var err error
+		if art, err = p.refreshUnit(ectx, fu, env); err != nil {
+			return
+		}
 	}
 
 	if art.extractFP == plan.fp && art.extractObserved == observed {
@@ -286,7 +322,7 @@ func (p *Project) pipelineFile(ectx context.Context, fu *FileUnit, observed stri
 		return
 	}
 	want := extractKeyFor(plan.fp, fu.Name, art.preHash, observed)
-	v, hit, _ := plan.cache.Do(want, func() (any, error) {
+	v, hit, err := doStage(ectx, plan.cache, want, func() (any, error) {
 		recomputed.Add(1)
 		table := p.tableFor(fu.Name, art)
 		aopts := opts.Access
@@ -298,8 +334,14 @@ func (p *Project) pipelineFile(ectx context.Context, fu *FileUnit, observed stri
 		aopts.InterprocDepth = opts.InterprocDepth
 		ex := access.NewExtractor(fu.Name, table, aopts)
 		sites := ex.ExtractFileCtx(ectx, art.ast)
+		if err := ectx.Err(); err != nil {
+			return nil, err
+		}
 		return &extractArtifact{table: table, sites: sites}, nil
 	})
+	if err != nil {
+		return // canceled: the unit keeps its record
+	}
 	if hit {
 		reused.Add(1)
 	}

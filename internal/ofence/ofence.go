@@ -149,8 +149,9 @@ type Project struct {
 	global *globalRecord
 	// dedup is the deduplicated, sorted site list the last completed
 	// interprocedural run published (see dedup.go), shared with clones
-	// like table.
+	// like table; order is the sorted site list of the last depth-0 run.
 	dedup *dedupRecord
+	order *orderRecord
 	// pairs is the pairing record the last completed run published with
 	// table (see pair.go), shared with clones like it.
 	pairs *pairRecord
@@ -311,6 +312,7 @@ func (p *Project) Clone() *Project {
 		table:    p.table,
 		global:   p.global,
 		dedup:    p.dedup,
+		order:    p.order,
 		pairs:    p.pairs,
 		verdicts: p.verdicts,
 	}
@@ -381,7 +383,12 @@ type Result struct {
 	// ImplicitIPC are write barriers left unpaired because a wake-up call
 	// closer than any shared object acts as the implicit read barrier.
 	ImplicitIPC []*access.Site
-	Findings    []*Finding
+	// Findings are the ranked findings in output order. Without a
+	// MinConfidence gate the slice is the project's verdict record's (see
+	// verdicts.go), which the next run reads to derive its own and may
+	// share with later Results: it is read-only, and callers must not
+	// modify it.
+	Findings []*Finding
 	// ParseErrors aggregates per-file diagnostics.
 	ParseErrors []error
 	// Inferred lists the functions the interprocedural fixpoint classified
@@ -402,9 +409,10 @@ type Result struct {
 // AnalyzeParallel runs the front end of every recorded or replaced file,
 // then extraction, pairing, checking and ranking over the whole project.
 // Per-file work and per-pairing checking fan out across a bounded worker
-// pool, and the analysis aborts between work items as soon as ctx is
-// canceled or times out, returning ctx's error; files it did not reach stay
-// pending for the next run. It is the one analysis entry point: the CLIs,
+// pool, and the analysis aborts as soon as ctx is canceled or times out,
+// returning ctx's error: between work items, and inside a file's
+// preprocessing, parsing and extraction and the interprocedural link and
+// inference. Files it did not finish stay pending for the next run. It is the one analysis entry point: the CLIs,
 // the serving subsystem (internal/service) and the evaluation route through
 // it.
 func (p *Project) AnalyzeParallel(ctx context.Context, opts Options) (*Result, error) {
@@ -454,7 +462,9 @@ func (p *Project) AnalyzeParallel(ctx context.Context, opts Options) (*Result, e
 		// on what each file observes of them (see global.go), so a one-file
 		// edit re-extracts the edited file and the files that splice what it
 		// changed.
-		p.globalPhases(ctx, files, opts, workers, res, &plan)
+		if err := p.globalPhases(ctx, files, opts, workers, res, &plan); err != nil {
+			return nil, err
+		}
 	}
 
 	// Phase 1: per-file extraction. A clean unit — not stale, its record
@@ -519,6 +529,7 @@ func (p *Project) AnalyzeParallel(ctx context.Context, opts Options) (*Result, e
 	}
 	esp.End()
 	var prevDedup, dedup *dedupRecord
+	var prevOrder, order *orderRecord
 	if opts.InterprocDepth > 0 {
 		// Cross-file inlining makes the same physical barrier visible from
 		// callers in other files; keep the richest view, as per-file
@@ -539,13 +550,16 @@ func (p *Project) AnalyzeParallel(ctx context.Context, opts Options) (*Result, e
 		dsp.Add("ids_rechosen", int64(rechosen))
 		dsp.End()
 	} else {
-		if nSites > 0 {
-			res.Sites = make([]*access.Site, 0, nSites)
+		// Every site, in canonical order, derived from the last depth-0
+		// run's order (see dedup.go).
+		p.mu.Lock()
+		prevOrder = p.order
+		p.mu.Unlock()
+		order = deriveOrder(prevOrder, files)
+		res.Sites = order.sites
+		if order == prevOrder {
+			res.Sites = slices.Clone(res.Sites) // the caller owns Result.Sites
 		}
-		for _, fu := range files {
-			res.Sites = append(res.Sites, fu.Sites...)
-		}
-		sortSites(res.Sites)
 	}
 
 	// Phase 2: global pairing (Algorithm 1), on this goroutine (see
@@ -559,10 +573,13 @@ func (p *Project) AnalyzeParallel(ctx context.Context, opts Options) (*Result, e
 	prevTable, prevPairs := p.table, p.pairs
 	p.mu.Unlock()
 	tbl, diff := access.BuildSiteTable(prevTable, res.Sites, opts.GenericStructs)
+	// A new record keeps the table's copy of the sorted list, since the
+	// caller owns Result.Sites.
 	if dedup != prevDedup {
-		// A new record keeps the table's copy of the sorted list, since
-		// the caller owns Result.Sites.
 		dedup.sites = tbl.Sites()
+	}
+	if order != prevOrder {
+		order.sites = tbl.Sites()
 	}
 	pairer := newPairer(tbl, opts)
 	pairer.derive(prevPairs, prevTable, diff, fp)
@@ -602,7 +619,7 @@ func (p *Project) AnalyzeParallel(ctx context.Context, opts Options) (*Result, e
 	phaseStart = time.Now()
 	_, ksp := obs.Start(ctx, "check")
 	ck := &checker{opts: opts}
-	v, err := ck.check(ctx, prev, res, workers)
+	v, err := ck.check(ctx, prev, pairer.rec, res, workers)
 	if err != nil {
 		ksp.End()
 		return nil, err
@@ -633,6 +650,9 @@ func (p *Project) AnalyzeParallel(ctx context.Context, opts Options) (*Result, e
 	p.table, p.pairs, p.verdicts = tbl, pairer.rec, rec
 	if dedup != nil {
 		p.dedup = dedup
+	}
+	if order != nil {
+		p.order = order
 	}
 	p.mu.Unlock()
 	return res, nil

@@ -154,8 +154,15 @@ type pairRecord struct {
 	finals    []finalPairing
 	sites     []int32
 	pairingOf []int32
-	// margins is the run's PairStats.Margins.
-	margins map[string]PairMargin
+	// margins is the run's PairStats.Margins, and marginsKept reports that
+	// it is the previous record's.
+	margins     map[string]PairMargin
+	marginsKept bool
+}
+
+// postings returns object o's postings in the record's inverted index.
+func (rec *pairRecord) postings(o uint32) []siteRef {
+	return rec.post[rec.off[o]:rec.off[o+1]]
 }
 
 // pairScratch holds the working arrays of a run that no record keeps.
@@ -450,11 +457,13 @@ type prePairing struct {
 
 // finalPairing is a pairing after the merge, by site index: its sites are
 // sites[lo:hi] and its common-object IDs common[clo:chi] of the run's
-// buffers.
+// buffers. from is the index of the previous run's pairing it keeps, or
+// -1.
 type finalPairing struct {
 	lo, hi   int32
 	clo, chi int32
 	weight   int
+	from     int32
 }
 
 // link is the pass after the search: the mutual-best handshake, the
@@ -573,8 +582,9 @@ func (pr *pairer) link(ctx context.Context) (pairings []*Pairing, unpaired, impl
 			}
 		}
 		f.hi = int32(len(rec.sites))
-		pg := pr.recordedPairing(f, rec)
-		if pg != nil {
+		var pg *Pairing
+		if f.from = pr.recordedPairing(f, rec); f.from >= 0 {
+			pg = pr.prev.pairings[f.from]
 			pr.stats.PairingsReused++
 		} else {
 			pg = &Pairing{Sites: make([]*access.Site, f.hi-f.lo), Common: make([]access.Object, f.chi-f.clo), Weight: f.weight}
@@ -599,7 +609,7 @@ func (pr *pairer) link(ctx context.Context) (pairings []*Pairing, unpaired, impl
 		}
 	}
 
-	pr.stats.Margins = pr.margins()
+	pr.stats.Margins, rec.marginsKept = pr.margins()
 	rec.margins = pr.stats.Margins
 	pr.rec = rec
 	return pairings, unpaired, implicit
@@ -613,29 +623,30 @@ func appendNew(list []int32, from int32, s int32) []int32 {
 	return append(list, s)
 }
 
-// recordedPairing returns the previous run's pairing of f's writer when it
-// has exactly f's sites, common objects and weight, else nil.
-func (pr *pairer) recordedPairing(f finalPairing, rec *pairRecord) *Pairing {
+// recordedPairing returns the index of the previous run's pairing of f's
+// writer when it has exactly f's sites, common objects and weight, else
+// -1.
+func (pr *pairer) recordedPairing(f finalPairing, rec *pairRecord) int32 {
 	if pr.prev == nil {
-		return nil
+		return -1
 	}
 	sites := rec.sites[f.lo:f.hi]
 	j := pr.diff.FromPrev[sites[0]]
 	if j < 0 || pr.prev.pairingOf[j] == 0 {
-		return nil
+		return -1
 	}
 	k := pr.prev.pairingOf[j] - 1
 	old := &pr.prev.finals[k]
 	if old.weight != f.weight || old.hi-old.lo != f.hi-f.lo ||
 		!slices.Equal(pr.prev.common[old.clo:old.chi], rec.common[f.clo:f.chi]) {
-		return nil
+		return -1
 	}
 	for x, s := range pr.prev.sites[old.lo:old.hi] {
 		if pr.diff.ToNew[s] != sites[x] {
-			return nil
+			return -1
 		}
 	}
-	return pr.prev.pairings[k]
+	return k
 }
 
 // groupByCommon returns, for each of n pairings, the index of the first
@@ -680,10 +691,10 @@ func groupByCommon(sc *pairScratch, n int, commonOf func(k int) []uint32) []int3
 // writer with the same site ID overwrites an earlier one's entry. The map
 // is sized for its entries up front, so it never grows. A run whose
 // writers give the same entries, in the same order, as the previous run's
-// shares that run's map.
-func (pr *pairer) margins() map[string]PairMargin {
+// shares that run's map, and kept reports so.
+func (pr *pairer) margins() (m map[string]PairMargin, kept bool) {
 	if pr.sameMargins() {
-		return pr.prev.margins
+		return pr.prev.margins, true
 	}
 	n := 0
 	for i := range pr.bests {
@@ -692,15 +703,15 @@ func (pr *pairer) margins() map[string]PairMargin {
 		}
 	}
 	if n == 0 {
-		return nil
+		return nil, false
 	}
-	m := make(map[string]PairMargin, n)
+	m = make(map[string]PairMargin, n)
 	for i := range pr.bests {
 		if c := &pr.bests[i]; c.contributes() {
 			m[pr.sites[i].ID()] = PairMargin{Weight: c.weight, RunnerUp: c.second}
 		}
 	}
-	return m
+	return m, false
 }
 
 // sameMargins reports whether the writers that contribute a margin entry

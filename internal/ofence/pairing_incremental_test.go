@@ -14,6 +14,7 @@ import (
 	"ofence/internal/access"
 	"ofence/internal/obs"
 	"ofence/internal/ofence"
+	"ofence/internal/rank"
 	"ofence/internal/sitegen"
 )
 
@@ -381,11 +382,12 @@ var (
 // FuzzIncrementalPairing runs a random edit sequence over a small tree plus
 // the pairing fixtures: each input byte picks a file and an edit kind (a
 // new call among them, which misses the depth-1 cutoff), and every fourth
-// byte also flips MinSharedObjects, the generic filter or InterprocDepth
-// between 0 and 1. After every edit the warm pairing must equal a cold
-// PairSites, and the warm -json output a cold analysis's.
+// byte also flips MinSharedObjects, the generic filter, InterprocDepth
+// between 0 and 1, CheckOnce or the MinConfidence gate. After every edit
+// the warm pairing must equal a cold PairSites, and the warm -json output
+// a cold analysis's.
 func FuzzIncrementalPairing(f *testing.F) {
-	for _, seed := range []string{"\x00\x05\x0a", "\x01\x02\x03\x04", "\x13\x27\x3b\x4f\x63", "\xff\x00\xff\x00", "\x05\x0b\x11\x02\x17\x1d"} {
+	for _, seed := range []string{"\x00\x05\x0a", "\x01\x02\x03\x04", "\x13\x27\x3b\x4f\x63", "\xff\x00\xff\x00", "\x05\x0b\x11\x02\x17\x1d", "\x07\x0e\x15\x08\x1c"} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
@@ -407,7 +409,7 @@ func FuzzIncrementalPairing(f *testing.F) {
 		rng := rand.New(rand.NewSource(int64(len(ops))))
 		for step, b := range ops {
 			if step%4 == 3 {
-				switch b % 3 {
+				switch b % 5 {
 				case 0:
 					opts.MinSharedObjects = 3 - opts.MinSharedObjects
 				case 1:
@@ -416,8 +418,12 @@ func FuzzIncrementalPairing(f *testing.F) {
 					} else {
 						opts.GenericStructs = ofence.DefaultOptions().GenericStructs
 					}
-				default:
+				case 2:
 					opts.InterprocDepth = 1 - opts.InterprocDepth
+				case 3:
+					opts.CheckOnce = !opts.CheckOnce
+				default:
+					opts.MinConfidence = rank.DefaultThreshold - opts.MinConfidence
 				}
 			}
 			name := ed.names[int(b/6)%len(ed.names)]

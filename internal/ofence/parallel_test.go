@@ -152,9 +152,10 @@ func TestAnalyzeParallelCanceledContext(t *testing.T) {
 	}
 
 	// A cancel landing partway through the front end of freshly recorded
-	// sources. Each pending file checks the context once before its front
-	// end runs (in the depth-0 pipeline or the depth-1 refresh barrier), so
-	// the k-th check lets exactly k-1 files through and stops the rest.
+	// sources. Each pending file checks the context before its front end
+	// runs (in the depth-0 pipeline or the depth-1 refresh barrier) and
+	// inside it, so the k-th check stops every file not through by then,
+	// and the first stops them all.
 	srcs := parallelTestSources(8)
 	for _, depth := range []int{0, 1} {
 		opts := DefaultOptions()
@@ -172,13 +173,22 @@ func TestAnalyzeParallelCanceledContext(t *testing.T) {
 					t.Fatalf("err = %v, want context.Canceled", err)
 				}
 				waitGoroutines(t, base)
+				pending := 0
+				for _, fu := range p.Files() {
+					if fu.stale || fu.art == nil || fu.art.extractFP == "" {
+						pending++
+					}
+				}
+				if k == 1 && pending != len(srcs) {
+					t.Errorf("%d files pending after the first check canceled, want %d", pending, len(srcs))
+				}
 				res := mustAnalyze(t, p, opts)
 				viewEqual(t, want, res)
 				if depth == 0 {
-					// The k-1 files that got through were parsed and
+					// The files that got through were parsed and
 					// extracted; the next run does only the rest.
-					if got, wantN := res.Incremental.FilesRecomputed, len(srcs)-(k-1); got != wantN {
-						t.Errorf("next run recomputed %d files, want %d", got, wantN)
+					if got := res.Incremental.FilesRecomputed; got != pending {
+						t.Errorf("next run recomputed %d files, want the %d pending", got, pending)
 					}
 				}
 			})
@@ -473,5 +483,48 @@ void qw(struct qs *q) {
 	}
 	if got := res.Incremental; got.FilesReused != 2 || got.FilesRecomputed != 0 {
 		t.Errorf("original replay: reused=%d recomputed=%d, want 2/0", got.FilesReused, got.FilesRecomputed)
+	}
+}
+
+// TestDeadlineInsideFile analyzes a project holding a file whose macros
+// double 22 times under a 50 ms deadline. The preprocessor polls the
+// context inside the file, so the run must return
+// context.DeadlineExceeded well before the file's work budget is spent,
+// leave no goroutine behind, put nothing in the stage caches and leave the
+// unit stale; a run without a deadline then gives the budget diagnostic.
+func TestDeadlineInsideFile(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("#define m0 x\n")
+	for i := 1; i <= 22; i++ {
+		fmt.Fprintf(&b, "#define m%d m%d m%d\n", i, i-1, i-1)
+	}
+	b.WriteString("int f(void) { m22; }\n")
+	p := NewProject()
+	fu := p.AddSource("doubling.c", b.String())
+	before := p.StageStats()
+	base := runtime.NumGoroutine()
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := p.AnalyzeParallel(ctx, DefaultOptions())
+	took := time.Since(start)
+	if err != context.DeadlineExceeded {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if took > 150*time.Millisecond {
+		t.Errorf("the run returned after %v, want within 150ms", took)
+	}
+	waitGoroutines(t, base)
+	for stage, st := range p.StageStats() {
+		if st.Entries != before[stage].Entries {
+			t.Errorf("stage %s holds %d entries after the canceled run, want %d", stage, st.Entries, before[stage].Entries)
+		}
+	}
+	if !fu.stale || fu.art != nil {
+		t.Error("the canceled file's unit is not stale")
+	}
+	res := mustAnalyze(t, p, DefaultOptions())
+	if len(res.ParseErrors) != 1 || !strings.Contains(res.ParseErrors[0].Error(), "file skipped") {
+		t.Errorf("parse errors %v, want the budget diagnostic", res.ParseErrors)
 	}
 }

@@ -1,6 +1,7 @@
 package ofence
 
 import (
+	"cmp"
 	"context"
 	"slices"
 	"sort"
@@ -13,7 +14,7 @@ import (
 )
 
 // rank is analysis phase 4: score the findings with the confidence ranker
-// (internal/rank), sort them by position and, when opts.MinConfidence > 0,
+// (internal/rank), order them by position and, when opts.MinConfidence > 0,
 // drop those below the gate. Scoring always runs — the gate only filters —
 // so JSON and SARIF consumers see calibrated confidences even with the gate
 // disabled. A fresh finding is scored in place; a finding from prev keeps
@@ -42,17 +43,14 @@ func (v *verdicts) rank(ctx context.Context, prev *verdictRecord, fp string, res
 		idx = rank.NewIndex(tbl)
 	}
 	// Every recorded score is stale when the IDs moved; otherwise only those
-	// of objects whose census row did.
+	// of the pairings whose margin moved, and of findings on objects whose
+	// census row did.
 	all := prev == nil || !res.PairStats.InternerReused
-	var moved map[access.Object]bool
+	var moved []uint32
 	if !all {
-		for _, id := range idx.ChangedRows(prev.census) {
-			if moved == nil {
-				moved = map[access.Object]bool{}
-			}
-			moved[tbl.Interner().Object(id)] = true
-		}
+		moved = idx.ChangedRows(prev.census)
 	}
+	jobs := v.rescoreJobs(all, moved)
 	score := func(f *Finding, m writerMargin) float64 {
 		return rank.Combine(evidenceFor(f, idx, m, inferredOnly))
 	}
@@ -67,26 +65,29 @@ func (v *verdicts) rank(ctx context.Context, prev *verdictRecord, fp string, res
 		nf.Confidence = c
 		return &nf
 	}
-	var rescored, reused atomic.Int64
-
-	par.For(len(v.items), workers, func(i int) {
+	var rescored, visited atomic.Int64
+	// replaced[g] lists the positions at which job g's item took a copy of
+	// a recorded finding of was[g].
+	replaced, was := make([][]int32, len(jobs)), make([][]*Finding, len(jobs))
+	par.For(len(jobs), workers, func(g int) {
 		if ctx.Err() != nil {
 			return
 		}
-		it, m := v.items[i], v.margins[i]
-		if v.fresh[i] {
+		job := jobs[g]
+		it, m := v.items[job.item], v.margin(job.item)
+		if v.fresh[job.item] {
 			for _, f := range it.findings {
 				f.Confidence = score(f, m)
 			}
 			it.margin = m
+			visited.Add(int64(len(it.findings)))
 			rescored.Add(int64(len(it.findings)))
 			return
 		}
-		marginMoved := m != it.margin
 		var fs []*Finding // a copy of it.findings once a score changed
 		n := 0
 		for j, f := range it.findings {
-			if !all && !marginMoved && !moved[f.Object] {
+			if job.objs != nil && !slices.Contains(job.objs, f.Object) {
 				continue
 			}
 			n++
@@ -95,48 +96,70 @@ func (v *verdicts) rank(ctx context.Context, prev *verdictRecord, fp string, res
 					fs = slices.Clone(it.findings)
 				}
 				fs[j] = nf
+				replaced[g], was[g] = append(replaced[g], int32(j)), it.findings
 			}
 		}
+		visited.Add(int64(len(it.findings)))
 		rescored.Add(int64(n))
-		reused.Add(int64(len(it.findings) - n))
 		if fs == nil {
-			if !marginMoved {
+			if m == it.margin {
 				return
 			}
 			fs = it.findings
 		}
-		v.items[i] = &checkedPairing{pg: it.pg, findings: fs, margin: m}
+		v.items[job.item] = &checkedPairing{pg: it.pg, findings: fs, margin: m}
 	})
-	for k, f := range v.unneeded {
-		switch {
-		case v.unneededFresh[k]:
-			f.Confidence = score(f, writerMargin{})
-		case all:
-			v.unneeded[k] = rescore(f, writerMargin{})
-		default:
-			reused.Add(1)
+	if ctx.Err() != nil {
+		return nil
+	}
+
+	// What changed leaves the recorded order and the new findings merge in.
+	var adds []placed
+	drop := v.dropped
+	for g, job := range jobs {
+		fs := v.items[job.item].findings
+		if v.fresh[job.item] {
+			for j, f := range fs {
+				adds = append(adds, placed{f, int32(job.item), int32(j)})
+			}
 			continue
 		}
+		for _, j := range replaced[g] {
+			drop = append(drop, was[g][j])
+			adds = append(adds, placed{fs[j], int32(job.item), j})
+		}
+	}
+	unneededItem := int32(len(v.items))
+	for k, f := range v.unneeded {
+		if !v.unneededFresh[k] && !all {
+			continue
+		}
+		visited.Add(1)
 		rescored.Add(1)
+		if v.unneededFresh[k] {
+			f.Confidence = score(f, writerMargin{})
+		} else if nf := rescore(f, writerMargin{}); nf != f {
+			v.unneeded[k], drop = nf, append(drop, f)
+			f = nf
+		} else {
+			continue
+		}
+		adds = append(adds, placed{f, unneededItem, int32(k)})
 	}
 	if ctx.Err() != nil {
 		return nil
 	}
+	var sorted []*Finding
+	if prev != nil {
+		sorted = prev.sorted
+	}
+	out := v.order(sorted, drop, adds)
+	rsp.Add("findings_visited", visited.Load())
+	rsp.Add("findings_merged", int64(len(adds)))
 	rsp.Add("findings_rescored", rescored.Load())
-	rsp.Add("findings_reused", reused.Load())
-
-	out := v.findings()
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Site.File != b.Site.File {
-			return a.Site.File < b.Site.File
-		}
-		if a.Site.Pos.Line != b.Site.Pos.Line {
-			return a.Site.Pos.Line < b.Site.Pos.Line
-		}
-		return a.Kind < b.Kind
-	})
+	rsp.Add("findings_reused", int64(len(out))-rescored.Load())
 	rsp.Add("ranked", int64(len(out)))
+	rec := v.record(fp, idx, out)
 	if opts.MinConfidence > 0 {
 		kept := make([]*Finding, 0, len(out))
 		for _, f := range out {
@@ -148,7 +171,150 @@ func (v *verdicts) rank(ctx context.Context, prev *verdictRecord, fp string, res
 		out = kept
 	}
 	res.Findings = out
-	return v.record(fp, idx)
+	return rec
+}
+
+// rescoreJob is one pairing item rank visits: every finding of it, or,
+// when objs is non-nil, only its findings on those objects.
+type rescoreJob struct {
+	item int
+	objs []access.Object
+}
+
+// margin returns the margin of pairing i's writer: a kept item's own while
+// the pair record kept the previous run's margins (a kept pairing's writer
+// is the recorded one), else the writer's PairStats.Margins entry.
+func (v *verdicts) margin(i int) writerMargin {
+	if v.pairs.marginsKept && !v.fresh[i] {
+		return v.items[i].margin
+	}
+	m, ok := v.pairs.margins[v.items[i].pg.Writer().ID()]
+	return writerMargin{m, ok}
+}
+
+// rescoreJobs lists the items rank visits, by ascending item: every fresh
+// item; every item when all is set or, unless the pair record kept the
+// margins, each whose writer's margin moved; and each item with a finding
+// on an object of moved (census rows, by ID), through the pair record's
+// inverted index. A finding's object is one of its pairing's common
+// objects, which its writer accesses, so its writer's postings hold it.
+func (v *verdicts) rescoreJobs(all bool, moved []uint32) []rescoreJob {
+	var jobs []rescoreJob
+	pairs := v.pairs
+	for i, fresh := range v.fresh {
+		if all || fresh || !pairs.marginsKept && v.items[i].margin != v.margin(i) {
+			jobs = append(jobs, rescoreJob{item: i})
+		}
+	}
+	if all {
+		return jobs
+	}
+	whole := len(jobs)
+	in := pairs.tbl.Interner()
+	for _, o := range moved {
+		for _, r := range pairs.postings(o) {
+			k := int(pairs.pairingOf[r.site]) - 1
+			if k < 0 {
+				continue
+			}
+			if _, ok := slices.BinarySearchFunc(jobs[:whole], k, func(j rescoreJob, k int) int { return cmp.Compare(j.item, k) }); ok {
+				continue
+			}
+			jobs = append(jobs, rescoreJob{item: k, objs: []access.Object{in.Object(o)}})
+		}
+	}
+	if len(jobs) == whole {
+		return jobs
+	}
+	// One job per item: the object jobs of one item fold into one.
+	slices.SortStableFunc(jobs, func(a, b rescoreJob) int { return cmp.Compare(a.item, b.item) })
+	out := jobs[:1]
+	for _, j := range jobs[1:] {
+		if last := &out[len(out)-1]; last.item == j.item {
+			last.objs = append(last.objs, j.objs...)
+			continue
+		}
+		out = append(out, j)
+	}
+	return out
+}
+
+// placed is a finding of this run with its place in check order: the
+// index of its pairing's item and its position among the item's findings,
+// or, for an unneeded-barrier finding, len(items) and its position in
+// v.unneeded.
+type placed struct {
+	f         *Finding
+	item, pos int32
+}
+
+// compareKey compares two findings by the output order's key: file, line
+// and kind.
+func compareKey(a, b *Finding) int {
+	return cmp.Or(cmp.Compare(a.Site.File, b.Site.File), cmp.Compare(a.Site.Pos.Line, b.Site.Pos.Line), cmp.Compare(a.Kind, b.Kind))
+}
+
+// comparePlaced is the output order of this run's findings: by file, line
+// and kind, then in check order.
+func comparePlaced(a, b placed) int {
+	return cmp.Or(compareKey(a.f, b.f), cmp.Compare(a.item, b.item), cmp.Compare(a.pos, b.pos))
+}
+
+// before reports whether a sorts before b, a finding this run keeps from
+// the previous one. Items are in the canonical order of their pairings'
+// writers, and one pairing's findings all lie in one item.
+func (v *verdicts) before(a placed, b *Finding) bool {
+	if c := compareKey(a.f, b); c != 0 {
+		return c < 0
+	}
+	ap, bp := a.f.Pairing, b.Pairing
+	switch {
+	case bp == nil:
+		return ap != nil || int(a.pos) < slices.Index(v.unneeded, b)
+	case ap == nil:
+		return false
+	case ap != bp:
+		return access.CompareSites(ap.Writer(), bp.Writer()) < 0
+	}
+	return int(a.pos) < slices.Index(v.items[a.item].findings, b)
+}
+
+// order returns the run's findings in output order: sorted, the previous
+// run's, without the findings of drop, and with those of adds merged in;
+// sorted itself when neither has any. Kept findings keep their relative
+// order, so only the added ones are compared; a cold run, whose sorted is
+// empty, sorts its adds.
+func (v *verdicts) order(sorted, drop []*Finding, adds []placed) []*Finding {
+	if len(drop) == 0 && len(adds) == 0 {
+		return sorted
+	}
+	slices.SortFunc(adds, comparePlaced)
+	at := make([]int, 0, len(drop))
+	for _, f := range drop {
+		i, _ := slices.BinarySearchFunc(sorted, f, compareKey)
+		for sorted[i] != f {
+			i++
+		}
+		at = append(at, i)
+	}
+	slices.Sort(at)
+	out := make([]*Finding, len(sorted)-len(at)+len(adds))
+	n, last := 0, 0
+	for _, i := range at {
+		n += copy(out[n:], sorted[last:i])
+		last = i + 1
+	}
+	n += copy(out[n:], sorted[last:])
+	// Merge from the back: out[:n] holds the kept findings, and each added
+	// one, largest first, moves the kept ones after it into place.
+	for k := len(adds) - 1; k >= 0; k-- {
+		a := adds[k]
+		x := sort.Search(n, func(j int) bool { return v.before(a, out[j]) })
+		copy(out[x+k+1:], out[x:n])
+		out[x+k] = a.f
+		n = x
+	}
+	return out
 }
 
 // evidenceFor assembles the four-channel evidence for one finding, whose

@@ -8,16 +8,24 @@ import (
 	"ofence/internal/sitegen"
 )
 
-// BenchmarkWarmEditDepth1 measures one warm edit at InterprocDepth 1 on
+// BenchmarkWarmEditDepth0 measures one warm edit at InterprocDepth 0 on
 // the 2,048-file generated tree: one integer literal of a random file
-// changes, then AnalyzeParallel runs. A literal edit changes no call-graph
-// summary, so the global phases are cut off and the run's cost is the
-// per-run work over every file and site: extract keys, site dedup and
-// order, pairing, check and rank.
-func BenchmarkWarmEditDepth1(b *testing.B) {
+// changes, then AnalyzeParallel runs. The edited file is preprocessed,
+// parsed and extracted again; the rest of the run's cost is the per-run
+// work over every file, site and finding: site order, pairing, check and
+// rank.
+func BenchmarkWarmEditDepth0(b *testing.B) { benchmarkWarmEdit(b, 0) }
+
+// BenchmarkWarmEditDepth1 measures the same edit at InterprocDepth 1. A
+// literal edit changes no call-graph summary, so the global phases are cut
+// off and the run's cost is the per-run work over every file and site:
+// extract keys, site dedup and order, pairing, check and rank.
+func BenchmarkWarmEditDepth1(b *testing.B) { benchmarkWarmEdit(b, 1) }
+
+func benchmarkWarmEdit(b *testing.B, depth int) {
 	tr := sitegen.GenerateTree(sitegen.DefaultTreeSpec(2048, 1))
 	opts := ofence.DefaultOptions()
-	opts.InterprocDepth = 1
+	opts.InterprocDepth = depth
 	p := treeProject(tr)
 	mustAnalyze(b, p, opts)
 	cur := make(map[string]string, len(tr.Files))

@@ -23,6 +23,7 @@
 package semprop
 
 import (
+	"context"
 	"runtime"
 	"sync/atomic"
 
@@ -32,7 +33,7 @@ import (
 )
 
 // inferSCC runs the condensation-scheduled fixpoint, filling inf.
-func inferSCC(g *callgraph.Graph, opts Options, extra map[string]bool, inf *Inference) {
+func inferSCC(ctx context.Context, g *callgraph.Graph, opts Options, extra map[string]bool, inf *Inference) {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -84,7 +85,13 @@ func inferSCC(g *callgraph.Graph, opts Options, extra map[string]bool, inf *Infe
 	kinds := make([]memmodel.BarrierKind, n) // ⊥ = None
 	var maxRounds atomic.Int64
 	for _, compIDs := range byLevel {
+		if ctx.Err() != nil {
+			return
+		}
 		par.For(len(compIDs), workers, func(i int) {
+			if ctx.Err() != nil {
+				return
+			}
 			r := int64(evalComp(comps[compIDs[i]], infos, kinds))
 			for {
 				cur := maxRounds.Load()

@@ -47,6 +47,7 @@
 package semprop
 
 import (
+	"context"
 	"sort"
 
 	"ofence/internal/callgraph"
@@ -210,13 +211,24 @@ type fnInfo struct {
 // is evaluated to its local fixpoint exactly once, in topological order,
 // with independent components of a level running concurrently.
 func Infer(g *callgraph.Graph, opts Options) *Inference {
+	inf, _ := InferCtx(context.Background(), g, opts)
+	return inf
+}
+
+// InferCtx is Infer polling ctx before each level of the condensation and
+// each component: once ctx is done it stops and returns ctx's error and no
+// inference.
+func InferCtx(ctx context.Context, g *callgraph.Graph, opts Options) (*Inference, error) {
 	extra := map[string]bool{}
 	for _, name := range opts.ExtraFull {
 		extra[name] = true
 	}
 	inf := &Inference{Graph: g}
-	inferSCC(g, opts, extra, inf)
-	return inf
+	inferSCC(ctx, g, opts, extra, inf)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return inf, nil
 }
 
 // precompute splits each block's barrier contribution into the static part
