@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint fuzz test test-race race race-service smoke examples bench bench-confidence serve eval eval-json corpus trace-demo clean
+.PHONY: all build vet lint loc fuzz test test-race race race-service smoke examples bench bench-confidence serve eval eval-json corpus trace-demo clean
 
 all: build lint test
 
@@ -19,6 +19,10 @@ lint: vet
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) test . -run TestDocs
+
+# Non-test Go lines outside bench/, the size measure ROADMAP.md tracks.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
 
 # Short fuzz passes over the robustness targets: the parser (no panics, no
 # hangs), the preprocessor's per-file work budget (every input of at most

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"slices"
 	"strings"
-	"sync"
 )
 
 // SiteVecs are one site's interned vectors, keyed by the IDs of the table
@@ -24,21 +23,15 @@ type SiteVecs struct {
 
 // SiteTable is the data layer the pairing engine and the ranking census
 // share within one analysis: an Interner over every object the sites
-// access, plus each site's interned vectors. A table is immutable once
+// access, plus each site's interned vectors. Its sites are in canonical
+// order (CompareSites), so Index binary-searches them and the next table
+// is aligned with this one by one merge walk. A table is immutable once
 // built, so it may be shared between runs and between projects; the next
 // run derives its own table from it with BuildSiteTable.
 type SiteTable struct {
 	in    *Interner
 	sites []*Site
 	vecs  []*SiteVecs
-	// sorted reports that sites are in canonical order (CompareSites), so
-	// Index binary-searches them and the next table can be aligned with
-	// this one by one merge walk.
-	sorted bool
-	// at maps a site pointer to its index in sites; built on first use, and
-	// only for a table whose sites are not in canonical order.
-	atOnce sync.Once
-	at     map[*Site]int32
 	// refs[id] is the number of sites whose usage vectors hold id: every
 	// count is positive, since the Interner holds exactly the objects the
 	// sites access.
@@ -71,6 +64,16 @@ type TableDiff struct {
 	Added, Dropped []int32
 }
 
+// DiffFromEmpty returns the diff of a table of n sites from the empty
+// table: every site is added.
+func DiffFromEmpty(n int) *TableDiff {
+	d := &TableDiff{FromPrev: make([]int32, n), Added: make([]int32, n)}
+	for i := range n {
+		d.FromPrev[i], d.Added[i] = -1, int32(i)
+	}
+	return d
+}
+
 // CompareSites is the canonical site order: by analyzed file, then line,
 // column and barrier name, and last the file of the position (a header's
 // barrier can share line, column and name with one in the file including
@@ -99,33 +102,33 @@ func SortSites(sites []*Site) {
 	slices.SortStableFunc(sites, CompareSites)
 }
 
-// BuildSiteTable builds the table over sites, whose order becomes the
-// table's index order. With a previous table in canonical order (a nil one,
-// or one out of order, makes the build cold), the previous Interner is
-// reused when the sites access exactly its object set.
-// IDs are a pure function of the object set (InternSites sorts it), so
-// reuse yields the very IDs a fresh build would assign. When the Interner
+// BuildSiteTable builds the table over sites in canonical order: a copy of
+// the slice, sorted (SortSites) when it is out of order. With a previous
+// table (a nil one makes the build cold), the previous Interner is reused
+// when the sites access exactly its object set. IDs are a pure function of
+// the object set (InternSites sorts it), so reuse yields the very IDs a
+// fresh build would assign. When the Interner
 // is reused and the generic-struct filter is unchanged, every site pointer
 // the previous table holds keeps its vectors (sites are immutable once
 // extracted; the filter is part of the key because Objs depends on it),
 // and the diff says which ones those are; otherwise the diff is nil. Only
-// the other sites are vectorized. The result holds only the given sites,
-// in a copy of the slice, and prev is never modified.
+// the other sites are vectorized, and prev is never modified.
 //
 // One merge walk matches the two tables' sites (see align); no map is
 // built.
 func BuildSiteTable(prev *SiteTable, sites []*Site, generic []string) (*SiteTable, *TableDiff) {
-	sites = append([]*Site(nil), sites...) // the caller keeps its slice
+	sites = slices.Clone(sites) // the caller keeps its slice
+	if !slices.IsSortedFunc(sites, CompareSites) {
+		SortSites(sites)
+	}
 	t := &SiteTable{
 		sites:   sites,
 		vecs:    make([]*SiteVecs, len(sites)),
 		generic: strings.Join(generic, "\x00"),
 	}
 	var d *TableDiff
-	if prev != nil && prev.sorted {
+	if prev != nil {
 		d = align(prev, t)
-	} else {
-		t.sorted = slices.IsSortedFunc(sites, CompareSites)
 	}
 	if d != nil && prev.covers(t, d) {
 		t.in, t.stats.InternerReused = prev.in, true
@@ -135,7 +138,7 @@ func BuildSiteTable(prev *SiteTable, sites []*Site, generic []string) (*SiteTabl
 	// align carried every kept site's vectors; they hold only under the
 	// same Interner and generic filter.
 	var todo []int32
-	if d != nil && t.stats.InternerReused && prev.generic == t.generic {
+	if t.stats.InternerReused && prev.generic == t.generic {
 		todo = d.Added
 	} else {
 		d = nil
@@ -165,15 +168,11 @@ func BuildSiteTable(prev *SiteTable, sites []*Site, generic []string) (*SiteTabl
 	return t, d
 }
 
-// align matches t's sites with prev's, which are in canonical order, by
-// one merge walk, carries each kept site's vectors (BuildSiteTable drops
-// them when the Interner changes) and sets t.sorted. The kept sites keep
-// their relative order, so t is in canonical order when every added site
-// is in order with its neighbours.
+// align matches t's sites with prev's, both in canonical order, by one
+// merge walk, and carries each kept site's vectors (BuildSiteTable drops
+// them when the Interner changes).
 func align(prev, t *SiteTable) *TableDiff {
 	d := &TableDiff{FromPrev: make([]int32, len(t.sites)), ToNew: make([]int32, len(prev.sites))}
-	// A site out of canonical order in t can only be counted as dropped and
-	// added: at worst a kept site is re-vectorized.
 	i, j := 0, 0
 	for i < len(t.sites) || j < len(prev.sites) {
 		i0, j0 := i, j
@@ -203,14 +202,6 @@ func align(prev, t *SiteTable) *TableDiff {
 			d.ToNew[j] = -1
 			d.Dropped = append(d.Dropped, int32(j))
 			j++
-		}
-	}
-	t.sorted = true
-	for _, i := range d.Added {
-		if i > 0 && CompareSites(t.sites[i-1], t.sites[i]) > 0 ||
-			int(i) < len(t.sites)-1 && CompareSites(t.sites[i], t.sites[i+1]) > 0 {
-			t.sorted = false
-			break
 		}
 	}
 	return d
@@ -285,21 +276,11 @@ func (t *SiteTable) Stats() TableStats { return t.stats }
 
 // Index returns the index of site s, and whether the table holds it.
 func (t *SiteTable) Index(s *Site) (int, bool) {
-	if t.sorted {
-		i, _ := slices.BinarySearchFunc(t.sites, s, CompareSites)
-		for ; i < len(t.sites) && CompareSites(t.sites[i], s) == 0; i++ {
-			if t.sites[i] == s {
-				return i, true
-			}
+	i, _ := slices.BinarySearchFunc(t.sites, s, CompareSites)
+	for ; i < len(t.sites) && CompareSites(t.sites[i], s) == 0; i++ {
+		if t.sites[i] == s {
+			return i, true
 		}
-		return 0, false
 	}
-	t.atOnce.Do(func() {
-		t.at = make(map[*Site]int32, len(t.sites))
-		for i, s := range t.sites {
-			t.at[s] = int32(i)
-		}
-	})
-	i, ok := t.at[s]
-	return int(i), ok
+	return 0, false
 }

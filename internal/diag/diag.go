@@ -5,8 +5,8 @@
 //
 // Built-in passes cover the paper's checkers (ordering-constraint
 // deviations, unneeded barriers, the lockset baseline) plus two syntactic
-// lints (barrier-in-loop, duplicate-adjacent-barrier). External passes can
-// be added with Register.
+// lints (barrier-in-loop, duplicate-adjacent-barrier). Callers may run
+// passes of their own next to them: Run and Rules take the pass list.
 //
 // Diagnostics can be suppressed in source with an "ofence:ignore" comment on
 // the flagged line or the line above; an optional rule list ("ofence:ignore
@@ -87,12 +87,6 @@ type Pass interface {
 	Run(ctx *Context) []Diagnostic
 }
 
-// registered holds externally added passes (Register).
-var registered []Pass
-
-// Register adds an external pass to the set returned by All.
-func Register(p Pass) { registered = append(registered, p) }
-
 // DefaultPasses returns fresh instances of the built-in passes.
 func DefaultPasses() []Pass {
 	return []Pass{
@@ -102,11 +96,6 @@ func DefaultPasses() []Pass {
 		barrierInLoopPass{},
 		dupBarrierPass{},
 	}
-}
-
-// All returns the built-in passes plus everything Registered.
-func All() []Pass {
-	return append(DefaultPasses(), registered...)
 }
 
 // Rules returns the union of the passes' rules, sorted by ID.
@@ -238,10 +227,11 @@ func applySuppressions(sources map[string]string, ds []Diagnostic) {
 	}
 }
 
-// ruleNameIndex maps rule IDs to names for name-based suppressions.
+// ruleNameIndex maps the built-in rule IDs to names for name-based
+// suppressions.
 func ruleNameIndex() map[string]string {
 	out := map[string]string{}
-	for _, r := range Rules(All()) {
+	for _, r := range Rules(DefaultPasses()) {
 		out[r.ID] = r.Name
 	}
 	return out

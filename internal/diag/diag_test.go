@@ -331,7 +331,8 @@ void e(int *p) {
 	}
 }
 
-// External passes plug in through Register/All.
+// fakePass is a caller-supplied pass: Rules and Run take it next to the
+// built-in ones.
 type fakePass struct{}
 
 func (fakePass) Rules() []Rule {
@@ -342,13 +343,15 @@ func (fakePass) Run(ctx *Context) []Diagnostic {
 }
 
 func TestRegisterExternalPass(t *testing.T) {
-	before := len(All())
-	Register(fakePass{})
-	t.Cleanup(func() { registered = registered[:len(registered)-1] })
-	passes := All()
-	if len(passes) != before+1 {
-		t.Fatalf("All() = %d passes, want %d", len(passes), before+1)
-	}
+	ctx, ds := runBoth(t, map[string]string{"ub.c": `
+struct s { int a; int b; };
+void w(struct s *p) {
+	p->a = 1;
+	smp_mb();
+	smp_mb();
+	p->b = 1;
+}`})
+	passes := append(DefaultPasses(), fakePass{})
 	found := false
 	for _, r := range Rules(passes) {
 		if r.ID == "XT9999" {
@@ -356,7 +359,14 @@ func TestRegisterExternalPass(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Error("external rule missing from Rules()")
+		t.Error("caller-supplied rule missing from Rules()")
+	}
+	got := Run(ctx, passes)
+	if len(withRule(got, "XT9999")) != 1 {
+		t.Errorf("caller-supplied pass's diagnostic missing from Run(): %v", got)
+	}
+	if len(got) != len(ds)+1 {
+		t.Errorf("Run() = %d diagnostics, want the %d built-in ones plus one", len(got), len(ds))
 	}
 }
 

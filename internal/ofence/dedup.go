@@ -1,18 +1,19 @@
 // Site dedup and canonical order.
 //
-// At InterprocDepth 0 a run's sites are every file's, in canonical order.
-// The project keeps the last depth-0 run's order as an immutable
-// orderRecord, and a run merges the sites of the files whose sites changed
-// into it in place of their old ones.
+// A run's sites derive from the last run's siteRecord, part of the run
+// record (see AnalyzeParallel). At InterprocDepth 0 they are every file's,
+// in canonical order: a run merges the sites of the files whose sites
+// changed into the record's sorted list in place of their old ones, so
+// equal-ID sites of different files (a header's barrier seen by each file
+// including it) all stay.
 //
 // At InterprocDepth ≥ 1 cross-file splicing makes one physical barrier
 // visible from every file that splices its function, so a run keeps one
 // view per site ID: the richest, the first in file order on ties
-// (per-file extraction already keeps one view per ID within a file). The project keeps the last
-// completed run's choice as an immutable dedupRecord, like the site table
-// and the pair record, and a run re-chooses only the IDs that the units
-// whose sites changed carried or carry now, then merges the new winners
-// into the record's sorted list. A cold run derives from an empty record.
+// (per-file extraction already keeps one view per ID within a file). A run
+// re-chooses only the IDs that the units whose sites changed carried or
+// carry now, then merges the new winners into the record's sorted list.
+// Either way a cold run derives from an empty record.
 package ofence
 
 import (
@@ -21,77 +22,27 @@ import (
 	"ofence/internal/access"
 )
 
-// orderRecord is one depth-0 run's sites. It is never mutated after
-// publication, so a project and its clones share it.
-type orderRecord struct {
-	// names and units are every file's name and extracted sites, by
-	// position.
-	names []string
-	units unitSites
-	// sites are every unit's sites in canonical order (access.CompareSites).
-	sites []*access.Site
-}
-
-// deriveOrder returns the record of files' current sites, derived from
-// prev: the sites of the units whose sites changed leave the sorted list
-// and their new sites merge in. prev is not modified; when nothing changed
-// it is returned as is.
-func deriveOrder(prev *orderRecord, files []*FileUnit) *orderRecord {
-	if prev == nil || !sameNames(prev.names, files) {
-		prev = &orderRecord{names: make([]string, len(files)), units: newUnitSites(len(files))}
-		for i, fu := range files {
-			prev.names[i] = fu.Name
-		}
-	}
-	var next *orderRecord
-	var drop []int
-	var add []*access.Site
-	for i, fu := range files {
-		if sameSites(prev.units.at(i), fu.Sites) {
-			continue
-		}
-		if next == nil {
-			next = &orderRecord{names: prev.names, units: prev.units.clone()}
-		}
-		for _, s := range prev.units.at(i) {
-			j, _ := slices.BinarySearchFunc(prev.sites, s, access.CompareSites)
-			for prev.sites[j] != s {
-				j++
-			}
-			drop = append(drop, j)
-		}
-		add = append(add, fu.Sites...)
-		next.units.set(prev.units, i, fu.Sites)
-	}
-	if next == nil {
-		return prev
-	}
-	slices.Sort(drop)
-	access.SortSites(add)
-	next.sites = mergeSites(prev.sites, drop, add)
-	return next
-}
-
-// dedupRecord is one run's deduplicated sites. It is never mutated after
-// publication, so a project and its clones share it.
-type dedupRecord struct {
+// siteRecord is one run's sites. It is never mutated after publication,
+// so a project and its clones share it.
+type siteRecord struct {
 	// names and units are every file's name and extracted sites, by
 	// position.
 	names []string
 	units unitSites
 	// carriers maps each site ID to the positions, ascending, of the
-	// units whose sites carry it.
+	// units whose sites carry it; nil at depth 0, which keeps every site.
 	carriers map[string][]int32
-	// sites are the chosen views in canonical order (access.CompareSites).
+	// sites are the run's sites in canonical order (access.CompareSites).
 	sites []*access.Site
 }
 
-// deriveDedup returns the record of files' current sites, derived from
-// prev, and how many site IDs it chose a view for again. prev is not
-// modified; when nothing changed it is returned as is.
-func deriveDedup(prev *dedupRecord, files []*FileUnit) (*dedupRecord, int) {
+// deriveSites returns the record of files' current sites, derived from
+// prev, and how many site IDs it chose a view for again: with dedup set,
+// one view per site ID (depth ≥ 1), else every site. prev is not modified;
+// when nothing changed it is returned as is.
+func deriveSites(prev *siteRecord, files []*FileUnit, dedup bool) (*siteRecord, int) {
 	if prev == nil || !sameNames(prev.names, files) {
-		prev = &dedupRecord{names: make([]string, len(files)), units: newUnitSites(len(files))}
+		prev = &siteRecord{names: make([]string, len(files)), units: newUnitSites(len(files))}
 		for i, fu := range files {
 			prev.names[i] = fu.Name
 		}
@@ -105,8 +56,34 @@ func deriveDedup(prev *dedupRecord, files []*FileUnit) (*dedupRecord, int) {
 	if len(changed) == 0 {
 		return prev, 0
 	}
-	next := &dedupRecord{names: prev.names, units: prev.units.clone(), carriers: prev.carriers}
+	next := &siteRecord{names: prev.names, units: prev.units.clone(), carriers: prev.carriers}
+	for _, i := range changed {
+		next.units.set(prev.units, int(i), files[i].Sites)
+	}
+	var drop []int
+	var add []*access.Site
+	rechosen := 0
+	if dedup {
+		drop, add, rechosen = next.rechoose(prev, changed)
+	} else {
+		for _, i := range changed {
+			for _, s := range prev.units.at(int(i)) {
+				drop = append(drop, prev.find(s))
+			}
+			add = append(add, next.units.at(int(i))...)
+		}
+	}
+	slices.Sort(drop)
+	access.SortSites(add)
+	next.sites = mergeSites(prev.sites, drop, add)
+	return next, rechosen
+}
 
+// rechoose chooses a view again for every site ID the changed units
+// carried in prev or carry in r, and updates r's carriers. It returns the
+// positions in prev.sites of the old winners that lost, the new winners,
+// and how many IDs it chose for.
+func (r *siteRecord) rechoose(prev *siteRecord, changed []int32) (drop []int, add []*access.Site, n int) {
 	// The IDs to choose again, in first-seen order, and per ID the
 	// changed units that carry it now, ascending.
 	index := map[string]int{}
@@ -124,8 +101,7 @@ func deriveDedup(prev *dedupRecord, files []*FileUnit) (*dedupRecord, int) {
 	}
 	moved := false // whether some changed unit's IDs changed
 	for _, i := range changed {
-		old, cur := prev.units.at(int(i)), files[i].Sites
-		next.units.set(prev.units, int(i), cur)
+		old, cur := prev.units.at(int(i)), r.units.at(int(i))
 		moved = moved || !sameIDs(old, cur)
 		for _, s := range old {
 			touch(s.ID())
@@ -138,9 +114,9 @@ func deriveDedup(prev *dedupRecord, files []*FileUnit) (*dedupRecord, int) {
 	if moved {
 		// The changed units' carriers entries are rebuilt in a copy of the
 		// map; the lists it shares with prev are never written.
-		next.carriers = make(map[string][]int32, len(prev.carriers)+len(ids))
+		r.carriers = make(map[string][]int32, len(prev.carriers)+len(ids))
 		for id, l := range prev.carriers {
-			next.carriers[id] = l
+			r.carriers[id] = l
 		}
 		for k, id := range ids {
 			var l []int32
@@ -152,38 +128,39 @@ func deriveDedup(prev *dedupRecord, files []*FileUnit) (*dedupRecord, int) {
 			l = append(l, adds[k]...)
 			slices.Sort(l)
 			if len(l) == 0 {
-				delete(next.carriers, id)
+				delete(r.carriers, id)
 			} else {
-				next.carriers[id] = l
+				r.carriers[id] = l
 			}
 		}
 	}
-
-	// The new winners replace the old ones in the sorted list.
-	var drop []int
-	var add []*access.Site
 	for _, id := range ids {
-		was, now := prev.choose(id), next.choose(id)
+		was, now := prev.choose(id), r.choose(id)
 		if was == now {
 			continue
 		}
 		if was != nil {
-			j, _ := slices.BinarySearchFunc(prev.sites, was, access.CompareSites)
-			drop = append(drop, j)
+			drop = append(drop, prev.find(was))
 		}
 		if now != nil {
 			add = append(add, now)
 		}
 	}
-	slices.Sort(drop)
-	slices.SortFunc(add, access.CompareSites)
-	next.sites = mergeSites(prev.sites, drop, add)
-	return next, len(ids)
+	return drop, add, len(ids)
+}
+
+// find returns the position of site s in r.sites.
+func (r *siteRecord) find(s *access.Site) int {
+	j, _ := slices.BinarySearchFunc(r.sites, s, access.CompareSites)
+	for r.sites[j] != s {
+		j++
+	}
+	return j
 }
 
 // choose returns the richest view of site ID id among the record's units,
 // the first in file order on ties, or nil when no unit carries it.
-func (r *dedupRecord) choose(id string) *access.Site {
+func (r *siteRecord) choose(id string) *access.Site {
 	var best *access.Site
 	for _, u := range r.carriers[id] {
 		for _, s := range r.units.at(int(u)) {

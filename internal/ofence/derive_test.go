@@ -18,8 +18,8 @@ import (
 	"ofence/internal/sitegen"
 )
 
-// dedupReference is the from-scratch dedup and order that deriveDedup
-// replaces: over every file's sites in file order, one view per site ID —
+// dedupReference is the from-scratch dedup and order that deriveSites
+// replaces at depth ≥ 1: over every file's sites in file order, one view per site ID —
 // the richest, the first seen on ties — sorted into canonical order.
 func dedupReference(files []*FileUnit) []*access.Site {
 	best := map[string]*access.Site{}
@@ -42,7 +42,7 @@ func dedupReference(files []*FileUnit) []*access.Site {
 	for _, id := range order {
 		out = append(out, best[id])
 	}
-	sortSites(out)
+	access.SortSites(out)
 	return out
 }
 
@@ -61,12 +61,12 @@ func carriersReference(files []*FileUnit) map[string][]int32 {
 // checkDerived fails unless the records the last depth ≥ 1 run of p left
 // equal a from-scratch computation over p's current files: every file's
 // observed-input key equals Observations.Key over the current summaries,
-// and the dedup record's sites, carriers and units equal the reference.
+// and the site record's sites, carriers and units equal the reference.
 func checkDerived(t *testing.T, p *Project, what string) {
 	t.Helper()
 	p.mu.Lock()
 	files := slices.Clone(p.files)
-	g, d := p.global, p.dedup
+	g, d := p.global, p.last.sites
 	p.mu.Unlock()
 	sums := make([]*callgraph.Summary, len(files))
 	for i, fu := range files {
@@ -85,7 +85,7 @@ func checkDerived(t *testing.T, p *Project, what string) {
 	}
 	for i, fu := range files {
 		if !sameSites(d.units.at(i), fu.Sites) || d.names[i] != fu.Name {
-			t.Errorf("%s: the dedup record's unit %d is not %s's sites", what, i, fu.Name)
+			t.Errorf("%s: the site record's unit %d is not %s's sites", what, i, fu.Name)
 		}
 	}
 }
@@ -113,14 +113,14 @@ func findingsReference(rec *verdictRecord) []*Finding {
 }
 
 // checkDerivedOrder fails unless the last run of p left a verdict record
-// whose finding order equals findingsReference and, at depth 0, an order
+// whose finding order equals findingsReference and, at depth 0, a site
 // record whose sites are every file's, stably sorted into canonical
 // order.
 func checkDerivedOrder(t *testing.T, p *Project, opts Options, what string) {
 	t.Helper()
 	p.mu.Lock()
 	files := slices.Clone(p.files)
-	rec, order := p.verdicts, p.order
+	rec, order := p.last.verdicts, p.last.sites
 	p.mu.Unlock()
 	if len(rec.sorted) == 0 {
 		t.Fatalf("%s: no findings; the test lost its subject", what)
@@ -135,10 +135,10 @@ func checkDerivedOrder(t *testing.T, p *Project, opts Options, what string) {
 	for i, fu := range files {
 		want = append(want, fu.Sites...)
 		if !sameSites(order.units.at(i), fu.Sites) || order.names[i] != fu.Name {
-			t.Errorf("%s: the order record's unit %d is not %s's sites", what, i, fu.Name)
+			t.Errorf("%s: the site record's unit %d is not %s's sites", what, i, fu.Name)
 		}
 	}
-	sortSites(want)
+	access.SortSites(want)
 	if !slices.Equal(order.sites, want) {
 		t.Errorf("%s: derived depth-0 site order differs from a full stable sort", what)
 	}

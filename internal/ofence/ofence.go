@@ -27,6 +27,7 @@ import (
 	"ofence/internal/ctypes"
 	"ofence/internal/obs"
 	"ofence/internal/par"
+	"ofence/internal/rank"
 	"ofence/internal/rescache"
 	"ofence/internal/semprop"
 )
@@ -139,26 +140,39 @@ type Project struct {
 	// runMu serializes AnalyzeParallel calls on this project: runs swap the
 	// per-unit artifact records, which concurrent runs would race on.
 	runMu sync.Mutex
-	// table is the site table the last completed run published: the
-	// pairing and ranking data layer the next run derives its own from (see
-	// access.BuildSiteTable). A published table is immutable, so clones
-	// share the pointer. Written under runMu and mu, read under either.
-	table *access.SiteTable
 	// global is the call graph and inference the last interprocedural run
-	// linked (see global.go), shared with clones like table.
+	// linked (see global.go). It is published before extraction, so it is
+	// not part of last. Shared with clones like last.
 	global *globalRecord
-	// dedup is the deduplicated, sorted site list the last completed
-	// interprocedural run published (see dedup.go), shared with clones
-	// like table; order is the sorted site list of the last depth-0 run.
-	dedup *dedupRecord
-	order *orderRecord
-	// pairs is the pairing record the last completed run published with
-	// table (see pair.go), shared with clones like it.
+	// last is the record the last completed run published, which the next
+	// run derives everything after extraction from. It is immutable, so
+	// clones share the pointer. Written under runMu and mu, read under
+	// either.
+	last *runRecord
+}
+
+// runRecord is what one completed run leaves for the next to derive from:
+// its sites, site table, pairing and verdicts, under one ungated options
+// fingerprint. A run under another fingerprint, or whose site table could
+// carry nothing over, derives from emptyRun instead: a cold run is a
+// derive from the empty record. A record is never mutated after
+// publication.
+type runRecord struct {
+	fp string
+	// sites are the run's sites (see dedup.go).
+	sites *siteRecord
+	// table is the pairing and ranking data layer over sites (see
+	// access.BuildSiteTable).
+	table *access.SiteTable
+	// pairs is the pairing record over table (see pair.go).
 	pairs *pairRecord
-	// verdicts is the check and rank record the last completed run
-	// published with table (see verdicts.go), shared with clones like it.
+	// verdicts is the check and rank record over pairs (see verdicts.go).
 	verdicts *verdictRecord
 }
+
+// emptyRun is the empty run record: no sites, no table, no pairings and
+// no verdicts.
+var emptyRun = &runRecord{pairs: &pairRecord{}, verdicts: &verdictRecord{census: new(rank.Index)}}
 
 // NewProject returns an empty project.
 func NewProject() *Project {
@@ -168,6 +182,7 @@ func NewProject() *Project {
 		defines: map[string]string{},
 		stages:  rescache.NewStages(0),
 		syms:    ctoken.NewSymTab(),
+		last:    emptyRun,
 	}
 }
 
@@ -300,21 +315,17 @@ func (p *Project) Clone() *Project {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	q := &Project{
-		index:    make(map[string]int, len(p.index)),
-		headers:  make(map[string]string, len(p.headers)),
-		defines:  make(map[string]string, len(p.defines)),
-		files:    make([]*FileUnit, 0, len(p.files)),
-		envHash:  p.envHash,
-		env:      p.env,
-		decls:    p.decls,
-		stages:   p.stages,
-		syms:     p.syms,
-		table:    p.table,
-		global:   p.global,
-		dedup:    p.dedup,
-		order:    p.order,
-		pairs:    p.pairs,
-		verdicts: p.verdicts,
+		index:   make(map[string]int, len(p.index)),
+		headers: make(map[string]string, len(p.headers)),
+		defines: make(map[string]string, len(p.defines)),
+		files:   make([]*FileUnit, 0, len(p.files)),
+		envHash: p.envHash,
+		env:     p.env,
+		decls:   p.decls,
+		stages:  p.stages,
+		syms:    p.syms,
+		global:  p.global,
+		last:    p.last,
 	}
 	for k, v := range p.headers {
 		q.headers[k] = v
@@ -412,9 +423,10 @@ type Result struct {
 // pool, and the analysis aborts as soon as ctx is canceled or times out,
 // returning ctx's error: between work items, and inside a file's
 // preprocessing, parsing and extraction and the interprocedural link and
-// inference. Files it did not finish stay pending for the next run. It is the one analysis entry point: the CLIs,
-// the serving subsystem (internal/service) and the evaluation route through
-// it.
+// inference. Files it did not finish stay pending for the next run.
+//
+// It is the one analysis entry point: the CLIs, the serving subsystem
+// (internal/service) and the evaluation route through it.
 func (p *Project) AnalyzeParallel(ctx context.Context, opts Options) (*Result, error) {
 	if opts.MinSharedObjects <= 0 {
 		opts.MinSharedObjects = 2
@@ -528,38 +540,34 @@ func (p *Project) AnalyzeParallel(ctx context.Context, opts Options) (*Result, e
 		esp.Add("pipeline.occupancy_pct", busyNS.Load()*100/(int64(wall)*int64(workers)))
 	}
 	esp.End()
-	var prevDedup, dedup *dedupRecord
-	var prevOrder, order *orderRecord
+	// Everything after extraction derives from the last completed run's
+	// record under the same ungated fingerprint, else from the empty one.
+	p.mu.Lock()
+	last := p.last
+	p.mu.Unlock()
+	if last.fp != fp {
+		last = emptyRun
+	}
+	rec := &runRecord{fp: fp}
 	if opts.InterprocDepth > 0 {
 		// Cross-file inlining makes the same physical barrier visible from
 		// callers in other files; keep the richest view, as per-file
-		// extraction already does within one file. The choice and the
-		// canonical order derive from the last run's (see dedup.go).
+		// extraction already does within one file (see dedup.go).
 		_, dsp := obs.Start(ctx, "dedup")
-		p.mu.Lock()
-		prevDedup = p.dedup
-		p.mu.Unlock()
 		var rechosen int
-		dedup, rechosen = deriveDedup(prevDedup, files)
-		res.Sites = dedup.sites
-		if dedup == prevDedup {
-			res.Sites = slices.Clone(res.Sites) // the caller owns Result.Sites
-		}
+		rec.sites, rechosen = deriveSites(last.sites, files, true)
 		dsp.Add("sites_in", int64(nSites))
-		dsp.Add("sites_out", int64(len(res.Sites)))
+		dsp.Add("sites_out", int64(len(rec.sites.sites)))
 		dsp.Add("ids_rechosen", int64(rechosen))
 		dsp.End()
 	} else {
-		// Every site, in canonical order, derived from the last depth-0
-		// run's order (see dedup.go).
-		p.mu.Lock()
-		prevOrder = p.order
-		p.mu.Unlock()
-		order = deriveOrder(prevOrder, files)
-		res.Sites = order.sites
-		if order == prevOrder {
-			res.Sites = slices.Clone(res.Sites) // the caller owns Result.Sites
-		}
+		// Every site, in canonical order (see dedup.go).
+		rec.sites, _ = deriveSites(last.sites, files, false)
+	}
+	res.Sites = rec.sites.sites
+	keptSites := rec.sites == last.sites
+	if keptSites {
+		res.Sites = slices.Clone(res.Sites) // the caller owns Result.Sites
 	}
 
 	// Phase 2: global pairing (Algorithm 1), on this goroutine (see
@@ -569,20 +577,19 @@ func (p *Project) AnalyzeParallel(ctx context.Context, opts Options) (*Result, e
 	// only the writers whose objects the edit touched search again.
 	phaseStart = time.Now()
 	pctx, psp := obs.Start(ctx, "pair")
-	p.mu.Lock()
-	prevTable, prevPairs := p.table, p.pairs
-	p.mu.Unlock()
-	tbl, diff := access.BuildSiteTable(prevTable, res.Sites, opts.GenericStructs)
-	// A new record keeps the table's copy of the sorted list, since the
-	// caller owns Result.Sites.
-	if dedup != prevDedup {
-		dedup.sites = tbl.Sites()
+	tbl, diff := access.BuildSiteTable(last.table, res.Sites, opts.GenericStructs)
+	rec.table = tbl
+	if diff == nil {
+		// The table carried nothing over: pairing and verdicts derive from
+		// the empty record.
+		last, diff = emptyRun, access.DiffFromEmpty(len(res.Sites))
 	}
-	if order != prevOrder {
-		order.sites = tbl.Sites()
+	// A new site record keeps the table's copy of the sorted list, since
+	// the caller owns Result.Sites.
+	if !keptSites {
+		rec.sites.sites = tbl.Sites()
 	}
-	pairer := newPairer(tbl, opts)
-	pairer.derive(prevPairs, prevTable, diff, fp)
+	pairer := newPairer(tbl, opts, last, diff)
 	res.Pairings, res.Unpaired, res.ImplicitIPC = pairer.run(pctx)
 	res.PairStats = pairer.stats
 	psp.Add("pairings", int64(len(res.Pairings)))
@@ -607,19 +614,13 @@ func (p *Project) AnalyzeParallel(ctx context.Context, opts Options) (*Result, e
 	}
 
 	// Phases 3 and 4: checking, fanned out per pairing, then confidence
-	// ranking (internal/rank). Both derive from the last completed run's
-	// record (see verdicts.go): only pairings the edit changed are checked,
-	// and only findings whose evidence moved are re-scored.
-	p.mu.Lock()
-	prev := p.verdicts
-	p.mu.Unlock()
-	if prev != nil && prev.fp != fp {
-		prev = nil
-	}
+	// ranking (internal/rank). Both derive from the record's verdicts (see
+	// verdicts.go): only pairings the edit changed are checked, and only
+	// findings whose evidence moved are re-scored.
 	phaseStart = time.Now()
 	_, ksp := obs.Start(ctx, "check")
 	ck := &checker{opts: opts}
-	v, err := ck.check(ctx, prev, pairer.rec, res, workers)
+	v, err := ck.check(ctx, last.verdicts, pairer, res, workers)
 	if err != nil {
 		ksp.End()
 		return nil, err
@@ -631,34 +632,17 @@ func (p *Project) AnalyzeParallel(ctx context.Context, opts Options) (*Result, e
 	res.Timing.Check = time.Since(phaseStart)
 
 	phaseStart = time.Now()
-	// The census derives from the last run's when the site table did.
-	var censusDiff *access.TableDiff
-	if prev != nil && prev.census.Table() == prevTable {
-		censusDiff = diff
-	}
-	rec := v.rank(ctx, prev, fp, res, opts, tbl, censusDiff, plan.inferredOnly, workers)
+	rec.verdicts = v.rank(ctx, last.verdicts, res, opts, tbl, diff, plan.inferredOnly, workers)
 	res.Timing.Rank = time.Since(phaseStart)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Only a completed run publishes: the next run derives its site table,
-	// its pairing and its verdicts from this one's. The pair record keeps
-	// the pairings check settled on, so the next check finds them by
-	// pointer.
+	// Only a completed run publishes. The pair record keeps the pairings
+	// check settled on, so the next check finds them by pointer.
 	pairer.rec.pairings = slices.Clone(res.Pairings)
+	rec.pairs = pairer.rec
 	p.mu.Lock()
-	p.table, p.pairs, p.verdicts = tbl, pairer.rec, rec
-	if dedup != nil {
-		p.dedup = dedup
-	}
-	if order != nil {
-		p.order = order
-	}
+	p.last = rec
 	p.mu.Unlock()
 	return res, nil
-}
-
-// sortSites sorts sites into the canonical order (access.SortSites).
-func sortSites(sites []*access.Site) {
-	access.SortSites(sites)
 }

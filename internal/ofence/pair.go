@@ -1,7 +1,6 @@
 package ofence
 
 import (
-	"cmp"
 	"context"
 	"slices"
 	"sync"
@@ -39,8 +38,9 @@ import (
 //     lists and no string-keyed maps: each site keeps the first
 //     lowest-weight proposal in writer order, and pairings with equal
 //     common sets meet in an open-addressed table;
-//   - a completed run publishes a pairRecord, and the next run starts from
-//     it (incremental pairing). The dirty object set D is the objects of
+//   - a completed run publishes a pairRecord, and the next run derives
+//     from it (incremental pairing); a cold run derives from the empty
+//     record, every site added. The dirty object set D is the objects of
 //     every site the edit added or dropped; only new writers and writers
 //     whose objects meet D are searched again. Any other writer's search
 //     reads only the postings and minimum weights of objects outside D,
@@ -67,16 +67,6 @@ type PairStats struct {
 	// Pruned counts tentative pairing candidates that did not survive the
 	// mutual-best handshake (the pre-existing candidates_pruned counter).
 	Pruned int64
-	// Margins maps a writer site ID (Site.ID) to its candidate-weight
-	// margin: the winning weight and the best PROBED alternative. The
-	// confidence ranker (internal/rank) uses the margin as evidence of how
-	// decisively the pairing won. The runner-up is optimistic — candidate
-	// pairs skipped by the weight lower bound are never probed, so a true
-	// runner-up can be missed — which only ever overstates the margin.
-	// A run whose margins equal the previous run's shares that run's map,
-	// so one map can back several Results and the project's pair record:
-	// it is read-only, and callers must not modify it.
-	Margins map[string]PairMargin
 	// InternerReused reports that the run's site table kept the previous
 	// run's object interner: the edit left the tree's set of
 	// (struct, field) objects unchanged.
@@ -91,17 +81,10 @@ type PairStats struct {
 	// PairingsReused counts the pairings kept from the previous run's
 	// record as they were.
 	PairingsReused int
-	// ObjectsDirty is the size of the dirty object set of a warm run: the
-	// objects of the sites the edit added or dropped.
+	// ObjectsDirty counts the recorded objects whose postings the run
+	// rebuilt: the objects of the sites the edit added or dropped. It is 0
+	// on a cold run, whose empty record has no postings.
 	ObjectsDirty int
-}
-
-// PairMargin is one writer's winning candidate weight and the lowest weight
-// any other probed partner site achieved (-1 when no alternative partner
-// was probed: a decisive win).
-type PairMargin struct {
-	Weight   int
-	RunnerUp int
 }
 
 // siteRef is one inverted-index posting: a site (by canonical index) that
@@ -122,23 +105,34 @@ type candidate struct {
 	weight           int
 	// second is the lowest weight any probed partner OTHER than `other`
 	// achieved during the search, or -1 when none was probed. It never
-	// influences candidate selection — it only feeds PairStats.Margins.
+	// influences candidate selection: it is the writer's margin, the
+	// ranker's evidence of how decisively the pairing won (see
+	// verdicts.margin). It is optimistic — candidate pairs skipped by the
+	// weight lower bound are never probed, so a true runner-up can be
+	// missed — which only ever overstates the margin.
 	second int
 }
 
-// contributes reports whether the candidate gives its writer a
-// PairStats.Margins entry.
-func (c *candidate) contributes() bool {
+// proposes reports whether the candidate's writer proposes to its partner
+// in the handshake: it has one, and is not left to an implicit IPC.
+func (c *candidate) proposes() bool {
 	return c.writer && !c.implicit && c.other >= 0
+}
+
+// margin is the writer's margin as the ranker reads it: the runner-up
+// weight of a proposing candidate, else -1.
+func (c *candidate) margin() int {
+	if c.proposes() {
+		return c.second
+	}
+	return -1
 }
 
 // pairRecord is one completed run's pairing state, indexed like the site
 // table it was built over. It is never mutated after publication, so a
-// project and its clones share it.
+// project and its clones share it. The zero value is the empty record a
+// cold run derives from.
 type pairRecord struct {
-	// fp is the ungated options fingerprint the run paired under.
-	fp  string
-	tbl *access.SiteTable
 	// bests[i] is site i's candidate.
 	bests []candidate
 	// post, off and minW are the run's inverted index (see pairer).
@@ -154,14 +148,14 @@ type pairRecord struct {
 	finals    []finalPairing
 	sites     []int32
 	pairingOf []int32
-	// margins is the run's PairStats.Margins, and marginsKept reports that
-	// it is the previous record's.
-	margins     map[string]PairMargin
-	marginsKept bool
 }
 
-// postings returns object o's postings in the record's inverted index.
+// postings returns object o's postings in the record's inverted index;
+// the empty record has none.
 func (rec *pairRecord) postings(o uint32) []siteRef {
+	if int(o) >= len(rec.off)-1 {
+		return nil
+	}
 	return rec.post[rec.off[o]:rec.off[o+1]]
 }
 
@@ -169,9 +163,10 @@ func (rec *pairRecord) postings(o uint32) []siteRef {
 // Runs recycle them through scratchPool, so a warm run does not allocate
 // them afresh.
 type pairScratch struct {
-	heard, next, last, slots, leader []int32
-	paired, dirty                    []bool
-	pres                             []prePairing
+	heard, next, last, slots, leader, at []int32
+	paired, dirty                        []bool
+	added                                []siteRef
+	pres                                 []prePairing
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(pairScratch) }}
@@ -188,7 +183,6 @@ func zeroed[T any](s []T, n int) []T {
 }
 
 type pairer struct {
-	tbl   *access.SiteTable
 	sites []*access.Site
 	opts  Options
 
@@ -210,46 +204,41 @@ type pairer struct {
 	// bests[i] is site i's candidate.
 	bests []candidate
 
-	// fp is the ungated options fingerprint, recorded in rec. prev and
-	// diff, when set, are the last completed run's record and this run's
-	// site table diff against that record's table (see derive).
-	fp   string
-	prev *pairRecord
-	diff *access.TableDiff
+	// prev is the record the run derives from, built over the table
+	// prevTbl, and diff the run's table's diff from prevTbl.
+	prev    *pairRecord
+	prevTbl *access.SiteTable
+	diff    *access.TableDiff
+	// remargined lists the writers whose candidate search moved their
+	// margin, ascending. A writer that was not searched keeps its
+	// candidate, and so its margin.
+	remargined []int32
 	// rec is this run's record, set when run completes.
 	rec *pairRecord
 
 	stats PairStats
 }
 
-// newPairer builds the pairing engine for a cold run over a site table
-// whose sites are in canonical position order.
-func newPairer(tbl *access.SiteTable, opts Options) *pairer {
+// newPairer builds the pairing engine for a run over tbl that derives from
+// the pairing of the run record from — the last completed run's under the
+// same options, or the empty record — with d the diff of tbl from that
+// record's table. Every kept site's vectors and every object ID are as the
+// record saw them: such a diff exists only when tbl reused that table's
+// interner and generic filter.
+func newPairer(tbl *access.SiteTable, opts Options, from *runRecord, d *access.TableDiff) *pairer {
 	if opts.MinSharedObjects <= 0 {
 		opts.MinSharedObjects = 2
 	}
 	ts := tbl.Stats()
 	return &pairer{
-		tbl:   tbl,
-		sites: tbl.Sites(),
-		opts:  opts,
-		in:    tbl.Interner(),
-		vecs:  tbl.AllVecs(),
-		stats: PairStats{InternerReused: ts.InternerReused, SitesVectorized: ts.Vectorized},
-	}
-}
-
-// derive makes pr's run start from prev, the record of the last completed
-// run, whose table is prevTable, when the record is valid for it: prev was
-// paired under the same ungated fingerprint fp (which covers the generic
-// filter and MinSharedObjects), over prevTable, and d is non-nil — the
-// run's table reused prevTable's interner under the same generic filter, so
-// every kept site's vectors, and every object ID, are as prev saw them.
-// Otherwise the run is cold. Either way the run records fp.
-func (pr *pairer) derive(prev *pairRecord, prevTable *access.SiteTable, d *access.TableDiff, fp string) {
-	pr.fp = fp
-	if prev != nil && d != nil && prev.fp == fp && prev.tbl == prevTable {
-		pr.prev, pr.diff = prev, d
+		sites:   tbl.Sites(),
+		opts:    opts,
+		in:      tbl.Interner(),
+		vecs:    tbl.AllVecs(),
+		prev:    from.pairs,
+		prevTbl: from.table,
+		diff:    d,
+		stats:   PairStats{InternerReused: ts.InternerReused, SitesVectorized: ts.Vectorized},
 	}
 }
 
@@ -268,62 +257,21 @@ func isWriteSide(s *access.Site) bool {
 // happens after the candidate search, in canonical site order. A canceled
 // run returns nothing and records nothing.
 func (pr *pairer) run(ctx context.Context) (pairings []*Pairing, unpaired, implicit []*access.Site) {
-	var todo []int32
-	if pr.prev != nil {
-		todo = pr.deriveIndex()
-	} else {
-		todo = pr.buildIndex()
-	}
-	pr.search(ctx, todo)
+	pr.search(ctx, pr.deriveIndex())
 	if ctx.Err() != nil {
 		return nil, nil, nil
 	}
 	return pr.link(ctx)
 }
 
-// buildIndex builds the inverted index with one counting pass, so postings
-// land in exactly-sized windows of one backing array in ascending site
-// order, and returns every writer for the search.
-func (pr *pairer) buildIndex() (todo []int32) {
-	nObj := pr.in.Len()
-	pr.off = make([]int32, nObj+1)
-	for _, v := range pr.vecs {
-		for _, od := range v.Objs {
-			pr.off[od.ID+1]++
-		}
-	}
-	for o := 0; o < nObj; o++ {
-		pr.off[o+1] += pr.off[o]
-	}
-	pr.post = make([]siteRef, pr.off[nObj])
-	pr.minW = make([]int32, nObj)
-	next := slices.Clone(pr.off[:nObj])
-	for i, v := range pr.vecs {
-		for _, od := range v.Objs {
-			w := weightOf32(od.Dist)
-			pr.post[next[od.ID]] = siteRef{site: int32(i), w: w}
-			next[od.ID]++
-			if mw := pr.minW[od.ID]; mw == 0 || w < mw {
-				pr.minW[od.ID] = w
-			}
-		}
-	}
-	pr.bests = make([]candidate, len(pr.sites))
-	for i, s := range pr.sites {
-		pr.bests[i] = candidate{other: -1, weight: -1, second: -1, writer: isWriteSide(s)}
-		if pr.bests[i].writer {
-			todo = append(todo, int32(i))
-		}
-	}
-	return todo
-}
-
 // deriveIndex derives the inverted index and the candidates from the
-// previous run's record and returns the writers to search: the new ones
-// and those whose objects meet the dirty set D, the objects of the sites
-// the table diff added or dropped. A clean object's postings are the
-// record's, renumbered (kept sites keep their relative order); a dirty
-// one's merge the record's kept postings with the added sites'.
+// record the run derives from and returns the writers to search, in
+// ascending order: the new ones and those whose objects meet the dirty set
+// D, the objects of the sites the table diff added or dropped. A clean
+// object's postings are the record's, renumbered (kept sites keep their
+// relative order); a dirty one's merge the record's kept postings with the
+// added sites'. On a cold run every site is added and every object with
+// postings is dirty, so this is one counting pass over the sites' vectors.
 func (pr *pairer) deriveIndex() (todo []int32) {
 	prev, d := pr.prev, pr.diff
 	nObj := pr.in.Len()
@@ -331,65 +279,35 @@ func (pr *pairer) deriveIndex() (todo []int32) {
 	defer scratchPool.Put(sc)
 	sc.dirty = zeroed(sc.dirty, nObj)
 	dirty := sc.dirty
-	var dirtyIDs []uint32
 	markDirty := func(objs []access.ObjDist) {
 		for _, od := range objs {
-			if !dirty[od.ID] {
-				dirty[od.ID] = true
-				dirtyIDs = append(dirtyIDs, od.ID)
-			}
+			dirty[od.ID] = true
 		}
 	}
 	for _, j := range d.Dropped {
-		markDirty(prev.tbl.Vecs(int(j)).Objs)
+		markDirty(pr.prevTbl.Vecs(int(j)).Objs)
 	}
-	type objRef struct {
-		o   uint32
-		ref siteRef
-	}
-	var added []objRef
+	// The added sites' postings, bucketed by object with one counting
+	// pass: object o's are added[at[o]:at[o+1]], in ascending site order.
+	sc.at = zeroed(sc.at, nObj+2)
+	at := sc.at
 	for _, i := range d.Added {
 		markDirty(pr.vecs[i].Objs)
 		for _, od := range pr.vecs[i].Objs {
-			added = append(added, objRef{od.ID, siteRef{site: i, w: weightOf32(od.Dist)}})
+			at[od.ID+2]++
 		}
 	}
-	slices.SortStableFunc(added, func(a, b objRef) int { return cmp.Compare(a.o, b.o) })
-	pr.stats.ObjectsDirty = len(dirtyIDs)
-
-	pr.off = make([]int32, nObj+1)
-	pr.post = make([]siteRef, 0, len(prev.post)+len(added))
-	pr.minW = slices.Clone(prev.minW)
-	for o := 0; o < nObj; o++ {
-		pr.off[o] = int32(len(pr.post))
-		old := prev.post[prev.off[o]:prev.off[o+1]]
-		if !dirty[o] {
-			for _, r := range old {
-				pr.post = append(pr.post, siteRef{site: d.ToNew[r.site], w: r.w})
-			}
-			continue
-		}
-		var mw int32
-		for len(old) > 0 || len(added) > 0 && added[0].o == uint32(o) {
-			var r siteRef
-			if len(old) > 0 && (len(added) == 0 || added[0].o != uint32(o) || d.ToNew[old[0].site] < added[0].ref.site) {
-				r = siteRef{site: d.ToNew[old[0].site], w: old[0].w}
-				old = old[1:]
-				if r.site < 0 {
-					continue // dropped
-				}
-			} else {
-				r = added[0].ref
-				added = added[1:]
-			}
-			pr.post = append(pr.post, r)
-			if mw == 0 || r.w < mw {
-				mw = r.w
-			}
-		}
-		pr.minW[o] = mw
+	for o := 2; o < len(at); o++ {
+		at[o] += at[o-1]
 	}
-	pr.off[nObj] = int32(len(pr.post))
+	sc.added = zeroed(sc.added, int(at[nObj+1]))
+	added := sc.added
+	for _, i := range d.Added {
+		for _, od := range pr.vecs[i].Objs {
+			added[at[od.ID+1]] = siteRef{site: i, w: weightOf32(od.Dist)}
+			at[od.ID+1]++
+		}
+	}
 
 	// A kept writer whose objects avoid D keeps its candidate: its partner
 	// holds the writer's winning objects, so it was kept too.
@@ -409,15 +327,53 @@ func (pr *pairer) deriveIndex() (todo []int32) {
 			todo = append(todo, i)
 		}
 	}
-	for _, o := range dirtyIDs {
-		for _, r := range pr.postings(o) {
-			if pr.bests[r.site].writer {
-				todo = append(todo, r.site)
+	added0 := len(todo)
+
+	pr.off = make([]int32, nObj+1)
+	pr.post = make([]siteRef, 0, len(prev.post)+len(added))
+	pr.minW = make([]int32, nObj)
+	copy(pr.minW, prev.minW)
+	for o := 0; o < nObj; o++ {
+		pr.off[o] = int32(len(pr.post))
+		old := prev.postings(uint32(o))
+		if !dirty[o] {
+			for _, r := range old {
+				pr.post = append(pr.post, siteRef{site: d.ToNew[r.site], w: r.w})
+			}
+			continue
+		}
+		if len(old) > 0 {
+			pr.stats.ObjectsDirty++
+		}
+		add := added[at[o]:at[o+1]]
+		var mw int32
+		for len(old) > 0 || len(add) > 0 {
+			var r siteRef
+			if len(old) > 0 && (len(add) == 0 || d.ToNew[old[0].site] < add[0].site) {
+				r = siteRef{site: d.ToNew[old[0].site], w: old[0].w}
+				old = old[1:]
+				if r.site < 0 {
+					continue // dropped
+				}
+				if pr.bests[r.site].writer {
+					todo = append(todo, r.site) // a kept writer on a dirty object
+				}
+			} else {
+				r, add = add[0], add[1:]
+			}
+			pr.post = append(pr.post, r)
+			if mw == 0 || r.w < mw {
+				mw = r.w
 			}
 		}
+		pr.minW[o] = mw
 	}
-	slices.Sort(todo)
-	return slices.Compact(todo)
+	pr.off[nObj] = int32(len(pr.post))
+	if len(todo) > added0 {
+		slices.Sort(todo)
+		todo = slices.Compact(todo)
+	}
+	return todo
 }
 
 // search runs the candidate search for the writers in todo. ctx is
@@ -441,6 +397,9 @@ func (pr *pairer) resolve(i int32) {
 	c.writer = true
 	if wake := pr.sites[i].WakeUpAfter; wake >= 0 {
 		c.implicit = c.other < 0 || wake <= pr.minObjDist(int(i), o1, o2)
+	}
+	if c.margin() != pr.bests[i].margin() {
+		pr.remargined = append(pr.remargined, i)
 	}
 	pr.bests[i] = c
 }
@@ -472,7 +431,7 @@ type finalPairing struct {
 // every 1024 sites.
 func (pr *pairer) link(ctx context.Context) (pairings []*Pairing, unpaired, implicit []*access.Site) {
 	n := int32(len(pr.sites))
-	rec := &pairRecord{fp: pr.fp, tbl: pr.tbl, bests: pr.bests, post: pr.post, off: pr.off, minW: pr.minW}
+	rec := &pairRecord{bests: pr.bests, post: pr.post, off: pr.off, minW: pr.minW}
 	sc := scratchPool.Get().(*pairScratch)
 	defer scratchPool.Put(sc)
 	// Handshake: each writer proposes to its candidate, which hears the
@@ -499,7 +458,7 @@ func (pr *pairer) link(ctx context.Context) (pairings []*Pairing, unpaired, impl
 		if i&1023 == 0 && ctx.Err() != nil {
 			return nil, nil, nil
 		}
-		if c := &pr.bests[i]; c.contributes() {
+		if c := &pr.bests[i]; c.proposes() {
 			propose(i, i)
 			propose(c.other, i)
 			proposals++
@@ -609,8 +568,6 @@ func (pr *pairer) link(ctx context.Context) (pairings []*Pairing, unpaired, impl
 		}
 	}
 
-	pr.stats.Margins, rec.marginsKept = pr.margins()
-	rec.margins = pr.stats.Margins
 	pr.rec = rec
 	return pairings, unpaired, implicit
 }
@@ -627,9 +584,6 @@ func appendNew(list []int32, from int32, s int32) []int32 {
 // writer when it has exactly f's sites, common objects and weight, else
 // -1.
 func (pr *pairer) recordedPairing(f finalPairing, rec *pairRecord) int32 {
-	if pr.prev == nil {
-		return -1
-	}
 	sites := rec.sites[f.lo:f.hi]
 	j := pr.diff.FromPrev[sites[0]]
 	if j < 0 || pr.prev.pairingOf[j] == 0 {
@@ -685,66 +639,6 @@ func groupByCommon(sc *pairScratch, n int, commonOf func(k int) []uint32) []int3
 		}
 	}
 	return leader
-}
-
-// margins builds PairStats.Margins from every writer's candidate: a later
-// writer with the same site ID overwrites an earlier one's entry. The map
-// is sized for its entries up front, so it never grows. A run whose
-// writers give the same entries, in the same order, as the previous run's
-// shares that run's map, and kept reports so.
-func (pr *pairer) margins() (m map[string]PairMargin, kept bool) {
-	if pr.sameMargins() {
-		return pr.prev.margins, true
-	}
-	n := 0
-	for i := range pr.bests {
-		if pr.bests[i].contributes() {
-			n++
-		}
-	}
-	if n == 0 {
-		return nil, false
-	}
-	m = make(map[string]PairMargin, n)
-	for i := range pr.bests {
-		if c := &pr.bests[i]; c.contributes() {
-			m[pr.sites[i].ID()] = PairMargin{Weight: c.weight, RunnerUp: c.second}
-		}
-	}
-	return m, false
-}
-
-// sameMargins reports whether the writers that contribute a margin entry
-// give, in site order, the same site IDs, weights and runner-ups as those
-// of the previous run's record.
-func (pr *pairer) sameMargins() bool {
-	prev := pr.prev
-	if prev == nil {
-		return false
-	}
-	prevSites := prev.tbl.Sites()
-	j := 0
-	next := func() {
-		for j < len(prev.bests) && !prev.bests[j].contributes() {
-			j++
-		}
-	}
-	for i := range pr.bests {
-		c := &pr.bests[i]
-		if !c.contributes() {
-			continue
-		}
-		next()
-		if j == len(prev.bests) {
-			return false
-		}
-		if p := &prev.bests[j]; c.weight != p.weight || c.second != p.second || pr.sites[i].ID() != prevSites[j].ID() {
-			return false
-		}
-		j++
-	}
-	next()
-	return j == len(prev.bests)
 }
 
 // bestFor finds write barrier b's lowest-weight candidate partner:
@@ -962,17 +856,14 @@ func weightOf32(d int32) int32 {
 
 // PairSites runs the pairing engine (Algorithm 1) over already-extracted
 // sites and returns the pairings, the sites left unpaired, and the
-// implicit-IPC writers, plus the engine's execution counters. The sites are
-// re-sorted into canonical position order internally, so the result does
-// not depend on input order. This is the
-// entry point for pairing-only tooling and benchmarks, and the cold oracle
-// of incremental pairing; AnalyzeParallel routes through the same engine.
+// implicit-IPC writers, plus the engine's execution counters. The site
+// table sorts the sites into canonical position order, so the result does
+// not depend on input order. This is the entry point for pairing-only
+// tooling and benchmarks, and the cold oracle of incremental pairing;
+// AnalyzeParallel routes through the same engine.
 func PairSites(ctx context.Context, sites []*access.Site, opts Options) (pairings []*Pairing, unpaired, implicit []*access.Site, stats PairStats) {
-	sorted := make([]*access.Site, len(sites))
-	copy(sorted, sites)
-	sortSites(sorted)
-	tbl, _ := access.BuildSiteTable(nil, sorted, opts.GenericStructs)
-	pr := newPairer(tbl, opts)
+	tbl, _ := access.BuildSiteTable(nil, sites, opts.GenericStructs)
+	pr := newPairer(tbl, opts, emptyRun, access.DiffFromEmpty(len(tbl.Sites())))
 	pairings, unpaired, implicit = pr.run(ctx)
 	return pairings, unpaired, implicit, pr.stats
 }

@@ -14,7 +14,7 @@ import (
 // pairing work, not lazy memoization.
 func benchPairSites(n int) []*access.Site {
 	sites := sitegen.Generate(sitegen.DefaultConfig(n, 42))
-	sortSites(sites)
+	access.SortSites(sites)
 	for _, s := range sites {
 		s.Objects()
 	}
@@ -39,7 +39,7 @@ func BenchmarkPairKernelScale(b *testing.B) {
 	b.Run("indexed", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			pr := newPairer(coldTable(sites, opts), opts)
+			pr := coldPairer(sites, opts)
 			pr.run(context.Background())
 		}
 	})

@@ -109,7 +109,7 @@ func TestPairerMatchesLegacyOracle(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sortSites(tc.sites)
+			access.SortSites(tc.sites)
 			opts := DefaultOptions()
 			opts.MinSharedObjects = tc.min
 
@@ -119,7 +119,7 @@ func TestPairerMatchesLegacyOracle(t *testing.T) {
 			for _, workers := range []int{1, 3, 8} {
 				o := opts
 				o.Workers = workers
-				pr := newPairer(coldTable(tc.sites, o), o)
+				pr := coldPairer(tc.sites, o)
 				got := pairFingerprint(pr.run(ctx))
 				if got != want {
 					t.Fatalf("workers=%d diverges from legacy oracle:\n got:\n%s\nwant:\n%s", workers, got, want)
@@ -187,10 +187,11 @@ func TestPairStatsCounters(t *testing.T) {
 	}
 }
 
-// coldTable builds a fresh site table over sites, as a cold analysis does.
-func coldTable(sites []*access.Site, opts Options) *access.SiteTable {
+// coldPairer builds the pairing engine over a fresh site table of sites,
+// deriving from the empty record, as a cold analysis does.
+func coldPairer(sites []*access.Site, opts Options) *pairer {
 	tbl, _ := access.BuildSiteTable(nil, sites, opts.GenericStructs)
-	return tbl
+	return newPairer(tbl, opts, emptyRun, access.DiffFromEmpty(len(tbl.Sites())))
 }
 
 // TestSortSitesTotalOrder sorts two permutations of one site set in which
@@ -211,7 +212,7 @@ func TestSortSitesTotalOrder(t *testing.T) {
 	wmb, mb, hdr := mk("m.c", "smp_wmb", 4, 23), mk("m.c", "smp_mb", 4, 23), mk("h.h", "smp_wmb", 4, 23)
 	before, after := mk("m.c", "smp_rmb", 2, 5), mk("m.c", "smp_rmb", 9, 5)
 	order := func(sites ...*access.Site) string {
-		sortSites(sites)
+		access.SortSites(sites)
 		var ids []string
 		for _, s := range sites {
 			ids = append(ids, s.ID())

@@ -277,7 +277,7 @@ func TestCancelInCheckAndRank(t *testing.T) {
 					t.Fatalf("the %s phase made no context check", phase)
 				}
 				p := warm()
-				table, verdicts := p.table, p.verdicts
+				last := p.last
 				base := runtime.NumGoroutine()
 				tr := obs.New()
 				ctx := obs.WithTracer(newCancelAfter(before+(inside+1)/2), tr)
@@ -288,8 +288,8 @@ func TestCancelInCheckAndRank(t *testing.T) {
 				if last := lastPhase(tr); last != phase {
 					t.Errorf("the canceled run's last phase was %q, want %q", last, phase)
 				}
-				if p.table != table || p.verdicts != verdicts {
-					t.Error("a canceled run published its site table or verdicts")
+				if p.last != last {
+					t.Error("a canceled run published its run record")
 				}
 				viewEqual(t, want, mustAnalyze(t, p, opts))
 			})
@@ -334,7 +334,7 @@ func TestCancelInPair(t *testing.T) {
 		}{{"search", before + 1}, {"handshake", before + searched + 1}} {
 			t.Run(fmt.Sprintf("depth%d/%s", depth, at.name), func(t *testing.T) {
 				p := warm()
-				table, pairs, verdicts := p.table, p.pairs, p.verdicts
+				last := p.last
 				base := runtime.NumGoroutine()
 				tr := obs.New()
 				if _, err := p.AnalyzeParallel(obs.WithTracer(newCancelAfter(at.k), tr), opts); err != context.Canceled {
@@ -344,8 +344,8 @@ func TestCancelInPair(t *testing.T) {
 				if last := lastPhase(tr); last != "pair" {
 					t.Errorf("the canceled run's last phase was %q, want pair", last)
 				}
-				if p.table != table || p.pairs != pairs || p.verdicts != verdicts {
-					t.Error("a canceled run published its site table, pair record or verdicts")
+				if p.last != last {
+					t.Error("a canceled run published its run record")
 				}
 				viewEqual(t, want, mustAnalyze(t, p, opts))
 			})

@@ -17,46 +17,40 @@ import (
 // (internal/rank), order them by position and, when opts.MinConfidence > 0,
 // drop those below the gate. Scoring always runs — the gate only filters —
 // so JSON and SARIF consumers see calibrated confidences even with the gate
-// disabled. A fresh finding is scored in place; a finding from prev keeps
-// its score unless an input of it moved (see verdicts.go), and a changed
-// score goes into a copy. ctx is checked between pairings; a canceled run
-// returns a nil record.
+// disabled. A fresh finding is scored in place; a finding from prev, the
+// record the run derives from, keeps its score unless an input of it
+// moved (see verdicts.go), and a changed score goes into a copy. ctx is
+// checked between pairings; a canceled run returns a nil record.
 //
 // Evidence per finding:
 //   - outlier census over ALL deduplicated sites (how the other uses of the
 //     finding's object order their accesses), read from the run's site
-//     table, which pairing built; when d, the table's diff from the one
-//     prev's census counts, is non-nil, the census derives from prev's;
-//   - the pairing's winning weight and probed runner-up (its writer's
-//     PairStats.Margins entry);
+//     table, which pairing built; it derives from prev's census with d, the
+//     table's diff from the table prev's census counts;
+//   - the pairing's winning weight and its writer's probed runner-up (see
+//     verdicts.margin);
 //   - the finding site's window richness and inlined-provenance flag;
 //   - whether the ordering rests on interprocedurally inferred semantics
 //     (the site's own barrier name, or — for unneeded-barrier findings —
 //     the following call the finding trusts to provide the ordering).
-func (v *verdicts) rank(ctx context.Context, prev *verdictRecord, fp string, res *Result, opts Options, tbl *access.SiteTable, d *access.TableDiff, inferredOnly map[string]bool, workers int) *verdictRecord {
+func (v *verdicts) rank(ctx context.Context, prev *verdictRecord, res *Result, opts Options, tbl *access.SiteTable, d *access.TableDiff, inferredOnly map[string]bool, workers int) *verdictRecord {
 	_, rsp := obs.Start(ctx, "rank")
 	defer rsp.End()
-	var idx *rank.Index
-	if d != nil {
-		idx = prev.census.Derive(tbl, d)
-	} else {
-		idx = rank.NewIndex(tbl)
-	}
-	// Every recorded score is stale when the IDs moved; otherwise only those
-	// of the pairings whose margin moved, and of findings on objects whose
-	// census row did.
-	all := prev == nil || !res.PairStats.InternerReused
+	idx := prev.census.Derive(tbl, d)
+	// A kept finding's score is stale when its pairing's writer margin or
+	// its object's census row moved. With no pairing kept there is nothing
+	// to compare.
 	var moved []uint32
-	if !all {
+	if v.checked < len(v.items) {
 		moved = idx.ChangedRows(prev.census)
 	}
-	jobs := v.rescoreJobs(all, moved)
-	score := func(f *Finding, m writerMargin) float64 {
-		return rank.Combine(evidenceFor(f, idx, m, inferredOnly))
+	jobs := v.rescoreJobs(moved, tbl.Interner())
+	score := func(f *Finding, runnerUp int) float64 {
+		return rank.Combine(evidenceFor(f, idx, runnerUp, inferredOnly))
 	}
 	// rescore re-scores a recorded finding: f itself when its score is
 	// unchanged, else a copy carrying the new one.
-	rescore := func(f *Finding, m writerMargin) *Finding {
+	rescore := func(f *Finding, m int) *Finding {
 		c := score(f, m)
 		if c == f.Confidence {
 			return f
@@ -79,7 +73,6 @@ func (v *verdicts) rank(ctx context.Context, prev *verdictRecord, fp string, res
 			for _, f := range it.findings {
 				f.Confidence = score(f, m)
 			}
-			it.margin = m
 			visited.Add(int64(len(it.findings)))
 			rescored.Add(int64(len(it.findings)))
 			return
@@ -101,13 +94,9 @@ func (v *verdicts) rank(ctx context.Context, prev *verdictRecord, fp string, res
 		}
 		visited.Add(int64(len(it.findings)))
 		rescored.Add(int64(n))
-		if fs == nil {
-			if m == it.margin {
-				return
-			}
-			fs = it.findings
+		if fs != nil {
+			v.items[job.item] = &checkedPairing{pg: it.pg, findings: fs}
 		}
-		v.items[job.item] = &checkedPairing{pg: it.pg, findings: fs, margin: m}
 	})
 	if ctx.Err() != nil {
 		return nil
@@ -131,35 +120,24 @@ func (v *verdicts) rank(ctx context.Context, prev *verdictRecord, fp string, res
 	}
 	unneededItem := int32(len(v.items))
 	for k, f := range v.unneeded {
-		if !v.unneededFresh[k] && !all {
+		if !v.unneededFresh[k] {
 			continue
 		}
 		visited.Add(1)
 		rescored.Add(1)
-		if v.unneededFresh[k] {
-			f.Confidence = score(f, writerMargin{})
-		} else if nf := rescore(f, writerMargin{}); nf != f {
-			v.unneeded[k], drop = nf, append(drop, f)
-			f = nf
-		} else {
-			continue
-		}
+		f.Confidence = score(f, -1)
 		adds = append(adds, placed{f, unneededItem, int32(k)})
 	}
 	if ctx.Err() != nil {
 		return nil
 	}
-	var sorted []*Finding
-	if prev != nil {
-		sorted = prev.sorted
-	}
-	out := v.order(sorted, drop, adds)
+	out := v.order(prev.sorted, drop, adds)
 	rsp.Add("findings_visited", visited.Load())
 	rsp.Add("findings_merged", int64(len(adds)))
 	rsp.Add("findings_rescored", rescored.Load())
 	rsp.Add("findings_reused", int64(len(out))-rescored.Load())
 	rsp.Add("ranked", int64(len(out)))
-	rec := v.record(fp, idx, out)
+	rec := v.record(idx, out)
 	if opts.MinConfidence > 0 {
 		kept := make([]*Finding, 0, len(out))
 		for _, f := range out {
@@ -181,36 +159,41 @@ type rescoreJob struct {
 	objs []access.Object
 }
 
-// margin returns the margin of pairing i's writer: a kept item's own while
-// the pair record kept the previous run's margins (a kept pairing's writer
-// is the recorded one), else the writer's PairStats.Margins entry.
-func (v *verdicts) margin(i int) writerMargin {
-	if v.pairs.marginsKept && !v.fresh[i] {
-		return v.items[i].margin
-	}
-	m, ok := v.pairs.margins[v.items[i].pg.Writer().ID()]
-	return writerMargin{m, ok}
+// writer returns the site index of pairing i's writer.
+func (v *verdicts) writer(i int) int32 {
+	return v.pairs.sites[v.pairs.finals[i].lo]
+}
+
+// margin returns the margin of pairing i's writer: its candidate's
+// runner-up weight, or -1 when the writer has no runner-up or does not
+// propose (its candidate was left to an implicit IPC).
+func (v *verdicts) margin(i int) int {
+	return v.pairs.bests[v.writer(i)].margin()
 }
 
 // rescoreJobs lists the items rank visits, by ascending item: every fresh
-// item; every item when all is set or, unless the pair record kept the
-// margins, each whose writer's margin moved; and each item with a finding
-// on an object of moved (census rows, by ID), through the pair record's
-// inverted index. A finding's object is one of its pairing's common
-// objects, which its writer accesses, so its writer's postings hold it.
-func (v *verdicts) rescoreJobs(all bool, moved []uint32) []rescoreJob {
+// item; every kept item whose writer's margin the search moved; and each
+// item with a finding on an object of moved (census rows, by ID, of
+// interner in), through the pair record's inverted index. A finding's
+// object is one of its pairing's common objects, which its writer
+// accesses, so its writer's postings hold it.
+func (v *verdicts) rescoreJobs(moved []uint32, in *access.Interner) []rescoreJob {
 	var jobs []rescoreJob
-	pairs := v.pairs
+	pairs, remargined := v.pairs, v.remargined
 	for i, fresh := range v.fresh {
-		if all || fresh || !pairs.marginsKept && v.items[i].margin != v.margin(i) {
-			jobs = append(jobs, rescoreJob{item: i})
+		if !fresh {
+			// Writers ascend with i, as the remargined ones do.
+			w := v.writer(i)
+			for len(remargined) > 0 && remargined[0] < w {
+				remargined = remargined[1:]
+			}
+			if len(remargined) == 0 || remargined[0] != w {
+				continue
+			}
 		}
-	}
-	if all {
-		return jobs
+		jobs = append(jobs, rescoreJob{item: i})
 	}
 	whole := len(jobs)
-	in := pairs.tbl.Interner()
 	for _, o := range moved {
 		for _, r := range pairs.postings(o) {
 			k := int(pairs.pairingOf[r.site]) - 1
@@ -318,8 +301,8 @@ func (v *verdicts) order(sorted, drop []*Finding, adds []placed) []*Finding {
 }
 
 // evidenceFor assembles the four-channel evidence for one finding, whose
-// pairing's writer has margin m.
-func evidenceFor(f *Finding, idx *rank.Index, m writerMargin, inferredOnly map[string]bool) rank.Evidence {
+// pairing's writer has runner-up weight runnerUp (see verdicts.margin).
+func evidenceFor(f *Finding, idx *rank.Index, runnerUp int, inferredOnly map[string]bool) rank.Evidence {
 	ev := rank.Evidence{
 		Richness: f.Site.Richness(),
 		Inlined:  f.Site.Unit != nil && f.Site.Unit.InlinedFrom != "",
@@ -330,10 +313,7 @@ func evidenceFor(f *Finding, idx *rank.Index, m writerMargin, inferredOnly map[s
 	if f.Pairing != nil {
 		ev.HasPairing = true
 		ev.Weight = f.Pairing.Weight
-		ev.RunnerUp = -1
-		if m.ok {
-			ev.RunnerUp = m.RunnerUp
-		}
+		ev.RunnerUp = runnerUp
 	}
 	ev.InferredSem = inferredOnly[f.Site.Name] ||
 		(f.Kind == UnneededBarrier && inferredOnly[f.Site.NextBarrierName])

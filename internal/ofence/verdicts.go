@@ -1,29 +1,30 @@
 // Incremental check and rank.
 //
 // Phases 3 and 4 of AnalyzeParallel derive from the last completed run the
-// way the site table and the global record do. After a run completes, the
-// project publishes one immutable verdictRecord next to the pair record:
-// every pairing with its ranked findings (before the MinConfidence gate),
-// indexed like the pair record's pairings, the unneeded-barrier findings,
-// the outlier census the findings were ranked against and every finding in
-// output order. Clones share it by pointer.
+// way the site table and the pairing do. The run record (see
+// AnalyzeParallel) holds one immutable verdictRecord next to the pair
+// record: every pairing with its ranked findings (before the MinConfidence
+// gate), indexed like the pair record's pairings, the unneeded-barrier
+// findings, the outlier census the findings were ranked against and every
+// finding in output order.
 //
 // Check: a pairing the pair record kept — the same sites, common objects
 // and weight, and so the recorded *Pairing itself — reuses the recorded
 // item at the index the pair record names, with its findings. Sites are
 // immutable once extracted, and checkPairing reads nothing but the pairing
-// and CheckOnce, which the record's fingerprint covers; unchanged files
-// keep their site pointers, so a one-file edit re-checks only the pairings
-// that touch the edited file. A kept item's writer margin is its own while
-// the pair record kept the previous run's PairStats.Margins map; any other
-// is read from the map.
+// and CheckOnce, which the run record's fingerprint covers; unchanged
+// files keep their site pointers, so a one-file edit re-checks only the
+// pairings that touch the edited file.
 //
-// Rank: a reused finding keeps its confidence unless an input of its score
-// moved — its writer's margin, its object's census row, or the object IDs
-// themselves (the interner was not reused). Rank visits only those
-// findings: the fresh ones, the pairings whose margin moved, and, through
-// the pair record's inverted index, the pairings with a finding on an
-// object whose census row changed. The inferred-only set needs no test of
+// Rank: a pairing's writer margin is its writer's candidate in the pair
+// record. A reused finding keeps its confidence unless an input of its
+// score moved — its writer's margin or its object's census row; the object
+// IDs themselves do not move, since a run whose table could not keep the
+// interner derives from the empty record. Rank visits only those
+// findings: the fresh ones, the kept pairings whose writer's margin the
+// search moved (a writer that was not searched keeps its candidate), and,
+// through the pair record's inverted index, the pairings with a finding on
+// an object whose census row changed. The inferred-only set needs no test of
 // its own: a kept site's barrier name and following call are in its file's
 // depth-1 extract key, so a change of their inferred status re-extracts the
 // file, and its pairings and sites are new. Scores are copy-on-write: a
@@ -42,11 +43,9 @@ import (
 )
 
 // verdictRecord is one completed run's check and rank output. It is never
-// mutated after publication, so a project and its clones share it.
+// mutated after publication, so a project and its clones share it. Its
+// findings are recorded before the MinConfidence gate.
 type verdictRecord struct {
-	// fp is the options fingerprint with MinConfidence cleared: the
-	// findings are recorded before the gate.
-	fp string
 	// items holds each pairing with its findings, indexed like the
 	// pairings of the pair record published with this one.
 	items []*checkedPairing
@@ -57,28 +56,18 @@ type verdictRecord struct {
 	implicitAt int
 	// sorted is every finding, before the gate, in output order.
 	sorted []*Finding
-	// census, and the margins in items, are what the findings were ranked
-	// against.
+	// census is the outlier census the findings were ranked against.
 	census *rank.Index
 }
 
-// checkedPairing is one pairing with its findings in check order, ranked
-// under its writer's margin.
+// checkedPairing is one pairing with its findings in check order.
 type checkedPairing struct {
 	pg       *Pairing
 	findings []*Finding
-	margin   writerMargin
-}
-
-// writerMargin is a pairing's writer's PairStats.Margins entry; ok is false
-// when the writer has none.
-type writerMargin struct {
-	PairMargin
-	ok bool
 }
 
 // ungatedFingerprint is the options fingerprint without MinConfidence,
-// which only the final gate reads.
+// which only the final gate reads: a run record is recorded under it.
 func ungatedFingerprint(opts Options) string {
 	opts.MinConfidence = 0
 	return opts.Fingerprint()
@@ -88,9 +77,11 @@ func ungatedFingerprint(opts Options) string {
 // result, in order, then the unneeded-barrier findings of the unpaired and
 // implicit-IPC sites. fresh marks what this run checked; its findings are
 // not yet published, so rank scores them in place. pairs is the run's pair
-// record, which gives each pairing's recorded index and writer margin.
+// record, which gives each pairing's recorded index and writer margin, and
+// remargined the writers whose margin this run's search moved, ascending.
 type verdicts struct {
 	pairs         *pairRecord
+	remargined    []int32
 	items         []*checkedPairing
 	fresh         []bool
 	unneeded      []*Finding
@@ -105,19 +96,20 @@ type verdicts struct {
 	checked, total int
 }
 
-// check is analysis phase 3 against the previous record (nil: none). A
-// pairing the pair record kept takes the recorded item; the other pairings
-// are checked on a pool of workers goroutines, with ctx checked between
-// pairings.
-func (c *checker) check(ctx context.Context, prev *verdictRecord, pairs *pairRecord, res *Result, workers int) (*verdicts, error) {
+// check is analysis phase 3 against prev, the record the run derives
+// from, and the run's pairing pr. A pairing the pair record kept takes the
+// recorded item; the other pairings are checked on a pool of workers
+// goroutines, with ctx checked between pairings.
+func (c *checker) check(ctx context.Context, prev *verdictRecord, pr *pairer, res *Result, workers int) (*verdicts, error) {
 	n := len(res.Pairings)
-	v := &verdicts{pairs: pairs, items: make([]*checkedPairing, n), fresh: make([]bool, n)}
+	pairs := pr.rec
+	v := &verdicts{pairs: pairs, remargined: pr.remargined, items: make([]*checkedPairing, n), fresh: make([]bool, n)}
 	var todo []int
 	// The recorded indices of kept pairings ascend, so the recorded items
 	// between two of them are the ones this run drops.
 	next := 0
 	for i, pg := range res.Pairings {
-		if k := int(pairs.finals[i].from); prev != nil && k >= 0 && k < len(prev.items) && prev.items[k].pg == pg {
+		if k := int(pairs.finals[i].from); k >= 0 {
 			v.dropItems(prev.items[next:k])
 			v.items[i], next = prev.items[k], k+1
 			continue
@@ -135,20 +127,14 @@ func (c *checker) check(ctx context.Context, prev *verdictRecord, pairs *pairRec
 		return nil, err
 	}
 	v.checked = len(todo)
-	if prev != nil {
-		v.dropItems(prev.items[next:])
-		v.total = len(prev.sorted)
-	}
+	v.dropItems(prev.items[next:])
+	v.total = len(prev.sorted)
 	for _, i := range todo {
 		v.total += len(v.items[i].findings)
 	}
-	var oldUnpaired, oldImplicit []*Finding
-	if prev != nil {
-		oldUnpaired, oldImplicit = prev.unneeded[:prev.implicitAt], prev.unneeded[prev.implicitAt:]
-	}
-	v.checkUnneeded(c, res.Unpaired, oldUnpaired)
+	v.checkUnneeded(c, res.Unpaired, prev.unneeded[:prev.implicitAt])
 	v.implicitAt = len(v.unneeded)
-	v.checkUnneeded(c, res.ImplicitIPC, oldImplicit)
+	v.checkUnneeded(c, res.ImplicitIPC, prev.unneeded[prev.implicitAt:])
 	v.total -= len(v.dropped)
 	return v, nil
 }
@@ -190,9 +176,8 @@ func (v *verdicts) checkUnneeded(c *checker, sites []*access.Site, old []*Findin
 
 // record returns the verdict record of a completed run whose findings, in
 // output order, are sorted.
-func (v *verdicts) record(fp string, census *rank.Index, sorted []*Finding) *verdictRecord {
+func (v *verdicts) record(census *rank.Index, sorted []*Finding) *verdictRecord {
 	return &verdictRecord{
-		fp:         fp,
 		items:      v.items,
 		unneeded:   v.unneeded,
 		implicitAt: v.implicitAt,

@@ -15,7 +15,7 @@
 //     work. When no majority protocol exists, the object looks generic
 //     (the paper's main false-positive source, §6.4) and confidence drops.
 //  2. Pairing-weight margin: how decisively the winning pair beat the best
-//     probed alternative (Result.PairStats.Margins), plus the winning
+//     probed alternative (the writer's candidate search), plus the winning
 //     weight itself — lower weight means closer accesses, a more confident
 //     pairing.
 //  3. Site richness and window provenance: barriers with more surrounding
@@ -89,11 +89,7 @@ func (x *Index) row(id uint32) (*[16]int32, int32) {
 // the census derived from the empty index, to which every site of tbl is
 // added.
 func NewIndex(tbl *access.SiteTable) *Index {
-	all := make([]int32, len(tbl.Sites()))
-	for i := range all {
-		all[i] = int32(i)
-	}
-	return new(Index).Derive(tbl, &access.TableDiff{Added: all})
+	return new(Index).Derive(tbl, access.DiffFromEmpty(len(tbl.Sites())))
 }
 
 // Derive returns the index of tbl, which access.BuildSiteTable derived
@@ -135,9 +131,6 @@ func (x *Index) count(v *access.SiteVecs, delta int32, owned []bool) {
 		pg.total[u.ID%pageRows] += delta
 	}
 }
-
-// Table returns the site table the census counts.
-func (x *Index) Table() *access.SiteTable { return x.tbl }
 
 // ChangedRows returns, in ascending order, the IDs of the objects whose
 // census row differs from prev's. Both indexes must share one interner, so
@@ -238,9 +231,9 @@ type Evidence struct {
 
 	// HasPairing marks findings attached to a pairing; Weight is the
 	// pairing's winning distance product (lower = closer = more confident)
-	// and RunnerUp the best probed alternative weight from
-	// PairStats.Margins (<= 0 when no alternative was probed — a decisive
-	// win). RunnerUp is an optimistic margin: bound-pruned candidates are
+	// and RunnerUp the best probed alternative weight of the pairing's
+	// writer's candidate search (<= 0 when no alternative was probed — a
+	// decisive win). RunnerUp is an optimistic margin: bound-pruned candidates are
 	// never probed, so a true runner-up can be missed.
 	HasPairing bool
 	Weight     int
