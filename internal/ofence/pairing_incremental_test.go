@@ -141,8 +141,9 @@ func checkColdPairing(t *testing.T, label string, res *ofence.Result, opts ofenc
 
 // pairingEditor applies the seeded edits of the incremental pairing tests
 // to a set of sources: literal, structural, object-adding (a new site on
-// another file's pairing object, half the time with new objects) and
-// object-removing ones (a file back to its original source).
+// another file's pairing object, half the time with new objects),
+// object-removing ones (a file back to its original source) and
+// barrier-removing ones (one barrier statement deleted).
 type pairingEditor struct {
 	orig, cur map[string]string
 	names     []string
@@ -161,12 +162,24 @@ func newPairingEditor(srcs []ofence.SourceFile) *pairingEditor {
 // arguments, capturing its name.
 var voidFunc = regexp.MustCompile(`(?m)^void ([a-z_0-9]+)\(void\)\n\{\n`)
 
+// barrierStmt matches a statement line that is one barrier call.
+var barrierStmt = regexp.MustCompile(`(?m)^\t+(smp_[a-z_]+|write_seqcount_(begin|end))\([^)]*\);\n`)
+
 // edit applies edit kind (0 literal, 1 structural, 2 and 3 object-adding,
 // 4 object-removing, 5 a new call of another file's function, which
-// changes the call graph) to file name and returns the kind's label.
+// changes the call graph, 6 barrier-removing, which leaves a pairing
+// without a half and moves every later site down) to file name and
+// returns the kind's label. A kind the file has nothing for falls back to
+// a literal edit.
 func (e *pairingEditor) edit(t *testing.T, rng *rand.Rand, step, kind int, name string, res *ofence.Result) string {
 	t.Helper()
 	switch kind {
+	case 6:
+		if at := barrierStmt.FindAllStringIndex(e.cur[name], -1); len(at) > 0 {
+			l := at[rng.Intn(len(at))]
+			e.cur[name] = e.cur[name][:l[0]] + e.cur[name][l[1]:]
+			return "barrier-removing"
+		}
 	case 5:
 		at := voidFunc.FindStringIndex(e.cur[name])
 		for _, other := range e.names {
@@ -379,13 +392,14 @@ var (
 
 // FuzzIncrementalPairing runs a random edit sequence over a small tree plus
 // the pairing fixtures: each input byte picks a file and an edit kind (a
-// new call among them, which misses the depth-1 cutoff), and every fourth
+// new call among them, which misses the depth-1 cutoff, and a barrier's
+// removal, which moves the later sites down), and every fourth
 // byte also flips MinSharedObjects, the generic filter, InterprocDepth
 // between 0 and 1, CheckOnce or the MinConfidence gate. After every edit
 // the warm pairing must equal a cold PairSites, and the warm -json output
 // a cold analysis's.
 func FuzzIncrementalPairing(f *testing.F) {
-	for _, seed := range []string{"\x00\x05\x0a", "\x01\x02\x03\x04", "\x13\x27\x3b\x4f\x63", "\xff\x00\xff\x00", "\x05\x0b\x11\x02\x17\x1d", "\x07\x0e\x15\x08\x1c"} {
+	for _, seed := range []string{"\x00\x05\x0a", "\x01\x02\x03\x04", "\x13\x27\x3b\x4f\x63", "\xff\x00\xff\x00", "\x05\x0b\x11\x02\x17\x1d", "\x07\x0e\x15\x08\x1c", "\x00\x06\x0d\x06", "\x3e\x45\x4c\x53"} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
@@ -424,8 +438,8 @@ func FuzzIncrementalPairing(f *testing.F) {
 					opts.MinConfidence = rank.DefaultThreshold - opts.MinConfidence
 				}
 			}
-			name := ed.names[int(b/6)%len(ed.names)]
-			kind := ed.edit(t, rng, step, int(b%6), name, res)
+			name := ed.names[int(b/7)%len(ed.names)]
+			kind := ed.edit(t, rng, step, int(b%7), name, res)
 			p.ReplaceSource(name, ed.cur[name])
 			res = mustAnalyze(t, p, opts)
 			label := fmt.Sprintf("op %d (%s edit of %s, depth %d)", step, kind, name, opts.InterprocDepth)

@@ -109,7 +109,7 @@ func (c *checker) check(ctx context.Context, prev *verdictRecord, pr *pairer, re
 	// between two of them are the ones this run drops.
 	next := 0
 	for i, pg := range res.Pairings {
-		if k := int(pairs.finals[i].from); k >= 0 {
+		if k := int(pr.from[i]); k >= 0 {
 			v.dropItems(prev.items[next:k])
 			v.items[i], next = prev.items[k], k+1
 			continue
