@@ -4,6 +4,8 @@ import (
 	"cmp"
 	"slices"
 	"strings"
+
+	"ofence/internal/pages"
 )
 
 // SiteVecs are one site's interned vectors, keyed by the IDs of the table
@@ -31,10 +33,9 @@ type SiteVecs struct {
 type SiteTable struct {
 	in    *Interner
 	sites []*Site
-	// vecs holds the sites' vectors, vecPage to a page: site i's are
-	// vecs[i/vecPage][i%vecPage]. A derived table shares every page of the
-	// previous one whose sites it keeps at their indices.
-	vecs []*[vecPage]*SiteVecs
+	// vecs holds the sites' vectors by index. A derived table shares every
+	// page of the previous one whose sites it keeps at their indices.
+	vecs pages.Array[*SiteVecs]
 	// refs[id] is the number of sites whose usage vectors hold id: every
 	// count is positive, since the Interner holds exactly the objects the
 	// sites access.
@@ -43,9 +44,6 @@ type SiteTable struct {
 	generic string
 	stats   TableStats
 }
-
-// vecPage is the number of sites a page of a table's vectors holds.
-const vecPage = 64
 
 // TableStats reports what a table carried over from the previous one.
 type TableStats struct {
@@ -73,12 +71,12 @@ type TableDiff struct {
 // Keeps reports whether every index in [lo, hi) holds the site the
 // previous table held there. Kept sites keep their relative order, so with
 // no added site in the range, the ends decide.
-func (d *TableDiff) Keeps(lo, hi int32) bool {
-	if d.FromPrev[lo] != lo || d.FromPrev[hi-1] != hi-1 {
+func (d *TableDiff) Keeps(lo, hi int) bool {
+	if d.FromPrev[lo] != int32(lo) || d.FromPrev[hi-1] != int32(hi-1) {
 		return false
 	}
-	k, _ := slices.BinarySearch(d.Added, lo)
-	return k == len(d.Added) || d.Added[k] >= hi
+	k, _ := slices.BinarySearch(d.Added, int32(lo))
+	return k == len(d.Added) || d.Added[k] >= int32(hi)
 }
 
 // DiffFromEmpty returns the diff of a table of n sites from the empty
@@ -119,27 +117,27 @@ func SortSites(sites []*Site) {
 	slices.SortStableFunc(sites, CompareSites)
 }
 
-// BuildSiteTable builds the table over sites in canonical order: a copy of
-// the slice, sorted (SortSites) when it is out of order. With a previous
-// table (a nil one makes the build cold), the previous Interner is reused
-// when the sites access exactly its object set. IDs are a pure function of
-// the object set (InternSites sorts it), so reuse yields the very IDs a
-// fresh build would assign. When the Interner
-// is reused and the generic-struct filter is unchanged, every site pointer
-// the previous table holds keeps its vectors (sites are immutable once
-// extracted; the filter is part of the key because Objs depends on it),
-// and the diff says which ones those are; otherwise the diff is nil. Only
-// the other sites are vectorized, and prev is never modified.
+// BuildSiteTable builds the table over sites in canonical order: sites
+// itself when it is in that order already, else a sorted (SortSites) copy,
+// so the caller must not modify sites afterwards. With a previous table (a
+// nil one makes the build cold), the previous Interner is reused when the
+// sites access exactly its object set. IDs are a pure function of the
+// object set (InternSites sorts it), so reuse yields the very IDs a fresh
+// build would assign. When the Interner is reused and the generic-struct
+// filter is unchanged, every site pointer the previous table holds keeps
+// its vectors (sites are immutable once extracted; the filter is part of
+// the key because Objs depends on it), and the diff says which ones those
+// are; otherwise the diff is nil. Only the other sites are vectorized, and
+// prev is never modified.
 //
 // One merge walk matches the two tables' sites (see align); no map is
 // built. The walk matches kept sites in the previous table's order, which
 // is canonical, so two adjacent kept sites are in order already: the order
 // is checked only at the seams, where an added site meets its neighbours.
-// A cold build checks every neighbour pair, and a failed seam sorts the
-// copy and walks again. The table shares every page of vectors whose sites
-// the diff keeps at their indices.
+// A cold build checks every neighbour pair, and a failed seam sorts a copy
+// and walks again. The table shares every page of vectors whose sites the
+// diff keeps at their indices.
 func BuildSiteTable(prev *SiteTable, sites []*Site, generic []string) (*SiteTable, *TableDiff) {
-	sites = slices.Clone(sites) // the caller keeps its slice
 	t := &SiteTable{
 		sites:   sites,
 		generic: strings.Join(generic, "\x00"),
@@ -149,80 +147,49 @@ func BuildSiteTable(prev *SiteTable, sites []*Site, generic []string) (*SiteTabl
 		d = align(prev, t)
 	}
 	if !t.sortedAtSeams(d) {
-		SortSites(sites)
+		t.sites = slices.Clone(sites)
+		SortSites(t.sites)
 		if prev != nil {
 			d = align(prev, t)
 		}
 	}
+	sites = t.sites
 	if d != nil && prev.covers(t, d) {
 		t.in, t.stats.InternerReused = prev.in, true
 	} else {
 		t.in = InternSites(sites)
 	}
-	// Every kept site's vectors carry over, but they hold only under the
-	// same Interner and generic filter.
-	var todo []int32
-	if t.stats.InternerReused && prev.generic == t.generic {
-		t.vecs = carryVecs(prev, d, len(sites))
-		todo = d.Added
-	} else {
-		d = nil
-		t.vecs = carryVecs(nil, nil, len(sites))
-		todo = make([]int32, len(sites))
-		for i := range todo {
-			todo[i] = int32(i)
-		}
-	}
-	t.stats.Vectorized = len(todo)
-
 	skip := make(map[string]bool, len(generic))
 	for _, g := range generic {
 		skip[g] = true
 	}
 	keep := func(o Object) bool { return !skip[o.Struct] }
-	for _, i := range todo {
+	vectorize := func(i int) *SiteVecs {
 		s := sites[i]
-		t.vecs[i/vecPage][i%vecPage] = &SiteVecs{
+		return &SiteVecs{
 			Objs:   t.in.ObjDists(s, keep),
 			Before: t.in.SideIDs(s.Before),
 			After:  t.in.SideIDs(s.After),
 			Usages: t.in.ObjUsages(s),
 		}
 	}
+	// Every kept site's vectors carry over, but they hold only under the
+	// same Interner and generic filter.
+	if t.stats.InternerReused && prev.generic == t.generic {
+		w := pages.Derive(prev.vecs, len(sites), d.Keeps, func(i int) *SiteVecs {
+			if j := d.FromPrev[i]; j >= 0 {
+				return prev.Vecs(int(j))
+			}
+			return vectorize(i)
+		})
+		t.vecs, t.stats.Vectorized = w.Array(), len(d.Added)
+	} else {
+		d = nil
+		w := pages.Derive(nil, len(sites), nil, vectorize)
+		t.vecs, t.stats.Vectorized = w.Array(), len(sites)
+	}
 	t.countRefs()
 	return t, d
-}
-
-// carryVecs returns the vector pages of a table of n sites with diff d
-// from prev: prev's page wherever d keeps every site of it, else a new
-// page holding the kept sites' vectors, where the added sites' are still
-// to be built. With a nil prev every page is new and empty.
-func carryVecs(prev *SiteTable, d *TableDiff, n int) []*[vecPage]*SiteVecs {
-	pages := make([]*[vecPage]*SiteVecs, (n+vecPage-1)/vecPage)
-	fresh := 0
-	for p := range pages {
-		if prev != nil && d.Keeps(int32(p*vecPage), int32(min((p+1)*vecPage, n))) {
-			pages[p] = prev.vecs[p]
-		} else {
-			fresh++
-		}
-	}
-	slab := make([][vecPage]*SiteVecs, fresh)
-	for p := range pages {
-		if pages[p] != nil {
-			continue
-		}
-		pages[p], slab = &slab[0], slab[1:]
-		if prev == nil {
-			continue
-		}
-		for i := p * vecPage; i < min((p+1)*vecPage, n); i++ {
-			if j := d.FromPrev[i]; j >= 0 {
-				pages[p][i%vecPage] = prev.Vecs(int(j))
-			}
-		}
-	}
-	return pages
 }
 
 // align matches t's sites with prev's, which are in canonical order, by
@@ -337,7 +304,7 @@ func (t *SiteTable) Interner() *Interner { return t.in }
 func (t *SiteTable) Sites() []*Site { return t.sites }
 
 // Vecs returns the vectors of the site at index i.
-func (t *SiteTable) Vecs(i int) *SiteVecs { return t.vecs[i/vecPage][i%vecPage] }
+func (t *SiteTable) Vecs(i int) *SiteVecs { return *t.vecs.At(i) }
 
 // Stats reports what the table carried over from the previous one.
 func (t *SiteTable) Stats() TableStats { return t.stats }

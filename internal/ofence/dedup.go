@@ -20,15 +20,17 @@ import (
 	"slices"
 
 	"ofence/internal/access"
+	"ofence/internal/pages"
 )
 
 // siteRecord is one run's sites. It is never mutated after publication,
 // so a project and its clones share it.
 type siteRecord struct {
 	// names and units are every file's name and extracted sites, by
-	// position.
+	// position. A record derived from another copies only the units pages
+	// of the files whose sites changed.
 	names []string
-	units unitSites
+	units pages.Array[[]*access.Site]
 	// carriers maps each site ID to the positions, ascending, of the
 	// units whose sites carry it; nil at depth 0, which keeps every site.
 	carriers map[string][]int32
@@ -42,24 +44,26 @@ type siteRecord struct {
 // when nothing changed it is returned as is.
 func deriveSites(prev *siteRecord, files []*FileUnit, dedup bool) (*siteRecord, int) {
 	if prev == nil || !sameNames(prev.names, files) {
-		prev = &siteRecord{names: make([]string, len(files)), units: newUnitSites(len(files))}
+		none := pages.Derive(nil, len(files), nil, func(int) []*access.Site { return nil })
+		prev = &siteRecord{names: make([]string, len(files)), units: none.Array()}
 		for i, fu := range files {
 			prev.names[i] = fu.Name
 		}
 	}
 	var changed []int32
 	for i, fu := range files {
-		if !sameSites(prev.units.at(i), fu.Sites) {
+		if !sameSites(*prev.units.At(i), fu.Sites) {
 			changed = append(changed, int32(i))
 		}
 	}
 	if len(changed) == 0 {
 		return prev, 0
 	}
-	next := &siteRecord{names: prev.names, units: prev.units.clone(), carriers: prev.carriers}
+	units := pages.NewWriter(prev.units)
 	for _, i := range changed {
-		next.units.set(prev.units, int(i), files[i].Sites)
+		units.Set(int(i), files[i].Sites)
 	}
+	next := &siteRecord{names: prev.names, units: units.Array(), carriers: prev.carriers}
 	var drop []int
 	var add []*access.Site
 	rechosen := 0
@@ -67,10 +71,10 @@ func deriveSites(prev *siteRecord, files []*FileUnit, dedup bool) (*siteRecord, 
 		drop, add, rechosen = next.rechoose(prev, changed)
 	} else {
 		for _, i := range changed {
-			for _, s := range prev.units.at(int(i)) {
+			for _, s := range *prev.units.At(int(i)) {
 				drop = append(drop, prev.find(s))
 			}
-			add = append(add, next.units.at(int(i))...)
+			add = append(add, *next.units.At(int(i))...)
 		}
 	}
 	slices.Sort(drop)
@@ -101,7 +105,7 @@ func (r *siteRecord) rechoose(prev *siteRecord, changed []int32) (drop []int, ad
 	}
 	moved := false // whether some changed unit's IDs changed
 	for _, i := range changed {
-		old, cur := prev.units.at(int(i)), r.units.at(int(i))
+		old, cur := *prev.units.At(int(i)), *r.units.At(int(i))
 		moved = moved || !sameIDs(old, cur)
 		for _, s := range old {
 			touch(s.ID())
@@ -163,7 +167,7 @@ func (r *siteRecord) find(s *access.Site) int {
 func (r *siteRecord) choose(id string) *access.Site {
 	var best *access.Site
 	for _, u := range r.carriers[id] {
-		for _, s := range r.units.at(int(u)) {
+		for _, s := range *r.units.At(int(u)) {
 			if s.ID() == id {
 				if best == nil || s.Richness() > best.Richness() {
 					best = s
@@ -173,46 +177,6 @@ func (r *siteRecord) choose(id string) *access.Site {
 		}
 	}
 	return best
-}
-
-// unitSites are every file's extracted sites, by position, in pages of
-// unitPage files, so that a record derived from another copies only the
-// pages of the files whose sites changed.
-type unitSites struct {
-	pages []*[unitPage][]*access.Site
-}
-
-// unitPage is the number of files a unitSites page holds.
-const unitPage = 64
-
-// newUnitSites returns the unitSites of n files with no sites.
-func newUnitSites(n int) unitSites {
-	u := unitSites{pages: make([]*[unitPage][]*access.Site, (n+unitPage-1)/unitPage)}
-	for p := range u.pages {
-		u.pages[p] = new([unitPage][]*access.Site)
-	}
-	return u
-}
-
-// at returns the sites of file i.
-func (u unitSites) at(i int) []*access.Site {
-	return u.pages[i/unitPage][i%unitPage]
-}
-
-// clone returns a unitSites sharing every page with u.
-func (u unitSites) clone() unitSites {
-	return unitSites{pages: slices.Clone(u.pages)}
-}
-
-// set makes sites file i's, first copying the page that holds it while u
-// shares that page with prev, the record u was cloned from.
-func (u unitSites) set(prev unitSites, i int, sites []*access.Site) {
-	p := i / unitPage
-	if u.pages[p] == prev.pages[p] {
-		cp := *u.pages[p]
-		u.pages[p] = &cp
-	}
-	u.pages[p][i%unitPage] = sites
 }
 
 // mergeSites returns sorted with the sites at indices drop (ascending)

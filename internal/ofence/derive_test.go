@@ -84,7 +84,7 @@ func checkDerived(t *testing.T, p *Project, what string) {
 		t.Errorf("%s: derived carriers differ from the reference", what)
 	}
 	for i, fu := range files {
-		if !sameSites(d.units.at(i), fu.Sites) || d.names[i] != fu.Name {
+		if !sameSites(*d.units.At(i), fu.Sites) || d.names[i] != fu.Name {
 			t.Errorf("%s: the site record's unit %d is not %s's sites", what, i, fu.Name)
 		}
 	}
@@ -134,7 +134,7 @@ func checkDerivedOrder(t *testing.T, p *Project, opts Options, what string) {
 	var want []*access.Site
 	for i, fu := range files {
 		want = append(want, fu.Sites...)
-		if !sameSites(order.units.at(i), fu.Sites) || order.names[i] != fu.Name {
+		if !sameSites(*order.units.At(i), fu.Sites) || order.names[i] != fu.Name {
 			t.Errorf("%s: the site record's unit %d is not %s's sites", what, i, fu.Name)
 		}
 	}

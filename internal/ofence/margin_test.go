@@ -22,7 +22,7 @@ func checkOwnMargins(t *testing.T, p *Project, what string) map[string]int {
 		if !ok {
 			t.Fatalf("%s: writer %s is not in the site table", what, it.pg.Writer().ID())
 		}
-		m := last.pairs.bests.at(int32(w)).margin()
+		m := last.pairs.bests.At(w).margin()
 		margins[it.pg.Writer().File] = m
 		for _, f := range it.findings {
 			if want := rank.Combine(evidenceFor(f, last.verdicts.census, m, nil)); f.Confidence != want {

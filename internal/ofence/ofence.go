@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -386,7 +385,10 @@ type Timing struct {
 
 // Result is the outcome of AnalyzeParallel.
 type Result struct {
-	Timing   Timing
+	Timing Timing
+	// Sites are the run's sites in canonical order. The slice is the
+	// project's site record's, which the site table and later Results
+	// share: it is read-only, and callers must not modify it.
 	Sites    []*access.Site
 	Pairings []*Pairing
 	// Unpaired are barrier sites not in any pairing.
@@ -565,10 +567,6 @@ func (p *Project) AnalyzeParallel(ctx context.Context, opts Options) (*Result, e
 		rec.sites, _ = deriveSites(last.sites, files, false)
 	}
 	res.Sites = rec.sites.sites
-	keptSites := rec.sites == last.sites
-	if keptSites {
-		res.Sites = slices.Clone(res.Sites) // the caller owns Result.Sites
-	}
 
 	// Phase 2: global pairing (Algorithm 1), on this goroutine (see
 	// pair.go). The run's site table derives from the last run's, so an
@@ -583,11 +581,6 @@ func (p *Project) AnalyzeParallel(ctx context.Context, opts Options) (*Result, e
 		// The table carried nothing over: pairing and verdicts derive from
 		// the empty record.
 		last, diff = emptyRun, access.DiffFromEmpty(len(res.Sites))
-	}
-	// A new site record keeps the table's copy of the sorted list, since
-	// the caller owns Result.Sites.
-	if !keptSites {
-		rec.sites.sites = tbl.Sites()
 	}
 	pairer := newPairer(tbl, opts, last, diff)
 	res.Pairings, res.Unpaired, res.ImplicitIPC = pairer.run(pctx)

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"ofence/internal/access"
+	"ofence/internal/pages"
 )
 
 // This file is the pairing engine: Algorithm 1 rebuilt for kernel-scale
@@ -130,88 +131,20 @@ func (c *candidate) margin() int {
 	return -1
 }
 
-// pageBits sets the size of a site page: a record keeps its candidates and
-// pairingOf 1<<pageBits sites to a page, and its pairings as many to a
-// page.
-const pageBits = 6
-
-const pageLen = 1 << pageBits
-
-// pages is an array kept in fixed-size pages: entry i is
-// pages[i>>pageBits][i%pageLen]. Records share pages, and a page is never
-// written once a published record holds it.
-type pages[T any] []*[pageLen]T
-
-// at returns entry i.
-func (ps pages[T]) at(i int32) *T { return &ps[i>>pageBits][i&(pageLen-1)] }
-
-// numPages returns the number of pages n entries take.
-func numPages(n int) int { return (n + pageLen - 1) >> pageBits }
-
-// paged returns vals in pages, sharing each page of prev whose entries
-// equal vals' at the same positions.
-func paged[T comparable](prev pages[T], vals []T) pages[T] {
-	out := make(pages[T], numPages(len(vals)))
-	chunk := func(p int) []T { return vals[p<<pageBits : min((p+1)<<pageBits, len(vals))] }
-	fresh := 0
-	for p := range out {
-		if c := chunk(p); p < len(prev) && slices.Equal(prev[p][:len(c)], c) {
-			out[p] = prev[p]
-		} else {
-			fresh++
-		}
-	}
-	slab := make([][pageLen]T, fresh)
-	for p := range out {
-		if out[p] == nil {
-			out[p], slab = &slab[0], slab[1:]
-			copy(out[p][:], chunk(p))
-		}
-	}
-	return out
-}
-
-// cow is an array of pages derived from a record's: it shares the
-// record's pages until it writes one, and owned marks the pages it made.
-type cow[T any] struct {
-	pages pages[T]
-	owned []bool
-}
-
-// set makes v entry i, first copying the page that holds it while the page
-// is the record's, or adding the pages up to it.
-func (c *cow[T]) set(i int32, v T) {
-	p := int(i >> pageBits)
-	for len(c.pages) <= p {
-		c.pages, c.owned = append(c.pages, new([pageLen]T)), append(c.owned, true)
-	}
-	if !c.owned[p] {
-		cp := *c.pages[p]
-		c.pages[p], c.owned[p] = &cp, true
-	}
-	*c.pages.at(i) = v
-}
-
-// objPageBits sets the size of an inverted-index page: 1<<objPageBits
-// object IDs to a page.
-const objPageBits = 6
-
-const objPageLen = 1 << objPageBits
-
-// postPage is the inverted index of objPageLen consecutive object IDs:
-// object o's postings, sorted by site index, are
-// post[off[o%objPageLen]:off[o%objPageLen+1]], and minW[o%objPageLen] is
-// their minimum weight: the lower bound any candidate's distance weight
-// for o can contribute.
+// postPage is the inverted index of pages.Len consecutive object IDs, in
+// one CSR layout rather than a pages.Array: with l = o%pages.Len, object
+// o's postings, sorted by site index, are post[off[l]:off[l+1]], and
+// minW[l] is their minimum weight: the lower bound any candidate's
+// distance weight for o can contribute.
 type postPage struct {
-	off  [objPageLen + 1]int32
-	minW [objPageLen]int32
+	off  [pages.Len + 1]int32
+	minW [pages.Len]int32
 	post []siteRef
 }
 
 // postings returns object o's postings.
 func (pg *postPage) postings(o uint32) []siteRef {
-	l := o & (objPageLen - 1)
+	l := o & (pages.Len - 1)
 	return pg.post[pg.off[l]:pg.off[l+1]]
 }
 
@@ -222,22 +155,22 @@ func (pg *postPage) postings(o uint32) []siteRef {
 // record a cold run derives from.
 type pairRecord struct {
 	// bests holds each site's candidate.
-	bests pages[candidate]
+	bests pages.Array[candidate]
 	// index is the run's inverted index, by object ID.
 	index []*postPage
 	// finals holds the run's pairings in result order, and pairingOf[i] one
 	// more than the index of the pairing whose writer is site i, or 0.
-	finals    pages[finalPairing]
-	pairingOf pages[int32]
+	finals    pages.Array[finalPairing]
+	pairingOf pages.Array[int32]
 }
 
 // postings returns object o's postings in the record's inverted index;
 // the empty record has none.
 func (rec *pairRecord) postings(o uint32) []siteRef {
-	if int(o>>objPageBits) >= len(rec.index) {
+	if int(o>>pages.Bits) >= len(rec.index) {
 		return nil
 	}
-	return rec.index[o>>objPageBits].postings(o)
+	return rec.index[o>>pages.Bits].postings(o)
 }
 
 // pairScratch holds the working arrays of a run that no record keeps.
@@ -279,7 +212,7 @@ type pairer struct {
 	// postPage).
 	index []*postPage
 	// bests holds each site's candidate.
-	bests cow[candidate]
+	bests pages.Writer[candidate]
 
 	// prev is the record the run derives from, built over the table
 	// prevTbl, and diff the run's table's diff from prevTbl. moves reports
@@ -331,16 +264,16 @@ func (pr *pairer) vecs(i int32) *access.SiteVecs { return pr.tbl.Vecs(int(i)) }
 
 // postings returns object o's postings.
 func (pr *pairer) postings(o uint32) []siteRef {
-	return pr.index[o>>objPageBits].postings(o)
+	return pr.index[o>>pages.Bits].postings(o)
 }
 
 // minW returns the minimum posting weight of object o.
 func (pr *pairer) minW(o uint32) int32 {
-	return pr.index[o>>objPageBits].minW[o&(objPageLen-1)]
+	return pr.index[o>>pages.Bits].minW[o&(pages.Len-1)]
 }
 
 // best returns site i's candidate, read-only.
-func (pr *pairer) best(i int32) *candidate { return pr.bests.pages.at(i) }
+func (pr *pairer) best(i int32) *candidate { return pr.bests.At(int(i)) }
 
 // isWriteSide reports whether the site plays the write-barrier role.
 func isWriteSide(s *access.Site) bool {
@@ -392,29 +325,20 @@ func (pr *pairer) deriveIndex() (todo []int32) {
 	pr.moves = !slices.Equal(d.Added, d.Dropped)
 	sc := pr.sc
 
-	pr.bests = cow[candidate]{pages: make(pages[candidate], numPages(n))}
-	pr.bests.owned = make([]bool, len(pr.bests.pages))
-	for p := range pr.bests.pages {
-		lo, hi := int32(p<<pageBits), int32(min((p+1)<<pageBits, n))
-		if d.Keeps(lo, hi) && (!pr.moves || !pr.namesMoved(prev.bests[p], hi-lo)) {
-			pr.bests.pages[p] = prev.bests[p]
-			continue
-		}
-		pg := new([pageLen]candidate)
-		for i := lo; i < hi; i++ {
-			j := d.FromPrev[i]
-			if j < 0 {
-				pg[i-lo] = candidate{other: -1, weight: -1, second: -1, writer: isWriteSide(pr.sites[i])}
-				continue
-			}
-			c := *prev.bests.at(j)
-			if c.other >= 0 {
-				c.other = d.ToNew[c.other]
-			}
-			pg[i-lo] = c
-		}
-		pr.bests.pages[p], pr.bests.owned[p] = pg, true
+	keeps := func(lo, hi int) bool {
+		return d.Keeps(lo, hi) && (!pr.moves || !pr.namesMoved(prev.bests[lo>>pages.Bits][:hi-lo]))
 	}
+	pr.bests = pages.Derive(prev.bests, n, keeps, func(i int) candidate {
+		j := d.FromPrev[i]
+		if j < 0 {
+			return candidate{other: -1, weight: -1, second: -1, writer: isWriteSide(pr.sites[i])}
+		}
+		c := *prev.bests.At(int(j))
+		if c.other >= 0 {
+			c.other = d.ToNew[c.other]
+		}
+		return c
+	})
 	for _, i := range d.Added {
 		if pr.best(i).writer {
 			todo = append(todo, i)
@@ -422,12 +346,12 @@ func (pr *pairer) deriveIndex() (todo []int32) {
 	}
 	added0 := len(todo)
 
-	nPages := (nObj + objPageLen - 1) >> objPageBits
+	nPages := pages.NumPages(nObj)
 	sc.dirty, sc.dirtyPage = zeroed(sc.dirty, nObj), zeroed(sc.dirtyPage, nPages)
 	dirty := sc.dirty
 	markDirty := func(objs []access.ObjDist) {
 		for _, od := range objs {
-			dirty[od.ID], sc.dirtyPage[od.ID>>objPageBits] = true, true
+			dirty[od.ID], sc.dirtyPage[od.ID>>pages.Bits] = true, true
 		}
 	}
 	for _, j := range d.Dropped {
@@ -472,7 +396,7 @@ func (pr *pairer) deriveIndex() (todo []int32) {
 
 	pr.index = make([]*postPage, nPages)
 	for q := range pr.index {
-		olo, ohi := q<<objPageBits, min((q+1)<<objPageBits, nObj)
+		olo, ohi := q<<pages.Bits, min((q+1)<<pages.Bits, nObj)
 		var old *postPage
 		if q < len(prev.index) {
 			old = prev.index[q]
@@ -523,9 +447,7 @@ func (pr *pairer) deriveIndex() (todo []int32) {
 					if c := pr.best(r.site); c.writer {
 						todo = append(todo, r.site) // a kept writer on a dirty object
 						if c.other >= 0 && d.FromPrev[c.other] < 0 {
-							cleared := *c
-							cleared.other = -1
-							pr.bests.set(r.site, cleared)
+							pr.bests.Mut(int(r.site)).other = -1
 						}
 					}
 				} else {
@@ -538,7 +460,7 @@ func (pr *pairer) deriveIndex() (todo []int32) {
 			}
 			pg.minW[l] = mw
 		}
-		for l := ohi - olo; l <= objPageLen; l++ {
+		for l := ohi - olo; l <= pages.Len; l++ {
 			pg.off[l] = int32(len(pg.post))
 		}
 		pr.index[q] = pg
@@ -550,10 +472,10 @@ func (pr *pairer) deriveIndex() (todo []int32) {
 	return todo
 }
 
-// namesMoved reports whether one of the first n candidates of a record
-// page names a partner that moved or that the edit dropped.
-func (pr *pairer) namesMoved(pg *[pageLen]candidate, n int32) bool {
-	for _, c := range pg[:n] {
+// namesMoved reports whether one of the record's candidates cs names a
+// partner that moved or that the edit dropped.
+func (pr *pairer) namesMoved(cs []candidate) bool {
+	for _, c := range cs {
 		if c.other >= 0 && pr.diff.ToNew[c.other] != c.other {
 			return true
 		}
@@ -600,7 +522,7 @@ func (pr *pairer) resolve(i int32) {
 		pr.remargined = append(pr.remargined, i)
 	}
 	if c != *old {
-		pr.bests.set(i, c)
+		pr.bests.Set(int(i), c)
 	}
 }
 
@@ -662,9 +584,9 @@ func (pr *pairer) link(ctx context.Context) (pairings []*Pairing, unpaired, impl
 	// or 0: the proposal weighs that writer's weight, and its other side
 	// is the writer, or the writer's candidate when x is the writer.
 	sc.heard = zeroed(sc.heard, int(n))
-	heard, bests := sc.heard, pr.bests.pages
+	heard, bests := sc.heard, pr.bests.Array()
 	propose := func(at, w int32) {
-		if h := heard[at]; h == 0 || bests.at(w).weight < bests.at(h-1).weight {
+		if h := heard[at]; h == 0 || bests.At(int(w)).weight < bests.At(int(h-1)).weight {
 			heard[at] = w + 1
 		}
 	}
@@ -672,14 +594,14 @@ func (pr *pairer) link(ctx context.Context) (pairings []*Pairing, unpaired, impl
 		if w := heard[x] - 1; w != x {
 			return w
 		}
-		return bests.at(x).other
+		return bests.At(int(x)).other
 	}
 	proposals := 0
 	for i := int32(0); i < n; i++ {
 		if i&1023 == 0 && ctx.Err() != nil {
 			return nil, nil, nil
 		}
-		if c := bests.at(i); c.proposes() {
+		if c := bests.At(int(i)); c.proposes() {
 			propose(i, i)
 			propose(c.other, i)
 			proposals++
@@ -695,14 +617,14 @@ func (pr *pairer) link(ctx context.Context) (pairings []*Pairing, unpaired, impl
 	pres := sc.pres[:0]
 	var commons []uint32
 	for i := int32(0); i < n; i++ {
-		if paired[i] || !bests.at(i).writer {
+		if paired[i] || !bests.At(int(i)).writer {
 			continue
 		}
 		partner := selects(i)
 		if partner < 0 || selects(partner) != i {
 			continue
 		}
-		pres = append(pres, prePairing{writer: i, partner: partner, weight: bests.at(heard[i] - 1).weight, kept: -1})
+		pres = append(pres, prePairing{writer: i, partner: partner, weight: bests.At(int(heard[i] - 1)).weight, kept: -1})
 		p := &pres[len(pres)-1]
 		if k, f := pr.recordedPre(i, partner); f != nil {
 			p.kept, p.common, p.keptGrouped, p.keptAlone = k, f.common, f.grouped, f.alone
@@ -765,7 +687,7 @@ func (pr *pairer) link(ctx context.Context) (pairings []*Pairing, unpaired, impl
 		}
 	}
 	sc.pairingOf = zeroed(sc.pairingOf, int(n))
-	finals := cow[finalPairing]{pages: slices.Clone(pr.prev.finals), owned: make([]bool, len(pr.prev.finals))}
+	finals := pages.NewWriter(pr.prev.finals)
 	var siteBuf []int32
 	buf := sc.sites[:0]
 	pr.from = make([]int32, 0, len(pres))
@@ -792,7 +714,7 @@ func (pr *pairer) link(ctx context.Context) (pairings []*Pairing, unpaired, impl
 		f.writer, f.partner, f.grouped, f.alone, f.weight, f.common = p.writer, p.partner, grouped, p.alone, weight, p.common
 		from := pr.keptFinal(p, buf, weight)
 		if from >= 0 {
-			old := pr.prev.finals.at(from)
+			old := pr.prev.finals.At(int(from))
 			f.pg = old.pg
 			if !pr.moves || slices.Equal(old.sites, buf) {
 				f.sites = old.sites
@@ -816,8 +738,8 @@ func (pr *pairer) link(ctx context.Context) (pairings []*Pairing, unpaired, impl
 			pr.stats.PairingsReused++
 		}
 		// An entry the record holds at the same index stays as it is.
-		if k := int32(len(pairings)); k != from || !sameFinal(&f, pr.prev.finals.at(k)) {
-			finals.set(k, f)
+		if k := int32(len(pairings)); k != from || !sameFinal(&f, pr.prev.finals.At(int(k))) {
+			finals.Set(int(k), f)
 		}
 		pr.from = append(pr.from, from)
 		pairings = append(pairings, f.pg)
@@ -835,10 +757,10 @@ func (pr *pairer) link(ctx context.Context) (pairings []*Pairing, unpaired, impl
 	}
 
 	pr.rec = &pairRecord{
-		bests:     pr.bests.pages,
+		bests:     pr.bests.Array(),
 		index:     pr.index,
-		finals:    finals.pages[:numPages(len(pairings))],
-		pairingOf: paged(pr.prev.pairingOf, sc.pairingOf),
+		finals:    finals.Array()[:pages.NumPages(len(pairings))],
+		pairingOf: pages.Equal(pr.prev.pairingOf, sc.pairingOf),
 	}
 	return pairings, unpaired, implicit
 }
@@ -858,11 +780,11 @@ func (pr *pairer) recordedPre(writer, partner int32) (int32, *finalPairing) {
 	if j < 0 {
 		return -1, nil
 	}
-	k := *pr.prev.pairingOf.at(j) - 1
+	k := *pr.prev.pairingOf.At(int(j)) - 1
 	if k < 0 {
 		return -1, nil
 	}
-	if f := pr.prev.finals.at(k); pr.diff.ToNew[f.partner] == partner {
+	if f := pr.prev.finals.At(int(k)); pr.diff.ToNew[f.partner] == partner {
 		return k, f
 	}
 	return -1, nil
@@ -878,7 +800,7 @@ func (pr *pairer) keptFinal(p *prePairing, sites []int32, weight int) int32 {
 	if p.kept < 0 {
 		return -1
 	}
-	f := pr.prev.finals.at(p.kept)
+	f := pr.prev.finals.At(int(p.kept))
 	if f.weight != weight || len(f.sites) != len(sites) {
 		return -1
 	}

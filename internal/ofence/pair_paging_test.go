@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ofence/internal/access"
+	"ofence/internal/pages"
 	"ofence/internal/sitegen"
 )
 
@@ -49,7 +50,7 @@ func TestPairRecordSharesPages(t *testing.T) {
 	// A file past the first candidate page, so that pages precede it.
 	var f sitegen.TreeFile
 	for _, tf := range tr.Files {
-		if i := fileSites(last(), tf.Name); len(i) > 0 && i[0] >= 2*pageLen && storedLiteral.MatchString(tf.Src) {
+		if i := fileSites(last(), tf.Name); len(i) > 0 && i[0] >= 2*pages.Len && storedLiteral.MatchString(tf.Src) {
 			f = tf
 			break
 		}
@@ -69,8 +70,8 @@ func TestPairRecordSharesPages(t *testing.T) {
 	}
 	copied := 0
 	for pg := range after.pairs.bests {
-		lo := int32(pg << pageBits)
-		if holds(lo, lo+pageLen) {
+		lo := int32(pg << pages.Bits)
+		if holds(lo, lo+pages.Len) {
 			copied++
 			continue
 		}
@@ -100,7 +101,7 @@ func TestPairRecordSharesPages(t *testing.T) {
 	if n, m := len(after.table.Sites()), len(before.table.Sites()); n != m+1 {
 		t.Fatalf("barrier-adding edit: %d sites after, %d before", n, m)
 	}
-	for pg := range int(first >> pageBits) {
+	for pg := range int(first >> pages.Bits) {
 		if after.pairs.bests[pg] != before.pairs.bests[pg] || after.pairs.pairingOf[pg] != before.pairs.pairingOf[pg] {
 			t.Errorf("barrier-adding edit: site page %d precedes %s's first site %d but was copied", pg, f.Name, first)
 		}
@@ -124,7 +125,7 @@ func TestPairRecordSharesPages(t *testing.T) {
 		for _, l := range tr.Labels[tf.Name] {
 			r, rok := fnAt[l.Fn]
 			w, wok := fnAt[l.Partner]
-			if tf.Name != f.Name && l.Kind == "mp-reader" && rok && wok && w>>pageBits < r>>pageBits && last().pairs.bests.at(w).other == r {
+			if tf.Name != f.Name && l.Kind == "mp-reader" && rok && wok && w>>pages.Bits < r>>pages.Bits && last().pairs.bests.At(int(w)).other == r {
 				g, reader, writerAt = tf, l.Fn, w
 			}
 		}
@@ -140,7 +141,7 @@ func TestPairRecordSharesPages(t *testing.T) {
 		t.Fatalf("no definition of %s in %s", reader, g.Name)
 	}
 	before, after, _ = edit("barrier-before-reader edit", g.Name, g.Src[:at]+"void paging_probe(void)\n{\n\tsmp_mb();\n}\n\n"+g.Src[at:])
-	if after.pairs.bests[writerAt>>pageBits] == before.pairs.bests[writerAt>>pageBits] {
+	if after.pairs.bests[writerAt>>pages.Bits] == before.pairs.bests[writerAt>>pages.Bits] {
 		t.Errorf("barrier-before-reader edit: the page of writer %d, whose reader was extracted again, was shared", writerAt)
 	}
 
@@ -151,8 +152,8 @@ func TestPairRecordSharesPages(t *testing.T) {
 	sites := last().table.Sites()
 	var between string
 	var w int32 = -1
-	for i := int32(pageLen); int(i) < len(sites); i += pageLen {
-		if c := last().pairs.bests.at(i - 1); c.writer && c.other >= i && sites[i-1].File != sites[i].File {
+	for i := int32(pages.Len); int(i) < len(sites); i += pages.Len {
+		if c := last().pairs.bests.At(int(i - 1)); c.writer && c.other >= i && sites[i-1].File != sites[i].File {
 			between, w = strings.TrimSuffix(sites[i-1].File, ".c")+"_probe.c", i-1
 			break
 		}
@@ -170,7 +171,7 @@ func TestPairRecordSharesPages(t *testing.T) {
 	if at := fileSites(after, between); len(at) != 1 || at[0] != w+1 {
 		t.Fatalf("new-file edit: %s holds sites %v, want [%d]", between, at, w+1)
 	}
-	if after.pairs.bests[w>>pageBits] == before.pairs.bests[w>>pageBits] {
+	if after.pairs.bests[w>>pages.Bits] == before.pairs.bests[w>>pages.Bits] {
 		t.Errorf("new-file edit: the page of writer %d, whose partner moved, was shared", w)
 	}
 }
@@ -207,19 +208,19 @@ func checkCopies(t *testing.T, label string, before, after *runRecord) {
 			continue
 		}
 		candCopies++
-		lo, hi := int32(pg<<pageBits), min(int32(pg+1)<<pageBits, int32(len(fromPrev)))
+		lo, hi := int32(pg<<pages.Bits), min(int32(pg+1)<<pages.Bits, int32(len(fromPrev)))
 		why := false
 		for i := lo; i < hi && !why; i++ {
 			j := fromPrev[i]
 			if why = j != i; why {
 				break
 			}
-			c := *before.pairs.bests.at(j)
+			c := *before.pairs.bests.At(int(j))
 			if c.other >= 0 {
 				why = toNew[c.other] != c.other
 				c.other = toNew[c.other]
 			}
-			why = why || c != *after.pairs.bests.at(i)
+			why = why || c != *after.pairs.bests.At(int(i))
 		}
 		if !why {
 			t.Errorf("%s: candidate page %d was copied, but none of its sites or partners changed", label, pg)
@@ -257,28 +258,4 @@ func fileSites(rec *runRecord, name string) []int32 {
 		}
 	}
 	return out
-}
-
-// TestPagedSharesEqualPages checks paged: a page whose entries equal the
-// previous pages' is shared, any other is new, and the last page may be
-// short.
-func TestPagedSharesEqualPages(t *testing.T) {
-	vals := make([]int32, 3*pageLen+5)
-	for i := range vals {
-		vals[i] = int32(i)
-	}
-	prev := paged(nil, vals)
-	next := slices.Clone(vals)
-	next[pageLen+3] = -1
-	got := paged(prev, next)
-	for pg := range got {
-		if want := pg != 1; (got[pg] == prev[pg]) != want {
-			t.Errorf("page %d shared = %t, want %t", pg, got[pg] == prev[pg], want)
-		}
-	}
-	for i, v := range next {
-		if *got.at(int32(i)) != v {
-			t.Fatalf("entry %d = %d, want %d", i, *got.at(int32(i)), v)
-		}
-	}
 }

@@ -390,31 +390,33 @@ var (
 	fuzzPairingTree *sitegen.Tree
 )
 
-// FuzzIncrementalPairing runs a random edit sequence over a small tree plus
-// the pairing fixtures: each input byte picks a file and an edit kind (a
-// new call among them, which misses the depth-1 cutoff, and a barrier's
-// removal, which moves the later sites down), and every fourth
-// byte also flips MinSharedObjects, the generic filter, InterprocDepth
-// between 0 and 1, CheckOnce or the MinConfidence gate. After every edit
-// the warm pairing must equal a cold PairSites, and the warm -json output
-// a cold analysis's.
+// FuzzIncrementalPairing runs a random edit sequence over a 72-file tree,
+// whose sites fill more than two record pages, plus the pairing fixtures:
+// each input byte picks a file and an edit kind (a new call among them,
+// which misses the depth-1 cutoff, and a barrier's removal, which moves
+// the later sites down), and every fourth byte also flips
+// MinSharedObjects, the generic filter, InterprocDepth between 0 and 1,
+// CheckOnce or the MinConfidence gate. After every edit the warm pairing
+// must equal a cold PairSites, and the warm -json output a cold
+// analysis's.
 func FuzzIncrementalPairing(f *testing.F) {
-	for _, seed := range []string{"\x00\x05\x0a", "\x01\x02\x03\x04", "\x13\x27\x3b\x4f\x63", "\xff\x00\xff\x00", "\x05\x0b\x11\x02\x17\x1d", "\x07\x0e\x15\x08\x1c", "\x00\x06\x0d\x06", "\x3e\x45\x4c\x53"} {
+	for _, seed := range []string{"\x00\x05\x0a", "\x01\x02\x03\x04", "\x13\x27\x3b\x4f\x63", "\xff\x00\xff\x00", "\x05\x0b\x11\x02\x17\x1d", "\x07\x0e\x15\x08\x1c", "\x1c\x22\x29\x22", "\x06\x0d\x14\x1b"} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 12 {
 			ops = ops[:12]
 		}
-		fuzzPairingOnce.Do(func() { fuzzPairingTree = sitegen.GenerateTree(sitegen.DefaultTreeSpec(8, 3)) })
+		fuzzPairingOnce.Do(func() { fuzzPairingTree = sitegen.GenerateTree(sitegen.DefaultTreeSpec(72, 3)) })
 		p := ofence.NewProject()
 		loadTree(p, fuzzPairingTree)
-		p.AddSources(pairingFixtures())
+		fix := pairingFixtures()
+		p.AddSources(fix)
 		var srcs []ofence.SourceFile
 		for _, fl := range fuzzPairingTree.Files {
 			srcs = append(srcs, ofence.SourceFile{Name: fl.Name, Src: fl.Src})
 		}
-		ed := newPairingEditor(append(srcs, pairingFixtures()...))
+		ed := newPairingEditor(append(fix, srcs...))
 		opts := ofence.DefaultOptions()
 		opts.Workers = 2
 		res := mustAnalyze(t, p, opts)
@@ -438,7 +440,14 @@ func FuzzIncrementalPairing(f *testing.F) {
 					opts.MinConfidence = rank.DefaultThreshold - opts.MinConfidence
 				}
 			}
-			name := ed.names[int(b/7)%len(ed.names)]
+			// b/7 runs up to 36: 0..3 pick a pairing fixture (they come
+			// first in ed.names), 4..36 one of 33 tree files, shifted by 33
+			// more on the second and third op of every three, so that each
+			// tree file can be picked.
+			name := ed.names[int(b/7)]
+			if f := len(fix); int(b/7) >= f {
+				name = ed.names[f+(int(b/7)-f+33*(step%3))%len(srcs)]
+			}
 			kind := ed.edit(t, rng, step, int(b%7), name, res)
 			p.ReplaceSource(name, ed.cur[name])
 			res = mustAnalyze(t, p, opts)

@@ -161,14 +161,14 @@ type rescoreJob struct {
 
 // writer returns the site index of pairing i's writer.
 func (v *verdicts) writer(i int) int32 {
-	return v.pairs.finals.at(int32(i)).writer
+	return v.pairs.finals.At(i).writer
 }
 
 // margin returns the margin of pairing i's writer: its candidate's
 // runner-up weight, or -1 when the writer has no runner-up or does not
 // propose (its candidate was left to an implicit IPC).
 func (v *verdicts) margin(i int) int {
-	return v.pairs.bests.at(v.writer(i)).margin()
+	return v.pairs.bests.At(int(v.writer(i))).margin()
 }
 
 // rescoreJobs lists the items rank visits, by ascending item: every fresh
@@ -196,7 +196,7 @@ func (v *verdicts) rescoreJobs(moved []uint32, in *access.Interner) []rescoreJob
 	whole := len(jobs)
 	for _, o := range moved {
 		for _, r := range pairs.postings(o) {
-			k := int(*pairs.pairingOf.at(r.site)) - 1
+			k := int(*pairs.pairingOf.At(int(r.site))) - 1
 			if k < 0 {
 				continue
 			}

@@ -28,13 +28,12 @@ func TestBuildIndexParallelQuickcheck(t *testing.T) {
 					if seq.tbl.Interner().Object(uint32(id)) != par.tbl.Interner().Object(uint32(id)) {
 						t.Fatalf("%s: ID %d interned differently", label, id)
 					}
-					sm, st := seq.row(uint32(id))
-					pm, pt := par.row(uint32(id))
-					if st != pt {
-						t.Fatalf("%s: total[%d] = %d vs %d", label, id, st, pt)
+					sr, pr := seq.rows.At(id), par.rows.At(id)
+					if sr.total != pr.total {
+						t.Fatalf("%s: total[%d] = %d vs %d", label, id, sr.total, pr.total)
 					}
-					if *sm != *pm {
-						t.Fatalf("%s: census[%d] = %v vs %v", label, id, *sm, *pm)
+					if sr.census != pr.census {
+						t.Fatalf("%s: census[%d] = %v vs %v", label, id, sr.census, pr.census)
 					}
 				}
 				// Support must agree for every object every site touches.
@@ -79,11 +78,9 @@ func TestDeriveMatchesNewIndex(t *testing.T) {
 		if a.Objects() != b.Objects() {
 			t.Fatalf("%s: Objects %d vs %d", label, a.Objects(), b.Objects())
 		}
-		for id := range uint32(a.Objects()) {
-			ac, at := a.row(id)
-			bc, bt := b.row(id)
-			if at != bt || *ac != *bc {
-				t.Fatalf("%s: row %d = %v/%d vs %v/%d", label, id, *ac, at, *bc, bt)
+		for id := range a.Objects() {
+			if ar, br := a.rows.At(id), b.rows.At(id); *ar != *br {
+				t.Fatalf("%s: row %d = %v vs %v", label, id, *ar, *br)
 			}
 		}
 	}

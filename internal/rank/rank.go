@@ -35,6 +35,7 @@ import (
 	"math"
 
 	"ofence/internal/access"
+	"ofence/internal/pages"
 )
 
 // DefaultThreshold is the tuned default for the -min-confidence gate: the
@@ -60,28 +61,18 @@ const (
 // analysis's (Derive); query per finding. Immutable once built.
 type Index struct {
 	tbl *access.SiteTable
-	// pages hold the census rows, pageRows to a page: object id's row is
-	// pages[id/pageRows] at id%pageRows. An index derived from another
-	// shares every page none of whose rows changed.
-	pages []*censusPage
+	// rows holds the census rows by object ID. An index derived from
+	// another shares every page none of whose rows changed.
+	rows pages.Array[row]
 }
 
-// pageRows is the number of census rows a page holds.
-const pageRows = 64
-
-// censusPage is pageRows consecutive census rows.
-type censusPage struct {
-	// census[r][sig] is the number of sites whose windows touch the row's
-	// object with exactly usage signature sig (usage bits are 4 bits wide).
-	census [pageRows][16]int32
-	// total[r] is the number of sites touching the row's object at all.
-	total [pageRows]int32
-}
-
-// row returns object id's census row and total.
-func (x *Index) row(id uint32) (*[16]int32, int32) {
-	pg := x.pages[id/pageRows]
-	return &pg.census[id%pageRows], pg.total[id%pageRows]
+// row is one object's census row.
+type row struct {
+	// census[sig] is the number of sites whose windows touch the object
+	// with exactly usage signature sig (usage bits are 4 bits wide).
+	census [16]int32
+	// total is the number of sites touching the object at all.
+	total int32
 }
 
 // NewIndex computes the census over the usage vectors of every site in
@@ -96,40 +87,24 @@ func NewIndex(tbl *access.SiteTable) *Index {
 // from x's table with diff d: x's census less the usages of d's dropped
 // sites plus those of its added sites. It copies only the pages those
 // usages fall in and shares the rest with x, which it leaves unchanged.
+// Every object of tbl's interner has a row, since some site uses it.
 // Derive equals NewIndex(tbl).
 func (x *Index) Derive(tbl *access.SiteTable, d *access.TableDiff) *Index {
-	n := (tbl.Interner().Len() + pageRows - 1) / pageRows
-	y := &Index{tbl: tbl, pages: make([]*censusPage, max(n, len(x.pages)))}
-	copy(y.pages, x.pages)
-	owned := make([]bool, len(y.pages))
-	// Rows x lacks start at zero, on pages y owns from the start.
-	fresh := make([]censusPage, len(y.pages)-len(x.pages))
-	for k := range fresh {
-		p := len(x.pages) + k
-		y.pages[p], owned[p] = &fresh[k], true
+	w := pages.NewWriter(x.rows)
+	count := func(v *access.SiteVecs, delta int32) {
+		for _, u := range v.Usages {
+			r := w.Mut(int(u.ID))
+			r.census[u.Bits] += delta
+			r.total += delta
+		}
 	}
 	for _, j := range d.Dropped {
-		y.count(x.tbl.Vecs(int(j)), -1, owned)
+		count(x.tbl.Vecs(int(j)), -1)
 	}
 	for _, i := range d.Added {
-		y.count(tbl.Vecs(int(i)), 1, owned)
+		count(tbl.Vecs(int(i)), 1)
 	}
-	return y
-}
-
-// count adds delta to the census rows of v's usages. owned marks the
-// pages x owns: a page it does not own yet is copied first.
-func (x *Index) count(v *access.SiteVecs, delta int32, owned []bool) {
-	for _, u := range v.Usages {
-		p := u.ID / pageRows
-		if !owned[p] {
-			cp := *x.pages[p]
-			x.pages[p], owned[p] = &cp, true
-		}
-		pg := x.pages[p]
-		pg.census[u.ID%pageRows][u.Bits] += delta
-		pg.total[u.ID%pageRows] += delta
-	}
+	return &Index{tbl: tbl, rows: w.Array()}
 }
 
 // ChangedRows returns, in ascending order, the IDs of the objects whose
@@ -138,14 +113,14 @@ func (x *Index) count(v *access.SiteVecs, delta int32, owned []bool) {
 // and skipped.
 func (x *Index) ChangedRows(prev *Index) []uint32 {
 	var out []uint32
-	for p, pg := range x.pages {
-		old := prev.pages[p]
+	for p, pg := range x.rows {
+		old := prev.rows[p]
 		if pg == old {
 			continue
 		}
-		for r := range pageRows {
-			if pg.total[r] != old.total[r] || pg.census[r] != old.census[r] {
-				out = append(out, uint32(p*pageRows+r))
+		for r := range pg {
+			if pg[r] != old[r] {
+				out = append(out, uint32(p<<pages.Bits+r))
 			}
 		}
 	}
@@ -203,13 +178,13 @@ func (x *Index) Support(o access.Object, s *access.Site) Support {
 			}
 		}
 	}
-	census, total := x.row(id)
-	sp := Support{Sig: sig, Others: int(total)}
+	r := x.rows.At(int(id))
+	sp := Support{Sig: sig, Others: int(r.total)}
 	if sig != 0 {
 		sp.Others-- // exclude the queried site itself
 	}
 	// Majority among the others, deterministic tie-break: lowest signature.
-	for b, n := range census {
+	for b, n := range r.census {
 		if uint8(b) == sig {
 			n-- // the queried site's own vote does not establish a protocol
 		}
