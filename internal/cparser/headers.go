@@ -23,7 +23,7 @@ const maxVariants = 16
 // produced, keyed by its cpp.IncludeKey and the includer's typedef
 // history before it. A parser that meets the same include after the same
 // history splices the recorded declarations in instead of parsing the
-// header's tokens again (see Parser.UseHeaders); its output is identical
+// header's tokens again (see NewWithHeaders); its output is identical
 // either way.
 //
 // A HeaderDecls belongs to one cpp.Env, whose Results' include keys it
@@ -35,6 +35,8 @@ type HeaderDecls struct {
 	memo map[declKey]*declSegment
 	// variants counts the segments memo holds per include key.
 	variants map[cpp.IncludeKey]int
+	// ids is the number of segments memo was given.
+	ids uint64
 }
 
 // NewHeaderDecls returns an empty memo.
@@ -54,6 +56,9 @@ type declKey struct {
 // whose parse read past the include's end is recorded as open, with
 // nothing else: the include is parsed in place in every file.
 type declSegment struct {
+	// id tells the segment apart from the memo's others (see
+	// Parser.HeaderPrefix).
+	id    uint64
 	open  bool
 	decls []cast.Decl
 	errs  []error
@@ -98,6 +103,8 @@ func (h *HeaderDecls) publish(key declKey, seg *declSegment) {
 	if _, ok := h.memo[key]; ok || h.variants[key.inc] >= maxVariants {
 		return
 	}
+	h.ids++
+	seg.id = h.ids
 	h.memo[key] = seg
 	h.variants[key.inc]++
 }
@@ -116,67 +123,60 @@ func (p *Parser) record(key declKey, seg *declSegment) {
 	p.pending = append(p.pending, pendingDecls{key, seg})
 }
 
-// UseHeaders makes ParseFile splice the declarations of incs, the
-// top-level includes of the parser's tokens, from memo, and record those
-// memo lacks. incs and the tokens must come from one cpp.Result of the
-// cpp.Env that memo belongs to.
-func (p *Parser) UseHeaders(memo *HeaderDecls, incs []cpp.Include) {
-	p.hdr, p.incs = memo, incs
+// NewWithHeaders returns a parser over the stream of pre that splices the
+// declarations of pre's top-level includes from memo and records those
+// memo lacks. pre must come from the cpp.Env that memo belongs to. A nil
+// memo splices nothing: every piece is parsed.
+func NewWithHeaders(pre *cpp.Result, memo *HeaderDecls) *Parser {
+	p := New(pre.Tokens)
+	p.pre, p.hdr = pre, memo
+	return p
 }
 
-// header handles the top-level include inc, at whose first token the
-// parser stands between two top-level declarations. It splices the
-// recorded parse of inc from the memo, or parses inc's tokens in place as
-// if the file ended after them and records the parse. It reports false,
-// having consumed nothing, when the tokens must be parsed as ordinary
-// ones: the memo has no room, or the parse read past inc's end, so its
-// declarations depend on the tokens after the header.
+// Rejoined reports whether ParseFile parsed the joined stream because a
+// declaration read across a piece boundary.
+func (p *Parser) Rejoined() bool { return p.rejoined }
+
+// HeaderPrefix reports the run of declarations ParseFile spliced from the
+// memo before the first declaration of the file's own: their number, and
+// a key naming the recordings they came from, in order. Within one memo,
+// equal keys name equal runs of the same shared declarations.
+func (p *Parser) HeaderPrefix() (n int, key string) {
+	return p.prefix, string(p.prefixKey)
+}
+
+// header parses inc, a top-level include, as the next piece of the stream.
+// It splices the recorded parse of inc from the memo, or parses inc's
+// tokens and records the parse if the memo has room. It reports false when
+// the parse read past the tokens' end: its declarations depend on the
+// tokens after the header.
 func (p *Parser) header(f *cast.File, inc cpp.Include) bool {
-	key := declKey{inc.Key, p.chain}
-	seg, record := p.hdr.find(key)
-	if seg != nil {
-		f.Decls = append(f.Decls, seg.decls...)
-		p.replayed += len(seg.decls)
-		for _, err := range seg.errs {
-			if len(p.errs) < maxErrors {
-				p.errs = append(p.errs, err)
-			}
+	var key declKey
+	record := false
+	if p.hdr != nil {
+		key = declKey{inc.Key, p.chain}
+		var seg *declSegment
+		if seg, record = p.hdr.find(key); seg != nil {
+			p.splice(f, seg)
+			return true
 		}
-		if len(seg.typedefs) > 0 && p.typedefs == nil {
-			p.typedefs = make(map[string]bool, len(seg.typedefs))
-		}
-		for _, name := range seg.typedefs {
-			p.typedefs[name] = true
-		}
-		p.chain = seg.after
-		p.i = inc.End
-		return true
 	}
 	if !record {
-		return false
+		return p.piece(f, inc.Toks, false)
 	}
 	// The header's nodes get slabs of their own, so the memo never pins
 	// the slabs of the file that recorded it.
-	toks, arena := p.toks, p.arena
-	decls, errs, added, chain := len(f.Decls), len(p.errs), len(p.added), p.chain
-	p.toks, p.arena, p.pastEnd = toks[:inc.End], new(cast.Arena), false
-	for p.i < inc.End && !p.done() {
-		p.topDecl(f)
-	}
+	arena := p.arena
+	decls, errs, added := len(f.Decls), len(p.errs), len(p.added)
+	p.arena = new(cast.Arena)
+	ok := p.piece(f, inc.Toks, false)
 	hdrArena := p.arena
-	p.toks, p.arena = toks, arena
-	if p.pastEnd {
-		f.Decls = f.Decls[:decls]
-		p.errs = p.errs[:errs]
-		for _, name := range p.added[added:] {
-			delete(p.typedefs, name)
-		}
-		p.added, p.chain = p.added[:added], chain
-		p.i = inc.Start
+	p.arena = arena
+	switch {
+	case !ok:
 		p.record(key, &declSegment{open: true})
 		return false
-	}
-	if p.canceled {
+	case p.canceled:
 		return true // nothing is recorded; ParseFile stops
 	}
 	p.hdrBytes += hdrArena.Bytes()
@@ -191,4 +191,27 @@ func (p *Parser) header(f *cast.File, inc cpp.Include) bool {
 		})
 	}
 	return true
+}
+
+// splice appends seg, a recorded parse, to the file's declarations,
+// diagnostics and typedefs.
+func (p *Parser) splice(f *cast.File, seg *declSegment) {
+	if len(f.Decls) == p.prefix {
+		p.prefix += len(seg.decls)
+		p.prefixKey = binary.AppendUvarint(p.prefixKey, seg.id)
+	}
+	f.Decls = append(f.Decls, seg.decls...)
+	p.replayed += len(seg.decls)
+	for _, err := range seg.errs {
+		if len(p.errs) < maxErrors {
+			p.errs = append(p.errs, err)
+		}
+	}
+	if len(seg.typedefs) > 0 && p.typedefs == nil {
+		p.typedefs = make(map[string]bool, len(seg.typedefs))
+	}
+	for _, name := range seg.typedefs {
+		p.typedefs[name] = true
+	}
+	p.chain = seg.after
 }

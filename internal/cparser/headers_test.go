@@ -50,23 +50,18 @@ type memoParse struct {
 	// the arena bytes of the memo's parse and of the fresh parser's.
 	replayed     int
 	arena, fresh int64
+	// rejoined reports that the parse fell back to the joined stream; own
+	// and stream are the lengths of the file's own tokens and of the
+	// whole stream.
+	rejoined    bool
+	own, stream int
 }
 
-// parseWith parses pre's tokens, splicing from memo unless it is nil. It
-// returns the rendering and the parser.
-func parseWith(pr printer, name string, pre *cpp.Result, memo *cparser.HeaderDecls) (string, *cparser.Parser) {
-	p := cparser.New(pre.Tokens)
-	if memo != nil {
-		p.UseHeaders(memo, pre.Includes)
-	}
-	f := p.ParseFile(name)
-	return pr.file(f, p.Errors()), p
-}
-
-// diffMemo parses files through one cpp.Env and one HeaderDecls, in order,
-// passes times over, and checks every parse against a fresh cparser.New
-// over the same tokens, which splices nothing. It returns what it saw of
-// each file's parse, per pass.
+// diffMemo preprocesses and parses files through one cpp.Env and one
+// HeaderDecls, in order, passes times over, and checks every file against
+// a fresh Env and a fresh cparser.New per file, which replay and splice
+// nothing: the printed trees, the diagnostics and the fingerprints must
+// be equal. It returns what it saw of each file's parse, per pass.
 func diffMemo(t *testing.T, opts cpp.Options, files []srcFile, passes int) [][]memoParse {
 	t.Helper()
 	env := cpp.NewEnv(opts)
@@ -75,20 +70,38 @@ func diffMemo(t *testing.T, opts cpp.Options, files []srcFile, passes int) [][]m
 	seen := make([][]memoParse, passes)
 	for pass := range seen {
 		for _, f := range files {
+			oracle := cpp.NewEnv(opts).PreprocessCtx(context.Background(), f.name, f.src)
+			fresh := cparser.New(oracle.Tokens)
+			want := printer(nil).file(fresh.ParseFile(f.name), fresh.Errors())
 			pre := env.PreprocessCtx(context.Background(), f.name, f.src)
-			want, fresh := parseWith(nil, f.name, pre, nil)
-			got, p := parseWith(shared, f.name, pre, memo)
-			if got != want {
+			if g, w := pre.Fingerprint(f.name), oracle.Fingerprint(f.name); g != w {
+				t.Errorf("pass %d, %s: fingerprint %s, fresh Env %s", pass, f.name, g, w)
+			}
+			p := cparser.NewWithHeaders(pre, memo)
+			if got := shared.file(p.ParseFile(f.name), p.Errors()); got != want {
 				t.Errorf("pass %d, %s: the memo's parse differs from a fresh parser\n got: %s\nwant: %s", pass, f.name, got, want)
 			}
 			seen[pass] = append(seen[pass], memoParse{
 				replayed: p.DeclsReplayed(),
 				arena:    p.ArenaBytes(),
 				fresh:    fresh.ArenaBytes(),
+				rejoined: p.Rejoined(),
+				own:      len(pre.Tokens),
+				stream:   pre.Len(),
 			})
 		}
 	}
 	return seen
+}
+
+// parseWith parses pre's stream piece by piece, splicing from memo, or as
+// one stream when memo is nil. It returns the rendering.
+func parseWith(name string, pre *cpp.Result, memo *cparser.HeaderDecls) string {
+	p := cparser.New(pre.Stream())
+	if memo != nil {
+		p = cparser.NewWithHeaders(pre, memo)
+	}
+	return printer(nil).file(p.ParseFile(name), p.Errors())
 }
 
 // treeSet is a generated kernel-shaped tree as the analyzer loads one:
@@ -131,6 +144,9 @@ var declHeaders = map[string]string{
 	"inner.h": "#ifndef INNER_H\n#define INNER_H\ntypedef int inner_t;\n#endif\n",
 	// Ends with a function definition.
 	"fn.h": "static inline int get(int *p) { return *p; }\n",
+	// Includes a file that is itself a root: never replayed there.
+	"cycle.h":      "#include \"root_cycle.c\"\nint in_cycle;\n",
+	"root_cycle.c": "#include \"cycle.h\"\nint root_cycle;\n",
 }
 
 var declRoots = []srcFile{
@@ -148,15 +164,21 @@ var declRoots = []srcFile{
 	{"nested2.c", "#include \"outer.h\"\n#include \"inner.h\"\ninner_t m;\n"},
 	{"fn.c", "#include \"fn.h\"\nint main(void) { return get(0); }\n"},
 	{"two.c", "#include \"defs_td.h\"\n#include \"uses_td.h\"\n"},
+	// Own declarations that end just before an include.
+	{"before_inc.c", "int a;\n#include \"defs_td.h\"\nvoid g(void) { }\n#include \"fields.h\"\nstruct t { int c; };\n#include \"fn.h\"\n"},
+	{"root_cycle.c", declHeaders["root_cycle.c"]},
+	{"other_cycle.c", "#include \"cycle.h\"\nint other;\n"},
 }
 
 // firstPassReplays are the fixtures that meet an include after the same
 // macro and typedef history as an earlier fixture did; neverReplays are
 // those whose include is not at a declaration boundary or ends inside a
-// declaration.
+// declaration, and so are parsed as the joined stream, and the one whose
+// header opens the root, which is expanded in place.
 var (
-	firstPassReplays = map[string]bool{"hdr_td2.c": true, "nested2.c": true, "two.c": true}
-	neverReplays     = map[string]bool{"in_struct.c": true, "open.c": true}
+	firstPassReplays = map[string]bool{"hdr_td2.c": true, "nested2.c": true, "two.c": true, "before_inc.c": true}
+	neverReplays     = map[string]bool{"in_struct.c": true, "open.c": true, "root_cycle.c": true}
+	rejoins          = map[string]bool{"in_struct.c": true, "open.c": true}
 )
 
 // TestHeaderDeclsMatchFreshParser checks the memo's parses against a
@@ -173,6 +195,11 @@ func TestHeaderDeclsMatchFreshParser(t *testing.T) {
 			if got, want := seen[1][i].replayed > 0, !neverReplays[f.name]; got != want {
 				t.Errorf("%s: spliced %d declarations on the second pass; want splices %t", f.name, seen[1][i].replayed, want)
 			}
+			for pass := range seen {
+				if got, want := seen[pass][i].rejoined, rejoins[f.name]; got != want {
+					t.Errorf("pass %d, %s: parsed the joined stream %t, want %t", pass, f.name, got, want)
+				}
+			}
 			// A file that never splices parses everything in its own arena,
 			// so a header parse it threw away must not count.
 			for pass := range seen {
@@ -186,12 +213,30 @@ func TestHeaderDeclsMatchFreshParser(t *testing.T) {
 		env := cpp.NewEnv(opts)
 		errs := map[string]int{}
 		for _, f := range declRoots[3:5] {
-			p := cparser.New(env.PreprocessCtx(context.Background(), f.name, f.src).Tokens)
+			p := cparser.New(env.PreprocessCtx(context.Background(), f.name, f.src).Stream())
 			p.ParseFile(f.name)
 			errs[f.name] = len(p.Errors())
 		}
 		if errs["td_before.c"] != 0 || errs["td_none.c"] == 0 {
 			t.Errorf("uses_td.h parse errors by includer: %v; want none only after the typedef", errs)
+		}
+	})
+	t.Run("variants", func(t *testing.T) {
+		// One header after more typedef histories than it keeps variants
+		// of: past the bound, every file parses it as a piece of its own.
+		var files []srcFile
+		for i := range 20 {
+			files = append(files, srcFile{fmt.Sprintf("v%02d.c", i), fmt.Sprintf("typedef int t%d;\n#include \"h.h\"\nint x%d;\n", i, i)})
+		}
+		opts := cpp.Options{Include: map[string]string{"h.h": "struct h { int a; };\nint g(void);\n"}}
+		seen := diffMemo(t, opts, files, 2)
+		for i, f := range files {
+			if got, want := seen[1][i].replayed > 0, i < 16; got != want {
+				t.Errorf("%s: spliced %d declarations on the second pass; want splices %t", f.name, seen[1][i].replayed, want)
+			}
+			if seen[0][i].rejoined || seen[1][i].rejoined {
+				t.Errorf("%s: parsed the joined stream", f.name)
+			}
 		}
 	})
 	trees := []int64{1, 2, 3}
@@ -205,6 +250,15 @@ func TestHeaderDeclsMatchFreshParser(t *testing.T) {
 			seen := diffMemo(t, opts, files, 1)[0]
 			if total := sum(seen, func(mp memoParse) int64 { return int64(mp.replayed) }); total == 0 {
 				t.Error("no declaration spliced")
+			}
+			// The header pieces of every file parse as they are, and the
+			// files keep little of the stream as their own tokens.
+			if n := sum(seen, func(mp memoParse) int64 { return b2i(mp.rejoined) }); n != 0 {
+				t.Errorf("%d files parsed the joined stream", n)
+			}
+			own, stream := sum(seen, func(mp memoParse) int64 { return int64(mp.own) }), sum(seen, func(mp memoParse) int64 { return int64(mp.stream) })
+			if own*10 > stream {
+				t.Errorf("own tokens %d of a %d-token stream; want at most 10%%", own, stream)
 			}
 			// Header declarations count once, in the file that recorded them.
 			arena, fresh := sum(seen, func(mp memoParse) int64 { return mp.arena }), sum(seen, func(mp memoParse) int64 { return mp.fresh })
@@ -221,6 +275,9 @@ func TestHeaderDeclsMatchFreshParser(t *testing.T) {
 		seen := diffMemo(t, cpp.Options{Include: kernelhdr.Headers()}, files, 1)[0]
 		if total := sum(seen, func(mp memoParse) int64 { return int64(mp.replayed) }); total == 0 {
 			t.Error("no declaration spliced")
+		}
+		if n := sum(seen, func(mp memoParse) int64 { return b2i(mp.rejoined) }); n != 0 {
+			t.Errorf("%d files parsed the joined stream", n)
 		}
 	})
 	t.Run("paper_fixtures", func(t *testing.T) {
@@ -254,16 +311,23 @@ func TestHeaderDeclsConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := w; i < len(files); i += workers {
 				pres[i] = env.PreprocessCtx(context.Background(), files[i].name, files[i].src)
-				got[i], _ = parseWith(nil, files[i].name, pres[i], memo)
+				got[i] = parseWith(files[i].name, pres[i], memo)
 			}
 		}()
 	}
 	wg.Wait()
 	for i, f := range files {
-		if want, _ := parseWith(nil, f.name, pres[i], nil); got[i] != want {
+		if want := parseWith(f.name, pres[i], nil); got[i] != want {
 			t.Errorf("%s: the memo's parse differs from a fresh parser", f.name)
 		}
 	}
+}
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // sum adds up f over parses.
@@ -316,14 +380,12 @@ func TestParseFileCtxCanceled(t *testing.T) {
 	memo := cparser.NewHeaderDecls()
 	parse := func(ctx context.Context, name string) (*cparser.Parser, error) {
 		pre := env.PreprocessCtx(context.Background(), name, "#include \"h.h\"\nint f(void) { return 0; }\n")
-		p := cparser.New(pre.Tokens)
-		p.UseHeaders(memo, pre.Includes)
+		p := cparser.NewWithHeaders(pre, memo)
 		_, err := p.ParseFileCtx(ctx, name)
 		return p, err
 	}
-	// One poll before the header, one per header declaration, then the
-	// one before f.
-	if _, err := parse(&doneAfter{context.Background(), 4}, "a.c"); err != context.Canceled {
+	// One poll per header declaration, then the one before f.
+	if _, err := parse(&doneAfter{context.Background(), 3}, "a.c"); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	p, err := parse(context.Background(), "b.c")

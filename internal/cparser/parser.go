@@ -35,11 +35,12 @@ type Parser struct {
 	// consulted in the shared kernelTypedefSet.
 	typedefs map[string]bool
 
-	// hdr, when set, is the header-declaration memo ParseFile splices from
-	// at incs, the top-level includes of toks (see UseHeaders). The fields
-	// below serve it.
-	hdr  *HeaderDecls
-	incs []cpp.Include
+	// pre, when set, is the preprocess result toks come from: ParseFile
+	// parses its stream piece by piece, splicing the declarations of its
+	// top-level includes from hdr, when set (see NewWithHeaders). The
+	// fields below serve it.
+	pre *cpp.Result
+	hdr *HeaderDecls
 	// chain digests the typedef names the file added, in order (see
 	// addTypedef), and chainBuf is its scratch buffer; added lists the
 	// names it parsed itself.
@@ -49,9 +50,17 @@ type Parser struct {
 	// pastEnd is set whenever the parser reads at or past the end of toks.
 	pastEnd bool
 	// replayed counts the top-level declarations spliced from hdr, and
-	// hdrBytes the slab bytes of the header parses it kept.
+	// hdrBytes the slab bytes of the header parses it kept. rejoined
+	// records that a declaration read across a piece boundary, so the
+	// stream was parsed whole.
 	replayed int
 	hdrBytes int64
+	rejoined bool
+	// prefix counts the declarations spliced from hdr before the first
+	// one of the file's own, and prefixKey lists the recordings they came
+	// from (see HeaderPrefix).
+	prefix    int
+	prefixKey []byte
 	// pending are the header parses the file recorded, published to hdr
 	// when the file is done; ctx, when set, is polled per top-level
 	// declaration, and canceled records that it was done.
@@ -110,7 +119,7 @@ func (p *Parser) addTypedef(name string) {
 		p.typedefs = make(map[string]bool, 8)
 	}
 	p.typedefs[name] = true
-	if p.hdr != nil {
+	if p.pre != nil {
 		p.added = append(p.added, name)
 		p.chain, p.chainBuf = p.chain.next(p.chainBuf, name)
 	}
@@ -146,32 +155,6 @@ func ParseSourceCtx(ctx context.Context, file, src string, opts cpp.Options) (*c
 	sp.Add("decls", int64(len(f.Decls)))
 	sp.Add("errors", int64(len(errs)))
 	return f, errs
-}
-
-// ParseTokens parses a preprocess artifact into an AST. It is the pure
-// parse stage of the incremental pipeline: the returned errors combine the
-// artifact's preprocessing diagnostics with the parse diagnostics, exactly
-// as ParseSource reports them, and the output depends only on (file, pre) —
-// never on ambient state — so it may be memoized under pre's fingerprint.
-func ParseTokens(ctx context.Context, file string, pre *cpp.Result) (*cast.File, []error) {
-	f, errs, _ := ParseTokensMetered(ctx, file, pre)
-	return f, errs
-}
-
-// ParseTokensMetered is ParseTokens plus the arena bytes consumed by the
-// parse, for callers that aggregate frontend allocation counters.
-func ParseTokensMetered(ctx context.Context, file string, pre *cpp.Result) (*cast.File, []error, int64) {
-	_, sp := obs.Start(ctx, "parse")
-	defer sp.End()
-	sp.SetAttr("file", file)
-	p := New(pre.Tokens)
-	f := p.ParseFile(file)
-	errs := append(append([]error{}, pre.Errors...), p.errs...)
-	sp.Add("tokens", int64(len(pre.Tokens)))
-	sp.Add("decls", int64(len(f.Decls)))
-	sp.Add("errors", int64(len(errs)))
-	sp.Add("arena_bytes", p.ArenaBytes())
-	return f, errs, p.ArenaBytes()
 }
 
 // Errors returns the parse errors recorded so far.
@@ -290,24 +273,26 @@ func (p *Parser) skipBalancedTo(kinds ...ctoken.Kind) {
 // ---------------------------------------------------------------------------
 // Top level
 
-// ParseFile parses the entire token stream as a translation unit.
+// ParseFile parses the entire token stream as a translation unit. A
+// parser from NewWithHeaders parses the stream piece by piece (see
+// pieces) and falls back to the joined stream only when a declaration
+// reads across a piece boundary.
 func (p *Parser) ParseFile(name string) *cast.File {
 	f := &cast.File{Name: name}
-	if len(p.toks) > 0 {
-		f.Position = p.toks[0].Pos
+	first := p.toks
+	if p.pre != nil && len(p.pre.Includes) > 0 && p.pre.Includes[0].At == 0 {
+		first = p.pre.Includes[0].Toks
+	}
+	if len(first) > 0 {
+		f.Position = first[0].Pos
 	}
 	if p.arena != nil {
 		f.Decls = make([]cast.Decl, 0, 32)
 	}
-	incs := p.incs
-	for !p.at(ctoken.EOF) && !p.done() {
-		for len(incs) > 0 && incs[0].Start < p.i {
-			incs = incs[1:]
-		}
-		if len(incs) > 0 && incs[0].Start == p.i && p.header(f, incs[0]) {
-			continue
-		}
-		p.topDecl(f)
+	if p.pre == nil {
+		p.piece(f, p.toks, true)
+	} else if !p.pieces(f) {
+		p.rejoin(f)
 	}
 	if !p.canceled {
 		for _, pd := range p.pending {
@@ -316,6 +301,51 @@ func (p *Parser) ParseFile(name string) *cast.File {
 	}
 	p.pending = nil
 	return f
+}
+
+// pieces parses the stream as its pieces, in order: runs of the file's own
+// tokens and the tokens of each top-level include, every piece a run of
+// whole top-level declarations. It reports false as soon as a declaration
+// of a piece other than the last reads past the piece's end: that
+// declaration depends on the tokens of the next piece.
+func (p *Parser) pieces(f *cast.File) bool {
+	own, at := p.pre.Tokens, 0
+	for _, inc := range p.pre.Includes {
+		if !p.piece(f, own[at:inc.At], false) || !p.header(f, inc) {
+			return false
+		}
+		at = inc.At
+		if !inc.Spliced {
+			at += len(inc.Toks)
+		}
+	}
+	p.piece(f, own[at:], true)
+	return true
+}
+
+// piece parses toks as top-level declarations into f. Unless toks end the
+// stream, it stops and reports false when a declaration read past their
+// end.
+func (p *Parser) piece(f *cast.File, toks []ctoken.Token, last bool) bool {
+	p.toks, p.i, p.pastEnd = toks, 0, false
+	for p.i < len(toks) && !p.done() {
+		p.topDecl(f)
+		if p.pastEnd && !last {
+			return false
+		}
+	}
+	return true
+}
+
+// rejoin parses the joined stream as one piece, starting over: only the
+// header parses the pieces recorded, which the boundary did not affect,
+// are kept.
+func (p *Parser) rejoin(f *cast.File) {
+	f.Decls = f.Decls[:0]
+	p.errs, p.typedefs, p.added, p.chain = nil, nil, nil, typedefChain{}
+	p.arena, p.replayed, p.prefix, p.prefixKey = new(cast.Arena), 0, 0, nil
+	p.rejoined = true
+	p.piece(f, p.pre.Stream(), true)
 }
 
 // ParseFileCtx is ParseFile polling ctx before each top-level declaration.

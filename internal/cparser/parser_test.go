@@ -768,9 +768,9 @@ struct outer {
 	}
 }
 
-// ParseTokens is the pure parse-stage entry point of the incremental
-// pipeline: preprocessing happens once, up front, and the parse consumes
-// the token stream. It must agree with the fused ParseSource path.
+// The incremental pipeline preprocesses once, up front, and parses the
+// result through NewWithHeaders and ParseFileCtx. It must agree with the
+// fused ParseSource path.
 func TestParseTokensMatchesParseSource(t *testing.T) {
 	src := `
 struct s { int a; int b; };
@@ -782,7 +782,12 @@ void w(struct s *p) {
 `
 	fused, fusedErrs := ParseSource("pt.c", src, cpp.Options{})
 	pre := cpp.Preprocess("pt.c", src, cpp.Options{})
-	split, splitErrs := ParseTokens(context.Background(), "pt.c", pre)
+	psr := NewWithHeaders(pre, NewHeaderDecls())
+	split, err := psr.ParseFileCtx(context.Background(), "pt.c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	splitErrs := append(append([]error{}, pre.Errors...), psr.Errors()...)
 	if got, want := len(split.Decls), len(fused.Decls); got != want {
 		t.Fatalf("decls = %d, want %d", got, want)
 	}

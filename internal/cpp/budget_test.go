@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"ofence/internal/obs"
 )
@@ -127,6 +128,33 @@ func TestCancelInsideFile(t *testing.T) {
 			if c.Name == "includes_recorded" && c.Value != 1 {
 				t.Errorf("includes_recorded = %d after a canceled file, want 1", c.Value)
 			}
+		}
+	}
+}
+
+// TestDeepConditionals checks that liveness is read from the innermost
+// conditional alone: 2×10^5 nested #if 1 must preprocess well inside a 5 s
+// deadline (walking the whole stack on every line took about 14 s), and
+// an #else or #elif inside a dead group must stay dead.
+func TestDeepConditionals(t *testing.T) {
+	const n = 200_000
+	src := strings.Repeat("#if 1\n", n) + "int x;\n" + strings.Repeat("#endif\n", n)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	r := NewEnv(Options{}).PreprocessCtx(ctx, "deep.c", src)
+	if err := ctx.Err(); err != nil {
+		t.Fatalf("%d nested #if 1: %v", n, err)
+	}
+	if len(r.Errors) != 0 || renderTokens(r.Tokens) != "int x ;" {
+		t.Fatalf("%d nested #if 1: tokens %q, errors %v", n, renderTokens(r.Tokens), r.Errors)
+	}
+	for _, src := range []string{
+		"#if 0\n#if 1\n#else\nint dead;\n#endif\n#endif\nint live;\n",
+		"#ifdef NOPE\n#ifndef NOPE\n#elif 1\nint dead;\n#else\nint dead2;\n#endif\n#endif\nint live;\n",
+		"#if 1\n#else\n#if 1\nint dead;\n#endif\n#endif\nint live;\n",
+	} {
+		if r := Preprocess("dead.c", src, Options{}); renderTokens(r.Tokens) != "int live ;" || len(r.Errors) != 0 {
+			t.Errorf("%q: tokens %q, errors %v; want only int live ;", src, renderTokens(r.Tokens), r.Errors)
 		}
 	}
 }

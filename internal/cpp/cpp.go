@@ -52,6 +52,9 @@ type Options struct {
 
 // Result is the preprocessed token stream plus diagnostics.
 type Result struct {
+	// Tokens are the file's own tokens: the whole stream unless an include
+	// was replayed, whose tokens the stream has but Tokens does not (see
+	// Include and Stream).
 	Tokens []ctoken.Token
 	Errors []error
 	// Macros is the final macro table, useful for tests and tooling. Its
@@ -66,11 +69,41 @@ type Result struct {
 	// fp/fpFile memoize Fingerprint for the file the run was attributed to:
 	// the digest is streamed while tokens are emitted, so the usual caller
 	// (the incremental pipeline, which fingerprints under the same name it
-	// preprocessed) never re-walks the stream. Unexported on purpose — a
-	// Result rebuilt by gob (the disk stage codec) falls back to the slow
-	// re-computation below.
+	// preprocessed) never re-walks the stream. Another name falls back to
+	// the re-computation below.
 	fp     string
 	fpFile string
+}
+
+// Stream returns the whole token stream: Tokens with the tokens of every
+// replayed include spliced in. It copies only when an include was
+// replayed, so callers that can walk the pieces (see Include) should.
+func (r *Result) Stream() []ctoken.Token {
+	n := r.Len()
+	if n == len(r.Tokens) {
+		return r.Tokens
+	}
+	out := make([]ctoken.Token, 0, n)
+	last := 0
+	for _, inc := range r.Includes {
+		if inc.Spliced {
+			out = append(out, r.Tokens[last:inc.At]...)
+			out = append(out, inc.Toks...)
+			last = inc.At
+		}
+	}
+	return append(out, r.Tokens[last:]...)
+}
+
+// Len returns the length of the whole token stream.
+func (r *Result) Len() int {
+	n := len(r.Tokens)
+	for _, inc := range r.Includes {
+		if inc.Spliced {
+			n += len(inc.Toks)
+		}
+	}
+	return n
 }
 
 // Fingerprint returns the content address of the preprocess artifact: the
@@ -86,7 +119,7 @@ func (r *Result) Fingerprint(file string) string {
 	h := sha256.New()
 	var buf []byte
 	buf = hashSeed(h, buf, file)
-	for _, tok := range r.Tokens {
+	for _, tok := range r.Stream() {
 		buf = hashToken(h, buf, tok)
 	}
 	for _, err := range r.Errors {
@@ -161,12 +194,6 @@ type preprocessor struct {
 	replayed, recorded int
 	// incs are the Result's Includes.
 	incs []Include
-
-	// splices are the replayed segments' tokens, spliced into out at the
-	// end so the output is allocated once at its final size; spliced is
-	// their total length.
-	splices []splice
-	spliced int
 
 	// h accumulates the content fingerprint while tokens are emitted, so
 	// Result.Fingerprint for the root file is ready the moment preprocessing
@@ -353,7 +380,7 @@ func (e *Env) preprocess(ctx context.Context, file, src string) (res *Result, re
 		return res, p.replayed, p.recorded, !p.canceled
 	}
 	e.publish(p.segs)
-	res = &Result{Tokens: p.tokens(), Errors: p.errs, Macros: p.macros, Includes: p.incs}
+	res = &Result{Tokens: p.out, Errors: p.errs, Macros: p.macros, Includes: p.incs}
 	for _, err := range p.errs {
 		p.flushHash()
 		p.hbuf = hashError(p.h, p.hbuf, err)
@@ -448,14 +475,11 @@ func (p *preprocessor) applyMacro(name string, m *Macro) {
 	p.bloomAdd(name)
 }
 
-// condsLive reports whether every open conditional branch is active.
+// condsLive reports whether every open conditional branch is active. A
+// branch is active only while its parent is live, so the innermost one
+// decides.
 func condsLive(conds []condState) bool {
-	for _, c := range conds {
-		if !c.active {
-			return false
-		}
-	}
-	return true
+	return len(conds) == 0 || conds[len(conds)-1].active
 }
 
 // dispatch processes one directive line against the conditional stack and
@@ -498,7 +522,7 @@ func (p *preprocessor) dispatch(ln line, conds []condState) []condState {
 			return conds
 		}
 		c := &conds[len(conds)-1]
-		c.active = !c.everMatched
+		c.active = c.parentLive && !c.everMatched
 		c.everMatched = true
 	case "endif":
 		if len(conds) == 0 {
@@ -543,8 +567,8 @@ func (p *preprocessor) streamFile(file, src string) {
 	if p.out == nil {
 		// Root file: size the output once for the expected token count of
 		// the file itself — dense C runs about one token per four source
-		// bytes — so emission rarely reallocates; replayed headers are
-		// spliced in once at the end (see tokens).
+		// bytes — so emission rarely reallocates; replayed headers never
+		// enter it (see Include).
 		p.out = make([]ctoken.Token, 0, len(src)/4+16)
 	}
 	errStart := len(p.errs)
@@ -726,22 +750,14 @@ func (p *preprocessor) include(ln line) {
 	}
 }
 
-// splice is a replayed segment's tokens, due at index at of out.
-type splice struct {
-	at   int
-	toks []ctoken.Token
-}
-
-// replay splices a recorded top-level include into the output: its tokens,
-// diagnostics, macro operations and fingerprint bytes, in the order
-// expanding the header would have produced them.
+// replay splices a recorded top-level include into the run: its tokens,
+// by reference, and its diagnostics, macro operations and fingerprint
+// bytes, in the order expanding the header would have produced them.
 func (p *preprocessor) replay(seg *segment) {
 	if !p.spend(len(seg.toks)) {
 		return
 	}
-	p.addInclude(seg.key, len(p.out), len(seg.toks))
-	p.splices = append(p.splices, splice{len(p.out), seg.toks})
-	p.spliced += len(seg.toks)
+	p.addInclude(seg, len(p.out), true)
 	p.errs = append(p.errs, seg.errs...)
 	for _, op := range seg.ops {
 		p.applyMacro(op.name, op.m)
@@ -750,21 +766,6 @@ func (p *preprocessor) replay(seg *segment) {
 	p.flushHash()
 	p.h.Write(seg.pre)
 	p.replayed++
-}
-
-// tokens returns the output with every replayed segment spliced in.
-func (p *preprocessor) tokens() []ctoken.Token {
-	if len(p.splices) == 0 {
-		return p.out
-	}
-	out := make([]ctoken.Token, 0, len(p.out)+p.spliced)
-	last := 0
-	for _, s := range p.splices {
-		out = append(out, p.out[last:s.at]...)
-		out = append(out, s.toks...)
-		last = s.at
-	}
-	return append(out, p.out[last:]...)
 }
 
 // record expands a top-level include while collecting it into a segment.
@@ -786,16 +787,14 @@ func (p *preprocessor) record(key memoKey, src string) {
 	seg.toks = slices.Clone(p.out[outStart:])
 	seg.errs = slices.Clone(p.errs[errStart:])
 	p.segs = append(p.segs, seg)
-	p.addInclude(key, outStart, len(seg.toks))
+	p.addInclude(seg, outStart, false)
 }
 
-// addInclude lists the top-level include under key whose n tokens start at
-// index at of out among the Result's Includes, unless it is empty. Indices
-// into the Result count the segments spliced in before it.
-func (p *preprocessor) addInclude(key memoKey, at, n int) {
-	if n > 0 {
-		at += p.spliced
-		p.incs = append(p.incs, Include{Start: at, End: at + n, Key: IncludeKey{key}})
+// addInclude lists seg's expansion, at index at of out, among the Result's
+// Includes, unless it is empty.
+func (p *preprocessor) addInclude(seg *segment, at int, spliced bool) {
+	if len(seg.toks) > 0 {
+		p.incs = append(p.incs, Include{At: at, Toks: seg.toks, Key: IncludeKey{seg.key}, Spliced: spliced})
 	}
 }
 

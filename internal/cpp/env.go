@@ -53,12 +53,17 @@ type memoKey struct {
 	chain chain
 }
 
-// Include is one top-level #include of a Result: Result.Tokens[Start:End]
-// is its expansion. Within one Env, the expansions of Includes with equal
+// Include is one top-level #include of a Result, whose expansion is
+// Toks. An include the run expanded is Result.Tokens[At:At+len(Toks)]. A
+// replayed one is Spliced: its Toks are the Env memo's, shared by every
+// file that replays it and read-only, and the stream has them just before
+// Result.Tokens[At]. Within one Env, the expansions of Includes with equal
 // Keys are equal token for token, in every file.
 type Include struct {
-	Start, End int
-	Key        IncludeKey
+	At      int
+	Toks    []ctoken.Token
+	Key     IncludeKey
+	Spliced bool
 }
 
 // IncludeKey names a recorded expansion: the header path and the
@@ -161,7 +166,7 @@ func (e *Env) PreprocessCtx(ctx context.Context, file, src string) *Result {
 	if over {
 		sp.Add("budget_exceeded", 1)
 	}
-	sp.Add("tokens", int64(len(res.Tokens)))
+	sp.Add("tokens", int64(res.Len()))
 	sp.Add("macros", int64(len(res.Macros)))
 	sp.Add("errors", int64(len(res.Errors)))
 	sp.Add("includes_replayed", int64(replayed))

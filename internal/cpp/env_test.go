@@ -4,10 +4,13 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
+	"ofence/internal/cast"
 	"ofence/internal/corpus"
+	"ofence/internal/cparser"
 	"ofence/internal/cpp"
 	"ofence/internal/ctoken"
 	"ofence/internal/kernelhdr"
@@ -36,12 +39,16 @@ func counted(env *cpp.Env, f srcFile) (res *cpp.Result, replayed, recorded int64
 
 // sameResult fails t unless got, from a shared Env, is what the oracle
 // want, from a fresh one, is: tokens, diagnostics, final macro table and
-// fingerprint.
+// fingerprint, and the parse of got's pieces the parse of want's tokens.
 func sameResult(t *testing.T, file string, got, want *cpp.Result) {
 	t.Helper()
-	if !reflect.DeepEqual(got.Tokens, want.Tokens) {
-		t.Errorf("%s: tokens differ from a fresh Env (%d vs %d tokens)", file, len(got.Tokens), len(want.Tokens))
+	if !reflect.DeepEqual(got.Stream(), want.Tokens) {
+		t.Errorf("%s: tokens differ from a fresh Env (%d vs %d tokens)", file, got.Len(), len(want.Tokens))
 	}
+	if want.Len() != len(want.Tokens) {
+		t.Errorf("%s: a fresh Env's tokens are not the whole stream", file)
+	}
+	pieces(t, file, got)
 	if g, w := fmt.Sprint(got.Errors), fmt.Sprint(want.Errors); g != w {
 		t.Errorf("%s: errors differ from a fresh Env\n got: %s\nwant: %s", file, g, w)
 	}
@@ -50,6 +57,45 @@ func sameResult(t *testing.T, file string, got, want *cpp.Result) {
 	}
 	if g, w := got.Fingerprint(file), want.Fingerprint(file); g != w {
 		t.Errorf("%s: fingerprint %s, fresh Env %s", file, g, w)
+	}
+	if g, w := parse(file, cparser.NewWithHeaders(got, nil)), parse(file, cparser.New(want.Tokens)); g != w {
+		t.Errorf("%s: the parse of the pieces differs from the parse of a fresh Env's tokens\n got: %s\nwant: %s", file, g, w)
+	}
+}
+
+// parse renders what p parses of file: every top-level declaration with
+// its position, and the diagnostics.
+func parse(file string, p *cparser.Parser) string {
+	var b strings.Builder
+	f := p.ParseFile(file)
+	fmt.Fprintf(&b, "@%v\n", f.Position)
+	for _, d := range f.Decls {
+		fmt.Fprintf(&b, "%T @%v\n%s\n", d, d.Pos(), cast.Print(d))
+	}
+	for _, err := range p.Errors() {
+		fmt.Fprintf(&b, "error: %v\n", err)
+	}
+	return b.String()
+}
+
+// pieces fails t unless res's Includes describe its stream: in order,
+// non-empty, an include expanded in place within Tokens and a replayed
+// one at a position of Tokens.
+func pieces(t *testing.T, file string, res *cpp.Result) {
+	t.Helper()
+	at := 0
+	for _, inc := range res.Includes {
+		end := inc.At
+		if !inc.Spliced {
+			end += len(inc.Toks)
+		}
+		switch {
+		case len(inc.Toks) == 0 || inc.At < at || end > len(res.Tokens):
+			t.Fatalf("%s: include at %d of %d tokens out of order or out of range", file, inc.At, len(inc.Toks))
+		case !inc.Spliced && !reflect.DeepEqual(inc.Toks, res.Tokens[inc.At:end]):
+			t.Fatalf("%s: include at %d differs from the tokens it covers", file, inc.At)
+		}
+		at = end
 	}
 }
 

@@ -84,8 +84,11 @@ func (t *Type) StructTag() string {
 	return ""
 }
 
-// Table holds the declarations visible in one translation unit.
+// Table holds the declarations visible in one translation unit. A table
+// may extend a base table it shares (see Extend): its lookups read its own
+// maps first and the base's after.
 type Table struct {
+	base     *Table
 	structs  map[string]*cast.StructDecl
 	typedefs map[string]*cast.TypeExpr
 	// typedefStruct maps a typedef name directly to a struct tag when the
@@ -95,25 +98,51 @@ type Table struct {
 	funcs         map[string]*cast.FuncDecl
 }
 
-// NewTable builds the symbol tables for file. Multiple files may be merged
-// by calling Add on the same table (headers shared across the corpus).
+// NewTable builds the symbol tables for the declarations of files, in
+// order: a later declaration of a name replaces an earlier one.
 func NewTable(files ...*cast.File) *Table {
-	t := &Table{
+	t := newTable(nil)
+	for _, f := range files {
+		t.add(f.Decls)
+	}
+	return t
+}
+
+// Extend returns the table of t's declarations followed by decls. It
+// shares t, which it never writes, so t may be shared by any number of
+// extensions: a lookup finds a name among decls first and in t after,
+// exactly as in one table built from both.
+func (t *Table) Extend(decls []cast.Decl) *Table {
+	x := newTable(t)
+	x.add(decls)
+	return x
+}
+
+func newTable(base *Table) *Table {
+	return &Table{
+		base:          base,
 		structs:       map[string]*cast.StructDecl{},
 		typedefs:      map[string]*cast.TypeExpr{},
 		typedefStruct: map[string]string{},
 		globals:       map[string]*Type{},
 		funcs:         map[string]*cast.FuncDecl{},
 	}
-	for _, f := range files {
-		t.Add(f)
-	}
-	return t
 }
 
-// Add merges file's declarations into the table.
-func (t *Table) Add(f *cast.File) {
-	for _, d := range f.Decls {
+// lookup finds key in the map of t that m picks, then in its bases'.
+func lookup[V any](t *Table, m func(*Table) map[string]V, key string) (V, bool) {
+	for ; t != nil; t = t.base {
+		if v, ok := m(t)[key]; ok {
+			return v, true
+		}
+	}
+	var zero V
+	return zero, false
+}
+
+// add merges decls into the table.
+func (t *Table) add(decls []cast.Decl) {
+	for _, d := range decls {
 		switch x := d.(type) {
 		case *cast.StructDecl:
 			if x.Tag != "" {
@@ -138,13 +167,21 @@ func (t *Table) Add(f *cast.File) {
 }
 
 // Struct returns the declaration of struct tag, or nil.
-func (t *Table) Struct(tag string) *cast.StructDecl { return t.structs[tag] }
+func (t *Table) Struct(tag string) *cast.StructDecl {
+	sd, _ := lookup(t, func(t *Table) map[string]*cast.StructDecl { return t.structs }, tag)
+	return sd
+}
 
 // Func returns the declaration of the named function, or nil.
-func (t *Table) Func(name string) *cast.FuncDecl { return t.funcs[name] }
+func (t *Table) Func(name string) *cast.FuncDecl {
+	fd, _ := lookup(t, func(t *Table) map[string]*cast.FuncDecl { return t.funcs }, name)
+	return fd
+}
 
-// Funcs returns the function table.
-func (t *Table) Funcs() map[string]*cast.FuncDecl { return t.funcs }
+// global returns the type of the named global variable, if it has one.
+func (t *Table) global(name string) (*Type, bool) {
+	return lookup(t, func(t *Table) map[string]*Type { return t.globals }, name)
+}
 
 // Resolve converts a syntactic TypeExpr to a semantic Type, following
 // typedefs.
@@ -157,9 +194,9 @@ func (t *Table) Resolve(te *cast.TypeExpr) *Type {
 	case te.Struct != "":
 		base = &Type{Kind: Struct, Name: te.Struct, Union: te.Union}
 	case te.Name != "":
-		if tag, ok := t.typedefStruct[te.Name]; ok {
+		if tag, ok := lookup(t, func(t *Table) map[string]string { return t.typedefStruct }, te.Name); ok {
 			base = &Type{Kind: Struct, Name: tag}
-		} else if under, ok := t.typedefs[te.Name]; ok && under != nil {
+		} else if under, ok := lookup(t, func(t *Table) map[string]*cast.TypeExpr { return t.typedefs }, te.Name); ok && under != nil {
 			base = t.Resolve(under)
 		} else {
 			base = &Type{Kind: Basic, Name: te.Name}
@@ -178,7 +215,7 @@ func (t *Table) Resolve(te *cast.TypeExpr) *Type {
 
 // FieldType returns the declared type of field name in struct tag, or nil.
 func (t *Table) FieldType(tag, field string) *Type {
-	sd := t.structs[tag]
+	sd := t.Struct(tag)
 	if sd == nil {
 		return nil
 	}
@@ -223,7 +260,7 @@ func (s *Scope) Lookup(name string) *Type {
 	if ty, ok := s.locals[name]; ok {
 		return ty
 	}
-	if ty, ok := s.table.globals[name]; ok {
+	if ty, ok := s.table.global(name); ok {
 		return ty
 	}
 	return nil
@@ -238,7 +275,7 @@ func (s *Scope) ExprType(e cast.Expr) *Type {
 		if ty := s.Lookup(x.Name); ty != nil {
 			return ty
 		}
-		if s.table.funcs[x.Name] != nil {
+		if s.table.Func(x.Name) != nil {
 			return &Type{Kind: Func, Name: x.Name}
 		}
 		return unknown
@@ -298,7 +335,7 @@ func (s *Scope) ExprType(e cast.Expr) *Type {
 		return s.ExprType(x.Y)
 	case *cast.CallExpr:
 		if name := x.FunName(); name != "" {
-			if fd := s.table.funcs[name]; fd != nil {
+			if fd := s.table.Func(name); fd != nil {
 				return s.table.Resolve(fd.Result)
 			}
 		}

@@ -1,6 +1,8 @@
 package ctypes
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"ofence/internal/cast"
@@ -320,5 +322,46 @@ void fn(void) {
 	fe := cast.FieldAccesses(fn)[0]
 	if got := sc.FieldOwner(fe); got != "b" {
 		t.Errorf("local shadow lost: owner = %q", got)
+	}
+}
+
+// TestExtendMatchesOneTable checks that a table extending a shared base
+// resolves every name as one table over all the declarations does, at
+// every split point: the later declaration of a name wins, whichever side
+// of the split either one is on.
+func TestExtendMatchesOneTable(t *testing.T) {
+	f := parseFile(t, `
+struct a { int x; };
+typedef struct a a_t;
+typedef int num;
+int g;
+int f(void);
+struct a { long y; };
+typedef long num;
+typedef struct b { int q; } a_t;
+struct a *g;
+long f(void);
+typedef num nn;
+nn h;
+`)
+	render := func(tb *Table) string {
+		sc := tb.NewScope(&cast.FuncDecl{})
+		var out []string
+		for _, tag := range []string{"a", "b", "zz"} {
+			out = append(out, fmt.Sprintf("struct %s=%p", tag, tb.Struct(tag)), tb.FieldType(tag, "x").String(), tb.FieldType(tag, "y").String())
+		}
+		for _, name := range []string{"a_t", "num", "nn", "zz"} {
+			out = append(out, name+"="+tb.Resolve(&cast.TypeExpr{Name: name}).String())
+		}
+		for _, name := range []string{"f", "g", "h", "zz"} {
+			out = append(out, fmt.Sprintf("%s=%p %s", name, tb.Func(name), sc.ExprType(&cast.Ident{Name: name})))
+		}
+		return strings.Join(out, " ")
+	}
+	want := render(NewTable(f))
+	for n := range len(f.Decls) + 1 {
+		if got := render(NewTable(&cast.File{Decls: f.Decls[:n]}).Extend(f.Decls[n:])); got != want {
+			t.Errorf("split at %d:\n got: %s\nwant: %s", n, got, want)
+		}
 	}
 }

@@ -2,10 +2,12 @@ package ofence_test
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"ofence/internal/cast"
+	"ofence/internal/ctypes"
 	"ofence/internal/ofence"
 	"ofence/internal/sitegen"
 )
@@ -94,4 +96,67 @@ func TestHeaderDeclsReadOnly(t *testing.T) {
 			t.Errorf("shared declaration changed:\n got: %s\nwant: %s", got, want)
 		}
 	}
+}
+
+// TestSharedHeaderTables checks the type tables that extend a table shared
+// by every file starting with the same spliced header declarations: each
+// file's table must resolve every name the file declares as a table built
+// from the file's declarations alone does. The fixtures interleave own
+// declarations with includes, redeclare a header's struct between two
+// includes and after them, and declare before any include; the tree covers
+// a realistic layout.
+func TestSharedHeaderTables(t *testing.T) {
+	headers := map[string]string{
+		"h1.h": "struct s1 { int a; };\ntypedef struct s1 s1_t;\nint h1(void);\n",
+		"h2.h": "struct s2 { int b; };\nint g2;\n",
+	}
+	fixtures := []ofence.SourceFile{
+		{Name: "a.c", Src: "#include \"h1.h\"\nstruct own { int x; };\n#include \"h2.h\"\nint use_a(s1_t *p) { return p->a; }\n"},
+		{Name: "b.c", Src: "#include \"h1.h\"\nstruct s1 { long other; };\n#include \"h2.h\"\nint use_b(void);\n"},
+		{Name: "c.c", Src: "#include \"h1.h\"\n#include \"h2.h\"\nstruct s2 { char c; };\n"},
+		{Name: "d.c", Src: "struct own { int y; };\n#include \"h1.h\"\n#include \"h2.h\"\n"},
+		{Name: "e.c", Src: "#include \"h1.h\"\n#include \"h2.h\"\nlong h1(void);\n"},
+	}
+	fx := ofence.NewProject()
+	for n, src := range headers {
+		fx.AddHeader(n, src)
+	}
+	fx.AddSources(fixtures)
+	for _, p := range []*ofence.Project{fx, treeProject(sitegen.GenerateTree(sitegen.DefaultTreeSpec(48, 7)))} {
+		opts := ofence.DefaultOptions()
+		opts.Workers = 1
+		mustAnalyze(t, p, opts)
+		for _, fu := range p.Files() {
+			if got, want := resolveAll(fu.Table, fu.AST), resolveAll(ctypes.NewTable(fu.AST), fu.AST); got != want {
+				t.Errorf("%s: table resolves\n%s\nwant\n%s", fu.Name, got, want)
+			}
+		}
+	}
+}
+
+// resolveAll renders what tb resolves of every name f declares.
+func resolveAll(tb *ctypes.Table, f *cast.File) string {
+	sc := tb.NewScope(&cast.FuncDecl{})
+	var b strings.Builder
+	for _, d := range f.Decls {
+		var names []string
+		switch x := d.(type) {
+		case *cast.StructDecl:
+			names = []string{x.Tag}
+		case *cast.TypedefDecl:
+			names = []string{x.Name}
+			if x.Struct != nil {
+				names = append(names, x.Struct.Tag)
+			}
+		case *cast.VarDecl:
+			names = []string{x.Name}
+		case *cast.FuncDecl:
+			names = []string{x.Name}
+		}
+		for _, n := range names {
+			fmt.Fprintf(&b, "%s: struct %p func %p type %s value %s\n", n, tb.Struct(n), tb.Func(n),
+				tb.Resolve(&cast.TypeExpr{Name: n}), sc.ExprType(&cast.Ident{Name: n}))
+		}
+	}
+	return b.String()
 }

@@ -32,6 +32,7 @@ import (
 	"maps"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"ofence/internal/access"
@@ -71,6 +72,9 @@ type artifacts struct {
 	// ran and carried through cache hits for the frontend.* obs counters.
 	tokens     int
 	arenaBytes int64
+	// prefix is the run of header declarations ast starts with, which the
+	// cfg-stage table shares.
+	prefix headerPrefix
 	// summary is the call-graph summary of ast (callgraph.Summarize),
 	// taken by the first run at InterprocDepth ≥ 1; nil until then. Like
 	// every artifact here it is a function of preHash.
@@ -101,8 +105,11 @@ type parseArtifact struct {
 	// arenaBytes is the AST arena footprint of the parse that built ast.
 	arenaBytes int64
 	// replayed counts the top-level declarations of ast spliced from the
-	// header-declaration memo.
+	// header-declaration memo, and prefix is the run of them ast starts
+	// with; rejoined records that the parse fell back to the joined stream.
 	replayed int
+	prefix   headerPrefix
+	rejoined bool
 }
 
 // extractArtifact is the extract-stage cache value.
@@ -113,16 +120,58 @@ type extractArtifact struct {
 
 // projectEnv is a point-in-time snapshot of the preprocessing environment:
 // the content hash of the headers and defines, the cpp.Env built from them
-// and the header-declaration memo that belongs to the Env.
+// and the header memo that belongs to the Env.
 type projectEnv struct {
-	hash  string
-	env   *cpp.Env
-	decls *cparser.HeaderDecls
+	hash string
+	env  *cpp.Env
+	hdrs *headerMemo
 }
 
-// envSnapshot returns the environment's content hash, cpp.Env and
-// header-declaration memo, all cached until AddHeader/Define invalidates
-// them.
+// headerMemo is what one cpp.Env's files share of their headers' parse:
+// the header-declaration memo, and one type table per run of header
+// declarations a file splices before its own, keyed by the run (see
+// cparser.Parser.HeaderPrefix). It is built, reset and shared with the Env.
+type headerMemo struct {
+	decls  *cparser.HeaderDecls
+	mu     sync.Mutex
+	tables map[string]*ctypes.Table
+}
+
+// maxHeaderTables bounds the shared tables of a headerMemo, which lives as
+// long as its Env: past the bound, a file's table is built whole.
+const maxHeaderTables = 1024
+
+// headerPrefix is the run of declarations a parse spliced from memo's
+// declarations before the file's own: n of them, from the recordings key
+// names.
+type headerPrefix struct {
+	memo *headerMemo
+	n    int
+	key  string
+}
+
+// table builds the symbol table of ast, which starts with the run hp:
+// ast's other declarations over the run's shared table.
+func (hp headerPrefix) table(ast *cast.File) *ctypes.Table {
+	if hp.n == 0 {
+		return ctypes.NewTable(ast)
+	}
+	h := hp.memo
+	h.mu.Lock()
+	base := h.tables[hp.key]
+	if base == nil && len(h.tables) < maxHeaderTables {
+		base = ctypes.NewTable(&cast.File{Decls: ast.Decls[:hp.n]})
+		h.tables[hp.key] = base
+	}
+	h.mu.Unlock()
+	if base == nil {
+		return ctypes.NewTable(ast)
+	}
+	return base.Extend(ast.Decls[hp.n:])
+}
+
+// envSnapshot returns the environment's content hash, cpp.Env and header
+// memo, all cached until AddHeader/Define invalidates them.
 func (p *Project) envSnapshot() projectEnv {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -140,9 +189,9 @@ func (p *Project) envSnapshot() projectEnv {
 		// The Env keeps its maps, so it gets copies AddHeader/Define will
 		// not write to.
 		p.env = cpp.NewEnv(cpp.Options{Include: maps.Clone(p.headers), Defines: maps.Clone(p.defines), Syms: p.syms})
-		p.decls = cparser.NewHeaderDecls()
+		p.hdrs = &headerMemo{decls: cparser.NewHeaderDecls(), tables: map[string]*ctypes.Table{}}
 	}
-	return projectEnv{hash: p.envHash, env: p.env, decls: p.decls}
+	return projectEnv{hash: p.envHash, env: p.env, hdrs: p.hdrs}
 }
 
 func sortedKeys(m map[string]string) []string {
@@ -181,14 +230,15 @@ func (p *Project) frontendWith(ctx context.Context, name, src string, env projec
 	}
 	pa := v.(*preArtifact)
 	pv, _, err := doStage(ctx, p.stages.Stage(stageParse), rescache.KeyOf("parse-v1", name, pa.hash), func() (any, error) {
-		psr := cparser.New(pa.pre.Tokens)
-		psr.UseHeaders(env.decls, pa.pre.Includes)
+		psr := cparser.NewWithHeaders(pa.pre, env.hdrs.decls)
 		ast, err := psr.ParseFileCtx(ctx, name)
 		if err != nil {
 			return nil, err
 		}
 		errs := append(append([]error{}, pa.pre.Errors...), psr.Errors()...)
-		return &parseArtifact{ast: ast, errs: errs, arenaBytes: psr.ArenaBytes(), replayed: psr.DeclsReplayed()}, nil
+		prefix := headerPrefix{memo: env.hdrs}
+		prefix.n, prefix.key = psr.HeaderPrefix()
+		return &parseArtifact{ast: ast, errs: errs, arenaBytes: psr.ArenaBytes(), replayed: psr.DeclsReplayed(), prefix: prefix, rejoined: psr.Rejoined()}, nil
 	})
 	if err != nil {
 		if wrapSpan != nil {
@@ -198,16 +248,19 @@ func (p *Project) frontendWith(ctx context.Context, name, src string, env projec
 	}
 	ba := pv.(*parseArtifact)
 	if wrapSpan != nil {
-		wrapSpan.Add("tokens", int64(len(pa.pre.Tokens)))
+		wrapSpan.Add("tokens", int64(pa.pre.Len()))
 		wrapSpan.Add("decls", int64(len(ba.ast.Decls)))
 		wrapSpan.Add("decls_replayed", int64(ba.replayed))
 		wrapSpan.Add("decls_parsed", int64(len(ba.ast.Decls)-ba.replayed))
+		if ba.rejoined {
+			wrapSpan.Add("rejoined", 1)
+		}
 		wrapSpan.Add("errors", int64(len(ba.errs)))
 		wrapSpan.End()
 	}
 	return &artifacts{
 		preHash: pa.hash, ast: ba.ast, errs: ba.errs,
-		tokens: len(pa.pre.Tokens), arenaBytes: ba.arenaBytes,
+		tokens: pa.pre.Len(), arenaBytes: ba.arenaBytes, prefix: ba.prefix,
 	}, nil
 }
 
@@ -362,7 +415,7 @@ func (p *Project) tableFor(name string, art *artifacts) *ctypes.Table {
 		return art.table
 	}
 	v, _, _ := p.stages.Stage(stageCfg).Do(rescache.KeyOf("cfg-v1", name, art.preHash), func() (any, error) {
-		return ctypes.NewTable(art.ast), nil
+		return art.prefix.table(art.ast), nil
 	})
 	return v.(*ctypes.Table)
 }

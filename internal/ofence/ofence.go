@@ -20,7 +20,6 @@ import (
 	"ofence/internal/access"
 	"ofence/internal/callgraph"
 	"ofence/internal/cast"
-	"ofence/internal/cparser"
 	"ofence/internal/cpp"
 	"ofence/internal/ctoken"
 	"ofence/internal/ctypes"
@@ -125,9 +124,9 @@ type Project struct {
 	// (AddHeader/Define reset it). Shared with clones like syms, in which
 	// its recorded token texts are canonical.
 	env *cpp.Env
-	// decls is the header-declaration memo of env (see
-	// cparser.HeaderDecls), built, reset and shared with it.
-	decls *cparser.HeaderDecls
+	// hdrs is the header memo of env (see headerMemo), built, reset and
+	// shared with it.
+	hdrs *headerMemo
 	// stages holds the content-addressed per-file artifact caches, shared
 	// with clones so equal work is never redone.
 	stages *rescache.Stages
@@ -221,7 +220,7 @@ func (p *Project) Define(name, value string) {
 // marks every unit for a front-end refresh. Callers hold p.mu.
 func (p *Project) markEnvChangedLocked() {
 	p.envHash = ""
-	p.env, p.decls = nil, nil
+	p.env, p.hdrs = nil, nil
 	for _, fu := range p.files {
 		fu.stale = true
 	}
@@ -320,7 +319,7 @@ func (p *Project) Clone() *Project {
 		files:   make([]*FileUnit, 0, len(p.files)),
 		envHash: p.envHash,
 		env:     p.env,
-		decls:   p.decls,
+		hdrs:    p.hdrs,
 		stages:  p.stages,
 		syms:    p.syms,
 		global:  p.global,
