@@ -295,9 +295,10 @@ func printStageStats(enabled bool, proj *ofence.Project, res *ofence.Result, tra
 // printMemStats prints the -stage-stats memory report: for the analysis
 // span and each phase under it (parse, callgraph, semprop, extract, pair,
 // check, rank), the heap bytes and allocations the phase performed — the
-// tracer samples runtime.ReadMemStats at span boundaries — plus the AST
-// arena footprint where a span recorded one. Same-name spans at one depth
-// (the per-file parses) are aggregated into a single line with a count.
+// tracer samples the runtime/metrics heap counters at span boundaries —
+// plus the AST arena footprint where a span recorded one. Same-name spans
+// at one depth (the per-file parses) are aggregated into a single line
+// with a count.
 func printMemStats(tracer *obs.Tracer) {
 	if tracer == nil {
 		return

@@ -176,7 +176,7 @@ func (p *Parser) header(f *cast.File, inc cpp.Include) bool {
 	case !ok:
 		p.record(key, &declSegment{open: true})
 		return false
-	case p.canceled:
+	case p.done():
 		return true // nothing is recorded; ParseFile stops
 	}
 	p.hdrBytes += hdrArena.Bytes()

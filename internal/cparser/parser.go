@@ -67,7 +67,49 @@ type Parser struct {
 	pending  []pendingDecls
 	ctx      context.Context
 	canceled bool
+	// depth is the current nesting (see nest); tooDeep, once set, is the
+	// diagnostic of a file that went past maxNesting, which stops the parse.
+	depth   int
+	tooDeep error
 }
+
+// maxNesting bounds how deeply the parser recurses: each statement, block,
+// struct body and initializer list, each parenthesised or assignment
+// expression, each arm of a conditional chain and each operand of a prefix
+// operator, sizeof or cast takes one level. A Go stack overflow kills the
+// process rather than panicking: without the bound, one file of 10^6
+// nested parentheses would take down the analyzer or the daemon. A file
+// past it is skipped with one diagnostic, as the preprocessor skips a file
+// over its work budget.
+//
+// The bound guards the stack; it is not clang's -fbracket-depth (256),
+// which counts brackets only. Counting every level, kernel-style code runs
+// far deeper than its brackets: order_base_2(order_base_2(x)) over the
+// 63-arm const_ilog2 chain takes 152 levels. At the bound the deepest
+// shape uses 16 MB of a goroutine's 1 GB stack limit, and the later
+// stages handle such an AST.
+const maxNesting = 10_000
+
+// nest enters one level of nesting and reports whether it is within
+// maxNesting; each true is paired with an unnest. Past the bound it records
+// the diagnostic and moves to the end of the tokens, so every loop of the
+// parse ends and ParseFile skips the file.
+func (p *Parser) nest() bool {
+	if p.depth < maxNesting {
+		p.depth++
+		return true
+	}
+	if p.tooDeep == nil {
+		p.tooDeep = fmt.Errorf("%s: nesting exceeds %d levels; file skipped", p.cur().Pos, maxNesting)
+	}
+	p.i = len(p.toks)
+	return false
+}
+
+func (p *Parser) unnest() { p.depth-- }
+
+// errExpr is the expression a parse that cannot go on yields.
+func (p *Parser) errExpr() cast.Expr { return p.newIdent(p.cur().Pos, "<error>") }
 
 // maxErrors bounds the parse errors recorded per file.
 const maxErrors = 100
@@ -294,6 +336,10 @@ func (p *Parser) ParseFile(name string) *cast.File {
 	} else if !p.pieces(f) {
 		p.rejoin(f)
 	}
+	if p.tooDeep != nil {
+		f.Decls, p.errs, p.pending = f.Decls[:0], []error{p.tooDeep}, nil
+		p.replayed, p.prefix, p.prefixKey = 0, 0, nil
+	}
 	if !p.canceled {
 		for _, pd := range p.pending {
 			p.hdr.publish(pd.key, pd.seg)
@@ -330,7 +376,7 @@ func (p *Parser) piece(f *cast.File, toks []ctoken.Token, last bool) bool {
 	p.toks, p.i, p.pastEnd = toks, 0, false
 	for p.i < len(toks) && !p.done() {
 		p.topDecl(f)
-		if p.pastEnd && !last {
+		if p.pastEnd && !last && p.tooDeep == nil {
 			return false
 		}
 	}
@@ -362,12 +408,12 @@ func (p *Parser) ParseFileCtx(ctx context.Context, name string) (*cast.File, err
 }
 
 // done polls the parser's context, if it has one, and reports whether it
-// was done.
+// was done or the file went past maxNesting.
 func (p *Parser) done() bool {
 	if p.ctx != nil && !p.canceled && p.ctx.Err() != nil {
 		p.canceled = true
 	}
-	return p.canceled
+	return p.canceled || p.tooDeep != nil
 }
 
 // topDecl parses one top-level declaration into f.
@@ -552,8 +598,12 @@ func (p *Parser) tryStructDef() (cast.Decl, bool) {
 }
 
 func (p *Parser) parseStructBody(pos ctoken.Position, tag string, union bool) *cast.StructDecl {
-	p.expect(ctoken.LBrace)
 	sd := p.newStructDecl(pos, tag, union)
+	if !p.nest() {
+		return sd
+	}
+	defer p.unnest()
+	p.expect(ctoken.LBrace)
 	if p.arena != nil {
 		sd.Fields = make([]*cast.FieldDecl, 0, 8)
 	}
@@ -1044,6 +1094,10 @@ func (p *Parser) parseBlock() *cast.BlockStmt {
 }
 
 func (p *Parser) parseStmt() cast.Stmt {
+	if !p.nest() {
+		return nil
+	}
+	defer p.unnest()
 	t := p.cur()
 	switch {
 	case t.Kind == ctoken.LBrace:
@@ -1291,6 +1345,10 @@ func (p *Parser) parseExpr() cast.Expr {
 }
 
 func (p *Parser) parseAssignExpr() cast.Expr {
+	if !p.nest() {
+		return p.errExpr()
+	}
+	defer p.unnest()
 	lhs := p.parseCondExprNoComma()
 	if p.cur().Kind.IsAssign() {
 		op := p.next()
@@ -1314,7 +1372,11 @@ func (p *Parser) parseCondExprNoComma() cast.Expr {
 		then = p.parseExpr()
 	}
 	p.expect(ctoken.Colon)
+	if !p.nest() {
+		return p.errExpr()
+	}
 	els := p.parseCondExprNoComma()
+	p.unnest()
 	return p.newCond(pos, cond, then, els)
 }
 
@@ -1349,7 +1411,7 @@ func (p *Parser) parseUnaryExpr() cast.Expr {
 	switch t.Kind {
 	case ctoken.Not, ctoken.Minus, ctoken.Plus, ctoken.Tilde, ctoken.Star, ctoken.Amp, ctoken.PlusPlus, ctoken.MinusMinus:
 		p.advance()
-		x := p.parseUnaryExpr()
+		x := p.parseOperand()
 		return p.newUnary(t.Pos, t.Kind, x)
 	case ctoken.Keyword:
 		if t.Text == "sizeof" {
@@ -1363,7 +1425,7 @@ func (p *Parser) parseUnaryExpr() cast.Expr {
 				}
 				p.i = save
 			}
-			x := p.parseUnaryExpr()
+			x := p.parseOperand()
 			return p.newSizeof(t.Pos, x)
 		}
 	case ctoken.LParen:
@@ -1381,13 +1443,23 @@ func (p *Parser) parseUnaryExpr() cast.Expr {
 			// "(type)" must be followed by a castable expression; otherwise
 			// it was a parenthesized identifier that looked like a typedef.
 			if p.canStartExpr() {
-				x := p.parseUnaryExpr()
+				x := p.parseOperand()
 				return p.newCast(t.Pos, typ, x)
 			}
 		}
 		p.i = save
 	}
 	return p.parsePostfixExpr()
+}
+
+// parseOperand parses the operand of a prefix operator, sizeof or a cast,
+// one level of nesting deeper.
+func (p *Parser) parseOperand() cast.Expr {
+	if !p.nest() {
+		return p.errExpr()
+	}
+	defer p.unnest()
+	return p.parseUnaryExpr()
 }
 
 func (p *Parser) canStartExpr() bool {
@@ -1493,6 +1565,10 @@ func (p *Parser) parseInitializer() cast.Expr {
 }
 
 func (p *Parser) parseInitList() cast.Expr {
+	if !p.nest() {
+		return p.errExpr()
+	}
+	defer p.unnest()
 	pos := p.expect(ctoken.LBrace).Pos
 	il := &cast.InitListExpr{Position: pos}
 	for !p.at(ctoken.RBrace) && !p.at(ctoken.EOF) {

@@ -2,6 +2,7 @@ package cparser
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -798,5 +799,68 @@ void w(struct s *p) {
 		if splitErrs[i].Error() != fusedErrs[i].Error() {
 			t.Errorf("error %d: %q vs %q", i, splitErrs[i], fusedErrs[i])
 		}
+	}
+}
+
+// nested wraps mid in n copies of open and close.
+func nested(n int, open, mid, close string) string {
+	return strings.Repeat(open, n) + mid + strings.Repeat(close, n)
+}
+
+// TestNestingBound checks that every shape the parser recurses on is
+// bounded by maxNesting: 10^5 levels of each (which parse without the
+// bound, but 10^6 overflow the stack) skip the file with one diagnostic
+// and no declarations, while 1,000 levels, such as a 1,000-branch else-if
+// chain or a 1,000-arm conditional chain, parse clean.
+func TestNestingBound(t *testing.T) {
+	const deep, shallow = 100_000, 1_000
+	shapes := map[string]func(n int) string{
+		"parentheses": func(n int) string { return "int f(void) { return " + nested(n, "(", "1", ")") + "; }\n" },
+		"braces":      func(n int) string { return "void f(void) " + nested(n, "{", "", "}") + "\n" },
+		"statements":  func(n int) string { return "void f(int x) { " + strings.Repeat("if (x) ", n) + "x++; }\n" },
+		"unary":       func(n int) string { return "int f(int x) { return " + strings.Repeat("!", n) + "x; }\n" },
+		"casts":       func(n int) string { return "int f(int x) { return " + strings.Repeat("(int)", n) + "x; }\n" },
+		"assignments": func(n int) string { return "void f(int x) { " + strings.Repeat("x = ", n) + "1; }\n" },
+		"conditions":  func(n int) string { return "int f(int x) { return " + strings.Repeat("x ? 1 : ", n) + "0; }\n" },
+		"then-branch": func(n int) string {
+			return "int f(int x) { return " + strings.Repeat("x ? ", n) + "1" + strings.Repeat(" : 0", n) + "; }\n"
+		},
+		"initializer": func(n int) string { return "int v = " + nested(n, "{", "1", "}") + ";\n" },
+		"structs":     func(n int) string { return nested(n, "struct s { ", "int a;", " } ;") + "\n" },
+		"stmt-expr":   func(n int) string { return "int f(void) { return " + nested(n, "({ ", "1;", " });") + " }\n" },
+		"else-if": func(n int) string {
+			return "int f(int x) { if (x == 0) return 0;" + strings.Repeat(" else if (x) return 1;", n) + " return 2; }\n"
+		},
+	}
+	want := fmt.Sprintf("nesting exceeds %d levels; file skipped", maxNesting)
+	for name, src := range shapes {
+		f, errs := ParseSource(name+".c", src(deep), cpp.Options{})
+		if len(errs) != 1 || !strings.Contains(errs[0].Error(), want) || len(f.Decls) != 0 {
+			t.Errorf("%s, %d deep: %d declarations, errors %v; want none and the nesting diagnostic", name, deep, len(f.Decls), errs)
+		}
+		if f, errs := ParseSource(name+".c", src(shallow), cpp.Options{}); len(errs) != 0 || len(f.Decls) == 0 {
+			t.Errorf("%s, %d deep: %d declarations, errors %v; want a clean parse", name, shallow, len(f.Decls), errs)
+		}
+	}
+}
+
+// TestNestingKernelMacros parses the kernel's old ilog2, a 63-arm
+// conditional chain, nested through roundup_pow_of_two and order_base_2
+// inside loops and branches. Each arm takes a level, so this valid C runs
+// 152 levels deep, well over half of clang's bracket depth of 256, while
+// its brackets nest only a few: it must parse clean.
+func TestNestingKernelMacros(t *testing.T) {
+	var chain strings.Builder
+	chain.WriteString("(n) < 2 ? 0 : ")
+	for i := 63; i >= 2; i-- {
+		fmt.Fprintf(&chain, "(n) & (1ULL << %d) ? %d : ", i, i)
+	}
+	chain.WriteString("1")
+	src := "#define ilog2(n) (__builtin_constant_p(n) ? (" + chain.String() + ") : __ilog2(n))\n" +
+		"#define roundup_pow_of_two(n) (__builtin_constant_p(n) ? ((n) == 1 ? 1 : (1UL << (ilog2((n) - 1) + 1))) : __roundup(n))\n" +
+		"#define order_base_2(n) ({ unsigned long __n = (n); __n > 1 ? ilog2(roundup_pow_of_two(__n) - 1) + 1 : 0; })\n" +
+		"int f(unsigned long x) { if (x) { while (x) { if (x > 1) return order_base_2(order_base_2(x)); else if (x) x--; } } return 0; }\n"
+	if f, errs := ParseSource("log2.c", src, cpp.Options{}); len(errs) != 0 || len(f.Decls) != 1 {
+		t.Errorf("%d declarations, errors %v; want one function and a clean parse", len(f.Decls), errs)
 	}
 }

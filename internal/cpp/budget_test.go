@@ -48,7 +48,7 @@ func TestFileWorkBudget(t *testing.T) {
 		if !overBudget(r) {
 			t.Errorf("%s: %d tokens, errors %v; want none and the budget diagnostic", name, len(r.Tokens), r.Errors)
 		}
-		if fp := r.Fingerprint(name); fp != (&Result{Errors: r.Errors}).Fingerprint(name) {
+		if fp := r.Fingerprint(); fp != fingerprintOf(name, nil, nil, r.Errors) {
 			t.Errorf("%s: fingerprint %s does not cover the diagnostic alone", name, fp)
 		}
 		var got int64

@@ -66,13 +66,8 @@ type Result struct {
 	// expand to no tokens (see Include).
 	Includes []Include
 
-	// fp/fpFile memoize Fingerprint for the file the run was attributed to:
-	// the digest is streamed while tokens are emitted, so the usual caller
-	// (the incremental pipeline, which fingerprints under the same name it
-	// preprocessed) never re-walks the stream. Another name falls back to
-	// the re-computation below.
-	fp     string
-	fpFile string
+	// fp is the fingerprint, streamed while the tokens were emitted.
+	fp string
 }
 
 // Stream returns the whole token stream: Tokens with the tokens of every
@@ -107,57 +102,34 @@ func (r *Result) Len() int {
 }
 
 // Fingerprint returns the content address of the preprocess artifact: the
-// hex SHA-256 over the attributed file name, every emitted token (text and
-// position) and every diagnostic. Two runs with the same fingerprint are
+// hex SHA-256 over the file name, every emitted token (text and position)
+// and every diagnostic. Two runs with the same fingerprint are
 // indistinguishable to every downstream stage — the parser sees the same
 // tokens and the result carries the same errors — so the fingerprint is the
 // cache key the incremental pipeline builds parse/cfg/extract keys from.
-func (r *Result) Fingerprint(file string) string {
-	if r.fp != "" && file == r.fpFile {
-		return r.fp
-	}
-	h := sha256.New()
-	var buf []byte
-	buf = hashSeed(h, buf, file)
-	for _, tok := range r.Stream() {
-		buf = hashToken(h, buf, tok)
-	}
-	for _, err := range r.Errors {
-		buf = hashError(h, buf, err)
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
+//
+// The preimage is "file\x00", then in stream order one item per token of
+// the file's own and one per top-level #include, then "Eerr\x00" per
+// diagnostic. A token's item is "text\x00file:line:col\n". An include's
+// item, however it was handled (replayed, recorded or expanded in place),
+// is segTag followed by the 32-byte SHA-256 of the token items its
+// expansion emitted, so a header's tokens are hashed once per Env, not
+// once per file. A reader
+// at an item boundary tells the two apart by the first byte: no emitted
+// token's text is empty or begins with a newline (the scanner yields line
+// breaks only as Newline tokens, which are never emitted), so an item that
+// starts with segTag is a reference, and a reference has a fixed length.
+// References therefore add no ambiguity to the token encoding.
+func (r *Result) Fingerprint() string { return r.fp }
 
-// hashSeed, hashToken and hashError stream the fingerprint preimage
-// ("file\x00", then "text\x00file:line:col\n" per token, then "Eerr\x00"
-// per diagnostic) without fmt's reflection or per-token allocations. They
-// thread a reusable scratch buffer.
-func hashSeed(h hash.Hash, buf []byte, file string) []byte {
-	buf = append(buf[:0], file...)
-	buf = append(buf, 0)
-	h.Write(buf)
-	return buf
-}
+// segTag opens an include's item in the fingerprint preimage.
+const segTag = '\n'
 
-func hashToken(h hash.Hash, buf []byte, tok ctoken.Token) []byte {
-	buf = append(buf[:0], tok.Text...)
-	buf = append(buf, 0)
-	buf = append(buf, tok.Pos.File...)
-	buf = append(buf, ':')
-	buf = strconv.AppendInt(buf, int64(tok.Pos.Line), 10)
-	buf = append(buf, ':')
-	buf = strconv.AppendInt(buf, int64(tok.Pos.Col), 10)
-	buf = append(buf, '\n')
-	h.Write(buf)
-	return buf
-}
-
-func hashError(h hash.Hash, buf []byte, err error) []byte {
-	buf = append(buf[:0], 'E')
+// appendError appends err's fingerprint item to buf.
+func appendError(buf []byte, err error) []byte {
+	buf = append(buf, 'E')
 	buf = append(buf, err.Error()...)
-	buf = append(buf, 0)
-	h.Write(buf)
-	return buf
+	return append(buf, 0)
 }
 
 // maxFileWork bounds what one file's preprocessing may emit: every token
@@ -196,12 +168,13 @@ type preprocessor struct {
 	incs []Include
 
 	// h accumulates the content fingerprint while tokens are emitted, so
-	// Result.Fingerprint for the root file is ready the moment preprocessing
-	// finishes; hbuf batches the pending preimage bytes so the digest sees
-	// one Write per few kilobytes instead of one per token. The byte stream
-	// is identical either way, so fingerprints are unchanged.
+	// Result.Fingerprint is ready the moment preprocessing finishes; hbuf
+	// batches the pending preimage bytes so the digest sees one Write per
+	// few kilobytes instead of one per token. While a top-level include
+	// expands, h is incH, the include's own digest (see expandInclude).
 	h    hash.Hash
 	hbuf []byte
+	incH hash.Hash
 
 	// hpfx caches the "\x00file:line:" chunk of the token preimage — tokens
 	// cluster by line, so the file name and line digits are re-rendered only
@@ -293,14 +266,10 @@ func (p *preprocessor) hashTok(tok ctoken.Token) {
 	p.hbuf = append(b, '\n')
 }
 
-// flushHash drains the pending preimage batch into the digest, and into
-// the preimage of the segment being recorded, if any.
+// flushHash drains the pending preimage batch into the digest.
 func (p *preprocessor) flushHash() {
 	if len(p.hbuf) > 0 {
 		p.h.Write(p.hbuf)
-		if p.rec != nil {
-			p.rec.pre = append(p.rec.pre, p.hbuf...)
-		}
 		p.hbuf = p.hbuf[:0]
 	}
 }
@@ -367,31 +336,31 @@ func (e *Env) preprocess(ctx context.Context, file, src string) (res *Result, re
 	p.processFile(file, src)
 	sc.hpfx = p.hpfx[:0]
 	sc.lineBuf = p.lineBuf[:0]
+	res = &Result{Macros: p.macros}
 	if p.over {
 		// What was emitted is dropped, and with it the recordings, which
-		// may be cut short; the fingerprint covers the diagnostic alone.
-		sc.hbuf = p.hbuf[:0]
-		scratchPool.Put(sc)
+		// may be cut short; the fingerprint covers the file name and the
+		// diagnostic alone.
 		err := fmt.Errorf("%s: preprocessing exceeds %d tokens; file skipped", ctoken.Position{File: file, Line: 1, Col: 1}, maxFileWork)
 		if p.canceled {
 			err = ctx.Err()
 		}
-		res = &Result{Errors: []error{err}, Macros: p.macros}
-		return res, p.replayed, p.recorded, !p.canceled
+		p.errs = []error{err}
+		p.h.Reset()
+		p.hbuf = append(append(p.hbuf[:0], file...), 0)
+	} else {
+		e.publish(p.segs)
+		res.Tokens, res.Includes = p.out, p.incs
 	}
-	e.publish(p.segs)
-	res = &Result{Tokens: p.out, Errors: p.errs, Macros: p.macros, Includes: p.incs}
+	res.Errors = p.errs
 	for _, err := range p.errs {
-		p.flushHash()
-		p.hbuf = hashError(p.h, p.hbuf, err)
-		p.hbuf = p.hbuf[:0]
+		p.hbuf = appendError(p.hbuf, err)
 	}
 	p.flushHash()
 	res.fp = hex.EncodeToString(p.h.Sum(nil))
-	res.fpFile = file
 	sc.hbuf = p.hbuf[:0]
 	scratchPool.Put(sc)
-	return res, p.replayed, p.recorded, false
+	return res, p.replayed, p.recorded, p.over && !p.canceled
 }
 
 // hideStack returns an empty expansion stack on the preprocessor's
@@ -746,13 +715,39 @@ func (p *preprocessor) include(ln line) {
 	case record:
 		p.record(key, src)
 	default:
-		p.processFile(path, src)
+		p.expandInclude(path, src)
 	}
+}
+
+// expandInclude expands a top-level include in place. The fingerprint
+// preimage of what it emits goes into a digest of its own, and the file's
+// fingerprint takes the include's item: segTag and that digest, which it
+// returns. A replay of the include writes the same item.
+func (p *preprocessor) expandInclude(path, src string) (sum [sha256.Size]byte) {
+	p.flushHash()
+	if p.incH == nil {
+		p.incH = sha256.New()
+	}
+	fileH := p.h
+	p.h = p.incH
+	p.h.Reset()
+	p.processFile(path, src)
+	p.flushHash()
+	p.h.Sum(sum[:0])
+	p.h = fileH
+	p.hashInclude(&sum)
+	return sum
+}
+
+// hashInclude appends an include's fingerprint item to the pending batch.
+func (p *preprocessor) hashInclude(sum *[sha256.Size]byte) {
+	p.hbuf = append(p.hbuf, segTag)
+	p.hbuf = append(p.hbuf, sum[:]...)
 }
 
 // replay splices a recorded top-level include into the run: its tokens,
 // by reference, and its diagnostics, macro operations and fingerprint
-// bytes, in the order expanding the header would have produced them.
+// item, in the order expanding the header would have produced them.
 func (p *preprocessor) replay(seg *segment) {
 	if !p.spend(len(seg.toks)) {
 		return
@@ -763,8 +758,7 @@ func (p *preprocessor) replay(seg *segment) {
 		p.applyMacro(op.name, op.m)
 	}
 	p.chain = seg.after
-	p.flushHash()
-	p.h.Write(seg.pre)
+	p.hashInclude(&seg.sum)
 	p.replayed++
 }
 
@@ -772,12 +766,10 @@ func (p *preprocessor) replay(seg *segment) {
 // The segment is kept for publication unless the header tried to open the
 // root file: its expansion then depends on which file includes it.
 func (p *preprocessor) record(key memoKey, src string) {
-	p.flushHash()
 	seg := &segment{key: key}
 	p.rec = seg
 	outStart, errStart := len(p.out), len(p.errs)
-	p.processFile(key.path, src)
-	p.flushHash()
+	seg.sum = p.expandInclude(key.path, src)
 	p.rec = nil
 	seg.after = p.chain
 	p.recorded++

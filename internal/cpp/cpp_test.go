@@ -482,21 +482,6 @@ func TestPasteBuildsKeywordLikeName(t *testing.T) {
 	}
 }
 
-// TestFingerprintStreamedMatchesRecomputed checks the streamed digest (fast
-// path) against a from-scratch re-walk of the same Result, and that other
-// file names take the slow path rather than returning the memo.
-func TestFingerprintStreamedMatchesRecomputed(t *testing.T) {
-	res := Preprocess("a.c", "#define F(x) (x+1)\nint v = F(F(2));\nbad @\n", Options{})
-	fast := res.Fingerprint("a.c")
-	clone := &Result{Tokens: res.Tokens, Errors: res.Errors, Macros: res.Macros}
-	if slow := clone.Fingerprint("a.c"); slow != fast {
-		t.Fatalf("streamed fingerprint %s != recomputed %s", fast, slow)
-	}
-	if other := res.Fingerprint("b.c"); other == fast {
-		t.Fatalf("fingerprint ignored the file name")
-	}
-}
-
 // TestChainNext pins what the memo key's operation chain distinguishes:
 // the name, #define against #undef, kind, parameters, variadic flag and
 // body token kinds and texts each change the chain; body positions do not,

@@ -22,10 +22,10 @@ const maxVariants = 16
 // Env is one preprocessing environment: the Options every file is
 // preprocessed under plus a memo of recorded top-level #include expansions.
 // A file that includes a header records what the include did — the tokens
-// it emitted, its diagnostics, its #define/#undef operations and its
-// fingerprint bytes — and every later file that includes the header after
-// the same #define/#undef history splices the record in instead of
-// re-lexing the header. The output is identical either way. A file's
+// it emitted, its diagnostics, its #define/#undef operations and the
+// digest its tokens enter the fingerprint as — and every later file that
+// includes the header after the same #define/#undef history splices the
+// record in instead of re-lexing the header. The output is identical either way. A file's
 // recordings are published when the file is done, so a one-file Env never
 // replays: it is the oracle the memo is tested against.
 //
@@ -121,8 +121,9 @@ type segment struct {
 	// order; after is the chain once they are applied.
 	ops   []macroOp
 	after chain
-	// pre is the fingerprint preimage of toks.
-	pre []byte
+	// sum is the digest of toks' fingerprint items, which a file that
+	// includes the segment hashes in their place (see Result.Fingerprint).
+	sum [sha256.Size]byte
 }
 
 // macroOp is a #define of name as m, or an #undef when m is nil.

@@ -55,7 +55,7 @@ func sameResult(t *testing.T, file string, got, want *cpp.Result) {
 	if !reflect.DeepEqual(got.Macros, want.Macros) {
 		t.Errorf("%s: macro table differs from a fresh Env", file)
 	}
-	if g, w := got.Fingerprint(file), want.Fingerprint(file); g != w {
+	if g, w := got.Fingerprint(), want.Fingerprint(); g != w {
 		t.Errorf("%s: fingerprint %s, fresh Env %s", file, g, w)
 	}
 	if g, w := parse(file, cparser.NewWithHeaders(got, nil)), parse(file, cparser.New(want.Tokens)); g != w {

@@ -57,7 +57,7 @@ func preprocessRecord(src string) string {
 	for _, err := range res.Errors {
 		fmt.Fprintf(h, "error %s\n", err)
 	}
-	fmt.Fprintf(h, "fingerprint %s\n", res.Fingerprint("diff.c"))
+	fmt.Fprintf(h, "fingerprint %s\n", res.Fingerprint())
 	return fmt.Sprintf("%x tokens=%d errors=%d", h.Sum(nil), len(res.Tokens), len(res.Errors))
 }
 

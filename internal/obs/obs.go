@@ -20,7 +20,7 @@ package obs
 
 import (
 	"context"
-	"runtime"
+	"runtime/metrics"
 	"sync"
 	"time"
 )
@@ -67,12 +67,25 @@ func WithClock(now func() time.Time) Option {
 	return func(t *Tracer) { t.now = now }
 }
 
-// WithMemStats samples runtime.ReadMemStats at every span boundary and
-// records per-span allocation deltas. The samples are process-global, so
-// deltas attribute concurrent stages approximately; the CLI enables this,
-// the serving path does not (ReadMemStats briefly stops the world).
+// WithMemStats samples the heap allocation counters of runtime/metrics at
+// every span boundary and records per-span allocation deltas: bytes, and
+// objects counted as runtime.MemStats.Mallocs counts them. The counters
+// are process-global and a P's small allocations reach them in batches, so
+// deltas attribute concurrent stages, and spans that allocate little,
+// approximately. Unlike runtime.ReadMemStats, a sample does not stop the
+// world, so the thousands of spans of a traced tree run stay cheap.
 func WithMemStats() Option {
 	return func(t *Tracer) { t.memStats = true }
+}
+
+// heapAllocs reads the cumulative bytes and objects allocated on the heap.
+// The objects count the tiny allocations packed into each tiny block one by
+// one, as runtime.MemStats.Mallocs does: /gc/heap/allocs:objects counts only
+// the blocks, and the lexer's and parser's small strings are mostly tiny.
+func heapAllocs() (bytes, objects uint64) {
+	s := [3]metrics.Sample{{Name: "/gc/heap/allocs:bytes"}, {Name: "/gc/heap/allocs:objects"}, {Name: "/gc/heap/tiny/allocs:objects"}}
+	metrics.Read(s[:])
+	return s[0].Value.Uint64(), s[1].Value.Uint64() + s[2].Value.Uint64()
 }
 
 // New returns an empty tracer.
@@ -123,9 +136,7 @@ func CurrentSpan(ctx context.Context) *Span {
 func (t *Tracer) start(name string, parent *Span) *Span {
 	sp := &Span{tracer: t, name: name, parent: parent}
 	if t.memStats {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		sp.startAlloc, sp.startMallocs = ms.TotalAlloc, ms.Mallocs
+		sp.startAlloc, sp.startMallocs = heapAllocs()
 	}
 	t.mu.Lock()
 	t.nextID++
@@ -192,9 +203,8 @@ func (s *Span) End() {
 	}
 	var alloc, mallocs uint64
 	if s.tracer.memStats {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		alloc, mallocs = ms.TotalAlloc-s.startAlloc, ms.Mallocs-s.startMallocs
+		alloc, mallocs = heapAllocs()
+		alloc, mallocs = alloc-s.startAlloc, mallocs-s.startMallocs
 	}
 	end := s.tracer.now()
 	s.mu.Lock()

@@ -234,6 +234,9 @@ func TestConcurrentSpans(t *testing.T) {
 	}
 }
 
+// tinySink keeps TestMemStatsSampling's tiny objects on the heap.
+var tinySink []*[8]byte
+
 func TestMemStatsSampling(t *testing.T) {
 	tr := New(WithMemStats())
 	ctx := WithTracer(context.Background(), tr)
@@ -250,6 +253,20 @@ func TestMemStatsSampling(t *testing.T) {
 	}
 	if alloc == 0 || mallocs == 0 {
 		t.Errorf("alloc=%d mallocs=%d, want nonzero after allocating", alloc, mallocs)
+	}
+
+	// Tiny allocations count one by one, not once per 16-byte block that
+	// packs two of them.
+	const tiny = 100_000
+	_, sp = Start(ctx, "tiny")
+	tinySink = make([]*[8]byte, tiny)
+	for i := range tinySink {
+		tinySink[i] = new([8]byte)
+	}
+	sp.End()
+	tinySink = nil
+	if _, mallocs, _ := sp.MemStats(); mallocs < tiny*9/10 {
+		t.Errorf("mallocs=%d after %d tiny allocations, want about as many", mallocs, tiny)
 	}
 
 	// Without the option the span must not pay for sampling.

@@ -27,7 +27,7 @@ func frontendNew(srcs []ofence.SourceFile) int {
 	nodes := 0
 	for _, sf := range srcs {
 		pre := cpp.Preprocess(sf.Name, sf.Src, cpp.Options{Syms: syms})
-		pre.Fingerprint(sf.Name)
+		pre.Fingerprint()
 		f := cparser.New(pre.Tokens).ParseFile(sf.Name)
 		nodes += len(f.Decls)
 	}

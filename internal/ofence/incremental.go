@@ -8,9 +8,11 @@
 //   - preprocess: SHA-256(environment hash × file name × raw source). The
 //     environment hash folds in every header and #define, so a macro change
 //     re-keys (dirties) every file.
-//   - parse, cfg: the preprocess artifact's content fingerprint (tokens,
-//     positions and diagnostics) — whitespace/comment-only edits hash
-//     identically and reuse everything downstream.
+//   - parse, cfg: the preprocess artifact's content fingerprint (the file
+//     name, its own tokens and positions, one digest per top-level include
+//     and the diagnostics; see cpp.Result.Fingerprint) —
+//     whitespace/comment-only edits hash identically and reuse everything
+//     downstream.
 //   - extract: the parse fingerprint × the options fingerprint, plus — in
 //     interprocedural mode — a key over exactly what the file's extraction
 //     observes besides its own tokens (see global.go): for every call name
@@ -222,7 +224,7 @@ func (p *Project) frontendWith(ctx context.Context, name, src string, env projec
 			wrapSpan.End()
 			return nil, err
 		}
-		return &preArtifact{pre: pre, hash: pre.Fingerprint(name)}, nil
+		return &preArtifact{pre: pre, hash: pre.Fingerprint()}, nil
 	}
 	v, _, err := doStage(ctx, p.stages.Stage(stagePreprocess), rescache.KeyOf("preprocess-v1", env.hash, name, src), preprocess)
 	if err != nil {

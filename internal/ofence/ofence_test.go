@@ -1,7 +1,9 @@
 package ofence
 
 import (
+	"strings"
 	"testing"
+	"time"
 
 	"ofence/internal/access"
 	"ofence/internal/memmodel"
@@ -670,6 +672,43 @@ func TestParseErrorsSurfaced(t *testing.T) {
 	res := mustAnalyze(t, p, DefaultOptions())
 	if len(res.ParseErrors) == 0 {
 		t.Error("parse errors not surfaced")
+	}
+}
+
+// TestNestingBoundSkipsFile analyzes a file of 10^6 nested parentheses
+// and one of 10^6 nested braces, each of which overflowed the parser's
+// stack and killed the process: each analysis must return within a second
+// (ten under the race detector) with the parser's nesting diagnostic as the
+// file's one parse error. The same shapes 9,000 deep, just under the
+// parser's 10,000-level cap, must analyze clean: every later stage that
+// walks the AST recursively copes with the deepest file the parser keeps.
+func TestNestingBoundSkipsFile(t *testing.T) {
+	bound := time.Second
+	if raceEnabled {
+		bound *= 10
+	}
+	shapes := map[string]func(n int) string{
+		"parens.c": func(n int) string {
+			return "int f(void){ return " + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) + "; }\n"
+		},
+		"braces.c": func(n int) string { return "void f(void) " + strings.Repeat("{", n) + strings.Repeat("}", n) + "\n" },
+	}
+	for name, src := range shapes {
+		p := NewProject()
+		p.AddSource(name, src(1_000_000))
+		start := time.Now()
+		res := mustAnalyze(t, p, DefaultOptions())
+		if took := time.Since(start); took > bound {
+			t.Errorf("%s: the analysis took %v, want under %v", name, took, bound)
+		}
+		if len(res.ParseErrors) != 1 || !strings.Contains(res.ParseErrors[0].Error(), "nesting exceeds 10000 levels; file skipped") {
+			t.Errorf("%s: parse errors %v, want the nesting diagnostic", name, res.ParseErrors)
+		}
+		p = NewProject()
+		p.AddSource(name, src(9_000))
+		if res := mustAnalyze(t, p, DefaultOptions()); len(res.ParseErrors) != 0 {
+			t.Errorf("%s, 9,000 deep: parse errors %v; want a clean analysis", name, res.ParseErrors)
+		}
 	}
 }
 

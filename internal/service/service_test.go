@@ -388,6 +388,30 @@ func TestHTTPErrors(t *testing.T) {
 	r.Body.Close()
 }
 
+// TestHTTPDeeplyNestedSource posts a file of 10^6 nested parentheses, which
+// overflowed the parser's stack and stopped the daemon: the job must end
+// done with the parser's nesting diagnostic, and the daemon must still
+// answer /healthz.
+func TestHTTPDeeplyNestedSource(t *testing.T) {
+	s := newTestService(t, Config{Workers: 1})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	const n = 1_000_000
+	src := "int f(void){ return " + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) + "; }\n"
+	resp, v := postAnalyze(t, srv.URL, analyzeRequest{Request: *testRequest(src)})
+	if resp.StatusCode != http.StatusOK || v.State != JobDone {
+		t.Fatalf("analyze: %d %+v", resp.StatusCode, v)
+	}
+	if res := resultOf(t, v); len(res.ParseErrors) != 1 || !strings.Contains(res.ParseErrors[0], "nesting exceeds 10000 levels; file skipped") {
+		t.Errorf("parse errors %v, want the nesting diagnostic", res.ParseErrors)
+	}
+	r, err := http.Get(srv.URL + "/healthz")
+	if err != nil || r.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the nested file: %v %v", err, r)
+	}
+	r.Body.Close()
+}
+
 func TestHTTPMetrics(t *testing.T) {
 	s := newTestService(t, Config{Workers: 1})
 	srv := httptest.NewServer(s.Handler())
