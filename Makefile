@@ -67,7 +67,7 @@ bench-confidence:
 
 # Race-detector gate for the job engine: lease juggling, worker
 # heartbeats, in-process and external workers, the result cache and the
-# stage caches every in-process worker shares.
+# warm lineages every in-process worker shares.
 race-service:
 	$(GO) test -race -count=1 ./internal/service/ ./internal/rescache/
 

@@ -4,10 +4,10 @@
 //	ofence-worker -coordinator http://host:8080 -token T -capacity 4
 //
 // The worker leases tasks from the coordinator, runs the analysis pipeline
-// in up to -capacity slots that share one set of stage caches and warm
-// lineages, heartbeats while working, and reports results. Its stage
-// caches are in-process only: front-end work is shared between its slots,
-// not with other workers. SIGINT/SIGTERM stops leasing; in-flight leases
+// in up to -capacity slots that share one set of warm lineages, heartbeats
+// while working, and reports results. Its warm lineages are in-process
+// only: front-end work is shared between its slots, not with other
+// workers. SIGINT/SIGTERM stops leasing; in-flight leases
 // lapse and the coordinator re-dispatches them.
 //
 // See docs/SERVICE.md for the wire protocol and operational guide.
@@ -28,7 +28,7 @@ import (
 func main() {
 	var (
 		coordinator = flag.String("coordinator", "http://localhost:8080", "coordinator base URL")
-		capacity    = flag.Int("capacity", 1, "tasks run concurrently, sharing the process's stage caches and warm lineages")
+		capacity    = flag.Int("capacity", 1, "tasks run concurrently, sharing the process's warm lineages")
 		id          = flag.String("id", "", "worker ID (default worker-<pid>-1)")
 		token       = flag.String("token", "", "shared secret; must match the coordinator's -fleet-token")
 	)

@@ -15,7 +15,7 @@
 //	                  semantics and inlines helpers across files (default 0,
 //	                  the paper's same-file analysis)
 //	-sarif            emit the diagnostics engine's findings as SARIF 2.1.0
-//	-stage-stats      print per-stage incremental cache and memory statistics
+//	-stage-stats      print incremental file counts, pairing counters and per-stage memory
 //	                  to stderr
 //	-trace            print the per-stage observability tree to stderr
 //	-trace-out FILE   write a Chrome trace_event JSON trace (Perfetto-loadable)
@@ -41,7 +41,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -67,7 +66,7 @@ func main() {
 		traceFlag    = flag.Bool("trace", false, "print the per-stage observability tree to stderr")
 		traceOut     = flag.String("trace-out", "", "write a Chrome trace_event JSON file (open in chrome://tracing or Perfetto)")
 		useExitCode  = flag.Bool("exit-code", false, "exit with status 1 when findings are reported (SARIF-tool convention for CI gates)")
-		stageStats   = flag.Bool("stage-stats", false, "print per-stage incremental cache and memory statistics to stderr")
+		stageStats   = flag.Bool("stage-stats", false, "print incremental file counts, pairing counters and per-stage memory statistics to stderr")
 		writeWindow  = flag.Int("write-window", 5, "statements explored around write barriers")
 		readWindow   = flag.Int("read-window", 50, "statements explored around read barriers")
 		workers      = flag.Int("workers", 0, "parallel file workers (0 = GOMAXPROCS)")
@@ -140,7 +139,7 @@ func main() {
 			exit(1)
 		}
 		os.Stdout.Write(append(data, '\n'))
-		printStageStats(*stageStats, proj, res, tracer)
+		printStageStats(*stageStats, res, tracer)
 		finishTrace(tracer, *traceFlag, *traceOut)
 		exit(exitStatus(*useExitCode, len(res.Findings)))
 	}
@@ -152,7 +151,7 @@ func main() {
 			exit(1)
 		}
 		os.Stdout.Write(append(data, '\n'))
-		printStageStats(*stageStats, proj, res, tracer)
+		printStageStats(*stageStats, res, tracer)
 		finishTrace(tracer, *traceFlag, *traceOut)
 		exit(exitStatus(*useExitCode, nDiags))
 	}
@@ -183,7 +182,7 @@ func main() {
 
 	if len(res.Findings) == 0 {
 		fmt.Println("no deviations found")
-		printStageStats(*stageStats, proj, res, tracer)
+		printStageStats(*stageStats, res, tracer)
 		finishTrace(tracer, *traceFlag, *traceOut)
 		return
 	}
@@ -213,7 +212,7 @@ func main() {
 	if n := len(res.ParseErrors); n > 0 {
 		fmt.Fprintf(os.Stderr, "ofence: %d parse diagnostics (files analyzed best-effort)\n", n)
 	}
-	printStageStats(*stageStats, proj, res, tracer)
+	printStageStats(*stageStats, res, tracer)
 	finishTrace(tracer, *traceFlag, *traceOut)
 	exit(exitStatus(*useExitCode, len(res.Findings)))
 }
@@ -264,11 +263,10 @@ func startProfiles(cpu, mem string) func() {
 }
 
 // printStageStats implements -stage-stats: the incremental file counters of
-// this run, the per-stage content-addressed cache counters, and the
-// per-phase memory report (heap-allocation deltas sampled at span
+// this run, the pairing engine's counters, and the per-phase memory report (heap-allocation deltas sampled at span
 // boundaries, plus the front end's AST arena footprint), on stderr so they
 // never pollute -json/-sarif output.
-func printStageStats(enabled bool, proj *ofence.Project, res *ofence.Result, tracer *obs.Tracer) {
+func printStageStats(enabled bool, res *ofence.Result, tracer *obs.Tracer) {
 	if !enabled {
 		return
 	}
@@ -278,17 +276,6 @@ func printStageStats(enabled bool, proj *ofence.Project, res *ofence.Result, tra
 	ps := res.PairStats
 	fmt.Fprintf(os.Stderr, "ofence: pairing index_probes=%d pruned_bound=%d pruned=%d\n",
 		ps.IndexProbes, ps.PrunedBound, ps.Pruned)
-	stats := proj.StageStats()
-	names := make([]string, 0, len(stats))
-	for name := range stats {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		st := stats[name]
-		fmt.Fprintf(os.Stderr, "ofence: stage %-10s hits=%d misses=%d dedup=%d evictions=%d entries=%d\n",
-			name, st.Hits, st.Misses, st.Dedups, st.Evictions, st.Entries)
-	}
 	printMemStats(tracer)
 }
 

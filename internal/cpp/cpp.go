@@ -537,7 +537,9 @@ func (p *preprocessor) streamFile(file, src string) {
 		// Root file: size the output once for the expected token count of
 		// the file itself — dense C runs about one token per four source
 		// bytes — so emission rarely reallocates; replayed headers never
-		// enter it (see Include).
+		// enter it (see Include). A denser file doubles it when full:
+		// append's growth of about 1.25× past 256 entries spends most of a
+		// huge file's time clearing and copying the output.
 		p.out = make([]ctoken.Token, 0, len(src)/4+16)
 	}
 	errStart := len(p.errs)
@@ -604,6 +606,9 @@ func (p *preprocessor) streamFile(file, src string) {
 				}
 			}
 			p.hashTok(t)
+			if len(p.out) == cap(p.out) {
+				p.out = slices.Grow(p.out, len(p.out))
+			}
 			p.out = append(p.out, t)
 			p.spend(1)
 			t = sc.Next()

@@ -24,6 +24,6 @@ func (p *Project) FrontendMetersForTest() (tokens, arenaBytes int64) {
 // current environment, as analysis does, and returns the parse tree. The
 // header-declaration memo keeps what the parse records.
 func (p *Project) FrontendForTest(name, src string) *cast.File {
-	art, _ := p.frontendWith(context.Background(), name, src, p.envSnapshot())
+	art, _ := frontendWith(context.Background(), name, src, p.envSnapshot(), nil)
 	return art.ast
 }

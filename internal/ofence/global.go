@@ -30,7 +30,6 @@ import (
 	"ofence/internal/callgraph"
 	"ofence/internal/cast"
 	"ofence/internal/cfg"
-	"ofence/internal/ctypes"
 	"ofence/internal/memmodel"
 	"ofence/internal/obs"
 	"ofence/internal/par"
@@ -197,7 +196,7 @@ func (p *Project) globalPhases(ctx context.Context, files []*FileUnit, opts Opti
 	p.mu.Unlock()
 	res.CallGraph, res.Inferred = rec.stats, rec.inferred
 	plan.inferred, plan.inferredOnly = rec.kinds, rec.inferredOnly
-	plan.defs = &runDefs{p: p, graph: rec.graph, arts: arts}
+	plan.defs = &runDefs{graph: rec.graph, arts: arts}
 	return nil
 }
 
@@ -229,11 +228,10 @@ func (p *Project) summarize(files []*FileUnit, workers int) int {
 }
 
 // runDefs resolves call names to this run's definitions: the record's
-// graph names the defining file and ordinal, and the file's current AST
-// and symbol table supply the definition, so a reused graph never hands
-// out a node of a replaced or released tree.
+// graph names the defining file and ordinal, and the file's current record
+// supplies the definition and its symbol table, so a reused graph never
+// hands out a node of a replaced or released tree.
 type runDefs struct {
-	p     *Project
 	graph *callgraph.Graph
 	// arts are the files' records in link order. files holds, by link
 	// position, the definitions of the files a resolve reached.
@@ -257,13 +255,12 @@ func (d *runDefs) file(i int) *defFile {
 	return df
 }
 
-// defFile is one file's definitions, table and resolver, built on first
-// use.
+// defFile is one file's record, and its definitions and resolver, built
+// on first use.
 type defFile struct {
 	art     *artifacts
 	once    sync.Once
 	funcs   []*cast.FuncDecl
-	table   *ctypes.Table
 	resolve cfg.Resolver
 }
 
@@ -277,9 +274,8 @@ func (d *runDefs) resolver(file string) cfg.Resolver {
 		df := d.file(n.FileIndex())
 		df.once.Do(func() {
 			df.funcs = df.art.ast.Functions()
-			df.table = d.p.tableFor(n.File, df.art)
 			df.resolve = d.resolver(n.File)
 		})
-		return cfg.Def{Fn: df.funcs[n.Ord], Table: df.table, Resolve: df.resolve}
+		return cfg.Def{Fn: df.funcs[n.Ord], Table: df.art.table, Resolve: df.resolve}
 	}
 }

@@ -1,25 +1,30 @@
 // Incremental per-file pipeline: every FileUnit carries an immutable record
-// of its per-stage artifacts (preprocess → parse → cfg → extract), each
-// memoized in a content-addressed stage cache (internal/rescache.Stages)
-// shared by a Project and all of its clones.
+// of its front-end and extraction artifacts (preprocess → parse → symbol
+// table → extract). The record is the pipeline's only memo: a unit whose
+// record still matches its inputs is served from it, and anything else is
+// computed again.
 //
-// Keying rules:
+// Reuse rules:
 //
-//   - preprocess: SHA-256(environment hash × file name × raw source). The
-//     environment hash folds in every header and #define, so a macro change
-//     re-keys (dirties) every file.
-//   - parse, cfg: the preprocess artifact's content fingerprint (the file
-//     name, its own tokens and positions, one digest per top-level include
-//     and the diagnostics; see cpp.Result.Fingerprint) —
-//     whitespace/comment-only edits hash identically and reuse everything
-//     downstream.
-//   - extract: the parse fingerprint × the options fingerprint, plus — in
-//     interprocedural mode — a key over exactly what the file's extraction
-//     observes besides its own tokens (see global.go): for every call name
-//     its linearization can reach, the resolution outcome, the defining
-//     file and fingerprint of each spliced definition, and the inferred
-//     kind. An edit re-extracts the files that observe what it changed,
-//     and no others.
+//   - preprocess runs for every stale unit (recorded or replaced since the
+//     last run, or dirtied by Define/AddHeader).
+//   - parse and the symbol table run only when the preprocessed content
+//     fingerprint (the file name, its own tokens and positions, one digest
+//     per top-level include and the diagnostics; see cpp.Result.Fingerprint)
+//     differs from the record's, so whitespace/comment-only edits keep the
+//     record and everything downstream.
+//   - extract runs when the options fingerprint or — in interprocedural
+//     mode — the observed-input key the record's sites were extracted under
+//     differs. The key covers exactly what the file's extraction observes
+//     besides its own tokens (see global.go): for every call name its
+//     linearization can reach, the resolution outcome, the defining file and
+//     fingerprint of each spliced definition, and the inferred kind. An
+//     edit re-extracts the files that observe what it changed, and no
+//     others.
+//
+// A source set back to the content it had before its last replacement is
+// served by a one-step undo (see recordLocked): the unit keeps the unit it
+// replaced, whose record the restored unit takes over.
 //
 // Artifact records are copy-on-write: recomputing a stage swaps in a fresh
 // record on this project's unit and never mutates the shared one, so a
@@ -32,7 +37,6 @@ import (
 	"context"
 	"fmt"
 	"maps"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -49,82 +53,44 @@ import (
 	"ofence/internal/rescache"
 )
 
-// Stage-cache names, one per per-file pipeline stage.
-const (
-	stagePreprocess = "preprocess"
-	stageParse      = "parse"
-	stageCfg        = "cfg"
-	stageExtract    = "extract"
-)
-
-// artifacts is one file's immutable per-stage pipeline record. A record is
-// never mutated after publication: recomputation builds a new record and
-// swaps the unit's pointer under the project lock (copy-on-write), so
-// records may be shared freely between a project and its clones.
+// artifacts is one file's immutable pipeline record. A record is never
+// mutated after publication: recomputation builds a new record and swaps
+// the unit's pointer under the project lock (copy-on-write), so records may
+// be shared freely between a project and its clones.
 type artifacts struct {
 	// preHash is the content address of the preprocessed token stream
-	// (cpp.Result.Fingerprint): the key every downstream stage derives from.
+	// (cpp.Result.Fingerprint): a unit whose fresh preprocess yields the
+	// same hash keeps its record.
 	preHash string
-	// ast and errs are the parse-stage outputs (errs combines preprocessor
-	// and parser diagnostics, as FileUnit.Errs reports them).
+	// ast and errs are the parse outputs (errs combines preprocessor and
+	// parser diagnostics, as FileUnit.Errs reports them).
 	ast  *cast.File
 	errs []error
 	// tokens and arenaBytes are frontend cost meters: the preprocessed token
-	// count and the parser's AST arena footprint, recorded when the stages
-	// ran and carried through cache hits for the frontend.* obs counters.
+	// count and the parser's AST arena footprint, recorded when the front
+	// end ran, for the frontend.* obs counters.
 	tokens     int
 	arenaBytes int64
-	// prefix is the run of header declarations ast starts with, which the
-	// cfg-stage table shares.
-	prefix headerPrefix
+	// table is the symbol table of ast, built by the front end.
+	table *ctypes.Table
 	// summary is the call-graph summary of ast (callgraph.Summarize),
 	// taken by the first run at InterprocDepth ≥ 1; nil until then. Like
 	// every artifact here it is a function of preHash.
 	summary *callgraph.Summary
-	// table is the cfg-stage symbol table; nil until the first extraction.
-	table *ctypes.Table
-	// sites are the extract-stage barrier sites.
+	// sites are the extracted barrier sites.
 	sites []*access.Site
 	// extractFP and extractObserved are the options fingerprint and the
 	// observed-input key ("" at InterprocDepth 0) sites were extracted
-	// under; both "" before the first extraction. Together with preHash they
-	// determine the extract key, so a run whose fingerprint and observed
-	// inputs match serves the unit without hashing the key.
+	// under; both "" before the first extraction. A run whose fingerprint
+	// and observed inputs match serves the unit's sites from the record.
 	extractFP       string
 	extractObserved string
 }
 
-// preArtifact is the preprocess-stage cache value.
-type preArtifact struct {
-	pre  *cpp.Result
-	hash string
-}
-
-// parseArtifact is the parse-stage cache value.
-type parseArtifact struct {
-	ast  *cast.File
-	errs []error
-	// arenaBytes is the AST arena footprint of the parse that built ast.
-	arenaBytes int64
-	// replayed counts the top-level declarations of ast spliced from the
-	// header-declaration memo, and prefix is the run of them ast starts
-	// with; rejoined records that the parse fell back to the joined stream.
-	replayed int
-	prefix   headerPrefix
-	rejoined bool
-}
-
-// extractArtifact is the extract-stage cache value.
-type extractArtifact struct {
-	table *ctypes.Table
-	sites []*access.Site
-}
-
 // projectEnv is a point-in-time snapshot of the preprocessing environment:
-// the content hash of the headers and defines, the cpp.Env built from them
-// and the header memo that belongs to the Env.
+// the cpp.Env built from the headers and defines, and the header memo that
+// belongs to it.
 type projectEnv struct {
-	hash string
 	env  *cpp.Env
 	hdrs *headerMemo
 }
@@ -143,145 +109,88 @@ type headerMemo struct {
 // long as its Env: past the bound, a file's table is built whole.
 const maxHeaderTables = 1024
 
-// headerPrefix is the run of declarations a parse spliced from memo's
-// declarations before the file's own: n of them, from the recordings key
-// names.
-type headerPrefix struct {
-	memo *headerMemo
-	n    int
-	key  string
-}
-
-// table builds the symbol table of ast, which starts with the run hp:
-// ast's other declarations over the run's shared table.
-func (hp headerPrefix) table(ast *cast.File) *ctypes.Table {
-	if hp.n == 0 {
+// table builds the symbol table of ast, whose first n declarations are
+// the run of header declarations key names (see
+// cparser.Parser.HeaderPrefix): ast's other declarations over the run's
+// shared table.
+func (h *headerMemo) table(ast *cast.File, n int, key string) *ctypes.Table {
+	if n == 0 {
 		return ctypes.NewTable(ast)
 	}
-	h := hp.memo
 	h.mu.Lock()
-	base := h.tables[hp.key]
+	base := h.tables[key]
 	if base == nil && len(h.tables) < maxHeaderTables {
-		base = ctypes.NewTable(&cast.File{Decls: ast.Decls[:hp.n]})
-		h.tables[hp.key] = base
+		base = ctypes.NewTable(&cast.File{Decls: ast.Decls[:n]})
+		h.tables[key] = base
 	}
 	h.mu.Unlock()
 	if base == nil {
 		return ctypes.NewTable(ast)
 	}
-	return base.Extend(ast.Decls[hp.n:])
+	return base.Extend(ast.Decls[n:])
 }
 
-// envSnapshot returns the environment's content hash, cpp.Env and header
-// memo, all cached until AddHeader/Define invalidates them.
+// envSnapshot returns the environment's cpp.Env and header memo, cached
+// until AddHeader/Define invalidates them.
 func (p *Project) envSnapshot() projectEnv {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.envHash == "" {
-		parts := make([]string, 0, 2*(len(p.headers)+len(p.defines)))
-		for _, k := range sortedKeys(p.headers) {
-			parts = append(parts, "H"+k, p.headers[k])
-		}
-		for _, k := range sortedKeys(p.defines) {
-			parts = append(parts, "D"+k, p.defines[k])
-		}
-		p.envHash = string(rescache.KeyOf("env-v1", parts...))
-	}
 	if p.env == nil {
 		// The Env keeps its maps, so it gets copies AddHeader/Define will
 		// not write to.
 		p.env = cpp.NewEnv(cpp.Options{Include: maps.Clone(p.headers), Defines: maps.Clone(p.defines), Syms: p.syms})
 		p.hdrs = &headerMemo{decls: cparser.NewHeaderDecls(), tables: map[string]*ctypes.Table{}}
 	}
-	return projectEnv{hash: p.envHash, env: p.env, hdrs: p.hdrs}
+	return projectEnv{env: p.env, hdrs: p.hdrs}
 }
 
-func sortedKeys(m map[string]string) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// frontendWith runs the preprocess and parse stages for (name, src) under
-// env. When this caller runs the preprocess stage, both stages run under
-// one "parse" span wrapping "preprocess", the span topology of
-// cparser.ParseSourceCtx; a cache hit records no spans. Both stages go
-// through the stage caches, and the parser splices the declarations of the
-// file's top-level includes from env's header-declaration memo. When ctx
-// is done inside a stage, the stage stops and caches and records nothing,
+// frontendWith runs the front end for (name, src) under env: preprocess,
+// then, unless the preprocessed content is old's (old may be nil), parse
+// and the symbol table. All of it runs under one "parse" span wrapping
+// "preprocess", the span topology of cparser.ParseSourceCtx. The parser
+// splices the declarations of the file's top-level includes from env's
+// header-declaration memo, and the table shares the memo's table of the
+// header declarations the file starts with. It returns old when the
+// content is unchanged. When ctx is done inside a stage, the stage stops,
 // and frontendWith returns ctx's error.
-func (p *Project) frontendWith(ctx context.Context, name, src string, env projectEnv) (*artifacts, error) {
-	var wrapSpan *obs.Span
-	preprocess := func() (any, error) {
-		var wrapCtx context.Context
-		wrapCtx, wrapSpan = obs.Start(ctx, "parse")
-		wrapSpan.SetAttr("file", name)
-		pre := env.env.PreprocessCtx(wrapCtx, name, src)
-		if err := ctx.Err(); err != nil {
-			wrapSpan.End()
-			return nil, err
-		}
-		return &preArtifact{pre: pre, hash: pre.Fingerprint()}, nil
+func frontendWith(ctx context.Context, name, src string, env projectEnv, old *artifacts) (*artifacts, error) {
+	wctx, sp := obs.Start(ctx, "parse")
+	defer sp.End()
+	sp.SetAttr("file", name)
+	pre := env.env.PreprocessCtx(wctx, name, src)
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	v, _, err := doStage(ctx, p.stages.Stage(stagePreprocess), rescache.KeyOf("preprocess-v1", env.hash, name, src), preprocess)
+	hash := pre.Fingerprint()
+	sp.Add("tokens", int64(pre.Len()))
+	if old != nil && old.preHash == hash {
+		return old, nil
+	}
+	psr := cparser.NewWithHeaders(pre, env.hdrs.decls)
+	ast, err := psr.ParseFileCtx(ctx, name)
 	if err != nil {
 		return nil, err
 	}
-	pa := v.(*preArtifact)
-	pv, _, err := doStage(ctx, p.stages.Stage(stageParse), rescache.KeyOf("parse-v1", name, pa.hash), func() (any, error) {
-		psr := cparser.NewWithHeaders(pa.pre, env.hdrs.decls)
-		ast, err := psr.ParseFileCtx(ctx, name)
-		if err != nil {
-			return nil, err
-		}
-		errs := append(append([]error{}, pa.pre.Errors...), psr.Errors()...)
-		prefix := headerPrefix{memo: env.hdrs}
-		prefix.n, prefix.key = psr.HeaderPrefix()
-		return &parseArtifact{ast: ast, errs: errs, arenaBytes: psr.ArenaBytes(), replayed: psr.DeclsReplayed(), prefix: prefix, rejoined: psr.Rejoined()}, nil
-	})
-	if err != nil {
-		if wrapSpan != nil {
-			wrapSpan.End()
-		}
-		return nil, err
+	errs := append(append([]error{}, pre.Errors...), psr.Errors()...)
+	replayed := psr.DeclsReplayed()
+	sp.Add("decls", int64(len(ast.Decls)))
+	sp.Add("decls_replayed", int64(replayed))
+	sp.Add("decls_parsed", int64(len(ast.Decls)-replayed))
+	if psr.Rejoined() {
+		sp.Add("rejoined", 1)
 	}
-	ba := pv.(*parseArtifact)
-	if wrapSpan != nil {
-		wrapSpan.Add("tokens", int64(pa.pre.Len()))
-		wrapSpan.Add("decls", int64(len(ba.ast.Decls)))
-		wrapSpan.Add("decls_replayed", int64(ba.replayed))
-		wrapSpan.Add("decls_parsed", int64(len(ba.ast.Decls)-ba.replayed))
-		if ba.rejoined {
-			wrapSpan.Add("rejoined", 1)
-		}
-		wrapSpan.Add("errors", int64(len(ba.errs)))
-		wrapSpan.End()
-	}
+	sp.Add("errors", int64(len(errs)))
+	n, key := psr.HeaderPrefix()
 	return &artifacts{
-		preHash: pa.hash, ast: ba.ast, errs: ba.errs,
-		tokens: pa.pre.Len(), arenaBytes: ba.arenaBytes, prefix: ba.prefix,
+		preHash: hash, ast: ast, errs: errs,
+		tokens: pre.Len(), arenaBytes: psr.ArenaBytes(), table: env.hdrs.table(ast, n, key),
 	}, nil
-}
-
-// doStage is cache.Do for a stage that fails only when its context is
-// done. A caller that joined another caller's computation whose context
-// was done computes again while its own ctx is live.
-func doStage(ctx context.Context, cache *rescache.Cache, k rescache.Key, fn func() (any, error)) (v any, hit bool, err error) {
-	for {
-		v, hit, err = cache.Do(k, fn)
-		if err == nil || ctx.Err() != nil {
-			return v, hit, err
-		}
-	}
 }
 
 // refreshStale runs the front-end, before any extraction, for stale units
 // (recorded or replaced since the last run, or dirtied by Define/AddHeader):
 // interprocedural analysis needs every parse tree. A unit whose
-// preprocessed content is unchanged keeps every artifact, including cached
+// preprocessed content is unchanged keeps every artifact, including recorded
 // sites.
 func (p *Project) refreshStale(ctx context.Context, files []*FileUnit, env projectEnv, workers int) {
 	var stale []*FileUnit
@@ -306,31 +215,33 @@ func (p *Project) refreshStale(ctx context.Context, files []*FileUnit, env proje
 // refreshUnit runs the front-end for one unit and installs the result,
 // returning the unit's current record. It is the only place C source is
 // preprocessed and parsed. A unit whose preprocessed content changed gets
-// the fresh record; a unit with unchanged content (a replaced unit carries
-// its predecessor's record) keeps every cached artifact (table, sites,
-// extract key).
+// a fresh record; a unit with unchanged content (a replaced unit carries
+// its predecessor's record) keeps every artifact (table, sites, extract
+// key).
 func (p *Project) refreshUnit(ctx context.Context, fu *FileUnit, env projectEnv) (*artifacts, error) {
-	fresh, err := p.frontendWith(ctx, fu.Name, fu.src, env)
+	p.mu.Lock()
+	old := fu.art
+	p.mu.Unlock()
+	art, err := frontendWith(ctx, fu.Name, fu.src, env, old)
 	if err != nil {
 		return nil, err // canceled: the unit stays stale
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if fu.art == nil || fu.art.preHash != fresh.preHash {
-		fu.art = fresh
+	if art != fu.art {
+		fu.art = art
 		fu.Table, fu.Sites = nil, nil
 	}
-	fu.AST, fu.Errs = fu.art.ast, fu.art.errs
+	fu.AST, fu.Errs = art.ast, art.errs
 	fu.stale = false
-	return fu.art, nil
+	return art, nil
 }
 
 // extractPlan is what every unit's extraction shares within one
 // analysis run. The interprocedural fields are nil at InterprocDepth 0.
 type extractPlan struct {
-	fp    string
-	opts  Options
-	cache *rescache.Cache
+	fp   string
+	opts Options
 	// observed holds each file's observed-input key
 	// (callgraph.Observations.Key), by position in the run's files.
 	observed []string
@@ -353,12 +264,11 @@ func (plan *extractPlan) observedAt(i int) string {
 
 // pipelineFile streams one unit that is not clean (see AnalyzeParallel),
 // whose observed-input key is observed, through the per-file pipeline:
-// front-end refresh (only when the unit is stale), then the reuse-check →
-// table → extract tail. A unit whose preprocessed content is unchanged
-// keeps every artifact, including cached sites. Accounting: +reused for
-// in-place or shared-cache sites, +recomputed when extraction runs.
+// front-end refresh (only when the unit is stale), then extraction unless
+// the record's sites were extracted under plan's fingerprint and observed.
+// Accounting: +reused when the record's sites serve, +recomputed when
+// extraction runs.
 func (p *Project) pipelineFile(ectx context.Context, fu *FileUnit, observed string, env projectEnv, plan *extractPlan, reused, recomputed *atomic.Int64) {
-	opts := plan.opts
 	p.mu.Lock()
 	art, stale := fu.art, fu.stale
 	p.mu.Unlock()
@@ -368,7 +278,6 @@ func (p *Project) pipelineFile(ectx context.Context, fu *FileUnit, observed stri
 			return
 		}
 	}
-
 	if art.extractFP == plan.fp && art.extractObserved == observed {
 		reused.Add(1)
 		p.mu.Lock()
@@ -376,72 +285,35 @@ func (p *Project) pipelineFile(ectx context.Context, fu *FileUnit, observed stri
 		p.mu.Unlock()
 		return
 	}
-	want := extractKeyFor(plan.fp, fu.Name, art.preHash, observed)
-	v, hit, err := doStage(ectx, plan.cache, want, func() (any, error) {
-		recomputed.Add(1)
-		table := p.tableFor(fu.Name, art)
-		aopts := opts.Access
-		aopts.Syms = p.syms
-		aopts.InferredSemantics = plan.inferred
-		if plan.defs != nil {
-			aopts.Resolve = plan.defs.resolver(fu.Name)
-		}
-		aopts.InterprocDepth = opts.InterprocDepth
-		ex := access.NewExtractor(fu.Name, table, aopts)
-		sites := ex.ExtractFileCtx(ectx, art.ast)
-		if err := ectx.Err(); err != nil {
-			return nil, err
-		}
-		return &extractArtifact{table: table, sites: sites}, nil
-	})
-	if err != nil {
+	recomputed.Add(1)
+	aopts := plan.opts.Access
+	aopts.Syms = p.syms
+	aopts.InferredSemantics = plan.inferred
+	if plan.defs != nil {
+		aopts.Resolve = plan.defs.resolver(fu.Name)
+	}
+	aopts.InterprocDepth = plan.opts.InterprocDepth
+	sites := access.NewExtractor(fu.Name, art.table, aopts).ExtractFileCtx(ectx, art.ast)
+	if ectx.Err() != nil {
 		return // canceled: the unit keeps its record
 	}
-	if hit {
-		reused.Add(1)
-	}
-	ea := v.(*extractArtifact)
 	next := *art
-	next.table, next.sites, next.extractFP, next.extractObserved = ea.table, ea.sites, plan.fp, observed
+	next.sites, next.extractFP, next.extractObserved = sites, plan.fp, observed
 	p.mu.Lock()
 	fu.art = &next
-	fu.Table, fu.Sites = ea.table, ea.sites
+	fu.Table, fu.Sites = art.table, sites
 	p.mu.Unlock()
 }
 
-// tableFor returns the cfg-stage symbol table for one file, memoized under
-// the file's content hash so an options-only change rebuilds extraction but
-// not the table.
-func (p *Project) tableFor(name string, art *artifacts) *ctypes.Table {
-	if art.table != nil {
-		return art.table
-	}
-	v, _, _ := p.stages.Stage(stageCfg).Do(rescache.KeyOf("cfg-v1", name, art.preHash), func() (any, error) {
-		return art.prefix.table(art.ast), nil
-	})
-	return v.(*ctypes.Table)
-}
-
-// extractKeyFor builds the extract-stage key: options fingerprint × file
-// name × content hash, plus the file's observed-input key
-// when cross-file analysis is on.
-func extractKeyFor(fp, name, preHash, observed string) rescache.Key {
-	if observed == "" {
-		return rescache.KeyOf(fp, "extract-v2", name, preHash)
-	}
-	return rescache.KeyOf(fp, "extract-v2", name, preHash, observed)
-}
-
 // IncrementalStats summarizes how much per-file work one AnalyzeParallel call
-// reused. Reused counts files whose sites came from their artifact record
-// or the shared extract cache; Recomputed counts files whose extraction
-// actually ran. The struct is deliberately not part of ResultView: the
+// reused. Reused counts files whose sites came from their artifact record;
+// Recomputed counts files whose extraction actually ran. The struct is deliberately not part of ResultView: the
 // serialized result of an incremental run must stay byte-identical to a
 // cold run's.
 type IncrementalStats struct {
 	// FilesTotal is the number of files in the analysis.
 	FilesTotal int
-	// FilesReused is how many files' extraction was served from cache.
+	// FilesReused is how many files' sites were served from their record.
 	FilesReused int
 	// FilesRecomputed is how many files' extraction ran this call.
 	FilesRecomputed int
@@ -461,9 +333,8 @@ func (o Options) Fingerprint() string {
 		strings.Join(o.Access.ExtraBarrierSemantics, ","))
 }
 
-// StageStats snapshots the per-stage artifact cache counters (hits, misses,
-// singleflight joins, evictions, entries), keyed by stage name. The caches
-// are shared with clones, so the numbers aggregate the whole clone family.
-func (p *Project) StageStats() map[string]rescache.Stats {
-	return p.stages.Stats()
-}
+// StageStats returns nil: a project has no stage caches, its artifact
+// records being the pipeline's only memo. It is kept only for the
+// benchmark harness, which still reads it, and is deleted with ROADMAP
+// item 2's recalibration of that harness.
+func (p *Project) StageStats() map[string]rescache.Stats { return nil }

@@ -115,7 +115,10 @@ func TestReplaceSourceIdenticalIsNoop(t *testing.T) {
 // TestReplaceSourceDuringAnalysis races ReplaceSource against an in-flight
 // AnalyzeParallel on the same project (run under -race by make race). The
 // in-flight run sees the old sources or the new ones, never a mix, and the
-// next run sees the new ones.
+// next run sees the new ones. In half the rounds the file is then set back
+// to its old source while the run still holds the old unit: the restored
+// unit is a new one, which copies the old unit's record and state at that
+// moment, and the next run sees the old sources.
 func TestReplaceSourceDuringAnalysis(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Workers = 4
@@ -150,6 +153,13 @@ func TestReplaceSourceDuringAnalysis(t *testing.T) {
 		if fu := p.ReplaceSource(edited[3].Name, edited[3].Src); fu == held {
 			t.Error("ReplaceSource changed a unit an in-flight run may hold")
 		}
+		want := newJSON
+		if round%4 >= 2 {
+			if fu := p.ReplaceSource(srcs[3].Name, srcs[3].Src); fu == held {
+				t.Error("the restore reinstated a unit an in-flight run may hold")
+			}
+			want = oldJSON
+		}
 		out := <-done
 		if out.err != nil {
 			t.Fatal(out.err)
@@ -157,8 +167,8 @@ func TestReplaceSourceDuringAnalysis(t *testing.T) {
 		if got := resultJSON(t, out.res); got != oldJSON && got != newJSON {
 			t.Errorf("round %d: in-flight result mixes old and new sources:\n%s", round, got)
 		}
-		if got := resultJSON(t, mustAnalyze(t, p, opts)); got != newJSON {
-			t.Errorf("round %d: next run differs from a cold run of the new sources", round)
+		if got := resultJSON(t, mustAnalyze(t, p, opts)); got != want {
+			t.Errorf("round %d: next run differs from a cold run of the sources it holds", round)
 		}
 	}
 }

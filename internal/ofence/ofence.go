@@ -26,7 +26,6 @@ import (
 	"ofence/internal/obs"
 	"ofence/internal/par"
 	"ofence/internal/rank"
-	"ofence/internal/rescache"
 	"ofence/internal/semprop"
 )
 
@@ -83,32 +82,37 @@ type FileUnit struct {
 	// src is the raw source, kept so the front-end can re-run when the
 	// macro environment changes (Define/AddHeader dirties every file).
 	src string
-	// art is the immutable per-stage artifact record (see incremental.go);
-	// replaced wholesale on recompute, never mutated, so clones sharing the
-	// old record are undisturbed.
+	// art is the immutable artifact record (see incremental.go); replaced
+	// wholesale on recompute, never mutated, so clones sharing the old
+	// record are undisturbed.
 	art *artifacts
 	// stale marks that the front end must run before art can be used: the
 	// unit is new or replaced, or headers/defines changed after art was
 	// built. The next analysis re-runs the front end to re-key the file.
 	stale bool
+	// prev is the unit this one replaced, the one-step undo a source set
+	// back to prev.src restores (see recordLocked); nil for a unit that
+	// replaced none, and after headers or defines changed. A unit that
+	// becomes a prev loses its own, so prev never chains.
+	prev *FileUnit
 }
 
 // Project is a set of files analyzed together. Pairing is global; the
-// per-file pipeline (preprocess → parse → cfg → extract) is incremental:
-// every stage output is an immutable artifact keyed by the content hash of
-// its inputs in a cache shared with clones (see incremental.go), so
-// re-analyzing after ReplaceSource re-runs per-file stages only for the
-// changed file and replays the cheap project-wide phases over cached sites
-// (the paper's incremental mode, §6.1). Adding or replacing a source only
-// records it; AnalyzeParallel is the one call that preprocesses, parses and
-// extracts.
+// per-file pipeline (preprocess → parse → symbol table → extract) is
+// incremental: each unit carries an immutable record of its artifacts,
+// shared with clones (see incremental.go), so re-analyzing after
+// ReplaceSource re-runs per-file stages only for the changed file and
+// replays the cheap project-wide phases over recorded sites (the paper's
+// incremental mode, §6.1). Adding or replacing a source only records it;
+// AnalyzeParallel is the one call that preprocesses, parses and extracts.
 //
 // Concurrency: every method is safe to call concurrently, and
 // AnalyzeParallel calls on the SAME project are serialized internally (they
 // swap per-unit artifact pointers); a source replaced during a run takes
 // effect on the next one. To overlap analyses of one file set, give each
-// goroutine its own Clone — clones share the stage caches, so work done by
-// one is reused by all.
+// goroutine its own Clone — a clone shares the records the original has
+// built, so their work is not redone; work done after the clone is each
+// project's own.
 type Project struct {
 	mu    sync.Mutex
 	files []*FileUnit
@@ -116,9 +120,6 @@ type Project struct {
 	index   map[string]int
 	headers map[string]string
 	defines map[string]string
-	// envHash caches the content hash of headers+defines; "" means
-	// recompute (AddHeader/Define reset it).
-	envHash string
 	// env is the preprocessing environment built from headers+defines, with
 	// its memo of recorded #include expansions; nil means rebuild
 	// (AddHeader/Define reset it). Shared with clones like syms, in which
@@ -127,9 +128,6 @@ type Project struct {
 	// hdrs is the header memo of env (see headerMemo), built, reset and
 	// shared with it.
 	hdrs *headerMemo
-	// stages holds the content-addressed per-file artifact caches, shared
-	// with clones so equal work is never redone.
-	stages *rescache.Stages
 	// syms is the project-wide identifier table: the zero-copy tokenizer
 	// interns every identifier spelling through it, and extraction
 	// canonicalizes Object strings against it, so equal names across files
@@ -178,28 +176,15 @@ func NewProject() *Project {
 		index:   map[string]int{},
 		headers: map[string]string{},
 		defines: map[string]string{},
-		stages:  rescache.NewStages(0),
 		syms:    ctoken.NewSymTab(),
 		last:    emptyRun,
 	}
 }
 
-// NewProjectWithStages returns an empty project whose per-file stage caches
-// are the given family instead of a private one — the way a serving process
-// shares one content-addressed artifact tier across every project it
-// builds. A nil stages falls back to a private family.
-func NewProjectWithStages(stages *rescache.Stages) *Project {
-	p := NewProject()
-	if stages != nil {
-		p.stages = stages
-	}
-	return p
-}
-
 // AddHeader registers an include-resolvable header shared by sources. Every
 // existing file is marked stale: header text can reach any translation unit
 // through #include, so the next analysis re-keys them all (files whose
-// preprocessed content is unchanged keep their cached artifacts).
+// preprocessed content is unchanged keep their artifact records).
 func (p *Project) AddHeader(path, src string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -216,13 +201,13 @@ func (p *Project) Define(name, value string) {
 	p.markEnvChangedLocked()
 }
 
-// markEnvChangedLocked invalidates the cached environment hash and Env and
-// marks every unit for a front-end refresh. Callers hold p.mu.
+// markEnvChangedLocked invalidates the cached Env and header memo and
+// marks every unit for a front-end refresh, dropping the undo records,
+// which were built under the old environment. Callers hold p.mu.
 func (p *Project) markEnvChangedLocked() {
-	p.envHash = ""
 	p.env, p.hdrs = nil, nil
 	for _, fu := range p.files {
-		fu.stale = true
+		fu.stale, fu.prev = true, nil
 	}
 }
 
@@ -261,9 +246,12 @@ func (p *Project) AnalyzeSourcesCtx(ctx context.Context, srcs []SourceFile, opts
 // ReplaceSource swaps one file's source, returning the file's unit, or nil
 // when no file of that name exists. A byte-identical source leaves the unit
 // as is. Otherwise a fresh unit takes the old one's place, so a run already
-// holding the old unit is undisturbed; it carries the old artifact record,
-// and when the new source preprocesses to the same content (a whitespace or
-// comment-only edit) the next analysis keeps its cached extraction.
+// holding the old unit is undisturbed. A source equal to the one the old
+// unit replaced restores that unit's record and state, so the next
+// analysis recomputes nothing for the file; any other source carries the
+// old artifact record, and when it preprocesses to the same content (a
+// whitespace or comment-only edit) the next analysis keeps the record's
+// extraction.
 func (p *Project) ReplaceSource(name, src string) *FileUnit {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -271,9 +259,12 @@ func (p *Project) ReplaceSource(name, src string) *FileUnit {
 }
 
 // recordLocked is the one source recorder. A name the project has gets a
-// fresh stale unit in its position, carrying the old artifact record,
-// unless the source is byte-identical; a new name is appended when add is
-// set. Callers hold p.mu.
+// fresh unit in its position unless the source is byte-identical, and the
+// fresh unit keeps the replaced one as its prev. When the source is
+// prev.src, the fresh unit takes prev's record, fields and stale flag (a
+// run that finished prev left it clean); otherwise it is stale and carries
+// the old unit's record. A new name is appended when add is set. Callers
+// hold p.mu.
 func (p *Project) recordLocked(name, src string, add bool) *FileUnit {
 	i, ok := p.index[name]
 	if !ok {
@@ -290,8 +281,22 @@ func (p *Project) recordLocked(name, src string, add bool) *FileUnit {
 		return old
 	}
 	fu := &FileUnit{Name: name, src: src, art: old.art, stale: true}
+	if pv := old.prev; pv != nil && pv.src == src {
+		fu = pv.copyLocked()
+	}
+	old.prev, fu.prev = nil, old
 	p.files[i] = fu
 	return fu
+}
+
+// copyLocked returns a unit with fu's name, source, fields, record and
+// stale flag, and no prev. Callers hold the lock of the project whose runs
+// write fu.
+func (fu *FileUnit) copyLocked() *FileUnit {
+	return &FileUnit{
+		Name: fu.Name, AST: fu.AST, Table: fu.Table, Sites: fu.Sites,
+		Errs: fu.Errs, src: fu.src, art: fu.art, stale: fu.stale,
+	}
 }
 
 // Files returns a snapshot of the file units in insertion order.
@@ -303,12 +308,12 @@ func (p *Project) Files() []*FileUnit {
 	return out
 }
 
-// Clone returns a project with the same headers, defines and parsed files.
-// The clone shares the originals' immutable artifact records and the stage
-// caches (copy-on-write: recomputation installs fresh records on one
-// project without touching the other), so a clone may be analyzed
-// concurrently with the original and re-analyzing a clone after one
-// ReplaceSource recomputes exactly that file.
+// Clone returns a project with the same headers, defines and parsed files,
+// and a copy of each unit's undo record. The clone shares the originals'
+// immutable artifact records (copy-on-write: recomputation installs fresh
+// records on one project without touching the other), so a clone may be
+// analyzed concurrently with the original and re-analyzing a clone after
+// one ReplaceSource recomputes exactly that file.
 func (p *Project) Clone() *Project {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -317,10 +322,8 @@ func (p *Project) Clone() *Project {
 		headers: make(map[string]string, len(p.headers)),
 		defines: make(map[string]string, len(p.defines)),
 		files:   make([]*FileUnit, 0, len(p.files)),
-		envHash: p.envHash,
 		env:     p.env,
 		hdrs:    p.hdrs,
-		stages:  p.stages,
 		syms:    p.syms,
 		global:  p.global,
 		last:    p.last,
@@ -332,10 +335,11 @@ func (p *Project) Clone() *Project {
 		q.defines[k] = v
 	}
 	for _, fu := range p.files {
-		q.files = append(q.files, &FileUnit{
-			Name: fu.Name, AST: fu.AST, Table: fu.Table, Sites: fu.Sites,
-			Errs: fu.Errs, src: fu.src, art: fu.art, stale: fu.stale,
-		})
+		c := fu.copyLocked()
+		if fu.prev != nil {
+			c.prev = fu.prev.copyLocked()
+		}
+		q.files = append(q.files, c)
 	}
 	for k, v := range p.index {
 		q.index[k] = v
@@ -372,7 +376,7 @@ func (pr *Pairing) String() string {
 // Timing is the per-phase cost breakdown of one AnalyzeParallel call.
 type Timing struct {
 	// Extract covers per-file table building and access extraction (zero
-	// for files served from the incremental cache).
+	// for files served from their records).
 	Extract time.Duration
 	// Pair covers the global Algorithm 1 pass.
 	Pair time.Duration
@@ -409,7 +413,7 @@ type Result struct {
 	// CallGraph holds the interprocedural call-graph statistics (zero when
 	// InterprocDepth is 0).
 	CallGraph callgraph.Stats
-	// Incremental reports per-file cache reuse for this call. Excluded from
+	// Incremental reports per-file record reuse for this call. Excluded from
 	// ResultView so incremental and cold runs serialize identically.
 	Incremental IncrementalStats
 	// PairStats reports the pairing engine's execution counters (index
@@ -455,7 +459,7 @@ func (p *Project) AnalyzeParallel(ctx context.Context, opts Options) (*Result, e
 	}
 	phaseStart := time.Now()
 	var reused, recomputed, busyNS atomic.Int64
-	plan := extractPlan{fp: fp, opts: opts, cache: p.stages.Stage(stageExtract)}
+	plan := extractPlan{fp: fp, opts: opts}
 
 	if opts.InterprocDepth > 0 {
 		// Phase 0: run the front-end for units recorded or replaced since
@@ -484,12 +488,9 @@ func (p *Project) AnalyzeParallel(ctx context.Context, opts Options) (*Result, e
 	// extracted under fp and its observed-input key ("" at depth 0) —
 	// is served inline, with no key hashing and no goroutine. The rest enter
 	// a worker pool; at depth 0 each worker streams its file end to end —
-	// front-end refresh (preprocess+parse, only when the unit is stale) →
-	// symbol table → extraction — so there is no front-end barrier
-	// and the parse of a later file overlaps the extraction of an earlier
-	// one. A key found in the shared stage cache (e.g. computed by a clone)
-	// is adopted without running; only genuinely new (file content ×
-	// options × observed inputs) combinations execute.
+	// front-end refresh (preprocess, parse and symbol table, only when the
+	// unit is stale) → extraction — so there is no front-end barrier and
+	// the parse of a later file overlaps the extraction of an earlier one.
 	ectx, esp := obs.Start(ctx, "extract")
 	var dirty []int
 	p.mu.Lock()

@@ -135,33 +135,10 @@ func New(capacity int) *Cache {
 	}
 }
 
-// Get returns the stored value for k, if any, marking it recently used.
-func (c *Cache) Get(k Key) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[k]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		return el.Value.(*entry).val, true
-	}
-	c.misses++
-	return nil, false
-}
-
-// Add stores v under k, evicting the least-recently-used entry when the
-// bound is exceeded.
-func (c *Cache) Add(k Key, v any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.add(k, v)
-}
-
+// add stores v under k, evicting the least-recently-used entry when the
+// bound is exceeded. Callers hold c.mu. Only Do adds, for a key that is
+// neither stored nor in flight.
 func (c *Cache) add(k Key, v any) {
-	if el, ok := c.items[k]; ok {
-		el.Value.(*entry).val = v
-		c.ll.MoveToFront(el)
-		return
-	}
 	c.items[k] = c.ll.PushFront(&entry{key: k, val: v})
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
@@ -246,67 +223,6 @@ func (c *Cache) Do(k Key, fn func() (any, error)) (v any, hit bool, err error) {
 		}
 	}
 	return fl.val, fromStore, fl.err
-}
-
-// Stages is a named family of content-addressed caches, one per pipeline
-// stage ("preprocess", "parse", "cfg", "extract", ...), each with its own
-// LRU bound and hit/miss counters. It generalizes the single whole-result
-// cache to the per-file incremental pipeline: every stage memoizes its
-// artifact under a key derived from the stage's full input content, so a
-// one-file edit re-runs only the stages whose inputs actually changed.
-//
-// Stage caches are created on first use and safe for concurrent access; a
-// Stages value may be shared between a Project and all of its clones.
-type Stages struct {
-	mu     sync.Mutex
-	cap    int
-	stages map[string]*Cache
-}
-
-// NewStages returns a stage-cache family where each stage's cache is
-// bounded to capacityPerStage entries (<= 0 selects 4096, sized so a
-// corpus-scale file set fits per stage).
-func NewStages(capacityPerStage int) *Stages {
-	if capacityPerStage <= 0 {
-		capacityPerStage = 4096
-	}
-	return &Stages{cap: capacityPerStage, stages: map[string]*Cache{}}
-}
-
-// Stage returns the cache for one named stage, creating it on first use.
-func (s *Stages) Stage(name string) *Cache {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, ok := s.stages[name]
-	if !ok {
-		c = New(s.cap)
-		s.stages[name] = c
-	}
-	return c
-}
-
-// Stats snapshots every stage's counters, keyed by stage name.
-func (s *Stages) Stats() map[string]Stats {
-	s.mu.Lock()
-	names := make([]string, 0, len(s.stages))
-	caches := make([]*Cache, 0, len(s.stages))
-	for name, c := range s.stages {
-		names = append(names, name)
-		caches = append(caches, c)
-	}
-	s.mu.Unlock()
-	out := make(map[string]Stats, len(names))
-	for i, name := range names {
-		out[name] = caches[i].Stats()
-	}
-	return out
-}
-
-// Len returns the number of stored entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }
 
 // Stats snapshots the counters.

@@ -20,68 +20,16 @@ func TestKeyOfFraming(t *testing.T) {
 	}
 }
 
-func TestStagesIsolationAndStats(t *testing.T) {
-	st := NewStages(4)
-	parse := st.Stage("parse")
-	extract := st.Stage("extract")
-	if parse == extract {
-		t.Fatal("stages share one cache")
-	}
-	if st.Stage("parse") != parse {
-		t.Fatal("Stage not idempotent")
-	}
-	parse.Add("k", 1)
-	if _, ok := extract.Get("k"); ok {
-		t.Error("key leaked across stages")
-	}
-	if _, ok := parse.Get("k"); !ok {
-		t.Error("stage lost its own entry")
-	}
-	stats := st.Stats()
-	if stats["parse"].Hits != 1 || stats["parse"].Entries != 1 {
-		t.Errorf("parse stats = %+v", stats["parse"])
-	}
-	if stats["extract"].Misses != 1 || stats["extract"].Entries != 0 {
-		t.Errorf("extract stats = %+v", stats["extract"])
-	}
-}
+// value returns a Do function that computes v.
+func value(v any) func() (any, error) { return func() (any, error) { return v, nil } }
 
-func TestStagesConcurrentFirstUse(t *testing.T) {
-	st := NewStages(8)
-	var wg sync.WaitGroup
-	caches := make([]*Cache, 16)
-	for i := range caches {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			caches[i] = st.Stage("shared")
-		}(i)
-	}
-	wg.Wait()
-	for _, c := range caches[1:] {
-		if c != caches[0] {
-			t.Fatal("concurrent Stage calls returned distinct caches")
-		}
-	}
-}
-
-func TestStagesDefaultCapacity(t *testing.T) {
-	st := NewStages(0)
-	c := st.Stage("s")
-	if c.cap != 4096 {
-		t.Errorf("default per-stage capacity = %d, want 4096", c.cap)
-	}
-}
-
-func TestGetAddHitMiss(t *testing.T) {
+func TestDoHitMiss(t *testing.T) {
 	c := New(4)
-	if _, ok := c.Get("k1"); ok {
-		t.Fatal("hit on empty cache")
+	if v, hit, err := c.Do("k1", value(42)); err != nil || hit || v.(int) != 42 {
+		t.Fatalf("first Do = %v, %v, %v", v, hit, err)
 	}
-	c.Add("k1", 42)
-	v, ok := c.Get("k1")
-	if !ok || v.(int) != 42 {
-		t.Fatalf("Get = %v, %v", v, ok)
+	if v, hit, err := c.Do("k1", value(0)); err != nil || !hit || v.(int) != 42 {
+		t.Fatalf("second Do = %v, %v, %v", v, hit, err)
 	}
 	st := c.Stats()
 	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
@@ -91,21 +39,21 @@ func TestGetAddHitMiss(t *testing.T) {
 
 func TestLRUEviction(t *testing.T) {
 	c := New(2)
-	c.Add("a", 1)
-	c.Add("b", 2)
-	c.Get("a") // refresh a: b is now least recently used
-	c.Add("c", 3)
-	if _, ok := c.Get("b"); ok {
-		t.Error("b should have been evicted")
-	}
-	if _, ok := c.Get("a"); !ok {
-		t.Error("a should have survived (recently used)")
-	}
-	if _, ok := c.Get("c"); !ok {
-		t.Error("c should be present")
-	}
+	c.Do("a", value(1))
+	c.Do("b", value(2))
+	c.Do("a", value(1)) // refresh a: b is now least recently used
+	c.Do("c", value(3))
 	if st := c.Stats(); st.Evictions != 1 || st.Entries != 2 {
 		t.Errorf("stats = %+v", st)
+	}
+	if _, hit, _ := c.Do("a", value(0)); !hit {
+		t.Error("a should have survived (recently used)")
+	}
+	if _, hit, _ := c.Do("c", value(0)); !hit {
+		t.Error("c should be present")
+	}
+	if _, hit, _ := c.Do("b", value(2)); hit {
+		t.Error("b should have been evicted")
 	}
 }
 
@@ -132,7 +80,7 @@ func TestDoErrorNotCached(t *testing.T) {
 	if _, _, err := c.Do("k", func() (any, error) { return nil, boom }); err != boom {
 		t.Fatalf("err = %v", err)
 	}
-	if c.Len() != 0 {
+	if c.Stats().Entries != 0 {
 		t.Error("error was cached")
 	}
 	v, hit, err := c.Do("k", func() (any, error) { return 7, nil })
@@ -229,14 +177,13 @@ func TestConcurrentMixedUse(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				k := Key(fmt.Sprintf("k%d", i%12))
-				c.Do(k, func() (any, error) { return i, nil })
-				c.Get(k)
-				c.Add(Key(fmt.Sprintf("extra%d-%d", g, i)), i)
+				c.Do(k, value(i))
+				c.Do(Key(fmt.Sprintf("extra%d-%d", g, i)), value(i))
 			}
 		}(g)
 	}
 	wg.Wait()
-	if c.Len() > 8 {
-		t.Errorf("len = %d exceeds capacity", c.Len())
+	if n := c.Stats().Entries; n > 8 {
+		t.Errorf("len = %d exceeds capacity", n)
 	}
 }

@@ -206,9 +206,9 @@ type JobView struct {
 	// Result is the analysis result exactly as the worker (or the store)
 	// produced it: an ofence.ResultView in JSON.
 	Result json.RawMessage `json:"result,omitempty"`
-	// FilesReused/FilesRecomputed report how much per-file work the
-	// analysis served from the stage caches; a cached result reuses every
-	// file.
+	// FilesReused/FilesRecomputed report how many files' sites the
+	// analysis served from the warm lineage's records and how many it
+	// extracted; a cached result reuses every file.
 	FilesReused     int `json:"files_reused"`
 	FilesRecomputed int `json:"files_recomputed"`
 	// Redispatches counts leases lost to dead, stuck or failing workers;
@@ -585,9 +585,11 @@ func (s *Service) Close(ctx context.Context) error {
 // ran an analysis.
 func (s *Service) CacheStats() rescache.Stats { return s.cache.Stats() }
 
-// StageStats snapshots the in-process workers' per-file stage cache
-// counters, keyed by stage name.
-func (s *Service) StageStats() map[string]rescache.Stats { return s.an.stages.Stats() }
+// StageStats returns nil: the workers have no stage caches, a warm
+// lineage's artifact records being the only per-file memo. It is kept only
+// for the benchmark harness, which still reads it, and is deleted with
+// ROADMAP item 2's recalibration of that harness.
+func (s *Service) StageStats() map[string]rescache.Stats { return nil }
 
 // WarmLineages returns the number of warm projects the in-process workers
 // keep.

@@ -115,7 +115,7 @@ type WorkerConfig struct {
 	// on every wire-protocol request.
 	Token string
 	// Capacity is how many tasks the worker runs concurrently (default 1).
-	// The slots share one analyzer: its stage caches and warm lineages.
+	// The slots share one analyzer: its warm lineages.
 	Capacity int
 }
 
@@ -141,9 +141,9 @@ func newWorker(id string, conn coordinator, capacity int, an *analyzer) *Worker 
 	return &Worker{id: id, conn: conn, capacity: max(capacity, 1), analyzeFn: an.analyze}
 }
 
-// NewWorker builds an external worker against cfg.Coordinator. Its stage
-// caches are its own: front-end work is shared between the worker's slots,
-// not between processes.
+// NewWorker builds an external worker against cfg.Coordinator. Its warm
+// lineages are its own: front-end work is shared between the worker's
+// slots, not between processes.
 func NewWorker(cfg WorkerConfig) *Worker {
 	if cfg.ID == "" {
 		cfg.ID = fmt.Sprintf("worker-%d-%d", os.Getpid(), workerSeq.Add(1))
@@ -330,9 +330,8 @@ func (c *httpCoordinator) complete(ctx context.Context, req *completeRequest) er
 }
 
 // analyzer is a worker process's analysis state, shared by its in-flight
-// slots: the per-file stage caches and the warm-lineage LRU.
+// slots: the warm-lineage LRU.
 type analyzer struct {
-	stages *rescache.Stages
 	// warmN bounds warm, one per source-set lineage (same file names +
 	// defines), with LRU eviction; negative disables warm reuse.
 	warmN  int
@@ -340,13 +339,12 @@ type analyzer struct {
 	warm   map[string]*warmProject
 }
 
-// newAnalyzer builds an analyzer with memory-only stage caches.
-// warmLineages 0 picks the default of 32.
+// newAnalyzer builds an analyzer. warmLineages 0 picks the default of 32.
 func newAnalyzer(warmLineages int) *analyzer {
 	if warmLineages == 0 {
 		warmLineages = 32
 	}
-	return &analyzer{stages: rescache.NewStages(0), warmN: warmLineages, warm: map[string]*warmProject{}}
+	return &analyzer{warmN: warmLineages, warm: map[string]*warmProject{}}
 }
 
 // analyze runs the real pipeline over a clone of the task's warm lineage
@@ -462,11 +460,9 @@ func (a *analyzer) projectFor(req *Request) (proj *ofence.Project, w *warmProjec
 }
 
 // buildProject records the request's sources in a new project; the task's
-// analysis parses them. Every project shares the analyzer's stage caches
-// (content-addressed, so sharing across unrelated requests is safe by
-// construction).
+// analysis parses them.
 func (a *analyzer) buildProject(req *Request) *ofence.Project {
-	proj := ofence.NewProjectWithStages(a.stages)
+	proj := ofence.NewProject()
 	kernelhdr.Register(proj)
 	for k, v := range req.Defines {
 		proj.Define(k, v)
