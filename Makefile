@@ -28,11 +28,12 @@ loc:
 # hangs), the preprocessor's per-file work budget (every input of at most
 # 4 KiB ends within it), the service's HTTP handler (no panics, no 5xx, 4xx
 # for malformed bodies) and the disk store's index replay (no panics, exact
-# byte accounting, every well-formed line applied); and over three
+# byte accounting, every well-formed line applied); and over four
 # differential ones: header replay against a fresh environment,
-# header-declaration splicing against a fresh parser, and warm analysis
+# header-declaration splicing against a fresh parser, warm analysis
 # after random edits and depth flips against a cold PairSites and a cold
-# -json.
+# -json, and the service's one-pass request decoding against
+# encoding/json.
 fuzz:
 	$(GO) test ./internal/cparser/ -fuzz FuzzParseSource -fuzztime 30s
 	$(GO) test ./internal/cpp/ -run '^$$' -fuzz FuzzPreprocessBounded -fuzztime 30s
@@ -41,6 +42,7 @@ fuzz:
 	$(GO) test ./internal/cpp/ -run '^$$' -fuzz FuzzIncludeReplay -fuzztime 30s
 	$(GO) test ./internal/cparser/ -run '^$$' -fuzz FuzzHeaderDeclReplay -fuzztime 30s
 	$(GO) test ./internal/ofence/ -run '^$$' -fuzz FuzzIncrementalPairing -fuzztime 30s
+	$(GO) test ./internal/service/ -run '^$$' -fuzz FuzzDecodeAnalyze -fuzztime 30s
 
 test:
 	$(GO) test ./...

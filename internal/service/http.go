@@ -1,11 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
+	"strconv"
+	"time"
 )
 
 // analyzeRequest is the POST /v1/analyze body: the sources, the options,
@@ -62,20 +65,66 @@ func (s *Service) authed(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
+// writeJSON sends v as compact JSON.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.Marshal(v)
+	writeEncoded(w, code, body, err)
+}
+
+// writeView sends a job view: its own fields, then the result blob
+// spliced in as it is. The blob is JSON a worker produced or blobCodec
+// checked, so it is copied without a second parse.
+func writeView(w http.ResponseWriter, code int, v JobView) {
+	result := v.Result
+	v.Result = nil
+	body, err := json.Marshal(v)
+	if err == nil && len(result) > 0 {
+		const key = `,"result":`
+		spliced := make([]byte, 0, len(body)+len(key)+len(result)+1)
+		spliced = append(spliced, body[:len(body)-1]...)
+		spliced = append(spliced, key...)
+		spliced = append(spliced, result...)
+		body = append(spliced, '}')
+	}
+	writeEncoded(w, code, body, err)
+}
+
+// writeEncoded sends body and a newline, or a 500 when encoding it failed
+// (err): the status goes out only with a complete body, never as a 200
+// with a truncated one.
+func writeEncoded(w http.ResponseWriter, code int, body []byte, err error) {
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = json.Marshal(errorResponse{Error: "encoding the response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)+1))
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(append(body, '\n'))
+}
+
+// readBody reads r's body into one buffer sized from Content-Length. The
+// header is untrusted, so the size is capped at limit, the bound the
+// body's MaxBytesReader enforces.
+func readBody(r *http.Request, limit int64) ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), limit)+bytes.MinRead))
+	_, err := buf.ReadFrom(r.Body)
+	return buf.Bytes(), err
 }
 
 func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// The request body is bounded a little above the source limit so that a
 	// too-large request reports ErrTooLarge, not a JSON parse error.
-	r.Body = http.MaxBytesReader(w, r.Body, int64(s.cfg.MaxSourceBytes)+1<<20)
+	limit := int64(s.cfg.MaxSourceBytes) + 1<<20
+	r.Body = http.MaxBytesReader(w, r.Body, limit)
+	start := time.Now()
 	var req analyzeRequest
-	if err := decodeJSON(r, &req); err != nil {
+	body, err := readBody(r, limit)
+	if err == nil {
+		err = decodeAnalyze(body, &req)
+	}
+	s.met.stage("decode").observe(time.Since(start))
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
 		return
 	}
@@ -94,15 +143,15 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Wait != nil && !*req.Wait {
-		writeJSON(w, http.StatusAccepted, j.View())
+		writeView(w, http.StatusAccepted, j.View())
 		return
 	}
 	select {
 	case <-j.Done():
-		writeJSON(w, http.StatusOK, j.View())
+		writeView(w, http.StatusOK, j.View())
 	case <-r.Context().Done():
 		// Client went away; the job keeps running and stays pollable.
-		writeJSON(w, http.StatusAccepted, j.View())
+		writeView(w, http.StatusAccepted, j.View())
 	}
 }
 
@@ -112,7 +161,7 @@ func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown job"})
 		return
 	}
-	writeJSON(w, http.StatusOK, j.View())
+	writeView(w, http.StatusOK, j.View())
 }
 
 func (s *Service) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -131,10 +180,9 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	_, _ = w.Write([]byte(s.MetricsText()))
 }
 
-// decodeJSON decodes r's body, which must hold exactly one JSON value,
-// into v.
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// decodeJSON decodes body, which must hold exactly one JSON value, into v.
+func decodeJSON(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
@@ -147,7 +195,7 @@ func decodeJSON(r *http.Request, v any) error {
 // decodeWire decodes a wire-protocol body into v, answering 400 when it is
 // malformed or names no worker.
 func decodeWire(w http.ResponseWriter, r *http.Request, v any, workerID *string) bool {
-	if err := decodeJSON(r, v); err != nil || *workerID == "" {
+	if err := decodeJSON(r.Body, v); err != nil || *workerID == "" {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad " + r.URL.Path + " body"})
 		return false
 	}

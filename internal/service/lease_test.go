@@ -288,6 +288,30 @@ func TestFleetRestartDiskStoreServesResult(t *testing.T) {
 	}
 }
 
+// TestNonJSONStoredBlobRecomputes: a store entry that is not JSON, such as
+// a foreign or stale blob under a job's key, is a miss and never a
+// response body: the job recomputes, and its view parses.
+func TestNonJSONStoredBlobRecomputes(t *testing.T) {
+	store, err := rescache.OpenDiskStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = store.Close() }) // after the service's Close
+	req := testRequest(testSrc)
+	store.Put(jobKey(req, OptionsSpec{}, headerDigest(kernelhdr.Headers())), []byte(`{"pairings": [`))
+
+	s := newTestService(t, Config{Workers: 1, Store: store})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	resp, v := postAnalyze(t, srv.URL, analyzeRequest{Request: *req})
+	if resp.StatusCode != http.StatusOK || v.State != JobDone || v.CacheHit || v.FilesRecomputed != 1 {
+		t.Fatalf("job over a non-JSON stored blob: %d %+v, want a recomputed result", resp.StatusCode, v)
+	}
+	if res := resultOf(t, v); len(res.Pairings) != 1 {
+		t.Fatalf("recomputed result: %+v", res)
+	}
+}
+
 // TestFleetQuarantineAfterMaxAttempts: a task that fails on every attempt
 // is retried up to the bound and then quarantined, failing its job with a
 // diagnosable error.

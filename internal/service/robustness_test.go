@@ -163,6 +163,7 @@ func FuzzHandler(f *testing.F) {
 	seed(4, completeRequest{WorkerID: "w1", TaskID: "task-00000001", Attempt: 1, Error: "boom"})
 	seed(4, completeRequest{WorkerID: "w1", TaskID: "task-00000002", Result: json.RawMessage(`{"sites":1}`)})
 	seed(4, "blob")
+	seed(0, string(mixBody(f)))
 
 	s := New(Config{
 		Workers:        1,
@@ -195,4 +196,15 @@ func FuzzHandler(f *testing.F) {
 			t.Fatalf("POST %s with malformed body %q: status %d, want 4xx", path, body, rec.Code)
 		}
 	})
+}
+
+// TestWriteJSONEncodeError: a value that cannot be encoded is a complete
+// 500 response, not a 200 with a truncated body.
+func TestWriteJSONEncodeError(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]any{"c": make(chan int)})
+	var e errorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); rec.Code != http.StatusInternalServerError || err != nil || e.Error == "" {
+		t.Fatalf("status %d, body %q (%v), want a 500 with an error", rec.Code, rec.Body, err)
+	}
 }

@@ -143,10 +143,17 @@ func sortedNames(m map[string]string) []string {
 }
 
 // blobCodec stores result blobs as they are: the cache's values are the
-// result JSON the worker produced.
+// result JSON the worker produced. Job views splice a result into their
+// JSON unparsed, so a stored blob that is not JSON is refused, and the
+// cache recomputes it.
 var blobCodec = rescache.Codec{
 	Encode: func(v any) ([]byte, error) { return v.([]byte), nil },
-	Decode: func(blob []byte) (any, error) { return blob, nil },
+	Decode: func(blob []byte) (any, error) {
+		if !json.Valid(blob) {
+			return nil, errors.New("stored result is not JSON")
+		}
+		return blob, nil
+	},
 }
 
 // JobState is the lifecycle of a job.

@@ -435,6 +435,7 @@ func TestHTTPMetrics(t *testing.T) {
 		"ofence_queue_depth 0",
 		`ofence_stage_latency_seconds_bucket{stage="analyze",le="+Inf"} 2`,
 		`ofence_stage_latency_seconds_count{stage="total"} 2`,
+		`ofence_stage_latency_seconds_count{stage="decode"} 2`, // one per request
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q\n%s", want, text)
