@@ -34,6 +34,7 @@ type bodyDecoder struct {
 	buf []byte // scratch for unescaping
 }
 
+// request reads the whole body as one request object.
 func (d *bodyDecoder) request(req *analyzeRequest) bool {
 	if !d.consume('{') {
 		return false
