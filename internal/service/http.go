@@ -80,7 +80,7 @@ func writeView(w http.ResponseWriter, code int, v JobView) {
 	body, err := json.Marshal(v)
 	if err == nil && len(result) > 0 {
 		const key = `,"result":`
-		spliced := make([]byte, 0, len(body)+len(key)+len(result)+2) // and "}\n"
+		spliced := make([]byte, 0, len(body)+len(key)+len(result)+2) // room for "}\n"
 		spliced = append(spliced, body[:len(body)-1]...)
 		spliced = append(spliced, key...)
 		spliced = append(spliced, result...)
