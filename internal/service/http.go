@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"crypto/subtle"
 	"encoding/json"
 	"errors"
@@ -103,15 +102,6 @@ func writeEncoded(w http.ResponseWriter, code int, body []byte, err error) {
 	_, _ = w.Write(append(body, '\n'))
 }
 
-// readBody reads r's body into one buffer sized from Content-Length. The
-// header is untrusted, so the size is capped at limit, the bound the
-// body's MaxBytesReader enforces.
-func readBody(r *http.Request, limit int64) ([]byte, error) {
-	buf := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), limit)+bytes.MinRead))
-	_, err := buf.ReadFrom(r.Body)
-	return buf.Bytes(), err
-}
-
 func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// The request body is bounded a little above the source limit so that a
 	// too-large request reports ErrTooLarge, not a JSON parse error.
@@ -119,7 +109,10 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, limit)
 	start := time.Now()
 	var req analyzeRequest
-	body, err := readBody(r, limit)
+	// io.ReadAll grows with the bytes that arrive: sizing the buffer from
+	// the untrusted Content-Length would let a client that claims the
+	// whole limit and then stalls pin that much memory per connection.
+	body, err := io.ReadAll(r.Body)
 	if err == nil {
 		err = decodeAnalyze(body, &req)
 	}

@@ -208,3 +208,32 @@ func TestWriteJSONEncodeError(t *testing.T) {
 		t.Fatalf("status %d, body %q (%v), want a 500 with an error", rec.Code, rec.Body, err)
 	}
 }
+
+// TestAnalyzeBodyNotSizedFromContentLength: a request whose Content-Length
+// claims the whole body limit but that sends a few bytes allocates for the
+// bytes sent, not for the claim. A buffer sized from the untrusted header
+// would let stalled clients pin about 9 MiB each.
+func TestAnalyzeBodyNotSizedFromContentLength(t *testing.T) {
+	s := newTestService(t, Config{Workers: 1})
+	h := s.Handler()
+	claim := int64(s.cfg.MaxSourceBytes) + 1<<20
+	post := func() int {
+		req := httptest.NewRequest(http.MethodPost, "/v1/analyze", strings.NewReader(`{}`))
+		req.ContentLength = claim
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec.Code
+	}
+	post() // first-use allocations (metrics series, pools) stay out of the count
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	code := post()
+	runtime.ReadMemStats(&after)
+	if code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400 for a request without files", code)
+	}
+	const bound = 256 << 10
+	if n := after.TotalAlloc - before.TotalAlloc; n > bound {
+		t.Fatalf("a 2-byte body claiming %d bytes allocated %d bytes, want at most %d", claim, n, bound)
+	}
+}
